@@ -13,6 +13,7 @@ from .errors import (
     FlagMismatch,
     GenerationFailed,
     InvalidConfig,
+    InvalidData,
     InvalidDesign,
     InvalidMechanism,
     MissingTableEntry,

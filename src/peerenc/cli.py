@@ -41,11 +41,19 @@ def _load_json(path: str) -> dict:
         _fail(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
+def _as(kind, value, where: str):
+    """kind(value), elementwise for a list, or exit 2 naming the config field."""
+    try:
+        return tuple(kind(x) for x in value) if isinstance(value, list) else kind(value)
+    except (TypeError, ValueError):
+        _fail(f"{where}: expected {kind.__name__} values, got {value!r}")
+
+
 def _parse_param(value, where: str):
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, list) and len(value) == 2:
-        return (float(value[0]), float(value[1]))
+        return _as(float, value, where)
     _fail(f"{where}: expected a number or [mean, sd] pair, got {value!r}")
 
 
@@ -54,19 +62,22 @@ def _parse_dgp(cfg: dict) -> DgpConfig:
         _fail("config: missing 'dgp' section")
     d = cfg["dgp"]
     try:
-        blocks = int(d["blocks"])
+        blocks = _as(int, d["blocks"], "config dgp.blocks")
         raw_size = d["block_size"]
         raw_strata = d["strata"]
     except KeyError as exc:
         _fail(f"config dgp: missing key {exc}")
-    size = tuple(int(x) for x in raw_size) if isinstance(raw_size, list) else int(raw_size)
+    size = _as(int, raw_size, "config dgp.block_size")
     if isinstance(raw_strata, dict):
         unknown = set(raw_strata) - set(_STRATA_KEYS)
         if unknown:
             _fail(f"config dgp.strata: unknown strata {sorted(unknown)}")
-        strata = tuple(float(raw_strata.get(k, 0.0)) for k in _STRATA_KEYS)
+        strata = tuple(_as(float, raw_strata.get(k, 0.0), f"config dgp.strata.{k}")
+                       for k in _STRATA_KEYS)
+    elif isinstance(raw_strata, list):
+        strata = _as(float, raw_strata, "config dgp.strata")
     else:
-        strata = tuple(float(x) for x in raw_strata)
+        _fail(f"config dgp.strata: expected an object or a list, got {raw_strata!r}")
     oc = d.get("outcome", {})
     outcome = OutcomeConfig(
         representation=oc.get("representation", "structural"),
@@ -75,9 +86,9 @@ def _parse_dgp(cfg: dict) -> DgpConfig:
         peer=_parse_param(oc.get("peer", 0.0), "dgp.outcome.peer"),
         interaction=_parse_param(oc.get("interaction", 0.0), "dgp.outcome.interaction"),
         curvature=_parse_param(oc.get("curvature", 0.0), "dgp.outcome.curvature"),
-        noise_sd=float(oc.get("noise_sd", 0.0)),
-        z_own=float(oc.get("z_own", 0.0)),
-        z_peer=float(oc.get("z_peer", 0.0)),
+        noise_sd=_as(float, oc.get("noise_sd", 0.0), "config dgp.outcome.noise_sd"),
+        z_own=_as(float, oc.get("z_own", 0.0), "config dgp.outcome.z_own"),
+        z_peer=_as(float, oc.get("z_peer", 0.0), "config dgp.outcome.z_peer"),
     )
     return DgpConfig(
         blocks=blocks,
@@ -96,17 +107,18 @@ def _parse_mechanisms(cfg: dict) -> dict[str, Mechanism]:
         _fail("config: missing 'mechanisms' list")
     mechs: dict[str, Mechanism] = {}
     for i, m in enumerate(raw):
+        where = f"config mechanisms[{i}]"
         name = m.get("name")
         if not name:
-            _fail(f"config mechanisms[{i}]: missing name")
+            _fail(f"{where}: missing name")
         if name in mechs:
             _fail(f"config mechanisms: {name!r} defined more than once")
         if "p" in m:
-            mechs[name] = Mechanism(name=name, probs=float(m["p"]))
+            mechs[name] = Mechanism(name=name, probs=_as(float, m["p"], f"{where}.p"))
         elif "probs" in m:
-            mechs[name] = Mechanism(name=name, probs=tuple(float(x) for x in m["probs"]))
+            mechs[name] = Mechanism(name=name, probs=_as(float, m["probs"], f"{where}.probs"))
         else:
-            _fail(f"config mechanisms[{i}] ({name!r}): needs 'p' or 'probs'")
+            _fail(f"{where} ({name!r}): needs 'p' or 'probs'")
     return mechs
 
 

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _streams
-from .errors import AllBlocksUndefined, InvalidDesign
+from .errors import AllBlocksUndefined, InvalidData, InvalidDesign
 from .mechanisms import Mechanism, mechanisms_identical, sample_assignment
-from .population import Population, StructuralOutcome, outcome
+from .population import Population, outcome
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
 
@@ -96,18 +96,40 @@ class ExperimentData:
     @staticmethod
     def from_csv(path, mech_a: Mechanism, mech_b: Mechanism) -> "ExperimentData":
         """Ingest externally collected data; the mechanisms supply the design
-        probabilities that the inverse-probability estimators require."""
+        probabilities that the inverse-probability estimators require.
+        Raises InvalidData unless the file holds one complete run."""
         rows = []
         with Path(path).open(newline="") as fh:
             reader = csv.DictReader(fh)
             if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-                raise ValueError(f"expected columns {CSV_COLUMNS}, got {reader.fieldnames}")
-            for row in reader:
-                rows.append(
-                    (int(row["block_id"]), int(row["S"]), int(row["unit_id"]),
-                     int(row["Z"]), int(row["D"]), float(row["Y"]))
+                raise InvalidData(
+                    f"{path}: expected columns {CSV_COLUMNS}, got {reader.fieldnames}"
                 )
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                try:
+                    rec = (int(row["block_id"]), int(row["S"]), int(row["unit_id"]),
+                           int(row["Z"]), int(row["D"]), float(row["Y"]))
+                except (TypeError, ValueError) as exc:
+                    raise InvalidData(f"{where}: {exc}") from None
+                for name, v in zip(("S", "Z", "D"), (rec[1], rec[3], rec[4])):
+                    if v not in (0, 1):
+                        raise InvalidData(f"{where}: {name}={v} is not 0 or 1")
+                if not np.isfinite(rec[5]):
+                    raise InvalidData(f"{where}: Y={rec[5]!r} is not finite")
+                rows.append(rec)
+        if not rows:
+            raise InvalidData(f"{path}: no data rows")
         rows.sort(key=lambda r: (r[0], r[2]))
+        if rows[0][0] != 0:
+            raise InvalidData(f"{path}: block ids must start at 0, found {rows[0][0]}")
+        for prev, cur in zip(rows, rows[1:]):
+            if cur[0] > prev[0] + 1:
+                raise InvalidData(f"{path}: no rows for block {prev[0] + 1}")
+            if cur[0] == prev[0] and cur[2] == prev[2]:
+                raise InvalidData(f"{path}: duplicate unit_id {cur[2]} in block {cur[0]}")
+            if cur[0] == prev[0] and cur[1] != prev[1]:
+                raise InvalidData(f"{path}: block {cur[0]} has more than one S value")
         n_blocks = rows[-1][0] + 1
         sizes = np.zeros(n_blocks, dtype=int)
         s = np.zeros(n_blocks, dtype=np.int8)
@@ -139,33 +161,26 @@ def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> Experi
     s = np.zeros(b, dtype=np.int8)
     s[order[: cfg.k]] = 1
 
+    cols = pop.columns
     sizes = np.array(pop.sizes, dtype=int)
-    n_total = int(sizes.sum())
-    z = np.empty(n_total, dtype=np.int8)
-    d = np.empty(n_total, dtype=np.int8)
-    y = np.empty(n_total, dtype=float)
-    p_enc = np.empty(n_total, dtype=float)
     block_id = np.repeat(np.arange(b), sizes)
+    mechs = [cfg.mech_a if flag == 1 else cfg.mech_b for flag in s]
+    z = np.concatenate([
+        sample_assignment(mech, n, _streams.stream(cfg.seed, _streams.ENCOURAGEMENT, replicate, i))
+        for i, (mech, n) in enumerate(zip(mechs, pop.sizes))
+    ]).astype(np.int8)
+    p_enc = np.concatenate([mech.marginals(n) for mech, n in zip(mechs, pop.sizes)])
+    d = np.where(z == 1, cols.d1, cols.d0).astype(np.int8)
 
-    pos = 0
-    for i, block in enumerate(pop.blocks):
-        n = len(block)
-        mech = cfg.mech_a if s[i] == 1 else cfg.mech_b
-        enc_rng = _streams.stream(cfg.seed, _streams.ENCOURAGEMENT, replicate, i)
-        z_i = sample_assignment(mech, n, enc_rng)
-        d0, d1 = pop.d_tables[i]
-        d_i = np.where(z_i == 1, d1, d0)
-        sl = slice(pos, pos + n)
-        z[sl] = z_i
-        d[sl] = d_i
-        p_enc[sl] = mech.marginals(n)
-        k_total = int(d_i.sum())
-        for j, ind in enumerate(block):
-            if isinstance(ind.y, StructuralOutcome):
-                y[pos + j] = ind.y.value(int(d_i[j]), k_total - int(d_i[j]))
-            else:
-                y[pos + j] = outcome(pop, i, j, d_i, z_i)
-        pos += n
+    # StructuralOutcome.value for every individual at once, same operand order
+    own = d.astype(float)
+    k = (np.add.reduceat(d, cols.starts[:-1], dtype=np.int64)[block_id] - d).astype(float)
+    c_int, c_dir, c_peer, c_inter, c_curv, c_noise = cols.coef
+    y = c_int + c_dir * own + c_peer * k + c_inter * own * k + c_curv * k * k + c_noise
+    for u in np.flatnonzero(~cols.structural):
+        i = int(block_id[u])
+        lo, hi = cols.starts[i], cols.starts[i + 1]
+        y[u] = outcome(pop, i, int(u - lo), d[lo:hi], z[lo:hi])
 
     return ExperimentData(sizes=sizes, s=s, block_id=block_id, z=z, d=d, y=y, p_enc=p_enc)
 

@@ -62,3 +62,8 @@ class AllBlocksUndefined(PeerEncError):
 class ZeroEncouragementEffectEstimate(PeerEncError):
     """The estimated encouragement effect is numerically zero, so plug-in
     ratio estimators are undefined for this realization."""
+
+
+class InvalidData(PeerEncError, ValueError):
+    """Realized experiment data are malformed or inconsistent with one run
+    of the design."""

@@ -10,14 +10,16 @@ Everything here is a finite sum, computed exactly (no sampling):
 * the uptake effect: the average shift in treatment caused by encouragement,
   a mechanism-free quantity.
 
-Two evaluation routes produce the same numbers and are cross-checked in the
-test suite: explicit tables are averaged by enumerating all peer assignment
-vectors, while structural (peer-anonymous) outcomes are averaged through the
-exact distribution of the treated-peer count, a Poisson-binomial convolution
-over the peers' effective uptake probabilities (always-takers contribute 1,
+One kernel evaluates every individual's four conditional averages under a
+mechanism (intent-to-treat at z = 0, 1, local at d = 0, 1), exactly, by one
+route per outcome representation. Structural outcomes are quadratic in the
+treated-peer count K, so they need only E[K] and Var[K]: sums of q and
+q(1-q) over the peers' effective uptake probabilities q (always-takers 1,
 never-takers 0, compliers their encouragement probability, defiers its
-complement). Block estimates are averaged in canonical block order, and the
-population value of every family is the unweighted mean of block values.
+complement). Tables are averaged over one enumeration of their block's 2^n
+encouragement vectors. The test suite cross-checks the routes. Every family
+assembles block means of the kernel's output; a family's population value is
+the unweighted mean of its block values.
 """
 
 from __future__ import annotations
@@ -35,15 +37,8 @@ from .errors import (
     ExclusionViolated,
     ZeroEncouragementEffect,
 )
-from .mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, enumerate_assignments
-from .population import (
-    ComplianceType,
-    Population,
-    StructuralOutcome,
-    TableOutcome,
-    classify,
-    pack_rows,
-)
+from .mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, assignment_probs
+from .population import ComplianceType, Population, TableOutcome, pack_bits
 
 # A computed identity passes when |lhs-rhs| <= max(ABS_TOL, REL_TOL*scale):
 # all quantities are short sums of products of probabilities, so double
@@ -57,46 +52,98 @@ def identity_ok(lhs: float, rhs: float, rel: float = REL_TOL, abs_: float = ABS_
     return abs(lhs - rhs) <= max(abs_, rel * scale)
 
 
-def poisson_binomial_pmf(probs) -> np.ndarray:
-    """Exact pmf of a sum of independent non-identical Bernoullis (O(n^2) DP)."""
-    probs = np.asarray(probs, dtype=float)
-    pmf = np.zeros(probs.size + 1)
-    pmf[0] = 1.0
-    for q in probs:
-        pmf[1:] = pmf[1:] * (1.0 - q) + pmf[:-1] * q
-        pmf[0] *= 1.0 - q
-    return pmf
+def _block_means(pop: Population, values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Per-block mean of a per-individual array over the members."""
+    firsts = pop.columns.starts[:-1]
+    return np.add.reduceat(np.where(members, values, 0), firsts) / np.add.reduceat(members, firsts)
 
 
-def effective_uptake_probs(block, marginals: np.ndarray) -> np.ndarray:
-    """P(individual ends up treated) when encouraged with the given marginals."""
-    out = np.empty(len(block))
-    for j, ind in enumerate(block):
-        d0, d1 = ind.pt.d0, ind.pt.d1
-        if d0 == d1:
-            out[j] = float(d0)
-        elif d1 == 1:  # complier: treated iff encouraged
-            out[j] = marginals[j]
-        else:  # defier: treated iff not encouraged
-            out[j] = 1.0 - marginals[j]
-    return out
+@dataclass(frozen=True)
+class _MemberAverages:
+    """Each individual's averages under one mechanism, in block order:
+    ``itt[z]`` pins the own encouragement at z, ``local[d]`` the own treatment
+    at d (averaging the own encouragement for encouragement-keyed tables).
+    Read them through ``members``, which refuses what the cap left out."""
+
+    pop: Population
+    cap: int
+    itt: np.ndarray  # (2, N)
+    local: np.ndarray  # (2, N)
+
+    def itt_blocks(self, z: int) -> np.ndarray:
+        return _block_means(self.pop, self.itt[z], self.members())
+
+    def local_blocks(self, d: int, stratum: ComplianceType | None = None,
+                     allow_exclusion_violation: bool = False) -> np.ndarray:
+        members = self.members(stratum, True, allow_exclusion_violation)
+        return _block_means(self.pop, self.local[d], members)
+
+    def members(self, stratum: ComplianceType | None = None, local: bool = False,
+                allow_exclusion_violation: bool = False, only=None) -> np.ndarray:
+        """Mask of the individuals an average covers: a stratum, or individual
+        ``only`` = (i, j). Raises for the first block, and its first member,
+        where the average is undefined: an empty stratum, a table block beyond
+        the enumeration cap, or (local only) an encouragement-keyed table,
+        unless allowed and within the cap."""
+        cols = self.pop.columns
+        firsts, sizes = cols.starts[:-1], np.diff(cols.starts)
+        members = cols.in_stratum(stratum)
+        if only is not None:
+            members = np.arange(members.size) == firsts[only[0]] + range(sizes[only[0]])[only[1]]
+        n = np.repeat(sizes, sizes)
+        bad = members & np.where(local & cols.z_dependent,
+                                 (not allow_exclusion_violation) | (n > self.cap),
+                                 ~cols.structural & (n - 1 > self.cap))
+        empty = (np.add.reduceat(members, firsts) == 0) & (stratum is not None)
+        blocks = np.flatnonzero(empty | (np.add.reduceat(bad, firsts) > 0))
+        if blocks.size == 0:
+            return members
+        i = int(blocks[0])
+        j = int(np.argmax(bad[firsts[i]:firsts[i] + sizes[i]]))
+        if empty[i]:
+            raise EmptyStratumInBlock(f"block {i} has no {stratum.value} individuals")
+        if not (local and cols.z_dependent[firsts[i] + j]):
+            raise EnumerationTooLarge(
+                f"block {i}: 2^{sizes[i] - 1} peer assignments exceed cap 2^{self.cap}")
+        if not allow_exclusion_violation:
+            raise ExclusionViolated(f"block {i} individual {j}: outcome depends on encouragements")
+        raise EnumerationTooLarge(f"block {i}: 2^{sizes[i]} assignments exceed cap 2^{self.cap}")
 
 
-def _peer_enumeration(n_peers: int, block_index: int, cap: int):
-    if n_peers > cap:
-        raise EnumerationTooLarge(
-            f"block {block_index}: 2^{n_peers} peer assignments exceed cap 2^{cap}"
-        )
-    if n_peers == 0:
-        return np.zeros((1, 0), dtype=np.uint8)
-    return enumerate_assignments(n_peers, cap=cap)
+def _member_averages(pop: Population, mech: Mechanism, cap: int) -> _MemberAverages:
+    """The exact kernel: closed-form peer-count moments for structural
+    outcomes, one 2^n enumeration per table block within the cap."""
+    cols = pop.columns
+    firsts, sizes = cols.starts[:-1], np.diff(cols.starts)
+    p = np.concatenate([mech.marginals(n) for n in pop.sizes])
+    q = np.where(cols.d0 == cols.d1, cols.d0, np.where(cols.d1 == 1, p, 1.0 - p))
+    mean = np.repeat(np.add.reduceat(q, firsts), sizes) - q
+    var = np.repeat(np.add.reduceat(q * (1.0 - q), firsts), sizes) - q * (1.0 - q)
+    c0, c_dir, c_peer, c_inter, c_curv, c_noise = cols.coef
+    local = np.where(cols.structural, [
+        c0 + c_dir * d + (c_peer + c_inter * d) * mean + c_curv * (var + mean * mean) + c_noise
+        for d in (0, 1)
+    ], np.nan)
+    itt = np.where(np.stack([cols.d0, cols.d1]) == 1, local[1], local[0])
+    for i in np.flatnonzero((np.add.reduceat(~cols.structural, firsts) > 0) & (sizes - 1 <= cap)):
+        lo, n = int(firsts[i]), int(sizes[i])
+        # the cap bounds the 2^(n-1) peer assignments; the own column doubles them
+        w = assignment_probs(mech, n, cap=cap + 1)
+        z = np.arange(w.size)  # row r is the bit-packed encouragement vector r
+        d = (z & pack_bits(cols.d1[lo:lo + n])) | (~z & pack_bits(cols.d0[lo:lo + n]))
+        for j, ind in enumerate(pop.blocks[i]):
+            if isinstance(ind.y, TableOutcome):
+                bit = 1 << (n - 1 - j)
+                for v, own_d in enumerate((cols.d0[lo + j], cols.d1[lo + j])):
+                    itt[v, lo + j] = w @ _table_values(
+                        ind.y, d & ~bit | int(own_d) * bit, z & ~bit | v * bit)
+                    local[v, lo + j] = w @ _table_values(ind.y, d & ~bit | v * bit, z)
+    return _MemberAverages(pop=pop, cap=cap, itt=itt, local=local)
 
 
-def _row_probs(bits: np.ndarray, marginals: np.ndarray) -> np.ndarray:
-    w = np.ones(bits.shape[0])
-    for c in range(bits.shape[1]):
-        w *= np.where(bits[:, c] == 1, marginals[c], 1.0 - marginals[c])
-    return w
+def _table_values(y: TableOutcome, d: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A table's entries at bit-packed treatment and encouragement vectors."""
+    return y.z_values[d, z] if y.z_dependent else y.values[d]
 
 
 def ybar_indiv_itt(
@@ -114,29 +161,8 @@ def ybar_indiv_itt(
     encouragement; encouragement-keyed tables are honored, so this average is
     well-defined with or without the exclusion restriction.
     """
-    block = pop.blocks[i]
-    n = len(block)
-    marg = mech.marginals(n)
-    ind = block[j]
-    own_d = ind.pt.take(z)
-
-    if isinstance(ind.y, StructuralOutcome):
-        peer_idx = [k for k in range(n) if k != j]
-        probs = effective_uptake_probs([block[k] for k in peer_idx], marg[peer_idx])
-        pmf = poisson_binomial_pmf(probs)
-        return float(np.dot(pmf, ind.y.values_by_count(own_d, n - 1)))
-
-    peers = _peer_enumeration(n - 1, i, cap)
-    peer_marg = np.delete(marg, j)
-    w = _row_probs(peers, peer_marg)
-    z_full = np.insert(peers, j, z, axis=1)
-    d0, d1 = pop.d_tables[i]
-    d_full = np.where(z_full == 1, d1, d0)
-    if ind.y.z_dependent:
-        vals = ind.y.z_values[pack_rows(d_full), pack_rows(z_full)]
-    else:
-        vals = ind.y.values[pack_rows(d_full)]
-    return float(np.dot(w, vals))
+    avg = _member_averages(pop, mech, cap)
+    return float(avg.itt[z][avg.members(only=(i, j))][0])
 
 
 def ybar_indiv_local(
@@ -158,38 +184,8 @@ def ybar_indiv_local(
     the table happens not to vary in the encouragements), otherwise
     ExclusionViolated is raised.
     """
-    block = pop.blocks[i]
-    n = len(block)
-    marg = mech.marginals(n)
-    ind = block[j]
-
-    if isinstance(ind.y, StructuralOutcome):
-        peer_idx = [k for k in range(n) if k != j]
-        probs = effective_uptake_probs([block[k] for k in peer_idx], marg[peer_idx])
-        pmf = poisson_binomial_pmf(probs)
-        return float(np.dot(pmf, ind.y.values_by_count(d, n - 1)))
-
-    d0, d1 = pop.d_tables[i]
-    if not ind.y.z_dependent:
-        peers = _peer_enumeration(n - 1, i, cap)
-        w = _row_probs(peers, np.delete(marg, j))
-        z_padded = np.insert(peers, j, 0, axis=1)  # own column overwritten below
-        d_full = np.where(z_padded == 1, d1, d0)
-        d_full[:, j] = d
-        return float(np.dot(w, ind.y.values[pack_rows(d_full)]))
-
-    if not allow_exclusion_violation:
-        raise ExclusionViolated(
-            f"block {i} individual {j}: outcome depends on encouragements"
-        )
-    if n > cap:
-        raise EnumerationTooLarge(f"block {i}: 2^{n} assignments exceed cap 2^{cap}")
-    z_full = enumerate_assignments(n, cap=cap)
-    w = _row_probs(z_full, marg)
-    d_full = np.where(z_full == 1, d1, d0)
-    d_full[:, j] = d
-    vals = ind.y.z_values[pack_rows(d_full), pack_rows(z_full)]
-    return float(np.dot(w, vals))
+    avg = _member_averages(pop, mech, cap)
+    return float(avg.local[d][avg.members(None, True, allow_exclusion_violation, (i, j))][0])
 
 
 # --------------------------------------------------------------------------
@@ -216,10 +212,7 @@ def _summarize(values) -> BlockSummary:
 def ybar_block_itt(
     pop: Population, z: int, mech: Mechanism, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BlockSummary:
-    return _summarize(
-        sum(ybar_indiv_itt(pop, i, j, z, mech, cap) for j in range(len(block))) / len(block)
-        for i, block in enumerate(pop.blocks)
-    )
+    return _summarize(_member_averages(pop, mech, cap).itt_blocks(z))
 
 
 def ybar_block_local(
@@ -230,22 +223,8 @@ def ybar_block_local(
     cap: int = DEFAULT_ENUMERATION_CAP,
     allow_exclusion_violation: bool = False,
 ) -> BlockSummary:
-    values = []
-    for i, block in enumerate(pop.blocks):
-        if stratum is None:
-            members = range(len(block))
-            count = len(block)
-        else:
-            members = [j for j, ind in enumerate(block) if classify(ind.pt) is stratum]
-            count = len(members)
-            if count == 0:
-                raise EmptyStratumInBlock(f"block {i} has no {stratum.value} individuals")
-        total = sum(
-            ybar_indiv_local(pop, i, j, d, mech, cap, allow_exclusion_violation)
-            for j in members
-        )
-        values.append(total / count)
-    return _summarize(values)
+    avg = _member_averages(pop, mech, cap)
+    return _summarize(avg.local_blocks(d, stratum, allow_exclusion_violation))
 
 
 def ditt(
@@ -254,9 +233,8 @@ def ditt(
     """Direct intent-to-treat effect: contrast in own encouragement."""
     if z_hi == z_lo:
         raise ValueError("direct contrast needs two distinct encouragement values")
-    hi = ybar_block_itt(pop, z_hi, mech, cap)
-    lo = ybar_block_itt(pop, z_lo, mech, cap)
-    return _summarize(a - b for a, b in zip(hi.per_block, lo.per_block))
+    avg = _member_averages(pop, mech, cap)
+    return _summarize(avg.itt_blocks(z_hi) - avg.itt_blocks(z_lo))
 
 
 def pitt(
@@ -267,19 +245,18 @@ def pitt(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BlockSummary:
     """Peer intent-to-treat effect: contrast in the peers' mechanism."""
-    a = ybar_block_itt(pop, z, mech_a, cap)
-    b = ybar_block_itt(pop, z, mech_b, cap)
-    return _summarize(x - y for x, y in zip(a.per_block, b.per_block))
+    a = _member_averages(pop, mech_a, cap)
+    b = _member_averages(pop, mech_b, cap)
+    return _summarize(a.itt_blocks(z) - b.itt_blocks(z))
 
 
 def et(pop: Population, z_hi: int = 1, z_lo: int = 0) -> BlockSummary:
     """Average effect of encouragement on treatment uptake (mechanism-free)."""
     if z_hi == z_lo:
         raise ValueError("uptake contrast needs two distinct encouragement values")
-    return _summarize(
-        sum(ind.pt.take(z_hi) - ind.pt.take(z_lo) for ind in block) / len(block)
-        for block in pop.blocks
-    )
+    cols = pop.columns
+    hi, lo = (cols.d1 if z_hi else cols.d0), (cols.d1 if z_lo else cols.d0)
+    return _summarize(_block_means(pop, hi.astype(np.int64) - lo, cols.in_stratum(None)))
 
 
 def ldt(
@@ -294,9 +271,9 @@ def ldt(
     """Local direct treatment effect: own treatment pinned, peers natural."""
     if d_hi == d_lo:
         raise ValueError("direct contrast needs two distinct treatment values")
-    hi = ybar_block_local(pop, d_hi, mech, stratum, cap, allow_exclusion_violation)
-    lo = ybar_block_local(pop, d_lo, mech, stratum, cap, allow_exclusion_violation)
-    return _summarize(a - b for a, b in zip(hi.per_block, lo.per_block))
+    avg = _member_averages(pop, mech, cap)
+    return _summarize(avg.local_blocks(d_hi, stratum, allow_exclusion_violation)
+                      - avg.local_blocks(d_lo, stratum, allow_exclusion_violation))
 
 
 def lpt(
@@ -309,9 +286,10 @@ def lpt(
     allow_exclusion_violation: bool = False,
 ) -> BlockSummary:
     """Local peer treatment effect; stratum None averages over everyone."""
-    a = ybar_block_local(pop, d, mech_a, stratum, cap, allow_exclusion_violation)
-    b = ybar_block_local(pop, d, mech_b, stratum, cap, allow_exclusion_violation)
-    return _summarize(x - y for x, y in zip(a.per_block, b.per_block))
+    a = _member_averages(pop, mech_a, cap)
+    b = _member_averages(pop, mech_b, cap)
+    return _summarize(a.local_blocks(d, stratum, allow_exclusion_violation)
+                      - b.local_blocks(d, stratum, allow_exclusion_violation))
 
 
 # --------------------------------------------------------------------------
@@ -371,9 +349,8 @@ def _assumption_notes(pop: Population, require_monotone=False, require_exclusion
         notes.append("exclusion restriction violated: encouragement-dependent outcomes")
     if require_one_sided and not pop.one_sided:
         notes.append("one-sided compliance violated: someone takes treatment unencouraged")
-    if require_all_encouraged_take:
-        if not all(ind.pt.d1 == 1 for block in pop.blocks for ind in block):
-            notes.append("mirror condition violated: someone declines treatment when encouraged")
+    if require_all_encouraged_take and not pop.columns.d1.all():
+        notes.append("mirror condition violated: someone declines treatment when encouraged")
     return tuple(notes)
 
 
@@ -384,6 +361,40 @@ def _aggregation_note(uptake: BlockSummary) -> str | None:
             "identity does not aggregate to this population-level ratio"
         )
     return None
+
+
+def _ratio_denominator(pop: Population) -> BlockSummary:
+    uptake = et(pop, 1, 0)
+    if uptake.population == 0.0:
+        raise ZeroEncouragementEffect("population uptake effect is zero; ratio undefined")
+    return uptake
+
+
+def _identity(name: str, lhs: float, rhs: float, block_lhs, block_rhs, notes,
+              note: str | None = None) -> IdentityReport:
+    return IdentityReport(
+        name=name,
+        lhs=lhs,
+        rhs=rhs,
+        passed=identity_ok(lhs, rhs),
+        assumptions_ok=not notes,
+        assumption_notes=notes,
+        block_lhs=tuple(float(x) for x in block_lhs),
+        block_rhs=tuple(float(x) for x in block_rhs),
+        note=note,
+    )
+
+
+def _ratio_identity(name: str, pop: Population, uptake: BlockSummary, itt: BlockSummary,
+                    local: BlockSummary) -> IdentityReport:
+    """An ITT contrast over the uptake effect against a complier local
+    contrast, in the population and block by block (NaN where a block's
+    uptake effect is zero)."""
+    e = np.array(uptake.per_block)
+    block_lhs = np.divide(itt.per_block, e, out=np.full(e.size, np.nan), where=e != 0.0)
+    notes = _assumption_notes(pop, require_monotone=True, require_exclusion=True)
+    return _identity(name, itt.population / uptake.population, local.population, block_lhs,
+                     local.per_block, notes, _aggregation_note(uptake))
 
 
 def theorem_1_check(
@@ -398,30 +409,12 @@ def theorem_1_check(
     every block has the same uptake effect. Runs regardless of assumption
     flags so violations can be demonstrated, and reports their status.
     """
-    uptake = et(pop, 1, 0)
-    if uptake.population == 0.0:
-        raise ZeroEncouragementEffect("population uptake effect is zero; ratio undefined")
-    direct = ditt(pop, 1, 0, mech, cap)
-    local = ldt(pop, 1, 0, mech, ComplianceType.COMPLIER, cap,
-                allow_exclusion_violation=True)
-    lhs = direct.population / uptake.population
-    rhs = local.population
-    block_lhs = tuple(
-        d / e if e != 0.0 else float("nan")
-        for d, e in zip(direct.per_block, uptake.per_block)
-    )
-    notes = _assumption_notes(pop, require_monotone=True, require_exclusion=True)
-    return IdentityReport(
-        name="theorem_1",
-        lhs=lhs,
-        rhs=rhs,
-        passed=identity_ok(lhs, rhs),
-        assumptions_ok=not notes,
-        assumption_notes=notes,
-        block_lhs=block_lhs,
-        block_rhs=local.per_block,
-        note=_aggregation_note(uptake),
-    )
+    uptake = _ratio_denominator(pop)
+    avg = _member_averages(pop, mech, cap)
+    direct = _summarize(avg.itt_blocks(1) - avg.itt_blocks(0))
+    local = _summarize(avg.local_blocks(1, ComplianceType.COMPLIER, True)
+                       - avg.local_blocks(0, ComplianceType.COMPLIER, True))
+    return _ratio_identity("theorem_1", pop, uptake, direct, local)
 
 
 def theorem_2_check(
@@ -436,34 +429,14 @@ def theorem_2_check(
     rhs: complier local peer effect at d=1 minus at d=0.
     Same block-level vs population-level caveat as theorem_1_check.
     """
-    uptake = et(pop, 1, 0)
-    if uptake.population == 0.0:
-        raise ZeroEncouragementEffect("population uptake effect is zero; ratio undefined")
-    p1 = pitt(pop, 1, mech_a, mech_b, cap)
-    p0 = pitt(pop, 0, mech_a, mech_b, cap)
-    l1 = lpt(pop, 1, mech_a, mech_b, ComplianceType.COMPLIER, cap,
-             allow_exclusion_violation=True)
-    l0 = lpt(pop, 0, mech_a, mech_b, ComplianceType.COMPLIER, cap,
-             allow_exclusion_violation=True)
-    lhs = (p1.population - p0.population) / uptake.population
-    rhs = l1.population - l0.population
-    block_lhs = tuple(
-        (a - b) / e if e != 0.0 else float("nan")
-        for a, b, e in zip(p1.per_block, p0.per_block, uptake.per_block)
-    )
-    block_rhs = tuple(a - b for a, b in zip(l1.per_block, l0.per_block))
-    notes = _assumption_notes(pop, require_monotone=True, require_exclusion=True)
-    return IdentityReport(
-        name="theorem_2",
-        lhs=lhs,
-        rhs=rhs,
-        passed=identity_ok(lhs, rhs),
-        assumptions_ok=not notes,
-        assumption_notes=notes,
-        block_lhs=block_lhs,
-        block_rhs=block_rhs,
-        note=_aggregation_note(uptake),
-    )
+    uptake = _ratio_denominator(pop)
+    a = _member_averages(pop, mech_a, cap)
+    b = _member_averages(pop, mech_b, cap)
+    co = ComplianceType.COMPLIER
+    peer_itt = [a.itt_blocks(z) - b.itt_blocks(z) for z in (0, 1)]
+    peer_local = [a.local_blocks(d, co, True) - b.local_blocks(d, co, True) for d in (0, 1)]
+    return _ratio_identity("theorem_2", pop, uptake, _summarize(peer_itt[1] - peer_itt[0]),
+                           _summarize(peer_local[1] - peer_local[0]))
 
 
 def theorem_3_check(
@@ -479,24 +452,18 @@ def theorem_3_check(
     mirror variant (everyone encouraged takes treatment). Holds block by
     block, hence at the population level with no ratio involved.
     """
-    p = pitt(pop, z, mech_a, mech_b, cap)
-    l = lpt(pop, z, mech_a, mech_b, None, cap, allow_exclusion_violation=True)
+    a = _member_averages(pop, mech_a, cap)
+    b = _member_averages(pop, mech_b, cap)
+    p = _summarize(a.itt_blocks(z) - b.itt_blocks(z))
+    l = _summarize(a.local_blocks(z, None, True) - b.local_blocks(z, None, True))
     notes = _assumption_notes(
         pop,
         require_exclusion=True,
         require_one_sided=(z == 0),
         require_all_encouraged_take=(z == 1),
     )
-    return IdentityReport(
-        name=f"theorem_3[z={z}]",
-        lhs=p.population,
-        rhs=l.population,
-        passed=identity_ok(p.population, l.population),
-        assumptions_ok=not notes,
-        assumption_notes=notes,
-        block_lhs=p.per_block,
-        block_rhs=l.per_block,
-    )
+    return _identity(f"theorem_3[z={z}]", p.population, l.population, p.per_block,
+                     l.per_block, notes)
 
 
 # --------------------------------------------------------------------------
@@ -545,49 +512,48 @@ def compute_estimand_report(
     """Evaluate every estimand family for a pair of mechanisms."""
     entries: dict[str, BlockSummary] = {}
     skipped: dict[str, str] = {}
-    mechs = ((mech_a.name, mech_a), (mech_b.name, mech_b))
-
-    for name, mech in mechs:
-        for z in (0, 1):
-            entries[f"ybar_itt[z={z},mech={name}]"] = ybar_block_itt(pop, z, mech, cap)
-        entries[f"ditt[1,0,mech={name}]"] = ditt(pop, 1, 0, mech, cap)
+    a = _member_averages(pop, mech_a, cap)
+    b = _member_averages(pop, mech_b, cap)
+    named = ((mech_a.name, a), (mech_b.name, b))
     pair = f"{mech_a.name},{mech_b.name}"
+
+    for name, avg in named:
+        for z in (0, 1):
+            entries[f"ybar_itt[z={z},mech={name}]"] = _summarize(avg.itt_blocks(z))
+        entries[f"ditt[1,0,mech={name}]"] = _summarize(avg.itt_blocks(1) - avg.itt_blocks(0))
     for z in (0, 1):
-        entries[f"pitt[z={z},{pair}]"] = pitt(pop, z, mech_a, mech_b, cap)
+        entries[f"pitt[z={z},{pair}]"] = _summarize(a.itt_blocks(z) - b.itt_blocks(z))
     entries["et[1,0]"] = et(pop, 1, 0)
 
     if pop.exclusion_ok:
-        for name, mech in mechs:
+        for name, avg in named:
             for d in (0, 1):
-                entries[f"ybar_local[d={d},mech={name}]"] = ybar_block_local(
-                    pop, d, mech, None, cap
-                )
+                entries[f"ybar_local[d={d},mech={name}]"] = _summarize(avg.local_blocks(d))
         for d in (0, 1):
-            entries[f"lpt_all[d={d},{pair}]"] = lpt(pop, d, mech_a, mech_b, None, cap)
+            entries[f"lpt_all[d={d},{pair}]"] = _summarize(a.local_blocks(d) - b.local_blocks(d))
+        co = ComplianceType.COMPLIER
         try:
-            for name, mech in mechs:
+            for name, avg in named:
+                local = [avg.local_blocks(d, co) for d in (0, 1)]
                 for d in (0, 1):
                     entries[f"ybar_local[d={d},mech={name},stratum=complier]"] = (
-                        ybar_block_local(pop, d, mech, ComplianceType.COMPLIER, cap)
+                        _summarize(local[d])
                     )
-                entries[f"ldt[1,0,mech={name},stratum=complier]"] = ldt(
-                    pop, 1, 0, mech, ComplianceType.COMPLIER, cap
-                )
+                entries[f"ldt[1,0,mech={name},stratum=complier]"] = _summarize(local[1] - local[0])
             for d in (0, 1):
-                entries[f"lpt[d={d},{pair},stratum=complier]"] = lpt(
-                    pop, d, mech_a, mech_b, ComplianceType.COMPLIER, cap
+                entries[f"lpt[d={d},{pair},stratum=complier]"] = _summarize(
+                    a.local_blocks(d, co) - b.local_blocks(d, co)
                 )
         except EmptyStratumInBlock as exc:
             skipped["complier_local_effects"] = str(exc)
     else:
         skipped["local_effects"] = "exclusion restriction violated; local averages undefined"
 
-    uses_tables = [
-        any(isinstance(ind.y, TableOutcome) for ind in block) for block in pop.blocks
-    ]
+    cols = pop.columns
+    uses_tables = np.add.reduceat(~cols.structural, cols.starts[:-1]) > 0
     metadata = {
         "mechanisms": {m.name: m.probs if isinstance(m.probs, float) else list(m.probs)
-                       for _, m in mechs},
+                       for m in (mech_a, mech_b)},
         "flags": {
             "monotone": pop.monotone,
             "one_sided": pop.one_sided,
@@ -595,12 +561,12 @@ def compute_estimand_report(
         },
         "block_sizes": list(pop.sizes),
         "evaluation": [
-            "enumeration" if t else "convolution" for t in uses_tables
+            "enumeration" if t else "moments" for t in uses_tables
         ],
-        # peer assignment vectors visited per individual (tables), or the
-        # support size of the treated-peer count (structural)
+        # assignment rows the kernel visited per block: one enumeration of
+        # all 2^n for a block holding a table, none for closed-form moments
         "enumeration_sizes": [
-            2 ** (n - 1) if t else n for n, t in zip(pop.sizes, uses_tables)
+            2**n if t else 0 for n, t in zip(pop.sizes, uses_tables)
         ],
     }
     return EstimandReport(entries=entries, skipped=skipped, metadata=metadata)

@@ -23,10 +23,6 @@ from .errors import AllBlocksUndefined, EmptyArm, ZeroEncouragementEffectEstimat
 ET_ZERO_TOL = 1e-12
 
 
-def _block_bounds(data: ExperimentData) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(data.sizes)))
-
-
 def yhat_block(data: ExperimentData, i: int, z: int) -> float:
     """Inverse-probability block mean of the outcome at encouragement value z.
 
@@ -44,6 +40,8 @@ def yhat_block(data: ExperimentData, i: int, z: int) -> float:
 
 def yhat_pop(data: ExperimentData, z: int, arm: str) -> float:
     """Mean of yhat_block over the blocks assigned to the given arm ("a"/"b")."""
+    if arm not in ("a", "b"):
+        raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
     want = 1 if arm == "a" else 0
     blocks = [i for i in range(data.n_blocks) if data.s[i] == want]
     if not blocks:

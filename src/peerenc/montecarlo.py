@@ -27,14 +27,15 @@ from .errors import (
 )
 from .estimands import (
     IdentityReport,
-    ditt,
+    _member_averages,
+    _summarize,
     et,
-    pitt,
     theorem_1_check,
     theorem_2_check,
     theorem_3_check,
 )
 from .estimators import ET_ZERO_TOL, estimator_battery
+from .mechanisms import DEFAULT_ENUMERATION_CAP
 from .population import Population
 
 ESTIMATOR_NAMES = (
@@ -81,15 +82,12 @@ def replicate_values(
     return np.array(rows, dtype=float)
 
 
-def exact_targets(pop: Population, cfg: DesignConfig, cap=None) -> dict[str, float]:
-    """Exact values each estimator is aiming at, from the enumeration engine."""
-    from .mechanisms import DEFAULT_ENUMERATION_CAP
-
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    ditt_a = ditt(pop, 1, 0, cfg.mech_a, cap).population
-    ditt_b = ditt(pop, 1, 0, cfg.mech_b, cap).population
-    pitt_1 = pitt(pop, 1, cfg.mech_a, cfg.mech_b, cap).population
-    pitt_0 = pitt(pop, 0, cfg.mech_a, cfg.mech_b, cap).population
+def exact_targets(pop: Population, cfg: DesignConfig,
+                  cap: int = DEFAULT_ENUMERATION_CAP) -> dict[str, float]:
+    """Exact values each estimator is aiming at, from the exact engine."""
+    a, b = (_member_averages(pop, m, cap) for m in (cfg.mech_a, cfg.mech_b))
+    ditt_a, ditt_b = (_summarize(m.itt_blocks(1) - m.itt_blocks(0)).population for m in (a, b))
+    pitt_1, pitt_0 = (_summarize(a.itt_blocks(z) - b.itt_blocks(z)).population for z in (1, 0))
     uptake = et(pop, 1, 0).population
     targets = {
         "ditt_hat_a": ditt_a,
@@ -335,7 +333,7 @@ def verify_theorems(
     attempt("theorem_1", lambda: theorem_1_check(pop, mech_a))
     attempt("theorem_2", lambda: theorem_2_check(pop, mech_a, mech_b))
     attempt("theorem_3[z=0]", lambda: theorem_3_check(pop, mech_a, mech_b, z=0))
-    if all(ind.pt.d1 == 1 for block in pop.blocks for ind in block):
+    if pop.columns.d1.all():
         attempt("theorem_3[z=1]", lambda: theorem_3_check(pop, mech_a, mech_b, z=1))
 
     mc = None

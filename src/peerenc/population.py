@@ -21,7 +21,7 @@ of the population and the design's own random streams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -106,17 +106,6 @@ class StructuralOutcome:
             + self.noise
         )
 
-    def values_by_count(self, own_d: int, n_peers: int) -> np.ndarray:
-        """value(own_d, k) for k = 0..n_peers, in order."""
-        k = np.arange(n_peers + 1, dtype=float)
-        return (
-            self.intercept
-            + self.direct * own_d
-            + (self.peer + self.interaction * own_d) * k
-            + self.curvature * k * k
-            + self.noise
-        )
-
 
 def pack_bits(vec) -> int:
     """Bit-pack a binary vector, most significant bit first (index 0)."""
@@ -124,13 +113,6 @@ def pack_bits(vec) -> int:
     for b in vec:
         out = (out << 1) | int(b)
     return out
-
-
-def pack_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise pack_bits for a (m, n) binary matrix."""
-    n = mat.shape[1]
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    return mat.astype(np.int64) @ weights
 
 
 @dataclass(frozen=True)
@@ -234,16 +216,45 @@ class Population:
         return sum(self.sizes)
 
     @cached_property
-    def d_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(d0 vector, d1 vector) per block, cached for the design runner."""
-        out = []
-        for block in self.blocks:
-            d0 = np.array([ind.pt.d0 for ind in block], dtype=np.uint8)
-            d1 = np.array([ind.pt.d1 for ind in block], dtype=np.uint8)
-            d0.setflags(write=False)
-            d1.setflags(write=False)
-            out.append((d0, d1))
-        return tuple(out)
+    def columns(self) -> Columns:
+        """Struct-of-arrays view of the individuals, built on first use."""
+        inds = [ind for block in self.blocks for ind in block]
+        tables = [isinstance(ind.y, TableOutcome) for ind in inds]
+        no_coef = StructuralOutcome()
+        cols = Columns(
+            starts=np.cumsum((0,) + self.sizes),
+            d0=np.array([ind.pt.d0 for ind in inds], dtype=np.uint8),
+            d1=np.array([ind.pt.d1 for ind in inds], dtype=np.uint8),
+            structural=~np.array(tables),
+            z_dependent=np.array([t and ind.y.z_dependent for t, ind in zip(tables, inds)]),
+            coef=np.array([[getattr(no_coef if t else ind.y, f.name) for f in fields(no_coef)]
+                           for t, ind in zip(tables, inds)]).T,
+        )
+        for f in fields(cols):
+            getattr(cols, f.name).setflags(write=False)
+        return cols
+
+
+@dataclass(frozen=True)
+class Columns:
+    """A population's individuals as flat arrays in block order; block i owns
+    starts[i]:starts[i + 1]. ``coef`` rows are the StructuralOutcome fields
+    in order (intercept, direct, peer, interaction, curvature, noise), zero
+    for tables."""
+
+    starts: np.ndarray  # (B + 1,) block offsets
+    d0: np.ndarray  # (N,) treatment when unencouraged
+    d1: np.ndarray  # (N,) treatment when encouraged
+    structural: np.ndarray  # (N,) structural outcome (else a table)
+    z_dependent: np.ndarray  # (N,) encouragement-keyed table
+    coef: np.ndarray  # (6, N)
+
+    def in_stratum(self, stratum: ComplianceType | None) -> np.ndarray:
+        """Mask of the individuals in a compliance stratum (everyone for None)."""
+        if stratum is None:
+            return np.ones(self.d0.size, dtype=bool)
+        pt = _PT_BY_STRATUM[stratum]
+        return (self.d0 == pt.d0) & (self.d1 == pt.d1)
 
 
 def potential_treatment(pop: Population, i: int, j: int, z: int) -> int:
@@ -337,11 +348,7 @@ def validate(pop: Population) -> ValidationReport:
 
     found_monotone = all(b.monotone for b in block_reports)
     found_one_sided = all(b.one_sided for b in block_reports)
-    found_exclusion = not any(
-        isinstance(ind.y, TableOutcome) and ind.y.z_dependent
-        for block in pop.blocks
-        for ind in block
-    )
+    found_exclusion = not pop.columns.z_dependent.any()
     for flag, found, label in (
         (pop.monotone, found_monotone, "monotone"),
         (pop.one_sided, found_one_sided, "one_sided"),
@@ -656,27 +663,24 @@ def population_to_dict(pop: Population) -> dict:
 
 def population_from_dict(data: dict) -> Population:
     try:
-        flags = data["flags"]
-        raw_blocks = data["blocks"]
+        flags = {k: bool(data["flags"][k]) for k in ("monotone", "one_sided", "exclusion_ok")}
+        raw_blocks = list(data["blocks"])
     except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"population file missing section: {exc}") from exc
     blocks = []
-    for raw in raw_blocks:
-        blocks.append(
-            tuple(
-                Individual(
+    for i, raw in enumerate(raw_blocks):
+        block = []
+        for j, r in enumerate(raw):
+            try:
+                block.append(Individual(
                     PotentialTreatment(int(r["d0"]), int(r["d1"])),
                     _outcome_from_dict(r["outcome"]),
-                )
-                for r in raw
-            )
-        )
-    pop = Population(
-        blocks=tuple(blocks),
-        monotone=bool(flags["monotone"]),
-        one_sided=bool(flags["one_sided"]),
-        exclusion_ok=bool(flags["exclusion_ok"]),
-    )
+                ))
+            except (KeyError, TypeError, ValueError) as exc:
+                why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise InvalidConfig(f"population block {i} individual {j}: {why}") from None
+        blocks.append(tuple(block))
+    pop = Population(blocks=tuple(blocks), **flags)
     validate(pop)  # FlagMismatch on tampered flags
     return pop
 

@@ -1,6 +1,8 @@
 """Independent oracles: brute-force enumeration over full assignment vectors,
-a naive two-stage (treatment-randomized) evaluator, and a flat pooled Wald
-estimator. These deliberately share no code with the production engine."""
+the exact Poisson-binomial distribution of the treated-peer count for
+structural outcomes, a naive two-stage (treatment-randomized) evaluator, and
+a flat pooled Wald estimator. These deliberately share no code with the
+production engine."""
 
 from __future__ import annotations
 
@@ -46,6 +48,33 @@ def oracle_ybar_local(pop: Population, i: int, j: int, d: int, mech) -> float:
         d_vec[j] = d
         total += _full_weight(z_vec, marg) * outcome(pop, i, j, d_vec, z_vec)
     return total
+
+
+def poisson_binomial_pmf(probs) -> np.ndarray:
+    """Exact pmf of a sum of independent non-identical Bernoullis (O(n^2) DP)."""
+    probs = np.asarray(probs, dtype=float)
+    pmf = np.zeros(probs.size + 1)
+    pmf[0] = 1.0
+    for q in probs:
+        pmf[1:] = pmf[1:] * (1.0 - q) + pmf[:-1] * q
+        pmf[0] *= 1.0 - q
+    return pmf
+
+
+def convolution_ybar_local(pop: Population, i: int, j: int, d: int, mech) -> float:
+    """Structural outcome averaged over the exact distribution of the
+    treated-peer count, own treatment pinned at d. Reaches blocks far beyond
+    enumeration; the intent-to-treat average at z is this at d = d_z."""
+    block = pop.blocks[i]
+    marg = mech.marginals(len(block))
+    probs = []
+    for k, ind in enumerate(block):
+        if k == j:
+            continue
+        d0, d1 = ind.pt.d0, ind.pt.d1
+        probs.append(float(d0) if d0 == d1 else marg[k] if d1 == 1 else 1.0 - marg[k])
+    pmf = poisson_binomial_pmf(probs)
+    return sum(float(w) * block[j].y.value(d, k) for k, w in enumerate(pmf))
 
 
 def _block_mean(values) -> float:

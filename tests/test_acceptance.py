@@ -266,8 +266,8 @@ def test_criterion_06_no_interference_reduction(announce):
 
 
 def test_criterion_07_structural_vs_enumeration(announce):
-    """50 random populations (n_i <= 10): the convolution route and the
-    full-enumeration route agree on every estimand within 1e-10."""
+    """50 random populations (n_i <= 10): the closed-form moment route and
+    the full-enumeration route agree on every estimand within 1e-10."""
     rng = np.random.default_rng(707)
     worst = 0.0
     for idx in range(50):
@@ -285,7 +285,7 @@ def test_criterion_07_structural_vs_enumeration(announce):
                 worst = max(worst, abs(x - y))
     ok = worst <= 1e-10
     announce(
-        f"ACCEPTANCE 7: {'PASS' if ok else 'FAIL'} - convolution vs enumeration, "
+        f"ACCEPTANCE 7: {'PASS' if ok else 'FAIL'} - moments vs enumeration, "
         f"worst |gap|={worst:.2e} over 50 populations"
     )
     assert worst <= 1e-10

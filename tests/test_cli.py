@@ -245,3 +245,32 @@ def test_duplicate_mechanism_names_rejected(tmp_path, capsys):
         main(["estimands", "--config", str(cfg), "--pop", str(pop_path)])
     assert exc.value.code == 2
     assert "more than once" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_non_integer_block_count_is_a_one_line_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", dgp={"blocks": "ten"})
+    assert _exit_code(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "dgp.blocks" in err and "'ten'" in err
+
+
+def test_population_entry_missing_d1_is_a_one_line_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    data = json.loads(pop_path.read_text())
+    del data["blocks"][2][1]["d1"]
+    pop_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _exit_code(["estimands", "--config", str(cfg), "--pop", str(pop_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "block 2 individual 1" in err and "'d1'" in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from peerenc.design import DesignConfig, ExperimentData, design_prob_check, run_design
-from peerenc.errors import ArityMismatch, InvalidDesign
+from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.mechanisms import Mechanism
 from peerenc.population import Individual, Population, PotentialTreatment, \
     StructuralOutcome, convert_to_tables, outcome
@@ -75,6 +75,20 @@ def test_realized_outcomes_evaluate_potential_outcomes(rng):
             assert data.y[sl][j] == pytest.approx(
                 outcome(pop, i, j, d_vec, z_vec), abs=0
             )
+
+
+def test_realized_structural_outcomes_evaluate_value_exactly(rng):
+    kinds = [[("at", "co", "nt", "de")[int(c)] for c in rng.integers(4, size=n)]
+             for n in (1, 3, 5, 6, 9, 12, 16)]
+    pop = make_population(kinds, rng=rng)
+    for r in range(5):
+        data = run_design(pop, _cfg(pop), replicate=r)
+        for i, block in enumerate(pop.blocks):
+            sl = data.block_slice(i)
+            k_total = int(data.d[sl].sum())
+            for j, ind in enumerate(block):
+                d_j = int(data.d[sl][j])
+                assert data.y[sl][j] == ind.y.value(d_j, k_total - d_j)
 
 
 def test_all_never_takers_untreated_whatever_z():
@@ -187,4 +201,31 @@ def test_csv_rejects_wrong_schema(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        ExperimentData.from_csv(path, PHI, PSI)
+
+
+_CSV_HEADER = "block_id,S,unit_id,Z,D,Y\n"
+_CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"]
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    _CSV_HEADER,
+    _CSV_HEADER + "\n".join(_CSV_ROWS + ["-1,0,0,1,1,0.5"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:2] + ["2,0,0,1,1,1.5", "2,0,1,0,0,2.0"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[2:]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,7,0,2.0"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,0,0,nan"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,1,1,0,0,2.0"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS + ["1,0,1,0,0,2.0"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,x,0,0,2.0"]),
+], ids=["empty", "no-rows", "negative-block", "block-gap", "no-block-0", "z-not-binary",
+        "nan-outcome", "s-varies-in-block", "duplicate-unit", "not-a-number"])
+def test_csv_rejects_invalid_data(tmp_path, text):
+    good = tmp_path / "good.csv"
+    good.write_text(_CSV_HEADER + "\n".join(_CSV_ROWS) + "\n")
+    assert ExperimentData.from_csv(good, PHI, PSI).n_blocks == 2
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidData):
         ExperimentData.from_csv(path, PHI, PSI)

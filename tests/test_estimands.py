@@ -17,7 +17,6 @@ from peerenc.estimands import (
     ldt,
     lpt,
     pitt,
-    poisson_binomial_pmf,
     theorem_1_check,
     theorem_2_check,
     theorem_3_check,
@@ -40,11 +39,13 @@ from conftest import make_population
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
 from oracles import (
+    convolution_ybar_local,
     naive_two_stage_direct,
     naive_two_stage_spillover,
     oracle_ditt,
     oracle_ybar_itt,
     oracle_ybar_local,
+    poisson_binomial_pmf,
 )
 
 PHI = Mechanism("phi", 0.7)
@@ -59,6 +60,30 @@ def test_poisson_binomial_matches_binomial():
     assert poisson_binomial_pmf([1.0, 0.0, 0.3]).tolist() == pytest.approx(
         [0.0, 0.7, 0.3, 0.0], abs=1e-15
     )
+
+
+def test_moment_kernel_matches_convolution_on_large_blocks():
+    """Closed-form peer-count moments against the exact Poisson-binomial
+    distribution, on blocks too large for the enumeration oracles."""
+    rng = np.random.default_rng(2020)
+    kinds = ("at", "co", "nt", "de")
+    for n in (1, 2, 7, 13, 20):
+        labels = [[kinds[int(c)] for c in rng.integers(4, size=n)] for _ in range(2)]
+        labels[0][0], labels[0][-1] = "at", "de"
+        pop = make_population(labels, rng=rng)
+        mechs = [Mechanism(f"v{n}_{k}", tuple(rng.uniform(0.05, 0.95, size=n)))
+                 for k in range(2)]
+        for mech in mechs:
+            for i, block in enumerate(pop.blocks):
+                for j, ind in enumerate(block):
+                    for v in (0, 1):
+                        own_d = ind.pt.d1 if v else ind.pt.d0
+                        assert ybar_indiv_itt(pop, i, j, v, mech) == pytest.approx(
+                            convolution_ybar_local(pop, i, j, own_d, mech), abs=1e-12
+                        )
+                        assert ybar_indiv_local(pop, i, j, v, mech) == pytest.approx(
+                            convolution_ybar_local(pop, i, j, v, mech), abs=1e-12
+                        )
 
 
 def _three_person_table_block():

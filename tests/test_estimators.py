@@ -84,6 +84,18 @@ def test_yhat_pop_and_empty_arm():
         yhat_pop(data, 1, "b")
 
 
+def test_yhat_pop_rejects_unknown_arm():
+    data = build_data(
+        sizes=[2, 2], s=[1, 0],
+        z=[1, 0, 1, 0], d=[1, 0, 1, 0], y=[1.0, 2.0, 3.0, 4.0], p_blocks=[0.6, 0.3],
+    )
+    for arm in ("x", "B", None):
+        with pytest.raises(ValueError, match="arm"):
+            yhat_pop(data, 1, arm)
+        with pytest.raises(ValueError, match="arm"):
+            ditt_hat(data, arm)
+
+
 def test_single_block_arm_equals_block_value():
     data = build_data(
         sizes=[2, 2], s=[1, 0],
