@@ -26,6 +26,10 @@ _DGP_STREAM = 0
 
 _STRATA_KEYS = ("always_taker", "complier", "never_taker", "defier")
 
+_THREADS_HELP = ("accepted for compatibility and checked to be an int >= 1 (default: "
+                "PEERENC_THREADS); replication runs in one thread, so it changes neither "
+                "output nor speed")
+
 
 def _fail(msg: str) -> "NoReturn":  # noqa: F821 - py>=3.10 has NoReturn in typing only
     print(f"error: {msg}", file=sys.stderr)
@@ -42,10 +46,16 @@ def _load_json(path: str) -> dict:
 
 
 def _as(kind, value, where: str):
-    """kind(value), elementwise for a list, or exit 2 naming the config field."""
+    """kind(value), elementwise for a list, or exit 2 naming the config field.
+    An int field takes only integral values: 2.7 or true is an error, not 2 or 1."""
+    def one(x):
+        if kind is int and (isinstance(x, bool) or isinstance(x, float) and not x.is_integer()):
+            raise ValueError(x)
+        return kind(x)
+
     try:
-        return tuple(kind(x) for x in value) if isinstance(value, list) else kind(value)
-    except (TypeError, ValueError):
+        return tuple(one(x) for x in value) if isinstance(value, list) else one(value)
+    except (TypeError, ValueError, OverflowError):
         _fail(f"{where}: expected {kind.__name__} values, got {value!r}")
 
 
@@ -122,12 +132,16 @@ def _parse_mechanisms(cfg: dict) -> dict[str, Mechanism]:
     return mechs
 
 
-def _resolve_seed(cli_seed, section: dict, cfg: dict) -> int:
-    if cli_seed is not None:
-        return int(cli_seed)
-    for holder in (section, cfg):
-        if "seed" in holder:
-            return int(holder["seed"])
+def _resolve_seed(cli_seed, cfg: dict, section: str) -> int:
+    """--seed, else the section's seed, else the top-level one."""
+    for value, where in ((cli_seed, "--seed"),
+                         (cfg.get(section, {}).get("seed"), f"config {section}.seed"),
+                         (cfg.get("seed"), "config seed")):
+        if value is not None:
+            seed = _as(int, value, where)
+            if seed < 0:
+                _fail(f"{where}: expected a non-negative int, got {value!r}")
+            return seed
     _fail("config: missing seed (set a top-level \"seed\" or pass --seed)")
 
 
@@ -142,11 +156,14 @@ def _design_pair(cfg: dict, mechs: dict[str, Mechanism]) -> tuple[Mechanism, Mec
     return mechs[a_name], mechs[b_name], d
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, int(args.threads))
-    env = os.environ.get("PEERENC_THREADS")
-    return max(1, int(env)) if env else 1
+def _check_threads(args) -> None:
+    """Validate --threads, else PEERENC_THREADS. Replication runs in one
+    thread whatever the count, so it changes neither output nor speed."""
+    value, where = args.threads, "--threads"
+    if value is None:
+        value, where = os.environ.get("PEERENC_THREADS") or None, "PEERENC_THREADS"
+    if value is not None and _as(int, value, where) < 1:
+        _fail(f"{where}: expected a thread count of at least 1, got {value!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -158,7 +175,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _load_json(args.config)
-    seed = _resolve_seed(args.seed, cfg.get("dgp", {}), cfg)
+    seed = _resolve_seed(args.seed, cfg, "dgp")
     dgp = _parse_dgp(cfg)
     pop = build_population(dgp, _streams.stream(seed, _DGP_STREAM))
     report = validate(pop)
@@ -191,15 +208,15 @@ def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     mechs = _parse_mechanisms(cfg)
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
-    mc_section = cfg.get("mc", {})
-    seed = _resolve_seed(args.seed, design_section, cfg)
+    _check_threads(args)
+    seed = _resolve_seed(args.seed, cfg, "design")
+    r = _as(int, cfg.get("mc", {}).get("replications", 1000), "config mc.replications")
     pop = load_population(args.pop)
-    k = int(design_section.get("k", pop.n_blocks // 2))
+    k = _as(int, design_section.get("k", pop.n_blocks // 2), "config design.k")
     dcfg = DesignConfig(mech_a=mech_a, mech_b=mech_b, k=k, seed=seed)
     if args.dump_data:
         run_design(pop, dcfg, replicate=0).to_csv(args.dump_data)
-    r = int(mc_section.get("replications", 1000))
-    summary = replicate(pop, dcfg, r, threads=_threads(args))
+    summary = replicate(pop, dcfg, r)
     if args.format == "text":
         _emit(summary.text_table(), args.out)
     else:
@@ -211,15 +228,14 @@ def cmd_verify(args) -> int:
     cfg = _load_json(args.config)
     mechs = _parse_mechanisms(cfg)
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
-    mc_section = cfg.get("mc", {})
-    seed = _resolve_seed(args.seed, mc_section, cfg)
-    pop = load_population(args.pop)
-    r = int(mc_section.get("replications", 0))
+    _check_threads(args)
+    seed = _resolve_seed(args.seed, cfg, "mc")
+    r = _as(int, cfg.get("mc", {}).get("replications", 0), "config mc.replications")
     k = design_section.get("k")
-    report = verify_theorems(
-        pop, mech_a, mech_b, replications=r, seed=seed,
-        k=int(k) if k is not None else None, threads=_threads(args),
-    )
+    if k is not None:
+        k = _as(int, k, "config design.k")
+    pop = load_population(args.pop)
+    report = verify_theorems(pop, mech_a, mech_b, replications=r, seed=seed, k=k)
     if args.format == "text":
         _emit(report.text_table(), args.out)
     else:
@@ -255,16 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="replicate the design and summarize estimators")
     common(s, pop=True)
     s.add_argument("--format", choices=("json", "text"), default="json")
-    s.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: PEERENC_THREADS or 1)")
+    s.add_argument("--threads", default=None, help=_THREADS_HELP)
     s.add_argument("--dump-data", default=None, help="write replicate 0 as CSV")
     s.set_defaults(func=cmd_simulate)
 
     v = sub.add_parser("verify", help="check the identification identities")
     common(v, pop=True)
     v.add_argument("--format", choices=("json", "text"), default="json")
-    v.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: PEERENC_THREADS or 1)")
+    v.add_argument("--threads", default=None, help=_THREADS_HELP)
     v.add_argument("--expect-fail", nargs="*", choices=("thm1", "thm2", "thm3"),
                    default=None, help="theorems that must fail (negative tests)")
     v.set_defaults(func=cmd_verify)

@@ -207,9 +207,9 @@ def design_prob_check(
     """Compare one block's realized encouragement-vector frequencies against
     the exact product law, conditioning on the mechanism the block received.
 
-    Uses exactly the streams run_design would use, so this checks the real
-    protocol. The block must be small enough (n <= 6) for the exact
-    comparison to have adequately filled cells.
+    Each replicate's arm flag and draw are read from run_design, so this
+    checks the real protocol. The block must be small enough (n <= 6) for
+    the exact comparison to have adequately filled cells.
     """
     from .mechanisms import assignment_probs, enumerate_assignments
 
@@ -217,19 +217,13 @@ def design_prob_check(
     if n > 6:
         raise InvalidDesign(f"exact frequency check needs a small block (n <= 6), got {n}")
     validate_design(cfg, pop)
-    b = pop.n_blocks
     vectors = [tuple(int(x) for x in row) for row in enumerate_assignments(n)]
     counts = {"a": dict.fromkeys(vectors, 0), "b": dict.fromkeys(vectors, 0)}
     runs = {"a": 0, "b": 0}
     for r in range(replications):
-        arm_rng = _streams.stream(cfg.seed, _streams.ARM, r)
-        order = arm_rng.permutation(b)
-        in_a = block in set(int(x) for x in order[: cfg.k])
-        mech = cfg.mech_a if in_a else cfg.mech_b
-        enc_rng = _streams.stream(cfg.seed, _streams.ENCOURAGEMENT, r, block)
-        z = tuple(int(x) for x in sample_assignment(mech, n, enc_rng))
-        key = "a" if in_a else "b"
-        counts[key][z] += 1
+        data = run_design(pop, cfg, replicate=r)
+        key = "a" if data.s[block] == 1 else "b"
+        counts[key][tuple(data.z[data.block_slice(block)].tolist())] += 1
         runs[key] += 1
 
     reports = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,40 +24,74 @@ from .errors import AllBlocksUndefined, EmptyArm, ZeroEncouragementEffectEstimat
 ET_ZERO_TOL = 1e-12
 
 
-def yhat_block(data: ExperimentData, i: int, z: int) -> float:
-    """Inverse-probability block mean of the outcome at encouragement value z.
+class _BlockStats(NamedTuple):
+    means: np.ndarray  # (2, B) inverse-probability block means at z=0 and z=1
+    uptake: np.ndarray  # (B,) ratio-of-means uptake contrast, NaN where undefined
+    missing: np.ndarray  # (B,) the encouragement value a block never realized, else -1
+    in_a: np.ndarray  # (B,) True where the block got mechanism A
 
-    The denominator is the block size times each unit's design probability of
-    showing the requested encouragement; a block with no such units has an
-    empty numerator and correctly contributes zero.
+
+def _block_stats(data: ExperimentData) -> _BlockStats:
+    """Every per-block quantity the estimators need, in one reduceat pass.
+
+    The inverse-probability denominator is the block size times each unit's
+    design probability of showing the requested encouragement; a block with
+    no such units has an empty numerator and correctly contributes zero.
     """
-    sl = data.block_slice(i)
-    y = data.y[sl]
-    zz = data.z[sl]
-    p = data.p_enc[sl] if z == 1 else 1.0 - data.p_enc[sl]
-    n = int(data.sizes[i])
-    return float(np.sum(y * (zz == z) / p) / n)
+    z1 = data.z == 1
+    z0 = data.z == 0
+    y, p = data.y, data.p_enc
+    sums = np.add.reduceat(
+        np.stack([y * z0 / (1.0 - p), y * z1 / p, z0, z1, data.d * z0, data.d * z1]),
+        data.starts[:-1], axis=1,
+    )
+    ipw, count, treated = sums[:2], sums[2:4], sums[4:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = treated / count
+    missing = np.where(count[1] == 0, 1, np.where(count[0] == 0, 0, -1))
+    return _BlockStats(
+        means=ipw / data.sizes,
+        uptake=np.where(missing >= 0, np.nan, rates[1] - rates[0]),
+        missing=missing,
+        in_a=data.s == 1,
+    )
+
+
+def _arm_mean(stats: _BlockStats, z: int, arm: str) -> float:
+    if arm not in ("a", "b"):
+        raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
+    blocks = stats.in_a if arm == "a" else ~stats.in_a
+    if not blocks.any():
+        raise EmptyArm(f"no blocks in arm {arm!r}")
+    return float(stats.means[z, blocks].mean())
+
+
+def yhat_block(data: ExperimentData, i: int, z: int) -> float:
+    """Inverse-probability block mean of the outcome at encouragement value z."""
+    return float(_block_stats(data).means[z, i])
 
 
 def yhat_pop(data: ExperimentData, z: int, arm: str) -> float:
     """Mean of yhat_block over the blocks assigned to the given arm ("a"/"b")."""
-    if arm not in ("a", "b"):
-        raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
-    want = 1 if arm == "a" else 0
-    blocks = [i for i in range(data.n_blocks) if data.s[i] == want]
-    if not blocks:
-        raise EmptyArm(f"no blocks in arm {arm!r}")
-    return float(sum(yhat_block(data, i, z) for i in blocks) / len(blocks))
+    return _arm_mean(_block_stats(data), z, arm)
+
+
+def _ditt(stats: _BlockStats, arm: str) -> float:
+    return _arm_mean(stats, 1, arm) - _arm_mean(stats, 0, arm)
+
+
+def _pitt(stats: _BlockStats, z: int) -> float:
+    return _arm_mean(stats, z, "a") - _arm_mean(stats, z, "b")
 
 
 def ditt_hat(data: ExperimentData, arm: str = "a") -> float:
     """Within-arm contrast of encouraged vs unencouraged outcome means."""
-    return yhat_pop(data, 1, arm) - yhat_pop(data, 0, arm)
+    return _ditt(_block_stats(data), arm)
 
 
 def pitt_hat(data: ExperimentData, z: int) -> float:
     """Across-arm contrast of outcome means at a fixed encouragement value."""
-    return yhat_pop(data, z, "a") - yhat_pop(data, z, "b")
+    return _pitt(_block_stats(data), z)
 
 
 @dataclass(frozen=True)
@@ -67,58 +102,49 @@ class EtEstimate:
 
     @property
     def n_defined(self) -> int:
-        return sum(1 for v in self.per_block if v == v)
+        return len(self.per_block) - len(self.dropped)
 
 
-def et_hat(data: ExperimentData, z_hi: int = 1, z_lo: int = 0) -> EtEstimate:
+def _et(stats: _BlockStats) -> EtEstimate:
+    dropped = np.flatnonzero(stats.missing >= 0)
+    if dropped.size == stats.uptake.size:
+        raise AllBlocksUndefined("every block lacks one encouragement value")
+    return EtEstimate(
+        value=float(np.nanmean(stats.uptake)),
+        per_block=tuple(stats.uptake.tolist()),
+        dropped=tuple((i, f"no units with Z={m}")
+                      for i, m in zip(dropped.tolist(), stats.missing[dropped].tolist())),
+    )
+
+
+def et_hat(data: ExperimentData) -> EtEstimate:
     """Per-block ratio-of-means uptake contrast, pooled across all blocks.
 
     A block where either encouragement value was never realized has no
     defined contrast; it is excluded from the population mean and reported.
     """
-    per_block = []
-    dropped = []
-    for i in range(data.n_blocks):
-        sl = data.block_slice(i)
-        zz = data.z[sl]
-        dd = data.d[sl]
-        hi_mask = zz == z_hi
-        lo_mask = zz == z_lo
-        if not hi_mask.any() or not lo_mask.any():
-            missing = z_hi if not hi_mask.any() else z_lo
-            per_block.append(float("nan"))
-            dropped.append((i, f"no units with Z={missing}"))
-            continue
-        per_block.append(
-            float(dd[hi_mask].mean() - dd[lo_mask].mean())
-        )
-    defined = [v for v in per_block if v == v]
-    if not defined:
-        raise AllBlocksUndefined("every block lacks one encouragement value")
-    return EtEstimate(
-        value=float(sum(defined) / len(defined)),
-        per_block=tuple(per_block),
-        dropped=tuple(dropped),
-    )
+    return _et(_block_stats(data))
 
 
-def _checked_et(data: ExperimentData) -> float:
-    est = et_hat(data)
-    if abs(est.value) < ET_ZERO_TOL:
+def _checked_et(stats: _BlockStats) -> float:
+    value = _et(stats).value
+    if abs(value) < ET_ZERO_TOL:
         raise ZeroEncouragementEffectEstimate(
-            f"estimated uptake effect {est.value!r} is numerically zero"
+            f"estimated uptake effect {value!r} is numerically zero"
         )
-    return est.value
+    return value
 
 
 def ldt_hat(data: ExperimentData, arm: str = "a") -> float:
     """Plug-in ratio estimator of the complier local direct effect."""
-    return ditt_hat(data, arm) / _checked_et(data)
+    stats = _block_stats(data)
+    return _ditt(stats, arm) / _checked_et(stats)
 
 
 def lpt_diff_hat(data: ExperimentData) -> float:
     """Plug-in ratio estimator of the complier local peer effect difference."""
-    return (pitt_hat(data, 1) - pitt_hat(data, 0)) / _checked_et(data)
+    stats = _block_stats(data)
+    return (_pitt(stats, 1) - _pitt(stats, 0)) / _checked_et(stats)
 
 
 def lpt0_hat(data: ExperimentData) -> float:
@@ -127,55 +153,31 @@ def lpt0_hat(data: ExperimentData) -> float:
     return pitt_hat(data, 0)
 
 
-def estimator_battery(data: ExperimentData) -> dict[str, float]:
-    """Every estimator on one realization, in one pass over the blocks.
-
-    Float-identical to calling the individual estimator functions (same
-    expressions, same accumulation order); undefined ratio estimators come
-    back as NaN so replication batches never abort.
-    """
-    per_arm: dict[tuple[int, str], list[float]] = {
-        (1, "a"): [], (0, "a"): [], (1, "b"): [], (0, "b"): []
+def _estimates(stats: _BlockStats, uptake: float) -> dict[str, float]:
+    """Every estimator from the block statistics and a pooled uptake estimate;
+    the ratio estimators are NaN where the uptake is undefined or zero."""
+    da, p1, p0 = _ditt(stats, "a"), _pitt(stats, 1), _pitt(stats, 0)
+    ratio_ok = abs(uptake) >= ET_ZERO_TOL  # False for NaN
+    return {
+        "ditt_hat_a": da,
+        "ditt_hat_b": _ditt(stats, "b"),
+        "pitt_hat_1": p1,
+        "pitt_hat_0": p0,
+        "et_hat": uptake,
+        "ldt_hat": da / uptake if ratio_ok else float("nan"),
+        "lpt_diff_hat": (p1 - p0) / uptake if ratio_ok else float("nan"),
+        "lpt0_hat": p0,
     }
-    for i in range(data.n_blocks):
-        sl = data.block_slice(i)
-        y = data.y[sl]
-        zz = data.z[sl]
-        p = data.p_enc[sl]
-        n = int(data.sizes[i])
-        arm = "a" if data.s[i] == 1 else "b"
-        per_arm[(1, arm)].append(float(np.sum(y * (zz == 1) / p) / n))
-        per_arm[(0, arm)].append(float(np.sum(y * (zz == 0) / (1.0 - p)) / n))
-    means = {}
-    for key, vals in per_arm.items():
-        if not vals:
-            raise EmptyArm(f"no blocks in arm {key[1]!r}")
-        means[key] = float(sum(vals) / len(vals))
 
-    da = means[(1, "a")] - means[(0, "a")]
-    db = means[(1, "b")] - means[(0, "b")]
-    p1 = means[(1, "a")] - means[(1, "b")]
-    p0 = means[(0, "a")] - means[(0, "b")]
+
+def estimator_battery(data: ExperimentData) -> dict[str, float]:
+    """Every estimator on one realization. Undefined ratio estimators come
+    back as NaN so replication batches never abort."""
     try:
         uptake = et_hat(data).value
     except AllBlocksUndefined:
         uptake = float("nan")
-    if uptake == uptake and abs(uptake) >= ET_ZERO_TOL:
-        ldt = da / uptake
-        lpt_diff = (p1 - p0) / uptake
-    else:
-        ldt = float("nan")
-        lpt_diff = float("nan")
-    return {
-        "ditt_hat_a": da,
-        "ditt_hat_b": db,
-        "pitt_hat_1": p1,
-        "pitt_hat_0": p0,
-        "et_hat": uptake,
-        "ldt_hat": ldt,
-        "lpt_diff_hat": lpt_diff,
-        "lpt0_hat": p0,
-    }
+    return _estimates(_block_stats(data), uptake)
 
 
 @dataclass(frozen=True)
@@ -233,23 +235,15 @@ def estimate_report(data: ExperimentData) -> EstimateReport:
     across both arms (the exact uptake effect is mechanism-free, so both arms
     estimate the same quantity); the pooling is recorded in the notes.
     """
-    uptake = et_hat(data)
+    stats = _block_stats(data)
+    uptake = _et(stats)
+    values = _estimates(stats, uptake.value)
     notes = ["et_hat pools defined blocks from both mechanism arms"]
-    ldt = lpt_diff = None
-    if abs(uptake.value) >= ET_ZERO_TOL:
-        ldt = ditt_hat(data, "a") / uptake.value
-        lpt_diff = (pitt_hat(data, 1) - pitt_hat(data, 0)) / uptake.value
-    else:
+    if abs(uptake.value) < ET_ZERO_TOL:
+        values["ldt_hat"] = values["lpt_diff_hat"] = None
         notes.append("uptake estimate is zero; ratio estimators undefined")
     return EstimateReport(
-        ditt_hat_a=ditt_hat(data, "a"),
-        ditt_hat_b=ditt_hat(data, "b"),
-        pitt_hat_1=pitt_hat(data, 1),
-        pitt_hat_0=pitt_hat(data, 0),
-        et_hat=uptake.value,
-        ldt_hat=ldt,
-        lpt_diff_hat=lpt_diff,
-        lpt0_hat=lpt0_hat(data),
+        **values,
         arm_sizes=(int(np.sum(data.s == 1)), int(np.sum(data.s == 0))),
         et_blocks_dropped=uptake.dropped,
         notes=tuple(notes),

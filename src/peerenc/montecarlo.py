@@ -2,18 +2,17 @@
 packaged verification of the identification identities.
 
 Each replicate draws its randomness from streams addressed by the replicate
-index, so replicates are independent of execution order and degree of
-parallelism; results are always reduced in replicate-index order. Replicates
-where a ratio estimator is undefined (e.g. the uptake estimate is zero, or
-every block lost one encouragement arm) are counted and excluded from the
-moments rather than aborting the batch.
+index, so its values do not depend on which replicates ran before it;
+results are reduced in replicate-index order. Replicates where a ratio
+estimator is undefined (e.g. the uptake estimate is zero, or every block
+lost one encouragement arm) are counted and excluded from the moments
+rather than aborting the batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,16 +49,10 @@ ESTIMATOR_NAMES = (
 )
 
 
-def _battery(data) -> tuple[float, ...]:
-    values = estimator_battery(data)
-    return tuple(values[name] for name in ESTIMATOR_NAMES)
-
-
 def replicate_values(
     pop: Population,
     cfg: DesignConfig,
     replications: int,
-    threads: int = 1,
     first_replicate: int = 0,
 ) -> np.ndarray:
     """Raw estimator values, one row per replicate in index order.
@@ -69,17 +62,11 @@ def replicate_values(
     absolute index, so split runs pool exactly.
     """
     validate_design(cfg, pop)
-    indices = range(first_replicate, first_replicate + replications)
-
-    def one(r: int) -> tuple[float, ...]:
-        return _battery(run_design(pop, cfg, replicate=r))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, indices))
-    else:
-        rows = [one(r) for r in indices]
-    return np.array(rows, dtype=float)
+    out = np.empty((replications, len(ESTIMATOR_NAMES)))
+    for row, r in enumerate(range(first_replicate, first_replicate + replications)):
+        values = estimator_battery(run_design(pop, cfg, replicate=r))
+        out[row] = [values[name] for name in ESTIMATOR_NAMES]
+    return out
 
 
 def exact_targets(pop: Population, cfg: DesignConfig,
@@ -194,22 +181,20 @@ def replicate(
     pop: Population,
     cfg: DesignConfig,
     replications: int,
-    threads: int = 1,
     targets: dict[str, float] | None = None,
     compute_targets: bool = True,
 ) -> McSummary:
     """Run the design ``replications`` times and summarize every estimator.
 
-    Deterministic given (pop, cfg) regardless of ``threads``. Targets come
-    from the exact engine unless supplied (or disabled for populations too
-    large to enumerate).
+    Deterministic given (pop, cfg). Targets come from the exact engine
+    unless supplied (or disabled for populations too large to enumerate).
     """
     if replications < 2:
         raise InvalidConfig("need at least 2 replications")
     if targets is None and compute_targets:
         targets = exact_targets(pop, cfg)
     targets = targets or {}
-    values = replicate_values(pop, cfg, replications, threads=threads)
+    values = replicate_values(pop, cfg, replications)
     summaries = tuple(
         _summarize_column(name, values[:, idx], targets.get(name))
         for idx, name in enumerate(ESTIMATOR_NAMES)
@@ -314,7 +299,6 @@ def verify_theorems(
     replications: int = 0,
     seed: int = 0,
     k: int | None = None,
-    threads: int = 1,
 ) -> VerificationReport:
     """Exact identity checks for all three identification results, plus the
     matching plug-in estimators' Monte Carlo behavior when replications > 0.
@@ -345,8 +329,7 @@ def verify_theorems(
         rhs_targets = {
             _PLUGIN_FOR[name]: rep.rhs for name, rep, _ in checks if rep is not None
         }
-        mc = replicate(pop, cfg, replications, threads=threads, targets=rhs_targets,
-                       compute_targets=False)
+        mc = replicate(pop, cfg, replications, targets=rhs_targets, compute_targets=False)
 
     theorems = []
     for name, rep, error in checks:

@@ -680,7 +680,10 @@ def population_from_dict(data: dict) -> Population:
                 why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise InvalidConfig(f"population block {i} individual {j}: {why}") from None
         blocks.append(tuple(block))
-    pop = Population(blocks=tuple(blocks), **flags)
+    try:
+        pop = Population(blocks=tuple(blocks), **flags)
+    except ValueError as exc:  # fewer than 2 blocks, or an empty block
+        raise InvalidConfig(f"population file: {exc}") from None
     validate(pop)  # FlagMismatch on tampered flags
     return pop
 

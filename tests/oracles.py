@@ -1,8 +1,8 @@
 """Independent oracles: brute-force enumeration over full assignment vectors,
 the exact Poisson-binomial distribution of the treated-peer count for
 structural outcomes, a naive two-stage (treatment-randomized) evaluator, and
-a flat pooled Wald estimator. These deliberately share no code with the
-production engine."""
+a flat pooled Wald estimator, and the sample estimators by per-block loops.
+These deliberately share no code with the production engine."""
 
 from __future__ import annotations
 
@@ -217,3 +217,46 @@ def pooled_wald(y, z, d, p_enc) -> float:
     itt = float(np.sum(y * (z == 1) / p) / n - np.sum(y * (z == 0) / (1.0 - p)) / n)
     uptake = float(d[z == 1].mean() - d[z == 0].mean())
     return itt / uptake
+
+
+def oracle_estimator_battery(sizes, s, z, d, y, p_enc) -> dict[str, float]:
+    """Every sample estimator by per-block Python loops over plain floats:
+    inverse-probability block means averaged within each arm, the per-block
+    ratio-of-means uptake contrast pooled over the blocks that realized both
+    encouragement values, and NaN for a ratio whose uptake is undefined or
+    numerically zero."""
+    bounds, lo = [], 0
+    for n in sizes:
+        bounds.append((lo, lo + int(n)))
+        lo += int(n)
+    block_means = {(z_val, arm): [] for z_val in (0, 1) for arm in (0, 1)}
+    uptakes = []
+    for (lo, hi), arm in zip(bounds, s):
+        n = hi - lo
+        for z_val in (0, 1):
+            total = 0.0
+            for u in range(lo, hi):
+                if z[u] == z_val:
+                    total += y[u] / (p_enc[u] if z_val == 1 else 1.0 - p_enc[u])
+            block_means[(z_val, int(arm))].append(total / n)
+        treated = {0: [], 1: []}
+        for u in range(lo, hi):
+            treated[int(z[u])].append(float(d[u]))
+        if treated[0] and treated[1]:
+            uptakes.append(sum(treated[1]) / len(treated[1]) - sum(treated[0]) / len(treated[0]))
+    mean = {key: sum(v) / len(v) for key, v in block_means.items()}
+    ditt_a = mean[(1, 1)] - mean[(0, 1)]
+    pitt_1 = mean[(1, 1)] - mean[(1, 0)]
+    pitt_0 = mean[(0, 1)] - mean[(0, 0)]
+    uptake = sum(uptakes) / len(uptakes) if uptakes else float("nan")
+    ratio_ok = uptakes and abs(uptake) >= 1e-12
+    return {
+        "ditt_hat_a": ditt_a,
+        "ditt_hat_b": mean[(1, 0)] - mean[(0, 0)],
+        "pitt_hat_1": pitt_1,
+        "pitt_hat_0": pitt_0,
+        "et_hat": uptake,
+        "ldt_hat": ditt_a / uptake if ratio_ok else float("nan"),
+        "lpt_diff_hat": (pitt_1 - pitt_0) / uptake if ratio_ok else float("nan"),
+        "lpt0_hat": pitt_0,
+    }

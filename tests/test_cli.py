@@ -274,3 +274,54 @@ def test_population_entry_missing_d1_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "block 2 individual 1" in err and "'d1'" in err
+
+
+@pytest.mark.parametrize("edit", [lambda blocks: blocks[:1], lambda blocks: [blocks[0], []]],
+                         ids=["one-block", "empty-block"])
+def test_population_shape_is_a_one_line_error(tmp_path, capsys, edit):
+    cfg = write_config(tmp_path / "cfg.json")
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    data = json.loads(pop_path.read_text())
+    data["blocks"] = edit(data["blocks"])
+    pop_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _exit_code(["estimands", "--config", str(cfg), "--pop", str(pop_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "population" in err
+
+
+@pytest.mark.parametrize("command, overrides, extra, env, field", [
+    ("generate", {"dgp": {"blocks": 2.7}}, [], {}, "dgp.blocks"),
+    ("generate", {"dgp": {"block_size": 2.7}}, [], {}, "dgp.block_size"),
+    ("generate", {"seed": "x"}, [], {}, "config seed"),
+    ("generate", {"seed": -1}, [], {}, "config seed"),
+    ("simulate", {"design": {"seed": "x"}}, [], {}, "design.seed"),
+    ("simulate", {"mc": {"replications": "many"}}, [], {}, "mc.replications"),
+    ("simulate", {"mc": {"replications": 2.5}}, [], {}, "mc.replications"),
+    ("simulate", {"design": {"k": "two"}}, [], {}, "design.k"),
+    ("simulate", {"design": {"k": True}}, [], {}, "design.k"),
+    ("verify", {"design": {"k": "two"}}, [], {}, "design.k"),
+    ("simulate", {}, [], {"PEERENC_THREADS": "abc"}, "PEERENC_THREADS"),
+    ("simulate", {}, [], {"PEERENC_THREADS": "0"}, "PEERENC_THREADS"),
+    ("simulate", {}, ["--threads", "0"], {}, "--threads"),
+    ("verify", {}, ["--threads", "-2"], {}, "--threads"),
+], ids=["blocks-2.7", "block-size-2.7", "seed-x", "seed-negative", "design-seed-x",
+        "replications-many", "replications-2.5", "k-two", "k-true", "verify-k-two",
+        "threads-env-abc", "threads-env-0", "threads-0", "verify-threads-negative"])
+def test_integer_fields_are_one_line_errors(tmp_path, capsys, monkeypatch,
+                                            command, overrides, extra, env, field):
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(write_config(tmp_path / "good.json")),
+          "--out", str(pop_path)])
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    pop = ["--pop", str(pop_path)] if command != "generate" else []
+    capsys.readouterr()
+    assert _exit_code([command, "--config", str(cfg), *pop, *extra,
+                       "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert field in err

@@ -21,7 +21,8 @@ from peerenc.estimators import (
 )
 from peerenc.mechanisms import Mechanism
 from conftest import make_population
-from fuzz import varying_effect_monotone
+from fuzz import equal_effect_monotone, varying_effect_monotone
+from oracles import oracle_estimator_battery
 
 PHI = Mechanism("phi", 0.8)
 PSI = Mechanism("psi", 0.2)
@@ -256,3 +257,48 @@ def test_estimate_report_csv_export(rng):
     assert lines[0] == "field,value"
     fields = {line.split(",", 1)[0] for line in lines[1:]}
     assert {"ditt_hat_a", "et_hat", "lpt0_hat", "arm_size_a"} <= fields
+
+
+def _fuzzed_data(rng, single_armed=0.0, uptake=True) -> ExperimentData:
+    """Unequal block sizes, per-unit encouragement probabilities (as a vector
+    mechanism gives), both arms populated; each block loses one encouragement
+    value with probability single_armed, and uptake=False makes D constant."""
+    b = int(rng.integers(2, 12))
+    sizes = rng.integers(1, 8, size=b)
+    s = rng.permutation(np.arange(b) < int(rng.integers(1, b)))
+    p = rng.uniform(0.05, 0.95, size=sizes.sum())
+    z = rng.random(sizes.sum()) < p
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    for i in np.flatnonzero(rng.random(b) < single_armed):
+        z[starts[i]:starts[i + 1]] = rng.integers(2)
+    d = rng.integers(2, size=sizes.sum()) if uptake else np.zeros(sizes.sum())
+    return ExperimentData(
+        sizes=sizes, s=s.astype(np.int8), block_id=np.repeat(np.arange(b), sizes),
+        z=z.astype(np.int8), d=d.astype(np.int8), y=rng.normal(1.0, 3.0, size=sizes.sum()),
+        p_enc=p,
+    )
+
+
+def _assert_battery_matches_oracle(data):
+    battery = estimator_battery(data)
+    oracle = oracle_estimator_battery(data.sizes.tolist(), data.s.tolist(), data.z.tolist(),
+                                      data.d.tolist(), data.y.tolist(), data.p_enc.tolist())
+    assert battery.keys() == oracle.keys()
+    for key, want in oracle.items():
+        assert battery[key] == pytest.approx(want, rel=1e-12, abs=1e-12, nan_ok=True), key
+
+
+@pytest.mark.parametrize("single_armed, uptake", [(0.0, True), (0.4, True), (1.0, True),
+                                                  (0.2, False)],
+                         ids=["both-z", "some-single-armed", "all-undefined", "zero-uptake"])
+def test_battery_matches_loop_oracle(rng, single_armed, uptake):
+    for _ in range(40):
+        _assert_battery_matches_oracle(_fuzzed_data(rng, single_armed, uptake))
+
+
+def test_battery_matches_loop_oracle_on_design_realizations(rng):
+    for r in range(20):
+        fuzzer = equal_effect_monotone if r % 2 else varying_effect_monotone
+        pop, a, b = fuzzer(rng, b_range=(2, 8), n_range=(1, 6))
+        cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=60 + r)
+        _assert_battery_matches_oracle(run_design(pop, cfg, replicate=r))

@@ -43,17 +43,6 @@ def test_same_seed_identical_bytes(rng):
     assert s1.to_json().encode() == s2.to_json().encode()
 
 
-def test_parallel_equals_serial(rng):
-    pop, a, b = equal_effect_monotone(rng, b_range=(3, 4), n_range=(2, 4))
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=23)
-    serial = replicate_values(pop, cfg, 30, threads=1)
-    parallel = replicate_values(pop, cfg, 30, threads=4)
-    assert np.array_equal(serial, parallel, equal_nan=True)
-    assert replicate(pop, cfg, 30, threads=1).to_json() == replicate(
-        pop, cfg, 30, threads=4
-    ).to_json()
-
-
 def test_split_halves_pool_exactly(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=31)
