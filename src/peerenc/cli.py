@@ -38,11 +38,22 @@ def _fail(msg: str) -> "NoReturn":  # noqa: F821 - py>=3.10 has NoReturn in typi
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         _fail(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         _fail(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        _fail(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _section(cfg: dict, key: str, parent: str = "") -> dict:
+    """cfg[key] when it is a JSON object, {} when absent; else exit 2 naming it."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        _fail(f"config {parent}{key}: expected an object, got {type(value).__name__}")
+    return value
 
 
 def _as(kind, value, where: str):
@@ -70,7 +81,7 @@ def _parse_param(value, where: str):
 def _parse_dgp(cfg: dict) -> DgpConfig:
     if "dgp" not in cfg:
         _fail("config: missing 'dgp' section")
-    d = cfg["dgp"]
+    d = _section(cfg, "dgp")
     try:
         blocks = _as(int, d["blocks"], "config dgp.blocks")
         raw_size = d["block_size"]
@@ -88,7 +99,7 @@ def _parse_dgp(cfg: dict) -> DgpConfig:
         strata = _as(float, raw_strata, "config dgp.strata")
     else:
         _fail(f"config dgp.strata: expected an object or a list, got {raw_strata!r}")
-    oc = d.get("outcome", {})
+    oc = _section(d, "outcome", "dgp.")
     outcome = OutcomeConfig(
         representation=oc.get("representation", "structural"),
         intercept=_parse_param(oc.get("intercept", 0.0), "dgp.outcome.intercept"),
@@ -113,14 +124,16 @@ def _parse_dgp(cfg: dict) -> DgpConfig:
 
 def _parse_mechanisms(cfg: dict) -> dict[str, Mechanism]:
     raw = cfg.get("mechanisms")
-    if not raw:
-        _fail("config: missing 'mechanisms' list")
+    if not raw or not isinstance(raw, list):
+        _fail(f"config mechanisms: expected a non-empty list, got {raw!r}")
     mechs: dict[str, Mechanism] = {}
     for i, m in enumerate(raw):
         where = f"config mechanisms[{i}]"
+        if not isinstance(m, dict):
+            _fail(f"{where}: expected an object, got {type(m).__name__}")
         name = m.get("name")
-        if not name:
-            _fail(f"{where}: missing name")
+        if not name or not isinstance(name, str):
+            _fail(f"{where}: expected a name string, got {name!r}")
         if name in mechs:
             _fail(f"config mechanisms: {name!r} defined more than once")
         if "p" in m:
@@ -135,7 +148,7 @@ def _parse_mechanisms(cfg: dict) -> dict[str, Mechanism]:
 def _resolve_seed(cli_seed, cfg: dict, section: str) -> int:
     """--seed, else the section's seed, else the top-level one."""
     for value, where in ((cli_seed, "--seed"),
-                         (cfg.get(section, {}).get("seed"), f"config {section}.seed"),
+                         (_section(cfg, section).get("seed"), f"config {section}.seed"),
                          (cfg.get("seed"), "config seed")):
         if value is not None:
             seed = _as(int, value, where)
@@ -146,12 +159,12 @@ def _resolve_seed(cli_seed, cfg: dict, section: str) -> int:
 
 
 def _design_pair(cfg: dict, mechs: dict[str, Mechanism]) -> tuple[Mechanism, Mechanism, dict]:
-    d = cfg.get("design", {})
+    d = _section(cfg, "design")
     names = list(mechs)
     a_name = d.get("mech_a", names[0] if names else None)
     b_name = d.get("mech_b", names[1] if len(names) > 1 else None)
     for label, name in (("mech_a", a_name), ("mech_b", b_name)):
-        if name is None or name not in mechs:
+        if not isinstance(name, str) or name not in mechs:
             _fail(f"config design.{label}: mechanism {name!r} is not defined")
     return mechs[a_name], mechs[b_name], d
 
@@ -179,7 +192,7 @@ def cmd_generate(args) -> int:
     dgp = _parse_dgp(cfg)
     pop = build_population(dgp, _streams.stream(seed, _DGP_STREAM))
     report = validate(pop)
-    out = args.out or cfg.get("output", {}).get("path") or "population.json"
+    out = args.out or _section(cfg, "output").get("path") or "population.json"
     save_population(pop, out)
     print(f"wrote {out}")
     for line in report.summary_lines():
@@ -210,7 +223,7 @@ def cmd_simulate(args) -> int:
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "design")
-    r = _as(int, cfg.get("mc", {}).get("replications", 1000), "config mc.replications")
+    r = _as(int, _section(cfg, "mc").get("replications", 1000), "config mc.replications")
     pop = load_population(args.pop)
     k = _as(int, design_section.get("k", pop.n_blocks // 2), "config design.k")
     dcfg = DesignConfig(mech_a=mech_a, mech_b=mech_b, k=k, seed=seed)
@@ -230,7 +243,7 @@ def cmd_verify(args) -> int:
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "mc")
-    r = _as(int, cfg.get("mc", {}).get("replications", 0), "config mc.replications")
+    r = _as(int, _section(cfg, "mc").get("replications", 0), "config mc.replications")
     k = design_section.get("k")
     if k is not None:
         k = _as(int, k, "config design.k")

@@ -21,7 +21,7 @@ import numpy as np
 from . import _streams
 from .errors import AllBlocksUndefined, InvalidData, InvalidDesign
 from .mechanisms import Mechanism, mechanisms_identical, sample_assignment
-from .population import Population, outcome
+from .population import Population
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
 
@@ -171,17 +171,7 @@ def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> Experi
     ]).astype(np.int8)
     p_enc = np.concatenate([mech.marginals(n) for mech, n in zip(mechs, pop.sizes)])
     d = np.where(z == 1, cols.d1, cols.d0).astype(np.int8)
-
-    # StructuralOutcome.value for every individual at once, same operand order
-    own = d.astype(float)
-    k = (np.add.reduceat(d, cols.starts[:-1], dtype=np.int64)[block_id] - d).astype(float)
-    c_int, c_dir, c_peer, c_inter, c_curv, c_noise = cols.coef
-    y = c_int + c_dir * own + c_peer * k + c_inter * own * k + c_curv * k * k + c_noise
-    for u in np.flatnonzero(~cols.structural):
-        i = int(block_id[u])
-        lo, hi = cols.starts[i], cols.starts[i + 1]
-        y[u] = outcome(pop, i, int(u - lo), d[lo:hi], z[lo:hi])
-
+    y = cols.outcomes(d, z)
     return ExperimentData(sizes=sizes, s=s, block_id=block_id, z=z, d=d, y=y, p_enc=p_enc)
 
 
@@ -213,7 +203,7 @@ def design_prob_check(
     """
     from .mechanisms import assignment_probs, enumerate_assignments
 
-    n = len(pop.blocks[block])
+    n = pop.sizes[block]
     if n > 6:
         raise InvalidDesign(f"exact frequency check needs a small block (n <= 6), got {n}")
     validate_design(cfg, pop)

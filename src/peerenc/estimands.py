@@ -24,13 +24,12 @@ the unweighted mean of its block values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._report import JsonReport
 from .errors import (
     EmptyStratumInBlock,
     EnumerationTooLarge,
@@ -38,7 +37,7 @@ from .errors import (
     ZeroEncouragementEffect,
 )
 from .mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, assignment_probs
-from .population import ComplianceType, Population, TableOutcome, pack_bits
+from .population import ComplianceType, Population, pack_rows
 
 # A computed identity passes when |lhs-rhs| <= max(ABS_TOL, REL_TOL*scale):
 # all quantities are short sums of products of probabilities, so double
@@ -126,24 +125,23 @@ def _member_averages(pop: Population, mech: Mechanism, cap: int) -> _MemberAvera
     ], np.nan)
     itt = np.where(np.stack([cols.d0, cols.d1]) == 1, local[1], local[0])
     for i in np.flatnonzero((np.add.reduceat(~cols.structural, firsts) > 0) & (sizes - 1 <= cap)):
-        lo, n = int(firsts[i]), int(sizes[i])
+        block, n = slice(firsts[i], firsts[i] + sizes[i]), int(sizes[i])
         # the cap bounds the 2^(n-1) peer assignments; the own column doubles them
         w = assignment_probs(mech, n, cap=cap + 1)
         z = np.arange(w.size)  # row r is the bit-packed encouragement vector r
-        d = (z & pack_bits(cols.d1[lo:lo + n])) | (~z & pack_bits(cols.d0[lo:lo + n]))
-        for j, ind in enumerate(pop.blocks[i]):
-            if isinstance(ind.y, TableOutcome):
-                bit = 1 << (n - 1 - j)
-                for v, own_d in enumerate((cols.d0[lo + j], cols.d1[lo + j])):
-                    itt[v, lo + j] = w @ _table_values(
-                        ind.y, d & ~bit | int(own_d) * bit, z & ~bit | v * bit)
-                    local[v, lo + j] = w @ _table_values(ind.y, d & ~bit | v * bit, z)
+        d = (z & pack_rows(cols.d1[block])) | (~z & pack_rows(cols.d0[block]))
+        bit = (1 << np.arange(n - 1, -1, -1))[:, None]  # each member's own bit
+        v = np.arange(2)[:, None, None]
+        # itt[v] pins the own encouragement at v, so the own treatment at its
+        # d_v; local[v] pins the own treatment at v and keeps the drawn z
+        own_d = np.stack([cols.d0[block], cols.d1[block]])[:, :, None]
+        d_rows = d & ~bit | np.concatenate([own_d, np.broadcast_to(v, own_d.shape)]) * bit
+        z_rows = np.concatenate([z & ~bit | v * bit, np.broadcast_to(z, (2, n, z.size))])
+        vals = cols.table_values(i, d_rows, z_rows) @ w
+        table = ~cols.structural[block]
+        itt[:, block] = np.where(table, vals[:2], itt[:, block])
+        local[:, block] = np.where(table, vals[2:], local[:, block])
     return _MemberAverages(pop=pop, cap=cap, itt=itt, local=local)
-
-
-def _table_values(y: TableOutcome, d: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A table's entries at bit-packed treatment and encouragement vectors."""
-    return y.z_values[d, z] if y.z_dependent else y.values[d]
 
 
 def ybar_indiv_itt(
@@ -472,7 +470,7 @@ def theorem_3_check(
 
 
 @dataclass(frozen=True)
-class EstimandReport:
+class EstimandReport(JsonReport):
     entries: dict[str, BlockSummary]
     skipped: dict[str, str]
     metadata: dict
@@ -484,12 +482,6 @@ class EstimandReport:
             "metadata": self.metadata,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    def write_json(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
     def to_csv(self) -> str:
         lines = ["estimand,block,value"]
         for key in sorted(self.entries):
@@ -498,9 +490,6 @@ class EstimandReport:
                 lines.append(f"{key},{i},{v!r}")
             lines.append(f"{key},population,{s.population!r}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv())
 
 
 def compute_estimand_report(

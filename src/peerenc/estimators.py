@@ -11,13 +11,12 @@ uptake effect.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from ._report import JsonReport
 from .design import ExperimentData
 from .errors import AllBlocksUndefined, EmptyArm, ZeroEncouragementEffectEstimate
 
@@ -181,7 +180,7 @@ def estimator_battery(data: ExperimentData) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(JsonReport):
     ditt_hat_a: float
     ditt_hat_b: float
     pitt_hat_1: float
@@ -208,12 +207,6 @@ class EstimateReport:
             "et_blocks_dropped": [[i, why] for i, why in self.et_blocks_dropped],
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    def write_json(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
 
     def to_csv(self) -> str:
         rows = ["field,value"]

@@ -11,13 +11,12 @@ rather than aborting the batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._report import JsonReport
 from .design import DesignConfig, run_design, validate_design
 from .errors import (
     EmptyStratumInBlock,
@@ -121,7 +120,7 @@ class EstimatorSummary:
 
 
 @dataclass(frozen=True)
-class McSummary:
+class McSummary(JsonReport):
     replications: int
     seed: int
     estimators: tuple[EstimatorSummary, ...]
@@ -138,12 +137,6 @@ class McSummary:
             "seed": self.seed,
             "estimators": [s.as_dict() for s in self.estimators],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    def write_json(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
 
     def text_table(self) -> str:
         header = f"{'estimator':<14}{'mean':>14}{'sd':>12}{'mcse':>12}{'target':>14}{'std_bias':>10}{'undef':>7}"
@@ -182,18 +175,16 @@ def replicate(
     cfg: DesignConfig,
     replications: int,
     targets: dict[str, float] | None = None,
-    compute_targets: bool = True,
 ) -> McSummary:
     """Run the design ``replications`` times and summarize every estimator.
 
     Deterministic given (pop, cfg). Targets come from the exact engine
-    unless supplied (or disabled for populations too large to enumerate).
+    unless supplied; ``targets={}`` summarizes without any.
     """
     if replications < 2:
         raise InvalidConfig("need at least 2 replications")
-    if targets is None and compute_targets:
+    if targets is None:
         targets = exact_targets(pop, cfg)
-    targets = targets or {}
     values = replicate_values(pop, cfg, replications)
     summaries = tuple(
         _summarize_column(name, values[:, idx], targets.get(name))
@@ -241,7 +232,7 @@ class TheoremVerification:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(JsonReport):
     theorems: tuple[TheoremVerification, ...]
     mc: McSummary | None
 
@@ -256,12 +247,6 @@ class VerificationReport:
             "theorems": [t.as_dict() for t in self.theorems],
             "mc": self.mc.to_dict() if self.mc else None,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-    def write_json(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
 
     def text_table(self) -> str:
         lines = []
@@ -329,7 +314,7 @@ def verify_theorems(
         rhs_targets = {
             _PLUGIN_FOR[name]: rep.rhs for name, rep, _ in checks if rep is not None
         }
-        mc = replicate(pop, cfg, replications, targets=rhs_targets, compute_targets=False)
+        mc = replicate(pop, cfg, replications, targets=rhs_targets)
 
     theorems = []
     for name, rep, error in checks:

@@ -21,9 +21,10 @@ of the population and the design's own random streams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
     GenerationFailed,
     InvalidConfig,
     MissingTableEntry,
+    PeerEncError,
 )
 
 # Dense tables hold 2^n entries per individual; refuse silly sizes.
@@ -62,17 +64,18 @@ class PotentialTreatment:
         return self.d1 if z else self.d0
 
 
-_CLASSIFY = {
-    (1, 1): ComplianceType.ALWAYS_TAKER,
-    (0, 1): ComplianceType.COMPLIER,
-    (0, 0): ComplianceType.NEVER_TAKER,
-    (1, 0): ComplianceType.DEFIER,
+_PT_BY_STRATUM = {
+    ComplianceType.ALWAYS_TAKER: PotentialTreatment(1, 1),
+    ComplianceType.COMPLIER: PotentialTreatment(0, 1),
+    ComplianceType.NEVER_TAKER: PotentialTreatment(0, 0),
+    ComplianceType.DEFIER: PotentialTreatment(1, 0),
 }
+_STRATUM_BY_PT = {pt: ct for ct, pt in _PT_BY_STRATUM.items()}
 
 
 def classify(pt: PotentialTreatment) -> ComplianceType:
     """Compliance stratum of a (d0, d1) pair."""
-    return _CLASSIFY[(pt.d0, pt.d1)]
+    return _STRATUM_BY_PT[pt]
 
 
 @dataclass(frozen=True)
@@ -96,23 +99,26 @@ class StructuralOutcome:
     noise: float = 0.0
 
     def value(self, own_d: int, treated_peers: int) -> float:
-        k = treated_peers
-        return (
-            self.intercept
-            + self.direct * own_d
-            + self.peer * k
-            + self.interaction * own_d * k
-            + self.curvature * k * k
-            + self.noise
-        )
+        return structural_value(astuple(self), own_d, treated_peers)
 
 
-def pack_bits(vec) -> int:
-    """Bit-pack a binary vector, most significant bit first (index 0)."""
-    out = 0
-    for b in vec:
-        out = (out << 1) | int(b)
-    return out
+_COEFS = tuple(f.name for f in fields(StructuralOutcome))
+
+
+def structural_value(coef, own_d, k):
+    """The structural outcome formula, elementwise over arrays: ``coef`` holds
+    the StructuralOutcome fields in order. The only evaluation of the formula
+    at a treated-peer count, so realized outcomes equal ``value`` bit for bit."""
+    intercept, direct, peer, interaction, curvature, noise = coef
+    return (intercept + direct * own_d + peer * k + interaction * own_d * k
+            + curvature * k * k + noise)
+
+
+def pack_rows(bits) -> np.ndarray:
+    """Bit-pack binary vectors along the last axis, most significant bit
+    first (index 0): the row of a table or of an assignment enumeration."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -154,17 +160,6 @@ class TableOutcome:
     @property
     def z_dependent(self) -> bool:
         return self.z_values is not None
-
-    def value(self, d_vec, z_vec=None) -> float:
-        if len(d_vec) != self.n:
-            raise ArityMismatch(f"treatment vector length {len(d_vec)} != table arity {self.n}")
-        if self.z_dependent:
-            if z_vec is None:
-                raise ValueError("encouragement-keyed table requires z_vec")
-            if len(z_vec) != self.n:
-                raise ArityMismatch(f"encouragement vector length {len(z_vec)} != {self.n}")
-            return float(self.z_values[pack_bits(d_vec), pack_bits(z_vec)])
-        return float(self.values[pack_bits(d_vec)])
 
 
 OutcomeFunction = StructuralOutcome | TableOutcome
@@ -220,19 +215,33 @@ class Population:
         """Struct-of-arrays view of the individuals, built on first use."""
         inds = [ind for block in self.blocks for ind in block]
         tables = [isinstance(ind.y, TableOutcome) for ind in inds]
-        no_coef = StructuralOutcome()
         cols = Columns(
             starts=np.cumsum((0,) + self.sizes),
             d0=np.array([ind.pt.d0 for ind in inds], dtype=np.uint8),
             d1=np.array([ind.pt.d1 for ind in inds], dtype=np.uint8),
             structural=~np.array(tables),
             z_dependent=np.array([t and ind.y.z_dependent for t, ind in zip(tables, inds)]),
-            coef=np.array([[getattr(no_coef if t else ind.y, f.name) for f in fields(no_coef)]
-                           for t, ind in zip(tables, inds)]).T,
+            coef=np.array([[getattr(ind.y, k, 0.0) for k in _COEFS] for ind in inds]).T,
+            tables=tuple(_stack_tables(block) for block in self.blocks),
         )
-        for f in fields(cols):
-            getattr(cols, f.name).setflags(write=False)
+        for arr in (*(getattr(cols, f.name) for f in fields(cols)), *cols.tables):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
         return cols
+
+
+def _stack_tables(block) -> np.ndarray | None:
+    """A block's tables as one [member, d row, z row] array, or None when it
+    holds none. The z axis has length 1 unless a member is encouragement-keyed;
+    structural members' rows are zero."""
+    ys = {j: ind.y for j, ind in enumerate(block) if isinstance(ind.y, TableOutcome)}
+    if not ys:
+        return None
+    n = len(block)
+    out = np.zeros((n, 2**n, 2**n if any(y.z_dependent for y in ys.values()) else 1))
+    for j, y in ys.items():
+        out[j] = y.z_values if y.z_dependent else y.values[:, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -240,7 +249,7 @@ class Columns:
     """A population's individuals as flat arrays in block order; block i owns
     starts[i]:starts[i + 1]. ``coef`` rows are the StructuralOutcome fields
     in order (intercept, direct, peer, interaction, curvature, noise), zero
-    for tables."""
+    for tables. ``table_values`` and ``outcomes`` are the one outcome lookup."""
 
     starts: np.ndarray  # (B + 1,) block offsets
     d0: np.ndarray  # (N,) treatment when unencouraged
@@ -248,6 +257,7 @@ class Columns:
     structural: np.ndarray  # (N,) structural outcome (else a table)
     z_dependent: np.ndarray  # (N,) encouragement-keyed table
     coef: np.ndarray  # (6, N)
+    tables: tuple[np.ndarray | None, ...]  # per block: [member, d row, z row], or None
 
     def in_stratum(self, stratum: ComplianceType | None) -> np.ndarray:
         """Mask of the individuals in a compliance stratum (everyone for None)."""
@@ -256,10 +266,25 @@ class Columns:
         pt = _PT_BY_STRATUM[stratum]
         return (self.d0 == pt.d0) & (self.d1 == pt.d1)
 
+    def table_values(self, i: int, d_rows, z_rows) -> np.ndarray:
+        """Block i's table entries: result[..., j, r] is member j's entry at
+        the bit-packed rows d_rows[..., j, r] and z_rows[..., j, r], which
+        broadcast against a (members, 1) axis. The z rows are ignored unless
+        the block holds an encouragement-keyed table."""
+        table = self.tables[i]
+        members = np.arange(table.shape[0])[:, None]
+        return table[members, d_rows, z_rows if table.shape[2] > 1 else 0]
 
-def potential_treatment(pop: Population, i: int, j: int, z: int) -> int:
-    """Treatment individual (i, j) takes under own encouragement value z."""
-    return pop.blocks[i][j].pt.take(z)
+    def outcomes(self, d: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Every individual's outcome at the realized block treatment vectors
+        d and encouragement vectors z (flat, block order)."""
+        k = np.repeat(np.add.reduceat(d, self.starts[:-1], dtype=np.int64), np.diff(self.starts))
+        y = structural_value(self.coef, d.astype(float), (k - d).astype(float))
+        for i in np.flatnonzero([t is not None for t in self.tables]):
+            block = slice(self.starts[i], self.starts[i + 1])
+            rows = self.table_values(i, pack_rows(d[block])[None], pack_rows(z[block])[None])
+            y[block] = np.where(self.structural[block], y[block], rows[:, 0])
+        return y
 
 
 def outcome(pop: Population, i: int, j: int, d_vec, z_vec=None) -> float:
@@ -268,23 +293,20 @@ def outcome(pop: Population, i: int, j: int, d_vec, z_vec=None) -> float:
     ``z_vec`` is consulted only by encouragement-keyed tables; for every
     exclusion-compliant individual the result is independent of it.
     """
-    block = pop.blocks[i]
-    n = len(block)
+    cols = pop.columns
+    i = range(pop.n_blocks)[i]
+    n = pop.sizes[i]
     if len(d_vec) != n:
         raise ArityMismatch(f"treatment vector length {len(d_vec)} != block size {n}")
-    ind = block[j]
-    if isinstance(ind.y, StructuralOutcome):
+    j = range(n)[j]
+    u = cols.starts[i] + j
+    if cols.structural[u]:
         own = int(d_vec[j])
-        k = int(np.sum(np.asarray(d_vec, dtype=np.int64))) - own
-        return ind.y.value(own, k)
-    return ind.y.value(d_vec, z_vec)
-
-
-def stratum_counts(block) -> dict[ComplianceType, int]:
-    counts = {ct: 0 for ct in ComplianceType}
-    for ind in block:
-        counts[classify(ind.pt)] += 1
-    return counts
+        return float(structural_value(cols.coef[:, u], own, int(np.sum(d_vec)) - own))
+    if cols.z_dependent[u] and (z_vec is None or len(z_vec) != n):
+        raise ArityMismatch(f"encouragement-keyed table needs a length-{n} encouragement vector")
+    z_row = pack_rows(z_vec) if cols.z_dependent[u] else 0
+    return float(cols.table_values(i, pack_rows(d_vec), z_row)[j, 0])
 
 
 @dataclass(frozen=True)
@@ -328,23 +350,26 @@ def validate(pop: Population) -> ValidationReport:
     findings, warning about blocks where the encouragement moves nobody's
     uptake (ratio identities are undefined there).
     """
-    block_reports = []
-    warnings = []
-    for i, block in enumerate(pop.blocks):
-        counts = stratum_counts(block)
-        effect = sum(ind.pt.d1 - ind.pt.d0 for ind in block) / len(block)
-        rep = BlockValidation(
+    cols = pop.columns
+    firsts = cols.starts[:-1]
+    counts = {ct: np.add.reduceat(cols.in_stratum(ct), firsts) for ct in ComplianceType}
+    sizes = pop.sizes
+    effects = np.add.reduceat(cols.d1.astype(np.int64) - cols.d0, firsts) / sizes
+    one_sided = np.add.reduceat(cols.d0, firsts) == 0
+    block_reports = [
+        BlockValidation(
             index=i,
-            size=len(block),
-            strata=counts,
-            monotone=counts[ComplianceType.DEFIER] == 0,
-            one_sided=all(ind.pt.d0 == 0 for ind in block),
-            encouragement_effect=effect,
-            has_complier=counts[ComplianceType.COMPLIER] > 0,
+            size=sizes[i],
+            strata={ct: int(c[i]) for ct, c in counts.items()},
+            monotone=bool(counts[ComplianceType.DEFIER][i] == 0),
+            one_sided=bool(one_sided[i]),
+            encouragement_effect=float(effects[i]),
+            has_complier=bool(counts[ComplianceType.COMPLIER][i] > 0),
         )
-        block_reports.append(rep)
-        if effect == 0.0:
-            warnings.append(f"EncouragementIneffective: block {i} has zero effect on uptake")
+        for i in range(len(sizes))
+    ]
+    warnings = [f"EncouragementIneffective: block {i} has zero effect on uptake"
+                for i in np.flatnonzero(effects == 0.0)]
 
     found_monotone = all(b.monotone for b in block_reports)
     found_one_sided = all(b.one_sided for b in block_reports)
@@ -376,13 +401,6 @@ _STRATA_ORDER = (
     ComplianceType.NEVER_TAKER,
     ComplianceType.DEFIER,
 )
-_PT_BY_STRATUM = {
-    ComplianceType.ALWAYS_TAKER: PotentialTreatment(1, 1),
-    ComplianceType.COMPLIER: PotentialTreatment(0, 1),
-    ComplianceType.NEVER_TAKER: PotentialTreatment(0, 0),
-    ComplianceType.DEFIER: PotentialTreatment(1, 0),
-}
-
 ParamSpec = float | tuple[float, float]  # constant, or (mean, sd) drawn per individual
 
 
@@ -547,15 +565,11 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
             ys = funcs
         blocks.append(tuple(Individual(pt, y) for pt, y in zip(pts, ys)))
 
-    all_inds = [ind for block in blocks for ind in block]
-    monotone = all(classify(ind.pt) is not ComplianceType.DEFIER for ind in all_inds)
-    one_sided = all(ind.pt.d0 == 0 for ind in all_inds)
-    exclusion_ok = not any(
-        isinstance(ind.y, TableOutcome) and ind.y.z_dependent for ind in all_inds
-    )
-    pop = Population(
-        blocks=tuple(blocks), monotone=monotone, one_sided=one_sided, exclusion_ok=exclusion_ok
-    )
+    # encouragement terms force tables in every block (_check_config)
+    strata = {classify(ind.pt) for block in blocks for ind in block}
+    pop = Population(blocks=tuple(blocks), monotone=ComplianceType.DEFIER not in strata,
+                     one_sided=strata <= {ComplianceType.COMPLIER, ComplianceType.NEVER_TAKER},
+                     exclusion_ok=oc.z_own == 0.0 and oc.z_peer == 0.0)
     validate(pop)
     return pop
 
@@ -585,63 +599,60 @@ def convert_to_tables(pop: Population) -> Population:
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _table_keys(n: int, keyed: bool) -> tuple[str, ...]:
+    """A size-n table's JSON keys in row order: the bit string of the
+    treatment row, or "d|z" (treatment-major) for an encouragement-keyed one."""
+    rows = [f"{r:0{n}b}" for r in range(2**n)]
+    return tuple(f"{d}|{z}" for d in rows for z in rows) if keyed else tuple(rows)
+
+
 def _outcome_to_dict(y: OutcomeFunction) -> dict:
     if isinstance(y, StructuralOutcome):
-        return {
-            "kind": "structural",
-            "intercept": y.intercept,
-            "direct": y.direct,
-            "peer": y.peer,
-            "interaction": y.interaction,
-            "curvature": y.curvature,
-            "noise": y.noise,
-        }
-    if y.z_dependent:
-        size = 2**y.n
-        vals = {
-            f"{d:0{y.n}b}|{z:0{y.n}b}": y.z_values[d, z]
-            for d in range(size)
-            for z in range(size)
-        }
-        return {"kind": "table_z", "size": y.n, "values": vals}
-    vals = {f"{d:0{y.n}b}": y.values[d] for d in range(2**y.n)}
-    return {"kind": "table", "size": y.n, "values": vals}
+        return {"kind": "structural", **{k: getattr(y, k) for k in _COEFS}}
+    arr = y.z_values if y.z_dependent else y.values
+    return {"kind": "table_z" if y.z_dependent else "table", "size": y.n,
+            "values": dict(zip(_table_keys(y.n, y.z_dependent), arr.ravel()))}
 
 
-def _outcome_from_dict(d: dict) -> OutcomeFunction:
+def _json_int(x, what: str) -> int:
+    """An integral JSON number as an int; booleans and strings raise."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or x != int(x):
+        raise InvalidConfig(f"{what}: expected an integer, got {x!r}")
+    return int(x)
+
+
+def _finite(pairs, what: str) -> list[float]:
+    """The values of (key, value) pairs as floats; raises naming the first
+    that is not a finite JSON number (a boolean or a string is not)."""
+    for key, x in pairs:
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+            raise InvalidConfig(f"{what} {key!r}: expected a finite number, got {x!r}")
+    return [float(x) for _, x in pairs]
+
+
+def _outcome_from_dict(d, block_size: int) -> OutcomeFunction:
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"outcome: expected an object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "structural":
-        return StructuralOutcome(
-            intercept=float(d.get("intercept", 0.0)),
-            direct=float(d.get("direct", 0.0)),
-            peer=float(d.get("peer", 0.0)),
-            interaction=float(d.get("interaction", 0.0)),
-            curvature=float(d.get("curvature", 0.0)),
-            noise=float(d.get("noise", 0.0)),
-        )
-    if kind in ("table", "table_z"):
-        n = int(d["size"])
-        size = 2**n
-        entries = d["values"]
-        if kind == "table":
-            arr = np.full(size, np.nan)
-            for key, v in entries.items():
-                arr[int(key, 2)] = float(v)
-            missing = np.isnan(arr)
-            if missing.any():
-                first = int(np.argmax(missing))
-                raise MissingTableEntry(f"table missing entry for d={first:0{n}b}")
-            return TableOutcome(n=n, values=arr)
-        arr = np.full((size, size), np.nan)
-        for key, v in entries.items():
-            dkey, zkey = key.split("|")
-            arr[int(dkey, 2), int(zkey, 2)] = float(v)
-        missing = np.isnan(arr)
-        if missing.any():
-            di, zi = np.unravel_index(int(np.argmax(missing)), arr.shape)
-            raise MissingTableEntry(f"table missing entry for d={di:0{n}b} z={zi:0{n}b}")
-        return TableOutcome(n=n, z_values=arr)
-    raise InvalidConfig(f"unknown outcome kind {kind!r}")
+        return StructuralOutcome(*_finite([(k, d.get(k, 0.0)) for k in _COEFS], "outcome"))
+    if kind not in ("table", "table_z"):
+        raise InvalidConfig(f"unknown outcome kind {kind!r}")
+    n = _json_int(d["size"], "table size")
+    if n != block_size:
+        raise ArityMismatch(f"table size {n} != block size {block_size}")
+    entries, keys = d["values"], _table_keys(n, kind == "table_z")
+    try:
+        arr = np.array(_finite([(key, entries[key]) for key in keys], "table entry"))
+    except KeyError as exc:
+        raise MissingTableEntry(f"table has no entry for {exc}") from None
+    if len(entries) != len(keys):
+        extra = sorted(entries.keys() - set(keys))[0]
+        raise InvalidConfig(f"table key {extra!r} is not a row of a size-{n} {kind}")
+    if kind == "table":
+        return TableOutcome(n=n, values=arr)
+    return TableOutcome(n=n, z_values=arr.reshape(2**n, 2**n))
 
 
 def population_to_dict(pop: Population) -> dict:
@@ -663,22 +674,27 @@ def population_to_dict(pop: Population) -> dict:
 
 def population_from_dict(data: dict) -> Population:
     try:
-        flags = {k: bool(data["flags"][k]) for k in ("monotone", "one_sided", "exclusion_ok")}
+        flags = {k: data["flags"][k] for k in ("monotone", "one_sided", "exclusion_ok")}
         raw_blocks = list(data["blocks"])
     except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"population file missing section: {exc}") from exc
+    if not all(isinstance(v, bool) for v in flags.values()):
+        raise InvalidConfig(f"population flags: expected true or false, got {flags}")
     blocks = []
     for i, raw in enumerate(raw_blocks):
+        if not isinstance(raw, list):
+            raise InvalidConfig(f"population block {i}: expected a list of individuals")
         block = []
         for j, r in enumerate(raw):
+            where = f"population block {i} individual {j}"
             try:
-                block.append(Individual(
-                    PotentialTreatment(int(r["d0"]), int(r["d1"])),
-                    _outcome_from_dict(r["outcome"]),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
+                pt = PotentialTreatment(_json_int(r["d0"], "d0"), _json_int(r["d1"], "d1"))
+                block.append(Individual(pt, _outcome_from_dict(r["outcome"], len(raw))))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise InvalidConfig(f"population block {i} individual {j}: {why}") from None
+                raise InvalidConfig(f"{where}: {why}") from None
+            except PeerEncError as exc:
+                raise type(exc)(f"{where}: {exc}") from None
         blocks.append(tuple(block))
     try:
         pop = Population(blocks=tuple(blocks), **flags)

@@ -10,7 +10,35 @@ import itertools
 
 import numpy as np
 
-from peerenc.population import ComplianceType, Population, classify, outcome
+from peerenc.population import ComplianceType, Population, StructuralOutcome
+
+_STRATUM = {
+    (1, 1): ComplianceType.ALWAYS_TAKER,
+    (0, 1): ComplianceType.COMPLIER,
+    (0, 0): ComplianceType.NEVER_TAKER,
+    (1, 0): ComplianceType.DEFIER,
+}
+
+
+def _row(bits) -> int:
+    """Table row of a binary vector: its bits read most significant first."""
+    return int("".join(str(int(b)) for b in bits), 2)
+
+
+def _structural(y: StructuralOutcome, own: int, k: int) -> float:
+    return (y.intercept + y.direct * own + y.peer * k + y.interaction * own * k
+            + y.curvature * k * k + y.noise)
+
+
+def oracle_outcome(pop: Population, i: int, j: int, d_vec, z_vec=None) -> float:
+    """Potential outcome of individual (i, j), read from its own fields."""
+    y = pop.blocks[i][j].y
+    if isinstance(y, StructuralOutcome):
+        own = int(d_vec[j])
+        return _structural(y, own, sum(int(b) for b in d_vec) - own)
+    if y.z_values is not None:
+        return float(y.z_values[_row(d_vec), _row(z_vec)])
+    return float(y.values[_row(d_vec)])
 
 
 def _full_weight(z_vec, marginals, skip=None) -> float:
@@ -32,7 +60,7 @@ def oracle_ybar_itt(pop: Population, i: int, j: int, z: int, mech) -> float:
         if z_vec[j] != z:
             continue
         d_vec = [block[k].pt.take(z_vec[k]) for k in range(n)]
-        total += _full_weight(z_vec, marg, skip=j) * outcome(pop, i, j, d_vec, z_vec)
+        total += _full_weight(z_vec, marg, skip=j) * oracle_outcome(pop, i, j, d_vec, z_vec)
     return total
 
 
@@ -46,7 +74,7 @@ def oracle_ybar_local(pop: Population, i: int, j: int, d: int, mech) -> float:
     for z_vec in itertools.product((0, 1), repeat=n):
         d_vec = [block[k].pt.take(z_vec[k]) for k in range(n)]
         d_vec[j] = d
-        total += _full_weight(z_vec, marg) * outcome(pop, i, j, d_vec, z_vec)
+        total += _full_weight(z_vec, marg) * oracle_outcome(pop, i, j, d_vec, z_vec)
     return total
 
 
@@ -74,7 +102,7 @@ def convolution_ybar_local(pop: Population, i: int, j: int, d: int, mech) -> flo
         d0, d1 = ind.pt.d0, ind.pt.d1
         probs.append(float(d0) if d0 == d1 else marg[k] if d1 == 1 else 1.0 - marg[k])
     pmf = poisson_binomial_pmf(probs)
-    return sum(float(w) * block[j].y.value(d, k) for k, w in enumerate(pmf))
+    return sum(float(w) * _structural(block[j].y, d, k) for k, w in enumerate(pmf))
 
 
 def _block_mean(values) -> float:
@@ -114,7 +142,7 @@ def oracle_et(pop):
 def _members(block, stratum):
     if stratum is None:
         return list(range(len(block)))
-    return [j for j, ind in enumerate(block) if classify(ind.pt) is stratum]
+    return [j for j, ind in enumerate(block) if _STRATUM[(ind.pt.d0, ind.pt.d1)] is stratum]
 
 
 def oracle_ldt(pop, mech, stratum=ComplianceType.COMPLIER):
@@ -175,7 +203,7 @@ def naive_two_stage_direct(pop, mech):
                 for own in (0, 1):
                     dv = list(d_vec)
                     dv[j] = own
-                    avg[own] += w * outcome(pop, i, j, dv)
+                    avg[own] += w * oracle_outcome(pop, i, j, dv)
             vals.append(avg[1] - avg[0])
         per_block.append(_block_mean(vals))
     return _block_mean(per_block)
@@ -198,7 +226,7 @@ def naive_two_stage_spillover(pop, d, mech_a, mech_b):
                     w = _full_weight(d_vec, marg, skip=j)
                     dv = list(d_vec)
                     dv[j] = d
-                    total += w * outcome(pop, i, j, dv)
+                    total += w * oracle_outcome(pop, i, j, dv)
                 avgs.append(total)
             vals.append(avgs[0] - avgs[1])
         per_block.append(_block_mean(vals))

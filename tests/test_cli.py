@@ -325,3 +325,76 @@ def test_integer_fields_are_one_line_errors(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert field in err
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("generate", "[1]", "expected a JSON object"),
+    ("estimands", {"mechanisms": [1, 2]}, "mechanisms[0]"),
+    ("estimands", {"mechanisms": [{"name": ["a"], "p": 0.5}, {"name": "psi", "p": 0.3}]},
+     "mechanisms[0]"),
+    ("generate", {"dgp": [1]}, "config dgp"),
+    ("generate", {"dgp": {"outcome": [1]}}, "dgp.outcome"),
+    ("estimands", {"design": [1]}, "config design"),
+    ("simulate", {"mc": [1]}, "config mc"),
+    ("estimands", {"design": {"mech_a": ["a"]}}, "design.mech_a"),
+], ids=["top-level-list", "mechanisms-not-objects", "mechanism-name-list", "dgp-list",
+        "outcome-list", "design-list", "mc-list", "mech-a-list"])
+def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys,
+                                                               command, text, field):
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(write_config(tmp_path / "good.json")),
+          "--out", str(pop_path)])
+    cfg = tmp_path / "cfg.json"
+    if isinstance(text, str):
+        cfg.write_text(text)
+    else:
+        write_config(cfg, **text)
+    pop = ["--pop", str(pop_path)] if command != "generate" else []
+    capsys.readouterr()
+    assert _exit_code([command, "--config", str(cfg), *pop, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert field in err
+
+
+def _set(path, value):
+    """Edit for a population file: set the entry at path (keys and indices)."""
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+_TABLE = ("blocks", 0, 0, "outcome")
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_set((*_TABLE, "values", "-1"), 5.0), "block 0 individual 0"),
+    (_set((*_TABLE, "values", "01"), 5.0), "block 0 individual 0"),
+    (_set((*_TABLE, "values", "11"), 5.0), "block 0 individual 0"),
+    (_set((*_TABLE, "values", "1"), "2.5"), "block 0 individual 0"),
+    (_set(_TABLE, [1]), "block 0 individual 0"),
+    (_set(("blocks", 0, 0, "d0"), 0.7), "block 0 individual 0"),
+    (_set(("blocks", 0, 0, "d1"), True), "block 0 individual 0"),
+    (_set((*_TABLE, "size"), 1.9), "block 0 individual 0"),
+    (_set(("blocks", 1, 0, "outcome"), {"kind": "structural", "direct": "1e999"}),
+     "block 1 individual 0"),
+    (_set(("flags", "monotone"), "yes"), "population flags"),
+], ids=["key-minus-1", "key-01-aliases-1", "key-11", "value-string", "outcome-list",
+        "d0-0.7", "d1-true", "size-1.9", "coefficient-string", "flag-string"])
+def test_population_file_defects_are_one_line_errors(tmp_path, capsys, edit, where):
+    cfg = write_config(tmp_path / "cfg.json", dgp={
+        "blocks": 2, "block_size": 1,
+        "outcome": {"representation": "table", "direct": 2.0}})
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    data = json.loads(pop_path.read_text())
+    edit(data)
+    pop_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _exit_code(["estimands", "--config", str(cfg), "--pop", str(pop_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert where in err

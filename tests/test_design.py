@@ -5,11 +5,13 @@ import pytest
 
 from peerenc.design import DesignConfig, ExperimentData, design_prob_check, run_design
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
+from peerenc.estimands import ybar_indiv_itt, ybar_indiv_local
 from peerenc.mechanisms import Mechanism
 from peerenc.population import Individual, Population, PotentialTreatment, \
-    StructuralOutcome, convert_to_tables, outcome
+    StructuralOutcome, TableOutcome, convert_to_tables
 from conftest import make_population
 from fuzz import varying_effect_monotone
+from oracles import oracle_outcome, oracle_ybar_itt, oracle_ybar_local
 
 PHI = Mechanism("phi", 0.8)
 PSI = Mechanism("psi", 0.2)
@@ -73,8 +75,39 @@ def test_realized_outcomes_evaluate_potential_outcomes(rng):
         z_vec = data.z[sl]
         for j in range(int(data.sizes[i])):
             assert data.y[sl][j] == pytest.approx(
-                outcome(pop, i, j, d_vec, z_vec), abs=0
+                oracle_outcome(pop, i, j, d_vec, z_vec), abs=0
             )
+
+
+def test_mixed_block_matches_oracles(rng):
+    """One block holding a structural member, a plain table and an
+    encouragement-keyed table: exact averages and realized outcomes."""
+    mixed = (
+        Individual(PotentialTreatment(0, 1), StructuralOutcome(
+            intercept=0.5, direct=2.0, peer=0.7, interaction=-0.4, curvature=0.1, noise=0.3)),
+        Individual(PotentialTreatment(0, 1), TableOutcome(n=3, values=rng.normal(size=8))),
+        Individual(PotentialTreatment(1, 0), TableOutcome(n=3, z_values=rng.normal(size=(8, 8)))),
+    )
+    plain = tuple(Individual(PotentialTreatment(d0, d1), StructuralOutcome(direct=1.0, peer=0.5))
+                  for d0, d1 in ((0, 1), (0, 0), (1, 1)))
+    pop = Population((mixed, plain), monotone=False, one_sided=False, exclusion_ok=False)
+    a, b = Mechanism("a", (0.2, 0.55, 0.8)), Mechanism("b", (0.7, 0.35, 0.15))
+    for mech in (a, b):
+        for i in range(2):
+            for j in range(3):
+                for v in (0, 1):
+                    assert ybar_indiv_itt(pop, i, j, v, mech) == pytest.approx(
+                        oracle_ybar_itt(pop, i, j, v, mech), rel=1e-12, abs=1e-12)
+                    assert ybar_indiv_local(pop, i, j, v, mech, allow_exclusion_violation=True) \
+                        == pytest.approx(oracle_ybar_local(pop, i, j, v, mech),
+                                         rel=1e-12, abs=1e-12)
+    for r in range(8):
+        data = run_design(pop, _cfg(pop, k=1, a=a, b=b), replicate=r)
+        for i in range(2):
+            sl = data.block_slice(i)
+            for j in range(3):
+                assert data.y[sl][j] == pytest.approx(
+                    oracle_outcome(pop, i, j, data.d[sl], data.z[sl]), rel=1e-12, abs=1e-12)
 
 
 def test_realized_structural_outcomes_evaluate_value_exactly(rng):

@@ -29,9 +29,7 @@ from peerenc.population import (
     outcome,
     population_from_dict,
     population_to_dict,
-    potential_treatment,
     save_population,
-    stratum_counts,
     validate,
 )
 from conftest import make_population
@@ -46,10 +44,10 @@ def test_classify_bijection():
 
 def test_potential_treatment_lookup():
     pop = make_population([["co", "nt"], ["at", "co"]])
-    assert potential_treatment(pop, 0, 0, 1) == 1
-    assert potential_treatment(pop, 0, 0, 0) == 0
-    assert potential_treatment(pop, 0, 1, 1) == 0
-    assert potential_treatment(pop, 1, 0, 0) == 1
+    assert pop.blocks[0][0].pt.take(1) == 1
+    assert pop.blocks[0][0].pt.take(0) == 0
+    assert pop.blocks[0][1].pt.take(1) == 0
+    assert pop.blocks[1][0].pt.take(0) == 1
 
 
 def test_validate_all_compliers():
@@ -224,17 +222,19 @@ def test_stratum_counts_partition_population(rng):
     cfg = _basic_cfg(strata=(0.25, 0.25, 0.25, 0.25), monotone=None, complier_floor=False)
     pop = build_population(cfg, rng)
     total = 0
-    for block in pop.blocks:
-        counts = stratum_counts(block)
-        assert sum(counts.values()) == len(block)
-        total += sum(counts.values())
+    for block, rep in zip(pop.blocks, validate(pop).blocks):
+        assert rep.strata == {ct: sum(classify(ind.pt) is ct for ind in block)
+                              for ct in ComplianceType}
+        assert sum(rep.strata.values()) == len(block)
+        total += sum(rep.strata.values())
     assert total == pop.n_individuals
 
 
 def test_monotone_uptake_effect_equals_complier_fraction(rng):
     pop = build_population(_basic_cfg(), rng)
     for block, rep in zip(pop.blocks, validate(pop).blocks):
-        frac = stratum_counts(block)[ComplianceType.COMPLIER] / len(block)
+        frac = sum(classify(ind.pt) is ComplianceType.COMPLIER for ind in block) / len(block)
+        assert rep.strata[ComplianceType.COMPLIER] / len(block) == frac
         assert rep.encouragement_effect == pytest.approx(frac, abs=0)
 
 
