@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -70,12 +71,32 @@ def _as(kind, value, where: str):
         _fail(f"{where}: expected {kind.__name__} values, got {value!r}")
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float, or exit 2 naming the config field:
+    a string, a boolean, an infinity or a NaN is an error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    _fail(f"{where}: expected a finite number, got {value!r}")
+
+
+def _flag(section: dict, key: str, where: str, default):
+    """A JSON boolean, or the default when absent; else exit 2 naming it."""
+    value = section.get(key, default)
+    if not isinstance(value, bool) and value is not default:
+        _fail(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_param(value, where: str):
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, list) and len(value) == 2:
-        return _as(float, value, where)
-    _fail(f"{where}: expected a number or [mean, sd] pair, got {value!r}")
+        return tuple(_number(x, where) for x in value)
+    if isinstance(value, list):
+        _fail(f"{where}: expected a number or [mean, sd] pair, got {value!r}")
+    return _number(value, where)
 
 
 def _parse_dgp(cfg: dict) -> DgpConfig:
@@ -93,32 +114,28 @@ def _parse_dgp(cfg: dict) -> DgpConfig:
         unknown = set(raw_strata) - set(_STRATA_KEYS)
         if unknown:
             _fail(f"config dgp.strata: unknown strata {sorted(unknown)}")
-        strata = tuple(_as(float, raw_strata.get(k, 0.0), f"config dgp.strata.{k}")
+        strata = tuple(_number(raw_strata.get(k, 0.0), f"config dgp.strata.{k}")
                        for k in _STRATA_KEYS)
     elif isinstance(raw_strata, list):
-        strata = _as(float, raw_strata, "config dgp.strata")
+        strata = tuple(_number(x, "config dgp.strata") for x in raw_strata)
     else:
         _fail(f"config dgp.strata: expected an object or a list, got {raw_strata!r}")
     oc = _section(d, "outcome", "dgp.")
     outcome = OutcomeConfig(
         representation=oc.get("representation", "structural"),
-        intercept=_parse_param(oc.get("intercept", 0.0), "dgp.outcome.intercept"),
-        direct=_parse_param(oc.get("direct", 0.0), "dgp.outcome.direct"),
-        peer=_parse_param(oc.get("peer", 0.0), "dgp.outcome.peer"),
-        interaction=_parse_param(oc.get("interaction", 0.0), "dgp.outcome.interaction"),
-        curvature=_parse_param(oc.get("curvature", 0.0), "dgp.outcome.curvature"),
-        noise_sd=_as(float, oc.get("noise_sd", 0.0), "config dgp.outcome.noise_sd"),
-        z_own=_as(float, oc.get("z_own", 0.0), "config dgp.outcome.z_own"),
-        z_peer=_as(float, oc.get("z_peer", 0.0), "config dgp.outcome.z_peer"),
+        **{k: _parse_param(oc.get(k, 0.0), f"config dgp.outcome.{k}")
+           for k in ("intercept", "direct", "peer", "interaction", "curvature")},
+        **{k: _number(oc.get(k, 0.0), f"config dgp.outcome.{k}")
+           for k in ("noise_sd", "z_own", "z_peer")},
     )
     return DgpConfig(
         blocks=blocks,
         block_size=size,
         strata=strata,
         outcome=outcome,
-        monotone=d.get("monotone"),
-        one_sided=d.get("one_sided"),
-        complier_floor=bool(d.get("complier_floor", True)),
+        monotone=_flag(d, "monotone", "config dgp.monotone", None),
+        one_sided=_flag(d, "one_sided", "config dgp.one_sided", None),
+        complier_floor=_flag(d, "complier_floor", "config dgp.complier_floor", True),
     )
 
 

@@ -161,7 +161,6 @@ def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> Experi
     s = np.zeros(b, dtype=np.int8)
     s[order[: cfg.k]] = 1
 
-    cols = pop.columns
     sizes = np.array(pop.sizes, dtype=int)
     block_id = np.repeat(np.arange(b), sizes)
     mechs = [cfg.mech_a if flag == 1 else cfg.mech_b for flag in s]
@@ -170,8 +169,8 @@ def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> Experi
         for i, (mech, n) in enumerate(zip(mechs, pop.sizes))
     ]).astype(np.int8)
     p_enc = np.concatenate([mech.marginals(n) for mech, n in zip(mechs, pop.sizes)])
-    d = np.where(z == 1, cols.d1, cols.d0).astype(np.int8)
-    y = cols.outcomes(d, z)
+    d = np.where(z == 1, pop.d1, pop.d0).astype(np.int8)
+    y = pop.outcomes(d, z)
     return ExperimentData(sizes=sizes, s=s, block_id=block_id, z=z, d=d, y=y, p_enc=p_enc)
 
 

@@ -53,7 +53,7 @@ def identity_ok(lhs: float, rhs: float, rel: float = REL_TOL, abs_: float = ABS_
 
 def _block_means(pop: Population, values: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Per-block mean of a per-individual array over the members."""
-    firsts = pop.columns.starts[:-1]
+    firsts = pop.starts[:-1]
     return np.add.reduceat(np.where(members, values, 0), firsts) / np.add.reduceat(members, firsts)
 
 
@@ -84,15 +84,15 @@ class _MemberAverages:
         where the average is undefined: an empty stratum, a table block beyond
         the enumeration cap, or (local only) an encouragement-keyed table,
         unless allowed and within the cap."""
-        cols = self.pop.columns
-        firsts, sizes = cols.starts[:-1], np.diff(cols.starts)
-        members = cols.in_stratum(stratum)
+        pop = self.pop
+        firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
+        members = pop.in_stratum(stratum)
         if only is not None:
             members = np.arange(members.size) == firsts[only[0]] + range(sizes[only[0]])[only[1]]
         n = np.repeat(sizes, sizes)
-        bad = members & np.where(local & cols.z_dependent,
+        bad = members & np.where(local & pop.z_dependent,
                                  (not allow_exclusion_violation) | (n > self.cap),
-                                 ~cols.structural & (n - 1 > self.cap))
+                                 ~pop.structural & (n - 1 > self.cap))
         empty = (np.add.reduceat(members, firsts) == 0) & (stratum is not None)
         blocks = np.flatnonzero(empty | (np.add.reduceat(bad, firsts) > 0))
         if blocks.size == 0:
@@ -101,7 +101,7 @@ class _MemberAverages:
         j = int(np.argmax(bad[firsts[i]:firsts[i] + sizes[i]]))
         if empty[i]:
             raise EmptyStratumInBlock(f"block {i} has no {stratum.value} individuals")
-        if not (local and cols.z_dependent[firsts[i] + j]):
+        if not (local and pop.z_dependent[firsts[i] + j]):
             raise EnumerationTooLarge(
                 f"block {i}: 2^{sizes[i] - 1} peer assignments exceed cap 2^{self.cap}")
         if not allow_exclusion_violation:
@@ -112,33 +112,32 @@ class _MemberAverages:
 def _member_averages(pop: Population, mech: Mechanism, cap: int) -> _MemberAverages:
     """The exact kernel: closed-form peer-count moments for structural
     outcomes, one 2^n enumeration per table block within the cap."""
-    cols = pop.columns
-    firsts, sizes = cols.starts[:-1], np.diff(cols.starts)
+    firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
     p = np.concatenate([mech.marginals(n) for n in pop.sizes])
-    q = np.where(cols.d0 == cols.d1, cols.d0, np.where(cols.d1 == 1, p, 1.0 - p))
+    q = np.where(pop.d0 == pop.d1, pop.d0, np.where(pop.d1 == 1, p, 1.0 - p))
     mean = np.repeat(np.add.reduceat(q, firsts), sizes) - q
     var = np.repeat(np.add.reduceat(q * (1.0 - q), firsts), sizes) - q * (1.0 - q)
-    c0, c_dir, c_peer, c_inter, c_curv, c_noise = cols.coef
-    local = np.where(cols.structural, [
+    c0, c_dir, c_peer, c_inter, c_curv, c_noise = pop.coef
+    local = np.where(pop.structural, [
         c0 + c_dir * d + (c_peer + c_inter * d) * mean + c_curv * (var + mean * mean) + c_noise
         for d in (0, 1)
     ], np.nan)
-    itt = np.where(np.stack([cols.d0, cols.d1]) == 1, local[1], local[0])
-    for i in np.flatnonzero((np.add.reduceat(~cols.structural, firsts) > 0) & (sizes - 1 <= cap)):
+    itt = np.where(np.stack([pop.d0, pop.d1]) == 1, local[1], local[0])
+    for i in np.flatnonzero((np.add.reduceat(~pop.structural, firsts) > 0) & (sizes - 1 <= cap)):
         block, n = slice(firsts[i], firsts[i] + sizes[i]), int(sizes[i])
         # the cap bounds the 2^(n-1) peer assignments; the own column doubles them
         w = assignment_probs(mech, n, cap=cap + 1)
         z = np.arange(w.size)  # row r is the bit-packed encouragement vector r
-        d = (z & pack_rows(cols.d1[block])) | (~z & pack_rows(cols.d0[block]))
+        d = (z & pack_rows(pop.d1[block])) | (~z & pack_rows(pop.d0[block]))
         bit = (1 << np.arange(n - 1, -1, -1))[:, None]  # each member's own bit
         v = np.arange(2)[:, None, None]
         # itt[v] pins the own encouragement at v, so the own treatment at its
         # d_v; local[v] pins the own treatment at v and keeps the drawn z
-        own_d = np.stack([cols.d0[block], cols.d1[block]])[:, :, None]
+        own_d = np.stack([pop.d0[block], pop.d1[block]])[:, :, None]
         d_rows = d & ~bit | np.concatenate([own_d, np.broadcast_to(v, own_d.shape)]) * bit
         z_rows = np.concatenate([z & ~bit | v * bit, np.broadcast_to(z, (2, n, z.size))])
-        vals = cols.table_values(i, d_rows, z_rows) @ w
-        table = ~cols.structural[block]
+        vals = pop.table_values(i, d_rows, z_rows) @ w
+        table = ~pop.structural[block]
         itt[:, block] = np.where(table, vals[:2], itt[:, block])
         local[:, block] = np.where(table, vals[2:], local[:, block])
     return _MemberAverages(pop=pop, cap=cap, itt=itt, local=local)
@@ -207,24 +206,6 @@ def _summarize(values) -> BlockSummary:
     return BlockSummary(per_block=vals, population=float(sum(vals) / len(vals)))
 
 
-def ybar_block_itt(
-    pop: Population, z: int, mech: Mechanism, cap: int = DEFAULT_ENUMERATION_CAP
-) -> BlockSummary:
-    return _summarize(_member_averages(pop, mech, cap).itt_blocks(z))
-
-
-def ybar_block_local(
-    pop: Population,
-    d: int,
-    mech: Mechanism,
-    stratum: ComplianceType | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    allow_exclusion_violation: bool = False,
-) -> BlockSummary:
-    avg = _member_averages(pop, mech, cap)
-    return _summarize(avg.local_blocks(d, stratum, allow_exclusion_violation))
-
-
 def ditt(
     pop: Population, z_hi: int, z_lo: int, mech: Mechanism, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BlockSummary:
@@ -252,9 +233,8 @@ def et(pop: Population, z_hi: int = 1, z_lo: int = 0) -> BlockSummary:
     """Average effect of encouragement on treatment uptake (mechanism-free)."""
     if z_hi == z_lo:
         raise ValueError("uptake contrast needs two distinct encouragement values")
-    cols = pop.columns
-    hi, lo = (cols.d1 if z_hi else cols.d0), (cols.d1 if z_lo else cols.d0)
-    return _summarize(_block_means(pop, hi.astype(np.int64) - lo, cols.in_stratum(None)))
+    hi, lo = (pop.d1 if z_hi else pop.d0), (pop.d1 if z_lo else pop.d0)
+    return _summarize(_block_means(pop, hi.astype(np.int64) - lo, pop.in_stratum(None)))
 
 
 def ldt(
@@ -347,7 +327,7 @@ def _assumption_notes(pop: Population, require_monotone=False, require_exclusion
         notes.append("exclusion restriction violated: encouragement-dependent outcomes")
     if require_one_sided and not pop.one_sided:
         notes.append("one-sided compliance violated: someone takes treatment unencouraged")
-    if require_all_encouraged_take and not pop.columns.d1.all():
+    if require_all_encouraged_take and not pop.d1.all():
         notes.append("mirror condition violated: someone declines treatment when encouraged")
     return tuple(notes)
 
@@ -538,8 +518,7 @@ def compute_estimand_report(
     else:
         skipped["local_effects"] = "exclusion restriction violated; local averages undefined"
 
-    cols = pop.columns
-    uses_tables = np.add.reduceat(~cols.structural, cols.starts[:-1]) > 0
+    uses_tables = np.add.reduceat(~pop.structural, pop.starts[:-1]) > 0
     metadata = {
         "mechanisms": {m.name: m.probs if isinstance(m.probs, float) else list(m.probs)
                        for m in (mech_a, mech_b)},

@@ -302,7 +302,7 @@ def verify_theorems(
     attempt("theorem_1", lambda: theorem_1_check(pop, mech_a))
     attempt("theorem_2", lambda: theorem_2_check(pop, mech_a, mech_b))
     attempt("theorem_3[z=0]", lambda: theorem_3_check(pop, mech_a, mech_b, z=0))
-    if pop.columns.d1.all():
+    if pop.d1.all():
         attempt("theorem_3[z=1]", lambda: theorem_3_check(pop, mech_a, mech_b, z=1))
 
     mc = None

@@ -1,5 +1,5 @@
 """Finite populations of blocks whose individuals carry fully specified
-potential treatments and potential outcomes.
+potential treatments and potential outcomes, stored as columns.
 
 An individual owns a pair of potential treatments (what they take when
 unencouraged / encouraged; uptake depends on nobody else's encouragement by
@@ -13,18 +13,22 @@ vector. Two outcome representations are supported:
   violate the exclusion restriction by construction and mark the population
   accordingly.
 
-Populations are immutable once built; all randomness used to build one is
-frozen at build time, so everything downstream is a deterministic function
-of the population and the design's own random streams.
+A ``Population`` holds these as flat arrays in block order, plus each table
+block's tables as one array. The JSON population format is the one
+per-individual description: ``population_from_dict`` fills the arrays from
+it and ``population_to_dict`` writes it back. Populations are immutable once
+built; all randomness used to build one is frozen at build time, so
+everything downstream is a deterministic function of the population and the
+design's own random streams.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -49,66 +53,35 @@ class ComplianceType(Enum):
     DEFIER = "defier"
 
 
-@dataclass(frozen=True)
-class PotentialTreatment:
-    """Treatment taken when unencouraged (d0) and when encouraged (d1)."""
-
-    d0: int
-    d1: int
-
-    def __post_init__(self):
-        if self.d0 not in (0, 1) or self.d1 not in (0, 1):
-            raise ValueError(f"potential treatments must be binary, got ({self.d0}, {self.d1})")
-
-    def take(self, z: int) -> int:
-        return self.d1 if z else self.d0
-
-
 _PT_BY_STRATUM = {
-    ComplianceType.ALWAYS_TAKER: PotentialTreatment(1, 1),
-    ComplianceType.COMPLIER: PotentialTreatment(0, 1),
-    ComplianceType.NEVER_TAKER: PotentialTreatment(0, 0),
-    ComplianceType.DEFIER: PotentialTreatment(1, 0),
+    ComplianceType.ALWAYS_TAKER: (1, 1),
+    ComplianceType.COMPLIER: (0, 1),
+    ComplianceType.NEVER_TAKER: (0, 0),
+    ComplianceType.DEFIER: (1, 0),
 }
 _STRATUM_BY_PT = {pt: ct for ct, pt in _PT_BY_STRATUM.items()}
 
 
-def classify(pt: PotentialTreatment) -> ComplianceType:
-    """Compliance stratum of a (d0, d1) pair."""
-    return _STRATUM_BY_PT[pt]
+def classify(d0: int, d1: int) -> ComplianceType:
+    """Compliance stratum of the potential treatments (d0, d1)."""
+    return _STRATUM_BY_PT[(int(d0), int(d1))]
 
 
-@dataclass(frozen=True)
-class StructuralOutcome:
-    """Outcome as a function of own treatment and the treated-peer count.
-
-    value(d, k) = intercept + direct*d + peer*k + interaction*d*k
-                + curvature*k^2 + noise
-
-    ``noise`` is the individual shock, drawn once when the population is
-    built and frozen thereafter. Depending on peers only through their
-    treated count makes the outcome anonymous in peers and independent of
-    encouragements.
-    """
-
-    intercept: float = 0.0
-    direct: float = 0.0
-    peer: float = 0.0
-    interaction: float = 0.0
-    curvature: float = 0.0
-    noise: float = 0.0
-
-    def value(self, own_d: int, treated_peers: int) -> float:
-        return structural_value(astuple(self), own_d, treated_peers)
-
-
-_COEFS = tuple(f.name for f in fields(StructuralOutcome))
+# A structural outcome's coefficients, in the order of ``Population.coef``'s
+# rows and of ``structural_value``'s ``coef``.
+_COEFS = ("intercept", "direct", "peer", "interaction", "curvature", "noise")
 
 
 def structural_value(coef, own_d, k):
-    """The structural outcome formula, elementwise over arrays: ``coef`` holds
-    the StructuralOutcome fields in order. The only evaluation of the formula
-    at a treated-peer count, so realized outcomes equal ``value`` bit for bit."""
+    """The structural outcome formula, elementwise over arrays:
+
+        intercept + direct*d + peer*k + interaction*d*k + curvature*k^2 + noise
+
+    at own treatment d and treated-peer count k. ``coef`` holds the
+    coefficients in ``_COEFS`` order; ``noise`` is the individual shock,
+    drawn once when the population is built. Depending on peers only through
+    their treated count makes the outcome anonymous in peers and independent
+    of encouragements."""
     intercept, direct, peer, interaction, curvature, noise = coef
     return (intercept + direct * own_d + peer * k + interaction * own_d * k
             + curvature * k * k + noise)
@@ -121,135 +94,23 @@ def pack_rows(bits) -> np.ndarray:
     return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class TableOutcome:
-    """Explicit potential-outcome table over a block's treatment vector.
-
-    ``values`` is indexed by the bit-packed treatment vector. When
-    ``z_values`` is present the outcome additionally depends on the
-    encouragement vector (second index), which violates the exclusion
-    restriction by construction.
-    """
-
-    n: int
-    values: np.ndarray | None = None
-    z_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        size = 2**self.n
-        if (self.values is None) == (self.z_values is None):
-            raise ValueError("exactly one of values / z_values must be given")
-        if self.values is not None:
-            arr = np.asarray(self.values, dtype=float)
-            if arr.shape != (size,):
-                raise ArityMismatch(f"table for n={self.n} needs shape ({size},), got {arr.shape}")
-        else:
-            arr = np.asarray(self.z_values, dtype=float)
-            if arr.shape != (size, size):
-                raise ArityMismatch(
-                    f"encouragement-keyed table for n={self.n} needs shape ({size}, {size}),"
-                    f" got {arr.shape}"
-                )
-        if np.isnan(arr).any():
-            raise MissingTableEntry(f"table has {int(np.isnan(arr).sum())} missing entries")
-        if not np.isfinite(arr).all():
-            raise ValueError("table entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values" if self.values is not None else "z_values", arr)
-
-    @property
-    def z_dependent(self) -> bool:
-        return self.z_values is not None
-
-
-OutcomeFunction = StructuralOutcome | TableOutcome
-
-
-@dataclass(frozen=True)
-class Individual:
-    pt: PotentialTreatment
-    y: OutcomeFunction
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
-    """Ordered blocks of individuals plus compliance-structure flags.
+    """Blocks of individuals as flat arrays in block order, plus
+    compliance-structure flags; block i owns individuals starts[i]:starts[i+1].
 
-    Flags are claims about the data and are validated, never assumed:
-    ``monotone`` means no defiers anywhere, ``one_sided`` means nobody can
-    take treatment unencouraged (d0 = 0 for all), ``exclusion_ok`` means no
-    outcome depends on encouragements.
+    ``coef`` rows are the structural coefficients in ``_COEFS`` order (zero
+    for table members). ``tables[i]`` holds block i's tables as one
+    [member, d row, z row] array, or None when every member is structural;
+    its z axis has length 1 unless a member is encouragement-keyed, and
+    structural members' rows are unused. ``table_values`` and ``outcomes``
+    are the one outcome lookup.
+
+    Flags are claims about the data and are validated by ``validate``, never
+    assumed: ``monotone`` means no defiers anywhere, ``one_sided`` means
+    nobody can take treatment unencouraged (d0 = 0 for all), ``exclusion_ok``
+    means no outcome depends on encouragements.
     """
-
-    blocks: tuple[tuple[Individual, ...], ...]
-    monotone: bool
-    one_sided: bool
-    exclusion_ok: bool
-
-    def __post_init__(self):
-        if len(self.blocks) < 2:
-            raise ValueError(f"population needs at least 2 blocks, got {len(self.blocks)}")
-        for i, block in enumerate(self.blocks):
-            if len(block) < 1:
-                raise ValueError(f"block {i} is empty")
-            for j, ind in enumerate(block):
-                if isinstance(ind.y, TableOutcome) and ind.y.n != len(block):
-                    raise ArityMismatch(
-                        f"block {i} individual {j}: table arity {ind.y.n} != block size {len(block)}"
-                    )
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-    @property
-    def n_individuals(self) -> int:
-        return sum(self.sizes)
-
-    @cached_property
-    def columns(self) -> Columns:
-        """Struct-of-arrays view of the individuals, built on first use."""
-        inds = [ind for block in self.blocks for ind in block]
-        tables = [isinstance(ind.y, TableOutcome) for ind in inds]
-        cols = Columns(
-            starts=np.cumsum((0,) + self.sizes),
-            d0=np.array([ind.pt.d0 for ind in inds], dtype=np.uint8),
-            d1=np.array([ind.pt.d1 for ind in inds], dtype=np.uint8),
-            structural=~np.array(tables),
-            z_dependent=np.array([t and ind.y.z_dependent for t, ind in zip(tables, inds)]),
-            coef=np.array([[getattr(ind.y, k, 0.0) for k in _COEFS] for ind in inds]).T,
-            tables=tuple(_stack_tables(block) for block in self.blocks),
-        )
-        for arr in (*(getattr(cols, f.name) for f in fields(cols)), *cols.tables):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        return cols
-
-
-def _stack_tables(block) -> np.ndarray | None:
-    """A block's tables as one [member, d row, z row] array, or None when it
-    holds none. The z axis has length 1 unless a member is encouragement-keyed;
-    structural members' rows are zero."""
-    ys = {j: ind.y for j, ind in enumerate(block) if isinstance(ind.y, TableOutcome)}
-    if not ys:
-        return None
-    n = len(block)
-    out = np.zeros((n, 2**n, 2**n if any(y.z_dependent for y in ys.values()) else 1))
-    for j, y in ys.items():
-        out[j] = y.z_values if y.z_dependent else y.values[:, None]
-    return out
-
-
-@dataclass(frozen=True)
-class Columns:
-    """A population's individuals as flat arrays in block order; block i owns
-    starts[i]:starts[i + 1]. ``coef`` rows are the StructuralOutcome fields
-    in order (intercept, direct, peer, interaction, curvature, noise), zero
-    for tables. ``table_values`` and ``outcomes`` are the one outcome lookup."""
 
     starts: np.ndarray  # (B + 1,) block offsets
     d0: np.ndarray  # (N,) treatment when unencouraged
@@ -258,13 +119,68 @@ class Columns:
     z_dependent: np.ndarray  # (N,) encouragement-keyed table
     coef: np.ndarray  # (6, N)
     tables: tuple[np.ndarray | None, ...]  # per block: [member, d row, z row], or None
+    monotone: bool
+    one_sided: bool
+    exclusion_ok: bool
+
+    def __post_init__(self):
+        starts = np.asarray(self.starts, dtype=np.int64)
+        if starts.ndim != 1 or starts.size < 3:
+            raise ValueError(f"population needs at least 2 blocks, got {max(starts.size - 1, 0)}")
+        sizes = np.diff(starts)
+        if (sizes < 1).any():
+            raise ValueError(f"block {int(np.argmax(sizes < 1))} is empty")
+        if starts[0] != 0:
+            raise ValueError(f"block offsets must start at 0, got {starts[0]}")
+        n = int(starts[-1])
+        for name, shape in (("d0", (n,)), ("d1", (n,)), ("structural", (n,)),
+                            ("z_dependent", (n,)), ("coef", (len(_COEFS), n))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ArityMismatch(f"{name} needs shape {shape}, got {got}")
+        pts = np.stack([np.asarray(self.d0), np.asarray(self.d1)])
+        structural = np.asarray(self.structural, dtype=bool)
+        z_dependent = np.asarray(self.z_dependent, dtype=bool)
+        bad = ~np.isin(pts, (0, 1)).all(axis=0)
+        if bad.any():
+            raise ValueError(f"{_individual(starts, bad)}: potential treatments must be binary,"
+                             f" got {tuple(pts[:, np.argmax(bad)].tolist())}")
+        if (structural & z_dependent).any():
+            raise ValueError(f"{_individual(starts, structural & z_dependent)}: a structural"
+                             " outcome cannot be encouragement-keyed")
+        if len(self.tables) != sizes.size:
+            raise ArityMismatch(f"tables: expected one entry per block ({sizes.size}),"
+                                f" got {len(self.tables)}")
+        tables = tuple(None if t is None else np.asarray(t, dtype=float) for t in self.tables)
+        for i, table in enumerate(tables):
+            block = slice(starts[i], starts[i + 1])
+            _check_tables(i, table, structural[block], z_dependent[block])
+        arrays = {"starts": starts, "d0": pts[0].astype(np.uint8), "d1": pts[1].astype(np.uint8),
+                  "structural": structural, "z_dependent": z_dependent,
+                  "coef": np.asarray(self.coef, dtype=float)}
+        for arr in (*arrays.values(), *(t for t in tables if t is not None)):
+            arr.setflags(write=False)
+        for name, arr in (*arrays.items(), ("tables", tables)):
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_blocks(self) -> int:
+        return self.starts.size - 1
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(np.diff(self.starts).tolist())
+
+    @property
+    def n_individuals(self) -> int:
+        return int(self.starts[-1])
 
     def in_stratum(self, stratum: ComplianceType | None) -> np.ndarray:
         """Mask of the individuals in a compliance stratum (everyone for None)."""
         if stratum is None:
             return np.ones(self.d0.size, dtype=bool)
-        pt = _PT_BY_STRATUM[stratum]
-        return (self.d0 == pt.d0) & (self.d1 == pt.d1)
+        d0, d1 = _PT_BY_STRATUM[stratum]
+        return (self.d0 == d0) & (self.d1 == d1)
 
     def table_values(self, i: int, d_rows, z_rows) -> np.ndarray:
         """Block i's table entries: result[..., j, r] is member j's entry at
@@ -287,26 +203,56 @@ class Columns:
         return y
 
 
+def _individual(starts: np.ndarray, mask: np.ndarray) -> str:
+    """The first individual of a mask, as "block i individual j"."""
+    u = int(np.argmax(mask))
+    i = int(np.searchsorted(starts, u, side="right")) - 1
+    return f"block {i} individual {u - starts[i]}"
+
+
+def _check_tables(i: int, table, structural, z_dependent) -> None:
+    """Block i's tables: present when a member is not structural, shaped
+    (n, 2^n, 1 or 2^n), with a z axis for encouragement-keyed members and no
+    variation along it for the others, and every entry finite."""
+    n = structural.size
+    if table is None:
+        if not structural.all():
+            raise ValueError(f"block {i}: a table member needs the block's tables")
+        return
+    if table.shape not in ((n, 2**n, 1), (n, 2**n, 2**n)):
+        raise ArityMismatch(f"block {i}: tables of a size-{n} block need shape"
+                            f" ({n}, {2**n}, 1 or {2**n}), got {table.shape}")
+    if z_dependent.any() and table.shape[2] == 1:
+        raise ArityMismatch(f"block {i}: an encouragement-keyed table needs a z axis of {2**n}")
+    if np.isnan(table).any():
+        missing = int(np.isnan(table).sum())
+        raise MissingTableEntry(f"block {i}: table has {missing} missing entries")
+    if not np.isfinite(table).all():
+        raise ValueError(f"block {i}: table entries must be finite")
+    plain = table[~structural & ~z_dependent]
+    if (plain != plain[:, :, :1]).any():
+        raise ValueError(f"block {i}: a table that is not encouragement-keyed varies with z")
+
+
 def outcome(pop: Population, i: int, j: int, d_vec, z_vec=None) -> float:
     """Potential outcome of individual (i, j) under a block treatment vector.
 
     ``z_vec`` is consulted only by encouragement-keyed tables; for every
     exclusion-compliant individual the result is independent of it.
     """
-    cols = pop.columns
     i = range(pop.n_blocks)[i]
     n = pop.sizes[i]
     if len(d_vec) != n:
         raise ArityMismatch(f"treatment vector length {len(d_vec)} != block size {n}")
     j = range(n)[j]
-    u = cols.starts[i] + j
-    if cols.structural[u]:
+    u = pop.starts[i] + j
+    if pop.structural[u]:
         own = int(d_vec[j])
-        return float(structural_value(cols.coef[:, u], own, int(np.sum(d_vec)) - own))
-    if cols.z_dependent[u] and (z_vec is None or len(z_vec) != n):
+        return float(structural_value(pop.coef[:, u], own, int(np.sum(d_vec)) - own))
+    if pop.z_dependent[u] and (z_vec is None or len(z_vec) != n):
         raise ArityMismatch(f"encouragement-keyed table needs a length-{n} encouragement vector")
-    z_row = pack_rows(z_vec) if cols.z_dependent[u] else 0
-    return float(cols.table_values(i, pack_rows(d_vec), z_row)[j, 0])
+    z_row = pack_rows(z_vec) if pop.z_dependent[u] else 0
+    return float(pop.table_values(i, pack_rows(d_vec), z_row)[j, 0])
 
 
 @dataclass(frozen=True)
@@ -350,12 +296,11 @@ def validate(pop: Population) -> ValidationReport:
     findings, warning about blocks where the encouragement moves nobody's
     uptake (ratio identities are undefined there).
     """
-    cols = pop.columns
-    firsts = cols.starts[:-1]
-    counts = {ct: np.add.reduceat(cols.in_stratum(ct), firsts) for ct in ComplianceType}
+    firsts = pop.starts[:-1]
+    counts = {ct: np.add.reduceat(pop.in_stratum(ct), firsts) for ct in ComplianceType}
     sizes = pop.sizes
-    effects = np.add.reduceat(cols.d1.astype(np.int64) - cols.d0, firsts) / sizes
-    one_sided = np.add.reduceat(cols.d0, firsts) == 0
+    effects = np.add.reduceat(pop.d1.astype(np.int64) - pop.d0, firsts) / sizes
+    one_sided = np.add.reduceat(pop.d0, firsts) == 0
     block_reports = [
         BlockValidation(
             index=i,
@@ -373,7 +318,7 @@ def validate(pop: Population) -> ValidationReport:
 
     found_monotone = all(b.monotone for b in block_reports)
     found_one_sided = all(b.one_sided for b in block_reports)
-    found_exclusion = not pop.columns.z_dependent.any()
+    found_exclusion = not pop.z_dependent.any()
     for flag, found, label in (
         (pop.monotone, found_monotone, "monotone"),
         (pop.one_sided, found_one_sided, "one_sided"),
@@ -445,17 +390,22 @@ def _check_config(cfg: DgpConfig):
     if sizes[0] < 1 or sizes[1] < sizes[0]:
         raise InvalidConfig(f"bad block size range {cfg.block_size}")
     s = cfg.strata
-    if len(s) != 4 or any(p < 0 for p in s) or abs(sum(s) - 1.0) > 1e-9:
+    if len(s) != 4 or not all(p >= 0 for p in s) or abs(sum(s) - 1.0) > 1e-9:
         raise InvalidConfig(f"strata probabilities must be nonnegative and sum to 1, got {s}")
     at, co, nt, de = s
     if cfg.monotone and de > 0:
         raise InvalidConfig("monotone requested but defier mass is positive")
     if cfg.one_sided and (de > 0 or at > 0):
         raise InvalidConfig("one_sided requested but always-taker or defier mass is positive")
-    rep = cfg.outcome.representation
+    oc = cfg.outcome
+    sds = {k: getattr(oc, k)[1] for k in _COEFS[:-1] if isinstance(getattr(oc, k), tuple)}
+    for name, sd in (*sds.items(), ("noise_sd", oc.noise_sd)):
+        if not sd >= 0:
+            raise InvalidConfig(f"outcome {name}: a standard deviation must be >= 0, got {sd}")
+    rep = oc.representation
     if rep not in ("structural", "table", "mixed"):
         raise InvalidConfig(f"unknown outcome representation {rep!r}")
-    z_dep = cfg.outcome.z_own != 0.0 or cfg.outcome.z_peer != 0.0
+    z_dep = oc.z_own != 0.0 or oc.z_peer != 0.0
     if z_dep and rep != "table":
         raise InvalidConfig("encouragement-dependent outcomes require table representation")
     if rep in ("table", "mixed") and sizes[1] > TABLE_REPRESENTATION_CAP:
@@ -484,43 +434,31 @@ def _draw_strata(n: int, probs, complier_floor: bool, rng: np.random.Generator):
     return codes
 
 
-def _table_from_structural(
-    block_pts: list[PotentialTreatment],
-    j: int,
-    f: StructuralOutcome,
-    z_own: float,
-    z_peer: float,
-) -> TableOutcome:
-    """Materialize one individual's outcome function as an explicit table."""
-    n = len(block_pts)
-    size = 2**n
-    d_mat = np.stack(
-        [(np.arange(size, dtype=np.int64) >> (n - 1 - c)) & 1 for c in range(n)], axis=1
-    )
-    own = d_mat[:, j].astype(float)
-    k = d_mat.sum(axis=1).astype(float) - own
-    base = (
-        f.intercept
-        + f.direct * own
-        + (f.peer + f.interaction * own) * k
-        + f.curvature * k * k
-        + f.noise
-    )
+def _tables_from_coef(coef: np.ndarray, z_own: float = 0.0, z_peer: float = 0.0) -> np.ndarray:
+    """A block's structural outcomes materialized as its [member, d row,
+    z row] tables; ``coef`` holds the members' coefficient columns. Nonzero
+    z_own / z_peer add the encouragement terms over a z axis of the same
+    enumeration; otherwise the z axis has length 1. The evaluation order
+    below fixes the table bytes of generated populations."""
+    n = coef.shape[1]
+    bits = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    own = bits.T.astype(float)  # own[j, r]: member j's bit of row r
+    k = bits.sum(axis=1).astype(float) - own
+    intercept, direct, peer, interaction, curvature, noise = coef[:, :, None]
+    base = intercept + direct * own + (peer + interaction * own) * k + curvature * k * k + noise
     if z_own == 0.0 and z_peer == 0.0:
-        return TableOutcome(n=n, values=base)
-    z_mat = d_mat  # same enumeration, reused for the encouragement axis
-    own_z = z_mat[:, j].astype(float)
-    peer_z = z_mat.sum(axis=1).astype(float) - own_z
-    z_term = z_own * own_z + z_peer * peer_z
-    return TableOutcome(n=n, z_values=base[:, None] + z_term[None, :])
+        return base[:, :, None]
+    return base[:, :, None] + (z_own * own + z_peer * k)[:, None, :]
 
 
 def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
     """Generate a population that passes ``validate`` with realized flags.
 
-    Deterministic given the rng state. With complier_floor (the default),
-    every block contains at least one complier so complier-restricted block
-    averages are always defined.
+    Deterministic given the rng state: block sizes, then per block its strata,
+    each member's noise and coefficients in turn, and (for "mixed") the
+    representation coin. With complier_floor (the default), every block
+    contains at least one complier so complier-restricted block averages are
+    always defined.
     """
     _check_config(cfg)
     oc = cfg.outcome
@@ -533,65 +471,50 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
     else:
         sizes = np.full(cfg.blocks, cfg.block_size, dtype=int)
 
-    blocks = []
-    for n in sizes:
-        n = int(n)
-        codes = _draw_strata(n, probs, cfg.complier_floor, rng)
-        pts = [_PT_BY_STRATUM[_STRATA_ORDER[c]] for c in codes]
-        funcs = []
+    codes, coef, tables = [], [], []
+    for n in sizes.tolist():
+        codes.append(_draw_strata(n, probs, cfg.complier_floor, rng))
+        block = []
         for _ in range(n):
             noise = float(rng.normal(0.0, oc.noise_sd)) if oc.noise_sd > 0 else 0.0
-            funcs.append(
-                StructuralOutcome(
-                    intercept=_draw_param(oc.intercept, rng),
-                    direct=_draw_param(oc.direct, rng),
-                    peer=_draw_param(oc.peer, rng),
-                    interaction=_draw_param(oc.interaction, rng),
-                    curvature=_draw_param(oc.curvature, rng),
-                    noise=noise,
-                )
-            )
+            block.append([_draw_param(getattr(oc, k), rng) for k in _COEFS[:-1]] + [noise])
+        block = np.array(block).T
         if oc.representation == "table":
             as_table = True
         elif oc.representation == "mixed":
             as_table = bool(rng.random() < 0.5)
         else:
             as_table = False
-        if as_table:
-            ys = [
-                _table_from_structural(pts, j, funcs[j], oc.z_own, oc.z_peer) for j in range(n)
-            ]
-        else:
-            ys = funcs
-        blocks.append(tuple(Individual(pt, y) for pt, y in zip(pts, ys)))
+        tables.append(_tables_from_coef(block, oc.z_own, oc.z_peer) if as_table else None)
+        coef.append(np.zeros_like(block) if as_table else block)
 
+    codes = np.concatenate(codes)
+    d0, d1 = np.array([_PT_BY_STRATUM[ct] for ct in _STRATA_ORDER])[codes].T
+    structural = np.repeat([t is None for t in tables], sizes)
     # encouragement terms force tables in every block (_check_config)
-    strata = {classify(ind.pt) for block in blocks for ind in block}
-    pop = Population(blocks=tuple(blocks), monotone=ComplianceType.DEFIER not in strata,
-                     one_sided=strata <= {ComplianceType.COMPLIER, ComplianceType.NEVER_TAKER},
-                     exclusion_ok=oc.z_own == 0.0 and oc.z_peer == 0.0)
+    exclusion_ok = oc.z_own == 0.0 and oc.z_peer == 0.0
+    pop = Population(starts=np.cumsum([0, *sizes.tolist()]), d0=d0, d1=d1,
+                     structural=structural, z_dependent=~structural & (not exclusion_ok),
+                     coef=np.concatenate(coef, axis=1), tables=tuple(tables),
+                     monotone=not (d0 > d1).any(), one_sided=not d0.any(),
+                     exclusion_ok=exclusion_ok)
     validate(pop)
     return pop
 
 
 def convert_to_tables(pop: Population) -> Population:
     """Re-encode every structural outcome as an explicit table (same math)."""
-    blocks = []
-    for block in pop.blocks:
-        pts = [ind.pt for ind in block]
-        new = []
-        for j, ind in enumerate(block):
-            if isinstance(ind.y, StructuralOutcome):
-                new.append(Individual(ind.pt, _table_from_structural(pts, j, ind.y, 0.0, 0.0)))
-            else:
-                new.append(ind)
-        blocks.append(tuple(new))
-    return Population(
-        blocks=tuple(blocks),
-        monotone=pop.monotone,
-        one_sided=pop.one_sided,
-        exclusion_ok=pop.exclusion_ok,
-    )
+    tables = []
+    for i, table in enumerate(pop.tables):
+        block = slice(pop.starts[i], pop.starts[i + 1])
+        materialized = _tables_from_coef(pop.coef[:, block])
+        tables.append(materialized if table is None else
+                      np.where(pop.structural[block, None, None], materialized, table))
+    return Population(starts=pop.starts, d0=pop.d0, d1=pop.d1,
+                      structural=np.zeros_like(pop.structural), z_dependent=pop.z_dependent,
+                      coef=np.zeros_like(pop.coef), tables=tuple(tables),
+                      monotone=pop.monotone, one_sided=pop.one_sided,
+                      exclusion_ok=pop.exclusion_ok)
 
 
 # --------------------------------------------------------------------------
@@ -607,14 +530,6 @@ def _table_keys(n: int, keyed: bool) -> tuple[str, ...]:
     return tuple(f"{d}|{z}" for d in rows for z in rows) if keyed else tuple(rows)
 
 
-def _outcome_to_dict(y: OutcomeFunction) -> dict:
-    if isinstance(y, StructuralOutcome):
-        return {"kind": "structural", **{k: getattr(y, k) for k in _COEFS}}
-    arr = y.z_values if y.z_dependent else y.values
-    return {"kind": "table_z" if y.z_dependent else "table", "size": y.n,
-            "values": dict(zip(_table_keys(y.n, y.z_dependent), arr.ravel()))}
-
-
 def _json_int(x, what: str) -> int:
     """An integral JSON number as an int; booleans and strings raise."""
     if isinstance(x, bool) or not isinstance(x, (int, float)) or x != int(x):
@@ -625,50 +540,60 @@ def _json_int(x, what: str) -> int:
 def _finite(pairs, what: str) -> list[float]:
     """The values of (key, value) pairs as floats; raises naming the first
     that is not a finite JSON number (a boolean or a string is not)."""
+    pairs = list(pairs)
     for key, x in pairs:
         if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
             raise InvalidConfig(f"{what} {key!r}: expected a finite number, got {x!r}")
     return [float(x) for _, x in pairs]
 
 
-def _outcome_from_dict(d, block_size: int) -> OutcomeFunction:
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"outcome: expected an object, got {type(d).__name__}")
-    kind = d.get("kind")
-    if kind == "structural":
-        return StructuralOutcome(*_finite([(k, d.get(k, 0.0)) for k in _COEFS], "outcome"))
-    if kind not in ("table", "table_z"):
-        raise InvalidConfig(f"unknown outcome kind {kind!r}")
-    n = _json_int(d["size"], "table size")
-    if n != block_size:
-        raise ArityMismatch(f"table size {n} != block size {block_size}")
-    entries, keys = d["values"], _table_keys(n, kind == "table_z")
+def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
+    """A table outcome's entries in row order, (2^n,) or (2^n, 2^n) when
+    encouragement-keyed. The entry count is compared with the row count
+    before any key is built, so the work is bounded by the input's size."""
+    size = _json_int(d["size"], "table size")
+    if size != n:
+        raise ArityMismatch(f"table size {size} != block size {n}")
+    entries, rows = d["values"], 4**n if keyed else 2**n
+    if not isinstance(entries, dict):
+        raise InvalidConfig(f"table values: expected an object, got {type(entries).__name__}")
+    if len(entries) < rows:
+        raise MissingTableEntry(f"table has {len(entries)} of its {rows} entries")
+    keys = _table_keys(n, keyed)
+    if len(entries) > rows:
+        extra = sorted(entries.keys() - set(keys))[0]
+        raise InvalidConfig(f"table key {extra!r} is not a row of a size-{n} table")
     try:
-        arr = np.array(_finite([(key, entries[key]) for key in keys], "table entry"))
+        values = [entries[key] for key in keys]
     except KeyError as exc:
         raise MissingTableEntry(f"table has no entry for {exc}") from None
-    if len(entries) != len(keys):
-        extra = sorted(entries.keys() - set(keys))[0]
-        raise InvalidConfig(f"table key {extra!r} is not a row of a size-{n} {kind}")
-    if kind == "table":
-        return TableOutcome(n=n, values=arr)
-    return TableOutcome(n=n, z_values=arr.reshape(2**n, 2**n))
+    arr = np.array(_finite(zip(keys, values), "table entry"))
+    return arr.reshape(2**n, 2**n) if keyed else arr
 
 
 def population_to_dict(pop: Population) -> dict:
+    d0, d1, coef = pop.d0.tolist(), pop.d1.tolist(), pop.coef.T.tolist()
+    starts = pop.starts.tolist()
+    blocks = []
+    for i, table in enumerate(pop.tables):
+        n, block = starts[i + 1] - starts[i], []
+        for j, u in enumerate(range(starts[i], starts[i + 1])):
+            if pop.structural[u]:
+                y = {"kind": "structural", **dict(zip(_COEFS, coef[u]))}
+            else:
+                keyed = bool(pop.z_dependent[u])
+                y = {"kind": "table_z" if keyed else "table", "size": n,
+                     "values": dict(zip(_table_keys(n, keyed),
+                                        (table[j] if keyed else table[j, :, 0]).ravel().tolist()))}
+            block.append({"d0": d0[u], "d1": d1[u], "outcome": y})
+        blocks.append(block)
     return {
         "flags": {
             "monotone": pop.monotone,
             "one_sided": pop.one_sided,
             "exclusion_ok": pop.exclusion_ok,
         },
-        "blocks": [
-            [
-                {"d0": ind.pt.d0, "d1": ind.pt.d1, "outcome": _outcome_to_dict(ind.y)}
-                for ind in block
-            ]
-            for block in pop.blocks
-        ],
+        "blocks": blocks,
     }
 
 
@@ -680,25 +605,48 @@ def population_from_dict(data: dict) -> Population:
         raise InvalidConfig(f"population file missing section: {exc}") from exc
     if not all(isinstance(v, bool) for v in flags.values()):
         raise InvalidConfig(f"population flags: expected true or false, got {flags}")
-    blocks = []
+    sizes, d0, d1, kinds, coef, tables = [], [], [], [], [], []
     for i, raw in enumerate(raw_blocks):
         if not isinstance(raw, list):
             raise InvalidConfig(f"population block {i}: expected a list of individuals")
-        block = []
+        n, table = len(raw), None
         for j, r in enumerate(raw):
             where = f"population block {i} individual {j}"
             try:
-                pt = PotentialTreatment(_json_int(r["d0"], "d0"), _json_int(r["d1"], "d1"))
-                block.append(Individual(pt, _outcome_from_dict(r["outcome"], len(raw))))
+                pt = (_json_int(r["d0"], "d0"), _json_int(r["d1"], "d1"))
+                y = r["outcome"]
+                if not isinstance(y, dict):
+                    raise InvalidConfig(f"outcome: expected an object, got {type(y).__name__}")
+                kind = y.get("kind")
+                if kind == "structural":
+                    coef.append(_finite([(k, y.get(k, 0.0)) for k in _COEFS], "outcome"))
+                elif kind in ("table", "table_z"):
+                    values = _table_from_dict(y, n, kind == "table_z")
+                    if table is None:
+                        table = np.zeros((n, 2**n, 1))
+                    if values.ndim == 2 and table.shape[2] == 1:
+                        table = np.repeat(table, 2**n, axis=2)
+                    table[j] = values if values.ndim == 2 else values[:, None]
+                    coef.append([0.0] * len(_COEFS))
+                else:
+                    raise InvalidConfig(f"unknown outcome kind {kind!r}")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise InvalidConfig(f"{where}: {why}") from None
             except PeerEncError as exc:
                 raise type(exc)(f"{where}: {exc}") from None
-        blocks.append(tuple(block))
+            d0.append(pt[0])
+            d1.append(pt[1])
+            kinds.append(kind)
+        sizes.append(n)
+        tables.append(table)
     try:
-        pop = Population(blocks=tuple(blocks), **flags)
-    except ValueError as exc:  # fewer than 2 blocks, or an empty block
+        pop = Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1,
+                         structural=[k == "structural" for k in kinds],
+                         z_dependent=[k == "table_z" for k in kinds],
+                         coef=np.array(coef).reshape(-1, len(_COEFS)).T, tables=tuple(tables),
+                         **flags)
+    except ValueError as exc:  # fewer than 2 blocks, an empty block, a non-binary d0 / d1
         raise InvalidConfig(f"population file: {exc}") from None
     validate(pop)  # FlagMismatch on tampered flags
     return pop

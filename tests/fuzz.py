@@ -15,25 +15,16 @@ import numpy as np
 
 from peerenc.mechanisms import Mechanism
 from peerenc.population import (
-    ComplianceType,
-    Individual,
     Population,
-    PotentialTreatment,
-    StructuralOutcome,
-    classify,
     convert_to_tables,
+    population_from_dict,
+    population_to_dict,
 )
-
-_PT = {
-    "at": PotentialTreatment(1, 1),
-    "co": PotentialTreatment(0, 1),
-    "nt": PotentialTreatment(0, 0),
-    "de": PotentialTreatment(1, 0),
-}
+from conftest import person, population, structural
 
 
-def _random_outcome(rng: np.random.Generator) -> StructuralOutcome:
-    return StructuralOutcome(
+def _random_outcome(rng: np.random.Generator) -> dict:
+    return structural(
         intercept=float(rng.normal(0, 1)),
         direct=float(rng.normal(2, 1)),
         peer=float(rng.normal(0.5, 0.4)),
@@ -44,26 +35,14 @@ def _random_outcome(rng: np.random.Generator) -> StructuralOutcome:
 
 
 def _assemble(blocks_kinds, rng, mixed_tables=True) -> Population:
-    blocks = []
-    for kinds in blocks_kinds:
-        inds = tuple(Individual(_PT[k], _random_outcome(rng)) for k in kinds)
-        blocks.append(inds)
-    all_inds = [ind for b in blocks for ind in b]
-    pop = Population(
-        blocks=tuple(blocks),
-        monotone=all(classify(i.pt) is not ComplianceType.DEFIER for i in all_inds),
-        one_sided=all(i.pt.d0 == 0 for i in all_inds),
-        exclusion_ok=True,
-    )
+    pop = population([[person(k, _random_outcome(rng)) for k in kinds]
+                      for kinds in blocks_kinds])
     if mixed_tables and max(pop.sizes) <= 10 and rng.random() < 0.5:
         # re-encode a random subset of blocks as explicit tables (same math)
-        tabled = convert_to_tables(pop)
+        data, tabled = population_to_dict(pop), population_to_dict(convert_to_tables(pop))
         pick = rng.random(pop.n_blocks) < 0.5
-        blocks = tuple(
-            tabled.blocks[i] if pick[i] else pop.blocks[i] for i in range(pop.n_blocks)
-        )
-        pop = Population(blocks=blocks, monotone=pop.monotone, one_sided=pop.one_sided,
-                         exclusion_ok=True)
+        data["blocks"] = [t if p else b for p, b, t in zip(pick, data["blocks"], tabled["blocks"])]
+        pop = population_from_dict(data)
     return pop
 
 

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from peerenc.population import ComplianceType, Population, StructuralOutcome
+from peerenc.population import ComplianceType, Population
 
 _STRATUM = {
     (1, 1): ComplianceType.ALWAYS_TAKER,
@@ -25,20 +25,32 @@ def _row(bits) -> int:
     return int("".join(str(int(b)) for b in bits), 2)
 
 
-def _structural(y: StructuralOutcome, own: int, k: int) -> float:
-    return (y.intercept + y.direct * own + y.peer * k + y.interaction * own * k
-            + y.curvature * k * k + y.noise)
+def _pt(pop: Population, i: int, j: int) -> tuple[int, int]:
+    """Potential treatments (d0, d1) of individual (i, j)."""
+    u = int(pop.starts[i]) + j
+    return int(pop.d0[u]), int(pop.d1[u])
+
+
+def _take(pop: Population, i: int, j: int, z: int) -> int:
+    return _pt(pop, i, j)[z]
+
+
+def _structural(pop: Population, i: int, j: int, own: int, k: int) -> float:
+    """Structural outcome of individual (i, j), from its coefficient column."""
+    intercept, direct, peer, interaction, curvature, noise = \
+        pop.coef[:, int(pop.starts[i]) + j].tolist()
+    return (intercept + direct * own + peer * k + interaction * own * k
+            + curvature * k * k + noise)
 
 
 def oracle_outcome(pop: Population, i: int, j: int, d_vec, z_vec=None) -> float:
-    """Potential outcome of individual (i, j), read from its own fields."""
-    y = pop.blocks[i][j].y
-    if isinstance(y, StructuralOutcome):
+    """Potential outcome of individual (i, j), read from its own entries."""
+    u = int(pop.starts[i]) + j
+    if pop.structural[u]:
         own = int(d_vec[j])
-        return _structural(y, own, sum(int(b) for b in d_vec) - own)
-    if y.z_values is not None:
-        return float(y.z_values[_row(d_vec), _row(z_vec)])
-    return float(y.values[_row(d_vec)])
+        return _structural(pop, i, j, own, sum(int(b) for b in d_vec) - own)
+    z_row = _row(z_vec) if pop.z_dependent[u] else 0
+    return float(pop.tables[i][j, _row(d_vec), z_row])
 
 
 def _full_weight(z_vec, marginals, skip=None) -> float:
@@ -52,14 +64,13 @@ def _full_weight(z_vec, marginals, skip=None) -> float:
 
 def oracle_ybar_itt(pop: Population, i: int, j: int, z: int, mech) -> float:
     """Enumerate all full assignment vectors, filter on own encouragement."""
-    block = pop.blocks[i]
-    n = len(block)
+    n = pop.sizes[i]
     marg = mech.marginals(n)
     total = 0.0
     for z_vec in itertools.product((0, 1), repeat=n):
         if z_vec[j] != z:
             continue
-        d_vec = [block[k].pt.take(z_vec[k]) for k in range(n)]
+        d_vec = [_take(pop, i, k, z_vec[k]) for k in range(n)]
         total += _full_weight(z_vec, marg, skip=j) * oracle_outcome(pop, i, j, d_vec, z_vec)
     return total
 
@@ -67,12 +78,11 @@ def oracle_ybar_itt(pop: Population, i: int, j: int, z: int, mech) -> float:
 def oracle_ybar_local(pop: Population, i: int, j: int, d: int, mech) -> float:
     """Enumerate all full assignment vectors (own encouragement marginalized),
     pin own treatment, peers natural."""
-    block = pop.blocks[i]
-    n = len(block)
+    n = pop.sizes[i]
     marg = mech.marginals(n)
     total = 0.0
     for z_vec in itertools.product((0, 1), repeat=n):
-        d_vec = [block[k].pt.take(z_vec[k]) for k in range(n)]
+        d_vec = [_take(pop, i, k, z_vec[k]) for k in range(n)]
         d_vec[j] = d
         total += _full_weight(z_vec, marg) * oracle_outcome(pop, i, j, d_vec, z_vec)
     return total
@@ -93,16 +103,16 @@ def convolution_ybar_local(pop: Population, i: int, j: int, d: int, mech) -> flo
     """Structural outcome averaged over the exact distribution of the
     treated-peer count, own treatment pinned at d. Reaches blocks far beyond
     enumeration; the intent-to-treat average at z is this at d = d_z."""
-    block = pop.blocks[i]
-    marg = mech.marginals(len(block))
+    n = pop.sizes[i]
+    marg = mech.marginals(n)
     probs = []
-    for k, ind in enumerate(block):
+    for k in range(n):
         if k == j:
             continue
-        d0, d1 = ind.pt.d0, ind.pt.d1
+        d0, d1 = _pt(pop, i, k)
         probs.append(float(d0) if d0 == d1 else marg[k] if d1 == 1 else 1.0 - marg[k])
     pmf = poisson_binomial_pmf(probs)
-    return sum(float(w) * _structural(block[j].y, d, k) for k, w in enumerate(pmf))
+    return sum(float(w) * _structural(pop, i, j, d, k) for k, w in enumerate(pmf))
 
 
 def _block_mean(values) -> float:
@@ -114,9 +124,9 @@ def oracle_ditt(pop, mech):
     per_block = [
         _block_mean(
             oracle_ybar_itt(pop, i, j, 1, mech) - oracle_ybar_itt(pop, i, j, 0, mech)
-            for j in range(len(block))
+            for j in range(n)
         )
-        for i, block in enumerate(pop.blocks)
+        for i, n in enumerate(pop.sizes)
     ]
     return per_block, _block_mean(per_block)
 
@@ -125,30 +135,31 @@ def oracle_pitt(pop, z, mech_a, mech_b):
     per_block = [
         _block_mean(
             oracle_ybar_itt(pop, i, j, z, mech_a) - oracle_ybar_itt(pop, i, j, z, mech_b)
-            for j in range(len(block))
+            for j in range(n)
         )
-        for i, block in enumerate(pop.blocks)
+        for i, n in enumerate(pop.sizes)
     ]
     return per_block, _block_mean(per_block)
 
 
 def oracle_et(pop):
     per_block = [
-        _block_mean(ind.pt.d1 - ind.pt.d0 for ind in block) for block in pop.blocks
+        _block_mean(_pt(pop, i, j)[1] - _pt(pop, i, j)[0] for j in range(n))
+        for i, n in enumerate(pop.sizes)
     ]
     return per_block, _block_mean(per_block)
 
 
-def _members(block, stratum):
+def _members(pop, i, stratum):
     if stratum is None:
-        return list(range(len(block)))
-    return [j for j, ind in enumerate(block) if _STRATUM[(ind.pt.d0, ind.pt.d1)] is stratum]
+        return list(range(pop.sizes[i]))
+    return [j for j in range(pop.sizes[i]) if _STRATUM[_pt(pop, i, j)] is stratum]
 
 
 def oracle_ldt(pop, mech, stratum=ComplianceType.COMPLIER):
     per_block = []
-    for i, block in enumerate(pop.blocks):
-        members = _members(block, stratum)
+    for i in range(pop.n_blocks):
+        members = _members(pop, i, stratum)
         per_block.append(
             _block_mean(
                 oracle_ybar_local(pop, i, j, 1, mech) - oracle_ybar_local(pop, i, j, 0, mech)
@@ -160,8 +171,8 @@ def oracle_ldt(pop, mech, stratum=ComplianceType.COMPLIER):
 
 def oracle_lpt(pop, d, mech_a, mech_b, stratum=None):
     per_block = []
-    for i, block in enumerate(pop.blocks):
-        members = _members(block, stratum)
+    for i in range(pop.n_blocks):
+        members = _members(pop, i, stratum)
         per_block.append(
             _block_mean(
                 oracle_ybar_local(pop, i, j, d, mech_a) - oracle_ybar_local(pop, i, j, d, mech_b)
@@ -190,8 +201,7 @@ def naive_two_stage_direct(pop, mech):
     with the mechanism's probabilities (meaningful contrast for all-complier
     populations, where encouragement and treatment coincide)."""
     per_block = []
-    for i, block in enumerate(pop.blocks):
-        n = len(block)
+    for i, n in enumerate(pop.sizes):
         marg = mech.marginals(n)
         vals = []
         for j in range(n):
@@ -212,8 +222,7 @@ def naive_two_stage_direct(pop, mech):
 def naive_two_stage_spillover(pop, d, mech_a, mech_b):
     """Spillover contrast under direct Bernoulli treatment randomization."""
     per_block = []
-    for i, block in enumerate(pop.blocks):
-        n = len(block)
+    for i, n in enumerate(pop.sizes):
         vals = []
         for j in range(n):
             avgs = []

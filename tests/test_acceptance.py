@@ -27,15 +27,11 @@ from peerenc.montecarlo import ESTIMATOR_NAMES, exact_targets, replicate, replic
 from peerenc.population import (
     ComplianceType,
     DgpConfig,
-    Individual,
     OutcomeConfig,
-    Population,
-    PotentialTreatment,
-    StructuralOutcome,
-    TableOutcome,
     build_population,
     convert_to_tables,
 )
+from conftest import person, population, structural
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
 from oracles import oracle_theorem_gaps, pooled_wald
@@ -51,10 +47,8 @@ def announce(capsys):
 
 
 def _campaign_features(pop, mech_a):
-    has_table = any(isinstance(ind.y, TableOutcome) for b in pop.blocks for ind in b)
-    has_structural = any(
-        isinstance(ind.y, StructuralOutcome) for b in pop.blocks for ind in b
-    )
+    has_table = bool((~pop.structural).any())
+    has_structural = bool(pop.structural.any())
     vector_mech = mech_a.arity is not None
     return has_table, has_structural, vector_mech
 
@@ -223,18 +217,15 @@ def test_criterion_06_no_interference_reduction(announce):
     rng = np.random.default_rng(606)
     blocks = []
     for _ in range(12):
-        inds = tuple(
-            Individual(
-                PotentialTreatment(0, 1),
-                StructuralOutcome(intercept=float(rng.normal(0, 0.5)),
-                                  direct=float(rng.normal(2, 0.7)),
-                                  noise=float(rng.normal(0, 0.3))),
-            )
+        inds = [
+            person("co", structural(intercept=float(rng.normal(0, 0.5)),
+                                    direct=float(rng.normal(2, 0.7)),
+                                    noise=float(rng.normal(0, 0.3))))
             for _ in range(6)
-        )
+        ]
         blocks.append(inds)
-    pop = Population(blocks=tuple(blocks), monotone=True, one_sided=True,
-                     exclusion_ok=True)
+    pop = population(blocks)
+    assert pop.monotone and pop.one_sided and pop.exclusion_ok
     a = Mechanism("phi", 0.7)
     b = Mechanism("psi", 0.3)
 
@@ -298,18 +289,14 @@ def test_criterion_08_ratio_estimator_consistency(announce):
     def block_template(rng):
         kinds = ["co", "co"] + [("at", "nt")[int(rng.integers(2))] for _ in range(2)]
         rng.shuffle(kinds)
-        pts = {"co": (0, 1), "at": (1, 1), "nt": (0, 0)}
-        return tuple(
-            Individual(
-                PotentialTreatment(*pts[k]),
-                StructuralOutcome(intercept=float(rng.normal(0, 0.2)),
-                                  direct=float(rng.normal(4, 0.5)),
-                                  peer=float(rng.normal(0.3, 0.1)),
-                                  interaction=float(rng.normal(0.2, 0.1)),
-                                  noise=float(rng.normal(0, 0.1))),
-            )
+        return [
+            person(k, structural(intercept=float(rng.normal(0, 0.2)),
+                                 direct=float(rng.normal(4, 0.5)),
+                                 peer=float(rng.normal(0.3, 0.1)),
+                                 interaction=float(rng.normal(0.2, 0.1)),
+                                 noise=float(rng.normal(0, 0.1))))
             for k in kinds
-        )
+        ]
 
     rng = np.random.default_rng(2)
     all_blocks = tuple(block_template(rng) for _ in range(200))
@@ -319,10 +306,7 @@ def test_criterion_08_ratio_estimator_consistency(announce):
     t0 = time.perf_counter()
     biases = []
     for n_blocks in (10, 50, 200):
-        blocks = all_blocks[:n_blocks]
-        pop = Population(blocks=blocks, monotone=True,
-                         one_sided=all(i.pt.d0 == 0 for blk in blocks for i in blk),
-                         exclusion_ok=True)
+        pop = population(all_blocks[:n_blocks])
         cfg = DesignConfig(mech_a=a, mech_b=b, k=n_blocks // 2, seed=777)
         values = replicate_values(pop, cfg, 5000)[:, col]
         defined = values[np.isfinite(values)]

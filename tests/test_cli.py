@@ -327,6 +327,37 @@ def test_integer_fields_are_one_line_errors(tmp_path, capsys, monkeypatch,
     assert field in err
 
 
+_OUTCOME = {"representation": "structural", "direct": 2.0, "peer": 0.4, "interaction": 0.2,
+            "noise_sd": 0.5}
+
+
+@pytest.mark.parametrize("dgp, field", [
+    ({"outcome": {**_OUTCOME, "direct": ["1e999", 0]}}, "dgp.outcome.direct"),
+    ({"outcome": {**_OUTCOME, "direct": [float("inf"), 0]}}, "dgp.outcome.direct"),
+    ({"outcome": {**_OUTCOME, "intercept": 10**400}}, "dgp.outcome.intercept"),
+    ({"outcome": {**_OUTCOME, "peer": True}}, "dgp.outcome.peer"),
+    ({"strata": ["nan", 1.0, 0.0, 0.0]}, "dgp.strata"),
+    ({"strata": {"complier": float("nan")}}, "dgp.strata.complier"),
+    ({"outcome": {**_OUTCOME, "direct": [1, -2]}}, "outcome direct"),
+    ({"outcome": {**_OUTCOME, "noise_sd": "nan"}}, "dgp.outcome.noise_sd"),
+    ({"outcome": {**_OUTCOME, "noise_sd": -1}}, "outcome noise_sd"),
+    ({"outcome": {**_OUTCOME, "representation": "table", "z_own": "inf"}},
+     "dgp.outcome.z_own"),
+    ({"complier_floor": "no"}, "dgp.complier_floor"),
+    ({"monotone": 1}, "dgp.monotone"),
+], ids=["direct-string-1e999", "direct-infinity", "intercept-huge-int", "peer-true",
+        "strata-string-nan", "strata-nan", "direct-negative-sd", "noise-sd-string-nan",
+        "noise-sd-negative", "z-own-string-inf", "complier-floor-string", "monotone-1"])
+def test_dgp_fields_take_finite_numbers_and_booleans(tmp_path, capsys, dgp, field):
+    cfg = write_config(tmp_path / "cfg.json", dgp=dgp)
+    out = tmp_path / "pop.json"
+    assert _exit_code(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert field in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text, field", [
     ("generate", "[1]", "expected a JSON object"),
     ("estimands", {"mechanisms": [1, 2]}, "mechanisms[0]"),

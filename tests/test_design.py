@@ -7,9 +7,9 @@ from peerenc.design import DesignConfig, ExperimentData, design_prob_check, run_
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.estimands import ybar_indiv_itt, ybar_indiv_local
 from peerenc.mechanisms import Mechanism
-from peerenc.population import Individual, Population, PotentialTreatment, \
-    StructuralOutcome, TableOutcome, convert_to_tables
-from conftest import make_population
+from peerenc.population import convert_to_tables, population_from_dict, population_to_dict, \
+    structural_value
+from conftest import make_population, person, population, structural, table
 from fuzz import varying_effect_monotone
 from oracles import oracle_outcome, oracle_ybar_itt, oracle_ybar_local
 
@@ -57,12 +57,9 @@ def test_vector_mechanism_arity_checked():
 def test_realized_treatments_follow_potential_treatments(rng):
     pop, a, b = varying_effect_monotone(rng)
     data = run_design(pop, _cfg(pop, a=a, b=b), replicate=3)
-    pos = 0
-    for i, block in enumerate(pop.blocks):
-        for j, ind in enumerate(block):
-            z = int(data.z[pos])
-            assert int(data.d[pos]) == (ind.pt.d1 if z else ind.pt.d0)
-            pos += 1
+    for u in range(pop.n_individuals):
+        z = int(data.z[u])
+        assert int(data.d[u]) == (pop.d1[u] if z else pop.d0[u])
 
 
 def test_realized_outcomes_evaluate_potential_outcomes(rng):
@@ -82,15 +79,15 @@ def test_realized_outcomes_evaluate_potential_outcomes(rng):
 def test_mixed_block_matches_oracles(rng):
     """One block holding a structural member, a plain table and an
     encouragement-keyed table: exact averages and realized outcomes."""
-    mixed = (
-        Individual(PotentialTreatment(0, 1), StructuralOutcome(
+    mixed = [
+        person("co", structural(
             intercept=0.5, direct=2.0, peer=0.7, interaction=-0.4, curvature=0.1, noise=0.3)),
-        Individual(PotentialTreatment(0, 1), TableOutcome(n=3, values=rng.normal(size=8))),
-        Individual(PotentialTreatment(1, 0), TableOutcome(n=3, z_values=rng.normal(size=(8, 8)))),
-    )
-    plain = tuple(Individual(PotentialTreatment(d0, d1), StructuralOutcome(direct=1.0, peer=0.5))
-                  for d0, d1 in ((0, 1), (0, 0), (1, 1)))
-    pop = Population((mixed, plain), monotone=False, one_sided=False, exclusion_ok=False)
+        person("co", table(rng.normal(size=8))),
+        person("de", table(rng.normal(size=(8, 8)))),
+    ]
+    plain = [person(kind, structural(direct=1.0, peer=0.5)) for kind in ("co", "nt", "at")]
+    pop = population([mixed, plain])
+    assert not (pop.monotone or pop.one_sided or pop.exclusion_ok)
     a, b = Mechanism("a", (0.2, 0.55, 0.8)), Mechanism("b", (0.7, 0.35, 0.15))
     for mech in (a, b):
         for i in range(2):
@@ -116,12 +113,13 @@ def test_realized_structural_outcomes_evaluate_value_exactly(rng):
     pop = make_population(kinds, rng=rng)
     for r in range(5):
         data = run_design(pop, _cfg(pop), replicate=r)
-        for i, block in enumerate(pop.blocks):
+        for i in range(pop.n_blocks):
             sl = data.block_slice(i)
             k_total = int(data.d[sl].sum())
-            for j, ind in enumerate(block):
+            for j, u in enumerate(range(pop.starts[i], pop.starts[i + 1])):
                 d_j = int(data.d[sl][j])
-                assert data.y[sl][j] == ind.y.value(d_j, k_total - d_j)
+                coef = pop.coef[:, u].tolist()
+                assert data.y[sl][j] == structural_value(coef, d_j, k_total - d_j)
 
 
 def test_all_never_takers_untreated_whatever_z():
@@ -173,12 +171,12 @@ def test_encouragement_rate_matches_mechanism():
 def test_encouragements_ignore_potential_outcomes(rng):
     """Permuting who owns which outcome function cannot move any Z draw."""
     pop, a, b = varying_effect_monotone(rng, b_range=(3, 3), n_range=(3, 3))
-    perm_blocks = []
-    for block in pop.blocks:
-        ys = [block[(j + 1) % len(block)].y for j in range(len(block))]
-        perm_blocks.append(tuple(Individual(ind.pt, y) for ind, y in zip(block, ys)))
-    permuted = Population(tuple(perm_blocks), monotone=pop.monotone,
-                          one_sided=pop.one_sided, exclusion_ok=pop.exclusion_ok)
+    data = population_to_dict(pop)
+    for block in data["blocks"]:
+        ys = [block[(j + 1) % len(block)]["outcome"] for j in range(len(block))]
+        for ind, y in zip(block, ys):
+            ind["outcome"] = y
+    permuted = population_from_dict(data)
     cfg = _cfg(pop, a=a, b=b, seed=77)
     for r in range(5):
         original = run_design(pop, cfg, replicate=r)

@@ -20,22 +20,12 @@ from peerenc.estimands import (
     theorem_1_check,
     theorem_2_check,
     theorem_3_check,
-    ybar_block_itt,
     ybar_indiv_itt,
     ybar_indiv_local,
 )
 from peerenc.mechanisms import Mechanism
-from peerenc.population import (
-    ComplianceType,
-    Individual,
-    Population,
-    PotentialTreatment,
-    StructuralOutcome,
-    TableOutcome,
-    convert_to_tables,
-    outcome,
-)
-from conftest import make_population
+from peerenc.population import ComplianceType, convert_to_tables, outcome
+from conftest import make_individual, make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
 from oracles import (
@@ -74,10 +64,10 @@ def test_moment_kernel_matches_convolution_on_large_blocks():
         mechs = [Mechanism(f"v{n}_{k}", tuple(rng.uniform(0.05, 0.95, size=n)))
                  for k in range(2)]
         for mech in mechs:
-            for i, block in enumerate(pop.blocks):
-                for j, ind in enumerate(block):
+            for i, n_i in enumerate(pop.sizes):
+                for j in range(n_i):
                     for v in (0, 1):
-                        own_d = ind.pt.d1 if v else ind.pt.d0
+                        own_d = int((pop.d1 if v else pop.d0)[pop.starts[i] + j])
                         assert ybar_indiv_itt(pop, i, j, v, mech) == pytest.approx(
                             convolution_ybar_local(pop, i, j, own_d, mech), abs=1e-12
                         )
@@ -92,18 +82,11 @@ def _three_person_table_block():
     d0 = (idx >> 2) & 1
     d1 = (idx >> 1) & 1
     d2 = idx & 1
-    y0 = TableOutcome(n=3, values=(d0 + 10 * d1 + 100 * d2 + 5 * d0 * d1).astype(float))
-    flat = TableOutcome(n=3, values=np.zeros(8))
-    block = (
-        Individual(PotentialTreatment(0, 1), y0),
-        Individual(PotentialTreatment(0, 1), flat),
-        Individual(PotentialTreatment(0, 0), flat),
-    )
-    other = tuple(
-        Individual(PotentialTreatment(0, 1), StructuralOutcome(direct=1.0))
-        for _ in range(2)
-    )
-    return Population((block, other), monotone=True, one_sided=True, exclusion_ok=True)
+    y0 = table(d0 + 10 * d1 + 100 * d2 + 5 * d0 * d1)
+    flat = table(np.zeros(8))
+    block = [person("co", y0), person("co", flat), person("nt", flat)]
+    other = [person("co", structural(direct=1.0)) for _ in range(2)]
+    return population([block, other])
 
 
 def test_ybar_itt_three_person_table_hand_sum():
@@ -156,8 +139,8 @@ def test_ybar_all_never_taker_peers_degenerate():
 def test_ybar_oracle_equality_structural_and_table(rng):
     for _ in range(8):
         pop, a, b = varying_effect_monotone(rng, b_range=(2, 3), n_range=(1, 4))
-        for i, block in enumerate(pop.blocks):
-            for j in range(len(block)):
+        for i, n in enumerate(pop.sizes):
+            for j in range(n):
                 for mech in (a, b):
                     for z in (0, 1):
                         assert ybar_indiv_itt(pop, i, j, z, mech) == pytest.approx(
@@ -275,12 +258,8 @@ def test_lpt_empty_stratum():
 
 
 def test_exclusion_violating_local_average_guarded():
-    z_dep = TableOutcome(n=1, z_values=np.array([[0.0, 1.0], [2.0, 3.0]]))
-    blocks = (
-        (Individual(PotentialTreatment(0, 1), z_dep),),
-        (Individual(PotentialTreatment(0, 1), StructuralOutcome()),),
-    )
-    pop = Population(blocks, monotone=True, one_sided=True, exclusion_ok=False)
+    z_dep = table([[0.0, 1.0], [2.0, 3.0]])
+    pop = population([[person("co", z_dep)], [person("co", structural())]])
     with pytest.raises(ExclusionViolated):
         ybar_indiv_local(pop, 0, 0, 1, PHI)
     # opt-in marginalization stays defined: d pinned to 1, own z ~ Bernoulli(0.7)
@@ -303,10 +282,11 @@ def test_individual_decomposition_identity(rng):
     """itt contrast = (d1-d0) * local contrast, individual by individual."""
     for _ in range(6):
         pop, a, _ = varying_effect_monotone(rng)
-        for i, block in enumerate(pop.blocks):
-            for j, ind in enumerate(block):
+        for i, n in enumerate(pop.sizes):
+            for j in range(n):
+                u = pop.starts[i] + j
                 lhs = ybar_indiv_itt(pop, i, j, 1, a) - ybar_indiv_itt(pop, i, j, 0, a)
-                rhs = (ind.pt.d1 - ind.pt.d0) * (
+                rhs = (int(pop.d1[u]) - int(pop.d0[u])) * (
                     ybar_indiv_local(pop, i, j, 1, a) - ybar_indiv_local(pop, i, j, 0, a)
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -316,10 +296,10 @@ def test_individual_switching_decomposition(rng):
     """mechanism contrast at z=1 = d1*delta_1 + (1-d1)*delta_0 per individual."""
     for _ in range(6):
         pop, a, b = varying_effect_monotone(rng)
-        for i, block in enumerate(pop.blocks):
-            for j, ind in enumerate(block):
+        for i, n in enumerate(pop.sizes):
+            for j in range(n):
                 lhs = ybar_indiv_itt(pop, i, j, 1, a) - ybar_indiv_itt(pop, i, j, 1, b)
-                d1 = ind.pt.d1
+                d1 = int(pop.d1[pop.starts[i] + j])
                 delta1 = ybar_indiv_local(pop, i, j, 1, a) - ybar_indiv_local(pop, i, j, 1, b)
                 delta0 = ybar_indiv_local(pop, i, j, 0, a) - ybar_indiv_local(pop, i, j, 0, b)
                 assert lhs == pytest.approx(d1 * delta1 + (1 - d1) * delta0, abs=1e-10)
@@ -351,14 +331,8 @@ def test_theorem_1_population_identity_equal_effects(rng):
 def test_theorem_1_unequal_uptake_effects_diagnosed():
     """Hand-built counterexample: the block identity holds everywhere while
     the population-level ratio does not, and the report says why."""
-    from conftest import make_individual
-    from peerenc.population import Population
-
-    blocks = (
-        (make_individual("co", direct=2.0), make_individual("nt")),
-        (make_individual("co"), make_individual("co")),
-    )
-    pop = Population(blocks=blocks, monotone=True, one_sided=True, exclusion_ok=True)
+    pop = population([[make_individual("co", direct=2.0), make_individual("nt")],
+                      [make_individual("co"), make_individual("co")]])
     rep = theorem_1_check(pop, PHI)
     assert rep.lhs == pytest.approx((1.0 / 2) / (3.0 / 4), abs=1e-12)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
@@ -501,12 +475,8 @@ def test_estimand_report_skips_complier_families_when_undefined():
 
 
 def test_estimand_report_exclusion_violation_skips_local():
-    z_dep = TableOutcome(n=1, z_values=np.array([[0.0, 1.0], [2.0, 3.0]]))
-    blocks = (
-        (Individual(PotentialTreatment(0, 1), z_dep),),
-        (Individual(PotentialTreatment(0, 1), StructuralOutcome()),),
-    )
-    pop = Population(blocks, monotone=True, one_sided=True, exclusion_ok=False)
+    z_dep = table([[0.0, 1.0], [2.0, 3.0]])
+    pop = population([[person("co", z_dep)], [person("co", structural())]])
     report = compute_estimand_report(pop, PHI, PSI)
     assert "local_effects" in report.skipped
     assert not any(k.startswith("ldt") for k in report.entries)

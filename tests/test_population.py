@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +18,8 @@ from peerenc.errors import (
 from peerenc.population import (
     ComplianceType,
     DgpConfig,
-    Individual,
     OutcomeConfig,
     Population,
-    PotentialTreatment,
-    StructuralOutcome,
-    TableOutcome,
     build_population,
     classify,
     convert_to_tables,
@@ -30,24 +28,24 @@ from peerenc.population import (
     population_from_dict,
     population_to_dict,
     save_population,
+    structural_value,
     validate,
 )
-from conftest import make_population
+from conftest import make_individual, make_population, person, population, structural, table
 
 
 def test_classify_bijection():
-    assert classify(PotentialTreatment(0, 1)) is ComplianceType.COMPLIER
-    assert classify(PotentialTreatment(1, 1)) is ComplianceType.ALWAYS_TAKER
-    assert classify(PotentialTreatment(1, 0)) is ComplianceType.DEFIER
-    assert classify(PotentialTreatment(0, 0)) is ComplianceType.NEVER_TAKER
+    assert classify(0, 1) is ComplianceType.COMPLIER
+    assert classify(1, 1) is ComplianceType.ALWAYS_TAKER
+    assert classify(1, 0) is ComplianceType.DEFIER
+    assert classify(0, 0) is ComplianceType.NEVER_TAKER
 
 
 def test_potential_treatment_lookup():
     pop = make_population([["co", "nt"], ["at", "co"]])
-    assert pop.blocks[0][0].pt.take(1) == 1
-    assert pop.blocks[0][0].pt.take(0) == 0
-    assert pop.blocks[0][1].pt.take(1) == 0
-    assert pop.blocks[1][0].pt.take(0) == 1
+    assert pop.starts.tolist() == [0, 2, 4]
+    assert pop.d0.tolist() == [0, 0, 1, 0]
+    assert pop.d1.tolist() == [1, 0, 1, 1]
 
 
 def test_validate_all_compliers():
@@ -59,19 +57,19 @@ def test_validate_all_compliers():
 
 
 def test_validate_defier_with_monotone_flag():
-    blocks = (
-        (Individual(PotentialTreatment(1, 0), StructuralOutcome()),
-         Individual(PotentialTreatment(0, 1), StructuralOutcome())),
-        (Individual(PotentialTreatment(0, 1), StructuralOutcome()),),
-    )
-    pop = Population(blocks=blocks, monotone=True, one_sided=False, exclusion_ok=True)
+    pop = make_population([["de", "co"], ["co"]])
+    assert not pop.monotone
     with pytest.raises(FlagMismatch):
-        validate(pop)
+        validate(dataclasses.replace(pop, monotone=True))
+    data = population_to_dict(pop)
+    data["flags"]["monotone"] = True
+    with pytest.raises(FlagMismatch):
+        population_from_dict(data)
 
 
 def test_validate_flags_must_match_in_both_directions():
     pop = make_population([["co"], ["co"]])
-    claimed_weaker = Population(pop.blocks, monotone=False, one_sided=True, exclusion_ok=True)
+    claimed_weaker = dataclasses.replace(pop, monotone=False)
     with pytest.raises(FlagMismatch):
         validate(claimed_weaker)
 
@@ -84,9 +82,9 @@ def test_validate_all_never_takers_warns_ineffective():
 
 
 def test_structural_outcome_formula():
-    y = StructuralOutcome(direct=2.0, peer=0.5)
-    assert y.value(1, 2) == pytest.approx(3.0, abs=0)
-    assert y.value(0, 4) == pytest.approx(2.0, abs=0)
+    coef = (0.0, 2.0, 0.5, 0.0, 0.0, 0.0)  # intercept, direct, peer, interaction, curvature, noise
+    assert structural_value(coef, 1, 2) == pytest.approx(3.0, abs=0)
+    assert structural_value(coef, 0, 4) == pytest.approx(2.0, abs=0)
 
 
 def test_outcome_structural_anonymous_in_peers():
@@ -106,13 +104,9 @@ def test_outcome_ignores_encouragements_when_exclusion_ok():
 
 def test_constant_table_returns_constant():
     c = 4.25
-    table = TableOutcome(n=2, values=np.full(4, c))
-    blocks = (
-        (Individual(PotentialTreatment(0, 1), table),
-         Individual(PotentialTreatment(0, 0), table)),
-        (Individual(PotentialTreatment(0, 1), StructuralOutcome()),),
-    )
-    pop = Population(blocks, monotone=True, one_sided=True, exclusion_ok=True)
+    constant = table(np.full(4, c))
+    pop = population([[person("co", constant), person("nt", constant)],
+                      [person("co", structural())]])
     for d in itertools.product((0, 1), repeat=2):
         assert outcome(pop, 0, 0, d) == c
 
@@ -123,21 +117,82 @@ def test_outcome_arity_checked():
         outcome(pop, 0, 0, (1, 0, 1))
 
 
+def _tabled_pair():
+    """Two blocks of two members; block 0 holds a table, block 1 is structural."""
+    return population([[person("co", table([1.0, 0.0, 2.0, 3.0])), person("nt", structural())],
+                       [person("co", structural()), person("co", structural())]])
+
+
 def test_table_completeness_enforced():
+    pop = _tabled_pair()
+    entries = np.array(pop.tables[0])
+    entries[0, 1, 0] = np.nan
     with pytest.raises(MissingTableEntry):
-        TableOutcome(n=2, values=np.array([1.0, np.nan, 0.0, 2.0]))
+        dataclasses.replace(pop, tables=(entries, None))
+    entries[0, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(pop, tables=(entries, None))
     with pytest.raises(ArityMismatch):
-        TableOutcome(n=2, values=np.zeros(3))
+        dataclasses.replace(pop, tables=(np.zeros((2, 3, 1)), None))
+    data = population_to_dict(pop)
+    del data["blocks"][0][0]["outcome"]["values"]["01"]
+    with pytest.raises(MissingTableEntry):
+        population_from_dict(data)
 
 
 def test_population_shape_validation():
-    ind = Individual(PotentialTreatment(0, 1), StructuralOutcome())
-    with pytest.raises(ValueError):
-        Population(blocks=((ind,),), monotone=True, one_sided=True, exclusion_ok=True)
-    bad_table = Individual(PotentialTreatment(0, 1), TableOutcome(n=3, values=np.zeros(8)))
+    pop = _tabled_pair()
+    with pytest.raises(ValueError, match="at least 2 blocks"):
+        dataclasses.replace(pop, starts=[0, 4], tables=(None,))
+    with pytest.raises(ValueError, match="block 1 is empty"):
+        dataclasses.replace(pop, starts=[0, 4, 4], tables=(pop.tables[0], None))
     with pytest.raises(ArityMismatch):
-        Population(blocks=((ind, bad_table), (ind,)), monotone=True, one_sided=True,
-                   exclusion_ok=True)
+        dataclasses.replace(pop, tables=(np.zeros((2, 8, 1)), None))
+    data = population_to_dict(pop)
+    data["blocks"][0][0]["outcome"] = table(np.zeros(8))
+    with pytest.raises(ArityMismatch):
+        population_from_dict(data)
+
+
+@pytest.mark.parametrize("change, error, match", [
+    (dict(d0=[2, 0, 0, 0]), ValueError, "block 0 individual 0: potential treatments"),
+    (dict(d1=[1, 1, 1, -1]), ValueError, "block 1 individual 1"),
+    (dict(d0=[0, 0, 0]), ArityMismatch, "d0 needs shape"),
+    (dict(coef=np.zeros((5, 4))), ArityMismatch, "coef needs shape"),
+    (dict(z_dependent=[False, False, True, False]), ValueError, "block 1 individual 0"),
+    (dict(tables=(None, None)), ValueError, "block 0: a table member"),
+    (dict(tables=(None,)), ArityMismatch, "one entry per block"),
+    (dict(z_dependent=[True, False, False, False]), ArityMismatch, "z axis"),
+    (dict(tables=(np.arange(32.0).reshape(2, 4, 4), None)), ValueError, "varies with z"),
+], ids=["d0-2", "d1-minus-1", "d0-short", "coef-rows", "structural-z-keyed", "table-missing",
+        "tables-per-block", "z-keyed-without-z-axis", "plain-table-varies-with-z"])
+def test_population_constructor_checks(change, error, match):
+    with pytest.raises(error, match=match):
+        dataclasses.replace(_tabled_pair(), **change)
+
+
+def test_population_arrays_are_read_only():
+    pop = _tabled_pair()
+    for arr in (pop.starts, pop.d0, pop.d1, pop.structural, pop.z_dependent, pop.coef,
+                pop.tables[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_tables_fill_one_array_per_block():
+    """Table members fill their block's [member, d row, z row] array;
+    structural members keep their coefficients, table members zero ones."""
+    pop = _tabled_pair()
+    assert pop.structural.tolist() == [False, True, True, True]
+    assert pop.tables[0].shape == (2, 4, 1) and pop.tables[1] is None
+    assert pop.tables[0][0, :, 0].tolist() == [1.0, 0.0, 2.0, 3.0]
+    assert not pop.coef[:, 0].any()
+    keyed = population([[person("co", table(np.arange(16.0).reshape(4, 4))),
+                         person("nt", table([1.0, 2.0, 3.0, 4.0]))],
+                        [make_individual("co")]])
+    assert keyed.tables[0].shape == (2, 4, 4) and not keyed.exclusion_ok
+    assert keyed.tables[0][1].tolist() == [[v] * 4 for v in (1.0, 2.0, 3.0, 4.0)]
+    assert population_to_dict(keyed)["blocks"][0][1]["outcome"] == table([1.0, 2.0, 3.0, 4.0])
 
 
 def _basic_cfg(**overrides) -> DgpConfig:
@@ -184,8 +239,9 @@ def test_build_population_one_sided_guard():
 def test_build_population_complier_floor():
     cfg = _basic_cfg(strata=(0.45, 0.1, 0.45, 0.0), blocks=30, block_size=2)
     pop = build_population(cfg, np.random.default_rng(8))
-    for block in pop.blocks:
-        assert any(classify(ind.pt) is ComplianceType.COMPLIER for ind in block)
+    for lo, hi in zip(pop.starts[:-1], pop.starts[1:]):
+        assert any(classify(pop.d0[u], pop.d1[u]) is ComplianceType.COMPLIER
+                   for u in range(lo, hi))
     with pytest.raises(GenerationFailed):
         build_population(_basic_cfg(strata=(0.5, 0.0, 0.5, 0.0), monotone=None),
                          np.random.default_rng(0))
@@ -222,19 +278,20 @@ def test_stratum_counts_partition_population(rng):
     cfg = _basic_cfg(strata=(0.25, 0.25, 0.25, 0.25), monotone=None, complier_floor=False)
     pop = build_population(cfg, rng)
     total = 0
-    for block, rep in zip(pop.blocks, validate(pop).blocks):
-        assert rep.strata == {ct: sum(classify(ind.pt) is ct for ind in block)
-                              for ct in ComplianceType}
-        assert sum(rep.strata.values()) == len(block)
+    for lo, hi, rep in zip(pop.starts[:-1], pop.starts[1:], validate(pop).blocks):
+        strata = [classify(pop.d0[u], pop.d1[u]) for u in range(lo, hi)]
+        assert rep.strata == {ct: strata.count(ct) for ct in ComplianceType}
+        assert sum(rep.strata.values()) == hi - lo
         total += sum(rep.strata.values())
     assert total == pop.n_individuals
 
 
 def test_monotone_uptake_effect_equals_complier_fraction(rng):
     pop = build_population(_basic_cfg(), rng)
-    for block, rep in zip(pop.blocks, validate(pop).blocks):
-        frac = sum(classify(ind.pt) is ComplianceType.COMPLIER for ind in block) / len(block)
-        assert rep.strata[ComplianceType.COMPLIER] / len(block) == frac
+    for lo, hi, rep in zip(pop.starts[:-1], pop.starts[1:], validate(pop).blocks):
+        frac = sum(classify(pop.d0[u], pop.d1[u]) is ComplianceType.COMPLIER
+                   for u in range(lo, hi)) / (hi - lo)
+        assert rep.strata[ComplianceType.COMPLIER] / (hi - lo) == frac
         assert rep.encouragement_effect == pytest.approx(frac, abs=0)
 
 
@@ -299,8 +356,7 @@ def test_load_rejects_sparse_table(tmp_path):
 def test_convert_to_tables_preserves_outcomes(rng):
     pop = build_population(_basic_cfg(block_size=4), rng)
     tabled = convert_to_tables(pop)
-    for i, block in enumerate(pop.blocks):
-        n = len(block)
+    for i, n in enumerate(pop.sizes):
         for d_vec in itertools.product((0, 1), repeat=n):
             for j in range(n):
                 assert outcome(tabled, i, j, d_vec) == pytest.approx(
@@ -312,3 +368,29 @@ def test_population_json_is_plain_data(rng):
     pop = build_population(_basic_cfg(block_size=3), rng)
     text = json.dumps(population_to_dict(pop), sort_keys=True)
     assert "NaN" not in text
+
+
+@pytest.mark.parametrize("kind, n", [("table", 20), ("table_z", 10)])
+def test_table_entry_count_is_checked_before_its_keys(kind, n):
+    """A table with no entries is refused before its 2^20 (4^10 when
+    encouragement-keyed) row keys are built: the loader's peak allocation
+    stays small."""
+    rows = 2**n if kind == "table" else 4**n
+    data = {"flags": {"monotone": True, "one_sided": True, "exclusion_ok": kind == "table"},
+            "blocks": [[make_individual("co") for _ in range(n)], [make_individual("co")]]}
+    data["blocks"][0][0]["outcome"] = {"kind": kind, "size": n, "values": {}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingTableEntry, match=f"0 of its {rows} entries"):
+            population_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+
+
+def test_table_with_an_extra_entry_is_invalid():
+    data = population_to_dict(_tabled_pair())
+    data["blocks"][0][0]["outcome"]["values"]["100"] = 1.0
+    with pytest.raises(InvalidConfig, match="'100' is not a row"):
+        population_from_dict(data)
