@@ -19,7 +19,7 @@ from .design import DesignConfig, run_design
 from .errors import PeerEncError, InvalidConfig
 from .estimands import compute_estimand_report
 from .mechanisms import Mechanism
-from .montecarlo import replicate, verification_passes, verify_theorems
+from .montecarlo import check_replications, replicate, verification_passes, verify_theorems
 from .population import DgpConfig, OutcomeConfig, build_population, load_population, \
     save_population, validate
 
@@ -154,9 +154,13 @@ def _parse_mechanisms(cfg: dict) -> dict[str, Mechanism]:
         if name in mechs:
             _fail(f"config mechanisms: {name!r} defined more than once")
         if "p" in m:
-            mechs[name] = Mechanism(name=name, probs=_as(float, m["p"], f"{where}.p"))
+            mechs[name] = Mechanism(name=name, probs=_number(m["p"], f"{where}.p"))
         elif "probs" in m:
-            mechs[name] = Mechanism(name=name, probs=_as(float, m["probs"], f"{where}.probs"))
+            probs = m["probs"]
+            if not isinstance(probs, list):
+                _fail(f"{where}.probs: expected a list of numbers, got {probs!r}")
+            mechs[name] = Mechanism(name=name,
+                                    probs=tuple(_number(p, f"{where}.probs") for p in probs))
         else:
             _fail(f"{where} ({name!r}): needs 'p' or 'probs'")
     return mechs
@@ -184,6 +188,16 @@ def _design_pair(cfg: dict, mechs: dict[str, Mechanism]) -> tuple[Mechanism, Mec
         if not isinstance(name, str) or name not in mechs:
             _fail(f"config design.{label}: mechanism {name!r} is not defined")
     return mechs[a_name], mechs[b_name], d
+
+
+def _replications(cfg: dict, default: int) -> int:
+    """mc.replications, checked against its bounds before any work starts."""
+    r = _as(int, _section(cfg, "mc").get("replications", default), "config mc.replications")
+    try:
+        check_replications(r)
+    except InvalidConfig as exc:
+        _fail(f"config mc.replications: {exc}")
+    return r
 
 
 def _check_threads(args) -> None:
@@ -240,7 +254,7 @@ def cmd_simulate(args) -> int:
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "design")
-    r = _as(int, _section(cfg, "mc").get("replications", 1000), "config mc.replications")
+    r = _replications(cfg, 1000)
     pop = load_population(args.pop)
     k = _as(int, design_section.get("k", pop.n_blocks // 2), "config design.k")
     dcfg = DesignConfig(mech_a=mech_a, mech_b=mech_b, k=k, seed=seed)
@@ -260,7 +274,7 @@ def cmd_verify(args) -> int:
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "mc")
-    r = _as(int, _section(cfg, "mc").get("replications", 0), "config mc.replications")
+    r = _replications(cfg, 0)
     k = design_section.get("k")
     if k is not None:
         k = _as(int, k, "config design.k")

@@ -20,10 +20,17 @@ import numpy as np
 
 from . import _streams
 from .errors import AllBlocksUndefined, InvalidData, InvalidDesign
-from .mechanisms import Mechanism, mechanisms_identical, sample_assignment
-from .population import Population
+from .mechanisms import Mechanism, assignment_probs, enumerate_assignments, \
+    mechanisms_identical
+from .population import Population, pack_rows
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
+
+# Replicates are drawn in batches whose (replicate, individual) arrays take
+# at most this many bytes; BYTES_PER_DRAW is the peak a batch allocates per
+# (replicate, individual) pair, drawing and estimating included.
+BATCH_BYTES = 2 << 20
+BYTES_PER_DRAW = 160
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,9 @@ def validate_design(cfg: DesignConfig, pop: Population) -> None:
 @dataclass(frozen=True)
 class ExperimentData:
     """Realized data from one run: per-block arm flags and per-individual
-    encouragement, treatment, outcome, and design encouragement probability."""
+    encouragement, treatment, outcome, and design encouragement probability.
+    A batch of runs (``draw_replicates``) carries a leading replicate axis on
+    ``s``, ``z``, ``d``, ``y`` and ``p_enc``; the estimators accept either."""
 
     sizes: np.ndarray  # (B,) block sizes
     s: np.ndarray  # (B,) 1 where the block got mechanism A
@@ -150,28 +159,51 @@ class ExperimentData:
         )
 
 
-def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> ExperimentData:
-    """Execute the protocol once. Deterministic given (pop, cfg, replicate):
-    the arm assignment and each block's encouragement draws come from
-    independently derived streams, so they are individually reproducible."""
-    validate_design(cfg, pop)
-    b = pop.n_blocks
-    arm_rng = _streams.stream(cfg.seed, _streams.ARM, replicate)
-    order = arm_rng.permutation(b)
-    s = np.zeros(b, dtype=np.int8)
-    s[order[: cfg.k]] = 1
+def _unit_marginals(mech: Mechanism, sizes) -> np.ndarray:
+    """The mechanism's encouragement probability of every individual."""
+    by_size = {n: mech.marginals(n) for n in set(sizes)}
+    return np.concatenate([by_size[n] for n in sizes])
 
-    sizes = np.array(pop.sizes, dtype=int)
-    block_id = np.repeat(np.arange(b), sizes)
-    mechs = [cfg.mech_a if flag == 1 else cfg.mech_b for flag in s]
-    z = np.concatenate([
-        sample_assignment(mech, n, _streams.stream(cfg.seed, _streams.ENCOURAGEMENT, replicate, i))
-        for i, (mech, n) in enumerate(zip(mechs, pop.sizes))
-    ]).astype(np.int8)
-    p_enc = np.concatenate([mech.marginals(n) for mech, n in zip(mechs, pop.sizes)])
+
+def batch_size(pop: Population) -> int:
+    """Replicates per call of ``draw_replicates`` that keep a batch's
+    (replicate, individual) arrays within BATCH_BYTES."""
+    return max(1, BATCH_BYTES // (BYTES_PER_DRAW * pop.n_individuals))
+
+
+def draw_replicates(pop: Population, cfg: DesignConfig, first: int, count: int) -> ExperimentData:
+    """Execute the protocol for replicates first .. first + count - 1 at once.
+
+    The result carries a leading replicate axis on ``s`` (R, B) and on ``z``,
+    ``d``, ``y`` and ``p_enc`` (R, N); its row r is the run of replicate
+    first + r, a deterministic function of (pop, cfg, first + r) alone: the
+    arm assignment and each block's encouragement draws come from their own
+    streams (see ``_streams``).
+    """
+    validate_design(cfg, pop)
+    if first < 0 or count < 0 or first + count > _streams.INDEX_LIMIT:
+        raise InvalidDesign(f"replicate indices {first}..{first + count - 1} must lie in "
+                            f"0..{_streams.INDEX_LIMIT - 1}")
+    b = pop.n_blocks
+    sizes = np.diff(pop.starts)
+    s = np.zeros((count, b), dtype=np.int8)
+    for row, r in enumerate(range(first, first + count)):
+        s[row, _streams.stream(cfg.seed, _streams.ARM, r).permutation(b)[: cfg.k]] = 1
+    in_a = np.repeat(s, sizes, axis=1) == 1
+    p_enc = np.where(in_a, _unit_marginals(cfg.mech_a, pop.sizes),
+                     _unit_marginals(cfg.mech_b, pop.sizes))
+    uniforms = _streams.encouragement_uniforms(cfg.seed, np.arange(first, first + count), sizes)
+    z = (uniforms < p_enc).astype(np.int8)
     d = np.where(z == 1, pop.d1, pop.d0).astype(np.int8)
-    y = pop.outcomes(d, z)
-    return ExperimentData(sizes=sizes, s=s, block_id=block_id, z=z, d=d, y=y, p_enc=p_enc)
+    return ExperimentData(sizes=sizes, s=s, block_id=np.repeat(np.arange(b), sizes),
+                          z=z, d=d, y=pop.outcomes(d, z), p_enc=p_enc)
+
+
+def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> ExperimentData:
+    """Execute the protocol once: row ``replicate`` of ``draw_replicates``."""
+    batch = draw_replicates(pop, cfg, replicate, 1)
+    return ExperimentData(sizes=batch.sizes, s=batch.s[0], block_id=batch.block_id,
+                          z=batch.z[0], d=batch.d[0], y=batch.y[0], p_enc=batch.p_enc[0])
 
 
 @dataclass(frozen=True)
@@ -196,41 +228,39 @@ def design_prob_check(
     """Compare one block's realized encouragement-vector frequencies against
     the exact product law, conditioning on the mechanism the block received.
 
-    Each replicate's arm flag and draw are read from run_design, so this
-    checks the real protocol. The block must be small enough (n <= 6) for
+    Each replicate's arm flag and draw are read from draw_replicates, so
+    this checks the real protocol. The block must be small enough (n <= 6) for
     the exact comparison to have adequately filled cells.
     """
-    from .mechanisms import assignment_probs, enumerate_assignments
-
     n = pop.sizes[block]
     if n > 6:
         raise InvalidDesign(f"exact frequency check needs a small block (n <= 6), got {n}")
     validate_design(cfg, pop)
+    members = slice(int(pop.starts[block]), int(pop.starts[block + 1]))
+    counts = np.zeros((2, 2**n), dtype=np.int64)  # arm b, arm a
+    step = batch_size(pop)
+    for first in range(0, replications, step):
+        data = draw_replicates(pop, cfg, first, min(step, replications - first))
+        np.add.at(counts, (data.s[:, block], pack_rows(data.z[:, members])), 1)
     vectors = [tuple(int(x) for x in row) for row in enumerate_assignments(n)]
-    counts = {"a": dict.fromkeys(vectors, 0), "b": dict.fromkeys(vectors, 0)}
-    runs = {"a": 0, "b": 0}
-    for r in range(replications):
-        data = run_design(pop, cfg, replicate=r)
-        key = "a" if data.s[block] == 1 else "b"
-        counts[key][tuple(data.z[data.block_slice(block)].tolist())] += 1
-        runs[key] += 1
 
     reports = []
-    for key, mech in (("a", cfg.mech_a), ("b", cfg.mech_b)):
+    for arm, mech in ((1, cfg.mech_a), (0, cfg.mech_b)):
         probs = assignment_probs(mech, n)
         expected = {vec: float(p) for vec, p in zip(vectors, probs)}
-        total = runs[key]
+        observed = dict(zip(vectors, counts[arm].tolist()))
+        total = int(counts[arm].sum())
         if total == 0:
             raise AllBlocksUndefined(f"block {block} never received mechanism {mech.name!r}")
         stat = sum(
-            (counts[key][vec] - total * expected[vec]) ** 2 / (total * expected[vec])
+            (observed[vec] - total * expected[vec]) ** 2 / (total * expected[vec])
             for vec in vectors
         )
         reports.append(
             FrequencyReport(
                 mechanism=mech.name,
                 runs=total,
-                counts=counts[key],
+                counts=observed,
                 expected=expected,
                 chi_square=float(stat),
                 dof=len(vectors) - 1,

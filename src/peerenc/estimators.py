@@ -24,45 +24,64 @@ ET_ZERO_TOL = 1e-12
 
 
 class _BlockStats(NamedTuple):
-    means: np.ndarray  # (2, B) inverse-probability block means at z=0 and z=1
-    uptake: np.ndarray  # (B,) ratio-of-means uptake contrast, NaN where undefined
-    missing: np.ndarray  # (B,) the encouragement value a block never realized, else -1
-    in_a: np.ndarray  # (B,) True where the block got mechanism A
+    means: np.ndarray  # (2, ..., B) inverse-probability block means at z=0 and z=1
+    uptake: np.ndarray  # (..., B) ratio-of-means uptake contrast, NaN where undefined
+    missing: np.ndarray  # (..., B) the encouragement value a block never realized, else -1
+    by_arm: np.ndarray  # (2, ..., B) means with arm A's blocks first, each arm ascending
+    k: int  # blocks in arm A
 
 
 def _block_stats(data: ExperimentData) -> _BlockStats:
-    """Every per-block quantity the estimators need, in one reduceat pass.
+    """Every per-block quantity the estimators need, in one reduceat pass,
+    for one realization or for each replicate of a batch (a leading axis).
 
     The inverse-probability denominator is the block size times each unit's
     design probability of showing the requested encouragement; a block with
     no such units has an empty numerator and correctly contributes zero.
+    Each arm's block means are gathered in ascending block order, so every
+    arm mean of a batch sums exactly as that replicate's own would.
     """
     z1 = data.z == 1
     z0 = data.z == 0
     y, p = data.y, data.p_enc
     sums = np.add.reduceat(
         np.stack([y * z0 / (1.0 - p), y * z1 / p, z0, z1, data.d * z0, data.d * z1]),
-        data.starts[:-1], axis=1,
+        data.starts[:-1], axis=-1,
     )
     ipw, count, treated = sums[:2], sums[2:4], sums[4:]
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = treated / count
     missing = np.where(count[1] == 0, 1, np.where(count[0] == 0, 0, -1))
+    means = ipw / data.sizes
+    in_a = data.s == 1
+    k = in_a.sum(axis=-1)
+    if (k != k.flat[0]).any():
+        raise ValueError("every replicate of a batch must put the same number of blocks in arm A")
+    order = np.argsort(~in_a, axis=-1, kind="stable")
     return _BlockStats(
-        means=ipw / data.sizes,
+        means=means,
         uptake=np.where(missing >= 0, np.nan, rates[1] - rates[0]),
         missing=missing,
-        in_a=data.s == 1,
+        by_arm=np.take_along_axis(means, order[None], axis=-1),
+        k=int(k.flat[0]),
     )
 
 
-def _arm_mean(stats: _BlockStats, z: int, arm: str) -> float:
+def _arm_mean(stats: _BlockStats, z: int, arm: str):
     if arm not in ("a", "b"):
         raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
-    blocks = stats.in_a if arm == "a" else ~stats.in_a
-    if not blocks.any():
+    blocks = stats.by_arm[z, ..., :stats.k] if arm == "a" else stats.by_arm[z, ..., stats.k:]
+    if blocks.shape[-1] == 0:
         raise EmptyArm(f"no blocks in arm {arm!r}")
-    return float(stats.means[z, blocks].mean())
+    return blocks.mean(axis=-1)
+
+
+def _pooled_uptake(stats: _BlockStats):
+    """Mean uptake contrast over the blocks where it is defined (NaN if none),
+    summed as ``np.nanmean`` sums."""
+    defined = stats.missing < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(defined, stats.uptake, 0.0).sum(axis=-1) / defined.sum(axis=-1)
 
 
 def yhat_block(data: ExperimentData, i: int, z: int) -> float:
@@ -72,25 +91,25 @@ def yhat_block(data: ExperimentData, i: int, z: int) -> float:
 
 def yhat_pop(data: ExperimentData, z: int, arm: str) -> float:
     """Mean of yhat_block over the blocks assigned to the given arm ("a"/"b")."""
-    return _arm_mean(_block_stats(data), z, arm)
+    return float(_arm_mean(_block_stats(data), z, arm))
 
 
-def _ditt(stats: _BlockStats, arm: str) -> float:
+def _ditt(stats: _BlockStats, arm: str):
     return _arm_mean(stats, 1, arm) - _arm_mean(stats, 0, arm)
 
 
-def _pitt(stats: _BlockStats, z: int) -> float:
+def _pitt(stats: _BlockStats, z: int):
     return _arm_mean(stats, z, "a") - _arm_mean(stats, z, "b")
 
 
 def ditt_hat(data: ExperimentData, arm: str = "a") -> float:
     """Within-arm contrast of encouraged vs unencouraged outcome means."""
-    return _ditt(_block_stats(data), arm)
+    return float(_ditt(_block_stats(data), arm))
 
 
 def pitt_hat(data: ExperimentData, z: int) -> float:
     """Across-arm contrast of outcome means at a fixed encouragement value."""
-    return _pitt(_block_stats(data), z)
+    return float(_pitt(_block_stats(data), z))
 
 
 @dataclass(frozen=True)
@@ -109,7 +128,7 @@ def _et(stats: _BlockStats) -> EtEstimate:
     if dropped.size == stats.uptake.size:
         raise AllBlocksUndefined("every block lacks one encouragement value")
     return EtEstimate(
-        value=float(np.nanmean(stats.uptake)),
+        value=float(_pooled_uptake(stats)),
         per_block=tuple(stats.uptake.tolist()),
         dropped=tuple((i, f"no units with Z={m}")
                       for i, m in zip(dropped.tolist(), stats.missing[dropped].tolist())),
@@ -137,13 +156,13 @@ def _checked_et(stats: _BlockStats) -> float:
 def ldt_hat(data: ExperimentData, arm: str = "a") -> float:
     """Plug-in ratio estimator of the complier local direct effect."""
     stats = _block_stats(data)
-    return _ditt(stats, arm) / _checked_et(stats)
+    return float(_ditt(stats, arm)) / _checked_et(stats)
 
 
 def lpt_diff_hat(data: ExperimentData) -> float:
     """Plug-in ratio estimator of the complier local peer effect difference."""
     stats = _block_stats(data)
-    return (_pitt(stats, 1) - _pitt(stats, 0)) / _checked_et(stats)
+    return float(_pitt(stats, 1) - _pitt(stats, 0)) / _checked_et(stats)
 
 
 def lpt0_hat(data: ExperimentData) -> float:
@@ -152,31 +171,34 @@ def lpt0_hat(data: ExperimentData) -> float:
     return pitt_hat(data, 0)
 
 
-def _estimates(stats: _BlockStats, uptake: float) -> dict[str, float]:
-    """Every estimator from the block statistics and a pooled uptake estimate;
-    the ratio estimators are NaN where the uptake is undefined or zero."""
+def _estimates(stats: _BlockStats) -> dict[str, np.ndarray]:
+    """Every estimator from the block statistics. The uptake estimate pools
+    the blocks where it is defined; a ratio estimator is NaN where the uptake
+    is undefined or numerically zero."""
+    uptake = _pooled_uptake(stats)
     da, p1, p0 = _ditt(stats, "a"), _pitt(stats, 1), _pitt(stats, 0)
-    ratio_ok = abs(uptake) >= ET_ZERO_TOL  # False for NaN
-    return {
-        "ditt_hat_a": da,
-        "ditt_hat_b": _ditt(stats, "b"),
-        "pitt_hat_1": p1,
-        "pitt_hat_0": p0,
-        "et_hat": uptake,
-        "ldt_hat": da / uptake if ratio_ok else float("nan"),
-        "lpt_diff_hat": (p1 - p0) / uptake if ratio_ok else float("nan"),
-        "lpt0_hat": p0,
-    }
+    ratio_ok = np.abs(uptake) >= ET_ZERO_TOL  # False for NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {
+            "ditt_hat_a": da,
+            "ditt_hat_b": _ditt(stats, "b"),
+            "pitt_hat_1": p1,
+            "pitt_hat_0": p0,
+            "et_hat": uptake,
+            "ldt_hat": np.where(ratio_ok, da / uptake, np.nan),
+            "lpt_diff_hat": np.where(ratio_ok, (p1 - p0) / uptake, np.nan),
+            "lpt0_hat": p0,
+        }
 
 
-def estimator_battery(data: ExperimentData) -> dict[str, float]:
-    """Every estimator on one realization. Undefined ratio estimators come
-    back as NaN so replication batches never abort."""
-    try:
-        uptake = et_hat(data).value
-    except AllBlocksUndefined:
-        uptake = float("nan")
-    return _estimates(_block_stats(data), uptake)
+def estimator_battery(data: ExperimentData) -> dict:
+    """Every estimator on one realization (floats), or on each replicate of a
+    batch ((R,) arrays). Undefined ratio estimators come back as NaN so
+    replication batches never abort."""
+    values = _estimates(_block_stats(data))
+    if data.z.ndim > 1:
+        return values
+    return {name: float(v) for name, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -230,7 +252,7 @@ def estimate_report(data: ExperimentData) -> EstimateReport:
     """
     stats = _block_stats(data)
     uptake = _et(stats)
-    values = _estimates(stats, uptake.value)
+    values = {name: float(v) for name, v in _estimates(stats).items()}
     notes = ["et_hat pools defined blocks from both mechanism arms"]
     if abs(uptake.value) < ET_ZERO_TOL:
         values["ldt_hat"] = values["lpt_diff_hat"] = None

@@ -2,8 +2,8 @@
 
 A mechanism assigns each individual of a block an independent probability of
 being encouraged. It induces a product law on the block's binary encouragement
-vector; this module evaluates that law exactly, enumerates its support in a
-canonical (lexicographic) order, and draws samples from it.
+vector; this module evaluates that law exactly and enumerates its support in
+a canonical (lexicographic) order. ``peerenc.design`` draws from it.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ def assignment_probs(mech: Mechanism, n: int, cap: int = DEFAULT_ENUMERATION_CAP
     for j in range(n):
         w *= np.where(bits[:, j] == 1, p[j], 1.0 - p[j])
     return w
-
-
-def sample_assignment(mech: Mechanism, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One independent Bernoulli draw per individual; deterministic given rng state."""
-    p = mech.marginals(n)
-    return (rng.random(n) < p).astype(np.uint8)
 
 
 def mechanisms_identical(a: Mechanism, b: Mechanism, sizes) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import JsonReport
-from .design import DesignConfig, run_design, validate_design
+from .design import DesignConfig, batch_size, draw_replicates
 from .errors import (
     EmptyStratumInBlock,
     InvalidConfig,
@@ -36,6 +36,9 @@ from .estimators import ET_ZERO_TOL, estimator_battery
 from .mechanisms import DEFAULT_ENUMERATION_CAP
 from .population import Population
 
+# The (R, 8) float64 values of one run stay within 1 GiB.
+MAX_REPLICATIONS = 1 << 24
+
 ESTIMATOR_NAMES = (
     "ditt_hat_a",
     "ditt_hat_b",
@@ -48,6 +51,12 @@ ESTIMATOR_NAMES = (
 )
 
 
+def check_replications(replications: int) -> None:
+    """Raise InvalidConfig unless 0 <= replications <= MAX_REPLICATIONS."""
+    if not 0 <= replications <= MAX_REPLICATIONS:
+        raise InvalidConfig(f"replications must lie in 0..{MAX_REPLICATIONS}, got {replications}")
+
+
 def replicate_values(
     pop: Population,
     cfg: DesignConfig,
@@ -58,13 +67,16 @@ def replicate_values(
 
     Row r of a run starting at ``first_replicate`` f is identical to row
     f + r of a run starting at 0: replicate streams depend only on the
-    absolute index, so split runs pool exactly.
+    absolute index, so split runs pool exactly. Replicates are drawn and
+    estimated in batches of ``batch_size(pop)``.
     """
-    validate_design(cfg, pop)
+    check_replications(replications)
     out = np.empty((replications, len(ESTIMATOR_NAMES)))
-    for row, r in enumerate(range(first_replicate, first_replicate + replications)):
-        values = estimator_battery(run_design(pop, cfg, replicate=r))
-        out[row] = [values[name] for name in ESTIMATOR_NAMES]
+    step = batch_size(pop)
+    for lo in range(0, replications, step):
+        count = min(step, replications - lo)
+        values = estimator_battery(draw_replicates(pop, cfg, first_replicate + lo, count))
+        out[lo:lo + count] = np.stack([values[name] for name in ESTIMATOR_NAMES], axis=-1)
     return out
 
 

@@ -192,14 +192,15 @@ class Population:
         return table[members, d_rows, z_rows if table.shape[2] > 1 else 0]
 
     def outcomes(self, d: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Every individual's outcome at the realized block treatment vectors
-        d and encouragement vectors z (flat, block order)."""
-        k = np.repeat(np.add.reduceat(d, self.starts[:-1], dtype=np.int64), np.diff(self.starts))
+        """Every individual's outcome in every replicate: d and z are (R, N)
+        realized treatments and encouragements (flat, block order)."""
+        sizes = np.diff(self.starts)
+        k = np.repeat(np.add.reduceat(d, self.starts[:-1], axis=1, dtype=np.int64), sizes, axis=1)
         y = structural_value(self.coef, d.astype(float), (k - d).astype(float))
         for i in np.flatnonzero([t is not None for t in self.tables]):
             block = slice(self.starts[i], self.starts[i + 1])
-            rows = self.table_values(i, pack_rows(d[block])[None], pack_rows(z[block])[None])
-            y[block] = np.where(self.structural[block], y[block], rows[:, 0])
+            rows = self.table_values(i, pack_rows(d[:, block]), pack_rows(z[:, block]))
+            y[:, block] = np.where(self.structural[block], y[:, block], rows.T)
         return y
 
 
@@ -523,11 +524,25 @@ def convert_to_tables(pop: Population) -> Population:
 
 
 @lru_cache(maxsize=8)
-def _table_keys(n: int, keyed: bool) -> tuple[str, ...]:
+def _row_keys(n: int) -> tuple[str, ...]:
+    """The bit strings of a size-n table's 2^n treatment rows, in row order."""
+    return tuple(f"{r:0{n}b}" for r in range(2**n))
+
+
+def _table_keys(n: int, keyed: bool):
     """A size-n table's JSON keys in row order: the bit string of the
-    treatment row, or "d|z" (treatment-major) for an encouragement-keyed one."""
-    rows = [f"{r:0{n}b}" for r in range(2**n)]
-    return tuple(f"{d}|{z}" for d in rows for z in rows) if keyed else tuple(rows)
+    treatment row, or "d|z" (treatment-major) for an encouragement-keyed one.
+    The 4^n keyed keys are generated one at a time and never kept."""
+    rows = _row_keys(n)
+    return (f"{d}|{z}" for d in rows for z in rows) if keyed else rows
+
+
+def _is_table_key(key: str, n: int, keyed: bool) -> bool:
+    """Whether key names a row of a size-n table (see ``_table_keys``)."""
+    if not isinstance(key, str):
+        return False
+    parts = key.split("|") if keyed else [key]
+    return len(parts) == 1 + keyed and all(len(p) == n and not p.strip("01") for p in parts)
 
 
 def _json_int(x, what: str) -> int:
@@ -540,11 +555,12 @@ def _json_int(x, what: str) -> int:
 def _finite(pairs, what: str) -> list[float]:
     """The values of (key, value) pairs as floats; raises naming the first
     that is not a finite JSON number (a boolean or a string is not)."""
-    pairs = list(pairs)
+    out = []
     for key, x in pairs:
         if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
             raise InvalidConfig(f"{what} {key!r}: expected a finite number, got {x!r}")
-    return [float(x) for _, x in pairs]
+        out.append(float(x))
+    return out
 
 
 def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
@@ -559,15 +575,14 @@ def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
         raise InvalidConfig(f"table values: expected an object, got {type(entries).__name__}")
     if len(entries) < rows:
         raise MissingTableEntry(f"table has {len(entries)} of its {rows} entries")
-    keys = _table_keys(n, keyed)
     if len(entries) > rows:
-        extra = sorted(entries.keys() - set(keys))[0]
+        extra = min(key for key in entries if not _is_table_key(key, n, keyed))
         raise InvalidConfig(f"table key {extra!r} is not a row of a size-{n} table")
     try:
-        values = [entries[key] for key in keys]
+        values = [entries[key] for key in _table_keys(n, keyed)]
     except KeyError as exc:
         raise MissingTableEntry(f"table has no entry for {exc}") from None
-    arr = np.array(_finite(zip(keys, values), "table entry"))
+    arr = np.array(_finite(zip(_table_keys(n, keyed), values), "table entry"))
     return arr.reshape(2**n, 2**n) if keyed else arr
 
 

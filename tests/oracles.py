@@ -1,8 +1,10 @@
 """Independent oracles: brute-force enumeration over full assignment vectors,
 the exact Poisson-binomial distribution of the treated-peer count for
 structural outcomes, a naive two-stage (treatment-randomized) evaluator, and
-a flat pooled Wald estimator, and the sample estimators by per-block loops.
-These deliberately share no code with the production engine."""
+a flat pooled Wald estimator, the sample estimators by per-block loops, and
+the replication engine as a loop over replicates and blocks drawing from
+numpy's own generators. These deliberately share no code with the
+production engine."""
 
 from __future__ import annotations
 
@@ -297,3 +299,82 @@ def oracle_estimator_battery(sizes, s, z, d, y, p_enc) -> dict[str, float]:
         "lpt_diff_hat": (pitt_1 - pitt_0) / uptake if ratio_ok else float("nan"),
         "lpt0_hat": pitt_0,
     }
+
+
+def _numpy_stream(seed: int, *path: int) -> np.random.Generator:
+    """Stream layout v1: one numpy generator per spawn-key path."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+def _unit_probs(mech, n: int) -> list[float]:
+    return [mech.probs] * n if isinstance(mech.probs, float) else list(mech.probs)
+
+
+def reference_replicate(pop: Population, cfg, r: int) -> dict[str, np.ndarray]:
+    """Replicate r of the protocol as a per-block loop over numpy's own
+    generators: the arm permutation from stream (seed; 1, r), block i's
+    encouragements from the first n_i uniforms of stream (seed; 2, r, i),
+    outcomes read entry by entry (oracle_outcome)."""
+    b, sizes = pop.n_blocks, pop.sizes
+    s = np.zeros(b, dtype=np.int8)
+    s[_numpy_stream(cfg.seed, 1, r).permutation(b)[: cfg.k]] = 1
+    z, p_enc = [], []
+    for i, n in enumerate(sizes):
+        p = _unit_probs(cfg.mech_a if s[i] else cfg.mech_b, n)
+        u = _numpy_stream(cfg.seed, 2, r, i).random(n)
+        z.extend(int(u[j] < p[j]) for j in range(n))
+        p_enc.extend(p)
+    d = [int(pop.d1[u] if z[u] else pop.d0[u]) for u in range(len(z))]
+    y = []
+    for i in range(b):
+        lo, hi = int(pop.starts[i]), int(pop.starts[i + 1])
+        y.extend(oracle_outcome(pop, i, j, d[lo:hi], z[lo:hi]) for j in range(hi - lo))
+    return {"sizes": np.array(sizes), "s": s, "z": np.array(z), "d": np.array(d),
+            "y": np.array(y), "p_enc": np.array(p_enc)}
+
+
+def reference_battery(sizes, s, z, d, y, p_enc) -> dict[str, float]:
+    """Every estimator on one realization with numpy reductions over one
+    vector at a time: each arm's block means gathered by a boolean mask and
+    averaged by np.mean, the uptake pooled by np.nanmean. Bit for bit what a
+    batched kernel must return for each of its rows."""
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    z0, z1 = z == 0, z == 1
+    sums = np.add.reduceat(
+        np.stack([y * z0 / (1.0 - p_enc), y * z1 / p_enc, z0, z1, d * z0, d * z1]),
+        starts[:-1], axis=1,
+    )
+    means = sums[:2] / sizes
+    count, treated = sums[2:4], sums[4:]
+    defined = (count > 0).all(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = treated / count
+    uptakes = np.where(defined, rates[1] - rates[0], np.nan)
+    uptake = float(np.nanmean(uptakes)) if defined.any() else float("nan")
+    arm = {1: s == 1, 0: s == 0}
+    mean = {(zv, a): float(means[zv, arm[a]].mean()) for zv in (0, 1) for a in (0, 1)}
+    ditt_a = mean[(1, 1)] - mean[(0, 1)]
+    pitt_1 = mean[(1, 1)] - mean[(1, 0)]
+    pitt_0 = mean[(0, 1)] - mean[(0, 0)]
+    ratio_ok = abs(uptake) >= 1e-12
+    return {
+        "ditt_hat_a": ditt_a,
+        "ditt_hat_b": mean[(1, 0)] - mean[(0, 0)],
+        "pitt_hat_1": pitt_1,
+        "pitt_hat_0": pitt_0,
+        "et_hat": uptake,
+        "ldt_hat": ditt_a / uptake if ratio_ok else float("nan"),
+        "lpt_diff_hat": (pitt_1 - pitt_0) / uptake if ratio_ok else float("nan"),
+        "lpt0_hat": pitt_0,
+    }
+
+
+def reference_replicate_values(pop: Population, cfg, names, replications: int,
+                               first: int = 0) -> np.ndarray:
+    """The replication engine as a loop over replicates: one row of
+    estimator values per replicate, columns in ``names`` order."""
+    rows = []
+    for r in range(first, first + replications):
+        battery = reference_battery(**reference_replicate(pop, cfg, r))
+        rows.append([battery[name] for name in names])
+    return np.array(rows, dtype=float).reshape(replications, len(names))

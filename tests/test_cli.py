@@ -300,6 +300,8 @@ def test_population_shape_is_a_one_line_error(tmp_path, capsys, edit):
     ("simulate", {"design": {"seed": "x"}}, [], {}, "design.seed"),
     ("simulate", {"mc": {"replications": "many"}}, [], {}, "mc.replications"),
     ("simulate", {"mc": {"replications": 2.5}}, [], {}, "mc.replications"),
+    ("simulate", {"mc": {"replications": 10**15}}, [], {}, "mc.replications"),
+    ("verify", {"mc": {"replications": -1}}, [], {}, "mc.replications"),
     ("simulate", {"design": {"k": "two"}}, [], {}, "design.k"),
     ("simulate", {"design": {"k": True}}, [], {}, "design.k"),
     ("verify", {"design": {"k": "two"}}, [], {}, "design.k"),
@@ -308,7 +310,8 @@ def test_population_shape_is_a_one_line_error(tmp_path, capsys, edit):
     ("simulate", {}, ["--threads", "0"], {}, "--threads"),
     ("verify", {}, ["--threads", "-2"], {}, "--threads"),
 ], ids=["blocks-2.7", "block-size-2.7", "seed-x", "seed-negative", "design-seed-x",
-        "replications-many", "replications-2.5", "k-two", "k-true", "verify-k-two",
+        "replications-many", "replications-2.5", "replications-1e15",
+        "verify-replications-negative", "k-two", "k-true", "verify-k-two",
         "threads-env-abc", "threads-env-0", "threads-0", "verify-threads-negative"])
 def test_integer_fields_are_one_line_errors(tmp_path, capsys, monkeypatch,
                                             command, overrides, extra, env, field):
@@ -383,6 +386,27 @@ def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys,
     pop = ["--pop", str(pop_path)] if command != "generate" else []
     capsys.readouterr()
     assert _exit_code([command, "--config", str(cfg), *pop, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert field in err
+
+
+@pytest.mark.parametrize("mechanism, field", [
+    ({"p": "0.7"}, "mechanisms[0].p"),
+    ({"p": True}, "mechanisms[0].p"),
+    ({"p": float("nan")}, "mechanisms[0].p"),
+    ({"probs": ["0.2", "0.3", "0.2"]}, "mechanisms[0].probs"),
+    ({"probs": [0.2, None, 0.2]}, "mechanisms[0].probs"),
+    ({"probs": "0.5"}, "mechanisms[0].probs"),
+], ids=["p-string", "p-true", "p-nan", "probs-strings", "probs-null", "probs-string"])
+def test_mechanism_probabilities_take_finite_numbers(tmp_path, capsys, mechanism, field):
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(write_config(tmp_path / "good.json")),
+          "--out", str(pop_path)])
+    cfg = write_config(tmp_path / "cfg.json",
+                       mechanisms=[{"name": "phi", **mechanism}, {"name": "psi", "p": 0.3}])
+    capsys.readouterr()
+    assert _exit_code(["estimands", "--config", str(cfg), "--pop", str(pop_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert field in err

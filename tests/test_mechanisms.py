@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peerenc.design import DesignConfig, batch_size, draw_replicates
 from peerenc.errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
 from peerenc.mechanisms import (
     Mechanism,
@@ -12,8 +13,21 @@ from peerenc.mechanisms import (
     enumerate_assignments,
     mech_prob,
     mechanisms_identical,
-    sample_assignment,
 )
+from conftest import make_population
+
+
+def protocol_draws(mech: Mechanism, n: int, draws: int, seed: int) -> np.ndarray:
+    """``draws`` encouragement vectors of size-n blocks assigned to mech, read
+    from the protocol's batched draws: 40 blocks, 20 of them in mech's arm."""
+    pop = make_population([["co"] * n] * 40)
+    other = Mechanism("other", 0.5 if mech.marginals(n)[0] != 0.5 else 0.3)
+    cfg = DesignConfig(mech_a=mech, mech_b=other, k=20, seed=seed)
+    reps, step, out = -(-draws // 20), batch_size(pop), []
+    for first in range(0, reps, step):
+        data = draw_replicates(pop, cfg, first, min(step, reps - first))
+        out.append(data.z.reshape(-1, 40, n)[data.s == 1])
+    return np.concatenate(out)[:draws]
 
 
 def test_mech_prob_fair_coin_block_of_three():
@@ -66,26 +80,24 @@ def test_enumerate_cap():
 
 def test_sample_deterministic_given_seed():
     m = Mechanism("phi", 0.5)
-    a = sample_assignment(m, 4, np.random.default_rng(99))
-    b = sample_assignment(m, 4, np.random.default_rng(99))
+    a = protocol_draws(m, 4, 100, seed=99)
+    b = protocol_draws(m, 4, 100, seed=99)
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, protocol_draws(m, 4, 100, seed=98))
 
 
 def test_sample_concentrates_near_extreme_probability():
     p = 0.99
     m = Mechanism("phi", p)
-    bits = sample_assignment(m, 1000, np.random.default_rng(5))
+    bits = protocol_draws(m, 1, 1000, seed=5)
     se = math.sqrt(p * (1 - p) / 1000)
     assert abs(bits.mean() - p) <= 3 * se
 
 
 def test_sample_joint_frequency_matches_product_law():
     m = Mechanism("phi", (0.2, 0.8))
-    rng = np.random.default_rng(11)
     draws = 100_000
-    hits = sum(
-        1 for _ in range(draws) if tuple(sample_assignment(m, 2, rng)) == (1, 1)
-    )
+    hits = int((protocol_draws(m, 2, draws, seed=11) == 1).all(axis=1).sum())
     target = mech_prob(m, (1, 1))
     assert target == pytest.approx(0.16, abs=1e-12)
     se = math.sqrt(target * (1 - target) / draws)
@@ -120,16 +132,12 @@ def test_mech_prob_reassociation_stable(probs, pyrandom):
 
 def test_empirical_frequencies_chi_square_sane():
     m = Mechanism("phi", (0.3, 0.5, 0.7))
-    rng = np.random.default_rng(123)
     draws = 20_000
-    counts = {}
-    for _ in range(draws):
-        key = tuple(sample_assignment(m, 3, rng))
-        counts[key] = counts.get(key, 0) + 1
+    counts = np.bincount(protocol_draws(m, 3, draws, seed=123) @ np.array([4, 2, 1]),
+                         minlength=8)
     stat = 0.0
-    for row, p in zip(enumerate_assignments(3), assignment_probs(m, 3)):
+    for observed, p in zip(counts, assignment_probs(m, 3)):
         expected = draws * float(p)
-        observed = counts.get(tuple(row), 0)
         stat += (observed - expected) ** 2 / expected
     # chi-square(7) 0.999 quantile
     assert stat < 24.322

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from peerenc import design
 from peerenc.design import DesignConfig
+from peerenc.errors import InvalidConfig, InvalidDesign
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import (
     ESTIMATOR_NAMES,
+    MAX_REPLICATIONS,
     exact_targets,
     replicate,
     replicate_values,
@@ -14,8 +17,9 @@ from peerenc.montecarlo import (
     verify_theorems,
 )
 from peerenc.population import DgpConfig, OutcomeConfig, build_population
-from conftest import make_population
+from conftest import make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population
+from oracles import reference_replicate_values
 
 PHI = Mechanism("phi", 0.7)
 PSI = Mechanism("psi", 0.3)
@@ -53,6 +57,68 @@ def test_split_halves_pool_exactly(rng):
     assert np.array_equal(full, pooled, equal_nan=True)
     col = ESTIMATOR_NAMES.index("ditt_hat_a")
     assert np.mean(full[:, col]) == np.mean(pooled[:, col])
+
+
+def _batch_populations():
+    """Populations for the batch-vs-loop comparison, with a design for each."""
+    rng = np.random.default_rng(8)
+    phi, psi = Mechanism("phi", 0.7), Mechanism("psi", 0.25)
+    structural_pop = population([
+        [person(("co", "nt", "at")[int(rng.integers(3))],
+                structural(intercept=float(rng.normal()), direct=float(rng.normal(2, 1)),
+                           peer=float(rng.normal(0.5, 0.3)), interaction=0.2, curvature=0.05,
+                           noise=float(rng.normal())))
+         for _ in range(int(n))]
+        for n in rng.integers(1, 7, size=24)
+    ])
+    tables = population([[person(("co", "nt", "at", "de")[int(rng.integers(4))],
+                                 table(rng.normal(size=2**n))) for _ in range(n)]
+                         for n in (3, 1, 4, 2, 3, 5, 2, 4, 1, 3)])
+    keyed = population([[person("co", table(rng.normal(size=(2**n, 2**n)))),
+                         *(person("nt", structural(intercept=float(rng.normal())))
+                           for _ in range(n - 1))]
+                        for n in (3, 2, 3, 1, 2, 3)])
+    vector = population([[person("co", structural(direct=float(rng.normal(2, 1)), peer=0.4))
+                          for _ in range(3)] for _ in range(12)])
+    singletons = make_population([["co"]] * 9, direct=1.0)
+    no_uptake = make_population([["nt"] * 3] * 6, intercept=1.0, peer=0.5)
+    return {
+        "structural-unequal-sizes": (structural_pop, DesignConfig(phi, psi, k=13, seed=3)),
+        "tables": (tables, DesignConfig(phi, psi, k=4, seed=2**40 + 1)),
+        "encouragement-keyed": (keyed, DesignConfig(phi, psi, k=3, seed=0)),
+        "vector-mechanisms": (vector, DesignConfig(Mechanism("a", (0.2, 0.6, 0.9)),
+                                                   Mechanism("b", (0.7, 0.3, 0.15)),
+                                                   k=5, seed=77)),
+        "all-single-armed": (singletons, DesignConfig(phi, psi, k=4, seed=5)),
+        "zero-uptake": (no_uptake, DesignConfig(phi, psi, k=3, seed=6)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_batch_populations()))
+def test_batched_replicates_match_the_per_replicate_loop_bitwise(name, monkeypatch):
+    """Every replicate row equals the per-block numpy-generator loop bit for
+    bit, NaN positions included, also when R spans several batches."""
+    pop, cfg = _batch_populations()[name]
+    monkeypatch.setattr(design, "BATCH_BYTES", 7 * design.BYTES_PER_DRAW * pop.n_individuals)
+    assert design.batch_size(pop) == 7
+    got = replicate_values(pop, cfg, 30, first_replicate=11)
+    want = reference_replicate_values(pop, cfg, ESTIMATOR_NAMES, 30, first=11)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+    if name in ("all-single-armed", "zero-uptake"):
+        assert np.isnan(got[:, ESTIMATOR_NAMES.index("ldt_hat")]).all()
+
+
+def test_replication_bounds_are_checked_before_any_work():
+    pop = make_population([["co"], ["co"]])
+    for bad in (-1, MAX_REPLICATIONS + 1, 10**15):
+        with pytest.raises(InvalidConfig):
+            replicate_values(pop, _cfg(pop, k=1), bad)
+    # replicate indices take one spawn-key word: 0 .. 2^32 - 1
+    last = replicate_values(pop, _cfg(pop, k=1), 1, first_replicate=2**32 - 1)
+    assert last.shape == (1, len(ESTIMATOR_NAMES))
+    with pytest.raises(InvalidDesign):
+        replicate_values(pop, _cfg(pop, k=1), 2, first_replicate=2**32 - 1)
 
 
 def test_undefined_replicates_counted_not_fatal():

@@ -394,3 +394,29 @@ def test_table_with_an_extra_entry_is_invalid():
     data["blocks"][0][0]["outcome"]["values"]["100"] = 1.0
     with pytest.raises(InvalidConfig, match="'100' is not a row"):
         population_from_dict(data)
+
+
+def test_encouragement_keyed_keys_are_not_retained():
+    """Loading and saving an encouragement-keyed table keeps none of its 4^n
+    "d|z" keys alive afterwards; only the 2^n plain row keys are cached."""
+    n = 7
+    data = {"flags": {"monotone": True, "one_sided": True, "exclusion_ok": False},
+            "blocks": [[person("co", table(np.arange(4.0**n).reshape(2**n, 2**n)))]
+                       + [make_individual("co") for _ in range(n - 1)],
+                       [make_individual("co")]]}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        population_to_dict(population_from_dict(data))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 200_000, retained  # the 4^7 keys alone take over 1 MB
+
+
+def test_table_key_that_is_not_a_string_is_invalid():
+    data = population_to_dict(_tabled_pair())
+    values = data["blocks"][0][0]["outcome"]["values"]
+    values[7] = 1.0
+    with pytest.raises(InvalidConfig, match="not a row"):
+        population_from_dict(data)
