@@ -8,7 +8,6 @@ mandatory and never default to the clock.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -19,9 +18,9 @@ from .design import DesignConfig, run_design
 from .errors import PeerEncError, InvalidConfig
 from .estimands import compute_estimand_report
 from .mechanisms import Mechanism
-from .montecarlo import check_replications, replicate, verification_passes, verify_theorems
+from .montecarlo import MAX_REPLICATIONS, replicate, verification_passes, verify_theorems
 from .population import DgpConfig, OutcomeConfig, build_population, load_population, \
-    save_population, validate
+    read_json, save_population, validate
 
 _DGP_STREAM = 0
 
@@ -39,11 +38,9 @@ def _fail(msg: str) -> "NoReturn":  # noqa: F821 - py>=3.10 has NoReturn in typi
 
 def _load_json(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        _fail(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        _fail(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+        data = read_json(path)
+    except InvalidConfig as exc:
+        _fail(str(exc))
     if not isinstance(data, dict):
         _fail(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
@@ -190,13 +187,13 @@ def _design_pair(cfg: dict, mechs: dict[str, Mechanism]) -> tuple[Mechanism, Mec
     return mechs[a_name], mechs[b_name], d
 
 
-def _replications(cfg: dict, default: int) -> int:
-    """mc.replications, checked against its bounds before any work starts."""
+def _replications(cfg: dict, default: int, optional: bool = False) -> int:
+    """mc.replications, checked before any work starts: 2..MAX_REPLICATIONS,
+    or 0 (no Monte Carlo) when the Monte Carlo run is optional."""
     r = _as(int, _section(cfg, "mc").get("replications", default), "config mc.replications")
-    try:
-        check_replications(r)
-    except InvalidConfig as exc:
-        _fail(f"config mc.replications: {exc}")
+    if not (2 <= r <= MAX_REPLICATIONS or optional and r == 0):
+        low = "0 or 2" if optional else "2"
+        _fail(f"config mc.replications: expected {low}..{MAX_REPLICATIONS}, got {r}")
     return r
 
 
@@ -274,7 +271,7 @@ def cmd_verify(args) -> int:
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "mc")
-    r = _replications(cfg, 0)
+    r = _replications(cfg, 0, optional=True)
     k = design_section.get("k")
     if k is not None:
         k = _as(int, k, "config design.k")

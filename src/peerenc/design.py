@@ -107,26 +107,10 @@ class ExperimentData:
         """Ingest externally collected data; the mechanisms supply the design
         probabilities that the inverse-probability estimators require.
         Raises InvalidData unless the file holds one complete run."""
-        rows = []
-        with Path(path).open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-                raise InvalidData(
-                    f"{path}: expected columns {CSV_COLUMNS}, got {reader.fieldnames}"
-                )
-            for row in reader:
-                where = f"{path} line {reader.line_num}"
-                try:
-                    rec = (int(row["block_id"]), int(row["S"]), int(row["unit_id"]),
-                           int(row["Z"]), int(row["D"]), float(row["Y"]))
-                except (TypeError, ValueError) as exc:
-                    raise InvalidData(f"{where}: {exc}") from None
-                for name, v in zip(("S", "Z", "D"), (rec[1], rec[3], rec[4])):
-                    if v not in (0, 1):
-                        raise InvalidData(f"{where}: {name}={v} is not 0 or 1")
-                if not np.isfinite(rec[5]):
-                    raise InvalidData(f"{where}: Y={rec[5]!r} is not finite")
-                rows.append(rec)
+        try:
+            rows = _read_csv_rows(path)
+        except UnicodeDecodeError as exc:
+            raise InvalidData(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         if not rows:
             raise InvalidData(f"{path}: no data rows")
         rows.sort(key=lambda r: (r[0], r[2]))
@@ -159,6 +143,34 @@ class ExperimentData:
         )
 
 
+def _read_csv_rows(path) -> list[tuple]:
+    """The checked (block_id, S, unit_id, Z, D, Y) records of a CSV file."""
+    rows = []
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+            raise InvalidData(
+                f"{path}: expected columns {CSV_COLUMNS}, got {reader.fieldnames}"
+            )
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row:  # DictReader files fields past the header under None
+                raise InvalidData(f"{where}: {len(CSV_COLUMNS) + len(row[None])} fields, "
+                                  f"the header has {len(CSV_COLUMNS)}")
+            try:
+                rec = (int(row["block_id"]), int(row["S"]), int(row["unit_id"]),
+                       int(row["Z"]), int(row["D"]), float(row["Y"]))
+            except (TypeError, ValueError) as exc:
+                raise InvalidData(f"{where}: {exc}") from None
+            for name, v in zip(("S", "Z", "D"), (rec[1], rec[3], rec[4])):
+                if v not in (0, 1):
+                    raise InvalidData(f"{where}: {name}={v} is not 0 or 1")
+            if not np.isfinite(rec[5]):
+                raise InvalidData(f"{where}: Y={rec[5]!r} is not finite")
+            rows.append(rec)
+    return rows
+
+
 def _unit_marginals(mech: Mechanism, sizes) -> np.ndarray:
     """The mechanism's encouragement probability of every individual."""
     by_size = {n: mech.marginals(n) for n in set(sizes)}
@@ -177,22 +189,23 @@ def draw_replicates(pop: Population, cfg: DesignConfig, first: int, count: int) 
     The result carries a leading replicate axis on ``s`` (R, B) and on ``z``,
     ``d``, ``y`` and ``p_enc`` (R, N); its row r is the run of replicate
     first + r, a deterministic function of (pop, cfg, first + r) alone: the
-    arm assignment and each block's encouragement draws come from their own
-    streams (see ``_streams``).
+    arm assignment and then every individual's encouragement uniform come
+    from the replicate's own stream (see ``_streams``).
     """
     validate_design(cfg, pop)
-    if first < 0 or count < 0 or first + count > _streams.INDEX_LIMIT:
-        raise InvalidDesign(f"replicate indices {first}..{first + count - 1} must lie in "
-                            f"0..{_streams.INDEX_LIMIT - 1}")
-    b = pop.n_blocks
+    if first < 0 or count < 0:
+        raise InvalidDesign(f"replicate indices {first}..{first + count - 1} must be non-negative")
+    b, n = pop.n_blocks, pop.n_individuals
     sizes = np.diff(pop.starts)
     s = np.zeros((count, b), dtype=np.int8)
+    uniforms = np.empty((count, n))
     for row, r in enumerate(range(first, first + count)):
-        s[row, _streams.stream(cfg.seed, _streams.ARM, r).permutation(b)[: cfg.k]] = 1
+        rng = _streams.stream(cfg.seed, _streams.REPLICATE, r)
+        s[row, rng.permutation(b)[: cfg.k]] = 1
+        uniforms[row] = rng.random(n)
     in_a = np.repeat(s, sizes, axis=1) == 1
     p_enc = np.where(in_a, _unit_marginals(cfg.mech_a, pop.sizes),
                      _unit_marginals(cfg.mech_b, pop.sizes))
-    uniforms = _streams.encouragement_uniforms(cfg.seed, np.arange(first, first + count), sizes)
     z = (uniforms < p_enc).astype(np.int8)
     d = np.where(z == 1, pop.d1, pop.d0).astype(np.int8)
     return ExperimentData(sizes=sizes, s=s, block_id=np.repeat(np.arange(b), sizes),

@@ -1,8 +1,8 @@
 """Replication engine: estimator distributions vs exact targets, and
 packaged verification of the identification identities.
 
-Each replicate draws its randomness from streams addressed by the replicate
-index, so its values do not depend on which replicates ran before it;
+Each replicate draws its randomness from one stream addressed by the
+replicate index, so its values do not depend on which replicates ran before it;
 results are reduced in replicate-index order. Replicates where a ratio
 estimator is undefined (e.g. the uptake estimate is zero, or every block
 lost one encouragement arm) are counted and excluded from the moments
@@ -66,7 +66,7 @@ def replicate_values(
     """Raw estimator values, one row per replicate in index order.
 
     Row r of a run starting at ``first_replicate`` f is identical to row
-    f + r of a run starting at 0: replicate streams depend only on the
+    f + r of a run starting at 0: a replicate's stream depends only on its
     absolute index, so split runs pool exactly. Replicates are drawn and
     estimated in batches of ``batch_size(pop)``.
     """

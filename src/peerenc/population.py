@@ -671,5 +671,19 @@ def save_population(pop: Population, path) -> None:
     Path(path).write_text(json.dumps(population_to_dict(pop), sort_keys=True, indent=1) + "\n")
 
 
+def read_json(path):
+    """The JSON document in a UTF-8 file; InvalidConfig naming the path when
+    the file cannot be read, is not UTF-8 text or is not JSON."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+                            f"{exc.msg}") from None
+
+
 def load_population(path) -> Population:
-    return population_from_dict(json.loads(Path(path).read_text()))
+    return population_from_dict(read_json(path))

@@ -301,9 +301,9 @@ def oracle_estimator_battery(sizes, s, z, d, y, p_enc) -> dict[str, float]:
     }
 
 
-def _numpy_stream(seed: int, *path: int) -> np.random.Generator:
-    """Stream layout v1: one numpy generator per spawn-key path."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
+def _replicate_stream(seed: int, r: int) -> np.random.Generator:
+    """Stream layout v2: replicate r's one numpy generator."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, r))))
 
 
 def _unit_probs(mech, n: int) -> list[float]:
@@ -311,19 +311,19 @@ def _unit_probs(mech, n: int) -> list[float]:
 
 
 def reference_replicate(pop: Population, cfg, r: int) -> dict[str, np.ndarray]:
-    """Replicate r of the protocol as a per-block loop over numpy's own
-    generators: the arm permutation from stream (seed; 1, r), block i's
-    encouragements from the first n_i uniforms of stream (seed; 2, r, i),
-    outcomes read entry by entry (oracle_outcome)."""
+    """Replicate r of the protocol as a per-individual loop over numpy's own
+    generator for stream (seed; 1, r): the arm permutation first, then one
+    uniform per individual in block order, outcomes read entry by entry
+    (oracle_outcome)."""
     b, sizes = pop.n_blocks, pop.sizes
+    rng = _replicate_stream(cfg.seed, r)
     s = np.zeros(b, dtype=np.int8)
-    s[_numpy_stream(cfg.seed, 1, r).permutation(b)[: cfg.k]] = 1
-    z, p_enc = [], []
+    s[rng.permutation(b)[: cfg.k]] = 1
+    uniforms = rng.random(sum(sizes))
+    p_enc = []
     for i, n in enumerate(sizes):
-        p = _unit_probs(cfg.mech_a if s[i] else cfg.mech_b, n)
-        u = _numpy_stream(cfg.seed, 2, r, i).random(n)
-        z.extend(int(u[j] < p[j]) for j in range(n))
-        p_enc.extend(p)
+        p_enc.extend(_unit_probs(cfg.mech_a if s[i] else cfg.mech_b, n))
+    z = [int(uniforms[u] < p_enc[u]) for u in range(len(uniforms))]
     d = [int(pop.d1[u] if z[u] else pop.d0[u]) for u in range(len(z))]
     y = []
     for i in range(b):

@@ -453,3 +453,58 @@ def test_population_file_defects_are_one_line_errors(tmp_path, capsys, edit, whe
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert where in err
+
+
+@pytest.mark.parametrize("flag, make", [
+    ("--pop", lambda path: None),
+    ("--pop", lambda path: path.mkdir()),
+    ("--pop", lambda path: path.write_bytes(b'{"flags": "\xff"}')),
+    ("--pop", lambda path: path.write_text('{"flags": {"monotone": tr')),
+    ("--config", lambda path: path.mkdir()),
+    ("--config", lambda path: path.write_bytes(b'{"seed": 1, "dgp": "\xe9"}')),
+], ids=["pop-missing", "pop-directory", "pop-not-utf8", "pop-truncated-json",
+        "config-directory", "config-not-utf8"])
+def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make):
+    cfg = write_config(tmp_path / "cfg.json")
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    bad = tmp_path / "bad"
+    make(bad)
+    args = {"--config": str(cfg), "--pop": str(pop_path), flag: str(bad)}
+    capsys.readouterr()
+    assert _exit_code(["estimands", *(x for kv in args.items() for x in kv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(bad) in err
+
+
+@pytest.mark.parametrize("command, replications", [
+    ("simulate", 0), ("simulate", 1), ("verify", 1),
+])
+def test_replication_count_is_checked_before_any_work_or_output(tmp_path, capsys, monkeypatch,
+                                                                 command, replications):
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": replications})
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+
+    def no_population(path):
+        raise AssertionError("the population was loaded before the replication count was checked")
+
+    monkeypatch.setattr("peerenc.cli.load_population", no_population)
+    dump = tmp_path / "out.csv"
+    extra = ["--dump-data", str(dump)] if command == "simulate" else []
+    capsys.readouterr()
+    assert _exit_code([command, "--config", str(cfg), "--pop", str(pop_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "mc.replications" in err
+    assert not dump.exists()
+
+
+def test_verify_without_monte_carlo_takes_zero_replications(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": 0})
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mc"] is None

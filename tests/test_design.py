@@ -141,6 +141,21 @@ def test_reproducible_bit_identical(rng):
     assert not np.array_equal(d1.z, d3.z)
 
 
+@pytest.mark.parametrize("replicate, s, z", [
+    (0, [0, 0, 1], [0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1]),
+    (2**40, [0, 1, 0], [1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1]),
+], ids=["0", "2^40"])
+def test_stream_layout_v2_golden_vectors(replicate, s, z):
+    """Literal draws of stream layout v2, recorded with numpy 2.4. numpy does
+    not promise that Generator.permutation or random keep their streams across
+    releases; if this fails while the reference-loop tests pass, numpy moved
+    them and every simulate/verify number moved with it."""
+    pop = make_population([["co"] * 4, ["co"] * 5, ["co"] * 6])
+    data = run_design(pop, _cfg(pop, k=1, seed=2**70 + 3), replicate=replicate)
+    assert data.s.tolist() == s
+    assert data.z.tolist() == z
+
+
 def test_arm_assignment_exchangeable():
     pop = make_population([["co", "nt"]] * 5, direct=1.0)
     cfg = _cfg(pop, k=2, seed=11)
@@ -250,13 +265,16 @@ _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,1,1,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS + ["1,0,1,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,x,0,0,2.0"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,0,0,2.0,EXTRA"]),
+    (_CSV_HEADER + "\n".join(_CSV_ROWS)).encode() + b"\n1,0,2,0,0,\xff\n",
 ], ids=["empty", "no-rows", "negative-block", "block-gap", "no-block-0", "z-not-binary",
-        "nan-outcome", "s-varies-in-block", "duplicate-unit", "not-a-number"])
+        "nan-outcome", "s-varies-in-block", "duplicate-unit", "not-a-number", "extra-field",
+        "not-utf8"])
 def test_csv_rejects_invalid_data(tmp_path, text):
     good = tmp_path / "good.csv"
     good.write_text(_CSV_HEADER + "\n".join(_CSV_ROWS) + "\n")
     assert ExperimentData.from_csv(good, PHI, PSI).n_blocks == 2
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(InvalidData):
         ExperimentData.from_csv(path, PHI, PSI)

@@ -114,11 +114,12 @@ def test_replication_bounds_are_checked_before_any_work():
     for bad in (-1, MAX_REPLICATIONS + 1, 10**15):
         with pytest.raises(InvalidConfig):
             replicate_values(pop, _cfg(pop, k=1), bad)
-    # replicate indices take one spawn-key word: 0 .. 2^32 - 1
-    last = replicate_values(pop, _cfg(pop, k=1), 1, first_replicate=2**32 - 1)
-    assert last.shape == (1, len(ESTIMATOR_NAMES))
+    # any non-negative replicate index addresses a stream, 2^32 and beyond too
+    big = replicate_values(pop, _cfg(pop, k=1), 1, first_replicate=2**32)
+    want = reference_replicate_values(pop, _cfg(pop, k=1), ESTIMATOR_NAMES, 1, first=2**32)
+    assert np.array_equal(big, want, equal_nan=True)
     with pytest.raises(InvalidDesign):
-        replicate_values(pop, _cfg(pop, k=1), 2, first_replicate=2**32 - 1)
+        replicate_values(pop, _cfg(pop, k=1), 2, first_replicate=-1)
 
 
 def test_undefined_replicates_counted_not_fatal():
