@@ -8,6 +8,7 @@ mandatory and never default to the clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -207,9 +208,32 @@ def _check_threads(args) -> None:
         _fail(f"{where}: expected a thread count of at least 1, got {value!r}")
 
 
+def _check_output(path: str | None, where: str) -> None:
+    """Exit 2 naming the path unless its directory exists and it is not
+    itself a directory; checked before any work starts, so no run is lost at
+    its final write. ``_writing`` reports any other write failure."""
+    if not path:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        _fail(f"{where} {path}: cannot write (no directory {str(target.parent)!r})")
+    if target.is_dir():
+        _fail(f"{where} {path}: cannot write (it is a directory)")
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError of the write in the body into exit 2 naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(f"{path}: cannot write ({exc.strerror or exc})")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        with _writing(out):
+            Path(out).write_text(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -218,10 +242,12 @@ def cmd_generate(args) -> int:
     cfg = _load_json(args.config)
     seed = _resolve_seed(args.seed, cfg, "dgp")
     dgp = _parse_dgp(cfg)
+    out = args.out or _section(cfg, "output").get("path") or "population.json"
+    _check_output(out, "--out" if args.out else "config output.path")
     pop = build_population(dgp, _streams.stream(seed, _DGP_STREAM))
     report = validate(pop)
-    out = args.out or _section(cfg, "output").get("path") or "population.json"
-    save_population(pop, out)
+    with _writing(out):
+        save_population(pop, out)
     print(f"wrote {out}")
     for line in report.summary_lines():
         print(line)
@@ -230,6 +256,7 @@ def cmd_generate(args) -> int:
 
 def cmd_estimands(args) -> int:
     cfg = _load_json(args.config)
+    _check_output(args.out, "--out")
     mechs = _parse_mechanisms(cfg)
     mech_a, mech_b, _ = _design_pair(cfg, mechs)
     pop = load_population(args.pop)
@@ -247,6 +274,8 @@ def cmd_estimands(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
+    _check_output(args.out, "--out")
+    _check_output(args.dump_data, "--dump-data")
     mechs = _parse_mechanisms(cfg)
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
@@ -256,7 +285,8 @@ def cmd_simulate(args) -> int:
     k = _as(int, design_section.get("k", pop.n_blocks // 2), "config design.k")
     dcfg = DesignConfig(mech_a=mech_a, mech_b=mech_b, k=k, seed=seed)
     if args.dump_data:
-        run_design(pop, dcfg, replicate=0).to_csv(args.dump_data)
+        with _writing(args.dump_data):
+            run_design(pop, dcfg, replicate=0).to_csv(args.dump_data)
     summary = replicate(pop, dcfg, r)
     if args.format == "text":
         _emit(summary.text_table(), args.out)
@@ -267,6 +297,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_json(args.config)
+    _check_output(args.out, "--out")
     mechs = _parse_mechanisms(cfg)
     mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)

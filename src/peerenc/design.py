@@ -109,6 +109,8 @@ class ExperimentData:
         Raises InvalidData unless the file holds one complete run."""
         try:
             rows = _read_csv_rows(path)
+        except OSError as exc:  # missing, a directory, unreadable
+            raise InvalidData(f"{path}: {exc.strerror or exc}") from None
         except UnicodeDecodeError as exc:
             raise InvalidData(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         if not rows:

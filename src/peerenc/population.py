@@ -24,11 +24,13 @@ design's own random streams.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -523,7 +525,7 @@ def convert_to_tables(pop: Population) -> Population:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)
 def _row_keys(n: int) -> tuple[str, ...]:
     """The bit strings of a size-n table's 2^n treatment rows, in row order."""
     return tuple(f"{r:0{n}b}" for r in range(2**n))
@@ -578,15 +580,40 @@ def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
     if len(entries) > rows:
         extra = min(key for key in entries if not _is_table_key(key, n, keyed))
         raise InvalidConfig(f"table key {extra!r} is not a row of a size-{n} table")
-    try:
-        values = [entries[key] for key in _table_keys(n, keyed)]
-    except KeyError as exc:
-        raise MissingTableEntry(f"table has no entry for {exc}") from None
-    arr = np.array(_finite(zip(_table_keys(n, keyed), values), "table entry"))
+    if all(map(operator.eq, entries, _table_keys(n, keyed))):  # keys in row order, as saved
+        values = list(entries.values())
+    else:
+        try:
+            values = [entries[key] for key in _table_keys(n, keyed)]
+        except KeyError as exc:
+            raise MissingTableEntry(f"table has no entry for {exc}") from None
+    arr = _finite_array(values)
+    if arr is None:  # names the first entry that is not a finite number, if any
+        arr = np.array(_finite(zip(_table_keys(n, keyed), values), "table entry"))
     return arr.reshape(2**n, 2**n) if keyed else arr
 
 
+def _finite_array(values: list) -> np.ndarray | None:
+    """The values as a float array when every one is a finite JSON number
+    (an int or a float, never a boolean); None otherwise."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
 def population_to_dict(pop: Population) -> dict:
+    """The population file's document: every table member's "values" maps
+    its row keys to its entries."""
+    return _document(pop, lambda rows, n, keyed: dict(zip(_table_keys(n, keyed), rows.tolist())))
+
+
+def _document(pop: Population, values) -> dict:
+    """``population_to_dict`` with each table member's "values" given by
+    ``values(rows, n, keyed)``, from the member's entries in row order."""
     d0, d1, coef = pop.d0.tolist(), pop.d1.tolist(), pop.coef.T.tolist()
     starts = pop.starts.tolist()
     blocks = []
@@ -598,8 +625,7 @@ def population_to_dict(pop: Population) -> dict:
             else:
                 keyed = bool(pop.z_dependent[u])
                 y = {"kind": "table_z" if keyed else "table", "size": n,
-                     "values": dict(zip(_table_keys(n, keyed),
-                                        (table[j] if keyed else table[j, :, 0]).ravel().tolist()))}
+                     "values": values((table[j] if keyed else table[j, :, 0]).ravel(), n, keyed)}
             block.append({"d0": d0[u], "d1": d1[u], "outcome": y})
         blocks.append(block)
     return {
@@ -667,8 +693,49 @@ def population_from_dict(data: dict) -> Population:
     return pop
 
 
+# Stands in for a table's "values" while json.dumps writes the rest of the
+# document; it comes out as "\u0000", which no other string there contains.
+_SPLICE = "\0"
+
+
+def _entry_heads(n: int, keyed: bool) -> list[str]:
+    """What json.dumps(..., sort_keys=True, indent=1) writes before each
+    entry of a size-n table's "values" object at its depth in the population
+    file (document, "blocks", block, individual, "outcome"): the separator,
+    the indent and the key. Row order is sorted key order."""
+    heads = [f',\n      "{key}": ' for key in _table_keys(n, keyed)]
+    heads[0] = heads[0][1:]
+    return heads
+
+
+def _values_json(rows: np.ndarray, heads: list[str]) -> str:
+    """A table member's "values" object from its entries in row order. Each
+    entry is float.__repr__, as json writes floats, computed once per
+    distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    patterns, which = np.unique(rows.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
+    parts = [""] * (2 * len(heads))
+    parts[::2] = heads
+    parts[1::2] = texts[which].tolist()
+    return "{" + "".join(parts) + "\n     }"
+
+
 def save_population(pop: Population, path) -> None:
-    Path(path).write_text(json.dumps(population_to_dict(pop), sort_keys=True, indent=1) + "\n")
+    """Write ``json.dumps(population_to_dict(pop), sort_keys=True, indent=1)``
+    and a newline, byte for byte. json.dumps writes the document without its
+    table entries (with ``indent`` its pure-Python encoder handles every
+    value); ``_values_json`` renders each table's "values" in its place."""
+    tables, heads = [], functools.cache(_entry_heads)  # keys live for this call only
+
+    def values(rows, n, keyed):
+        tables.append(_values_json(rows, heads(n, keyed)))
+        return _SPLICE
+
+    text = json.dumps(_document(pop, values), sort_keys=True, indent=1)
+    if tables:
+        pieces = text.split(json.dumps(_SPLICE))
+        text = "".join([*itertools.chain.from_iterable(zip(pieces, tables)), pieces[-1]])
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path):

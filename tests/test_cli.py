@@ -478,6 +478,58 @@ def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--out"), ("generate", "output.path"), ("estimands", "--out"),
+    ("simulate", "--out"), ("simulate", "--dump-data"), ("verify", "--out"),
+])
+@pytest.mark.parametrize("where", ["nodir/out", "adir"])
+def test_unwritable_output_paths_are_one_line_errors_before_any_work(
+        tmp_path, capsys, monkeypatch, command, flag, where):
+    """An output path in a missing directory, or naming a directory, exits 2
+    with one line naming it before the population is built or loaded; so
+    simulate never writes its --dump-data CSV for a run it cannot finish."""
+    (tmp_path / "adir").mkdir()
+    bad = tmp_path / where
+    output = {"path": str(bad)} if flag == "output.path" else {}
+    cfg = write_config(tmp_path / "cfg.json", output=output)
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr("peerenc.cli.build_population", no_work)
+    monkeypatch.setattr("peerenc.cli.load_population", no_work)
+    dump = tmp_path / "data.csv"
+    argv = [command, "--config", str(cfg)]
+    if command != "generate":
+        argv += ["--pop", str(pop_path)]
+    if command == "simulate" and flag == "--out":
+        argv += ["--dump-data", str(dump)]
+    if flag != "output.path":
+        argv += [flag, str(bad)]
+    capsys.readouterr()
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(bad) in err
+    assert not dump.exists()
+
+
+def test_a_failed_write_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "pop.json"
+
+    def denied(pop, path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("peerenc.cli.save_population", denied)
+    capsys.readouterr()
+    assert _exit_code(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: cannot write (Permission denied)\n"
+
+
 @pytest.mark.parametrize("command, replications", [
     ("simulate", 0), ("simulate", 1), ("verify", 1),
 ])

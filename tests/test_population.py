@@ -420,3 +420,118 @@ def test_table_key_that_is_not_a_string_is_invalid():
     values[7] = 1.0
     with pytest.raises(InvalidConfig, match="not a row"):
         population_from_dict(data)
+
+
+# --------------------------------------------------------------------------
+# Population file bytes: save_population against the stdlib encoder
+# --------------------------------------------------------------------------
+
+def _stdlib_bytes(pop) -> bytes:
+    """The population file as the stdlib encoder writes the document."""
+    return (json.dumps(population_to_dict(pop), sort_keys=True, indent=1) + "\n").encode()
+
+
+def _one_table(values, keyed=False):
+    """A population whose block 0 member 0 holds the given table entries
+    (2^n of them, 4^n when keyed), next to structural members."""
+    values = np.asarray(values, dtype=float)
+    n = (values.size.bit_length() - 1) // (2 if keyed else 1)
+    entries = values.reshape(2**n, 2**n) if keyed else values
+    return population([[person("co", table(entries))] + [make_individual("co")] * (n - 1),
+                       [make_individual("co"), make_individual("nt")]])
+
+
+def _mixed_block(rng):
+    """Structural, plain-table and encouragement-keyed members in one block
+    (its tables get a z axis), beside a structural block."""
+    return population([[person("co", table(rng.normal(size=8))),
+                        person("nt", table(rng.normal(size=(8, 8)))),
+                        make_individual("at", rng)],
+                       [make_individual("co", rng), make_individual("nt", rng)]])
+
+
+_SAVED_POPULATIONS = {
+    "structural": lambda rng: build_population(_basic_cfg(), rng),
+    "table": lambda rng: build_population(
+        _basic_cfg(outcome=OutcomeConfig(representation="table", direct=(2.0, 0.5), peer=0.3,
+                                         noise_sd=1.0)), rng),
+    "encouragement-keyed": lambda rng: build_population(
+        _basic_cfg(block_size=3, strata=(0.0, 0.7, 0.3, 0.0),
+                   outcome=OutcomeConfig(representation="table", direct=2.0, noise_sd=1.0,
+                                         z_own=0.5, z_peer=-0.25)), rng),
+    "mixed": lambda rng: build_population(
+        _basic_cfg(block_size=(1, 5), outcome=OutcomeConfig(representation="mixed",
+                                                            direct=(2.0, 0.5), noise_sd=1.0)),
+        rng),
+    "mixed-in-one-block": _mixed_block,
+    "signed-zeros": lambda rng: _one_table([0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.0, 0.0]),
+    "all-distinct": lambda rng: _one_table(rng.normal(size=32) * 10.0 ** rng.integers(-30, 30, 32)),
+    "all-distinct-keyed": lambda rng: _one_table(rng.normal(size=64), keyed=True),
+    "reprs": lambda rng: _one_table([5e-324, 1e16, 1e22, 2.0, -1.5e-07, 2.0, 1e22, 5e-324]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SAVED_POPULATIONS))
+def test_saved_bytes_equal_the_stdlib_encoder(tmp_path, rng, name):
+    """The population file is byte for byte the sorted, indent-1 JSON of
+    ``population_to_dict`` with a trailing newline."""
+    pop = _SAVED_POPULATIONS[name](rng)
+    path = tmp_path / "pop.json"
+    save_population(pop, path)
+    assert path.read_bytes() == _stdlib_bytes(pop)
+    assert population_to_dict(load_population(path)) == population_to_dict(pop)
+
+
+# --------------------------------------------------------------------------
+# Population file loading: table entries in saved order and otherwise
+# --------------------------------------------------------------------------
+
+_WHERE = "population block 0 individual 0"
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["table", "table_z"])
+@pytest.mark.parametrize("bad, message", [
+    (True, "table entry {key!r}: expected a finite number, got True"),
+    ("0.5", "table entry {key!r}: expected a finite number, got '0.5'"),
+    (float("inf"), "table entry {key!r}: expected a finite number, got inf"),
+    (float("nan"), "table entry {key!r}: expected a finite number, got nan"),
+    (10**400, "int too large to convert to float"),
+], ids=["true", "string", "infinity", "nan", "huge-int"])
+def test_bad_entry_in_a_saved_order_table_keeps_its_error(tmp_path, keyed, bad, message):
+    """A table whose keys are in saved order, with one entry that is not a
+    finite number, fails with the same error as a table read key by key."""
+    pop = _one_table(np.arange(16.0 if keyed else 4.0), keyed=keyed)
+    data = population_to_dict(pop)
+    key = "10|01" if keyed else "10"
+    values = data["blocks"][0][0]["outcome"]["values"]
+    assert list(values) == sorted(values)
+    values[key] = bad
+    path = tmp_path / "pop.json"
+    path.write_text(json.dumps(data))  # true, "0.5", Infinity, NaN, a 401-digit integer
+    with pytest.raises(InvalidConfig) as exc:
+        load_population(path)
+    assert type(exc.value) is InvalidConfig
+    assert str(exc.value) == f"{_WHERE}: " + message.format(key=key)
+
+
+def test_table_keys_in_any_order_load_the_same_entries(tmp_path, rng):
+    pop = _mixed_block(rng)
+    data = population_to_dict(pop)
+    for member in (0, 1):
+        values = data["blocks"][0][member]["outcome"]["values"]
+        keys = list(values)
+        shuffled = {keys[k]: values[keys[k]] for k in rng.permutation(len(keys))}
+        assert list(shuffled) != keys
+        data["blocks"][0][member]["outcome"]["values"] = shuffled
+    loaded = population_from_dict(data)
+    assert np.array_equal(loaded.tables[0], pop.tables[0])
+    save_population(loaded, tmp_path / "pop.json")
+    assert (tmp_path / "pop.json").read_bytes() == _stdlib_bytes(pop)
+
+
+def test_integer_table_entries_load_as_floats():
+    data = population_to_dict(_one_table([1.0, 2.0, 3.0, 4.0]))
+    values = data["blocks"][0][0]["outcome"]["values"]
+    values.update({"00": 1, "11": -(2**60) - 1})
+    loaded = population_from_dict(data)
+    assert loaded.tables[0][0, :, 0].tolist() == [1.0, 2.0, 3.0, float(-(2**60) - 1)]
