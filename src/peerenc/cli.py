@@ -55,18 +55,12 @@ def _section(cfg: dict, key: str, parent: str = "") -> dict:
     return value
 
 
-def _as(kind, value, where: str):
-    """kind(value), elementwise for a list, or exit 2 naming the config field.
-    An int field takes only integral values: 2.7 or true is an error, not 2 or 1."""
-    def one(x):
-        if kind is int and (isinstance(x, bool) or isinstance(x, float) and not x.is_integer()):
-            raise ValueError(x)
-        return kind(x)
-
-    try:
-        return tuple(one(x) for x in value) if isinstance(value, list) else one(value)
-    except (TypeError, ValueError, OverflowError):
-        _fail(f"{where}: expected {kind.__name__} values, got {value!r}")
+def _integer(value, where: str) -> int:
+    """An integral JSON number as an int, or exit 2 naming the config field:
+    2.7, true or "2" is an error, not 2, 1 or 2."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    _fail(f"{where}: expected an integer, got {value!r}")
 
 
 def _number(value, where: str) -> float:
@@ -102,12 +96,17 @@ def _parse_dgp(cfg: dict) -> DgpConfig:
         _fail("config: missing 'dgp' section")
     d = _section(cfg, "dgp")
     try:
-        blocks = _as(int, d["blocks"], "config dgp.blocks")
+        blocks = _integer(d["blocks"], "config dgp.blocks")
         raw_size = d["block_size"]
         raw_strata = d["strata"]
     except KeyError as exc:
         _fail(f"config dgp: missing key {exc}")
-    size = _as(int, raw_size, "config dgp.block_size")
+    if isinstance(raw_size, list) and len(raw_size) == 2:
+        size = tuple(_integer(x, "config dgp.block_size") for x in raw_size)
+    elif isinstance(raw_size, list):
+        _fail(f"config dgp.block_size: expected an integer or a [low, high] pair, got {raw_size!r}")
+    else:
+        size = _integer(raw_size, "config dgp.block_size")
     if isinstance(raw_strata, dict):
         unknown = set(raw_strata) - set(_STRATA_KEYS)
         if unknown:
@@ -170,7 +169,7 @@ def _resolve_seed(cli_seed, cfg: dict, section: str) -> int:
                          (_section(cfg, section).get("seed"), f"config {section}.seed"),
                          (cfg.get("seed"), "config seed")):
         if value is not None:
-            seed = _as(int, value, where)
+            seed = _integer(value, where)
             if seed < 0:
                 _fail(f"{where}: expected a non-negative int, got {value!r}")
             return seed
@@ -191,7 +190,7 @@ def _design_pair(cfg: dict, mechs: dict[str, Mechanism]) -> tuple[Mechanism, Mec
 def _replications(cfg: dict, default: int, optional: bool = False) -> int:
     """mc.replications, checked before any work starts: 2..MAX_REPLICATIONS,
     or 0 (no Monte Carlo) when the Monte Carlo run is optional."""
-    r = _as(int, _section(cfg, "mc").get("replications", default), "config mc.replications")
+    r = _integer(_section(cfg, "mc").get("replications", default), "config mc.replications")
     if not (2 <= r <= MAX_REPLICATIONS or optional and r == 0):
         low = "0 or 2" if optional else "2"
         _fail(f"config mc.replications: expected {low}..{MAX_REPLICATIONS}, got {r}")
@@ -199,12 +198,19 @@ def _replications(cfg: dict, default: int, optional: bool = False) -> int:
 
 
 def _check_threads(args) -> None:
-    """Validate --threads, else PEERENC_THREADS. Replication runs in one
-    thread whatever the count, so it changes neither output nor speed."""
+    """Validate --threads, else PEERENC_THREADS; both are text. Replication
+    runs in one thread whatever the count, so it changes neither output nor
+    speed."""
     value, where = args.threads, "--threads"
     if value is None:
         value, where = os.environ.get("PEERENC_THREADS") or None, "PEERENC_THREADS"
-    if value is not None and _as(int, value, where) < 1:
+    if value is None:
+        return
+    try:
+        count = int(value)
+    except ValueError:
+        _fail(f"{where}: expected an integer, got {value!r}")
+    if count < 1:
         _fail(f"{where}: expected a thread count of at least 1, got {value!r}")
 
 
@@ -242,7 +248,10 @@ def cmd_generate(args) -> int:
     cfg = _load_json(args.config)
     seed = _resolve_seed(args.seed, cfg, "dgp")
     dgp = _parse_dgp(cfg)
-    out = args.out or _section(cfg, "output").get("path") or "population.json"
+    path = _section(cfg, "output").get("path")
+    if path is not None and not isinstance(path, str):
+        _fail(f"config output.path: expected a string, got {path!r}")
+    out = args.out or path or "population.json"
     _check_output(out, "--out" if args.out else "config output.path")
     pop = build_population(dgp, _streams.stream(seed, _DGP_STREAM))
     report = validate(pop)
@@ -282,7 +291,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed, cfg, "design")
     r = _replications(cfg, 1000)
     pop = load_population(args.pop)
-    k = _as(int, design_section.get("k", pop.n_blocks // 2), "config design.k")
+    k = _integer(design_section.get("k", pop.n_blocks // 2), "config design.k")
     dcfg = DesignConfig(mech_a=mech_a, mech_b=mech_b, k=k, seed=seed)
     if args.dump_data:
         with _writing(args.dump_data):
@@ -305,7 +314,7 @@ def cmd_verify(args) -> int:
     r = _replications(cfg, 0, optional=True)
     k = design_section.get("k")
     if k is not None:
-        k = _as(int, k, "config design.k")
+        k = _integer(k, "config design.k")
     pop = load_population(args.pop)
     report = verify_theorems(pop, mech_a, mech_b, replications=r, seed=seed, k=k)
     if args.format == "text":

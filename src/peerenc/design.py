@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _streams
-from .errors import AllBlocksUndefined, InvalidData, InvalidDesign
-from .mechanisms import Mechanism, assignment_probs, enumerate_assignments, \
-    mechanisms_identical
-from .population import Population, pack_rows
+from .errors import InvalidData, InvalidDesign
+from .mechanisms import Mechanism, mechanisms_identical
+from .population import Population
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
 
@@ -67,14 +66,13 @@ class ExperimentData:
 
     sizes: np.ndarray  # (B,) block sizes
     s: np.ndarray  # (B,) 1 where the block got mechanism A
-    block_id: np.ndarray  # (N,) owning block per individual
     z: np.ndarray  # (N,) realized encouragements
     d: np.ndarray  # (N,) realized treatments
     y: np.ndarray  # (N,) realized outcomes
     p_enc: np.ndarray  # (N,) design P(Z=1) under the block's assigned mechanism
 
     def __post_init__(self):
-        for arr in (self.sizes, self.s, self.block_id, self.z, self.d, self.y, self.p_enc):
+        for arr in (self.sizes, self.s, self.z, self.d, self.y, self.p_enc):
             arr.setflags(write=False)
 
     @property
@@ -86,9 +84,6 @@ class ExperimentData:
         out = np.concatenate(([0], np.cumsum(self.sizes)))
         out.setflags(write=False)
         return out
-
-    def block_slice(self, i: int) -> slice:
-        return slice(int(self.starts[i]), int(self.starts[i + 1]))
 
     def to_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
@@ -134,15 +129,12 @@ class ExperimentData:
         z = np.array([r[3] for r in rows], dtype=np.int8)
         d = np.array([r[4] for r in rows], dtype=np.int8)
         y = np.array([r[5] for r in rows], dtype=float)
-        block_id = np.array([r[0] for r in rows], dtype=int)
         p_enc = np.empty(len(rows))
         starts = np.concatenate(([0], np.cumsum(sizes)))
         for i in range(n_blocks):
             mech = mech_a if s[i] == 1 else mech_b
             p_enc[starts[i]:starts[i + 1]] = mech.marginals(int(sizes[i]))
-        return ExperimentData(
-            sizes=sizes, s=s, block_id=block_id, z=z, d=d, y=y, p_enc=p_enc
-        )
+        return ExperimentData(sizes=sizes, s=s, z=z, d=d, y=y, p_enc=p_enc)
 
 
 def _read_csv_rows(path) -> list[tuple]:
@@ -210,75 +202,11 @@ def draw_replicates(pop: Population, cfg: DesignConfig, first: int, count: int) 
                      _unit_marginals(cfg.mech_b, pop.sizes))
     z = (uniforms < p_enc).astype(np.int8)
     d = np.where(z == 1, pop.d1, pop.d0).astype(np.int8)
-    return ExperimentData(sizes=sizes, s=s, block_id=np.repeat(np.arange(b), sizes),
-                          z=z, d=d, y=pop.outcomes(d, z), p_enc=p_enc)
+    return ExperimentData(sizes=sizes, s=s, z=z, d=d, y=pop.outcomes(d, z), p_enc=p_enc)
 
 
 def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> ExperimentData:
     """Execute the protocol once: row ``replicate`` of ``draw_replicates``."""
     batch = draw_replicates(pop, cfg, replicate, 1)
-    return ExperimentData(sizes=batch.sizes, s=batch.s[0], block_id=batch.block_id,
-                          z=batch.z[0], d=batch.d[0], y=batch.y[0], p_enc=batch.p_enc[0])
-
-
-@dataclass(frozen=True)
-class FrequencyReport:
-    """Empirical assignment-vector frequencies for one mechanism arm."""
-
-    mechanism: str
-    runs: int
-    counts: dict[tuple[int, ...], int]
-    expected: dict[tuple[int, ...], float]
-    chi_square: float
-    dof: int
-
-    @property
-    def frequencies(self) -> dict[tuple[int, ...], float]:
-        return {k: v / self.runs for k, v in self.counts.items()}
-
-
-def design_prob_check(
-    cfg: DesignConfig, pop: Population, replications: int, block: int = 0
-) -> tuple[FrequencyReport, FrequencyReport]:
-    """Compare one block's realized encouragement-vector frequencies against
-    the exact product law, conditioning on the mechanism the block received.
-
-    Each replicate's arm flag and draw are read from draw_replicates, so
-    this checks the real protocol. The block must be small enough (n <= 6) for
-    the exact comparison to have adequately filled cells.
-    """
-    n = pop.sizes[block]
-    if n > 6:
-        raise InvalidDesign(f"exact frequency check needs a small block (n <= 6), got {n}")
-    validate_design(cfg, pop)
-    members = slice(int(pop.starts[block]), int(pop.starts[block + 1]))
-    counts = np.zeros((2, 2**n), dtype=np.int64)  # arm b, arm a
-    step = batch_size(pop)
-    for first in range(0, replications, step):
-        data = draw_replicates(pop, cfg, first, min(step, replications - first))
-        np.add.at(counts, (data.s[:, block], pack_rows(data.z[:, members])), 1)
-    vectors = [tuple(int(x) for x in row) for row in enumerate_assignments(n)]
-
-    reports = []
-    for arm, mech in ((1, cfg.mech_a), (0, cfg.mech_b)):
-        probs = assignment_probs(mech, n)
-        expected = {vec: float(p) for vec, p in zip(vectors, probs)}
-        observed = dict(zip(vectors, counts[arm].tolist()))
-        total = int(counts[arm].sum())
-        if total == 0:
-            raise AllBlocksUndefined(f"block {block} never received mechanism {mech.name!r}")
-        stat = sum(
-            (observed[vec] - total * expected[vec]) ** 2 / (total * expected[vec])
-            for vec in vectors
-        )
-        reports.append(
-            FrequencyReport(
-                mechanism=mech.name,
-                runs=total,
-                counts=observed,
-                expected=expected,
-                chi_square=float(stat),
-                dof=len(vectors) - 1,
-            )
-        )
-    return tuple(reports)
+    return ExperimentData(sizes=batch.sizes, s=batch.s[0], z=batch.z[0], d=batch.d[0],
+                          y=batch.y[0], p_enc=batch.p_enc[0])

@@ -59,11 +59,6 @@ class AllBlocksUndefined(PeerEncError):
     """Every block was excluded from a ratio estimator, leaving no data."""
 
 
-class ZeroEncouragementEffectEstimate(PeerEncError):
-    """The estimated encouragement effect is numerically zero, so plug-in
-    ratio estimators are undefined for this realization."""
-
-
 class InvalidData(PeerEncError, ValueError):
     """Realized experiment data are malformed or inconsistent with one run
     of the design."""

@@ -46,9 +46,9 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def identity_ok(lhs: float, rhs: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
+def identity_ok(lhs: float, rhs: float) -> bool:
     scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) <= max(abs_, rel * scale)
+    return abs(lhs - rhs) <= max(ABS_TOL, REL_TOL * scale)
 
 
 def _block_means(pop: Population, values: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -78,17 +78,15 @@ class _MemberAverages:
         return _block_means(self.pop, self.local[d], members)
 
     def members(self, stratum: ComplianceType | None = None, local: bool = False,
-                allow_exclusion_violation: bool = False, only=None) -> np.ndarray:
-        """Mask of the individuals an average covers: a stratum, or individual
-        ``only`` = (i, j). Raises for the first block, and its first member,
-        where the average is undefined: an empty stratum, a table block beyond
-        the enumeration cap, or (local only) an encouragement-keyed table,
-        unless allowed and within the cap."""
+                allow_exclusion_violation: bool = False) -> np.ndarray:
+        """Mask of the individuals in a stratum (everyone for None). Raises
+        for the first block, and its first member, where the average is
+        undefined: an empty stratum, a table block beyond the enumeration
+        cap, or (local only) an encouragement-keyed table, unless allowed and
+        within the cap."""
         pop = self.pop
         firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
         members = pop.in_stratum(stratum)
-        if only is not None:
-            members = np.arange(members.size) == firsts[only[0]] + range(sizes[only[0]])[only[1]]
         n = np.repeat(sizes, sizes)
         bad = members & np.where(local & pop.z_dependent,
                                  (not allow_exclusion_violation) | (n > self.cap),
@@ -141,48 +139,6 @@ def _member_averages(pop: Population, mech: Mechanism, cap: int) -> _MemberAvera
         itt[:, block] = np.where(table, vals[:2], itt[:, block])
         local[:, block] = np.where(table, vals[2:], local[:, block])
     return _MemberAverages(pop=pop, cap=cap, itt=itt, local=local)
-
-
-def ybar_indiv_itt(
-    pop: Population,
-    i: int,
-    j: int,
-    z: int,
-    mech: Mechanism,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
-    """Average potential outcome with own encouragement pinned at z and the
-    peers' encouragements averaged under the mechanism.
-
-    Everyone (self included) takes the treatment induced by their
-    encouragement; encouragement-keyed tables are honored, so this average is
-    well-defined with or without the exclusion restriction.
-    """
-    avg = _member_averages(pop, mech, cap)
-    return float(avg.itt[z][avg.members(only=(i, j))][0])
-
-
-def ybar_indiv_local(
-    pop: Population,
-    i: int,
-    j: int,
-    d: int,
-    mech: Mechanism,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    allow_exclusion_violation: bool = False,
-) -> float:
-    """Average potential outcome with own treatment pinned at d while peers
-    take their natural (encouragement-induced) treatments under the mechanism.
-
-    Defined for encouragement-free outcomes. For encouragement-keyed tables
-    the quantity has no canonical definition; with
-    ``allow_exclusion_violation`` the own encouragement is averaged under the
-    mechanism as well (this reduces exactly to the standard definition when
-    the table happens not to vary in the encouragements), otherwise
-    ExclusionViolated is raised.
-    """
-    avg = _member_averages(pop, mech, cap)
-    return float(avg.local[d][avg.members(None, True, allow_exclusion_violation, (i, j))][0])
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._report import JsonReport
 from .design import ExperimentData
-from .errors import AllBlocksUndefined, EmptyArm, ZeroEncouragementEffectEstimate
+from .errors import AllBlocksUndefined, EmptyArm
 
 ET_ZERO_TOL = 1e-12
 
@@ -68,8 +68,6 @@ def _block_stats(data: ExperimentData) -> _BlockStats:
 
 
 def _arm_mean(stats: _BlockStats, z: int, arm: str):
-    if arm not in ("a", "b"):
-        raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
     blocks = stats.by_arm[z, ..., :stats.k] if arm == "a" else stats.by_arm[z, ..., stats.k:]
     if blocks.shape[-1] == 0:
         raise EmptyArm(f"no blocks in arm {arm!r}")
@@ -84,91 +82,12 @@ def _pooled_uptake(stats: _BlockStats):
         return np.where(defined, stats.uptake, 0.0).sum(axis=-1) / defined.sum(axis=-1)
 
 
-def yhat_block(data: ExperimentData, i: int, z: int) -> float:
-    """Inverse-probability block mean of the outcome at encouragement value z."""
-    return float(_block_stats(data).means[z, i])
-
-
-def yhat_pop(data: ExperimentData, z: int, arm: str) -> float:
-    """Mean of yhat_block over the blocks assigned to the given arm ("a"/"b")."""
-    return float(_arm_mean(_block_stats(data), z, arm))
-
-
 def _ditt(stats: _BlockStats, arm: str):
     return _arm_mean(stats, 1, arm) - _arm_mean(stats, 0, arm)
 
 
 def _pitt(stats: _BlockStats, z: int):
     return _arm_mean(stats, z, "a") - _arm_mean(stats, z, "b")
-
-
-def ditt_hat(data: ExperimentData, arm: str = "a") -> float:
-    """Within-arm contrast of encouraged vs unencouraged outcome means."""
-    return float(_ditt(_block_stats(data), arm))
-
-
-def pitt_hat(data: ExperimentData, z: int) -> float:
-    """Across-arm contrast of outcome means at a fixed encouragement value."""
-    return float(_pitt(_block_stats(data), z))
-
-
-@dataclass(frozen=True)
-class EtEstimate:
-    value: float
-    per_block: tuple[float, ...]  # NaN where undefined
-    dropped: tuple[tuple[int, str], ...]
-
-    @property
-    def n_defined(self) -> int:
-        return len(self.per_block) - len(self.dropped)
-
-
-def _et(stats: _BlockStats) -> EtEstimate:
-    dropped = np.flatnonzero(stats.missing >= 0)
-    if dropped.size == stats.uptake.size:
-        raise AllBlocksUndefined("every block lacks one encouragement value")
-    return EtEstimate(
-        value=float(_pooled_uptake(stats)),
-        per_block=tuple(stats.uptake.tolist()),
-        dropped=tuple((i, f"no units with Z={m}")
-                      for i, m in zip(dropped.tolist(), stats.missing[dropped].tolist())),
-    )
-
-
-def et_hat(data: ExperimentData) -> EtEstimate:
-    """Per-block ratio-of-means uptake contrast, pooled across all blocks.
-
-    A block where either encouragement value was never realized has no
-    defined contrast; it is excluded from the population mean and reported.
-    """
-    return _et(_block_stats(data))
-
-
-def _checked_et(stats: _BlockStats) -> float:
-    value = _et(stats).value
-    if abs(value) < ET_ZERO_TOL:
-        raise ZeroEncouragementEffectEstimate(
-            f"estimated uptake effect {value!r} is numerically zero"
-        )
-    return value
-
-
-def ldt_hat(data: ExperimentData, arm: str = "a") -> float:
-    """Plug-in ratio estimator of the complier local direct effect."""
-    stats = _block_stats(data)
-    return float(_ditt(stats, arm)) / _checked_et(stats)
-
-
-def lpt_diff_hat(data: ExperimentData) -> float:
-    """Plug-in ratio estimator of the complier local peer effect difference."""
-    stats = _block_stats(data)
-    return float(_pitt(stats, 1) - _pitt(stats, 0)) / _checked_et(stats)
-
-
-def lpt0_hat(data: ExperimentData) -> float:
-    """Plug-in estimator of the everyone local peer effect at d=0 under
-    one-sided compliance (no ratio involved)."""
-    return pitt_hat(data, 0)
 
 
 def _estimates(stats: _BlockStats) -> dict[str, np.ndarray]:
@@ -248,18 +167,23 @@ def estimate_report(data: ExperimentData) -> EstimateReport:
 
     The uptake-effect denominator pools all blocks with a defined contrast,
     across both arms (the exact uptake effect is mechanism-free, so both arms
-    estimate the same quantity); the pooling is recorded in the notes.
+    estimate the same quantity); the pooling is recorded in the notes. Blocks
+    without a defined contrast are listed; if no block has one, this raises
+    AllBlocksUndefined.
     """
     stats = _block_stats(data)
-    uptake = _et(stats)
+    dropped = np.flatnonzero(stats.missing >= 0)
+    if dropped.size == stats.uptake.size:
+        raise AllBlocksUndefined("every block lacks one encouragement value")
     values = {name: float(v) for name, v in _estimates(stats).items()}
     notes = ["et_hat pools defined blocks from both mechanism arms"]
-    if abs(uptake.value) < ET_ZERO_TOL:
+    if abs(values["et_hat"]) < ET_ZERO_TOL:
         values["ldt_hat"] = values["lpt_diff_hat"] = None
         notes.append("uptake estimate is zero; ratio estimators undefined")
     return EstimateReport(
         **values,
         arm_sizes=(int(np.sum(data.s == 1)), int(np.sum(data.s == 0))),
-        et_blocks_dropped=uptake.dropped,
+        et_blocks_dropped=tuple((i, f"no units with Z={m}")
+                                for i, m in zip(dropped.tolist(), stats.missing[dropped].tolist())),
         notes=tuple(notes),
     )

@@ -47,11 +47,6 @@ class Mechanism:
                     f"mechanism {self.name!r}: probability {p!r} outside (0, 1)"
                 )
 
-    @property
-    def arity(self) -> int | None:
-        """Fixed block size this mechanism applies to, or None for scalar."""
-        return None if isinstance(self.probs, float) else len(self.probs)
-
     def marginals(self, n: int) -> np.ndarray:
         """Per-individual encouragement probabilities for a block of size n."""
         if isinstance(self.probs, float):
@@ -84,21 +79,6 @@ def enumerate_assignments(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndar
     if n > cap:
         raise EnumerationTooLarge(f"2^{n} assignment vectors exceed cap 2^{cap}")
     return _assignment_matrix(n)
-
-
-def mech_prob(mech: Mechanism, z) -> float:
-    """Probability of one assignment vector under the mechanism's product law."""
-    z = np.asarray(z)
-    if z.ndim != 1 or z.size < 1:
-        raise ArityMismatch(f"assignment vector must be 1-d and nonempty, got shape {z.shape}")
-    if not np.isin(z, (0, 1)).all():
-        raise ValueError("assignment vector entries must be 0 or 1")
-    p = mech.marginals(z.size)
-    # fixed left-to-right order keeps the product bit-stable
-    prob = 1.0
-    for pj, zj in zip(p, z):
-        prob *= pj if zj else 1.0 - pj
-    return prob
 
 
 def assignment_probs(mech: Mechanism, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:

@@ -61,12 +61,6 @@ _PT_BY_STRATUM = {
     ComplianceType.NEVER_TAKER: (0, 0),
     ComplianceType.DEFIER: (1, 0),
 }
-_STRATUM_BY_PT = {pt: ct for ct, pt in _PT_BY_STRATUM.items()}
-
-
-def classify(d0: int, d1: int) -> ComplianceType:
-    """Compliance stratum of the potential treatments (d0, d1)."""
-    return _STRATUM_BY_PT[(int(d0), int(d1))]
 
 
 # A structural outcome's coefficients, in the order of ``Population.coef``'s
@@ -235,27 +229,6 @@ def _check_tables(i: int, table, structural, z_dependent) -> None:
     plain = table[~structural & ~z_dependent]
     if (plain != plain[:, :, :1]).any():
         raise ValueError(f"block {i}: a table that is not encouragement-keyed varies with z")
-
-
-def outcome(pop: Population, i: int, j: int, d_vec, z_vec=None) -> float:
-    """Potential outcome of individual (i, j) under a block treatment vector.
-
-    ``z_vec`` is consulted only by encouragement-keyed tables; for every
-    exclusion-compliant individual the result is independent of it.
-    """
-    i = range(pop.n_blocks)[i]
-    n = pop.sizes[i]
-    if len(d_vec) != n:
-        raise ArityMismatch(f"treatment vector length {len(d_vec)} != block size {n}")
-    j = range(n)[j]
-    u = pop.starts[i] + j
-    if pop.structural[u]:
-        own = int(d_vec[j])
-        return float(structural_value(pop.coef[:, u], own, int(np.sum(d_vec)) - own))
-    if pop.z_dependent[u] and (z_vec is None or len(z_vec) != n):
-        raise ArityMismatch(f"encouragement-keyed table needs a length-{n} encouragement vector")
-    z_row = pack_rows(z_vec) if pop.z_dependent[u] else 0
-    return float(pop.table_values(i, pack_rows(d_vec), z_row)[j, 0])
 
 
 @dataclass(frozen=True)

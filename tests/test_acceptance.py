@@ -21,7 +21,7 @@ from peerenc.estimands import (
     theorem_2_check,
     theorem_3_check,
 )
-from peerenc.estimators import et_hat, ldt_hat
+from peerenc.estimators import estimate_report
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import ESTIMATOR_NAMES, exact_targets, replicate, replicate_values
 from peerenc.population import (
@@ -49,7 +49,7 @@ def announce(capsys):
 def _campaign_features(pop, mech_a):
     has_table = bool((~pop.structural).any())
     has_structural = bool(pop.structural.any())
-    vector_mech = mech_a.arity is not None
+    vector_mech = not isinstance(mech_a.probs, float)
     return has_table, has_structural, vector_mech
 
 
@@ -239,8 +239,9 @@ def test_criterion_06_no_interference_reduction(announce):
     worst_match = 0.0
     for r in range(200):
         data = run_design(pop, dcfg, replicate=r)
-        assert et_hat(data).value == 1.0  # compliers: uptake contrast is exact
-        plug_in = ldt_hat(data)
+        report = estimate_report(data)
+        assert report.et_hat == 1.0  # compliers: uptake contrast is exact
+        plug_in = report.ldt_hat
         arm_units = np.concatenate(
             [np.arange(data.starts[i], data.starts[i + 1])
              for i in range(data.n_blocks) if data.s[i] == 1]

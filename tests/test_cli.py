@@ -295,23 +295,33 @@ def test_population_shape_is_a_one_line_error(tmp_path, capsys, edit):
 @pytest.mark.parametrize("command, overrides, extra, env, field", [
     ("generate", {"dgp": {"blocks": 2.7}}, [], {}, "dgp.blocks"),
     ("generate", {"dgp": {"block_size": 2.7}}, [], {}, "dgp.block_size"),
+    ("generate", {"dgp": {"block_size": []}}, [], {}, "config dgp.block_size"),
+    ("generate", {"dgp": {"block_size": [3]}}, [], {}, "config dgp.block_size"),
+    ("generate", {"dgp": {"block_size": [2, 3, 4]}}, [], {}, "config dgp.block_size"),
+    ("generate", {"dgp": {"blocks": "4"}}, [], {}, "dgp.blocks"),
+    ("generate", {"dgp": {"blocks": " 4 "}}, [], {}, "dgp.blocks"),
+    ("generate", {"seed": "1"}, [], {}, "config seed"),
     ("generate", {"seed": "x"}, [], {}, "config seed"),
     ("generate", {"seed": -1}, [], {}, "config seed"),
     ("simulate", {"design": {"seed": "x"}}, [], {}, "design.seed"),
     ("simulate", {"mc": {"replications": "many"}}, [], {}, "mc.replications"),
+    ("simulate", {"mc": {"replications": "4"}}, [], {}, "mc.replications"),
     ("simulate", {"mc": {"replications": 2.5}}, [], {}, "mc.replications"),
     ("simulate", {"mc": {"replications": 10**15}}, [], {}, "mc.replications"),
     ("verify", {"mc": {"replications": -1}}, [], {}, "mc.replications"),
     ("simulate", {"design": {"k": "two"}}, [], {}, "design.k"),
     ("simulate", {"design": {"k": True}}, [], {}, "design.k"),
+    ("simulate", {"design": {"k": "2"}}, [], {}, "design.k"),
     ("verify", {"design": {"k": "two"}}, [], {}, "design.k"),
     ("simulate", {}, [], {"PEERENC_THREADS": "abc"}, "PEERENC_THREADS"),
     ("simulate", {}, [], {"PEERENC_THREADS": "0"}, "PEERENC_THREADS"),
     ("simulate", {}, ["--threads", "0"], {}, "--threads"),
     ("verify", {}, ["--threads", "-2"], {}, "--threads"),
-], ids=["blocks-2.7", "block-size-2.7", "seed-x", "seed-negative", "design-seed-x",
-        "replications-many", "replications-2.5", "replications-1e15",
-        "verify-replications-negative", "k-two", "k-true", "verify-k-two",
+], ids=["blocks-2.7", "block-size-2.7", "block-size-empty", "block-size-one",
+        "block-size-three", "blocks-string", "blocks-padded-string", "seed-string", "seed-x",
+        "seed-negative", "design-seed-x", "replications-many", "replications-string",
+        "replications-2.5", "replications-1e15", "verify-replications-negative", "k-two",
+        "k-true", "k-string", "verify-k-two",
         "threads-env-abc", "threads-env-0", "threads-0", "verify-threads-negative"])
 def test_integer_fields_are_one_line_errors(tmp_path, capsys, monkeypatch,
                                             command, overrides, extra, env, field):
@@ -371,8 +381,9 @@ def test_dgp_fields_take_finite_numbers_and_booleans(tmp_path, capsys, dgp, fiel
     ("estimands", {"design": [1]}, "config design"),
     ("simulate", {"mc": [1]}, "config mc"),
     ("estimands", {"design": {"mech_a": ["a"]}}, "design.mech_a"),
+    ("generate", {"output": {"path": 5}}, "config output.path"),
 ], ids=["top-level-list", "mechanisms-not-objects", "mechanism-name-list", "dgp-list",
-        "outcome-list", "design-list", "mc-list", "mech-a-list"])
+        "outcome-list", "design-list", "mc-list", "mech-a-list", "output-path-number"])
 def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys,
                                                                command, text, field):
     pop_path = tmp_path / "pop.json"

@@ -4,12 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from peerenc.design import DesignConfig, ExperimentData, design_prob_check, run_design
+from peerenc.design import DesignConfig, ExperimentData, batch_size, draw_replicates, \
+    run_design
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
-from peerenc.estimands import ybar_indiv_itt, ybar_indiv_local
-from peerenc.mechanisms import Mechanism
-from peerenc.population import convert_to_tables, population_from_dict, population_to_dict, \
-    structural_value
+from peerenc.estimands import _member_averages
+from peerenc.mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, assignment_probs
+from peerenc.population import convert_to_tables, pack_rows, population_from_dict, \
+    population_to_dict, structural_value
 from conftest import make_population, person, population, structural, table
 from fuzz import varying_effect_monotone
 from oracles import oracle_outcome, oracle_ybar_itt, oracle_ybar_local
@@ -21,6 +22,10 @@ PSI = Mechanism("psi", 0.2)
 def _cfg(pop, k=None, seed=7, a=PHI, b=PSI):
     return DesignConfig(mech_a=a, mech_b=b, k=k if k is not None else pop.n_blocks // 2,
                         seed=seed)
+
+
+def _block(data, i) -> slice:
+    return slice(int(data.starts[i]), int(data.starts[i + 1]))
 
 
 def test_exactly_k_blocks_in_arm_a():
@@ -68,7 +73,7 @@ def test_realized_outcomes_evaluate_potential_outcomes(rng):
     pop = convert_to_tables(pop)
     data = run_design(pop, _cfg(pop, a=a, b=b), replicate=1)
     for i in range(pop.n_blocks):
-        sl = data.block_slice(i)
+        sl = _block(data, i)
         d_vec = data.d[sl]
         z_vec = data.z[sl]
         for j in range(int(data.sizes[i])):
@@ -91,18 +96,19 @@ def test_mixed_block_matches_oracles(rng):
     assert not (pop.monotone or pop.one_sided or pop.exclusion_ok)
     a, b = Mechanism("a", (0.2, 0.55, 0.8)), Mechanism("b", (0.7, 0.35, 0.15))
     for mech in (a, b):
+        avg = _member_averages(pop, mech, DEFAULT_ENUMERATION_CAP)
         for i in range(2):
             for j in range(3):
+                u = pop.starts[i] + j
                 for v in (0, 1):
-                    assert ybar_indiv_itt(pop, i, j, v, mech) == pytest.approx(
+                    assert avg.itt[v][u] == pytest.approx(
                         oracle_ybar_itt(pop, i, j, v, mech), rel=1e-12, abs=1e-12)
-                    assert ybar_indiv_local(pop, i, j, v, mech, allow_exclusion_violation=True) \
-                        == pytest.approx(oracle_ybar_local(pop, i, j, v, mech),
-                                         rel=1e-12, abs=1e-12)
+                    assert avg.local[v][u] == pytest.approx(
+                        oracle_ybar_local(pop, i, j, v, mech), rel=1e-12, abs=1e-12)
     for r in range(8):
         data = run_design(pop, _cfg(pop, k=1, a=a, b=b), replicate=r)
         for i in range(2):
-            sl = data.block_slice(i)
+            sl = _block(data, i)
             for j in range(3):
                 assert data.y[sl][j] == pytest.approx(
                     oracle_outcome(pop, i, j, data.d[sl], data.z[sl]), rel=1e-12, abs=1e-12)
@@ -115,7 +121,7 @@ def test_realized_structural_outcomes_evaluate_value_exactly(rng):
     for r in range(5):
         data = run_design(pop, _cfg(pop), replicate=r)
         for i in range(pop.n_blocks):
-            sl = data.block_slice(i)
+            sl = _block(data, i)
             k_total = int(data.d[sl].sum())
             for j, u in enumerate(range(pop.starts[i], pop.starts[i + 1])):
                 d_j = int(data.d[sl][j])
@@ -136,7 +142,7 @@ def test_reproducible_bit_identical(rng):
     cfg = _cfg(pop, a=a, b=b, seed=123)
     d1 = run_design(pop, cfg, replicate=5)
     d2 = run_design(pop, cfg, replicate=5)
-    for name in ("sizes", "s", "block_id", "z", "d", "y", "p_enc"):
+    for name in ("sizes", "s", "z", "d", "y", "p_enc"):
         assert np.array_equal(getattr(d1, name), getattr(d2, name))
     d3 = run_design(pop, cfg, replicate=6)
     assert not np.array_equal(d1.z, d3.z)
@@ -177,7 +183,7 @@ def test_encouragement_rate_matches_mechanism():
     for r in range(30):
         data = run_design(pop, cfg, replicate=r)
         for i in range(pop.n_blocks):
-            sl = data.block_slice(i)
+            sl = _block(data, i)
             (z_a if data.s[i] == 1 else z_b).append(np.asarray(data.z[sl]))
     for bits, p in ((np.concatenate(z_a), 0.8), (np.concatenate(z_b), 0.2)):
         se = math.sqrt(p * (1 - p) / bits.size)
@@ -201,36 +207,41 @@ def test_encouragements_ignore_potential_outcomes(rng):
         assert np.array_equal(original.s, shuffled.s)
 
 
+def _vector_counts(pop, cfg, replications, block=0) -> np.ndarray:
+    """How often each encouragement vector of one block was drawn, by the arm
+    the block received: row 1 counts arm A, row 0 arm B; column r is the
+    bit-packed vector r, in the order of ``assignment_probs``."""
+    members = slice(int(pop.starts[block]), int(pop.starts[block + 1]))
+    counts = np.zeros((2, 2 ** pop.sizes[block]), dtype=np.int64)
+    step = batch_size(pop)
+    for first in range(0, replications, step):
+        data = draw_replicates(pop, cfg, first, min(step, replications - first))
+        np.add.at(counts, (data.s[:, block], pack_rows(data.z[:, members])), 1)
+    return counts
+
+
 def test_design_prob_check_fair_coin():
     pop = make_population([["co", "nt"], ["co", "at"]], direct=1.0)
     cfg = DesignConfig(mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.35),
                        k=1, seed=5)
-    rep_a, rep_b = design_prob_check(cfg, pop, replications=20_000, block=0)
-    assert rep_a.runs + rep_b.runs == 20_000
-    for rep, probs in ((rep_a, (0.25, 0.25, 0.25, 0.25)),):
-        for vec, expected in zip(sorted(rep.expected), probs):
-            freq = rep.counts[vec] / rep.runs
-            se = math.sqrt(expected * (1 - expected) / rep.runs)
-            assert abs(freq - expected) <= 3 * se
-    assert sum(rep_a.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
-    assert rep_a.dof == 3
-    assert math.isfinite(rep_a.chi_square)
+    counts = _vector_counts(pop, cfg, replications=20_000)
+    assert counts.sum() == 20_000
+    runs = int(counts[1].sum())
+    expected = assignment_probs(cfg.mech_a, 2)
+    assert expected.tolist() == [0.25, 0.25, 0.25, 0.25]
+    for observed, p in zip(counts[1], expected):
+        se = math.sqrt(p * (1 - p) / runs)
+        assert abs(observed / runs - p) <= 3 * se
 
 
 def test_design_prob_check_single_individual():
     pop = make_population([["co"], ["co"]], direct=1.0)
     cfg = DesignConfig(mech_a=Mechanism("a", 0.3), mech_b=Mechanism("b", 0.6), k=1, seed=9)
-    rep_a, _ = design_prob_check(cfg, pop, replications=10_000, block=0)
-    freq1 = rep_a.counts[(1,)] / rep_a.runs
-    se = math.sqrt(0.3 * 0.7 / rep_a.runs)
-    assert abs(freq1 - 0.3) <= 3 * se
-
-
-def test_design_prob_check_block_size_guard():
-    pop = make_population([["co"] * 7, ["co"] * 7])
-    cfg = _cfg(pop, k=1)
-    with pytest.raises(InvalidDesign):
-        design_prob_check(cfg, pop, replications=10, block=0)
+    counts = _vector_counts(pop, cfg, replications=10_000)
+    runs = int(counts[1].sum())
+    assert assignment_probs(cfg.mech_a, 1)[1] == 0.3
+    se = math.sqrt(0.3 * 0.7 / runs)
+    assert abs(counts[1, 1] / runs - 0.3) <= 3 * se
 
 
 def test_csv_round_trip(tmp_path, rng):
@@ -239,7 +250,7 @@ def test_csv_round_trip(tmp_path, rng):
     path = tmp_path / "data.csv"
     data.to_csv(path)
     loaded = ExperimentData.from_csv(path, a, b)
-    for name in ("sizes", "s", "block_id", "z", "d", "p_enc"):
+    for name in ("sizes", "s", "z", "d", "p_enc"):
         assert np.array_equal(getattr(data, name), getattr(loaded, name)), name
     assert np.array_equal(data.y, loaded.y)  # repr round-trips floats exactly
 

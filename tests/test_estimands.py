@@ -1,4 +1,4 @@
-import math
+import json
 
 import numpy as np
 import pytest
@@ -20,11 +20,10 @@ from peerenc.estimands import (
     theorem_1_check,
     theorem_2_check,
     theorem_3_check,
-    ybar_indiv_itt,
-    ybar_indiv_local,
+    _member_averages,
 )
-from peerenc.mechanisms import Mechanism
-from peerenc.population import ComplianceType, convert_to_tables, outcome
+from peerenc.mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism
+from peerenc.population import ComplianceType, convert_to_tables
 from conftest import make_individual, make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
@@ -40,6 +39,20 @@ from oracles import (
 
 PHI = Mechanism("phi", 0.7)
 PSI = Mechanism("psi", 0.3)
+
+
+def averages(pop, mech):
+    """The exact kernel's per-individual averages under mech, indexed by
+    (block, member): ``itt(i, j, z)`` and ``local(i, j, d)``."""
+    avg = _member_averages(pop, mech, DEFAULT_ENUMERATION_CAP)
+
+    def itt(i, j, z):
+        return float(avg.itt[z][pop.starts[i] + j])
+
+    def local(i, j, d):
+        return float(avg.local[d][pop.starts[i] + j])
+
+    return itt, local
 
 
 def test_poisson_binomial_matches_binomial():
@@ -64,14 +77,15 @@ def test_moment_kernel_matches_convolution_on_large_blocks():
         mechs = [Mechanism(f"v{n}_{k}", tuple(rng.uniform(0.05, 0.95, size=n)))
                  for k in range(2)]
         for mech in mechs:
+            itt, local = averages(pop, mech)
             for i, n_i in enumerate(pop.sizes):
                 for j in range(n_i):
                     for v in (0, 1):
                         own_d = int((pop.d1 if v else pop.d0)[pop.starts[i] + j])
-                        assert ybar_indiv_itt(pop, i, j, v, mech) == pytest.approx(
+                        assert itt(i, j, v) == pytest.approx(
                             convolution_ybar_local(pop, i, j, own_d, mech), abs=1e-12
                         )
-                        assert ybar_indiv_local(pop, i, j, v, mech) == pytest.approx(
+                        assert local(i, j, v) == pytest.approx(
                             convolution_ybar_local(pop, i, j, v, mech), abs=1e-12
                         )
 
@@ -92,11 +106,12 @@ def _three_person_table_block():
 def test_ybar_itt_three_person_table_hand_sum():
     pop = _three_person_table_block()
     half = Mechanism("half", 0.5)
+    itt, _ = averages(pop, half)
     # own encouraged: d0=1, peer complier ~ Bernoulli(1/2), never-taker fixed 0:
     # four equally likely peer assignments, values (1, 1, 16, 16)
-    assert ybar_indiv_itt(pop, 0, 0, 1, half) == pytest.approx(8.5, abs=1e-12)
-    assert ybar_indiv_itt(pop, 0, 0, 0, half) == pytest.approx(5.0, abs=1e-12)
-    assert ybar_indiv_itt(pop, 0, 0, 1, half) == pytest.approx(
+    assert itt(0, 0, 1) == pytest.approx(8.5, abs=1e-12)
+    assert itt(0, 0, 0) == pytest.approx(5.0, abs=1e-12)
+    assert itt(0, 0, 1) == pytest.approx(
         oracle_ybar_itt(pop, 0, 0, 1, half), abs=1e-12
     )
 
@@ -104,27 +119,31 @@ def test_ybar_itt_three_person_table_hand_sum():
 def test_ybar_local_three_person_table_hand_sum():
     pop = _three_person_table_block()
     p03 = Mechanism("m", 0.3)
+    _, local = averages(pop, p03)
     # own treatment pinned to 1, complier peer treated w.p. 0.3: 1 + 15*0.3
-    assert ybar_indiv_local(pop, 0, 0, 1, p03) == pytest.approx(5.5, abs=1e-12)
-    assert ybar_indiv_local(pop, 0, 0, 1, p03) == pytest.approx(
+    assert local(0, 0, 1) == pytest.approx(5.5, abs=1e-12)
+    assert local(0, 0, 1) == pytest.approx(
         oracle_ybar_local(pop, 0, 0, 1, p03), abs=1e-12
     )
 
 
 def test_ybar_singleton_block_equals_raw_potential_outcome():
     pop = make_population([["co"], ["nt"]], direct=2.0, intercept=1.0)
-    assert ybar_indiv_itt(pop, 0, 0, 1, PHI) == pytest.approx(3.0, abs=0)
-    assert ybar_indiv_itt(pop, 0, 0, 0, PHI) == pytest.approx(1.0, abs=0)
-    assert ybar_indiv_itt(pop, 1, 0, 1, PHI) == pytest.approx(1.0, abs=0)
-    assert ybar_indiv_local(pop, 0, 0, 1, PSI) == pytest.approx(3.0, abs=0)
-    assert ybar_indiv_local(pop, 1, 0, 1, PSI) == pytest.approx(3.0, abs=0)
+    itt, _ = averages(pop, PHI)
+    _, local = averages(pop, PSI)
+    assert itt(0, 0, 1) == pytest.approx(3.0, abs=0)
+    assert itt(0, 0, 0) == pytest.approx(1.0, abs=0)
+    assert itt(1, 0, 1) == pytest.approx(1.0, abs=0)
+    assert local(0, 0, 1) == pytest.approx(3.0, abs=0)
+    assert local(1, 0, 1) == pytest.approx(3.0, abs=0)
 
 
 def test_ybar_no_interference_is_mechanism_free():
     pop = make_population([["co", "at", "nt"], ["co", "co"]], direct=1.5, peer=0.0)
+    (itt_phi, _), (itt_psi, _) = averages(pop, PHI), averages(pop, PSI)
     for z in (0, 1):
-        a = ybar_indiv_itt(pop, 0, 0, z, PHI)
-        b = ybar_indiv_itt(pop, 0, 0, z, PSI)
+        a = itt_phi(0, 0, z)
+        b = itt_psi(0, 0, z)
         assert a == pytest.approx(b, abs=1e-14)
         assert a == pytest.approx(1.5 * z, abs=1e-14)
 
@@ -132,22 +151,25 @@ def test_ybar_no_interference_is_mechanism_free():
 def test_ybar_all_never_taker_peers_degenerate():
     pop = make_population([["co", "nt", "nt"], ["co"]], direct=2.0, peer=7.0)
     # peers never treated: the peer coefficient cannot contribute
-    assert ybar_indiv_local(pop, 0, 0, 1, PHI) == pytest.approx(2.0, abs=0)
-    assert ybar_indiv_local(pop, 0, 0, 1, PSI) == pytest.approx(2.0, abs=0)
+    for mech in (PHI, PSI):
+        _, local = averages(pop, mech)
+        assert local(0, 0, 1) == pytest.approx(2.0, abs=0)
 
 
 def test_ybar_oracle_equality_structural_and_table(rng):
     for _ in range(8):
         pop, a, b = varying_effect_monotone(rng, b_range=(2, 3), n_range=(1, 4))
+        kernels = {mech: averages(pop, mech) for mech in (a, b)}
         for i, n in enumerate(pop.sizes):
             for j in range(n):
                 for mech in (a, b):
+                    itt, local = kernels[mech]
                     for z in (0, 1):
-                        assert ybar_indiv_itt(pop, i, j, z, mech) == pytest.approx(
+                        assert itt(i, j, z) == pytest.approx(
                             oracle_ybar_itt(pop, i, j, z, mech), abs=1e-12
                         )
                     for d in (0, 1):
-                        assert ybar_indiv_local(pop, i, j, d, mech) == pytest.approx(
+                        assert local(i, j, d) == pytest.approx(
                             oracle_ybar_local(pop, i, j, d, mech), abs=1e-12
                         )
 
@@ -260,17 +282,19 @@ def test_lpt_empty_stratum():
 def test_exclusion_violating_local_average_guarded():
     z_dep = table([[0.0, 1.0], [2.0, 3.0]])
     pop = population([[person("co", z_dep)], [person("co", structural())]])
-    with pytest.raises(ExclusionViolated):
-        ybar_indiv_local(pop, 0, 0, 1, PHI)
+    with pytest.raises(ExclusionViolated, match="block 0 individual 0"):
+        ldt(pop, 1, 0, PHI)
     # opt-in marginalization stays defined: d pinned to 1, own z ~ Bernoulli(0.7)
-    val = ybar_indiv_local(pop, 0, 0, 1, PHI, allow_exclusion_violation=True)
-    assert val == pytest.approx(0.7 * 3.0 + 0.3 * 2.0, abs=1e-12)
+    _, local = averages(pop, PHI)
+    assert local(0, 0, 1) == pytest.approx(0.7 * 3.0 + 0.3 * 2.0, abs=1e-12)
+    assert ldt(pop, 1, 0, PHI, allow_exclusion_violation=True).per_block[0] == pytest.approx(
+        local(0, 0, 1) - local(0, 0, 0), abs=1e-12)
 
 
 def test_enumeration_cap_enforced():
     pop = _three_person_table_block()
     with pytest.raises(EnumerationTooLarge, match="block 0"):
-        ybar_indiv_itt(pop, 0, 0, 1, Mechanism("m", 0.5), cap=1)
+        ditt(pop, 1, 0, Mechanism("m", 0.5), cap=1)
 
 
 # --------------------------------------------------------------------------
@@ -282,13 +306,12 @@ def test_individual_decomposition_identity(rng):
     """itt contrast = (d1-d0) * local contrast, individual by individual."""
     for _ in range(6):
         pop, a, _ = varying_effect_monotone(rng)
+        itt, local = averages(pop, a)
         for i, n in enumerate(pop.sizes):
             for j in range(n):
                 u = pop.starts[i] + j
-                lhs = ybar_indiv_itt(pop, i, j, 1, a) - ybar_indiv_itt(pop, i, j, 0, a)
-                rhs = (int(pop.d1[u]) - int(pop.d0[u])) * (
-                    ybar_indiv_local(pop, i, j, 1, a) - ybar_indiv_local(pop, i, j, 0, a)
-                )
+                lhs = itt(i, j, 1) - itt(i, j, 0)
+                rhs = (int(pop.d1[u]) - int(pop.d0[u])) * (local(i, j, 1) - local(i, j, 0))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -296,12 +319,13 @@ def test_individual_switching_decomposition(rng):
     """mechanism contrast at z=1 = d1*delta_1 + (1-d1)*delta_0 per individual."""
     for _ in range(6):
         pop, a, b = varying_effect_monotone(rng)
+        (itt_a, local_a), (itt_b, local_b) = averages(pop, a), averages(pop, b)
         for i, n in enumerate(pop.sizes):
             for j in range(n):
-                lhs = ybar_indiv_itt(pop, i, j, 1, a) - ybar_indiv_itt(pop, i, j, 1, b)
+                lhs = itt_a(i, j, 1) - itt_b(i, j, 1)
                 d1 = int(pop.d1[pop.starts[i] + j])
-                delta1 = ybar_indiv_local(pop, i, j, 1, a) - ybar_indiv_local(pop, i, j, 1, b)
-                delta0 = ybar_indiv_local(pop, i, j, 0, a) - ybar_indiv_local(pop, i, j, 0, b)
+                delta1 = local_a(i, j, 1) - local_b(i, j, 1)
+                delta0 = local_a(i, j, 0) - local_b(i, j, 0)
                 assert lhs == pytest.approx(d1 * delta1 + (1 - d1) * delta0, abs=1e-10)
 
 
@@ -455,13 +479,12 @@ def test_estimand_report_dual_encoding_identical(rng):
             assert x == pytest.approx(y, abs=1e-10)
 
 
-def test_estimand_report_serialization(rng, tmp_path):
+def test_estimand_report_serialization(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(1, 3))
     report = compute_estimand_report(pop, a, b)
-    path = tmp_path / "report.json"
-    report.write_json(path)
     again = compute_estimand_report(pop, a, b)
-    assert again.to_json() == path.read_text().rstrip("\n")
+    assert again.to_json() == report.to_json()
+    assert json.loads(report.to_json()) == report.to_dict()
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "estimand,block,value"
     assert any(",population," in line for line in csv_text.splitlines())

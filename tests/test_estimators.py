@@ -1,24 +1,9 @@
 import numpy as np
 import pytest
 
-from peerenc.design import DesignConfig, ExperimentData, run_design
-from peerenc.errors import (
-    AllBlocksUndefined,
-    EmptyArm,
-    ZeroEncouragementEffectEstimate,
-)
-from peerenc.estimators import (
-    ditt_hat,
-    estimate_report,
-    estimator_battery,
-    et_hat,
-    ldt_hat,
-    lpt0_hat,
-    lpt_diff_hat,
-    pitt_hat,
-    yhat_block,
-    yhat_pop,
-)
+from peerenc.design import DesignConfig, ExperimentData, draw_replicates, run_design
+from peerenc.errors import AllBlocksUndefined, EmptyArm
+from peerenc.estimators import estimate_report, estimator_battery
 from peerenc.mechanisms import Mechanism
 from conftest import make_population
 from fuzz import equal_effect_monotone, varying_effect_monotone
@@ -33,7 +18,6 @@ def build_data(sizes, s, z, d, y, p_blocks) -> ExperimentData:
     return ExperimentData(
         sizes=sizes,
         s=np.asarray(s, dtype=np.int8),
-        block_id=np.repeat(np.arange(sizes.size), sizes),
         z=np.asarray(z, dtype=np.int8),
         d=np.asarray(d, dtype=np.int8),
         y=np.asarray(y, dtype=float),
@@ -47,8 +31,13 @@ def test_yhat_block_constant_outcomes_balanced_draw():
         sizes=[4, 1], s=[1, 0],
         z=[1, 1, 0, 0, 1], d=[1, 1, 0, 0, 1], y=[c] * 5, p_blocks=[0.5, 0.5],
     )
-    assert yhat_block(data, 0, 1) == pytest.approx(2 * c / (4 * 0.5), abs=0)
-    assert yhat_block(data, 0, 1) == pytest.approx(c, abs=0)
+    battery = estimator_battery(data)
+    # arm A is block 0 alone, and arm B's block 1 has no Z=0 unit (its z=0
+    # mean is 0), so pitt_hat_0 reads block 0's z=0 mean and ditt_hat_a the
+    # gap between block 0's z=1 and z=0 means
+    assert battery["pitt_hat_0"] == pytest.approx(2 * c / (4 * 0.5), abs=0)
+    assert battery["pitt_hat_0"] == pytest.approx(c, abs=0)
+    assert battery["ditt_hat_a"] == 0.0
 
 
 def test_yhat_block_empty_arm_is_zero_not_error():
@@ -56,7 +45,11 @@ def test_yhat_block_empty_arm_is_zero_not_error():
         sizes=[3, 1], s=[1, 0],
         z=[1, 1, 1, 0], d=[1, 1, 1, 0], y=[2.0, 2.0, 2.0, 2.0], p_blocks=[0.5, 0.5],
     )
-    assert yhat_block(data, 0, 0) == 0.0
+    battery = estimator_battery(data)
+    # block 0 has no Z=0 unit: its z=0 mean is 0, not an error; every
+    # other block mean is 2.0 / 0.5 = 4.0
+    assert battery["ditt_hat_a"] == 4.0 - 0.0
+    assert battery["pitt_hat_0"] == 0.0 - 4.0
 
 
 def test_yhat_block_uses_per_unit_probabilities():
@@ -64,14 +57,17 @@ def test_yhat_block_uses_per_unit_probabilities():
     data = ExperimentData(
         sizes=sizes,
         s=np.array([1, 0], dtype=np.int8),
-        block_id=np.repeat(np.arange(2), sizes),
         z=np.array([1, 0, 1], dtype=np.int8),
         d=np.array([1, 0, 1], dtype=np.int8),
         y=np.array([4.0, 6.0, 1.0]),
         p_enc=np.array([0.8, 0.4, 0.5]),
     )
-    assert yhat_block(data, 0, 1) == pytest.approx(4.0 / 0.8 / 2, abs=1e-15)
-    assert yhat_block(data, 0, 0) == pytest.approx(6.0 / 0.6 / 2, abs=1e-15)
+    battery = estimator_battery(data)
+    # arm B's block 1 has no Z=0 unit, so pitt_hat_0 is block 0's z=0 mean
+    # and pitt_hat_0 + ditt_hat_a its z=1 mean
+    assert battery["pitt_hat_0"] == pytest.approx(6.0 / 0.6 / 2, abs=1e-15)
+    assert battery["pitt_hat_0"] + battery["ditt_hat_a"] == pytest.approx(4.0 / 0.8 / 2,
+                                                                         abs=1e-15)
 
 
 def test_yhat_pop_and_empty_arm():
@@ -79,22 +75,16 @@ def test_yhat_pop_and_empty_arm():
         sizes=[1, 1, 1], s=[1, 1, 1],
         z=[1, 0, 1], d=[1, 0, 1], y=[2.0, 4.0, 6.0], p_blocks=[0.5] * 3,
     )
-    expected = (2.0 / 0.5 + 0.0 + 6.0 / 0.5) / 3
-    assert yhat_pop(data, 1, "a") == pytest.approx(expected, abs=1e-15)
     with pytest.raises(EmptyArm):
-        yhat_pop(data, 1, "b")
-
-
-def test_yhat_pop_rejects_unknown_arm():
+        estimator_battery(data)
+    # the same three arm-A blocks beside one arm-B block without a Z=1 unit
+    # (z=1 mean 0): pitt_hat_1 reads arm A's z=1 mean
     data = build_data(
-        sizes=[2, 2], s=[1, 0],
-        z=[1, 0, 1, 0], d=[1, 0, 1, 0], y=[1.0, 2.0, 3.0, 4.0], p_blocks=[0.6, 0.3],
+        sizes=[1, 1, 1, 1], s=[1, 1, 1, 0],
+        z=[1, 0, 1, 0], d=[1, 0, 1, 0], y=[2.0, 4.0, 6.0, 8.0], p_blocks=[0.5] * 4,
     )
-    for arm in ("x", "B", None):
-        with pytest.raises(ValueError, match="arm"):
-            yhat_pop(data, 1, arm)
-        with pytest.raises(ValueError, match="arm"):
-            ditt_hat(data, arm)
+    expected = (2.0 / 0.5 + 0.0 + 6.0 / 0.5) / 3
+    assert estimator_battery(data)["pitt_hat_1"] == pytest.approx(expected, abs=1e-15)
 
 
 def test_single_block_arm_equals_block_value():
@@ -102,16 +92,18 @@ def test_single_block_arm_equals_block_value():
         sizes=[2, 2], s=[1, 0],
         z=[1, 0, 1, 0], d=[1, 0, 1, 0], y=[1.0, 2.0, 3.0, 4.0], p_blocks=[0.6, 0.3],
     )
-    assert yhat_pop(data, 1, "b") == yhat_block(data, 1, 1)
+    # a one-block arm's mean is that block's value, bitwise
+    block_1 = (3.0 / 0.3 + 0.0) / 2 - (0.0 + 4.0 / 0.7) / 2
+    assert estimator_battery(data)["ditt_hat_b"] == block_1
 
 
 def test_constant_zero_outcomes_give_exact_zero_estimates():
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]], intercept=0.0)
     cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=1, seed=3)
     for r in range(5):
-        data = run_design(pop, cfg, replicate=r)
-        assert ditt_hat(data, "a") == 0.0
-        assert pitt_hat(data, 1) == 0.0
+        battery = estimator_battery(run_design(pop, cfg, replicate=r))
+        assert battery["ditt_hat_a"] == 0.0
+        assert battery["pitt_hat_1"] == 0.0
 
 
 def test_et_hat_all_compliers_block_is_one():
@@ -120,10 +112,11 @@ def test_et_hat_all_compliers_block_is_one():
         z=[1, 0, 1, 0, 1, 0], d=[1, 0, 1, 0, 1, 0],
         y=np.zeros(6), p_blocks=[0.5, 0.5],
     )
-    est = et_hat(data)
-    assert est.value == 1.0
-    assert est.per_block == (1.0, 1.0)
-    assert not est.dropped
+    report = estimate_report(data)
+    # no block is dropped, and a block contrast is at most 1, so a pooled
+    # value of 1.0 means both blocks are 1.0
+    assert report.et_hat == 1.0
+    assert report.et_blocks_dropped == ()
 
 
 def test_et_hat_excludes_single_armed_blocks_with_diagnostics():
@@ -131,10 +124,10 @@ def test_et_hat_excludes_single_armed_blocks_with_diagnostics():
         sizes=[2, 2], s=[1, 0],
         z=[1, 1, 1, 0], d=[1, 1, 1, 0], y=np.zeros(4), p_blocks=[0.5, 0.5],
     )
-    est = et_hat(data)
-    assert est.per_block[0] != est.per_block[0]  # NaN
-    assert est.value == 1.0
-    assert est.dropped == ((0, "no units with Z=0"),)
+    report = estimate_report(data)
+    assert report.et_hat == 1.0
+    assert report.et_blocks_dropped == ((0, "no units with Z=0"),)
+    assert estimator_battery(data)["et_hat"] == 1.0
 
 
 def test_et_hat_all_blocks_undefined():
@@ -143,18 +136,21 @@ def test_et_hat_all_blocks_undefined():
         z=[1, 0], d=[1, 0], y=np.zeros(2), p_blocks=[0.5, 0.5],
     )
     with pytest.raises(AllBlocksUndefined):
-        et_hat(data)
+        estimate_report(data)
+    assert np.isnan(estimator_battery(data)["et_hat"])
 
 
 def test_ratio_estimators_guard_zero_uptake():
     pop = make_population([["nt"] * 8, ["nt"] * 8], intercept=1.0)
     cfg = DesignConfig(mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.3), k=1, seed=1)
     data = run_design(pop, cfg, replicate=0)
-    with pytest.raises(ZeroEncouragementEffectEstimate):
-        ldt_hat(data)
-    with pytest.raises(ZeroEncouragementEffectEstimate):
-        lpt_diff_hat(data)
-    assert lpt0_hat(data) == pitt_hat(data, 0)
+    report = estimate_report(data)
+    assert report.et_hat == 0.0
+    assert report.ldt_hat is None and report.lpt_diff_hat is None
+    assert "uptake estimate is zero; ratio estimators undefined" in report.notes
+    assert report.lpt0_hat == report.pitt_hat_0
+    battery = estimator_battery(data)
+    assert np.isnan(battery["ldt_hat"]) and np.isnan(battery["lpt_diff_hat"])
 
 
 def test_all_complier_realizations_ldt_equals_ditt(rng):
@@ -164,11 +160,11 @@ def test_all_complier_realizations_ldt_equals_ditt(rng):
     for r in range(20):
         data = run_design(pop, cfg, replicate=r)
         try:
-            est = et_hat(data)
+            report = estimate_report(data)
         except AllBlocksUndefined:
             continue
-        if est.value == 1.0:
-            assert ldt_hat(data) == ditt_hat(data, "a")
+        if report.et_hat == 1.0:
+            assert report.ldt_hat == report.ditt_hat_a
             checked += 1
     assert checked > 0
 
@@ -178,14 +174,14 @@ def test_outcome_scaling_linearity(rng):
     cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=10)
     data = run_design(pop, cfg, replicate=0)
     scaled = ExperimentData(
-        sizes=data.sizes, s=data.s, block_id=data.block_id,
-        z=data.z, d=data.d, y=data.y * 2.0, p_enc=data.p_enc,
+        sizes=data.sizes, s=data.s, z=data.z, d=data.d, y=data.y * 2.0, p_enc=data.p_enc,
     )
+    before, after = estimate_report(data), estimate_report(scaled)
     # doubling is exact in binary floating point, so equality is bitwise
-    assert ditt_hat(scaled, "a") == 2.0 * ditt_hat(data, "a")
-    assert pitt_hat(scaled, 1) == 2.0 * pitt_hat(data, 1)
-    assert et_hat(scaled).value == et_hat(data).value
-    assert ldt_hat(scaled) == 2.0 * ldt_hat(data)
+    assert after.ditt_hat_a == 2.0 * before.ditt_hat_a
+    assert after.pitt_hat_1 == 2.0 * before.pitt_hat_1
+    assert after.et_hat == before.et_hat
+    assert after.ldt_hat == 2.0 * before.ldt_hat
 
 
 def test_mechanism_relabel_negates_pitt(rng):
@@ -193,11 +189,12 @@ def test_mechanism_relabel_negates_pitt(rng):
     cfg = DesignConfig(mech_a=a, mech_b=b, k=2, seed=14)
     data = run_design(pop, cfg, replicate=0)
     relabeled = ExperimentData(
-        sizes=data.sizes, s=(1 - data.s).astype(np.int8), block_id=data.block_id,
+        sizes=data.sizes, s=(1 - data.s).astype(np.int8),
         z=data.z, d=data.d, y=data.y, p_enc=data.p_enc,
     )
+    before, after = estimator_battery(data), estimator_battery(relabeled)
     for z in (0, 1):
-        assert pitt_hat(relabeled, z) == -pitt_hat(data, z)
+        assert after[f"pitt_hat_{z}"] == -before[f"pitt_hat_{z}"]
 
 
 def test_estimate_report_contents(rng):
@@ -206,37 +203,39 @@ def test_estimate_report_contents(rng):
     data = run_design(pop, cfg, replicate=0)
     report = estimate_report(data)
     assert report.arm_sizes == (2, pop.n_blocks - 2)
-    assert report.ldt_hat == pytest.approx(ditt_hat(data, "a") / et_hat(data).value)
-    assert report.lpt0_hat == pitt_hat(data, 0)
+    assert report.ldt_hat == pytest.approx(report.ditt_hat_a / report.et_hat)
+    assert report.lpt0_hat == report.pitt_hat_0
     text = report.to_json()
     assert "et_blocks_dropped" in text
-    if et_hat(data).dropped:
-        assert report.et_blocks_dropped
+    # the dropped blocks are exactly those that realized one encouragement value
+    blocks = np.split(data.z, data.starts[1:-1])
+    assert report.et_blocks_dropped == tuple(
+        (i, f"no units with Z={1 - int(z[0])}")
+        for i, z in enumerate(blocks) if (z == z[0]).all())
 
 
 def test_battery_bitwise_matches_individual_estimators(rng):
+    """One realization's battery equals its estimate report and its row of a
+    batch, bitwise: one kernel with one arithmetic serves all three."""
     for r in range(8):
         pop, a, b = varying_effect_monotone(rng, b_range=(3, 6), n_range=(2, 5))
         cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=51)
         data = run_design(pop, cfg, replicate=r)
         battery = estimator_battery(data)
-        assert battery["ditt_hat_a"] == ditt_hat(data, "a")
-        assert battery["ditt_hat_b"] == ditt_hat(data, "b")
-        assert battery["pitt_hat_1"] == pitt_hat(data, 1)
-        assert battery["pitt_hat_0"] == pitt_hat(data, 0)
-        assert battery["lpt0_hat"] == lpt0_hat(data)
+        batch = estimator_battery(draw_replicates(pop, cfg, r, 1))
+        for name, value in battery.items():
+            assert np.array_equal(batch[name], [value], equal_nan=True), name
         try:
-            uptake = et_hat(data).value
+            report = estimate_report(data)
         except AllBlocksUndefined:
             assert battery["et_hat"] != battery["et_hat"]  # NaN convention
             assert battery["ldt_hat"] != battery["ldt_hat"]
             continue
-        assert battery["et_hat"] == uptake
-        try:
-            assert battery["ldt_hat"] == ldt_hat(data)
-            assert battery["lpt_diff_hat"] == lpt_diff_hat(data)
-        except ZeroEncouragementEffectEstimate:
-            assert battery["ldt_hat"] != battery["ldt_hat"]
+        for name, value in battery.items():
+            if getattr(report, name) is None:
+                assert value != value, name  # NaN convention
+            else:
+                assert getattr(report, name) == value, name
 
 
 def test_estimate_report_from_ingested_csv(tmp_path, rng):
@@ -273,7 +272,7 @@ def _fuzzed_data(rng, single_armed=0.0, uptake=True) -> ExperimentData:
         z[starts[i]:starts[i + 1]] = rng.integers(2)
     d = rng.integers(2, size=sizes.sum()) if uptake else np.zeros(sizes.sum())
     return ExperimentData(
-        sizes=sizes, s=s.astype(np.int8), block_id=np.repeat(np.arange(b), sizes),
+        sizes=sizes, s=s.astype(np.int8),
         z=z.astype(np.int8), d=d.astype(np.int8), y=rng.normal(1.0, 3.0, size=sizes.sum()),
         p_enc=p,
     )

@@ -11,10 +11,15 @@ from peerenc.mechanisms import (
     Mechanism,
     assignment_probs,
     enumerate_assignments,
-    mech_prob,
     mechanisms_identical,
 )
+from peerenc.population import pack_rows
 from conftest import make_population
+
+
+def vector_prob(mech: Mechanism, z) -> float:
+    """Probability of one assignment vector: its row of ``assignment_probs``."""
+    return float(assignment_probs(mech, len(z))[pack_rows(z)])
 
 
 def protocol_draws(mech: Mechanism, n: int, draws: int, seed: int) -> np.ndarray:
@@ -33,12 +38,12 @@ def protocol_draws(mech: Mechanism, n: int, draws: int, seed: int) -> np.ndarray
 def test_mech_prob_fair_coin_block_of_three():
     m = Mechanism("phi", 0.5)
     for z in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
-        assert mech_prob(m, z) == pytest.approx(0.125, abs=0)
+        assert vector_prob(m, z) == pytest.approx(0.125, abs=0)
 
 
 def test_mech_prob_heterogeneous_pair():
     m = Mechanism("phi", (0.2, 0.2))
-    assert mech_prob(m, (1, 0)) == pytest.approx(0.2 * 0.8, abs=1e-15)
+    assert vector_prob(m, (1, 0)) == pytest.approx(0.2 * 0.8, abs=1e-15)
 
 
 def test_degenerate_probability_rejected():
@@ -53,7 +58,7 @@ def test_degenerate_probability_rejected():
 def test_mech_prob_arity_mismatch():
     m = Mechanism("phi", (0.3, 0.4, 0.5))
     with pytest.raises(ArityMismatch):
-        mech_prob(m, (1, 0))
+        vector_prob(m, (1, 0))
 
 
 def test_enumerate_single():
@@ -98,7 +103,7 @@ def test_sample_joint_frequency_matches_product_law():
     m = Mechanism("phi", (0.2, 0.8))
     draws = 100_000
     hits = int((protocol_draws(m, 2, draws, seed=11) == 1).all(axis=1).sum())
-    target = mech_prob(m, (1, 1))
+    target = vector_prob(m, (1, 1))
     assert target == pytest.approx(0.16, abs=1e-12)
     se = math.sqrt(target * (1 - target) / draws)
     assert abs(hits / draws - target) <= 3 * se
@@ -123,7 +128,7 @@ def test_mech_prob_reassociation_stable(probs, pyrandom):
     n = len(probs)
     m = Mechanism("m", tuple(probs))
     z = [pyrandom.randint(0, 1) for _ in range(n)]
-    forward = mech_prob(m, z)
+    forward = vector_prob(m, z)
     backward = 1.0
     for p, zz in reversed(list(zip(probs, z))):
         backward *= p if zz else 1.0 - p

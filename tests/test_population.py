@@ -21,10 +21,8 @@ from peerenc.population import (
     OutcomeConfig,
     Population,
     build_population,
-    classify,
     convert_to_tables,
     load_population,
-    outcome,
     population_from_dict,
     population_to_dict,
     save_population,
@@ -33,12 +31,35 @@ from peerenc.population import (
 )
 from conftest import make_individual, make_population, person, population, structural, table
 
+_STRATUM = {(0, 1): ComplianceType.COMPLIER, (1, 1): ComplianceType.ALWAYS_TAKER,
+            (1, 0): ComplianceType.DEFIER, (0, 0): ComplianceType.NEVER_TAKER}
+
+
+def stratum(pop, u) -> ComplianceType:
+    """Compliance stratum of individual u, read from its potential treatments."""
+    return _STRATUM[(int(pop.d0[u]), int(pop.d1[u]))]
+
+
+def block_outcomes(pop, i, d_rows, z_rows=None) -> np.ndarray:
+    """Block i's outcomes through ``Population.outcomes``, one row per
+    treatment vector in d_rows (and encouragement vector in z_rows); every
+    individual outside block i is untreated and unencouraged."""
+    block = slice(int(pop.starts[i]), int(pop.starts[i + 1]))
+    d = np.zeros((len(d_rows), pop.n_individuals), dtype=np.int8)
+    z = np.zeros_like(d)
+    d[:, block] = d_rows
+    if z_rows is not None:
+        z[:, block] = z_rows
+    return pop.outcomes(d, z)[:, block]
+
 
 def test_classify_bijection():
-    assert classify(0, 1) is ComplianceType.COMPLIER
-    assert classify(1, 1) is ComplianceType.ALWAYS_TAKER
-    assert classify(1, 0) is ComplianceType.DEFIER
-    assert classify(0, 0) is ComplianceType.NEVER_TAKER
+    pop = make_population([["co", "at", "de", "nt"], ["co"]])
+    assert [stratum(pop, u) for u in range(4)] == [
+        ComplianceType.COMPLIER, ComplianceType.ALWAYS_TAKER, ComplianceType.DEFIER,
+        ComplianceType.NEVER_TAKER]
+    for ct in ComplianceType:
+        assert pop.in_stratum(ct).tolist() == [stratum(pop, u) is ct for u in range(5)]
 
 
 def test_potential_treatment_lookup():
@@ -90,15 +111,17 @@ def test_structural_outcome_formula():
 def test_outcome_structural_anonymous_in_peers():
     pop = make_population([["co", "co", "co", "nt"], ["co"]],
                           direct=2.0, peer=0.5)
-    base = outcome(pop, 0, 0, (1, 1, 0, 1))
-    for perm in itertools.permutations((1, 0, 1)):
-        assert outcome(pop, 0, 0, (1, *perm)) == pytest.approx(base, abs=0)
+    rows = [(1, 1, 0, 1)] + [(1, *perm) for perm in itertools.permutations((1, 0, 1))]
+    base, *others = block_outcomes(pop, 0, rows)[:, 0]
+    for value in others:
+        assert value == pytest.approx(base, abs=0)
 
 
 def test_outcome_ignores_encouragements_when_exclusion_ok():
     pop = make_population([["co", "nt"], ["at", "co"]], direct=1.5, peer=0.25)
     d = (1, 0)
-    vals = {outcome(pop, 0, 0, d, z) for z in itertools.product((0, 1), repeat=2)}
+    z_rows = list(itertools.product((0, 1), repeat=2))
+    vals = set(block_outcomes(pop, 0, [d] * len(z_rows), z_rows)[:, 0].tolist())
     assert len(vals) == 1
 
 
@@ -107,14 +130,8 @@ def test_constant_table_returns_constant():
     constant = table(np.full(4, c))
     pop = population([[person("co", constant), person("nt", constant)],
                       [person("co", structural())]])
-    for d in itertools.product((0, 1), repeat=2):
-        assert outcome(pop, 0, 0, d) == c
-
-
-def test_outcome_arity_checked():
-    pop = make_population([["co", "nt"], ["co"]])
-    with pytest.raises(ArityMismatch):
-        outcome(pop, 0, 0, (1, 0, 1))
+    for value in block_outcomes(pop, 0, list(itertools.product((0, 1), repeat=2)))[:, 0]:
+        assert value == c
 
 
 def _tabled_pair():
@@ -240,8 +257,7 @@ def test_build_population_complier_floor():
     cfg = _basic_cfg(strata=(0.45, 0.1, 0.45, 0.0), blocks=30, block_size=2)
     pop = build_population(cfg, np.random.default_rng(8))
     for lo, hi in zip(pop.starts[:-1], pop.starts[1:]):
-        assert any(classify(pop.d0[u], pop.d1[u]) is ComplianceType.COMPLIER
-                   for u in range(lo, hi))
+        assert any(stratum(pop, u) is ComplianceType.COMPLIER for u in range(lo, hi))
     with pytest.raises(GenerationFailed):
         build_population(_basic_cfg(strata=(0.5, 0.0, 0.5, 0.0), monotone=None),
                          np.random.default_rng(0))
@@ -261,8 +277,7 @@ def test_build_population_z_tables_break_exclusion():
     )
     pop = build_population(cfg, np.random.default_rng(5))
     assert not pop.exclusion_ok
-    z0 = outcome(pop, 0, 0, (1, 0, 0), (0, 0, 0))
-    z1 = outcome(pop, 0, 0, (1, 0, 0), (1, 0, 0))
+    z0, z1 = block_outcomes(pop, 0, [(1, 0, 0)] * 2, [(0, 0, 0), (1, 0, 0)])[:, 0]
     assert z1 - z0 == pytest.approx(0.7, abs=1e-12)
 
 
@@ -279,7 +294,7 @@ def test_stratum_counts_partition_population(rng):
     pop = build_population(cfg, rng)
     total = 0
     for lo, hi, rep in zip(pop.starts[:-1], pop.starts[1:], validate(pop).blocks):
-        strata = [classify(pop.d0[u], pop.d1[u]) for u in range(lo, hi)]
+        strata = [stratum(pop, u) for u in range(lo, hi)]
         assert rep.strata == {ct: strata.count(ct) for ct in ComplianceType}
         assert sum(rep.strata.values()) == hi - lo
         total += sum(rep.strata.values())
@@ -289,8 +304,7 @@ def test_stratum_counts_partition_population(rng):
 def test_monotone_uptake_effect_equals_complier_fraction(rng):
     pop = build_population(_basic_cfg(), rng)
     for lo, hi, rep in zip(pop.starts[:-1], pop.starts[1:], validate(pop).blocks):
-        frac = sum(classify(pop.d0[u], pop.d1[u]) is ComplianceType.COMPLIER
-                   for u in range(lo, hi)) / (hi - lo)
+        frac = sum(stratum(pop, u) is ComplianceType.COMPLIER for u in range(lo, hi)) / (hi - lo)
         assert rep.strata[ComplianceType.COMPLIER] / (hi - lo) == frac
         assert rep.encouragement_effect == pytest.approx(frac, abs=0)
 
@@ -357,11 +371,10 @@ def test_convert_to_tables_preserves_outcomes(rng):
     pop = build_population(_basic_cfg(block_size=4), rng)
     tabled = convert_to_tables(pop)
     for i, n in enumerate(pop.sizes):
-        for d_vec in itertools.product((0, 1), repeat=n):
-            for j in range(n):
-                assert outcome(tabled, i, j, d_vec) == pytest.approx(
-                    outcome(pop, i, j, d_vec), abs=1e-12
-                )
+        d_rows = list(itertools.product((0, 1), repeat=n))
+        assert block_outcomes(tabled, i, d_rows) == pytest.approx(
+            block_outcomes(pop, i, d_rows), abs=1e-12
+        )
 
 
 def test_population_json_is_plain_data(rng):
