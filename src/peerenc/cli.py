@@ -14,12 +14,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import _streams
-from .design import DesignConfig, run_design
+# Only the layers every command needs load here; each command imports the
+# rest itself, so `generate` never loads the Monte Carlo, estimator or CSV
+# code and `estimands` never loads the Monte Carlo or CSV code.
 from .errors import PeerEncError, InvalidConfig
-from .estimands import compute_estimand_report
 from .mechanisms import Mechanism
-from .montecarlo import MAX_REPLICATIONS, replicate, verification_passes, verify_theorems
 from .population import DgpConfig, OutcomeConfig, build_population, load_population, \
     read_json, save_population, validate
 
@@ -190,6 +189,8 @@ def _design_pair(cfg: dict, mechs: dict[str, Mechanism]) -> tuple[Mechanism, Mec
 def _replications(cfg: dict, default: int, optional: bool = False) -> int:
     """mc.replications, checked before any work starts: 2..MAX_REPLICATIONS,
     or 0 (no Monte Carlo) when the Monte Carlo run is optional."""
+    from .montecarlo import MAX_REPLICATIONS
+
     r = _integer(_section(cfg, "mc").get("replications", default), "config mc.replications")
     if not (2 <= r <= MAX_REPLICATIONS or optional and r == 0):
         low = "0 or 2" if optional else "2"
@@ -215,11 +216,13 @@ def _check_threads(args) -> None:
 
 
 def _check_output(path: str | None, where: str) -> None:
-    """Exit 2 naming the path unless its directory exists and it is not
-    itself a directory; checked before any work starts, so no run is lost at
-    its final write. ``_writing`` reports any other write failure."""
-    if not path:
+    """Exit 2 naming the path unless it is empty, its directory exists and
+    it is not itself a directory; checked before any work starts, so no run
+    is lost at its final write. ``_writing`` reports any other write failure."""
+    if path is None:
         return
+    if not path:
+        _fail(f"{where}: expected a file path, got an empty string")
     target = Path(path)
     if not target.parent.is_dir():
         _fail(f"{where} {path}: cannot write (no directory {str(target.parent)!r})")
@@ -245,14 +248,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
+    from . import _streams
+
     cfg = _load_json(args.config)
     seed = _resolve_seed(args.seed, cfg, "dgp")
     dgp = _parse_dgp(cfg)
     path = _section(cfg, "output").get("path")
     if path is not None and not isinstance(path, str):
         _fail(f"config output.path: expected a string, got {path!r}")
-    out = args.out or path or "population.json"
-    _check_output(out, "--out" if args.out else "config output.path")
+    if path == "":
+        _check_output(path, "config output.path")
+    out = args.out if args.out is not None else path or "population.json"
+    _check_output(out, "--out" if args.out is not None else "config output.path")
     pop = build_population(dgp, _streams.stream(seed, _DGP_STREAM))
     report = validate(pop)
     with _writing(out):
@@ -264,6 +271,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimands(args) -> int:
+    from .estimands import compute_estimand_report
+
     cfg = _load_json(args.config)
     _check_output(args.out, "--out")
     mechs = _parse_mechanisms(cfg)
@@ -282,6 +291,9 @@ def cmd_estimands(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .design import DesignConfig, run_design
+    from .montecarlo import replicate
+
     cfg = _load_json(args.config)
     _check_output(args.out, "--out")
     _check_output(args.dump_data, "--dump-data")
@@ -305,6 +317,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .montecarlo import verification_passes, verify_theorems
+
     cfg = _load_json(args.config)
     _check_output(args.out, "--out")
     mechs = _parse_mechanisms(cfg)

@@ -344,7 +344,11 @@ def theorem_1_check(
     flags so violations can be demonstrated, and reports their status.
     """
     uptake = _ratio_denominator(pop)
-    avg = _member_averages(pop, mech, cap)
+    return _theorem_1(pop, uptake, _member_averages(pop, mech, cap))
+
+
+def _theorem_1(pop: Population, uptake: BlockSummary, avg: _MemberAverages) -> IdentityReport:
+    """``theorem_1_check`` from the uptake effect and the mechanism's kernel."""
     direct = _summarize(avg.itt_blocks(1) - avg.itt_blocks(0))
     local = _summarize(avg.local_blocks(1, ComplianceType.COMPLIER, True)
                        - avg.local_blocks(0, ComplianceType.COMPLIER, True))
@@ -365,7 +369,12 @@ def theorem_2_check(
     """
     uptake = _ratio_denominator(pop)
     a = _member_averages(pop, mech_a, cap)
-    b = _member_averages(pop, mech_b, cap)
+    return _theorem_2(pop, uptake, a, _member_averages(pop, mech_b, cap))
+
+
+def _theorem_2(pop: Population, uptake: BlockSummary, a: _MemberAverages,
+               b: _MemberAverages) -> IdentityReport:
+    """``theorem_2_check`` from the uptake effect and both mechanisms' kernels."""
     co = ComplianceType.COMPLIER
     peer_itt = [a.itt_blocks(z) - b.itt_blocks(z) for z in (0, 1)]
     peer_local = [a.local_blocks(d, co, True) - b.local_blocks(d, co, True) for d in (0, 1)]
@@ -387,7 +396,12 @@ def theorem_3_check(
     block, hence at the population level with no ratio involved.
     """
     a = _member_averages(pop, mech_a, cap)
-    b = _member_averages(pop, mech_b, cap)
+    return _theorem_3(pop, a, _member_averages(pop, mech_b, cap), z)
+
+
+def _theorem_3(pop: Population, a: _MemberAverages, b: _MemberAverages,
+               z: int) -> IdentityReport:
+    """``theorem_3_check`` from both mechanisms' kernels."""
     p = _summarize(a.itt_blocks(z) - b.itt_blocks(z))
     l = _summarize(a.local_blocks(z, None, True) - b.local_blocks(z, None, True))
     notes = _assumption_notes(

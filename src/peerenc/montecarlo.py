@@ -26,11 +26,12 @@ from .errors import (
 from .estimands import (
     IdentityReport,
     _member_averages,
+    _ratio_denominator,
     _summarize,
+    _theorem_1,
+    _theorem_2,
+    _theorem_3,
     et,
-    theorem_1_check,
-    theorem_2_check,
-    theorem_3_check,
 )
 from .estimators import ET_ZERO_TOL, estimator_battery
 from .mechanisms import DEFAULT_ENUMERATION_CAP
@@ -302,7 +303,10 @@ def verify_theorems(
 
     Degenerate cases (zero uptake effect, a block with no compliers) are
     reported inline instead of raising, so negative tests can run end to end.
+    Each mechanism's exact kernel is evaluated once and shared by the checks,
+    which report what ``theorem_*_check`` would.
     """
+    a, b = (_member_averages(pop, m, DEFAULT_ENUMERATION_CAP) for m in (mech_a, mech_b))
     checks: list[tuple[str, IdentityReport | None, str | None]] = []
 
     def attempt(name, fn):
@@ -311,11 +315,11 @@ def verify_theorems(
         except (ZeroEncouragementEffect, EmptyStratumInBlock) as exc:
             checks.append((name, None, f"{type(exc).__name__}: {exc}"))
 
-    attempt("theorem_1", lambda: theorem_1_check(pop, mech_a))
-    attempt("theorem_2", lambda: theorem_2_check(pop, mech_a, mech_b))
-    attempt("theorem_3[z=0]", lambda: theorem_3_check(pop, mech_a, mech_b, z=0))
+    attempt("theorem_1", lambda: _theorem_1(pop, _ratio_denominator(pop), a))
+    attempt("theorem_2", lambda: _theorem_2(pop, _ratio_denominator(pop), a, b))
+    attempt("theorem_3[z=0]", lambda: _theorem_3(pop, a, b, z=0))
     if pop.d1.all():
-        attempt("theorem_3[z=1]", lambda: theorem_3_check(pop, mech_a, mech_b, z=1))
+        attempt("theorem_3[z=1]", lambda: _theorem_3(pop, a, b, z=1))
 
     mc = None
     if replications > 0:

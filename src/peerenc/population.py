@@ -25,7 +25,6 @@ design's own random streams.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -46,6 +45,10 @@ from .errors import (
 
 # Dense tables hold 2^n entries per individual; refuse silly sizes.
 TABLE_REPRESENTATION_CAP = 12
+# A synthetic population holds at most this many individuals, and its
+# tables at most this many entries in all (1 GiB of float64).
+MAX_INDIVIDUALS = 1 << 20
+MAX_TABLE_ENTRIES = 1 << 27
 
 
 class ComplianceType(Enum):
@@ -388,6 +391,15 @@ def _check_config(cfg: DgpConfig):
         raise InvalidConfig(
             f"table representation is capped at block size {TABLE_REPRESENTATION_CAP}"
         )
+    # sized by the largest block; under "mixed" every block may hold tables
+    n = sizes[1]
+    if cfg.blocks * n > MAX_INDIVIDUALS:
+        raise InvalidConfig(f"{cfg.blocks} blocks of up to {n} individuals exceed the bound of"
+                            f" {MAX_INDIVIDUALS} individuals")
+    entries = cfg.blocks * n * 2**n * (2**n if z_dep else 1) if rep != "structural" else 0
+    if entries > MAX_TABLE_ENTRIES:
+        raise InvalidConfig(f"{cfg.blocks} blocks of up to {n} table members need {entries}"
+                            f" table entries, over the bound of {MAX_TABLE_ENTRIES}")
     if cfg.complier_floor and co == 0.0:
         raise GenerationFailed("complier floor requested but complier mass is zero")
 
@@ -581,12 +593,6 @@ def _finite_array(values: list) -> np.ndarray | None:
 def population_to_dict(pop: Population) -> dict:
     """The population file's document: every table member's "values" maps
     its row keys to its entries."""
-    return _document(pop, lambda rows, n, keyed: dict(zip(_table_keys(n, keyed), rows.tolist())))
-
-
-def _document(pop: Population, values) -> dict:
-    """``population_to_dict`` with each table member's "values" given by
-    ``values(rows, n, keyed)``, from the member's entries in row order."""
     d0, d1, coef = pop.d0.tolist(), pop.d1.tolist(), pop.coef.T.tolist()
     starts = pop.starts.tolist()
     blocks = []
@@ -597,8 +603,9 @@ def _document(pop: Population, values) -> dict:
                 y = {"kind": "structural", **dict(zip(_COEFS, coef[u]))}
             else:
                 keyed = bool(pop.z_dependent[u])
+                rows = (table[j] if keyed else table[j, :, 0]).ravel().tolist()
                 y = {"kind": "table_z" if keyed else "table", "size": n,
-                     "values": values((table[j] if keyed else table[j, :, 0]).ravel(), n, keyed)}
+                     "values": dict(zip(_table_keys(n, keyed), rows))}
             block.append({"d0": d0[u], "d1": d1[u], "outcome": y})
         blocks.append(block)
     return {
@@ -666,9 +673,24 @@ def population_from_dict(data: dict) -> Population:
     return pop
 
 
-# Stands in for a table's "values" while json.dumps writes the rest of the
-# document; it comes out as "\u0000", which no other string there contains.
-_SPLICE = "\0"
+# The population file's text as json.dumps(..., sort_keys=True, indent=1)
+# writes it, between the values save_population fills in: an individual's
+# opening (d0, d1), a structural outcome's coefficients in sorted key order
+# (_SORTED_COEFS), a table outcome's kind and size before its "values", and
+# the flags after the last block.
+_INDIVIDUAL = '{\n    "d0": %d,\n    "d1": %d,\n    "outcome": {\n     '
+_STRUCTURAL = _INDIVIDUAL + ('"curvature": %s,\n     "direct": %s,\n     "interaction": %s,\n'
+                             '     "intercept": %s,\n     "kind": "structural",\n'
+                             '     "noise": %s,\n     "peer": %s\n    }\n   }')
+_SORTED_COEFS = [_COEFS.index(k) for k in sorted(_COEFS)]
+_TABLE_HEAD = _INDIVIDUAL + '"kind": "%s",\n     "size": %d,\n     "values": '
+_TABLE_TAIL = "\n    }\n   }"
+_FLAGS = '\n ],\n "flags": {\n  "exclusion_ok": %s,\n  "monotone": %s,\n  "one_sided": %s\n }\n}\n'
+
+
+def _float_json(x: float) -> str:
+    """A float as json writes it: its repr, or NaN / Infinity / -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
 def _entry_heads(n: int, keyed: bool) -> list[str]:
@@ -693,22 +715,35 @@ def _values_json(rows: np.ndarray, heads: list[str]) -> str:
     return "{" + "".join(parts) + "\n     }"
 
 
+def _file_pieces(pop: Population):
+    """The population file's text in pieces, one individual (or one table's
+    "values") at a time, so no piece is larger than one member's table."""
+    d0, d1, starts = pop.d0.tolist(), pop.d1.tolist(), pop.starts.tolist()
+    coef = pop.coef[_SORTED_COEFS].T.tolist()
+    heads = functools.cache(_entry_heads)  # keys live for this call only
+    yield '{\n "blocks": ['
+    for i, table in enumerate(pop.tables):
+        n = starts[i + 1] - starts[i]
+        yield ",\n  [" if i else "\n  ["
+        for j, u in enumerate(range(starts[i], starts[i + 1])):
+            sep = ",\n   " if j else "\n   "
+            if pop.structural[u]:
+                yield sep + _STRUCTURAL % (d0[u], d1[u], *map(_float_json, coef[u]))
+            else:
+                keyed = bool(pop.z_dependent[u])
+                yield sep + _TABLE_HEAD % (d0[u], d1[u], "table_z" if keyed else "table", n)
+                yield _values_json((table[j] if keyed else table[j, :, 0]).ravel(), heads(n, keyed))
+                yield _TABLE_TAIL
+        yield "\n  ]"
+    yield _FLAGS % tuple(json.dumps(f) for f in (pop.exclusion_ok, pop.monotone, pop.one_sided))
+
+
 def save_population(pop: Population, path) -> None:
     """Write ``json.dumps(population_to_dict(pop), sort_keys=True, indent=1)``
-    and a newline, byte for byte. json.dumps writes the document without its
-    table entries (with ``indent`` its pure-Python encoder handles every
-    value); ``_values_json`` renders each table's "values" in its place."""
-    tables, heads = [], functools.cache(_entry_heads)  # keys live for this call only
-
-    def values(rows, n, keyed):
-        tables.append(_values_json(rows, heads(n, keyed)))
-        return _SPLICE
-
-    text = json.dumps(_document(pop, values), sort_keys=True, indent=1)
-    if tables:
-        pieces = text.split(json.dumps(_SPLICE))
-        text = "".join([*itertools.chain.from_iterable(zip(pieces, tables)), pieces[-1]])
-    Path(path).write_text(text + "\n")
+    and a newline, byte for byte, streamed to the file a piece at a time:
+    memory is bounded by the largest member's table text, not the file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_file_pieces(pop))
 
 
 def read_json(path):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peerenc
 from peerenc.cli import main
 from peerenc.population import load_population
 
@@ -571,3 +576,74 @@ def test_verify_without_monte_carlo_takes_zero_replications(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["mc"] is None
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "output.path"), ("generate", "--out"), ("estimands", "--out"),
+    ("simulate", "--out"), ("simulate", "--dump-data"), ("verify", "--out"),
+])
+def test_empty_output_paths_are_one_line_errors_before_any_work(
+        tmp_path, capsys, monkeypatch, command, flag):
+    """An empty output path exits 2 with one line naming it before the
+    population is built or loaded, instead of falling back to a default file
+    or to standard output, or skipping the write."""
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(write_config(tmp_path / "base.json")),
+                 "--out", str(pop_path)]) == 0
+    output = {"path": ""} if flag == "output.path" else {}
+    cfg = write_config(tmp_path / "cfg.json", output=output)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr("peerenc.cli.build_population", no_work)
+    monkeypatch.setattr("peerenc.cli.load_population", no_work)
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    argv = [command, "--config", str(cfg)]
+    if command != "generate":
+        argv += ["--pop", str(pop_path)]
+    if flag != "output.path":
+        argv += [flag, ""]
+    capsys.readouterr()
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert ("config output.path" if flag == "output.path" else flag) in captured.err
+    assert list(workdir.iterdir()) == []
+
+
+_LOADED_MODULES = """
+import sys
+from peerenc.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def test_each_command_imports_only_the_layers_it_runs(tmp_path):
+    """generate and estimands, each in a fresh interpreter, load neither the
+    Monte Carlo, estimator nor CSV code; generate does not load the exact
+    engine either."""
+    src = Path(peerenc.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cfg = write_config(tmp_path / "cfg.json")
+    pop_path = tmp_path / "pop.json"
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.split())
+
+    generate = loaded("generate", "--config", str(cfg), "--out", str(pop_path))
+    estimands = loaded("estimands", "--config", str(cfg), "--pop", str(pop_path),
+                       "--out", str(tmp_path / "estimands.json"))
+    never = {"peerenc.montecarlo", "peerenc.estimators", "peerenc.design", "csv"}
+    assert "peerenc.population" in generate and "peerenc.estimands" in estimands
+    assert not never & generate
+    assert not never & estimands
+    assert "peerenc.estimands" not in generate

@@ -256,6 +256,35 @@ def test_verify_theorems_defiers_expected_fail(rng):
     raise AssertionError("defier fuzz never produced a failing identity")
 
 
+def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
+    """verify_theorems runs the exact kernel once per mechanism, two in all,
+    and reports what the public theorem checks report."""
+    from peerenc import estimands, montecarlo
+
+    pop = make_population([["co", "co", "co"], ["co", "co"], ["co", "co", "co"]])
+    calls = []
+    kernel = estimands._member_averages
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(estimands, "_member_averages", counted)
+    monkeypatch.setattr(montecarlo, "_member_averages", counted)
+    for replications in (0, 20):
+        calls.clear()
+        report = verify_theorems(pop, PHI, PSI, replications=replications, seed=3)
+        assert calls == [PHI, PSI]
+    assert [t.name for t in report.theorems] == [
+        "theorem_1", "theorem_2", "theorem_3[z=0]", "theorem_3[z=1]"]
+    monkeypatch.setattr(estimands, "_member_averages", kernel)
+    assert report.get("theorem_1").identity == estimands.theorem_1_check(pop, PHI)
+    assert report.get("theorem_2").identity == estimands.theorem_2_check(pop, PHI, PSI)
+    for z in (0, 1):
+        assert (report.get(f"theorem_3[z={z}]").identity
+                == estimands.theorem_3_check(pop, PHI, PSI, z=z))
+
+
 def test_verify_theorems_degenerate_uptake():
     pop = make_population([["nt", "nt"], ["nt", "at"]])
     report = verify_theorems(pop, PHI, PSI)

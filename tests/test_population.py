@@ -20,6 +20,7 @@ from peerenc.population import (
     DgpConfig,
     OutcomeConfig,
     Population,
+    _check_config,
     build_population,
     convert_to_tables,
     load_population,
@@ -222,6 +223,37 @@ def _basic_cfg(**overrides) -> DgpConfig:
     )
     base.update(overrides)
     return DgpConfig(**base)
+
+
+class _NoDraws:
+    """An rng that fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the population size was checked")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(blocks=10**13), "exceed the bound of 1048576 individuals"),
+    (dict(blocks=2**18 + 1, block_size=4), "exceed the bound of 1048576 individuals"),
+    (dict(blocks=2, block_size=(1, 2**19 + 1)), "exceed the bound of 1048576 individuals"),
+    (dict(blocks=2731, block_size=12, outcome=OutcomeConfig(representation="mixed")),
+     "need 134234112 table entries, over the bound of 134217728"),
+    (dict(blocks=3, block_size=11, strata=(0.0, 1.0, 0.0, 0.0),
+          outcome=OutcomeConfig(representation="table", z_own=0.5)),
+     "need 138412032 table entries, over the bound of 134217728"),
+], ids=["blocks-1e13", "individuals", "largest-block", "mixed-tables", "keyed-tables"])
+def test_population_size_is_bounded_before_any_draw(overrides, message):
+    with pytest.raises(InvalidConfig, match=message):
+        build_population(_basic_cfg(**overrides), _NoDraws())
+
+
+def test_population_size_bounds_admit_their_limits():
+    """A population exactly at either bound passes the size checks."""
+    _check_config(_basic_cfg(blocks=2**18, block_size=4))
+    _check_config(_basic_cfg(blocks=2730, block_size=12,
+                             outcome=OutcomeConfig(representation="table")))
+    _check_config(_basic_cfg(blocks=2, block_size=11, strata=(0.0, 1.0, 0.0, 0.0),
+                             outcome=OutcomeConfig(representation="table", z_own=0.5)))
 
 
 def test_build_population_basic():
@@ -493,6 +525,27 @@ def test_saved_bytes_equal_the_stdlib_encoder(tmp_path, rng, name):
     save_population(pop, path)
     assert path.read_bytes() == _stdlib_bytes(pop)
     assert population_to_dict(load_population(path)) == population_to_dict(pop)
+
+
+def test_saving_holds_a_fraction_of_the_file_in_memory(tmp_path, rng):
+    """save_population streams the file: the memory it allocates is bounded
+    by one member's table text, not by the file (a whole-file text would
+    alone take the file's size)."""
+    pop = build_population(_basic_cfg(
+        blocks=4, block_size=10, strata=(0.0, 1.0, 0.0, 0.0),
+        outcome=OutcomeConfig(representation="table", direct=(2.0, 0.5), noise_sd=1.0)), rng)
+    path = tmp_path / "pop.json"
+    save_population(pop, path)
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    tracemalloc.start()
+    try:
+        save_population(pop, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4
+    assert path.read_bytes() == _stdlib_bytes(pop)
 
 
 # --------------------------------------------------------------------------
