@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from pathlib import Path
@@ -17,173 +16,117 @@ from pathlib import Path
 # Only the layers every command needs load here; each command imports the
 # rest itself, so `generate` never loads the Monte Carlo, estimator or CSV
 # code and `estimands` never loads the Monte Carlo or CSV code.
+from . import _json
 from .errors import PeerEncError, InvalidConfig
 from .mechanisms import Mechanism
 from .population import DgpConfig, OutcomeConfig, build_population, load_population, \
-    read_json, save_population, validate
+    save_population, validate
 
 _DGP_STREAM = 0
 
 _STRATA_KEYS = ("always_taker", "complier", "never_taker", "defier")
+_PARAMS = ("intercept", "direct", "peer", "interaction", "curvature")
+# Each config section's closed key set.
+_SECTIONS = {
+    "dgp": ("seed", "blocks", "block_size", "strata", "outcome", "monotone", "one_sided",
+            "complier_floor"),
+    "design": ("mech_a", "mech_b", "k", "seed"),
+    "mc": ("replications", "seed"),
+    "output": ("path",),
+}
 
 _THREADS_HELP = ("accepted for compatibility and checked to be an int >= 1 (default: "
                 "PEERENC_THREADS); replication runs in one thread, so it changes neither "
                 "output nor speed")
 
 
-def _fail(msg: str) -> "NoReturn":  # noqa: F821 - py>=3.10 has NoReturn in typing only
-    print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        data = read_json(path)
-    except InvalidConfig as exc:
-        _fail(str(exc))
-    if not isinstance(data, dict):
-        _fail(f"{path}: expected a JSON object, got {type(data).__name__}")
-    return data
-
-
-def _section(cfg: dict, key: str, parent: str = "") -> dict:
-    """cfg[key] when it is a JSON object, {} when absent; else exit 2 naming it."""
-    value = cfg.get(key, {})
-    if not isinstance(value, dict):
-        _fail(f"config {parent}{key}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _integer(value, where: str) -> int:
-    """An integral JSON number as an int, or exit 2 naming the config field:
-    2.7, true or "2" is an error, not 2, 1 or 2."""
-    if type(value) is int or isinstance(value, float) and value.is_integer():
-        return int(value)
-    _fail(f"{where}: expected an integer, got {value!r}")
-
-
-def _number(value, where: str) -> float:
-    """A finite JSON number as a float, or exit 2 naming the config field:
-    a string, a boolean, an infinity or a NaN is an error."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    _fail(f"{where}: expected a finite number, got {value!r}")
-
-
-def _flag(section: dict, key: str, where: str, default):
-    """A JSON boolean, or the default when absent; else exit 2 naming it."""
-    value = section.get(key, default)
-    if not isinstance(value, bool) and value is not default:
-        _fail(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _parse_param(value, where: str):
-    if isinstance(value, list) and len(value) == 2:
-        return tuple(_number(x, where) for x in value)
-    if isinstance(value, list):
-        _fail(f"{where}: expected a number or [mean, sd] pair, got {value!r}")
-    return _number(value, where)
-
-
 def _parse_dgp(cfg: dict) -> DgpConfig:
-    if "dgp" not in cfg:
-        _fail("config: missing 'dgp' section")
-    d = _section(cfg, "dgp")
-    try:
-        blocks = _integer(d["blocks"], "config dgp.blocks")
-        raw_size = d["block_size"]
-        raw_strata = d["strata"]
-    except KeyError as exc:
-        _fail(f"config dgp: missing key {exc}")
-    if isinstance(raw_size, list) and len(raw_size) == 2:
-        size = tuple(_integer(x, "config dgp.block_size") for x in raw_size)
-    elif isinstance(raw_size, list):
-        _fail(f"config dgp.block_size: expected an integer or a [low, high] pair, got {raw_size!r}")
-    else:
-        size = _integer(raw_size, "config dgp.block_size")
-    if isinstance(raw_strata, dict):
-        unknown = set(raw_strata) - set(_STRATA_KEYS)
-        if unknown:
-            _fail(f"config dgp.strata: unknown strata {sorted(unknown)}")
-        strata = tuple(_number(raw_strata.get(k, 0.0), f"config dgp.strata.{k}")
-                       for k in _STRATA_KEYS)
-    elif isinstance(raw_strata, list):
-        strata = tuple(_number(x, "config dgp.strata") for x in raw_strata)
-    else:
-        _fail(f"config dgp.strata: expected an object or a list, got {raw_strata!r}")
-    oc = _section(d, "outcome", "dgp.")
+    d = _json.obj(cfg["dgp"], "config dgp", _SECTIONS["dgp"],
+                  required=("blocks", "block_size", "strata"))
+    oc = _json.obj(d.get("outcome", {}), "config dgp.outcome",
+                   ("representation", *_PARAMS, "noise_sd", "z_own", "z_peer"))
     outcome = OutcomeConfig(
-        representation=oc.get("representation", "structural"),
-        **{k: _parse_param(oc.get(k, 0.0), f"config dgp.outcome.{k}")
-           for k in ("intercept", "direct", "peer", "interaction", "curvature")},
-        **{k: _number(oc.get(k, 0.0), f"config dgp.outcome.{k}")
+        representation=_json.typed(oc.get("representation", "structural"),
+                                   "config dgp.outcome.representation", str),
+        **{k: _json.pair_or(_json.number, oc.get(k, 0.0), f"config dgp.outcome.{k}",
+                            "a number or [mean, sd] pair") for k in _PARAMS},
+        **{k: _json.number(oc.get(k, 0.0), f"config dgp.outcome.{k}")
            for k in ("noise_sd", "z_own", "z_peer")},
     )
     return DgpConfig(
-        blocks=blocks,
-        block_size=size,
-        strata=strata,
+        blocks=_json.integer(d["blocks"], "config dgp.blocks"),
+        block_size=_json.pair_or(_json.integer, d["block_size"], "config dgp.block_size",
+                                 "an integer or a [low, high] pair"),
+        strata=_json.numbers_by_key(d["strata"], "config dgp.strata", _STRATA_KEYS),
         outcome=outcome,
-        monotone=_flag(d, "monotone", "config dgp.monotone", None),
-        one_sided=_flag(d, "one_sided", "config dgp.one_sided", None),
-        complier_floor=_flag(d, "complier_floor", "config dgp.complier_floor", True),
+        **{k: _json.typed(d[k], f"config dgp.{k}", bool) for k in
+           ("monotone", "one_sided", "complier_floor") if k in d},
     )
 
 
-def _parse_mechanisms(cfg: dict) -> dict[str, Mechanism]:
-    raw = cfg.get("mechanisms")
-    if not raw or not isinstance(raw, list):
-        _fail(f"config mechanisms: expected a non-empty list, got {raw!r}")
+def _mechanism_pair(cfg: dict, design: dict) -> tuple[Mechanism, Mechanism]:
+    """The mechanisms design.mech_a and mech_b name, by default the first two."""
+    raw = _json.typed(cfg["mechanisms"], "config mechanisms", list, "a non-empty list")
+    if not raw:
+        raise InvalidConfig("config mechanisms: expected a non-empty list, got []")
     mechs: dict[str, Mechanism] = {}
     for i, m in enumerate(raw):
         where = f"config mechanisms[{i}]"
-        if not isinstance(m, dict):
-            _fail(f"{where}: expected an object, got {type(m).__name__}")
-        name = m.get("name")
-        if not name or not isinstance(name, str):
-            _fail(f"{where}: expected a name string, got {name!r}")
+        m = _json.obj(m, where, ("name", "p", "probs"), required=("name", ("p", "probs")))
+        name = _json.typed(m["name"], f"{where}.name", str)
+        if not name:
+            raise InvalidConfig(f"{where}.name: expected a non-empty string")
         if name in mechs:
-            _fail(f"config mechanisms: {name!r} defined more than once")
-        if "p" in m:
-            mechs[name] = Mechanism(name=name, probs=_number(m["p"], f"{where}.p"))
-        elif "probs" in m:
-            probs = m["probs"]
-            if not isinstance(probs, list):
-                _fail(f"{where}.probs: expected a list of numbers, got {probs!r}")
-            mechs[name] = Mechanism(name=name,
-                                    probs=tuple(_number(p, f"{where}.probs") for p in probs))
-        else:
-            _fail(f"{where} ({name!r}): needs 'p' or 'probs'")
-    return mechs
+            raise InvalidConfig(f"config mechanisms: {name!r} defined more than once")
+        probs = (_json.number(m["p"], f"{where}.p") if "p" in m else
+                 tuple(_json.number(p, f"{where}.probs") for p in
+                       _json.typed(m["probs"], f"{where}.probs", list)))
+        mechs[name] = Mechanism(name=name, probs=probs)
+    pair = []
+    for label, default in zip(("mech_a", "mech_b"), [*mechs, None, None]):
+        name = design.get(label, default)
+        if name is None or _json.typed(name, f"config design.{label}", str) not in mechs:
+            raise InvalidConfig(f"config design.{label}: mechanism {name!r} is not defined")
+        pair.append(mechs[name])
+    return tuple(pair)
+
+
+def _seed(value, where: str) -> int | None:
+    """A non-negative integer seed, or None when absent."""
+    seed = None if value is None else _json.integer(value, where)
+    if seed is not None and seed < 0:
+        raise InvalidConfig(f"{where}: expected a non-negative int, got {value!r}")
+    return seed
+
+
+def _read_config(path: str, needs: str) -> dict:
+    """The config read whole before any work, whichever command runs (one
+    file serves all four): every key against its object's closed set, every
+    value present against its kind. ``needs`` is the top-level key the
+    command cannot run without; an absent field reads None."""
+    cfg = _json.obj(_json.read_json(path), "config", ("seed", "mechanisms", *_SECTIONS),
+                    required=(needs,))
+    sections = {s: _json.obj(cfg.get(s, {}), f"config {s}", keys) for s, keys in _SECTIONS.items()}
+    design, mc, path = sections["design"], sections["mc"], sections["output"].get("path")
+    return {
+        "dgp": _parse_dgp(cfg) if "dgp" in cfg else None,
+        "pair": _mechanism_pair(cfg, design) if "mechanisms" in cfg else None,
+        "k": None if "k" not in design else _json.integer(design["k"], "config design.k"),
+        "replications": (None if "replications" not in mc else
+                         _json.integer(mc["replications"], "config mc.replications")),
+        "path": None if path is None else _json.typed(path, "config output.path", str),
+        "seeds": {"": _seed(cfg.get("seed"), "config seed"),
+                  **{s: _seed(sections[s].get("seed"), f"config {s}.seed")
+                     for s in ("dgp", "design", "mc")}},
+    }
 
 
 def _resolve_seed(cli_seed, cfg: dict, section: str) -> int:
     """--seed, else the section's seed, else the top-level one."""
-    for value, where in ((cli_seed, "--seed"),
-                         (_section(cfg, section).get("seed"), f"config {section}.seed"),
-                         (cfg.get("seed"), "config seed")):
-        if value is not None:
-            seed = _integer(value, where)
-            if seed < 0:
-                _fail(f"{where}: expected a non-negative int, got {value!r}")
+    for seed in (_seed(cli_seed, "--seed"), cfg["seeds"][section], cfg["seeds"][""]):
+        if seed is not None:
             return seed
-    _fail("config: missing seed (set a top-level \"seed\" or pass --seed)")
-
-
-def _design_pair(cfg: dict, mechs: dict[str, Mechanism]) -> tuple[Mechanism, Mechanism, dict]:
-    d = _section(cfg, "design")
-    names = list(mechs)
-    a_name = d.get("mech_a", names[0] if names else None)
-    b_name = d.get("mech_b", names[1] if len(names) > 1 else None)
-    for label, name in (("mech_a", a_name), ("mech_b", b_name)):
-        if not isinstance(name, str) or name not in mechs:
-            _fail(f"config design.{label}: mechanism {name!r} is not defined")
-    return mechs[a_name], mechs[b_name], d
+    raise InvalidConfig("config: missing seed (set a top-level \"seed\" or pass --seed)")
 
 
 def _replications(cfg: dict, default: int, optional: bool = False) -> int:
@@ -191,10 +134,10 @@ def _replications(cfg: dict, default: int, optional: bool = False) -> int:
     or 0 (no Monte Carlo) when the Monte Carlo run is optional."""
     from .montecarlo import MAX_REPLICATIONS
 
-    r = _integer(_section(cfg, "mc").get("replications", default), "config mc.replications")
+    r = default if cfg["replications"] is None else cfg["replications"]
     if not (2 <= r <= MAX_REPLICATIONS or optional and r == 0):
         low = "0 or 2" if optional else "2"
-        _fail(f"config mc.replications: expected {low}..{MAX_REPLICATIONS}, got {r}")
+        raise InvalidConfig(f"config mc.replications: expected {low}..{MAX_REPLICATIONS}, got {r}")
     return r
 
 
@@ -210,33 +153,33 @@ def _check_threads(args) -> None:
     try:
         count = int(value)
     except ValueError:
-        _fail(f"{where}: expected an integer, got {value!r}")
+        raise InvalidConfig(f"{where}: expected an integer, got {value!r}") from None
     if count < 1:
-        _fail(f"{where}: expected a thread count of at least 1, got {value!r}")
+        raise InvalidConfig(f"{where}: expected a thread count of at least 1, got {value!r}")
 
 
 def _check_output(path: str | None, where: str) -> None:
-    """Exit 2 naming the path unless it is empty, its directory exists and
-    it is not itself a directory; checked before any work starts, so no run
+    """InvalidConfig naming the path when it is empty, its directory is
+    missing or it is a directory; checked before any work starts, so no run
     is lost at its final write. ``_writing`` reports any other write failure."""
     if path is None:
         return
     if not path:
-        _fail(f"{where}: expected a file path, got an empty string")
+        raise InvalidConfig(f"{where}: expected a file path, got an empty string")
     target = Path(path)
     if not target.parent.is_dir():
-        _fail(f"{where} {path}: cannot write (no directory {str(target.parent)!r})")
+        raise InvalidConfig(f"{where} {path}: cannot write (no directory {str(target.parent)!r})")
     if target.is_dir():
-        _fail(f"{where} {path}: cannot write (it is a directory)")
+        raise InvalidConfig(f"{where} {path}: cannot write (it is a directory)")
 
 
 @contextlib.contextmanager
 def _writing(path: str):
-    """Turn an OSError of the write in the body into exit 2 naming the path."""
+    """Turn an OSError of the write in the body into InvalidConfig naming the path."""
     try:
         yield
     except OSError as exc:
-        _fail(f"{path}: cannot write ({exc.strerror or exc})")
+        raise InvalidConfig(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -250,35 +193,27 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_generate(args) -> int:
     from . import _streams
 
-    cfg = _load_json(args.config)
+    cfg = _read_config(args.config, "dgp")
     seed = _resolve_seed(args.seed, cfg, "dgp")
-    dgp = _parse_dgp(cfg)
-    path = _section(cfg, "output").get("path")
-    if path is not None and not isinstance(path, str):
-        _fail(f"config output.path: expected a string, got {path!r}")
-    if path == "":
-        _check_output(path, "config output.path")
-    out = args.out if args.out is not None else path or "population.json"
+    if cfg["path"] == "":
+        _check_output("", "config output.path")
+    out = args.out if args.out is not None else cfg["path"] or "population.json"
     _check_output(out, "--out" if args.out is not None else "config output.path")
-    pop = build_population(dgp, _streams.stream(seed, _DGP_STREAM))
+    pop = build_population(cfg["dgp"], _streams.stream(seed, _DGP_STREAM))
     report = validate(pop)
     with _writing(out):
         save_population(pop, out)
-    print(f"wrote {out}")
-    for line in report.summary_lines():
-        print(line)
+    print(f"wrote {out}", *report.summary_lines(), sep="\n")
     return 0
 
 
 def cmd_estimands(args) -> int:
     from .estimands import compute_estimand_report
 
-    cfg = _load_json(args.config)
+    cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
-    mechs = _parse_mechanisms(cfg)
-    mech_a, mech_b, _ = _design_pair(cfg, mechs)
     pop = load_population(args.pop)
-    report = compute_estimand_report(pop, mech_a, mech_b)
+    report = compute_estimand_report(pop, *cfg["pair"])
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
     elif args.format == "text":
@@ -294,17 +229,15 @@ def cmd_simulate(args) -> int:
     from .design import DesignConfig, run_design
     from .montecarlo import replicate
 
-    cfg = _load_json(args.config)
+    cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
     _check_output(args.dump_data, "--dump-data")
-    mechs = _parse_mechanisms(cfg)
-    mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "design")
     r = _replications(cfg, 1000)
     pop = load_population(args.pop)
-    k = _integer(design_section.get("k", pop.n_blocks // 2), "config design.k")
-    dcfg = DesignConfig(mech_a=mech_a, mech_b=mech_b, k=k, seed=seed)
+    k = pop.n_blocks // 2 if cfg["k"] is None else cfg["k"]
+    dcfg = DesignConfig(*cfg["pair"], k=k, seed=seed)
     if args.dump_data:
         with _writing(args.dump_data):
             run_design(pop, dcfg, replicate=0).to_csv(args.dump_data)
@@ -319,18 +252,13 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     from .montecarlo import verification_passes, verify_theorems
 
-    cfg = _load_json(args.config)
+    cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
-    mechs = _parse_mechanisms(cfg)
-    mech_a, mech_b, design_section = _design_pair(cfg, mechs)
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "mc")
     r = _replications(cfg, 0, optional=True)
-    k = design_section.get("k")
-    if k is not None:
-        k = _integer(k, "config design.k")
     pop = load_population(args.pop)
-    report = verify_theorems(pop, mech_a, mech_b, replications=r, seed=seed, k=k)
+    report = verify_theorems(pop, *cfg["pair"], replications=r, seed=seed, k=cfg["k"])
     if args.format == "text":
         _emit(report.text_table(), args.out)
     else:

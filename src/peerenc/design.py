@@ -108,6 +108,8 @@ class ExperimentData:
             raise InvalidData(f"{path}: {exc.strerror or exc}") from None
         except UnicodeDecodeError as exc:
             raise InvalidData(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except csv.Error as exc:  # a field longer than the csv module's limit
+            raise InvalidData(f"{path}: {exc}") from None
         if not rows:
             raise InvalidData(f"{path}: no data rows")
         rows.sort(key=lambda r: (r[0], r[2]))

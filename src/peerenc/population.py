@@ -30,10 +30,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
+from . import _json
 from .errors import (
     ArityMismatch,
     FlagMismatch,
@@ -69,6 +69,9 @@ _PT_BY_STRATUM = {
 # A structural outcome's coefficients, in the order of ``Population.coef``'s
 # rows and of ``structural_value``'s ``coef``.
 _COEFS = ("intercept", "direct", "peer", "interaction", "curvature", "noise")
+# The population file's keys: its flags and a table outcome's.
+_FLAGS_KEYS = ("monotone", "one_sided", "exclusion_ok")
+_TABLE_KEYS = ("kind", "size", "values")
 
 
 def structural_value(coef, own_d, k):
@@ -440,7 +443,8 @@ def _tables_from_coef(coef: np.ndarray, z_own: float = 0.0, z_peer: float = 0.0)
 
 
 def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
-    """Generate a population that passes ``validate`` with realized flags.
+    """Generate a population whose flags are the ones its data realize, so
+    it passes ``validate``; InvalidConfig when a draw is not finite.
 
     Deterministic given the rng state: block sizes, then per block its strata,
     each member's noise and coefficients in turn, and (for "mixed") the
@@ -460,7 +464,7 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
         sizes = np.full(cfg.blocks, cfg.block_size, dtype=int)
 
     codes, coef, tables = [], [], []
-    for n in sizes.tolist():
+    for i, n in enumerate(sizes.tolist()):
         codes.append(_draw_strata(n, probs, cfg.complier_floor, rng))
         block = []
         for _ in range(n):
@@ -473,7 +477,16 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
             as_table = bool(rng.random() < 0.5)
         else:
             as_table = False
-        tables.append(_tables_from_coef(block, oc.z_own, oc.z_peer) if as_table else None)
+        if not np.isfinite(block).all():  # a draw overflowed
+            k, j = np.argwhere(~np.isfinite(block))[0]
+            raise InvalidConfig(f"block {i} individual {j}: drawn {_COEFS[k]} is {block[k, j]}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            table = _tables_from_coef(block, oc.z_own, oc.z_peer) if as_table else None
+        if table is not None and not np.isfinite(table).all():  # finite terms, overflowing sum
+            j, r = np.argwhere(~np.isfinite(table))[0][:2]
+            raise InvalidConfig(f"block {i} individual {j}: outcome table entry at row "
+                                f"{r:0{n}b} is not finite (its coefficients overflow)")
+        tables.append(table)
         coef.append(np.zeros_like(block) if as_table else block)
 
     codes = np.concatenate(codes)
@@ -481,13 +494,11 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
     structural = np.repeat([t is None for t in tables], sizes)
     # encouragement terms force tables in every block (_check_config)
     exclusion_ok = oc.z_own == 0.0 and oc.z_peer == 0.0
-    pop = Population(starts=np.cumsum([0, *sizes.tolist()]), d0=d0, d1=d1,
-                     structural=structural, z_dependent=~structural & (not exclusion_ok),
-                     coef=np.concatenate(coef, axis=1), tables=tuple(tables),
-                     monotone=not (d0 > d1).any(), one_sided=not d0.any(),
-                     exclusion_ok=exclusion_ok)
-    validate(pop)
-    return pop
+    return Population(starts=np.cumsum([0, *sizes.tolist()]), d0=d0, d1=d1,
+                      structural=structural, z_dependent=~structural & (not exclusion_ok),
+                      coef=np.concatenate(coef, axis=1), tables=tuple(tables),
+                      monotone=not (d0 > d1).any(), one_sided=not d0.any(),
+                      exclusion_ok=exclusion_ok)
 
 
 def convert_to_tables(pop: Population) -> Population:
@@ -532,38 +543,18 @@ def _is_table_key(key: str, n: int, keyed: bool) -> bool:
     return len(parts) == 1 + keyed and all(len(p) == n and not p.strip("01") for p in parts)
 
 
-def _json_int(x, what: str) -> int:
-    """An integral JSON number as an int; booleans and strings raise."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or x != int(x):
-        raise InvalidConfig(f"{what}: expected an integer, got {x!r}")
-    return int(x)
-
-
-def _finite(pairs, what: str) -> list[float]:
-    """The values of (key, value) pairs as floats; raises naming the first
-    that is not a finite JSON number (a boolean or a string is not)."""
-    out = []
-    for key, x in pairs:
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-            raise InvalidConfig(f"{what} {key!r}: expected a finite number, got {x!r}")
-        out.append(float(x))
-    return out
-
-
 def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
     """A table outcome's entries in row order, (2^n,) or (2^n, 2^n) when
     encouragement-keyed. The entry count is compared with the row count
     before any key is built, so the work is bounded by the input's size."""
-    size = _json_int(d["size"], "table size")
+    size = _json.integer(d["size"], "table size")
     if size != n:
         raise ArityMismatch(f"table size {size} != block size {n}")
-    entries, rows = d["values"], 4**n if keyed else 2**n
-    if not isinstance(entries, dict):
-        raise InvalidConfig(f"table values: expected an object, got {type(entries).__name__}")
+    entries, rows = _json.obj(d["values"], "table values"), 4**n if keyed else 2**n
     if len(entries) < rows:
         raise MissingTableEntry(f"table has {len(entries)} of its {rows} entries")
     if len(entries) > rows:
-        extra = min(key for key in entries if not _is_table_key(key, n, keyed))
+        extra = next(key for key in entries if not _is_table_key(key, n, keyed))
         raise InvalidConfig(f"table key {extra!r} is not a row of a size-{n} table")
     if all(map(operator.eq, entries, _table_keys(n, keyed))):  # keys in row order, as saved
         values = list(entries.values())
@@ -572,22 +563,8 @@ def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
             values = [entries[key] for key in _table_keys(n, keyed)]
         except KeyError as exc:
             raise MissingTableEntry(f"table has no entry for {exc}") from None
-    arr = _finite_array(values)
-    if arr is None:  # names the first entry that is not a finite number, if any
-        arr = np.array(_finite(zip(_table_keys(n, keyed), values), "table entry"))
+    arr = _json.numbers(values, (f"table entry {key!r}" for key in _table_keys(n, keyed)))
     return arr.reshape(2**n, 2**n) if keyed else arr
-
-
-def _finite_array(values: list) -> np.ndarray | None:
-    """The values as a float array when every one is a finite JSON number
-    (an int or a float, never a boolean); None otherwise."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        arr = np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return arr if np.isfinite(arr).all() else None
 
 
 def population_to_dict(pop: Population) -> dict:
@@ -619,53 +596,48 @@ def population_to_dict(pop: Population) -> dict:
 
 
 def population_from_dict(data: dict) -> Population:
-    try:
-        flags = {k: data["flags"][k] for k in ("monotone", "one_sided", "exclusion_ok")}
-        raw_blocks = list(data["blocks"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidConfig(f"population file missing section: {exc}") from exc
-    if not all(isinstance(v, bool) for v in flags.values()):
-        raise InvalidConfig(f"population flags: expected true or false, got {flags}")
-    sizes, d0, d1, kinds, coef, tables = [], [], [], [], [], []
-    for i, raw in enumerate(raw_blocks):
-        if not isinstance(raw, list):
-            raise InvalidConfig(f"population block {i}: expected a list of individuals")
+    data = _json.obj(data, "population", ("flags", "blocks"), required=("flags", "blocks"))
+    flags = _json.obj(data["flags"], "population flags", _FLAGS_KEYS, required=_FLAGS_KEYS)
+    flags = {k: _json.typed(flags[k], f"population flags.{k}", bool) for k in _FLAGS_KEYS}
+    sizes, d0, d1, kinds, coef, tables, wheres = [], [], [], [], [], [], []
+    for i, raw in enumerate(_json.typed(data["blocks"], "population blocks", list)):
+        raw = _json.typed(raw, f"population block {i}", list, "a list of individuals")
         n, table = len(raw), None
         for j, r in enumerate(raw):
             where = f"population block {i} individual {j}"
+            wheres.append(where)
+            r = _json.obj(r, where, ("d0", "d1", "outcome"), required=("d0", "d1", "outcome"))
             try:
-                pt = (_json_int(r["d0"], "d0"), _json_int(r["d1"], "d1"))
-                y = r["outcome"]
-                if not isinstance(y, dict):
-                    raise InvalidConfig(f"outcome: expected an object, got {type(y).__name__}")
-                kind = y.get("kind")
+                d0.append(_json.integer(r["d0"], "d0"))
+                d1.append(_json.integer(r["d1"], "d1"))
+                y = _json.obj(r["outcome"], "outcome", required=("kind",))
+                kind = _json.typed(y["kind"], "outcome kind", str)
                 if kind == "structural":
-                    coef.append(_finite([(k, y.get(k, 0.0)) for k in _COEFS], "outcome"))
+                    _json.obj(y, "outcome", ("kind", *_COEFS))
+                    coef.extend(y.get(k, 0.0) for k in _COEFS)
                 elif kind in ("table", "table_z"):
+                    _json.obj(y, "outcome", _TABLE_KEYS, required=_TABLE_KEYS)
                     values = _table_from_dict(y, n, kind == "table_z")
                     if table is None:
                         table = np.zeros((n, 2**n, 1))
                     if values.ndim == 2 and table.shape[2] == 1:
                         table = np.repeat(table, 2**n, axis=2)
                     table[j] = values if values.ndim == 2 else values[:, None]
-                    coef.append([0.0] * len(_COEFS))
+                    coef.extend([0.0] * len(_COEFS))
                 else:
                     raise InvalidConfig(f"unknown outcome kind {kind!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise InvalidConfig(f"{where}: {why}") from None
             except PeerEncError as exc:
                 raise type(exc)(f"{where}: {exc}") from None
-            d0.append(pt[0])
-            d1.append(pt[1])
             kinds.append(kind)
         sizes.append(n)
         tables.append(table)
+    # every coefficient in one vectorized pass (a table member's are zeros)
+    coef = _json.numbers(coef, (f"{w}: outcome {k!r}" for w in wheres for k in _COEFS))
     try:
         pop = Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1,
                          structural=[k == "structural" for k in kinds],
                          z_dependent=[k == "table_z" for k in kinds],
-                         coef=np.array(coef).reshape(-1, len(_COEFS)).T, tables=tuple(tables),
+                         coef=coef.reshape(-1, len(_COEFS)).T, tables=tuple(tables),
                          **flags)
     except ValueError as exc:  # fewer than 2 blocks, an empty block, a non-binary d0 / d1
         raise InvalidConfig(f"population file: {exc}") from None
@@ -746,19 +718,5 @@ def save_population(pop: Population, path) -> None:
         fh.writelines(_file_pieces(pop))
 
 
-def read_json(path):
-    """The JSON document in a UTF-8 file; InvalidConfig naming the path when
-    the file cannot be read, is not UTF-8 text or is not JSON."""
-    try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
-    except OSError as exc:
-        raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                            f"{exc.msg}") from None
-
-
 def load_population(path) -> Population:
-    return population_from_dict(read_json(path))
+    return population_from_dict(_json.read_json(path))

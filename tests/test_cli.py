@@ -78,17 +78,14 @@ def test_generate_requires_seed(tmp_path, capsys):
     cfg = json.loads(write_config(path).read_text())
     del cfg["seed"]
     path.write_text(json.dumps(cfg))
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "--config", str(path)])
-    assert exc.value.code == 2
+    assert _exit_code(["generate", "--config", str(path)]) == 2
     assert "seed" in capsys.readouterr().err
 
 
 def test_bad_json_reports_line(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{\n  \"seed\": 1,\n  oops\n}")
-    with pytest.raises(SystemExit):
-        main(["generate", "--config", str(path)])
+    assert _exit_code(["generate", "--config", str(path)]) == 2
     assert "line 3" in capsys.readouterr().err
 
 
@@ -246,9 +243,7 @@ def test_duplicate_mechanism_names_rejected(tmp_path, capsys):
     )
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(cfg), "--out", str(pop_path)])
-    with pytest.raises(SystemExit) as exc:
-        main(["estimands", "--config", str(cfg), "--pop", str(pop_path)])
-    assert exc.value.code == 2
+    assert _exit_code(["estimands", "--config", str(cfg), "--pop", str(pop_path)]) == 2
     assert "more than once" in capsys.readouterr().err
 
 
@@ -543,7 +538,7 @@ def test_a_failed_write_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert _exit_code(["generate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {out}: cannot write (Permission denied)\n"
+    assert err == f"error: InvalidConfig: {out}: cannot write (Permission denied)\n"
 
 
 @pytest.mark.parametrize("command, replications", [

@@ -561,7 +561,8 @@ _WHERE = "population block 0 individual 0"
     ("0.5", "table entry {key!r}: expected a finite number, got '0.5'"),
     (float("inf"), "table entry {key!r}: expected a finite number, got inf"),
     (float("nan"), "table entry {key!r}: expected a finite number, got nan"),
-    (10**400, "int too large to convert to float"),
+    (10**400, "table entry {key!r}: expected a finite number, got 1" + "0" * 17 + "..."
+     + "0" * 19),
 ], ids=["true", "string", "infinity", "nan", "huge-int"])
 def test_bad_entry_in_a_saved_order_table_keeps_its_error(tmp_path, keyed, bad, message):
     """A table whose keys are in saved order, with one entry that is not a
