@@ -16,9 +16,18 @@ from .errors import InvalidConfig
 
 def read_json(path):
     """The JSON document in a UTF-8 file; InvalidConfig naming the path when
-    the file cannot be read, is not UTF-8 text or is not JSON."""
+    the file cannot be read, is not UTF-8 text, is not JSON or repeats a key
+    within an object (json would keep the last value silently)."""
+    def unique_keys(pairs):
+        value = dict(pairs)
+        if len(value) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise InvalidConfig(f"{path}: duplicate key {reprlib.repr(key)} in an object")
+        return value
+
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
+        return json.loads(Path(path).read_bytes().decode("utf-8"), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

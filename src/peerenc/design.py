@@ -12,6 +12,7 @@ realized block treatment (and encouragement) vectors.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,6 +25,10 @@ from .mechanisms import Mechanism, mechanisms_identical
 from .population import Population
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
+# Each column's numeral, in ASCII digits with an optional minus: int() and
+# float() would also take "1_0", spaces and non-ASCII digits.
+_NUMERALS = ((re.compile(r"-?[0-9]+"), "an integer"),) * 5 + (
+    (re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?"), "a decimal number"),)
 
 # Replicates are drawn in batches whose (replicate, individual) arrays take
 # at most this many bytes; BYTES_PER_DRAW is the peak a batch allocates per
@@ -153,10 +158,13 @@ def _read_csv_rows(path) -> list[tuple]:
             if None in row:  # DictReader files fields past the header under None
                 raise InvalidData(f"{where}: {len(CSV_COLUMNS) + len(row[None])} fields, "
                                   f"the header has {len(CSV_COLUMNS)}")
+            for name, (numeral, kind) in zip(CSV_COLUMNS, _NUMERALS):
+                if row[name] is None or not numeral.fullmatch(row[name]):
+                    raise InvalidData(f"{where}: {name}={row[name]!r} is not {kind}")
             try:
                 rec = (int(row["block_id"]), int(row["S"]), int(row["unit_id"]),
                        int(row["Z"]), int(row["D"]), float(row["Y"]))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:  # an integer of over 4300 digits
                 raise InvalidData(f"{where}: {exc}") from None
             for name, v in zip(("S", "Z", "D"), (rec[1], rec[3], rec[4])):
                 if v not in (0, 1):

@@ -153,9 +153,6 @@ class BlockSummary:
     per_block: tuple[float, ...]
     population: float
 
-    def as_dict(self) -> dict:
-        return {"per_block": list(self.per_block), "population": self.population}
-
 
 def _summarize(values) -> BlockSummary:
     vals = tuple(float(v) for v in values)
@@ -232,46 +229,18 @@ def lpt(
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(JsonReport):
     name: str
     lhs: float
     rhs: float
+    gap: float  # lhs - rhs
     passed: bool
+    block_identity_ok: bool  # the identity holds block by block wherever defined
     assumptions_ok: bool
     assumption_notes: tuple[str, ...]
     block_lhs: tuple[float, ...]
     block_rhs: tuple[float, ...]
     note: str | None = None
-
-    @property
-    def gap(self) -> float:
-        return self.lhs - self.rhs
-
-    @property
-    def block_identity_ok(self) -> bool:
-        """True when the identity holds block by block wherever defined."""
-        pairs = [
-            (a, b)
-            for a, b in zip(self.block_lhs, self.block_rhs)
-            if math.isfinite(a) and math.isfinite(b)
-        ]
-        return bool(pairs) and all(identity_ok(a, b) for a, b in pairs)
-
-    def as_dict(self) -> dict:
-        clean = lambda xs: [x if math.isfinite(x) else None for x in xs]  # noqa: E731
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "passed": self.passed,
-            "block_identity_ok": self.block_identity_ok,
-            "assumptions_ok": self.assumptions_ok,
-            "assumption_notes": list(self.assumption_notes),
-            "note": self.note,
-            "block_lhs": clean(self.block_lhs),
-            "block_rhs": clean(self.block_rhs),
-        }
 
 
 def _assumption_notes(pop: Population, require_monotone=False, require_exclusion=False,
@@ -306,15 +275,19 @@ def _ratio_denominator(pop: Population) -> BlockSummary:
 
 def _identity(name: str, lhs: float, rhs: float, block_lhs, block_rhs, notes,
               note: str | None = None) -> IdentityReport:
+    block_lhs, block_rhs = tuple(map(float, block_lhs)), tuple(map(float, block_rhs))
+    pairs = [(a, b) for a, b in zip(block_lhs, block_rhs) if math.isfinite(a) and math.isfinite(b)]
     return IdentityReport(
         name=name,
         lhs=lhs,
         rhs=rhs,
+        gap=lhs - rhs,
         passed=identity_ok(lhs, rhs),
+        block_identity_ok=bool(pairs) and all(identity_ok(a, b) for a, b in pairs),
         assumptions_ok=not notes,
         assumption_notes=notes,
-        block_lhs=tuple(float(x) for x in block_lhs),
-        block_rhs=tuple(float(x) for x in block_rhs),
+        block_lhs=block_lhs,
+        block_rhs=block_rhs,
         note=note,
     )
 
@@ -424,13 +397,6 @@ class EstimandReport(JsonReport):
     entries: dict[str, BlockSummary]
     skipped: dict[str, str]
     metadata: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": {k: v.as_dict() for k, v in self.entries.items()},
-            "skipped": dict(self.skipped),
-            "metadata": self.metadata,
-        }
 
     def to_csv(self) -> str:
         lines = ["estimand,block,value"]

@@ -134,21 +134,6 @@ class EstimateReport(JsonReport):
     et_blocks_dropped: tuple[tuple[int, str], ...]
     notes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "ditt_hat_a": self.ditt_hat_a,
-            "ditt_hat_b": self.ditt_hat_b,
-            "pitt_hat_1": self.pitt_hat_1,
-            "pitt_hat_0": self.pitt_hat_0,
-            "et_hat": self.et_hat,
-            "ldt_hat": self.ldt_hat,
-            "lpt_diff_hat": self.lpt_diff_hat,
-            "lpt0_hat": self.lpt0_hat,
-            "arm_sizes": list(self.arm_sizes),
-            "et_blocks_dropped": [[i, why] for i, why in self.et_blocks_dropped],
-            "notes": list(self.notes),
-        }
-
     def to_csv(self) -> str:
         rows = ["field,value"]
         for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0",

@@ -102,12 +102,6 @@ def exact_targets(pop: Population, cfg: DesignConfig,
     return targets
 
 
-def _jsonable(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return x
-
-
 @dataclass(frozen=True)
 class EstimatorSummary:
     name: str
@@ -118,18 +112,6 @@ class EstimatorSummary:
     std_bias: float | None
     n_defined: int
     n_undefined: int
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mean": _jsonable(self.mean),
-            "sd": _jsonable(self.sd),
-            "mcse": _jsonable(self.mcse),
-            "target": _jsonable(self.target),
-            "std_bias": _jsonable(self.std_bias),
-            "n_defined": self.n_defined,
-            "n_undefined": self.n_undefined,
-        }
 
 
 @dataclass(frozen=True)
@@ -143,13 +125,6 @@ class McSummary(JsonReport):
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "seed": self.seed,
-            "estimators": [s.as_dict() for s in self.estimators],
-        }
 
     def text_table(self) -> str:
         header = f"{'estimator':<14}{'mean':>14}{'sd':>12}{'mcse':>12}{'target':>14}{'std_bias':>10}{'undef':>7}"
@@ -232,17 +207,6 @@ class TheoremVerification:
     def exact_ok(self) -> bool:
         return self.identity is not None and self.identity.passed
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "identity": self.identity.as_dict() if self.identity else None,
-            "error": self.error,
-            "plugin_estimator": self.plugin_estimator,
-            "plugin_mean": self.plugin_mean,
-            "plugin_mcse": self.plugin_mcse,
-            "plugin_std_bias": self.plugin_std_bias,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport(JsonReport):
@@ -254,12 +218,6 @@ class VerificationReport(JsonReport):
             if t.name == name:
                 return t
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "theorems": [t.as_dict() for t in self.theorems],
-            "mc": self.mc.to_dict() if self.mc else None,
-        }
 
     def text_table(self) -> str:
         lines = []

@@ -150,6 +150,16 @@ class Population:
         if (structural & z_dependent).any():
             raise ValueError(f"{_individual(starts, structural & z_dependent)}: a structural"
                              " outcome cannot be encouragement-keyed")
+        # a structural outcome is at most this bound in absolute value, with k
+        # <= n - 1 treated peers: finite, every outcome the kernels evaluate is
+        peers = np.repeat(sizes - 1, sizes).astype(float)
+        c = np.abs(np.asarray(self.coef, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = c[0] + c[1] + (c[2] + c[3]) * peers + c[4] * peers * peers + c[5]
+        overflows = structural & ~np.isfinite(bound)
+        if overflows.any():
+            raise ValueError(f"{_individual(starts, overflows)}: the structural outcome"
+                             " overflows (its coefficients' bound is not finite)")
         if len(self.tables) != sizes.size:
             raise ArityMismatch(f"tables: expected one entry per block ({sizes.size}),"
                                 f" got {len(self.tables)}")
@@ -237,20 +247,14 @@ def _check_tables(i: int, table, structural, z_dependent) -> None:
         raise ValueError(f"block {i}: a table that is not encouragement-keyed varies with z")
 
 
-@dataclass(frozen=True)
-class BlockValidation:
-    index: int
-    size: int
-    strata: dict[ComplianceType, int]
-    monotone: bool
-    one_sided: bool
-    encouragement_effect: float
-    has_complier: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
-    blocks: tuple[BlockValidation, ...]
+    """What ``validate`` found: per-block arrays over the B blocks, the flags
+    the data satisfy and the warnings."""
+
+    sizes: np.ndarray  # (B,) block sizes
+    strata: dict[ComplianceType, np.ndarray]  # stratum -> (B,) member counts
+    effects: np.ndarray  # (B,) the encouragement's mean effect on uptake
     monotone: bool
     one_sided: bool
     exclusion_ok: bool
@@ -258,14 +262,13 @@ class ValidationReport:
 
     def summary_lines(self) -> list[str]:
         lines = [
-            f"blocks={len(self.blocks)} individuals={sum(b.size for b in self.blocks)} "
+            f"blocks={self.sizes.size} individuals={self.sizes.sum()} "
             f"monotone={self.monotone} one_sided={self.one_sided} exclusion_ok={self.exclusion_ok}"
         ]
-        for b in self.blocks:
-            strata = " ".join(f"{ct.value}={n}" for ct, n in b.strata.items() if n)
-            lines.append(
-                f"  block {b.index}: n={b.size} effect_on_uptake={b.encouragement_effect:+.4f} {strata}"
-            )
+        counts = {ct.value: c.tolist() for ct, c in self.strata.items()}
+        for i, (n, effect) in enumerate(zip(self.sizes.tolist(), self.effects.tolist())):
+            strata = " ".join(f"{name}={c[i]}" for name, c in counts.items() if c[i])
+            lines.append(f"  block {i}: n={n} effect_on_uptake={effect:+.4f} {strata}")
         lines.extend(f"  warning: {w}" for w in self.warnings)
         return lines
 
@@ -278,43 +281,20 @@ def validate(pop: Population) -> ValidationReport:
     findings, warning about blocks where the encouragement moves nobody's
     uptake (ratio identities are undefined there).
     """
-    firsts = pop.starts[:-1]
-    counts = {ct: np.add.reduceat(pop.in_stratum(ct), firsts) for ct in ComplianceType}
-    sizes = pop.sizes
+    firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
     effects = np.add.reduceat(pop.d1.astype(np.int64) - pop.d0, firsts) / sizes
-    one_sided = np.add.reduceat(pop.d0, firsts) == 0
-    block_reports = [
-        BlockValidation(
-            index=i,
-            size=sizes[i],
-            strata={ct: int(c[i]) for ct, c in counts.items()},
-            monotone=bool(counts[ComplianceType.DEFIER][i] == 0),
-            one_sided=bool(one_sided[i]),
-            encouragement_effect=float(effects[i]),
-            has_complier=bool(counts[ComplianceType.COMPLIER][i] > 0),
-        )
-        for i in range(len(sizes))
-    ]
-    warnings = [f"EncouragementIneffective: block {i} has zero effect on uptake"
-                for i in np.flatnonzero(effects == 0.0)]
-
-    found_monotone = all(b.monotone for b in block_reports)
-    found_one_sided = all(b.one_sided for b in block_reports)
-    found_exclusion = not pop.z_dependent.any()
-    for flag, found, label in (
-        (pop.monotone, found_monotone, "monotone"),
-        (pop.one_sided, found_one_sided, "one_sided"),
-        (pop.exclusion_ok, found_exclusion, "exclusion_ok"),
-    ):
-        if flag != found:
-            raise FlagMismatch(f"flag {label}={flag} but the data say {found}")
-
+    found = {"monotone": not (pop.d0 > pop.d1).any(), "one_sided": not pop.d0.any(),
+             "exclusion_ok": not pop.z_dependent.any()}
+    for label, value in found.items():
+        if getattr(pop, label) != value:
+            raise FlagMismatch(f"flag {label}={getattr(pop, label)} but the data say {value}")
     return ValidationReport(
-        blocks=tuple(block_reports),
-        monotone=found_monotone,
-        one_sided=found_one_sided,
-        exclusion_ok=found_exclusion,
-        warnings=tuple(warnings),
+        sizes=sizes,
+        strata={ct: np.add.reduceat(pop.in_stratum(ct), firsts) for ct in ComplianceType},
+        effects=effects,
+        warnings=tuple(f"EncouragementIneffective: block {i} has zero effect on uptake"
+                       for i in np.flatnonzero(effects == 0.0)),
+        **found,
     )
 
 
@@ -444,7 +424,8 @@ def _tables_from_coef(coef: np.ndarray, z_own: float = 0.0, z_peer: float = 0.0)
 
 def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
     """Generate a population whose flags are the ones its data realize, so
-    it passes ``validate``; InvalidConfig when a draw is not finite.
+    it passes ``validate``; InvalidConfig when a draw is not finite or a
+    structural outcome can overflow.
 
     Deterministic given the rng state: block sizes, then per block its strata,
     each member's noise and coefficients in turn, and (for "mixed") the
@@ -494,11 +475,14 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
     structural = np.repeat([t is None for t in tables], sizes)
     # encouragement terms force tables in every block (_check_config)
     exclusion_ok = oc.z_own == 0.0 and oc.z_peer == 0.0
-    return Population(starts=np.cumsum([0, *sizes.tolist()]), d0=d0, d1=d1,
-                      structural=structural, z_dependent=~structural & (not exclusion_ok),
-                      coef=np.concatenate(coef, axis=1), tables=tuple(tables),
-                      monotone=not (d0 > d1).any(), one_sided=not d0.any(),
-                      exclusion_ok=exclusion_ok)
+    try:
+        return Population(starts=np.cumsum([0, *sizes.tolist()]), d0=d0, d1=d1,
+                          structural=structural, z_dependent=~structural & (not exclusion_ok),
+                          coef=np.concatenate(coef, axis=1), tables=tuple(tables),
+                          monotone=not (d0 > d1).any(), one_sided=not d0.any(),
+                          exclusion_ok=exclusion_ok)
+    except ValueError as exc:  # a structural outcome that overflows
+        raise InvalidConfig(str(exc)) from None
 
 
 def convert_to_tables(pop: Population) -> Population:

@@ -364,7 +364,7 @@ def test_theorem_1_unequal_uptake_effects_diagnosed():
     assert rep.block_identity_ok
     assert rep.assumptions_ok
     assert "unequal uptake" in rep.note
-    payload = rep.as_dict()
+    payload = rep.to_dict()
     assert payload["block_identity_ok"] is True
 
 

@@ -362,6 +362,104 @@ def test_a_draw_that_overflows_is_refused_before_anything_is_written(tmp_path, o
     assert stdout == "" and not out.exists()
 
 
+def test_a_duplicate_config_key_is_a_one_line_error(tmp_path, pop_file):
+    """json keeps the last of repeated keys; the reader refuses them, so
+    `"mc": {"replications": 5, "replications": 4}` cannot run 4 replicates."""
+    text = json.dumps(CONFIG)
+    assert '"mc": {"replications": 4,' in text
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"mc": {"replications": 4,',
+                                 '"mc": {"replications": 5, "replications": 4,'))
+    code, stdout, err = _run(["simulate", "--config", str(path), "--pop", str(pop_file)])
+    _assert_one_line_error(code, err)
+    assert f"{path}: duplicate key 'replications'" in err and stdout == ""
+
+
+def test_a_duplicate_population_key_is_a_one_line_error(tmp_path, pop_file):
+    text = pop_file.read_text()
+    assert '"d0": 0,' in text
+    path = tmp_path / "pop.json"
+    path.write_text(text.replace('"d0": 0,', '"d0": 1,\n    "d0": 0,', 1))
+    code, _, err = _run(["estimands", "--config", str(pop_file.parent / "cfg.json"),
+                         "--pop", str(path)])
+    _assert_one_line_error(code, err)
+    assert f"{path}: duplicate key 'd0'" in err
+
+
+_OVERFLOW = {"intercept": 1e308, "direct": 1e308}
+
+
+def test_a_structural_outcome_that_overflows_is_refused_when_drawn(tmp_path):
+    """The mc-small-blocks benchmark config at seed 7 with finite coefficients
+    whose sum overflows: |intercept| + |direct| is not finite."""
+    cfg = _workloads().WORKLOADS["mc-small-blocks"].config(7, 60)
+    cfg["dgp"]["outcome"].update(_OVERFLOW)
+    path, out = tmp_path / "cfg.json", tmp_path / "pop.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, err = _run(["generate", "--config", str(path), "--out", str(out)])
+    _assert_one_line_error(code, err)
+    assert "InvalidConfig: block 0 individual 0: the structural outcome overflows" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimands", "simulate", "verify"])
+def test_a_structural_outcome_that_overflows_is_refused_when_loaded(tmp_path, pop_file,
+                                                                    command):
+    data = json.loads(pop_file.read_text())
+    individual = next(j for j, r in enumerate(data["blocks"][2])
+                      if r["outcome"]["kind"] == "structural")
+    data["blocks"][2][individual]["outcome"].update(_OVERFLOW)
+    path = tmp_path / "pop.json"
+    path.write_text(json.dumps(data))
+    code, stdout, err = _run([command, "--config", str(pop_file.parent / "cfg.json"),
+                              "--pop", str(path)])
+    _assert_one_line_error(code, err)
+    assert f"block 2 individual {individual}: the structural outcome overflows" in err
+    assert stdout == ""
+
+
+def _strict_json(text: str):
+    """json.loads refusing the NaN / Infinity / -Infinity tokens json writes
+    for non-finite floats, which are not JSON."""
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("shape", ["zero-uptake", "mc-small-blocks"])
+def test_every_json_report_is_strict_json(tmp_path, shape):
+    """`estimands`, `simulate` and `verify` write JSON with null for every
+    undefined number: on a population where nobody ever takes treatment
+    (every ratio estimator undefined) and on a benchmark-shaped one."""
+    cfg = _workloads().WORKLOADS["mc-small-blocks"].config(1, 20)
+    cfg_path, pop_path = tmp_path / "cfg.json", tmp_path / "pop.json"
+    if shape == "zero-uptake":
+        cfg["design"]["k"] = 3
+        pop_path.write_text(json.dumps({
+            "flags": {"monotone": True, "one_sided": True, "exclusion_ok": True},
+            "blocks": [[{"d0": 0, "d1": 0, "outcome": {"kind": "structural", "intercept": i,
+                                                       "direct": 2.0, "peer": 0.5 * j}}
+                        for j in range(3)] for i in range(6)],
+        }))
+    cfg_path.write_text(json.dumps(cfg))
+    if shape != "zero-uptake":
+        assert _run(["generate", "--config", str(cfg_path), "--out", str(pop_path)])[0] == 0
+    reports = {}
+    for command in ("estimands", "simulate", "verify"):
+        out = tmp_path / f"{command}.json"
+        code, _, err = _run([command, "--config", str(cfg_path), "--pop", str(pop_path),
+                             "--out", str(out)])
+        assert code == (1 if command == "verify" else 0), err
+        reports[command] = _strict_json(out.read_text())
+    assert reports["verify"]["mc"]["replications"] == 20
+    if shape == "zero-uptake":
+        theorems = {t["name"]: t for t in reports["verify"]["theorems"]}
+        for name in ("theorem_1", "theorem_2"):
+            assert theorems[name]["identity"] is None
+            assert theorems[name]["plugin_mean"] is None
+            assert theorems[name]["plugin_mcse"] is None
+
+
 # --------------------------------------------------------------------------
 # Configs that must keep loading under the closed key sets
 # --------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_validate_all_compliers():
     pop = make_population([["co", "co"], ["co", "co", "co"]])
     report = validate(pop)
     assert report.monotone and report.one_sided and report.exclusion_ok
-    assert all(b.encouragement_effect == 1.0 for b in report.blocks)
+    assert all(e == 1.0 for e in report.effects)
     assert not report.warnings
 
 
@@ -99,7 +99,7 @@ def test_validate_flags_must_match_in_both_directions():
 def test_validate_all_never_takers_warns_ineffective():
     pop = make_population([["nt", "nt"], ["nt"]])
     report = validate(pop)
-    assert all(b.encouragement_effect == 0.0 for b in report.blocks)
+    assert all(e == 0.0 for e in report.effects)
     assert any("EncouragementIneffective" in w for w in report.warnings)
 
 
@@ -262,7 +262,7 @@ def test_build_population_basic():
     assert pop.sizes == (5,) * 10
     assert pop.monotone and pop.exclusion_ok
     report = validate(pop)
-    assert all(b.has_complier for b in report.blocks)
+    assert all(n > 0 for n in report.strata[ComplianceType.COMPLIER])
 
 
 def test_build_population_defiers_with_monotone_is_invalid():
@@ -325,20 +325,23 @@ def test_stratum_counts_partition_population(rng):
     cfg = _basic_cfg(strata=(0.25, 0.25, 0.25, 0.25), monotone=None, complier_floor=False)
     pop = build_population(cfg, rng)
     total = 0
-    for lo, hi, rep in zip(pop.starts[:-1], pop.starts[1:], validate(pop).blocks):
+    report = validate(pop)
+    for i, (lo, hi) in enumerate(zip(pop.starts[:-1], pop.starts[1:])):
         strata = [stratum(pop, u) for u in range(lo, hi)]
-        assert rep.strata == {ct: strata.count(ct) for ct in ComplianceType}
-        assert sum(rep.strata.values()) == hi - lo
-        total += sum(rep.strata.values())
+        counts = {ct: report.strata[ct][i] for ct in ComplianceType}
+        assert counts == {ct: strata.count(ct) for ct in ComplianceType}
+        assert sum(counts.values()) == hi - lo
+        total += sum(counts.values())
     assert total == pop.n_individuals
 
 
 def test_monotone_uptake_effect_equals_complier_fraction(rng):
     pop = build_population(_basic_cfg(), rng)
-    for lo, hi, rep in zip(pop.starts[:-1], pop.starts[1:], validate(pop).blocks):
+    report = validate(pop)
+    for i, (lo, hi) in enumerate(zip(pop.starts[:-1], pop.starts[1:])):
         frac = sum(stratum(pop, u) is ComplianceType.COMPLIER for u in range(lo, hi)) / (hi - lo)
-        assert rep.strata[ComplianceType.COMPLIER] / (hi - lo) == frac
-        assert rep.encouragement_effect == pytest.approx(frac, abs=0)
+        assert report.strata[ComplianceType.COMPLIER][i] / (hi - lo) == frac
+        assert report.effects[i] == pytest.approx(frac, abs=0)
 
 
 @given(
@@ -367,7 +370,7 @@ def test_build_then_validate_round_trip(blocks, size, mix, rep, seed):
     )
     pop = build_population(cfg, np.random.default_rng(seed))
     report = validate(pop)
-    assert sum(b.size for b in report.blocks) == pop.n_individuals
+    assert sum(report.sizes) == pop.n_individuals
 
 
 def test_serialization_round_trip(tmp_path, rng):
