@@ -311,8 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PeerEncError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except (PeerEncError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # a failed write like any other; the flush at exit then goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            exc = InvalidConfig(f"standard output: cannot write ({exc.strerror})")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -48,18 +48,29 @@ class DesignConfig:
 
 
 def validate_design(cfg: DesignConfig, pop: Population) -> None:
+    """InvalidDesign unless both arms are populated, the mechanisms differ
+    and, under either mechanism, 2 * sum(bound / min(p, 1 - p)) over the
+    individuals is finite: that bounds every inverse-probability weighted
+    block sum, arm mean and contrast of two that the estimators form."""
     b = pop.n_blocks
     if not 1 <= cfg.k <= b - 1:
         raise InvalidDesign(f"k={cfg.k} must leave both arms populated (1..{b - 1})")
-    sizes = set(pop.sizes)
-    for mech in (cfg.mech_a, cfg.mech_b):
-        for n in sizes:
-            mech.marginals(n)  # ArityMismatch if a vector mechanism cannot cover a block
-    if mechanisms_identical(cfg.mech_a, cfg.mech_b, sizes):
+    mechs = (cfg.mech_a, cfg.mech_b)
+    # ArityMismatch if a vector mechanism cannot cover a block
+    probs = [_unit_marginals(mech, pop.sizes) for mech in mechs]
+    if mechanisms_identical(cfg.mech_a, cfg.mech_b, set(pop.sizes)):
         raise InvalidDesign(
             f"mechanisms {cfg.mech_a.name!r} and {cfg.mech_b.name!r} give every individual "
             "identical probabilities; the design needs a contrast"
         )
+    for mech, p in zip(mechs, probs):
+        with np.errstate(over="ignore"):
+            total = 2 * np.sum(pop.bound / np.minimum(p, 1.0 - p))
+        if not np.isfinite(total):
+            raise InvalidDesign(
+                f"mechanism {mech.name!r}: inverse-probability weighted outcomes overflow "
+                "(2 * sum of outcome bound / min(p, 1 - p) is not finite)"
+            )
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ q(1-q) over the peers' effective uptake probabilities q (always-takers 1,
 never-takers 0, compliers their encouragement probability, defiers its
 complement). Tables are averaged over one enumeration of their block's 2^n
 encouragement vectors. The test suite cross-checks the routes. Every family
-assembles block means of the kernel's output; a family's population value is
-the unweighted mean of its block values.
+and identity check takes kernel results (``member_averages``), so a caller
+evaluates the kernel once per mechanism; each assembles block means of the
+kernel's output, and a family's population value is the unweighted mean of
+its block values.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ def _block_means(pop: Population, values: np.ndarray, members: np.ndarray) -> np
 
 
 @dataclass(frozen=True)
-class _MemberAverages:
+class MemberAverages:
     """Each individual's averages under one mechanism, in block order:
     ``itt[z]`` pins the own encouragement at z, ``local[d]`` the own treatment
     at d (averaging the own encouragement for encouragement-keyed tables).
-    Read them through ``members``, which refuses what the cap left out."""
+    Read them through ``members``, which refuses what the cap left out. The
+    arrays are read-only: one kernel is shared by every family and check."""
 
     pop: Population
     cap: int
@@ -107,9 +110,11 @@ class _MemberAverages:
         raise EnumerationTooLarge(f"block {i}: 2^{sizes[i]} assignments exceed cap 2^{self.cap}")
 
 
-def _member_averages(pop: Population, mech: Mechanism, cap: int) -> _MemberAverages:
+def member_averages(pop: Population, mech: Mechanism,
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> MemberAverages:
     """The exact kernel: closed-form peer-count moments for structural
-    outcomes, one 2^n enumeration per table block within the cap."""
+    outcomes, one 2^n enumeration per table block within the cap. Evaluate
+    it once per mechanism and pass the result to every family and check."""
     firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
     p = np.concatenate([mech.marginals(n) for n in pop.sizes])
     q = np.where(pop.d0 == pop.d1, pop.d0, np.where(pop.d1 == 1, p, 1.0 - p))
@@ -138,7 +143,9 @@ def _member_averages(pop: Population, mech: Mechanism, cap: int) -> _MemberAvera
         table = ~pop.structural[block]
         itt[:, block] = np.where(table, vals[:2], itt[:, block])
         local[:, block] = np.where(table, vals[2:], local[:, block])
-    return _MemberAverages(pop=pop, cap=cap, itt=itt, local=local)
+    itt.setflags(write=False)
+    local.setflags(write=False)
+    return MemberAverages(pop=pop, cap=cap, itt=itt, local=local)
 
 
 # --------------------------------------------------------------------------
@@ -159,66 +166,46 @@ def _summarize(values) -> BlockSummary:
     return BlockSummary(per_block=vals, population=float(sum(vals) / len(vals)))
 
 
-def ditt(
-    pop: Population, z_hi: int, z_lo: int, mech: Mechanism, cap: int = DEFAULT_ENUMERATION_CAP
-) -> BlockSummary:
-    """Direct intent-to-treat effect: contrast in own encouragement."""
-    if z_hi == z_lo:
-        raise ValueError("direct contrast needs two distinct encouragement values")
-    avg = _member_averages(pop, mech, cap)
-    return _summarize(avg.itt_blocks(z_hi) - avg.itt_blocks(z_lo))
+def _same_population(a: MemberAverages, b: MemberAverages) -> None:
+    if a.pop is not b.pop:
+        raise ValueError("a contrast needs two kernels of the same population")
 
 
-def pitt(
-    pop: Population,
-    z: int,
-    mech_a: Mechanism,
-    mech_b: Mechanism,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> BlockSummary:
-    """Peer intent-to-treat effect: contrast in the peers' mechanism."""
-    a = _member_averages(pop, mech_a, cap)
-    b = _member_averages(pop, mech_b, cap)
+def ditt(avg: MemberAverages) -> BlockSummary:
+    """Direct intent-to-treat effect: own encouragement 1 against 0."""
+    return _summarize(avg.itt_blocks(1) - avg.itt_blocks(0))
+
+
+def pitt(a: MemberAverages, b: MemberAverages, z: int) -> BlockSummary:
+    """Peer intent-to-treat effect: the peers' mechanism a against b."""
+    _same_population(a, b)
     return _summarize(a.itt_blocks(z) - b.itt_blocks(z))
 
 
-def et(pop: Population, z_hi: int = 1, z_lo: int = 0) -> BlockSummary:
+def et(pop: Population) -> BlockSummary:
     """Average effect of encouragement on treatment uptake (mechanism-free)."""
-    if z_hi == z_lo:
-        raise ValueError("uptake contrast needs two distinct encouragement values")
-    hi, lo = (pop.d1 if z_hi else pop.d0), (pop.d1 if z_lo else pop.d0)
-    return _summarize(_block_means(pop, hi.astype(np.int64) - lo, pop.in_stratum(None)))
+    return _summarize(_block_means(pop, pop.d1.astype(np.int64) - pop.d0, pop.in_stratum(None)))
 
 
 def ldt(
-    pop: Population,
-    d_hi: int,
-    d_lo: int,
-    mech: Mechanism,
+    avg: MemberAverages,
     stratum: ComplianceType | None = ComplianceType.COMPLIER,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     allow_exclusion_violation: bool = False,
 ) -> BlockSummary:
-    """Local direct treatment effect: own treatment pinned, peers natural."""
-    if d_hi == d_lo:
-        raise ValueError("direct contrast needs two distinct treatment values")
-    avg = _member_averages(pop, mech, cap)
-    return _summarize(avg.local_blocks(d_hi, stratum, allow_exclusion_violation)
-                      - avg.local_blocks(d_lo, stratum, allow_exclusion_violation))
+    """Local direct treatment effect: own treatment 1 against 0, peers natural."""
+    return _summarize(avg.local_blocks(1, stratum, allow_exclusion_violation)
+                      - avg.local_blocks(0, stratum, allow_exclusion_violation))
 
 
 def lpt(
-    pop: Population,
+    a: MemberAverages,
+    b: MemberAverages,
     d: int,
-    mech_a: Mechanism,
-    mech_b: Mechanism,
     stratum: ComplianceType | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     allow_exclusion_violation: bool = False,
 ) -> BlockSummary:
     """Local peer treatment effect; stratum None averages over everyone."""
-    a = _member_averages(pop, mech_a, cap)
-    b = _member_averages(pop, mech_b, cap)
+    _same_population(a, b)
     return _summarize(a.local_blocks(d, stratum, allow_exclusion_violation)
                       - b.local_blocks(d, stratum, allow_exclusion_violation))
 
@@ -267,7 +254,7 @@ def _aggregation_note(uptake: BlockSummary) -> str | None:
 
 
 def _ratio_denominator(pop: Population) -> BlockSummary:
-    uptake = et(pop, 1, 0)
+    uptake = et(pop)
     if uptake.population == 0.0:
         raise ZeroEncouragementEffect("population uptake effect is zero; ratio undefined")
     return uptake
@@ -304,9 +291,12 @@ def _ratio_identity(name: str, pop: Population, uptake: BlockSummary, itt: Block
                      local.per_block, notes, _aggregation_note(uptake))
 
 
-def theorem_1_check(
-    pop: Population, mech: Mechanism, cap: int = DEFAULT_ENUMERATION_CAP
-) -> IdentityReport:
+def _difference(hi: BlockSummary, lo: BlockSummary) -> BlockSummary:
+    """hi minus lo, block by block."""
+    return _summarize(np.subtract(hi.per_block, lo.per_block))
+
+
+def theorem_1_check(avg: MemberAverages) -> IdentityReport:
     """Ratio identification of the complier local direct effect.
 
     lhs: population direct ITT effect over the population uptake effect.
@@ -316,69 +306,36 @@ def theorem_1_check(
     every block has the same uptake effect. Runs regardless of assumption
     flags so violations can be demonstrated, and reports their status.
     """
-    uptake = _ratio_denominator(pop)
-    return _theorem_1(pop, uptake, _member_averages(pop, mech, cap))
+    uptake = _ratio_denominator(avg.pop)
+    return _ratio_identity("theorem_1", avg.pop, uptake, ditt(avg),
+                           ldt(avg, ComplianceType.COMPLIER, True))
 
 
-def _theorem_1(pop: Population, uptake: BlockSummary, avg: _MemberAverages) -> IdentityReport:
-    """``theorem_1_check`` from the uptake effect and the mechanism's kernel."""
-    direct = _summarize(avg.itt_blocks(1) - avg.itt_blocks(0))
-    local = _summarize(avg.local_blocks(1, ComplianceType.COMPLIER, True)
-                       - avg.local_blocks(0, ComplianceType.COMPLIER, True))
-    return _ratio_identity("theorem_1", pop, uptake, direct, local)
-
-
-def theorem_2_check(
-    pop: Population,
-    mech_a: Mechanism,
-    mech_b: Mechanism,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> IdentityReport:
+def theorem_2_check(a: MemberAverages, b: MemberAverages) -> IdentityReport:
     """Ratio identification of the complier local peer effect difference.
 
     lhs: (peer ITT at z=1 minus peer ITT at z=0) over the uptake effect.
     rhs: complier local peer effect at d=1 minus at d=0.
     Same block-level vs population-level caveat as theorem_1_check.
     """
-    uptake = _ratio_denominator(pop)
-    a = _member_averages(pop, mech_a, cap)
-    return _theorem_2(pop, uptake, a, _member_averages(pop, mech_b, cap))
+    uptake = _ratio_denominator(a.pop)
+    peer_itt = [pitt(a, b, z) for z in (0, 1)]
+    peer_local = [lpt(a, b, d, ComplianceType.COMPLIER, True) for d in (0, 1)]
+    return _ratio_identity("theorem_2", a.pop, uptake, _difference(peer_itt[1], peer_itt[0]),
+                           _difference(peer_local[1], peer_local[0]))
 
 
-def _theorem_2(pop: Population, uptake: BlockSummary, a: _MemberAverages,
-               b: _MemberAverages) -> IdentityReport:
-    """``theorem_2_check`` from the uptake effect and both mechanisms' kernels."""
-    co = ComplianceType.COMPLIER
-    peer_itt = [a.itt_blocks(z) - b.itt_blocks(z) for z in (0, 1)]
-    peer_local = [a.local_blocks(d, co, True) - b.local_blocks(d, co, True) for d in (0, 1)]
-    return _ratio_identity("theorem_2", pop, uptake, _summarize(peer_itt[1] - peer_itt[0]),
-                           _summarize(peer_local[1] - peer_local[0]))
-
-
-def theorem_3_check(
-    pop: Population,
-    mech_a: Mechanism,
-    mech_b: Mechanism,
-    z: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> IdentityReport:
+def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> IdentityReport:
     """Peer ITT equals the everyone local peer effect at the pinned arm.
 
     z=0 needs one-sided compliance (nobody treated unencouraged); z=1 is the
     mirror variant (everyone encouraged takes treatment). Holds block by
     block, hence at the population level with no ratio involved.
     """
-    a = _member_averages(pop, mech_a, cap)
-    return _theorem_3(pop, a, _member_averages(pop, mech_b, cap), z)
-
-
-def _theorem_3(pop: Population, a: _MemberAverages, b: _MemberAverages,
-               z: int) -> IdentityReport:
-    """``theorem_3_check`` from both mechanisms' kernels."""
-    p = _summarize(a.itt_blocks(z) - b.itt_blocks(z))
-    l = _summarize(a.local_blocks(z, None, True) - b.local_blocks(z, None, True))
+    p = pitt(a, b, z)
+    l = lpt(a, b, z, None, True)
     notes = _assumption_notes(
-        pop,
+        a.pop,
         require_exclusion=True,
         require_one_sided=(z == 0),
         require_all_encouraged_take=(z == 1),
@@ -408,47 +365,39 @@ class EstimandReport(JsonReport):
         return "\n".join(lines) + "\n"
 
 
-def compute_estimand_report(
-    pop: Population,
-    mech_a: Mechanism,
-    mech_b: Mechanism,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> EstimandReport:
+def compute_estimand_report(pop: Population, mech_a: Mechanism,
+                            mech_b: Mechanism) -> EstimandReport:
     """Evaluate every estimand family for a pair of mechanisms."""
     entries: dict[str, BlockSummary] = {}
     skipped: dict[str, str] = {}
-    a = _member_averages(pop, mech_a, cap)
-    b = _member_averages(pop, mech_b, cap)
+    a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
     named = ((mech_a.name, a), (mech_b.name, b))
     pair = f"{mech_a.name},{mech_b.name}"
 
     for name, avg in named:
         for z in (0, 1):
             entries[f"ybar_itt[z={z},mech={name}]"] = _summarize(avg.itt_blocks(z))
-        entries[f"ditt[1,0,mech={name}]"] = _summarize(avg.itt_blocks(1) - avg.itt_blocks(0))
+        entries[f"ditt[1,0,mech={name}]"] = ditt(avg)
     for z in (0, 1):
-        entries[f"pitt[z={z},{pair}]"] = _summarize(a.itt_blocks(z) - b.itt_blocks(z))
-    entries["et[1,0]"] = et(pop, 1, 0)
+        entries[f"pitt[z={z},{pair}]"] = pitt(a, b, z)
+    entries["et[1,0]"] = et(pop)
 
     if pop.exclusion_ok:
         for name, avg in named:
             for d in (0, 1):
                 entries[f"ybar_local[d={d},mech={name}]"] = _summarize(avg.local_blocks(d))
         for d in (0, 1):
-            entries[f"lpt_all[d={d},{pair}]"] = _summarize(a.local_blocks(d) - b.local_blocks(d))
+            entries[f"lpt_all[d={d},{pair}]"] = lpt(a, b, d)
         co = ComplianceType.COMPLIER
         try:
             for name, avg in named:
-                local = [avg.local_blocks(d, co) for d in (0, 1)]
                 for d in (0, 1):
                     entries[f"ybar_local[d={d},mech={name},stratum=complier]"] = (
-                        _summarize(local[d])
+                        _summarize(avg.local_blocks(d, co))
                     )
-                entries[f"ldt[1,0,mech={name},stratum=complier]"] = _summarize(local[1] - local[0])
+                entries[f"ldt[1,0,mech={name},stratum=complier]"] = ldt(avg)
             for d in (0, 1):
-                entries[f"lpt[d={d},{pair},stratum=complier]"] = _summarize(
-                    a.local_blocks(d, co) - b.local_blocks(d, co)
-                )
+                entries[f"lpt[d={d},{pair},stratum=complier]"] = lpt(a, b, d, co)
         except EmptyStratumInBlock as exc:
             skipped["complier_local_effects"] = str(exc)
     else:

@@ -97,7 +97,9 @@ def _estimates(stats: _BlockStats) -> dict[str, np.ndarray]:
     uptake = _pooled_uptake(stats)
     da, p1, p0 = _ditt(stats, "a"), _pitt(stats, 1), _pitt(stats, 0)
     ratio_ok = np.abs(uptake) >= ET_ZERO_TOL  # False for NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a ratio beyond the float range is inf, which the Monte Carlo summary
+    # counts as undefined
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return {
             "ditt_hat_a": da,
             "ditt_hat_b": _ditt(stats, "b"),

@@ -25,16 +25,15 @@ from .errors import (
 )
 from .estimands import (
     IdentityReport,
-    _member_averages,
-    _ratio_denominator,
-    _summarize,
-    _theorem_1,
-    _theorem_2,
-    _theorem_3,
+    ditt,
     et,
+    member_averages,
+    pitt,
+    theorem_1_check,
+    theorem_2_check,
+    theorem_3_check,
 )
 from .estimators import ET_ZERO_TOL, estimator_battery
-from .mechanisms import DEFAULT_ENUMERATION_CAP
 from .population import Population
 
 # The (R, 8) float64 values of one run stay within 1 GiB.
@@ -81,13 +80,12 @@ def replicate_values(
     return out
 
 
-def exact_targets(pop: Population, cfg: DesignConfig,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> dict[str, float]:
+def exact_targets(pop: Population, cfg: DesignConfig) -> dict[str, float]:
     """Exact values each estimator is aiming at, from the exact engine."""
-    a, b = (_member_averages(pop, m, cap) for m in (cfg.mech_a, cfg.mech_b))
-    ditt_a, ditt_b = (_summarize(m.itt_blocks(1) - m.itt_blocks(0)).population for m in (a, b))
-    pitt_1, pitt_0 = (_summarize(a.itt_blocks(z) - b.itt_blocks(z)).population for z in (1, 0))
-    uptake = et(pop, 1, 0).population
+    a, b = member_averages(pop, cfg.mech_a), member_averages(pop, cfg.mech_b)
+    ditt_a, ditt_b = ditt(a).population, ditt(b).population
+    pitt_1, pitt_0 = pitt(a, b, 1).population, pitt(a, b, 0).population
+    uptake = et(pop).population
     targets = {
         "ditt_hat_a": ditt_a,
         "ditt_hat_b": ditt_b,
@@ -138,6 +136,20 @@ class McSummary(JsonReport):
         return "\n".join(lines)
 
 
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """Mean and sample sd (0 for one value) of finite values. Where their
+    sums overflow, both are taken over x divided by its largest magnitude and
+    scaled back, so finite values never read as an infinite mean."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+        sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
+    if math.isfinite(mean) and math.isfinite(sd):
+        return mean, sd
+    scale = float(np.max(np.abs(x)))
+    mean, sd = _moments(x / scale)
+    return mean * scale, sd * scale
+
+
 def _summarize_column(name: str, col: np.ndarray, target: float | None) -> EstimatorSummary:
     defined = col[np.isfinite(col)]
     n_def = defined.size
@@ -145,8 +157,7 @@ def _summarize_column(name: str, col: np.ndarray, target: float | None) -> Estim
     if n_def == 0:
         return EstimatorSummary(name, float("nan"), float("nan"), float("nan"),
                                 target, None, 0, n_undef)
-    mean = float(np.mean(defined))
-    sd = float(np.std(defined, ddof=1)) if n_def > 1 else 0.0
+    mean, sd = _moments(defined)
     mcse = sd / math.sqrt(n_def)
     std_bias = None
     if target is not None:
@@ -185,12 +196,14 @@ def replicate(
 # Theorem verification: exact identities + plug-in estimator behavior
 # --------------------------------------------------------------------------
 
-_PLUGIN_FOR = {
-    "theorem_1": "ldt_hat",
-    "theorem_2": "lpt_diff_hat",
-    "theorem_3[z=0]": "lpt0_hat",
-    "theorem_3[z=1]": "pitt_hat_1",
-}
+# Each theorem check: its name, the plug-in estimator of its rhs and the
+# --expect-fail flag that names it.
+_THEOREMS = (
+    ("theorem_1", "ldt_hat", "thm1"),
+    ("theorem_2", "lpt_diff_hat", "thm2"),
+    ("theorem_3[z=0]", "lpt0_hat", "thm3"),
+    ("theorem_3[z=1]", "pitt_hat_1", "thm3"),
+)
 
 
 @dataclass(frozen=True)
@@ -261,10 +274,10 @@ def verify_theorems(
 
     Degenerate cases (zero uptake effect, a block with no compliers) are
     reported inline instead of raising, so negative tests can run end to end.
-    Each mechanism's exact kernel is evaluated once and shared by the checks,
-    which report what ``theorem_*_check`` would.
+    Each mechanism's exact kernel is evaluated once and shared by the checks.
     """
-    a, b = (_member_averages(pop, m, DEFAULT_ENUMERATION_CAP) for m in (mech_a, mech_b))
+    a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
+    plugin_of = {name: plugin for name, plugin, _ in _THEOREMS}
     checks: list[tuple[str, IdentityReport | None, str | None]] = []
 
     def attempt(name, fn):
@@ -273,11 +286,11 @@ def verify_theorems(
         except (ZeroEncouragementEffect, EmptyStratumInBlock) as exc:
             checks.append((name, None, f"{type(exc).__name__}: {exc}"))
 
-    attempt("theorem_1", lambda: _theorem_1(pop, _ratio_denominator(pop), a))
-    attempt("theorem_2", lambda: _theorem_2(pop, _ratio_denominator(pop), a, b))
-    attempt("theorem_3[z=0]", lambda: _theorem_3(pop, a, b, z=0))
+    attempt("theorem_1", lambda: theorem_1_check(a))
+    attempt("theorem_2", lambda: theorem_2_check(a, b))
+    attempt("theorem_3[z=0]", lambda: theorem_3_check(a, b, z=0))
     if pop.d1.all():
-        attempt("theorem_3[z=1]", lambda: _theorem_3(pop, a, b, z=1))
+        attempt("theorem_3[z=1]", lambda: theorem_3_check(a, b, z=1))
 
     mc = None
     if replications > 0:
@@ -286,13 +299,13 @@ def verify_theorems(
         )
         # bias is judged against each theorem's rhs, not the generic targets
         rhs_targets = {
-            _PLUGIN_FOR[name]: rep.rhs for name, rep, _ in checks if rep is not None
+            plugin_of[name]: rep.rhs for name, rep, _ in checks if rep is not None
         }
         mc = replicate(pop, cfg, replications, targets=rhs_targets)
 
     theorems = []
     for name, rep, error in checks:
-        plugin = _PLUGIN_FOR[name]
+        plugin = plugin_of[name]
         mean = mcse = bias = None
         if mc is not None:
             s = mc.get(plugin)
@@ -314,12 +327,7 @@ def verify_theorems(
 def verification_passes(report: VerificationReport, expect_fail: set[str] = frozenset()) -> bool:
     """Gate semantics: every theorem must pass, unless its flag is in
     expect_fail, in which case it must fail (a surprise pass also gates)."""
-    flag_of = {
-        "theorem_1": "thm1",
-        "theorem_2": "thm2",
-        "theorem_3[z=0]": "thm3",
-        "theorem_3[z=1]": "thm3",
-    }
+    flag_of = {name: flag for name, _, flag in _THEOREMS}
     for t in report.theorems:
         ok = t.exact_ok
         if flag_of[t.name] in expect_fail:

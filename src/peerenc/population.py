@@ -112,6 +112,15 @@ class Population:
     assumed: ``monotone`` means no defiers anywhere, ``one_sided`` means
     nobody can take treatment unencouraged (d0 = 0 for all), ``exclusion_ok``
     means no outcome depends on encouragements.
+
+    ``bound`` (derived, not passed) holds each individual's bound on the
+    absolute value of every outcome it can take: the structural bound with
+    at most n - 1 treated peers, or the largest |entry| of its table. The
+    constructor refuses a population where 2 * sum(bound) is not finite. A
+    block mean of outcomes or of their averages is at most its block's sum of
+    bounds, so every block sum and every contrast of two block means that the
+    exact engine forms, and every population mean of such contrasts over the
+    blocks, stays finite.
     """
 
     starts: np.ndarray  # (B + 1,) block offsets
@@ -124,6 +133,7 @@ class Population:
     monotone: bool
     one_sided: bool
     exclusion_ok: bool
+    bound: np.ndarray = field(init=False, repr=False)  # (N,) outcome bounds
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64)
@@ -167,9 +177,18 @@ class Population:
         for i, table in enumerate(tables):
             block = slice(starts[i], starts[i + 1])
             _check_tables(i, table, structural[block], z_dependent[block])
+            if table is not None:
+                bound[block] = np.where(structural[block], bound[block],
+                                        np.abs(table).max(axis=(1, 2)))
+        with np.errstate(over="ignore"):
+            running = 2 * np.cumsum(bound)
+        if not np.isfinite(running[-1]):
+            i = int(np.searchsorted(starts, np.argmax(~np.isfinite(running)), side="right")) - 1
+            raise ValueError(f"block {i}: the outcomes overflow (twice the running sum of the"
+                             " individuals' outcome bounds first leaves the float range here)")
         arrays = {"starts": starts, "d0": pts[0].astype(np.uint8), "d1": pts[1].astype(np.uint8),
                   "structural": structural, "z_dependent": z_dependent,
-                  "coef": np.asarray(self.coef, dtype=float)}
+                  "coef": np.asarray(self.coef, dtype=float), "bound": bound}
         for arr in (*arrays.values(), *(t for t in tables if t is not None)):
             arr.setflags(write=False)
         for name, arr in (*arrays.items(), ("tables", tables)):

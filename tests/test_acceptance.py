@@ -16,6 +16,7 @@ from peerenc.estimands import (
     compute_estimand_report,
     identity_ok,
     lpt,
+    member_averages,
     pitt,
     theorem_1_check,
     theorem_2_check,
@@ -65,7 +66,7 @@ def test_criterion_01_theorem_1_exact_identity(announce):
     failures = []
     for _ in range(n_pops):
         pop, a, _ = equal_effect_monotone(rng, b_range=(2, 20), n_range=(1, 10))
-        rep = theorem_1_check(pop, a)
+        rep = theorem_1_check(member_averages(pop, a))
         worst = max(worst, abs(rep.gap))
         if not rep.passed:
             failures.append(rep.gap)
@@ -94,7 +95,7 @@ def test_criterion_02_theorem_2_exact_identity(announce):
     failures = []
     for _ in range(n_pops):
         pop, a, b = equal_effect_monotone(rng, b_range=(2, 20), n_range=(1, 10))
-        rep = theorem_2_check(pop, a, b)
+        rep = theorem_2_check(member_averages(pop, a), member_averages(pop, b))
         worst = max(worst, abs(rep.gap))
         if not rep.passed:
             failures.append(rep.gap)
@@ -118,13 +119,14 @@ def test_criterion_03_theorem_3_exact_identity(announce):
     worst = 0.0
     for _ in range(n_pops):
         pop, a, b = one_sided_population(rng, b_range=(2, 12), n_range=(1, 8))
-        rep = theorem_3_check(pop, a, b, z=0)
+        rep = theorem_3_check(member_averages(pop, a), member_averages(pop, b), z=0)
         worst = max(worst, abs(rep.gap))
         if not (rep.passed and rep.assumptions_ok):
             failures.append(("z=0", rep.gap))
         pop_m, a_m, b_m = one_sided_population(rng, b_range=(2, 12), n_range=(1, 8),
                                                mirror=True)
-        rep_m = theorem_3_check(pop_m, a_m, b_m, z=1)
+        rep_m = theorem_3_check(member_averages(pop_m, a_m), member_averages(pop_m, b_m),
+                                z=1)
         worst = max(worst, abs(rep_m.gap))
         if not (rep_m.passed and rep_m.assumptions_ok):
             failures.append(("z=1", rep_m.gap))
@@ -145,8 +147,8 @@ def test_criterion_04_negative_identification(announce):
     defier_found = None
     for seed in range(200):
         pop, a, b = defier_population(np.random.default_rng(seed))
-        rep1 = theorem_1_check(pop, a)
-        rep2 = theorem_2_check(pop, a, b)
+        rep1 = theorem_1_check(member_averages(pop, a))
+        rep2 = theorem_2_check(member_averages(pop, a), member_averages(pop, b))
         if abs(rep1.gap) >= 0.01 and abs(rep2.gap) >= 0.01:
             defier_found = (pop, a, b, rep1, rep2, seed)
             break
@@ -166,7 +168,7 @@ def test_criterion_04_negative_identification(announce):
             monotone=True,
         )
         epop = build_population(cfg, np.random.default_rng(seed2))
-        erep = theorem_1_check(epop, a)
+        erep = theorem_1_check(member_averages(epop, a))
         if abs(erep.gap) >= 0.01:
             excl_found = (epop, erep, seed2)
             break
@@ -230,9 +232,10 @@ def test_criterion_06_no_interference_reduction(announce):
     b = Mechanism("psi", 0.3)
 
     worst_exact = 0.0
+    ka, kb = member_averages(pop, a), member_averages(pop, b)
     for z in (0, 1):
-        worst_exact = max(worst_exact, abs(pitt(pop, z, a, b).population))
-        worst_exact = max(worst_exact, abs(lpt(pop, z, a, b).population))
+        worst_exact = max(worst_exact, abs(pitt(ka, kb, z).population))
+        worst_exact = max(worst_exact, abs(lpt(ka, kb, z).population))
     assert worst_exact <= 1e-12
 
     dcfg = DesignConfig(mech_a=a, mech_b=b, k=6, seed=44)

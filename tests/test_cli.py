@@ -541,6 +541,30 @@ def test_a_failed_write_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     assert err == f"error: InvalidConfig: {out}: cannot write (Permission denied)\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "estimands"])
+def test_a_closed_stdout_pipe_is_a_one_line_error(tmp_path, command):
+    """stdout is a pipe whose reader has already gone, so the first write or
+    the final flush fails deterministically."""
+    src = Path(peerenc.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cfg = write_config(tmp_path / "cfg.json")
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    argv = {"generate": ["--out", str(tmp_path / "again.json")],
+            "estimands": ["--pop", str(pop_path)]}[command]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "peerenc.cli", command,
+                               "--config", str(cfg), *argv],
+                              env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: InvalidConfig: standard output: cannot write (Broken pipe)\n"
+
+
 @pytest.mark.parametrize("command, replications", [
     ("simulate", 0), ("simulate", 1), ("verify", 1),
 ])

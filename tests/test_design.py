@@ -7,8 +7,8 @@ import pytest
 from peerenc.design import DesignConfig, ExperimentData, batch_size, draw_replicates, \
     run_design
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
-from peerenc.estimands import _member_averages
-from peerenc.mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, assignment_probs
+from peerenc.estimands import member_averages
+from peerenc.mechanisms import Mechanism, assignment_probs
 from peerenc.population import convert_to_tables, pack_rows, population_from_dict, \
     population_to_dict, structural_value
 from conftest import make_population, person, population, structural, table
@@ -96,7 +96,7 @@ def test_mixed_block_matches_oracles(rng):
     assert not (pop.monotone or pop.one_sided or pop.exclusion_ok)
     a, b = Mechanism("a", (0.2, 0.55, 0.8)), Mechanism("b", (0.7, 0.35, 0.15))
     for mech in (a, b):
-        avg = _member_averages(pop, mech, DEFAULT_ENUMERATION_CAP)
+        avg = member_averages(pop, mech)
         for i in range(2):
             for j in range(3):
                 u = pop.starts[i] + j

@@ -20,9 +20,9 @@ from peerenc.estimands import (
     theorem_1_check,
     theorem_2_check,
     theorem_3_check,
-    _member_averages,
+    member_averages,
 )
-from peerenc.mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism
+from peerenc.mechanisms import Mechanism
 from peerenc.population import ComplianceType, convert_to_tables
 from conftest import make_individual, make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
@@ -44,7 +44,7 @@ PSI = Mechanism("psi", 0.3)
 def averages(pop, mech):
     """The exact kernel's per-individual averages under mech, indexed by
     (block, member): ``itt(i, j, z)`` and ``local(i, j, d)``."""
-    avg = _member_averages(pop, mech, DEFAULT_ENUMERATION_CAP)
+    avg = member_averages(pop, mech)
 
     def itt(i, j, z):
         return float(avg.itt[z][pop.starts[i] + j])
@@ -176,43 +176,37 @@ def test_ybar_oracle_equality_structural_and_table(rng):
 
 def test_ditt_constant_outcomes_zero():
     pop = make_population([["co", "nt"], ["at", "co"]], intercept=3.0)
-    res = ditt(pop, 1, 0, PHI)
+    res = ditt(member_averages(pop, PHI))
     assert res.population == pytest.approx(0.0, abs=1e-14)
     assert all(abs(v) <= 1e-14 for v in res.per_block)
 
 
 def test_ditt_all_compliers_unit_direct_effect():
     pop = make_population([["co", "co"], ["co", "co", "co"]], direct=1.0)
-    res = ditt(pop, 1, 0, PHI)
+    res = ditt(member_averages(pop, PHI))
     assert res.population == pytest.approx(1.0, abs=1e-14)
 
 
 def test_ditt_matches_oracle_on_random_population(rng):
     pop, a, _ = varying_effect_monotone(rng, b_range=(2, 2), n_range=(2, 4))
     per_block, population = oracle_ditt(pop, a)
-    res = ditt(pop, 1, 0, a)
+    res = ditt(member_averages(pop, a))
     assert res.population == pytest.approx(population, abs=1e-12)
     for got, want in zip(res.per_block, per_block):
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_ditt_antisymmetric_exactly(rng):
-    pop, a, _ = varying_effect_monotone(rng)
-    fwd = ditt(pop, 1, 0, a)
-    rev = ditt(pop, 0, 1, a)
-    assert all(x == -y for x, y in zip(fwd.per_block, rev.per_block))
-    assert fwd.population == -rev.population
-
-
 def test_pitt_no_interference_zero():
     pop = make_population([["co", "at"], ["co", "nt", "co"]], direct=2.0)
+    ka, kb = member_averages(pop, PHI), member_averages(pop, PSI)
     for z in (0, 1):
-        assert pitt(pop, z, PHI, PSI).population == pytest.approx(0.0, abs=1e-14)
+        assert pitt(ka, kb, z).population == pytest.approx(0.0, abs=1e-14)
 
 
 def test_pitt_same_mechanism_exact_zero(rng):
     pop, a, _ = varying_effect_monotone(rng)
-    res = pitt(pop, 1, a, a)
+    ka = member_averages(pop, a)
+    res = pitt(ka, ka, 1)
     assert res.population == 0.0
     assert all(v == 0.0 for v in res.per_block)
 
@@ -223,15 +217,17 @@ def test_pitt_linear_closed_form():
     )
     a = Mechanism("a", 0.8)
     b = Mechanism("b", 0.2)
+    ka, kb = member_averages(pop, a), member_averages(pop, b)
     for z in (0, 1):
-        res = pitt(pop, z, a, b)
+        res = pitt(ka, kb, z)
         assert res.population == pytest.approx(0.5 * 4 * 0.6, abs=1e-12)
 
 
 def test_pitt_swap_negates_exactly(rng):
     pop, a, b = varying_effect_monotone(rng)
-    fwd = pitt(pop, 1, a, b)
-    rev = pitt(pop, 1, b, a)
+    ka, kb = member_averages(pop, a), member_averages(pop, b)
+    fwd = pitt(ka, kb, 1)
+    rev = pitt(kb, ka, 1)
     assert all(x == -y for x, y in zip(fwd.per_block, rev.per_block))
 
 
@@ -245,21 +241,22 @@ def test_et_examples():
 
 def test_ldt_additive_direct_effect():
     pop = make_population([["co", "co"], ["co", "co", "co"]], direct=2.0, peer=0.3)
-    res = ldt(pop, 1, 0, PHI)
+    res = ldt(member_averages(pop, PHI))
     assert res.population == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ldt_empty_stratum_names_block():
     pop = make_population([["co", "nt"], ["nt", "nt"]], direct=2.0)
     with pytest.raises(EmptyStratumInBlock, match="block 1"):
-        ldt(pop, 1, 0, PHI)
+        ldt(member_averages(pop, PHI))
 
 
 def test_lpt_no_interference_zero():
     pop = make_population([["co", "at"], ["co", "nt"]], direct=2.0)
+    ka, kb = member_averages(pop, PHI), member_averages(pop, PSI)
     for d in (0, 1):
-        assert lpt(pop, d, PHI, PSI).population == pytest.approx(0.0, abs=1e-14)
-        assert lpt(pop, d, PHI, PSI, ComplianceType.COMPLIER).population == pytest.approx(
+        assert lpt(ka, kb, d).population == pytest.approx(0.0, abs=1e-14)
+        assert lpt(ka, kb, d, ComplianceType.COMPLIER).population == pytest.approx(
             0.0, abs=1e-14
         )
 
@@ -268,33 +265,48 @@ def test_lpt_linear_closed_form():
     pop = make_population([["co"] * 5, ["co"] * 5], direct=1.0, peer=0.5)
     a = Mechanism("a", 0.9)
     b = Mechanism("b", 0.1)
+    ka, kb = member_averages(pop, a), member_averages(pop, b)
     for d in (0, 1):
-        res = lpt(pop, d, a, b, ComplianceType.COMPLIER)
+        res = lpt(ka, kb, d, ComplianceType.COMPLIER)
         assert res.population == pytest.approx(0.5 * 4 * 0.8, abs=1e-12)
 
 
 def test_lpt_empty_stratum():
     pop = make_population([["nt", "nt"], ["co"]])
     with pytest.raises(EmptyStratumInBlock):
-        lpt(pop, 1, PHI, PSI, ComplianceType.COMPLIER)
+        lpt(member_averages(pop, PHI), member_averages(pop, PSI), 1,
+            ComplianceType.COMPLIER)
 
 
 def test_exclusion_violating_local_average_guarded():
     z_dep = table([[0.0, 1.0], [2.0, 3.0]])
     pop = population([[person("co", z_dep)], [person("co", structural())]])
     with pytest.raises(ExclusionViolated, match="block 0 individual 0"):
-        ldt(pop, 1, 0, PHI)
+        ldt(member_averages(pop, PHI))
     # opt-in marginalization stays defined: d pinned to 1, own z ~ Bernoulli(0.7)
     _, local = averages(pop, PHI)
     assert local(0, 0, 1) == pytest.approx(0.7 * 3.0 + 0.3 * 2.0, abs=1e-12)
-    assert ldt(pop, 1, 0, PHI, allow_exclusion_violation=True).per_block[0] == pytest.approx(
-        local(0, 0, 1) - local(0, 0, 0), abs=1e-12)
+    allowed = ldt(member_averages(pop, PHI), allow_exclusion_violation=True)
+    assert allowed.per_block[0] == pytest.approx(local(0, 0, 1) - local(0, 0, 0), abs=1e-12)
 
 
 def test_enumeration_cap_enforced():
     pop = _three_person_table_block()
     with pytest.raises(EnumerationTooLarge, match="block 0"):
-        ditt(pop, 1, 0, Mechanism("m", 0.5), cap=1)
+        ditt(member_averages(pop, Mechanism("m", 0.5), cap=1))
+
+
+def test_kernels_are_read_only_and_a_contrast_needs_one_population(rng):
+    pop, a, b = varying_effect_monotone(rng)
+    ka = member_averages(pop, a)
+    for arr in (ka.itt, ka.local):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    other = member_averages(convert_to_tables(pop), b)
+    for contrast in (lambda: pitt(ka, other, 1), lambda: lpt(ka, other, 0),
+                     lambda: theorem_2_check(ka, other), lambda: theorem_3_check(ka, other)):
+        with pytest.raises(ValueError, match="same population"):
+            contrast()
 
 
 # --------------------------------------------------------------------------
@@ -331,14 +343,15 @@ def test_individual_switching_decomposition(rng):
 
 def test_population_value_is_mean_of_blocks(rng):
     pop, a, b = varying_effect_monotone(rng)
-    for summary in (ditt(pop, 1, 0, a), pitt(pop, 1, a, b), et(pop)):
+    ka, kb = member_averages(pop, a), member_averages(pop, b)
+    for summary in (ditt(ka), pitt(ka, kb, 1), et(pop)):
         assert summary.population == sum(summary.per_block) / len(summary.per_block)
 
 
 def test_theorem_1_blockwise_identity_unconstrained(rng):
     for _ in range(10):
         pop, a, _ = varying_effect_monotone(rng)
-        rep = theorem_1_check(pop, a)
+        rep = theorem_1_check(member_averages(pop, a))
         for lhs_i, rhs_i in zip(rep.block_lhs, rep.block_rhs):
             assert identity_ok(lhs_i, rhs_i)
 
@@ -346,7 +359,7 @@ def test_theorem_1_blockwise_identity_unconstrained(rng):
 def test_theorem_1_population_identity_equal_effects(rng):
     for _ in range(10):
         pop, a, _ = equal_effect_monotone(rng, b_range=(2, 8), n_range=(1, 6))
-        rep = theorem_1_check(pop, a)
+        rep = theorem_1_check(member_averages(pop, a))
         assert rep.passed, f"gap={rep.gap}"
         assert rep.assumptions_ok
         assert rep.note is None
@@ -357,7 +370,7 @@ def test_theorem_1_unequal_uptake_effects_diagnosed():
     the population-level ratio does not, and the report says why."""
     pop = population([[make_individual("co", direct=2.0), make_individual("nt")],
                       [make_individual("co"), make_individual("co")]])
-    rep = theorem_1_check(pop, PHI)
+    rep = theorem_1_check(member_averages(pop, PHI))
     assert rep.lhs == pytest.approx((1.0 / 2) / (3.0 / 4), abs=1e-12)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
     assert not rep.passed
@@ -372,7 +385,7 @@ def test_defiers_break_block_identity_too(rng):
     found = False
     for _ in range(10):
         pop, a, b = defier_population(rng)
-        rep = theorem_1_check(pop, a)
+        rep = theorem_1_check(member_averages(pop, a))
         if not rep.block_identity_ok:
             found = True
             break
@@ -382,7 +395,7 @@ def test_defiers_break_block_identity_too(rng):
 def test_theorem_2_blockwise_identity_unconstrained(rng):
     for _ in range(10):
         pop, a, b = varying_effect_monotone(rng)
-        rep = theorem_2_check(pop, a, b)
+        rep = theorem_2_check(member_averages(pop, a), member_averages(pop, b))
         for lhs_i, rhs_i in zip(rep.block_lhs, rep.block_rhs):
             assert identity_ok(lhs_i, rhs_i)
 
@@ -390,7 +403,7 @@ def test_theorem_2_blockwise_identity_unconstrained(rng):
 def test_theorem_2_population_identity_equal_effects(rng):
     for _ in range(10):
         pop, a, b = equal_effect_monotone(rng, b_range=(2, 8), n_range=(1, 6))
-        rep = theorem_2_check(pop, a, b)
+        rep = theorem_2_check(member_averages(pop, a), member_averages(pop, b))
         assert rep.passed, f"gap={rep.gap}"
 
 
@@ -398,7 +411,7 @@ def test_theorem_2_symmetric_peer_effect_both_sides_zero(rng):
     # peer influence independent of own treatment: the lpt difference vanishes
     pop = make_population([["co", "co", "nt"], ["co", "at", "co"]],
                           direct=2.0, peer=0.6, interaction=0.0, curvature=0.0)
-    rep = theorem_2_check(pop, PHI, PSI)
+    rep = theorem_2_check(member_averages(pop, PHI), member_averages(pop, PSI))
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
@@ -407,7 +420,7 @@ def test_theorem_2_symmetric_peer_effect_both_sides_zero(rng):
 def test_theorem_3_one_sided_exact(rng):
     for _ in range(10):
         pop, a, b = one_sided_population(rng)
-        rep = theorem_3_check(pop, a, b, z=0)
+        rep = theorem_3_check(member_averages(pop, a), member_averages(pop, b), z=0)
         assert rep.passed, f"gap={rep.gap}"
         assert rep.assumptions_ok
         for lhs_i, rhs_i in zip(rep.block_lhs, rep.block_rhs):
@@ -417,7 +430,7 @@ def test_theorem_3_one_sided_exact(rng):
 def test_theorem_3_mirror_exact(rng):
     for _ in range(10):
         pop, a, b = one_sided_population(rng, mirror=True)
-        rep = theorem_3_check(pop, a, b, z=1)
+        rep = theorem_3_check(member_averages(pop, a), member_averages(pop, b), z=1)
         assert rep.passed, f"gap={rep.gap}"
         assert rep.assumptions_ok
 
@@ -426,7 +439,7 @@ def test_theorem_3_fails_with_always_takers(rng):
     # monotone but not one-sided: generically a material gap at z=0
     pop = make_population([["co", "at", "at"], ["co", "at"]],
                           direct=1.0, peer=0.0, interaction=1.5)
-    rep = theorem_3_check(pop, PHI, PSI, z=0)
+    rep = theorem_3_check(member_averages(pop, PHI), member_averages(pop, PSI), z=0)
     assert not rep.assumptions_ok
     assert abs(rep.gap) > 1e-6
 
@@ -435,7 +448,7 @@ def test_theorem_1_defiers_break_identity(rng):
     found_material_gap = False
     for _ in range(10):
         pop, a, b = defier_population(rng)
-        rep = theorem_1_check(pop, a)
+        rep = theorem_1_check(member_averages(pop, a))
         assert not rep.assumptions_ok
         if abs(rep.gap) > 1e-3:
             found_material_gap = True
@@ -445,18 +458,18 @@ def test_theorem_1_defiers_break_identity(rng):
 def test_theorem_checks_zero_uptake(rng):
     pop = make_population([["nt", "nt"], ["nt", "at"]])
     with pytest.raises(ZeroEncouragementEffect):
-        theorem_1_check(pop, PHI)
+        theorem_1_check(member_averages(pop, PHI))
     with pytest.raises(ZeroEncouragementEffect):
-        theorem_2_check(pop, PHI, PSI)
+        theorem_2_check(member_averages(pop, PHI), member_averages(pop, PSI))
 
 
 def test_all_complier_tables_match_naive_two_stage_oracle(rng):
     pop = make_population([["co", "co", "co"], ["co", "co"]], rng=rng)
     pop = convert_to_tables(pop)
-    direct = ldt(pop, 1, 0, PHI, ComplianceType.COMPLIER).population
+    direct = ldt(member_averages(pop, PHI), ComplianceType.COMPLIER).population
     assert direct == pytest.approx(naive_two_stage_direct(pop, PHI), abs=1e-10)
     for d in (0, 1):
-        spill = lpt(pop, d, PHI, PSI).population
+        spill = lpt(member_averages(pop, PHI), member_averages(pop, PSI), d).population
         assert spill == pytest.approx(
             naive_two_stage_spillover(pop, d, PHI, PSI), abs=1e-10
         )

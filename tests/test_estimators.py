@@ -25,6 +25,21 @@ def build_data(sizes, s, z, d, y, p_blocks) -> ExperimentData:
     )
 
 
+def test_a_ratio_estimate_beyond_the_float_range_is_undefined():
+    """The uptake estimate is (1/2 - 1/3) / 2 = 1/12 and the direct ITT
+    estimate 1.5e308 / 2.7, both finite; their ratio is not, and reads inf
+    with no RuntimeWarning (pytest makes one an error)."""
+    data = build_data(
+        sizes=[3, 4], s=[1, 0],
+        z=[1, 1, 0, 1, 0, 0, 0], d=[1, 0, 0, 0, 1, 0, 0], y=[1.5e308] + [0.0] * 6,
+        p_blocks=[0.9, 0.5],
+    )
+    battery = estimator_battery(data)
+    assert battery["et_hat"] == pytest.approx(1 / 12, rel=1e-15)
+    assert np.isfinite(battery["ditt_hat_a"])
+    assert battery["ldt_hat"] == battery["lpt_diff_hat"] == np.inf
+
+
 def test_yhat_block_constant_outcomes_balanced_draw():
     c = 3.5
     data = build_data(

@@ -418,6 +418,61 @@ def test_a_structural_outcome_that_overflows_is_refused_when_loaded(tmp_path, po
     assert stdout == ""
 
 
+def test_outcomes_whose_sum_overflows_are_refused_before_anything_is_written(tmp_path):
+    """The mc-small-blocks benchmark config at seed 7 with intercept 1e308:
+    each outcome is finite, but a block sum of them is not."""
+    cfg = _workloads().WORKLOADS["mc-small-blocks"].config(7, 60)
+    cfg["dgp"]["outcome"]["intercept"] = 1e308
+    path, out = tmp_path / "cfg.json", tmp_path / "pop.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, err = _run(["generate", "--config", str(path), "--out", str(out)])
+    _assert_one_line_error(code, err)
+    assert "InvalidConfig: block 0: the outcomes overflow" in err
+    assert stdout == "" and not out.exists()
+
+
+def _singletons(tmp_path, intercept: float, p_a: float, p_b: float):
+    """A config and a population file of two blocks of one complier each."""
+    pop = population([[person("co", structural(intercept=intercept))]] * 2)
+    pop_path, cfg_path = tmp_path / "pop.json", tmp_path / "cfg.json"
+    pop_path.write_text(json.dumps(population_to_dict(pop)))
+    cfg_path.write_text(json.dumps({
+        "seed": 3, "mechanisms": [{"name": "a", "p": p_a}, {"name": "b", "p": p_b}],
+        "design": {"k": 1}, "mc": {"replications": 20}}))
+    return ["--config", str(cfg_path), "--pop", str(pop_path)]
+
+
+def test_a_design_whose_weighted_outcomes_overflow_is_refused(tmp_path):
+    """The population is within its bound (2 * 8e307), but inverse-probability
+    weights of 1 / 0.2 take the design past the float range."""
+    argv = _singletons(tmp_path, 4e307, 0.2, 0.5)
+    assert _run(["estimands", *argv])[0] == 0
+    for command in ("simulate", "verify"):
+        code, stdout, err = _run([command, *argv])
+        _assert_one_line_error(code, err)
+        assert "InvalidDesign: mechanism 'a': inverse-probability weighted outcomes" in err
+        assert stdout == ""
+
+
+def test_a_population_and_design_just_inside_both_bounds_run(tmp_path):
+    """2 * (2 / 0.4999) * 2.2e307 is about 1.76e308, just below the largest
+    float; pytest turns any RuntimeWarning into an error. At 2.3e307 the
+    design is refused. (A block of one never shows both encouragements, so
+    the uptake estimate and the ratio estimators are undefined here.)"""
+    argv = _singletons(tmp_path, 2.2e307, 0.5, 0.4999)
+    outputs = {}
+    for command in ("estimands", "simulate", "verify"):
+        code, outputs[command], err = _run([command, *argv])
+        assert (code, err) == (0, ""), err
+    assert "null" not in outputs["estimands"]
+    itt = [s for s in json.loads(outputs["simulate"])["estimators"]
+           if s["name"].startswith(("ditt", "pitt"))]
+    assert len(itt) == 4
+    assert all(s["n_defined"] == 20 and abs(s["mean"]) < 1.8e308 for s in itt)
+    code, _, err = _run(["simulate", *_singletons(tmp_path, 2.3e307, 0.5, 0.4999)])
+    _assert_one_line_error(code, err)
+
+
 def _strict_json(text: str):
     """json.loads refusing the NaN / Infinity / -Infinity tokens json writes
     for non-finite floats, which are not JSON."""

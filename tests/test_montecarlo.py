@@ -171,11 +171,11 @@ def test_targets_match_exact_engine(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=2)
     targets = exact_targets(pop, cfg)
-    from peerenc.estimands import ditt, et
+    from peerenc.estimands import ditt, et, member_averages
 
-    assert targets["ditt_hat_a"] == ditt(pop, 1, 0, a).population
+    assert targets["ditt_hat_a"] == ditt(member_averages(pop, a)).population
     assert targets["ldt_hat"] == pytest.approx(
-        ditt(pop, 1, 0, a).population / et(pop).population, abs=0
+        ditt(member_averages(pop, a)).population / et(pop).population, abs=0
     )
 
 
@@ -263,26 +263,25 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
 
     pop = make_population([["co", "co", "co"], ["co", "co"], ["co", "co", "co"]])
     calls = []
-    kernel = estimands._member_averages
+    kernel = estimands.member_averages
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(estimands, "_member_averages", counted)
-    monkeypatch.setattr(montecarlo, "_member_averages", counted)
+    monkeypatch.setattr(estimands, "member_averages", counted)
+    monkeypatch.setattr(montecarlo, "member_averages", counted)
     for replications in (0, 20):
         calls.clear()
         report = verify_theorems(pop, PHI, PSI, replications=replications, seed=3)
         assert calls == [PHI, PSI]
     assert [t.name for t in report.theorems] == [
         "theorem_1", "theorem_2", "theorem_3[z=0]", "theorem_3[z=1]"]
-    monkeypatch.setattr(estimands, "_member_averages", kernel)
-    assert report.get("theorem_1").identity == estimands.theorem_1_check(pop, PHI)
-    assert report.get("theorem_2").identity == estimands.theorem_2_check(pop, PHI, PSI)
+    a, b = kernel(pop, PHI), kernel(pop, PSI)
+    assert report.get("theorem_1").identity == estimands.theorem_1_check(a)
+    assert report.get("theorem_2").identity == estimands.theorem_2_check(a, b)
     for z in (0, 1):
-        assert (report.get(f"theorem_3[z={z}]").identity
-                == estimands.theorem_3_check(pop, PHI, PSI, z=z))
+        assert report.get(f"theorem_3[z={z}]").identity == estimands.theorem_3_check(a, b, z=z)
 
 
 def test_verify_theorems_degenerate_uptake():

@@ -197,6 +197,28 @@ def test_population_arrays_are_read_only():
             arr[0] = 0
 
 
+def test_outcome_bounds_are_each_individuals_largest_outcome():
+    pop = population([
+        [person("co", structural(intercept=-1.0, direct=2.0, peer=0.5, interaction=-0.25,
+                                 curvature=0.1, noise=0.3)),
+         person("nt", table([0.5, -4.0, 1.0, 2.0]))],
+        [person("at", structural(intercept=3.0))],
+    ])
+    # one peer in block 0: 1 + 2 + (0.5 + 0.25) * 1 + 0.1 * 1 + 0.3
+    assert pop.bound.tolist() == pytest.approx([4.15, 4.0, 3.0], rel=1e-15)
+    with pytest.raises(ValueError):
+        pop.bound[0] = 0.0
+
+
+@pytest.mark.parametrize("outcome", [structural(intercept=5e307), table([5e307, -6e307])],
+                         ids=["structural", "table"])
+def test_a_population_whose_outcome_sums_overflow_is_refused(outcome):
+    """Every outcome is finite, but twice the running sum of the bounds
+    leaves the float range in block 1 of 3."""
+    with pytest.raises(InvalidConfig, match="block 1: the outcomes overflow"):
+        population([[person("co", outcome)] for _ in range(3)])
+
+
 def test_tables_fill_one_array_per_block():
     """Table members fill their block's [member, d row, z row] array;
     structural members keep their coefficients, table members zero ones."""
