@@ -14,10 +14,34 @@ import numpy as np
 from .errors import InvalidConfig
 
 
+# Distinct float texts the memo keeps at most; it is emptied when full.
+FLOAT_MEMO_BOUND = 1 << 16
+
+
+class _FloatMemo(dict):
+    """float(text) by text. A generated table repeats its few distinct
+    entries thousands of times, so most of a table file's floats become dict
+    hits. Exact: a text always parses to the same float."""
+
+    def __missing__(self, text: str) -> float:
+        if len(self) >= FLOAT_MEMO_BOUND:
+            self.clear()
+        value = self[text] = float(text)
+        return value
+
+
+_FLOATS = _FloatMemo()
+
+
 def read_json(path):
     """The JSON document in a UTF-8 file; InvalidConfig naming the path when
     the file cannot be read, is not UTF-8 text, is not JSON or repeats a key
-    within an object (json would keep the last value silently)."""
+    within an object (json would keep the last value silently).
+
+    A document holding table "values" parses its floats through the memo;
+    any other (a config, a structural population) with plain float, since
+    its floats are nearly all distinct and a memo would only cost time and
+    memory there."""
     def unique_keys(pairs):
         value = dict(pairs)
         if len(value) < len(pairs):
@@ -27,7 +51,9 @@ def read_json(path):
         return value
 
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"), object_pairs_hook=unique_keys)
+        text = Path(path).read_bytes().decode("utf-8")
+        parse_float = _FLOATS.__getitem__ if '"values"' in text else float
+        return json.loads(text, object_pairs_hook=unique_keys, parse_float=parse_float)
     except OSError as exc:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -64,16 +90,24 @@ def number(value, where: str) -> float:
     raise _fault(where, "a finite number", value)
 
 
-def numbers(values: list, wheres) -> np.ndarray:
+def finite_array(values: list) -> np.ndarray | None:
     """Finite JSON numbers as a float array, checked in one vectorized pass;
-    else read one by one, so the first bad one is named from ``wheres``."""
-    if set(map(type, values)) <= {int, float}:
-        try:
-            arr = np.array(values, dtype=float)
-            if np.isfinite(arr).all():
-                return arr
-        except OverflowError:  # an integer beyond the float range
-            pass
+    None when any value is not one."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def numbers(values: list, wheres) -> np.ndarray:
+    """Finite JSON numbers as a float array (``finite_array``); else read one
+    by one, so the first bad one is named from ``wheres``."""
+    arr = finite_array(values)
+    if arr is not None:
+        return arr
     return np.array([number(x, where) for where, x in zip(wheres, values)])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import JsonReport
-from .design import DesignConfig, batch_size, draw_replicates
+from .design import DesignConfig, batch_size, draw_replicates, validate_design
 from .errors import (
     EmptyStratumInBlock,
     InvalidConfig,
@@ -178,10 +178,12 @@ def replicate(
     """Run the design ``replications`` times and summarize every estimator.
 
     Deterministic given (pop, cfg). Targets come from the exact engine
-    unless supplied; ``targets={}`` summarizes without any.
+    unless supplied; ``targets={}`` summarizes without any. The design is
+    validated before any of that work.
     """
     if replications < 2:
         raise InvalidConfig("need at least 2 replications")
+    validate_design(cfg, pop)
     if targets is None:
         targets = exact_targets(pop, cfg)
     values = replicate_values(pop, cfg, replications)
@@ -274,8 +276,15 @@ def verify_theorems(
 
     Degenerate cases (zero uptake effect, a block with no compliers) are
     reported inline instead of raising, so negative tests can run end to end.
-    Each mechanism's exact kernel is evaluated once and shared by the checks.
+    Each mechanism's exact kernel is evaluated once and shared by the checks,
+    after the Monte Carlo design (when replications > 0) is validated.
     """
+    cfg = None
+    if replications > 0:
+        cfg = DesignConfig(
+            mech_a=mech_a, mech_b=mech_b, k=k if k is not None else pop.n_blocks // 2, seed=seed
+        )
+        validate_design(cfg, pop)
     a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
     plugin_of = {name: plugin for name, plugin, _ in _THEOREMS}
     checks: list[tuple[str, IdentityReport | None, str | None]] = []
@@ -293,10 +302,7 @@ def verify_theorems(
         attempt("theorem_3[z=1]", lambda: theorem_3_check(a, b, z=1))
 
     mc = None
-    if replications > 0:
-        cfg = DesignConfig(
-            mech_a=mech_a, mech_b=mech_b, k=k if k is not None else pop.n_blocks // 2, seed=seed
-        )
+    if cfg is not None:
         # bias is judged against each theorem's rhs, not the generic targets
         rhs_targets = {
             plugin_of[name]: rep.rhs for name, rep, _ in checks if rep is not None

@@ -25,6 +25,7 @@ design's own random streams.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -174,8 +175,11 @@ class Population:
             raise ArityMismatch(f"tables: expected one entry per block ({sizes.size}),"
                                 f" got {len(self.tables)}")
         tables = tuple(None if t is None else np.asarray(t, dtype=float) for t in self.tables)
-        for i, table in enumerate(tables):
-            block = slice(starts[i], starts[i + 1])
+        has_table = np.array([t is not None for t in tables], dtype=bool)
+        needs_table = ~np.logical_and.reduceat(structural, starts[:-1])
+        # only a block with tables, or with a member that needs them, has anything to check
+        for i in np.flatnonzero(has_table | needs_table).tolist():
+            table, block = tables[i], slice(starts[i], starts[i + 1])
             _check_tables(i, table, structural[block], z_dependent[block])
             if table is not None:
                 bound[block] = np.where(structural[block], bound[block],
@@ -406,20 +410,15 @@ def _check_config(cfg: DgpConfig):
         raise GenerationFailed("complier floor requested but complier mass is zero")
 
 
-def _draw_param(spec: ParamSpec, rng: np.random.Generator) -> float:
-    if isinstance(spec, tuple):
-        mean, sd = spec
-        return float(rng.normal(mean, sd))
-    return float(spec)
-
-
-def _draw_strata(n: int, probs, complier_floor: bool, rng: np.random.Generator):
+def _draw_strata(n: int, cdf: np.ndarray, complier_floor: bool, rng: np.random.Generator):
+    """A block's stratum codes, drawn as rng.choice(4, size=n, p=probs) draws
+    them (``cdf`` is the cumulative probs): uniforms looked up in the cdf."""
     for _ in range(100):
-        codes = rng.choice(4, size=n, p=probs)
+        codes = cdf.searchsorted(rng.random(n), side="right")
         if not complier_floor or (codes == 1).any():
             return codes
     # complier mass is positive (checked above) but unlucky: place one directly
-    codes = rng.choice(4, size=n, p=probs)
+    codes = cdf.searchsorted(rng.random(n), side="right")
     codes[rng.integers(n)] = 1
     return codes
 
@@ -455,49 +454,59 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
     _check_config(cfg)
     oc = cfg.outcome
     probs = np.asarray(cfg.strata, dtype=float)
-    probs = probs / probs.sum()
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
 
     if isinstance(cfg.block_size, tuple):
         lo, hi = cfg.block_size
         sizes = rng.integers(lo, hi + 1, size=cfg.blocks)
     else:
         sizes = np.full(cfg.blocks, cfg.block_size, dtype=int)
+    starts = np.cumsum([0, *sizes.tolist()])
+    # a member's draws in stream order: noise (when noise_sd > 0), then each
+    # coefficient given as (mean, sd); the others are constants
+    params = {"noise": (0.0, oc.noise_sd) if oc.noise_sd > 0 else 0.0,
+              **{k: getattr(oc, k) for k in _COEFS[:-1]}}
+    drawn = [k for k, spec in params.items() if isinstance(spec, tuple)]
+    means, sds = np.array([params[k] for k in drawn], dtype=float).reshape(-1, 2).T
+    constants = [0.0 if k in drawn else params[k] for k in _COEFS]
 
-    codes, coef, tables = [], [], []
-    for i, n in enumerate(sizes.tolist()):
-        codes.append(_draw_strata(n, probs, cfg.complier_floor, rng))
-        block = []
-        for _ in range(n):
-            noise = float(rng.normal(0.0, oc.noise_sd)) if oc.noise_sd > 0 else 0.0
-            block.append([_draw_param(getattr(oc, k), rng) for k in _COEFS[:-1]] + [noise])
-        block = np.array(block).T
-        if oc.representation == "table":
-            as_table = True
-        elif oc.representation == "mixed":
-            as_table = bool(rng.random() < 0.5)
-        else:
-            as_table = False
-        if not np.isfinite(block).all():  # a draw overflowed
+    codes = np.empty(starts[-1], dtype=np.int64)
+    z = np.empty((starts[-1], len(drawn)))
+    as_table = np.full(cfg.blocks, oc.representation == "table")
+    for i, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
+        codes[lo:hi] = _draw_strata(hi - lo, cdf, cfg.complier_floor, rng)
+        rng.standard_normal(out=z[lo:hi])  # member by member
+        if oc.representation == "mixed":
+            as_table[i] = rng.random() < 0.5
+    coef = np.repeat(np.array(constants)[:, None], starts[-1], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        # numpy's normal(mean, sd) draws mean + sd * standard_normal()
+        coef[[_COEFS.index(k) for k in drawn]] = (means + sds * z).T
+    finite = np.logical_and.reduceat(np.isfinite(coef).all(axis=0), starts[:-1])
+    tables = [None] * cfg.blocks
+    # in block order, as drawn: a block's draws are checked before its table
+    for i in np.flatnonzero(as_table | ~finite).tolist():
+        n, block = sizes[i], coef[:, starts[i]:starts[i + 1]]
+        if not finite[i]:  # a draw overflowed
             k, j = np.argwhere(~np.isfinite(block))[0]
             raise InvalidConfig(f"block {i} individual {j}: drawn {_COEFS[k]} is {block[k, j]}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            table = _tables_from_coef(block, oc.z_own, oc.z_peer) if as_table else None
-        if table is not None and not np.isfinite(table).all():  # finite terms, overflowing sum
-            j, r = np.argwhere(~np.isfinite(table))[0][:2]
+            tables[i] = _tables_from_coef(block, oc.z_own, oc.z_peer)
+        if not np.isfinite(tables[i]).all():  # finite terms, overflowing sum
+            j, r = np.argwhere(~np.isfinite(tables[i]))[0][:2]
             raise InvalidConfig(f"block {i} individual {j}: outcome table entry at row "
                                 f"{r:0{n}b} is not finite (its coefficients overflow)")
-        tables.append(table)
-        coef.append(np.zeros_like(block) if as_table else block)
 
-    codes = np.concatenate(codes)
     d0, d1 = np.array([_PT_BY_STRATUM[ct] for ct in _STRATA_ORDER])[codes].T
-    structural = np.repeat([t is None for t in tables], sizes)
+    structural = np.repeat(~as_table, sizes)
+    coef[:, ~structural] = 0.0
     # encouragement terms force tables in every block (_check_config)
     exclusion_ok = oc.z_own == 0.0 and oc.z_peer == 0.0
     try:
-        return Population(starts=np.cumsum([0, *sizes.tolist()]), d0=d0, d1=d1,
+        return Population(starts=starts, d0=d0, d1=d1,
                           structural=structural, z_dependent=~structural & (not exclusion_ok),
-                          coef=np.concatenate(coef, axis=1), tables=tuple(tables),
+                          coef=coef, tables=tuple(tables),
                           monotone=not (d0 > d1).any(), one_sided=not d0.any(),
                           exclusion_ok=exclusion_ok)
     except ValueError as exc:  # a structural outcome that overflows
@@ -602,14 +611,119 @@ def population_from_dict(data: dict) -> Population:
     data = _json.obj(data, "population", ("flags", "blocks"), required=("flags", "blocks"))
     flags = _json.obj(data["flags"], "population flags", _FLAGS_KEYS, required=_FLAGS_KEYS)
     flags = {k: _json.typed(flags[k], f"population flags.{k}", bool) for k in _FLAGS_KEYS}
+    blocks = _json.typed(data["blocks"], "population blocks", list)
+    sizes, d0, d1, kinds, coef, tables = _columns(blocks) or _columns_by_individual(blocks)
+    try:
+        pop = Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1,
+                         structural=list(map("structural".__eq__, kinds)),
+                         z_dependent=list(map("table_z".__eq__, kinds)),
+                         coef=coef, tables=tuple(tables), **flags)
+    except ValueError as exc:  # fewer than 2 blocks, an empty block, a non-binary d0 / d1
+        raise InvalidConfig(f"population file: {exc}") from None
+    validate(pop)  # FlagMismatch on tampered flags
+    return pop
+
+
+_PERSON_KEYS = ("d0", "d1", "outcome")
+_KINDS = frozenset(("structural", "table", "table_z"))
+_coefs_of = operator.itemgetter(*_COEFS)
+_table_of = operator.itemgetter(*_TABLE_KEYS)
+
+
+def _columns(blocks: list):
+    """The population's columns (sizes, d0, d1, kinds, coef, tables) read
+    column by column, when every individual is written out in full as
+    ``save_population`` writes it: integer d0 / d1, every structural
+    coefficient present, table keys in row order. None when anything else is
+    met, valid or not; ``_columns_by_individual`` then reads the blocks."""
+    if set(map(type, blocks)) != {list}:
+        return None
+    sizes = list(map(len, blocks))
+    people = list(itertools.chain.from_iterable(blocks))
+    if 0 in sizes or set(map(type, people)) != {dict} or sum(map(len, people)) != 3 * len(people):
+        return None
+    try:
+        d0, d1, outcomes = (list(map(operator.itemgetter(k), people)) for k in _PERSON_KEYS)
+        if (set(map(type, d0)) | set(map(type, d1)) != {int}
+                or set(map(type, outcomes)) != {dict}):
+            return None
+        kinds = list(map(operator.itemgetter("kind"), outcomes))
+        if set(map(type, kinds)) != {str} or not set(kinds) <= _KINDS:
+            return None
+        structural = list(map("structural".__eq__, kinds))
+        members = list(itertools.compress(outcomes, structural))
+        if sum(map(len, members)) != (1 + len(_COEFS)) * len(members):
+            return None
+        values = _json.finite_array(list(itertools.chain.from_iterable(map(_coefs_of, members))))
+    except KeyError:
+        return None
+    if values is None:
+        return None
+    coef = np.zeros((len(people), len(_COEFS)))
+    coef[structural] = values.reshape(-1, len(_COEFS))
+    starts = np.cumsum([0, *sizes]).tolist()
+    tables = [None] * len(blocks)
+    for i in np.flatnonzero(np.add.reduceat(np.logical_not(structural), starts[:-1])).tolist():
+        block = slice(starts[i], starts[i + 1])
+        tables[i] = _block_tables(outcomes[block], kinds[block])
+        if tables[i] is None:
+            return None
+    return sizes, d0, d1, kinds, coef.T, tables
+
+
+def _block_tables(outcomes: list, kinds: list) -> np.ndarray | None:
+    """A block's tables from its members' outcomes, each group of plain or
+    encouragement-keyed tables checked at once: their key order, then one
+    type test and one finiteness test over all their entries."""
+    n = len(outcomes)
+    members = [j for j, kind in enumerate(kinds) if kind != "structural"]
+    fields = [outcomes[j] for j in members]
+    if set(map(len, fields)) != {len(_TABLE_KEYS)}:
+        return None
+    try:
+        _, sizes, entries = zip(*map(_table_of, fields))
+    except KeyError:
+        return None
+    if set(map(type, sizes)) != {int} or set(sizes) != {n} or set(map(type, entries)) != {dict}:
+        return None
+    keyed = [kinds[j] == "table_z" for j in members]
+    groups = {}  # plain or keyed: the members and their entries
+    for group in set(keyed):
+        rows = [j for j, k in zip(members, keyed) if k == group]
+        values = _table_entries([d for d, k in zip(entries, keyed) if k == group], n, group)
+        if values is None:
+            return None
+        groups[group] = rows, values.reshape(len(rows), 2**n, -1)
+    table = np.zeros((n, 2**n, 2**n if any(keyed) else 1))
+    for rows, values in groups.values():
+        table[rows] = values
+    return table
+
+
+def _table_entries(dicts: list, n: int, keyed: bool) -> np.ndarray | None:
+    """Tables' entries, when each holds exactly the size-n rows in row order:
+    the first one's keys are compared with the rows, the others' with the
+    first one's (the same key objects, as json shares a document's keys)."""
+    if set(map(len, dicts)) != {4**n if keyed else 2**n}:
+        return None
+    first = list(dicts[0])
+    if (not all(map(operator.eq, first, _table_keys(n, keyed)))
+            or not all(map(first.__eq__, map(list, dicts[1:])))):
+        return None
+    return _json.finite_array(list(itertools.chain.from_iterable(map(dict.values, dicts))))
+
+
+def _columns_by_individual(blocks: list):
+    """The population's columns read one individual at a time; raises the
+    error that names the first bad field."""
     sizes, d0, d1, kinds, coef, tables, wheres = [], [], [], [], [], [], []
-    for i, raw in enumerate(_json.typed(data["blocks"], "population blocks", list)):
+    for i, raw in enumerate(blocks):
         raw = _json.typed(raw, f"population block {i}", list, "a list of individuals")
         n, table = len(raw), None
         for j, r in enumerate(raw):
             where = f"population block {i} individual {j}"
             wheres.append(where)
-            r = _json.obj(r, where, ("d0", "d1", "outcome"), required=("d0", "d1", "outcome"))
+            r = _json.obj(r, where, _PERSON_KEYS, required=_PERSON_KEYS)
             try:
                 d0.append(_json.integer(r["d0"], "d0"))
                 d1.append(_json.integer(r["d1"], "d1"))
@@ -636,16 +750,7 @@ def population_from_dict(data: dict) -> Population:
         tables.append(table)
     # every coefficient in one vectorized pass (a table member's are zeros)
     coef = _json.numbers(coef, (f"{w}: outcome {k!r}" for w in wheres for k in _COEFS))
-    try:
-        pop = Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1,
-                         structural=[k == "structural" for k in kinds],
-                         z_dependent=[k == "table_z" for k in kinds],
-                         coef=coef.reshape(-1, len(_COEFS)).T, tables=tuple(tables),
-                         **flags)
-    except ValueError as exc:  # fewer than 2 blocks, an empty block, a non-binary d0 / d1
-        raise InvalidConfig(f"population file: {exc}") from None
-    validate(pop)  # FlagMismatch on tampered flags
-    return pop
+    return sizes, d0, d1, kinds, coef.reshape(-1, len(_COEFS)).T, tables
 
 
 # The population file's text as json.dumps(..., sort_keys=True, indent=1)
@@ -694,7 +799,11 @@ def _file_pieces(pop: Population):
     """The population file's text in pieces, one individual (or one table's
     "values") at a time, so no piece is larger than one member's table."""
     d0, d1, starts = pop.d0.tolist(), pop.d1.tolist(), pop.starts.tolist()
-    coef = pop.coef[_SORTED_COEFS].T.tolist()
+    structural = pop.structural.tolist()
+    coef = pop.coef[_SORTED_COEFS].T.ravel()
+    # one individual's coefficient texts at a time, finiteness checked once
+    texts = map(float.__repr__ if np.isfinite(coef).all() else _float_json, coef.tolist())
+    coefs = zip(*[texts] * len(_COEFS))
     heads = functools.cache(_entry_heads)  # keys live for this call only
     yield '{\n "blocks": ['
     for i, table in enumerate(pop.tables):
@@ -702,8 +811,9 @@ def _file_pieces(pop: Population):
         yield ",\n  [" if i else "\n  ["
         for j, u in enumerate(range(starts[i], starts[i + 1])):
             sep = ",\n   " if j else "\n   "
-            if pop.structural[u]:
-                yield sep + _STRUCTURAL % (d0[u], d1[u], *map(_float_json, coef[u]))
+            row = next(coefs)
+            if structural[u]:
+                yield sep + _STRUCTURAL % (d0[u], d1[u], *row)
             else:
                 keyed = bool(pop.z_dependent[u])
                 yield sep + _TABLE_HEAD % (d0[u], d1[u], "table_z" if keyed else "table", n)

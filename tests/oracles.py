@@ -1,10 +1,10 @@
 """Independent oracles: brute-force enumeration over full assignment vectors,
 the exact Poisson-binomial distribution of the treated-peer count for
 structural outcomes, a naive two-stage (treatment-randomized) evaluator, and
-a flat pooled Wald estimator, the sample estimators by per-block loops, and
+a flat pooled Wald estimator, the sample estimators by per-block loops,
 the replication engine as a loop over replicates and blocks drawing from
-numpy's own generators. These deliberately share no code with the
-production engine."""
+numpy's own generators, and the synthetic population build as a scalar draw
+loop. These deliberately share no code with the production engine."""
 
 from __future__ import annotations
 
@@ -378,3 +378,74 @@ def reference_replicate_values(pop: Population, cfg, names, replications: int,
         battery = reference_battery(**reference_replicate(pop, cfg, r))
         rows.append([battery[name] for name in names])
     return np.array(rows, dtype=float).reshape(replications, len(names))
+
+
+# Stratum codes as drawn: always-taker, complier, never-taker, defier.
+_PT_BY_CODE = ((1, 1), (0, 1), (0, 0), (1, 0))
+_DRAWN = ("intercept", "direct", "peer", "interaction", "curvature")
+
+
+def _reference_tables(coef: list, z_own: float, z_peer: float) -> np.ndarray:
+    """A block's [member, d row, z row] tables entry by entry from its
+    members' coefficient rows: the structural formula at the d row, plus the
+    encouragement terms at the z row when z_own or z_peer is nonzero (else
+    the z axis has length 1)."""
+    n = len(coef)
+    keyed = z_own != 0.0 or z_peer != 0.0
+    bits = [[(r >> (n - 1 - m)) & 1 for m in range(n)] for r in range(2**n)]
+    table = np.zeros((n, 2**n, 2**n if keyed else 1))
+    for j, (intercept, direct, peer, interaction, curvature, noise) in enumerate(coef):
+        for r, row in enumerate(bits):
+            own = float(row[j])
+            k = float(sum(row)) - own
+            base = (intercept + direct * own + (peer + interaction * own) * k
+                    + curvature * k * k + noise)
+            if not keyed:
+                table[j, r, 0] = base
+                continue
+            for zr, zrow in enumerate(bits):
+                z = float(zrow[j])
+                table[j, r, zr] = base + (z_own * z + z_peer * (float(sum(zrow)) - z))
+    return table
+
+
+def reference_build_population(cfg, rng: np.random.Generator) -> Population:
+    """The synthetic population as a scalar loop: the block sizes, then per
+    block its strata (rng.choice), member by member its noise and each
+    (mean, sd) coefficient (one rng.normal call each) and, under "mixed",
+    the representation coin."""
+    oc = cfg.outcome
+    probs = np.asarray(cfg.strata, dtype=float)
+    probs = probs / probs.sum()
+    if isinstance(cfg.block_size, tuple):
+        sizes = rng.integers(cfg.block_size[0], cfg.block_size[1] + 1, size=cfg.blocks).tolist()
+    else:
+        sizes = [cfg.block_size] * cfg.blocks
+    d0, d1, coef, structural, tables = [], [], [], [], []
+    for n in sizes:
+        for _ in range(100):
+            codes = rng.choice(4, size=n, p=probs)
+            if not cfg.complier_floor or (codes == 1).any():
+                break
+        else:
+            codes = rng.choice(4, size=n, p=probs)
+            codes[rng.integers(n)] = 1
+        block = []
+        for _ in range(n):
+            noise = float(rng.normal(0.0, oc.noise_sd)) if oc.noise_sd > 0 else 0.0
+            specs = [getattr(oc, name) for name in _DRAWN]
+            block.append([float(rng.normal(*spec)) if isinstance(spec, tuple) else float(spec)
+                          for spec in specs] + [noise])
+        as_table = oc.representation == "table" or (
+            oc.representation == "mixed" and bool(rng.random() < 0.5))
+        d0.extend(_PT_BY_CODE[c][0] for c in codes)
+        d1.extend(_PT_BY_CODE[c][1] for c in codes)
+        tables.append(_reference_tables(block, oc.z_own, oc.z_peer) if as_table else None)
+        coef.extend([[0.0] * 6] * n if as_table else block)
+        structural.extend([not as_table] * n)
+    exclusion_ok = oc.z_own == 0.0 and oc.z_peer == 0.0
+    return Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1, structural=structural,
+                      z_dependent=[not s and not exclusion_ok for s in structural],
+                      coef=np.array(coef).T, tables=tuple(tables),
+                      monotone=all(a <= b for a, b in zip(d0, d1)), one_sided=not any(d0),
+                      exclusion_ok=exclusion_ok)

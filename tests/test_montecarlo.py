@@ -309,3 +309,25 @@ def test_verify_theorems_exclusion_violation_flagged():
     assert t1.identity is not None
     assert not t1.identity.assumptions_ok
     assert any("exclusion" in n for n in t1.identity.assumption_notes)
+
+
+@pytest.mark.parametrize("run", ["replicate", "verify_theorems"])
+@pytest.mark.parametrize("k, message", [
+    (5, r"k=5 must leave both arms populated \(1\.\.2\)"),
+    (0, r"k=0 must leave both arms populated \(1\.\.2\)"),
+], ids=["k-too-large", "k-zero"])
+def test_an_invalid_design_is_refused_before_any_kernel_work(monkeypatch, run, k, message):
+    """replicate and verify_theorems validate the design before the exact
+    engine runs: an InvalidDesign is raised and no kernel is evaluated."""
+    from peerenc import montecarlo
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the exact kernel ran before the design was validated")
+
+    monkeypatch.setattr(montecarlo, "member_averages", no_kernel)
+    pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
+    with pytest.raises(InvalidDesign, match=message):
+        if run == "replicate":
+            replicate(pop, DesignConfig(mech_a=PHI, mech_b=PSI, k=k, seed=1), replications=10)
+        else:
+            verify_theorems(pop, PHI, PSI, replications=10, seed=1, k=k)

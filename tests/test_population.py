@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peerenc import _json
 from peerenc.errors import (
     ArityMismatch,
     FlagMismatch,
@@ -31,6 +32,7 @@ from peerenc.population import (
     validate,
 )
 from conftest import make_individual, make_population, person, population, structural, table
+from oracles import reference_build_population
 
 _STRATUM = {(0, 1): ComplianceType.COMPLIER, (1, 1): ComplianceType.ALWAYS_TAKER,
             (1, 0): ComplianceType.DEFIER, (0, 0): ComplianceType.NEVER_TAKER}
@@ -395,6 +397,47 @@ def test_build_then_validate_round_trip(blocks, size, mix, rep, seed):
     assert sum(report.sizes) == pop.n_individuals
 
 
+_PARAM = st.one_of(st.floats(-3.0, 3.0), st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2.0)))
+
+
+@given(
+    rep=st.sampled_from(["structural", "table", "mixed"]),
+    params=st.tuples(*[_PARAM] * 5),
+    noise_sd=st.sampled_from([0.0, 0.5, 1.7]),
+    z=st.sampled_from([(0.0, 0.0), (0.5, 0.0), (0.0, -0.25), (0.3, 0.7)]),
+    blocks=st.integers(min_value=2, max_value=5),
+    block_size=st.one_of(st.integers(min_value=1, max_value=4),
+                         st.tuples(st.integers(1, 2), st.integers(2, 4))),
+    mix=st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.0, 1.0),
+                  st.floats(0.0, 1.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_build_matches_the_scalar_draw_loop_bitwise(tmp_path_factory, rep, params, noise_sd, z,
+                                                   blocks, block_size, mix, seed):
+    """build_population draws a block's coefficients at once; its arrays,
+    its saved bytes and the stream position it leaves equal the scalar
+    per-individual loop's, bit for bit."""
+    z_own, z_peer = z if rep == "table" else (0.0, 0.0)  # encouragement terms need tables
+    cfg = DgpConfig(blocks=blocks, block_size=block_size, strata=tuple(p / sum(mix) for p in mix),
+                    outcome=OutcomeConfig(rep, *params, noise_sd=noise_sd, z_own=z_own,
+                                          z_peer=z_peer))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pop, expected = build_population(cfg, rng), reference_build_population(cfg, reference_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    for name in ("starts", "d0", "d1", "structural", "z_dependent", "coef"):
+        got, want = getattr(pop, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert [None if t is None else t.tobytes() for t in pop.tables] == \
+        [None if t is None else t.tobytes() for t in expected.tables]
+    assert (pop.monotone, pop.one_sided, pop.exclusion_ok) == \
+        (expected.monotone, expected.one_sided, expected.exclusion_ok)
+    directory = tmp_path_factory.mktemp("build")
+    save_population(pop, directory / "built.json")
+    save_population(expected, directory / "reference.json")
+    assert (directory / "built.json").read_bytes() == (directory / "reference.json").read_bytes()
+
+
 def test_serialization_round_trip(tmp_path, rng):
     cfg = _basic_cfg(outcome=OutcomeConfig(representation="mixed", direct=(2.0, 0.5),
                                            peer=0.5, noise_sd=1.0), block_size=4)
@@ -627,3 +670,68 @@ def test_integer_table_entries_load_as_floats():
     values.update({"00": 1, "11": -(2**60) - 1})
     loaded = population_from_dict(data)
     assert loaded.tables[0][0, :, 0].tolist() == [1.0, 2.0, 3.0, float(-(2**60) - 1)]
+
+
+# --------------------------------------------------------------------------
+# Float texts of table files: parsed through a bounded memo, exactly
+# --------------------------------------------------------------------------
+
+_TEXTS = ["-0.0", "0.0", "5e-324", "1e-05", "2", "1.0", "-0.0", "0.30000000000000004",
+          "0.1", "1e-05", "2.5e-300", "1e22", "-1.5", "0.0", "7", "1.0"]
+
+
+def _table_file(path, texts) -> str:
+    """A population file whose block 0 member 0 holds a size-4 table with
+    these entry texts in row order; returns the file's text."""
+    data = population_to_dict(_one_table(np.zeros(16)))
+    values = data["blocks"][0][0]["outcome"]["values"]
+    for key, k in zip(values, range(len(texts))):
+        values[key] = f"@{k}"
+    text = json.dumps(data, sort_keys=True, indent=1)
+    for k, entry in enumerate(texts):
+        text = text.replace(f'"@{k}"', entry)
+    path.write_text(text)
+    return text
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty float memo holding at most 4 texts."""
+    monkeypatch.setattr(_json, "FLOAT_MEMO_BOUND", 4)
+    monkeypatch.setattr(_json, "_FLOATS", _json._FloatMemo())
+    return _json._FLOATS
+
+
+def test_table_entries_parse_bitwise_as_plain_json(tmp_path, memo):
+    """Every entry of a table file, read through the memo (emptied whenever
+    it holds 4 texts), is the float plain json.loads reads, bit for bit:
+    signed zeros, the smallest subnormal, integer texts and repeats."""
+    path = tmp_path / "pop.json"
+    text = _table_file(path, _TEXTS)
+    plain = list(json.loads(text)["blocks"][0][0]["outcome"]["values"].values())
+    loaded = load_population(path).tables[0][0, :, 0]
+    assert loaded.tobytes() == np.array(plain, dtype=float).tobytes()
+    assert 0 < len(memo) <= 4
+
+
+def test_files_without_table_values_parse_with_plain_float(tmp_path, rng, memo):
+    """A structural population file and a config never touch the memo."""
+    path = tmp_path / "pop.json"
+    save_population(build_population(_basic_cfg(), rng), path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dgp": {"strata": [0.25, 0.5, 0.25, 0.0]}, "seed": 1}))
+    load_population(path)
+    _json.read_json(config)
+    assert len(memo) == 0
+
+
+def test_memo_keeps_the_duplicate_key_and_non_finite_errors(tmp_path, memo):
+    path = tmp_path / "pop.json"
+    text = _table_file(path, _TEXTS[:2] + ["1e999"] + _TEXTS[3:])
+    with pytest.raises(InvalidConfig) as exc:
+        load_population(path)
+    assert str(exc.value) == f"{_WHERE}: table entry '0010': expected a finite number, got inf"
+    path.write_text(text.replace('"0011": 1e-05', '"0011": 1e-05,\n      "0011": 2', 1))
+    with pytest.raises(InvalidConfig) as exc:
+        load_population(path)
+    assert str(exc.value) == f"{path}: duplicate key '0011' in an object"
