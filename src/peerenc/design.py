@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _streams
 from .errors import InvalidData, InvalidDesign
-from .mechanisms import Mechanism, mechanisms_identical
+from .mechanisms import Mechanism, mechanisms_identical, unit_marginals
 from .population import Population
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
@@ -47,17 +47,19 @@ class DesignConfig:
     seed: int
 
 
-def validate_design(cfg: DesignConfig, pop: Population) -> None:
+def validate_design(cfg: DesignConfig, pop: Population) -> np.ndarray:
     """InvalidDesign unless both arms are populated, the mechanisms differ
     and, under either mechanism, 2 * sum(bound / min(p, 1 - p)) over the
     individuals is finite: that bounds every inverse-probability weighted
-    block sum, arm mean and contrast of two that the estimators form."""
+    block sum, arm mean and contrast of two that the estimators form.
+    Returns every individual's encouragement probability under mechanism A
+    and under B, (2, N)."""
     b = pop.n_blocks
     if not 1 <= cfg.k <= b - 1:
         raise InvalidDesign(f"k={cfg.k} must leave both arms populated (1..{b - 1})")
     mechs = (cfg.mech_a, cfg.mech_b)
     # ArityMismatch if a vector mechanism cannot cover a block
-    probs = [_unit_marginals(mech, pop.sizes) for mech in mechs]
+    probs = np.stack([unit_marginals(mech, np.diff(pop.starts)) for mech in mechs])
     if mechanisms_identical(cfg.mech_a, cfg.mech_b, set(pop.sizes)):
         raise InvalidDesign(
             f"mechanisms {cfg.mech_a.name!r} and {cfg.mech_b.name!r} give every individual "
@@ -71,6 +73,7 @@ def validate_design(cfg: DesignConfig, pop: Population) -> None:
                 f"mechanism {mech.name!r}: inverse-probability weighted outcomes overflow "
                 "(2 * sum of outcome bound / min(p, 1 - p) is not finite)"
             )
+    return probs
 
 
 @dataclass(frozen=True)
@@ -186,15 +189,10 @@ def _read_csv_rows(path) -> list[tuple]:
     return rows
 
 
-def _unit_marginals(mech: Mechanism, sizes) -> np.ndarray:
-    """The mechanism's encouragement probability of every individual."""
-    by_size = {n: mech.marginals(n) for n in set(sizes)}
-    return np.concatenate([by_size[n] for n in sizes])
-
-
 def batch_size(pop: Population) -> int:
-    """Replicates per call of ``draw_replicates`` that keep a batch's
-    (replicate, individual) arrays within BATCH_BYTES."""
+    """Replicates per batch (one ``draw_replicates`` or ``draw_validated``
+    call) that keep a batch's (replicate, individual) arrays within
+    BATCH_BYTES."""
     return max(1, BATCH_BYTES // (BYTES_PER_DRAW * pop.n_individuals))
 
 
@@ -207,7 +205,14 @@ def draw_replicates(pop: Population, cfg: DesignConfig, first: int, count: int) 
     arm assignment and then every individual's encouragement uniform come
     from the replicate's own stream (see ``_streams``).
     """
-    validate_design(cfg, pop)
+    return draw_validated(pop, cfg, validate_design(cfg, pop), first, count)
+
+
+def draw_validated(pop: Population, cfg: DesignConfig, probs: np.ndarray, first: int,
+                   count: int) -> ExperimentData:
+    """``draw_replicates`` for a design that passed ``validate_design``,
+    with ``probs`` what it returned: a caller drawing many batches validates
+    once."""
     if first < 0 or count < 0:
         raise InvalidDesign(f"replicate indices {first}..{first + count - 1} must be non-negative")
     b, n = pop.n_blocks, pop.n_individuals
@@ -219,8 +224,7 @@ def draw_replicates(pop: Population, cfg: DesignConfig, first: int, count: int) 
         s[row, rng.permutation(b)[: cfg.k]] = 1
         uniforms[row] = rng.random(n)
     in_a = np.repeat(s, sizes, axis=1) == 1
-    p_enc = np.where(in_a, _unit_marginals(cfg.mech_a, pop.sizes),
-                     _unit_marginals(cfg.mech_b, pop.sizes))
+    p_enc = np.where(in_a, probs[0], probs[1])
     z = (uniforms < p_enc).astype(np.int8)
     d = np.where(z == 1, pop.d1, pop.d0).astype(np.int8)
     return ExperimentData(sizes=sizes, s=s, z=z, d=d, y=pop.outcomes(d, z), p_enc=p_enc)

@@ -38,7 +38,7 @@ from .errors import (
     ExclusionViolated,
     ZeroEncouragementEffect,
 )
-from .mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, assignment_probs
+from .mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, assignment_probs, unit_marginals
 from .population import ComplianceType, Population, pack_rows
 
 # A computed identity passes when |lhs-rhs| <= max(ABS_TOL, REL_TOL*scale):
@@ -116,7 +116,7 @@ def member_averages(pop: Population, mech: Mechanism,
     outcomes, one 2^n enumeration per table block within the cap. Evaluate
     it once per mechanism and pass the result to every family and check."""
     firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
-    p = np.concatenate([mech.marginals(n) for n in pop.sizes])
+    p = unit_marginals(mech, sizes)
     q = np.where(pop.d0 == pop.d1, pop.d0, np.where(pop.d1 == 1, p, 1.0 - p))
     mean = np.repeat(np.add.reduceat(q, firsts), sizes) - q
     var = np.repeat(np.add.reduceat(q * (1.0 - q), firsts), sizes) - q * (1.0 - q)
@@ -132,17 +132,18 @@ def member_averages(pop: Population, mech: Mechanism,
         w = assignment_probs(mech, n, cap=cap + 1)
         z = np.arange(w.size)  # row r is the bit-packed encouragement vector r
         d = (z & pack_rows(pop.d1[block])) | (~z & pack_rows(pop.d0[block]))
-        bit = (1 << np.arange(n - 1, -1, -1))[:, None]  # each member's own bit
+        members = np.flatnonzero(~pop.structural[block])  # the table members
+        bit = (1 << (n - 1 - members))[:, None]  # each member's own bit
         v = np.arange(2)[:, None, None]
+        u = firsts[i] + members
         # itt[v] pins the own encouragement at v, so the own treatment at its
         # d_v; local[v] pins the own treatment at v and keeps the drawn z
-        own_d = np.stack([pop.d0[block], pop.d1[block]])[:, :, None]
+        own_d = np.stack([pop.d0[u], pop.d1[u]])[:, :, None]
         d_rows = d & ~bit | np.concatenate([own_d, np.broadcast_to(v, own_d.shape)]) * bit
-        z_rows = np.concatenate([z & ~bit | v * bit, np.broadcast_to(z, (2, n, z.size))])
-        vals = pop.table_values(i, d_rows, z_rows) @ w
-        table = ~pop.structural[block]
-        itt[:, block] = np.where(table, vals[:2], itt[:, block])
-        local[:, block] = np.where(table, vals[2:], local[:, block])
+        z_rows = np.concatenate([z & ~bit | v * bit, np.broadcast_to(z, (2, u.size, z.size))])
+        vals = pop.table_values(u[:, None], d_rows, z_rows) @ w
+        itt[:, u] = vals[:2]
+        local[:, u] = vals[2:]
     itt.setflags(write=False)
     local.setflags(write=False)
     return MemberAverages(pop=pop, cap=cap, itt=itt, local=local)

@@ -91,10 +91,20 @@ def assignment_probs(mech: Mechanism, n: int, cap: int = DEFAULT_ENUMERATION_CAP
     return w
 
 
+def unit_marginals(mech: Mechanism, sizes) -> np.ndarray:
+    """The mechanism's encouragement probability of every individual of
+    blocks of these sizes, in block order: one ``marginals(n)`` per distinct
+    size, laid out by index arithmetic."""
+    sizes = np.fromiter(sizes, dtype=np.int64)
+    distinct, which = np.unique(sizes, return_inverse=True)
+    probs = np.concatenate([mech.marginals(int(n)) for n in distinct])
+    # individual j of a block of the k-th distinct size reads probs[offset[k] + j]
+    offset = np.cumsum(distinct) - distinct
+    first = np.cumsum(sizes) - sizes
+    return probs[np.repeat(offset[which] - first, sizes) + np.arange(sizes.sum())]
+
+
 def mechanisms_identical(a: Mechanism, b: Mechanism, sizes) -> bool:
     """True when both mechanisms give every individual the same probability
     in every listed block size (i.e. they are not usable as a contrast)."""
-    for n in sizes:
-        if not np.array_equal(a.marginals(n), b.marginals(n)):
-            return False
-    return True
+    return np.array_equal(unit_marginals(a, sizes), unit_marginals(b, sizes))

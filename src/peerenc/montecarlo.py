@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import JsonReport
-from .design import DesignConfig, batch_size, draw_replicates, validate_design
+from .design import DesignConfig, batch_size, draw_validated, validate_design
 from .errors import (
     EmptyStratumInBlock,
     InvalidConfig,
@@ -67,15 +67,17 @@ def replicate_values(
 
     Row r of a run starting at ``first_replicate`` f is identical to row
     f + r of a run starting at 0: a replicate's stream depends only on its
-    absolute index, so split runs pool exactly. Replicates are drawn and
-    estimated in batches of ``batch_size(pop)``.
+    absolute index, so split runs pool exactly. The design is validated
+    once; replicates are then drawn and estimated in batches of
+    ``batch_size(pop)``.
     """
     check_replications(replications)
+    probs = validate_design(cfg, pop)
     out = np.empty((replications, len(ESTIMATOR_NAMES)))
     step = batch_size(pop)
     for lo in range(0, replications, step):
         count = min(step, replications - lo)
-        values = estimator_battery(draw_replicates(pop, cfg, first_replicate + lo, count))
+        values = estimator_battery(draw_validated(pop, cfg, probs, first_replicate + lo, count))
         out[lo:lo + count] = np.stack([values[name] for name in ESTIMATOR_NAMES], axis=-1)
     return out
 

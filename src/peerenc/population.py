@@ -13,10 +13,11 @@ vector. Two outcome representations are supported:
   violate the exclusion restriction by construction and mark the population
   accordingly.
 
-A ``Population`` holds these as flat arrays in block order, plus each table
-block's tables as one array. The JSON population format is the one
-per-individual description: ``population_from_dict`` fills the arrays from
-it and ``population_to_dict`` writes it back. Populations are immutable once
+A ``Population`` holds these as flat arrays in block order: per-individual
+columns, and one column of every table member's entries. The JSON
+population format is the one per-individual description:
+``population_from_dict`` fills the arrays from it and ``population_to_dict``
+writes it back. Populations are immutable once
 built; all randomness used to build one is frozen at build time, so
 everything downstream is a deterministic function of the population and the
 design's own random streams.
@@ -99,20 +100,22 @@ def pack_rows(bits) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """Blocks of individuals as flat arrays in block order, plus
-    compliance-structure flags; block i owns individuals starts[i]:starts[i+1].
+    """Blocks of individuals as flat arrays in block order; block i owns
+    individuals starts[i]:starts[i+1].
 
     ``coef`` rows are the structural coefficients in ``_COEFS`` order (zero
-    for table members). ``tables[i]`` holds block i's tables as one
-    [member, d row, z row] array, or None when every member is structural;
-    its z axis has length 1 unless a member is encouragement-keyed, and
-    structural members' rows are unused. ``table_values`` and ``outcomes``
-    are the one outcome lookup.
+    for table members). ``table`` holds every table member's entries, one
+    member after another in individual order: a plain member's 2^n treatment
+    rows, or an encouragement-keyed member's 4^n entries, treatment-major
+    (entry d * 2^n + z). ``table_start`` (derived) holds each individual's
+    offset into it, with one more entry for the end; a structural member's
+    extent is empty. ``table_values`` and ``outcomes`` are the one outcome
+    lookup.
 
-    Flags are claims about the data and are validated by ``validate``, never
-    assumed: ``monotone`` means no defiers anywhere, ``one_sided`` means
-    nobody can take treatment unencouraged (d0 = 0 for all), ``exclusion_ok``
-    means no outcome depends on encouragements.
+    The compliance flags are properties of the data: ``monotone`` means no
+    defiers anywhere, ``one_sided`` means nobody can take treatment
+    unencouraged (d0 = 0 for all), ``exclusion_ok`` means no outcome depends
+    on encouragements.
 
     ``bound`` (derived, not passed) holds each individual's bound on the
     absolute value of every outcome it can take: the structural bound with
@@ -130,10 +133,8 @@ class Population:
     structural: np.ndarray  # (N,) structural outcome (else a table)
     z_dependent: np.ndarray  # (N,) encouragement-keyed table
     coef: np.ndarray  # (6, N)
-    tables: tuple[np.ndarray | None, ...]  # per block: [member, d row, z row], or None
-    monotone: bool
-    one_sided: bool
-    exclusion_ok: bool
+    table: np.ndarray  # (T,) the table members' entries, member by member
+    table_start: np.ndarray = field(init=False, repr=False)  # (N + 1,) offsets into table
     bound: np.ndarray = field(init=False, repr=False)  # (N,) outcome bounds
 
     def __post_init__(self):
@@ -163,7 +164,8 @@ class Population:
                              " outcome cannot be encouragement-keyed")
         # a structural outcome is at most this bound in absolute value, with k
         # <= n - 1 treated peers: finite, every outcome the kernels evaluate is
-        peers = np.repeat(sizes - 1, sizes).astype(float)
+        n_of = np.repeat(sizes, sizes)
+        peers = (n_of - 1).astype(float)
         c = np.abs(np.asarray(self.coef, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
             bound = c[0] + c[1] + (c[2] + c[3]) * peers + c[4] * peers * peers + c[5]
@@ -171,19 +173,26 @@ class Population:
         if overflows.any():
             raise ValueError(f"{_individual(starts, overflows)}: the structural outcome"
                              " overflows (its coefficients' bound is not finite)")
-        if len(self.tables) != sizes.size:
-            raise ArityMismatch(f"tables: expected one entry per block ({sizes.size}),"
-                                f" got {len(self.tables)}")
-        tables = tuple(None if t is None else np.asarray(t, dtype=float) for t in self.tables)
-        has_table = np.array([t is not None for t in tables], dtype=bool)
-        needs_table = ~np.logical_and.reduceat(structural, starts[:-1])
-        # only a block with tables, or with a member that needs them, has anything to check
-        for i in np.flatnonzero(has_table | needs_table).tolist():
-            table, block = tables[i], slice(starts[i], starts[i + 1])
-            _check_tables(i, table, structural[block], z_dependent[block])
-            if table is not None:
-                bound[block] = np.where(structural[block], bound[block],
-                                        np.abs(table).max(axis=(1, 2)))
+        # each table member's extent is 2^bits entries; the total is summed in
+        # floats, exact below 2^53, so no extent is formed before it fits
+        table = np.asarray(self.table, dtype=float)
+        bits = np.where(structural, 0, n_of << z_dependent)
+        entries = np.exp2(bits[~structural]).sum()
+        if table.ndim != 1 or entries != table.size:
+            raise ArityMismatch(f"table needs {entries:.0f} entries (2^n per table member, 4^n"
+                                f" when encouragement-keyed), got shape {table.shape}")
+        table_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.where(structural, 0, np.left_shift(1, bits)), out=table_start[1:])
+        bad = ~np.isfinite(table)
+        if bad.any():
+            u = int(np.searchsorted(table_start, np.argmax(bad), side="right")) - 1
+            i = int(np.searchsorted(starts, u, side="right")) - 1
+            missing = int(np.isnan(table[table_start[starts[i]]:table_start[starts[i + 1]]]).sum())
+            if missing:
+                raise MissingTableEntry(f"block {i}: table has {missing} missing entries")
+            raise ValueError(f"block {i}: table entries must be finite")
+        if table.size:
+            bound[~structural] = np.maximum.reduceat(np.abs(table), table_start[:-1][~structural])
         with np.errstate(over="ignore"):
             running = 2 * np.cumsum(bound)
         if not np.isfinite(running[-1]):
@@ -192,10 +201,10 @@ class Population:
                              " individuals' outcome bounds first leaves the float range here)")
         arrays = {"starts": starts, "d0": pts[0].astype(np.uint8), "d1": pts[1].astype(np.uint8),
                   "structural": structural, "z_dependent": z_dependent,
-                  "coef": np.asarray(self.coef, dtype=float), "bound": bound}
-        for arr in (*arrays.values(), *(t for t in tables if t is not None)):
+                  "coef": np.asarray(self.coef, dtype=float), "table": table,
+                  "table_start": table_start, "bound": bound}
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        for name, arr in (*arrays.items(), ("tables", tables)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -210,6 +219,18 @@ class Population:
     def n_individuals(self) -> int:
         return int(self.starts[-1])
 
+    @property
+    def monotone(self) -> bool:
+        return not (self.d0 > self.d1).any()
+
+    @property
+    def one_sided(self) -> bool:
+        return not self.d0.any()
+
+    @property
+    def exclusion_ok(self) -> bool:
+        return not self.z_dependent.any()
+
     def in_stratum(self, stratum: ComplianceType | None) -> np.ndarray:
         """Mask of the individuals in a compliance stratum (everyone for None)."""
         if stratum is None:
@@ -217,25 +238,35 @@ class Population:
         d0, d1 = _PT_BY_STRATUM[stratum]
         return (self.d0 == d0) & (self.d1 == d1)
 
-    def table_values(self, i: int, d_rows, z_rows) -> np.ndarray:
-        """Block i's table entries: result[..., j, r] is member j's entry at
-        the bit-packed rows d_rows[..., j, r] and z_rows[..., j, r], which
-        broadcast against a (members, 1) axis. The z rows are ignored unless
-        the block holds an encouragement-keyed table."""
-        table = self.tables[i]
-        members = np.arange(table.shape[0])[:, None]
-        return table[members, d_rows, z_rows if table.shape[2] > 1 else 0]
+    def table_values(self, u, d_rows, z_rows) -> np.ndarray:
+        """Table entries of the table members u at the bit-packed rows d_rows
+        and z_rows, all three broadcast together; the z rows are ignored for
+        members that are not encouragement-keyed. u never holds a structural
+        member: those have no entries."""
+        u = np.asarray(u)
+        keyed = self.z_dependent[u]
+        if not keyed.any():
+            return self.table[self.table_start[u] + d_rows]
+        block = np.searchsorted(self.starts, u, side="right") - 1
+        stride = (self.starts[block + 1] - self.starts[block]) * keyed  # log2 of the z rows
+        return self.table[self.table_start[u] + (d_rows << stride) + z_rows * keyed]
 
     def outcomes(self, d: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Every individual's outcome in every replicate: d and z are (R, N)
         realized treatments and encouragements (flat, block order)."""
-        sizes = np.diff(self.starts)
-        k = np.repeat(np.add.reduceat(d, self.starts[:-1], axis=1, dtype=np.int64), sizes, axis=1)
+        firsts, sizes = self.starts[:-1], np.diff(self.starts)
+        k = np.repeat(np.add.reduceat(d, firsts, axis=1, dtype=np.int64), sizes, axis=1)
         y = structural_value(self.coef, d.astype(float), (k - d).astype(float))
-        for i in np.flatnonzero([t is not None for t in self.tables]):
-            block = slice(self.starts[i], self.starts[i + 1])
-            rows = self.table_values(i, pack_rows(d[:, block]), pack_rows(z[:, block]))
-            y[:, block] = np.where(self.structural[block], y[:, block], rows.T)
+        u = np.flatnonzero(~self.structural)
+        if u.size:
+            # each individual's bit in its block's packed row; 0 in a block
+            # without tables, which may be too large to pack
+            tabled = np.repeat(np.add.reduceat(~self.structural, firsts) > 0, sizes)
+            bit = np.where(tabled, np.repeat(self.starts[1:] - 1, sizes) - np.arange(d.shape[1]), 0)
+            block = np.searchsorted(self.starts, u, side="right") - 1
+            d_rows, z_rows = (np.add.reduceat(x.astype(np.int64) << bit, firsts, axis=1)[:, block]
+                              for x in (d, z))
+            y[:, u] = self.table_values(u, d_rows, z_rows)
         return y
 
 
@@ -244,30 +275,6 @@ def _individual(starts: np.ndarray, mask: np.ndarray) -> str:
     u = int(np.argmax(mask))
     i = int(np.searchsorted(starts, u, side="right")) - 1
     return f"block {i} individual {u - starts[i]}"
-
-
-def _check_tables(i: int, table, structural, z_dependent) -> None:
-    """Block i's tables: present when a member is not structural, shaped
-    (n, 2^n, 1 or 2^n), with a z axis for encouragement-keyed members and no
-    variation along it for the others, and every entry finite."""
-    n = structural.size
-    if table is None:
-        if not structural.all():
-            raise ValueError(f"block {i}: a table member needs the block's tables")
-        return
-    if table.shape not in ((n, 2**n, 1), (n, 2**n, 2**n)):
-        raise ArityMismatch(f"block {i}: tables of a size-{n} block need shape"
-                            f" ({n}, {2**n}, 1 or {2**n}), got {table.shape}")
-    if z_dependent.any() and table.shape[2] == 1:
-        raise ArityMismatch(f"block {i}: an encouragement-keyed table needs a z axis of {2**n}")
-    if np.isnan(table).any():
-        missing = int(np.isnan(table).sum())
-        raise MissingTableEntry(f"block {i}: table has {missing} missing entries")
-    if not np.isfinite(table).all():
-        raise ValueError(f"block {i}: table entries must be finite")
-    plain = table[~structural & ~z_dependent]
-    if (plain != plain[:, :, :1]).any():
-        raise ValueError(f"block {i}: a table that is not encouragement-keyed varies with z")
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,27 +304,20 @@ class ValidationReport:
 
 
 def validate(pop: Population) -> ValidationReport:
-    """Check every flag against the individual-level data.
-
-    Raises FlagMismatch when a declared flag contradicts what the data
-    actually satisfy (in either direction); otherwise returns the per-block
-    findings, warning about blocks where the encouragement moves nobody's
-    uptake (ratio identities are undefined there).
-    """
+    """The per-block findings and the flags the data satisfy, warning about
+    blocks where the encouragement moves nobody's uptake (ratio identities
+    are undefined there)."""
     firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
     effects = np.add.reduceat(pop.d1.astype(np.int64) - pop.d0, firsts) / sizes
-    found = {"monotone": not (pop.d0 > pop.d1).any(), "one_sided": not pop.d0.any(),
-             "exclusion_ok": not pop.z_dependent.any()}
-    for label, value in found.items():
-        if getattr(pop, label) != value:
-            raise FlagMismatch(f"flag {label}={getattr(pop, label)} but the data say {value}")
     return ValidationReport(
         sizes=sizes,
         strata={ct: np.add.reduceat(pop.in_stratum(ct), firsts) for ct in ComplianceType},
         effects=effects,
+        monotone=pop.monotone,
+        one_sided=pop.one_sided,
+        exclusion_ok=pop.exclusion_ok,
         warnings=tuple(f"EncouragementIneffective: block {i} has zero effect on uptake"
                        for i in np.flatnonzero(effects == 0.0)),
-        **found,
     )
 
 
@@ -484,7 +484,12 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
         # numpy's normal(mean, sd) draws mean + sd * standard_normal()
         coef[[_COEFS.index(k) for k in drawn]] = (means + sds * z).T
     finite = np.logical_and.reduceat(np.isfinite(coef).all(axis=0), starts[:-1])
-    tables = [None] * cfg.blocks
+    # encouragement terms force tables in every block (_check_config)
+    keyed = oc.z_own != 0.0 or oc.z_peer != 0.0
+    # block i's tables end the column at ends[i]: n 2^n entries (n 4^n keyed)
+    tabled = np.where(as_table, sizes, 0)
+    ends = np.cumsum(tabled << (tabled << keyed))
+    table = np.empty(ends[-1])
     # in block order, as drawn: a block's draws are checked before its table
     for i in np.flatnonzero(as_table | ~finite).tolist():
         n, block = sizes[i], coef[:, starts[i]:starts[i + 1]]
@@ -492,40 +497,34 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
             k, j = np.argwhere(~np.isfinite(block))[0]
             raise InvalidConfig(f"block {i} individual {j}: drawn {_COEFS[k]} is {block[k, j]}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            tables[i] = _tables_from_coef(block, oc.z_own, oc.z_peer)
-        if not np.isfinite(tables[i]).all():  # finite terms, overflowing sum
-            j, r = np.argwhere(~np.isfinite(tables[i]))[0][:2]
+            tables = _tables_from_coef(block, oc.z_own, oc.z_peer)
+        if not np.isfinite(tables).all():  # finite terms, overflowing sum
+            j, r = np.argwhere(~np.isfinite(tables))[0][:2]
             raise InvalidConfig(f"block {i} individual {j}: outcome table entry at row "
                                 f"{r:0{n}b} is not finite (its coefficients overflow)")
+        table[ends[i] - tables.size:ends[i]] = tables.ravel()
 
     d0, d1 = np.array([_PT_BY_STRATUM[ct] for ct in _STRATA_ORDER])[codes].T
     structural = np.repeat(~as_table, sizes)
     coef[:, ~structural] = 0.0
-    # encouragement terms force tables in every block (_check_config)
-    exclusion_ok = oc.z_own == 0.0 and oc.z_peer == 0.0
     try:
-        return Population(starts=starts, d0=d0, d1=d1,
-                          structural=structural, z_dependent=~structural & (not exclusion_ok),
-                          coef=coef, tables=tuple(tables),
-                          monotone=not (d0 > d1).any(), one_sided=not d0.any(),
-                          exclusion_ok=exclusion_ok)
+        return Population(starts=starts, d0=d0, d1=d1, structural=structural,
+                          z_dependent=~structural & keyed, coef=coef, table=table)
     except ValueError as exc:  # a structural outcome that overflows
         raise InvalidConfig(str(exc)) from None
 
 
 def convert_to_tables(pop: Population) -> Population:
     """Re-encode every structural outcome as an explicit table (same math)."""
-    tables = []
-    for i, table in enumerate(pop.tables):
-        block = slice(pop.starts[i], pop.starts[i + 1])
-        materialized = _tables_from_coef(pop.coef[:, block])
-        tables.append(materialized if table is None else
-                      np.where(pop.structural[block, None, None], materialized, table))
+    pieces = []
+    for lo, hi in zip(pop.starts[:-1].tolist(), pop.starts[1:].tolist()):
+        materialized = _tables_from_coef(pop.coef[:, lo:hi])[:, :, 0]
+        pieces.extend(materialized[u - lo] if pop.structural[u]
+                      else pop.table[pop.table_start[u]:pop.table_start[u + 1]]
+                      for u in range(lo, hi))
     return Population(starts=pop.starts, d0=pop.d0, d1=pop.d1,
                       structural=np.zeros_like(pop.structural), z_dependent=pop.z_dependent,
-                      coef=np.zeros_like(pop.coef), tables=tuple(tables),
-                      monotone=pop.monotone, one_sided=pop.one_sided,
-                      exclusion_ok=pop.exclusion_ok)
+                      coef=np.zeros_like(pop.coef), table=np.concatenate(pieces))
 
 
 # --------------------------------------------------------------------------
@@ -556,8 +555,8 @@ def _is_table_key(key: str, n: int, keyed: bool) -> bool:
 
 
 def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
-    """A table outcome's entries in row order, (2^n,) or (2^n, 2^n) when
-    encouragement-keyed. The entry count is compared with the row count
+    """A table outcome's entries in row order (treatment-major when
+    encouragement-keyed). The entry count is compared with the row count
     before any key is built, so the work is bounded by the input's size."""
     size = _json.integer(d["size"], "table size")
     if size != n:
@@ -575,52 +574,47 @@ def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
             values = [entries[key] for key in _table_keys(n, keyed)]
         except KeyError as exc:
             raise MissingTableEntry(f"table has no entry for {exc}") from None
-    arr = _json.numbers(values, (f"table entry {key!r}" for key in _table_keys(n, keyed)))
-    return arr.reshape(2**n, 2**n) if keyed else arr
+    return _json.numbers(values, (f"table entry {key!r}" for key in _table_keys(n, keyed)))
 
 
 def population_to_dict(pop: Population) -> dict:
     """The population file's document: every table member's "values" maps
     its row keys to its entries."""
     d0, d1, coef = pop.d0.tolist(), pop.d1.tolist(), pop.coef.T.tolist()
-    starts = pop.starts.tolist()
+    starts, table_start = pop.starts.tolist(), pop.table_start.tolist()
     blocks = []
-    for i, table in enumerate(pop.tables):
-        n, block = starts[i + 1] - starts[i], []
-        for j, u in enumerate(range(starts[i], starts[i + 1])):
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        block = []
+        for u in range(lo, hi):
             if pop.structural[u]:
                 y = {"kind": "structural", **dict(zip(_COEFS, coef[u]))}
             else:
                 keyed = bool(pop.z_dependent[u])
-                rows = (table[j] if keyed else table[j, :, 0]).ravel().tolist()
-                y = {"kind": "table_z" if keyed else "table", "size": n,
-                     "values": dict(zip(_table_keys(n, keyed), rows))}
+                rows = pop.table[table_start[u]:table_start[u + 1]].tolist()
+                y = {"kind": "table_z" if keyed else "table", "size": hi - lo,
+                     "values": dict(zip(_table_keys(hi - lo, keyed), rows))}
             block.append({"d0": d0[u], "d1": d1[u], "outcome": y})
         blocks.append(block)
-    return {
-        "flags": {
-            "monotone": pop.monotone,
-            "one_sided": pop.one_sided,
-            "exclusion_ok": pop.exclusion_ok,
-        },
-        "blocks": blocks,
-    }
+    return {"flags": {k: getattr(pop, k) for k in _FLAGS_KEYS}, "blocks": blocks}
 
 
 def population_from_dict(data: dict) -> Population:
+    """The population of a file's document; FlagMismatch when a flag is not
+    what the data satisfy."""
     data = _json.obj(data, "population", ("flags", "blocks"), required=("flags", "blocks"))
     flags = _json.obj(data["flags"], "population flags", _FLAGS_KEYS, required=_FLAGS_KEYS)
     flags = {k: _json.typed(flags[k], f"population flags.{k}", bool) for k in _FLAGS_KEYS}
     blocks = _json.typed(data["blocks"], "population blocks", list)
-    sizes, d0, d1, kinds, coef, tables = _columns(blocks) or _columns_by_individual(blocks)
+    sizes, d0, d1, kinds, coef, table = _columns(blocks) or _columns_by_individual(blocks)
     try:
         pop = Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1,
                          structural=list(map("structural".__eq__, kinds)),
-                         z_dependent=list(map("table_z".__eq__, kinds)),
-                         coef=coef, tables=tuple(tables), **flags)
+                         z_dependent=list(map("table_z".__eq__, kinds)), coef=coef, table=table)
     except ValueError as exc:  # fewer than 2 blocks, an empty block, a non-binary d0 / d1
         raise InvalidConfig(f"population file: {exc}") from None
-    validate(pop)  # FlagMismatch on tampered flags
+    for k in _FLAGS_KEYS:
+        if flags[k] != getattr(pop, k):
+            raise FlagMismatch(f"flag {k}={flags[k]} but the data say {getattr(pop, k)}")
     return pop
 
 
@@ -631,7 +625,7 @@ _table_of = operator.itemgetter(*_TABLE_KEYS)
 
 
 def _columns(blocks: list):
-    """The population's columns (sizes, d0, d1, kinds, coef, tables) read
+    """The population's columns (sizes, d0, d1, kinds, coef, table) read
     column by column, when every individual is written out in full as
     ``save_population`` writes it: integer d0 / d1, every structural
     coefficient present, table keys in row order. None when anything else is
@@ -655,71 +649,49 @@ def _columns(blocks: list):
         if sum(map(len, members)) != (1 + len(_COEFS)) * len(members):
             return None
         values = _json.finite_array(list(itertools.chain.from_iterable(map(_coefs_of, members))))
+        table = _table_column(list(itertools.compress(outcomes, map(operator.not_, structural))),
+                              [kind == "table_z" for kind in kinds if kind != "structural"],
+                              np.repeat(sizes, sizes)[np.logical_not(structural)].tolist())
     except KeyError:
         return None
-    if values is None:
+    if values is None or table is None:
         return None
     coef = np.zeros((len(people), len(_COEFS)))
     coef[structural] = values.reshape(-1, len(_COEFS))
-    starts = np.cumsum([0, *sizes]).tolist()
-    tables = [None] * len(blocks)
-    for i in np.flatnonzero(np.add.reduceat(np.logical_not(structural), starts[:-1])).tolist():
-        block = slice(starts[i], starts[i + 1])
-        tables[i] = _block_tables(outcomes[block], kinds[block])
-        if tables[i] is None:
+    return sizes, d0, d1, kinds, coef.T, table
+
+
+def _table_column(outcomes: list, keyed: list, sizes: list) -> np.ndarray | None:
+    """The table members' entries as one column, read in one pass over the
+    members' outcomes (with whether each is encouragement-keyed and its block
+    size) when each holds exactly its rows in row order; None otherwise, and
+    KeyError for a missing field. Per block size and kind, the first member's
+    keys are compared with the rows and the others' with the first one's
+    (the same key objects, as json shares a document's keys)."""
+    if not outcomes:
+        return np.empty(0)
+    if set(map(len, outcomes)) != {len(_TABLE_KEYS)}:
+        return None
+    _, given, entries = zip(*map(_table_of, outcomes))
+    if set(map(type, given)) != {int} or list(given) != sizes or set(map(type, entries)) != {dict}:
+        return None
+    firsts = {}  # (size, keyed): the first such member's keys
+    for values, n, k in zip(entries, sizes, keyed):
+        keys = list(values)
+        if keys != firsts.setdefault((n, k), keys):
             return None
-    return sizes, d0, d1, kinds, coef.T, tables
-
-
-def _block_tables(outcomes: list, kinds: list) -> np.ndarray | None:
-    """A block's tables from its members' outcomes, each group of plain or
-    encouragement-keyed tables checked at once: their key order, then one
-    type test and one finiteness test over all their entries."""
-    n = len(outcomes)
-    members = [j for j, kind in enumerate(kinds) if kind != "structural"]
-    fields = [outcomes[j] for j in members]
-    if set(map(len, fields)) != {len(_TABLE_KEYS)}:
-        return None
-    try:
-        _, sizes, entries = zip(*map(_table_of, fields))
-    except KeyError:
-        return None
-    if set(map(type, sizes)) != {int} or set(sizes) != {n} or set(map(type, entries)) != {dict}:
-        return None
-    keyed = [kinds[j] == "table_z" for j in members]
-    groups = {}  # plain or keyed: the members and their entries
-    for group in set(keyed):
-        rows = [j for j, k in zip(members, keyed) if k == group]
-        values = _table_entries([d for d, k in zip(entries, keyed) if k == group], n, group)
-        if values is None:
+    for (n, keyed), keys in firsts.items():
+        if len(keys) != 1 << (n << keyed) or not all(map(operator.eq, keys, _table_keys(n, keyed))):
             return None
-        groups[group] = rows, values.reshape(len(rows), 2**n, -1)
-    table = np.zeros((n, 2**n, 2**n if any(keyed) else 1))
-    for rows, values in groups.values():
-        table[rows] = values
-    return table
-
-
-def _table_entries(dicts: list, n: int, keyed: bool) -> np.ndarray | None:
-    """Tables' entries, when each holds exactly the size-n rows in row order:
-    the first one's keys are compared with the rows, the others' with the
-    first one's (the same key objects, as json shares a document's keys)."""
-    if set(map(len, dicts)) != {4**n if keyed else 2**n}:
-        return None
-    first = list(dicts[0])
-    if (not all(map(operator.eq, first, _table_keys(n, keyed)))
-            or not all(map(first.__eq__, map(list, dicts[1:])))):
-        return None
-    return _json.finite_array(list(itertools.chain.from_iterable(map(dict.values, dicts))))
+    return _json.finite_array(list(itertools.chain.from_iterable(map(dict.values, entries))))
 
 
 def _columns_by_individual(blocks: list):
     """The population's columns read one individual at a time; raises the
     error that names the first bad field."""
-    sizes, d0, d1, kinds, coef, tables, wheres = [], [], [], [], [], [], []
+    sizes, d0, d1, kinds, coef, table, wheres = [], [], [], [], [], [], []
     for i, raw in enumerate(blocks):
         raw = _json.typed(raw, f"population block {i}", list, "a list of individuals")
-        n, table = len(raw), None
         for j, r in enumerate(raw):
             where = f"population block {i} individual {j}"
             wheres.append(where)
@@ -734,23 +706,17 @@ def _columns_by_individual(blocks: list):
                     coef.extend(y.get(k, 0.0) for k in _COEFS)
                 elif kind in ("table", "table_z"):
                     _json.obj(y, "outcome", _TABLE_KEYS, required=_TABLE_KEYS)
-                    values = _table_from_dict(y, n, kind == "table_z")
-                    if table is None:
-                        table = np.zeros((n, 2**n, 1))
-                    if values.ndim == 2 and table.shape[2] == 1:
-                        table = np.repeat(table, 2**n, axis=2)
-                    table[j] = values if values.ndim == 2 else values[:, None]
+                    table.append(_table_from_dict(y, len(raw), kind == "table_z"))
                     coef.extend([0.0] * len(_COEFS))
                 else:
                     raise InvalidConfig(f"unknown outcome kind {kind!r}")
             except PeerEncError as exc:
                 raise type(exc)(f"{where}: {exc}") from None
             kinds.append(kind)
-        sizes.append(n)
-        tables.append(table)
+        sizes.append(len(raw))
     # every coefficient in one vectorized pass (a table member's are zeros)
     coef = _json.numbers(coef, (f"{w}: outcome {k!r}" for w in wheres for k in _COEFS))
-    return sizes, d0, d1, kinds, coef.reshape(-1, len(_COEFS)).T, tables
+    return sizes, d0, d1, kinds, coef.reshape(-1, len(_COEFS)).T, np.concatenate([[], *table])
 
 
 # The population file's text as json.dumps(..., sort_keys=True, indent=1)
@@ -799,28 +765,27 @@ def _file_pieces(pop: Population):
     """The population file's text in pieces, one individual (or one table's
     "values") at a time, so no piece is larger than one member's table."""
     d0, d1, starts = pop.d0.tolist(), pop.d1.tolist(), pop.starts.tolist()
-    structural = pop.structural.tolist()
+    structural, table_start = pop.structural.tolist(), pop.table_start.tolist()
     coef = pop.coef[_SORTED_COEFS].T.ravel()
     # one individual's coefficient texts at a time, finiteness checked once
     texts = map(float.__repr__ if np.isfinite(coef).all() else _float_json, coef.tolist())
     coefs = zip(*[texts] * len(_COEFS))
     heads = functools.cache(_entry_heads)  # keys live for this call only
     yield '{\n "blocks": ['
-    for i, table in enumerate(pop.tables):
-        n = starts[i + 1] - starts[i]
-        yield ",\n  [" if i else "\n  ["
-        for j, u in enumerate(range(starts[i], starts[i + 1])):
-            sep = ",\n   " if j else "\n   "
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        yield ",\n  [" if lo else "\n  ["
+        for u in range(lo, hi):
+            sep = ",\n   " if u > lo else "\n   "
             row = next(coefs)
             if structural[u]:
                 yield sep + _STRUCTURAL % (d0[u], d1[u], *row)
             else:
                 keyed = bool(pop.z_dependent[u])
-                yield sep + _TABLE_HEAD % (d0[u], d1[u], "table_z" if keyed else "table", n)
-                yield _values_json((table[j] if keyed else table[j, :, 0]).ravel(), heads(n, keyed))
+                yield sep + _TABLE_HEAD % (d0[u], d1[u], "table_z" if keyed else "table", hi - lo)
+                yield _values_json(pop.table[table_start[u]:table_start[u + 1]], heads(hi - lo, keyed))
                 yield _TABLE_TAIL
         yield "\n  ]"
-    yield _FLAGS % tuple(json.dumps(f) for f in (pop.exclusion_ok, pop.monotone, pop.one_sided))
+    yield _FLAGS % tuple(json.dumps(getattr(pop, k)) for k in sorted(_FLAGS_KEYS))
 
 
 def save_population(pop: Population, path) -> None:

@@ -51,8 +51,12 @@ def oracle_outcome(pop: Population, i: int, j: int, d_vec, z_vec=None) -> float:
     if pop.structural[u]:
         own = int(d_vec[j])
         return _structural(pop, i, j, own, sum(int(b) for b in d_vec) - own)
-    z_row = _row(z_vec) if pop.z_dependent[u] else 0
-    return float(pop.tables[i][j, _row(d_vec), z_row])
+    # a member's entries: 2^n treatment rows, or 2^n encouragement rows each
+    n = len(d_vec)
+    rows = pop.table[pop.table_start[u]:pop.table_start[u + 1]]
+    if pop.z_dependent[u]:
+        return float(rows[_row(d_vec) * 2**n + _row(z_vec)])
+    return float(rows[_row(d_vec)])
 
 
 def _full_weight(z_vec, marginals, skip=None) -> float:
@@ -385,28 +389,28 @@ _PT_BY_CODE = ((1, 1), (0, 1), (0, 0), (1, 0))
 _DRAWN = ("intercept", "direct", "peer", "interaction", "curvature")
 
 
-def _reference_tables(coef: list, z_own: float, z_peer: float) -> np.ndarray:
-    """A block's [member, d row, z row] tables entry by entry from its
-    members' coefficient rows: the structural formula at the d row, plus the
-    encouragement terms at the z row when z_own or z_peer is nonzero (else
-    the z axis has length 1)."""
+def _reference_tables(coef: list, z_own: float, z_peer: float) -> list[float]:
+    """A block's table entries entry by entry from its members' coefficient
+    rows, member after member: the structural formula at each d row, plus
+    the encouragement terms at each z row (d-major) when z_own or z_peer is
+    nonzero."""
     n = len(coef)
     keyed = z_own != 0.0 or z_peer != 0.0
     bits = [[(r >> (n - 1 - m)) & 1 for m in range(n)] for r in range(2**n)]
-    table = np.zeros((n, 2**n, 2**n if keyed else 1))
+    entries = []
     for j, (intercept, direct, peer, interaction, curvature, noise) in enumerate(coef):
-        for r, row in enumerate(bits):
+        for row in bits:
             own = float(row[j])
             k = float(sum(row)) - own
             base = (intercept + direct * own + (peer + interaction * own) * k
                     + curvature * k * k + noise)
             if not keyed:
-                table[j, r, 0] = base
+                entries.append(base)
                 continue
-            for zr, zrow in enumerate(bits):
+            for zrow in bits:
                 z = float(zrow[j])
-                table[j, r, zr] = base + (z_own * z + z_peer * (float(sum(zrow)) - z))
-    return table
+                entries.append(base + (z_own * z + z_peer * (float(sum(zrow)) - z)))
+    return entries
 
 
 def reference_build_population(cfg, rng: np.random.Generator) -> Population:
@@ -421,7 +425,7 @@ def reference_build_population(cfg, rng: np.random.Generator) -> Population:
         sizes = rng.integers(cfg.block_size[0], cfg.block_size[1] + 1, size=cfg.blocks).tolist()
     else:
         sizes = [cfg.block_size] * cfg.blocks
-    d0, d1, coef, structural, tables = [], [], [], [], []
+    d0, d1, coef, structural, table = [], [], [], [], []
     for n in sizes:
         for _ in range(100):
             codes = rng.choice(4, size=n, p=probs)
@@ -440,12 +444,10 @@ def reference_build_population(cfg, rng: np.random.Generator) -> Population:
             oc.representation == "mixed" and bool(rng.random() < 0.5))
         d0.extend(_PT_BY_CODE[c][0] for c in codes)
         d1.extend(_PT_BY_CODE[c][1] for c in codes)
-        tables.append(_reference_tables(block, oc.z_own, oc.z_peer) if as_table else None)
+        table.extend(_reference_tables(block, oc.z_own, oc.z_peer) if as_table else [])
         coef.extend([[0.0] * 6] * n if as_table else block)
         structural.extend([not as_table] * n)
     exclusion_ok = oc.z_own == 0.0 and oc.z_peer == 0.0
     return Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1, structural=structural,
                       z_dependent=[not s and not exclusion_ok for s in structural],
-                      coef=np.array(coef).T, tables=tuple(tables),
-                      monotone=all(a <= b for a, b in zip(d0, d1)), one_sided=not any(d0),
-                      exclusion_ok=exclusion_ok)
+                      coef=np.array(coef).T, table=np.array(table, dtype=float))

@@ -12,6 +12,7 @@ from peerenc.mechanisms import (
     assignment_probs,
     enumerate_assignments,
     mechanisms_identical,
+    unit_marginals,
 )
 from peerenc.population import pack_rows
 from conftest import make_population
@@ -154,3 +155,21 @@ def test_mechanisms_identical_detects_broadcast_equality():
     assert mechanisms_identical(a, b, sizes={3})
     assert not mechanisms_identical(a, Mechanism("c", (0.5, 0.4, 0.5)), sizes={3})
     assert not mechanisms_identical(a, Mechanism("d", 0.2), sizes={3})
+
+
+class _BySize:
+    """A stand-in mechanism whose block-size-n marginals are 10n + j."""
+
+    def marginals(self, n):
+        return 10.0 * n + np.arange(n)
+
+
+def test_unit_marginals_lay_out_each_blocks_marginals_in_block_order():
+    sizes = [3, 1, 3, 2, 1]
+    assert unit_marginals(_BySize(), sizes).tolist() == [
+        30, 31, 32, 10, 30, 31, 32, 20, 21, 10]
+    assert unit_marginals(Mechanism("a", 0.3), sizes).tolist() == [0.3] * 10
+    vector = Mechanism("v", (0.1, 0.2, 0.3))
+    assert unit_marginals(vector, [3, 3]).tolist() == [0.1, 0.2, 0.3] * 2
+    with pytest.raises(ArityMismatch, match="arity 3, block has 1"):
+        unit_marginals(vector, sizes)

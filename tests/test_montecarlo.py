@@ -284,6 +284,31 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
         assert report.get(f"theorem_3[z={z}]").identity == estimands.theorem_3_check(a, b, z=z)
 
 
+def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch):
+    """replicate validates the design a fixed number of times, not once per
+    batch: one batch and five batches make the same calls."""
+    from peerenc import montecarlo
+
+    pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
+    cfg = DesignConfig(PHI, PSI, k=1, seed=4)
+    calls = []
+    validate = design.validate_design
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(design, "validate_design", counted)
+    monkeypatch.setattr(montecarlo, "validate_design", counted)
+    monkeypatch.setattr(design, "BATCH_BYTES", 4 * design.BYTES_PER_DRAW * pop.n_individuals)
+    counts = {}
+    for batches in (1, 5):
+        calls.clear()
+        replicate(pop, cfg, 4 * batches, targets={})
+        counts[batches] = len(calls)
+    assert counts[1] == counts[5] >= 1
+
+
 def test_verify_theorems_degenerate_uptake():
     pop = make_population([["nt", "nt"], ["nt", "at"]])
     report = verify_theorems(pop, PHI, PSI)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peerenc import _json
+from peerenc.estimands import member_averages
 from peerenc.errors import (
     ArityMismatch,
     FlagMismatch,
@@ -16,6 +17,7 @@ from peerenc.errors import (
     InvalidConfig,
     MissingTableEntry,
 )
+from peerenc.mechanisms import Mechanism
 from peerenc.population import (
     ComplianceType,
     DgpConfig,
@@ -32,7 +34,7 @@ from peerenc.population import (
     validate,
 )
 from conftest import make_individual, make_population, person, population, structural, table
-from oracles import reference_build_population
+from oracles import oracle_outcome, oracle_ybar_itt, oracle_ybar_local, reference_build_population
 
 _STRATUM = {(0, 1): ComplianceType.COMPLIER, (1, 1): ComplianceType.ALWAYS_TAKER,
             (1, 0): ComplianceType.DEFIER, (0, 0): ComplianceType.NEVER_TAKER}
@@ -82,20 +84,18 @@ def test_validate_all_compliers():
 
 def test_validate_defier_with_monotone_flag():
     pop = make_population([["de", "co"], ["co"]])
-    assert not pop.monotone
-    with pytest.raises(FlagMismatch):
-        validate(dataclasses.replace(pop, monotone=True))
+    assert not pop.monotone and not validate(pop).monotone
     data = population_to_dict(pop)
     data["flags"]["monotone"] = True
-    with pytest.raises(FlagMismatch):
+    with pytest.raises(FlagMismatch, match=r"^flag monotone=True but the data say False$"):
         population_from_dict(data)
 
 
 def test_validate_flags_must_match_in_both_directions():
-    pop = make_population([["co"], ["co"]])
-    claimed_weaker = dataclasses.replace(pop, monotone=False)
-    with pytest.raises(FlagMismatch):
-        validate(claimed_weaker)
+    data = population_to_dict(make_population([["co"], ["co"]]))
+    data["flags"]["monotone"] = False
+    with pytest.raises(FlagMismatch, match=r"^flag monotone=False but the data say True$"):
+        population_from_dict(data)
 
 
 def test_validate_all_never_takers_warns_ineffective():
@@ -145,15 +145,15 @@ def _tabled_pair():
 
 def test_table_completeness_enforced():
     pop = _tabled_pair()
-    entries = np.array(pop.tables[0])
-    entries[0, 1, 0] = np.nan
-    with pytest.raises(MissingTableEntry):
-        dataclasses.replace(pop, tables=(entries, None))
-    entries[0, 1, 0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        dataclasses.replace(pop, tables=(entries, None))
+    entries = np.array(pop.table)
+    entries[1] = np.nan
+    with pytest.raises(MissingTableEntry, match="block 0: table has 1 missing entries"):
+        dataclasses.replace(pop, table=entries)
+    entries[1] = np.inf
+    with pytest.raises(ValueError, match="block 0: table entries must be finite"):
+        dataclasses.replace(pop, table=entries)
     with pytest.raises(ArityMismatch):
-        dataclasses.replace(pop, tables=(np.zeros((2, 3, 1)), None))
+        dataclasses.replace(pop, table=np.zeros(3))
     data = population_to_dict(pop)
     del data["blocks"][0][0]["outcome"]["values"]["01"]
     with pytest.raises(MissingTableEntry):
@@ -163,11 +163,13 @@ def test_table_completeness_enforced():
 def test_population_shape_validation():
     pop = _tabled_pair()
     with pytest.raises(ValueError, match="at least 2 blocks"):
-        dataclasses.replace(pop, starts=[0, 4], tables=(None,))
+        dataclasses.replace(pop, starts=[0, 4])
     with pytest.raises(ValueError, match="block 1 is empty"):
-        dataclasses.replace(pop, starts=[0, 4, 4], tables=(pop.tables[0], None))
+        dataclasses.replace(pop, starts=[0, 4, 4])
     with pytest.raises(ArityMismatch):
-        dataclasses.replace(pop, tables=(np.zeros((2, 8, 1)), None))
+        dataclasses.replace(pop, table=np.zeros(8))
+    with pytest.raises(ArityMismatch):
+        dataclasses.replace(pop, table=np.zeros((2, 2)))
     data = population_to_dict(pop)
     data["blocks"][0][0]["outcome"] = table(np.zeros(8))
     with pytest.raises(ArityMismatch):
@@ -180,12 +182,10 @@ def test_population_shape_validation():
     (dict(d0=[0, 0, 0]), ArityMismatch, "d0 needs shape"),
     (dict(coef=np.zeros((5, 4))), ArityMismatch, "coef needs shape"),
     (dict(z_dependent=[False, False, True, False]), ValueError, "block 1 individual 0"),
-    (dict(tables=(None, None)), ValueError, "block 0: a table member"),
-    (dict(tables=(None,)), ArityMismatch, "one entry per block"),
-    (dict(z_dependent=[True, False, False, False]), ArityMismatch, "z axis"),
-    (dict(tables=(np.arange(32.0).reshape(2, 4, 4), None)), ValueError, "varies with z"),
+    (dict(table=np.zeros(0)), ArityMismatch, r"table needs 4 entries .*, got shape \(0,\)"),
+    (dict(z_dependent=[True, False, False, False]), ArityMismatch, "table needs 16 entries"),
 ], ids=["d0-2", "d1-minus-1", "d0-short", "coef-rows", "structural-z-keyed", "table-missing",
-        "tables-per-block", "z-keyed-without-z-axis", "plain-table-varies-with-z"])
+        "z-keyed-without-z-axis"])
 def test_population_constructor_checks(change, error, match):
     with pytest.raises(error, match=match):
         dataclasses.replace(_tabled_pair(), **change)
@@ -194,7 +194,7 @@ def test_population_constructor_checks(change, error, match):
 def test_population_arrays_are_read_only():
     pop = _tabled_pair()
     for arr in (pop.starts, pop.d0, pop.d1, pop.structural, pop.z_dependent, pop.coef,
-                pop.tables[0]):
+                pop.table, pop.table_start):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -221,20 +221,48 @@ def test_a_population_whose_outcome_sums_overflow_is_refused(outcome):
         population([[person("co", outcome)] for _ in range(3)])
 
 
-def test_tables_fill_one_array_per_block():
-    """Table members fill their block's [member, d row, z row] array;
-    structural members keep their coefficients, table members zero ones."""
+def test_table_members_fill_one_flat_column():
+    """Table members' entries follow one another in one column, 2^n per
+    plain member and 4^n per encouragement-keyed one; structural members
+    have empty extents, keep their coefficients, and table members get zero
+    ones."""
     pop = _tabled_pair()
     assert pop.structural.tolist() == [False, True, True, True]
-    assert pop.tables[0].shape == (2, 4, 1) and pop.tables[1] is None
-    assert pop.tables[0][0, :, 0].tolist() == [1.0, 0.0, 2.0, 3.0]
+    assert pop.table.tolist() == [1.0, 0.0, 2.0, 3.0]
+    assert pop.table_start.tolist() == [0, 4, 4, 4, 4]
     assert not pop.coef[:, 0].any()
     keyed = population([[person("co", table(np.arange(16.0).reshape(4, 4))),
                          person("nt", table([1.0, 2.0, 3.0, 4.0]))],
                         [make_individual("co")]])
-    assert keyed.tables[0].shape == (2, 4, 4) and not keyed.exclusion_ok
-    assert keyed.tables[0][1].tolist() == [[v] * 4 for v in (1.0, 2.0, 3.0, 4.0)]
+    assert keyed.table.tolist() == [*range(16), 1.0, 2.0, 3.0, 4.0] and not keyed.exclusion_ok
+    assert keyed.table_start.tolist() == [0, 16, 20, 20]
     assert population_to_dict(keyed)["blocks"][0][1]["outcome"] == table([1.0, 2.0, 3.0, 4.0])
+
+
+def test_flags_are_derived_from_the_data():
+    pop = make_population([["co", "nt"], ["at", "co"]])
+    assert (pop.monotone, pop.one_sided, pop.exclusion_ok) == (True, False, True)
+    keyed = _one_table(np.arange(16.0), keyed=True)
+    assert (keyed.monotone, keyed.one_sided, keyed.exclusion_ok) == (True, True, False)
+    with pytest.raises(TypeError):
+        dataclasses.replace(pop, monotone=False)
+
+
+def test_table_extents_of_large_blocks_do_not_overflow():
+    """A table member of a size-70 block claims 2^70 entries: the length
+    check refuses it without forming an int64 extent, and a structural
+    block of 70 beside a table block is evaluated without packing its rows."""
+    pop = make_population([["co"] * 70, ["co", "nt"]], direct=1.0, peer=0.5)
+    with pytest.raises(ArityMismatch, match="table needs 1180591620717411303424 entries"):
+        dataclasses.replace(pop, structural=np.arange(72) != 0)
+    mixed = dataclasses.replace(pop, structural=np.arange(72) < 71, table=[1.0, 2.0, 3.0, 4.0])
+    assert mixed.table_start.tolist() == [0] * 72 + [4]
+    d = np.zeros((2, 72), dtype=np.int8)
+    d[:, :70] = 1
+    d[1, 71] = 1
+    y = mixed.outcomes(d, np.zeros_like(d))
+    assert y[:, :70].tolist() == [[1.0 + 0.5 * 69] * 70] * 2
+    assert y[:, 70:].tolist() == [[0.0, 1.0], [0.5, 2.0]]
 
 
 def _basic_cfg(**overrides) -> DgpConfig:
@@ -425,11 +453,10 @@ def test_build_matches_the_scalar_draw_loop_bitwise(tmp_path_factory, rep, param
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     pop, expected = build_population(cfg, rng), reference_build_population(cfg, reference_rng)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-    for name in ("starts", "d0", "d1", "structural", "z_dependent", "coef"):
+    for name in ("starts", "d0", "d1", "structural", "z_dependent", "coef", "table",
+                 "table_start", "bound"):
         got, want = getattr(pop, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert [None if t is None else t.tobytes() for t in pop.tables] == \
-        [None if t is None else t.tobytes() for t in expected.tables]
     assert (pop.monotone, pop.one_sided, pop.exclusion_ok) == \
         (expected.monotone, expected.one_sided, expected.exclusion_ok)
     directory = tmp_path_factory.mktemp("build")
@@ -616,6 +643,64 @@ def test_saving_holds_a_fraction_of_the_file_in_memory(tmp_path, rng):
     assert path.read_bytes() == _stdlib_bytes(pop)
 
 
+_LABEL = st.sampled_from(["at", "co", "nt", "de"])
+_KIND = st.sampled_from(["structural", "table", "table_z"])
+_MEMBER = st.tuples(_LABEL, _KIND)
+
+
+def _random_outcome(kind: str, n: int, rng) -> dict:
+    if kind == "structural":
+        return structural(**dict(zip(("intercept", "direct", "peer", "interaction", "curvature",
+                                      "noise"), rng.normal(size=6).tolist())))
+    return table(rng.normal(size=(2**n,) if kind == "table" else (2**n, 2**n)))
+
+
+@given(
+    # block 0 mixes all three kinds; the others draw theirs freely
+    first=st.permutations(["structural", "table", "table_z"]),
+    extra=st.lists(_KIND, max_size=1),
+    strata=st.lists(_LABEL, min_size=4, max_size=4),
+    blocks=st.lists(st.lists(_MEMBER, min_size=1, max_size=4), min_size=1, max_size=3),
+    p=st.floats(0.05, 0.95),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_mixed_blocks_round_trip_and_match_the_oracles(tmp_path_factory, first, extra, strata,
+                                                       blocks, p, seed):
+    """Blocks of up to 4 that mix structural, plain-table and keyed-table
+    members: the file's document loads back every column, the saved bytes
+    are the stdlib encoder's, and outcomes and the exact kernel match the
+    oracles on random treatment and encouragement rows."""
+    rng = np.random.default_rng(seed)
+    members = [[*zip(strata, first + extra)], *blocks]
+    pop = population([[person(label, _random_outcome(kind, len(block), rng))
+                       for label, kind in block] for block in members])
+
+    loaded = population_from_dict(population_to_dict(pop))
+    for name in ("starts", "d0", "d1", "structural", "z_dependent", "coef", "table",
+                 "table_start", "bound"):
+        got, want = getattr(loaded, name), getattr(pop, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    path = tmp_path_factory.mktemp("mixed") / "pop.json"
+    save_population(pop, path)
+    assert path.read_bytes() == _stdlib_bytes(pop)
+
+    d = rng.integers(0, 2, size=(3, pop.n_individuals), dtype=np.int8)
+    z = rng.integers(0, 2, size=d.shape, dtype=np.int8)
+    y = pop.outcomes(d, z)
+    mech = Mechanism("phi", p)
+    avg = member_averages(pop, mech)
+    for i, (lo, hi) in enumerate(zip(pop.starts[:-1].tolist(), pop.starts[1:].tolist())):
+        for j, u in enumerate(range(lo, hi)):
+            for r in range(d.shape[0]):
+                assert y[r, u] == oracle_outcome(pop, i, j, d[r, lo:hi], z[r, lo:hi])
+            for v in (0, 1):
+                assert avg.itt[v, u] == pytest.approx(oracle_ybar_itt(pop, i, j, v, mech),
+                                                      rel=1e-12, abs=1e-12)
+                assert avg.local[v, u] == pytest.approx(oracle_ybar_local(pop, i, j, v, mech),
+                                                        rel=1e-12, abs=1e-12)
+
+
 # --------------------------------------------------------------------------
 # Population file loading: table entries in saved order and otherwise
 # --------------------------------------------------------------------------
@@ -659,7 +744,7 @@ def test_table_keys_in_any_order_load_the_same_entries(tmp_path, rng):
         assert list(shuffled) != keys
         data["blocks"][0][member]["outcome"]["values"] = shuffled
     loaded = population_from_dict(data)
-    assert np.array_equal(loaded.tables[0], pop.tables[0])
+    assert np.array_equal(loaded.table, pop.table)
     save_population(loaded, tmp_path / "pop.json")
     assert (tmp_path / "pop.json").read_bytes() == _stdlib_bytes(pop)
 
@@ -669,7 +754,7 @@ def test_integer_table_entries_load_as_floats():
     values = data["blocks"][0][0]["outcome"]["values"]
     values.update({"00": 1, "11": -(2**60) - 1})
     loaded = population_from_dict(data)
-    assert loaded.tables[0][0, :, 0].tolist() == [1.0, 2.0, 3.0, float(-(2**60) - 1)]
+    assert loaded.table.tolist() == [1.0, 2.0, 3.0, float(-(2**60) - 1)]
 
 
 # --------------------------------------------------------------------------
@@ -709,7 +794,7 @@ def test_table_entries_parse_bitwise_as_plain_json(tmp_path, memo):
     path = tmp_path / "pop.json"
     text = _table_file(path, _TEXTS)
     plain = list(json.loads(text)["blocks"][0][0]["outcome"]["values"].values())
-    loaded = load_population(path).tables[0][0, :, 0]
+    loaded = load_population(path).table
     assert loaded.tobytes() == np.array(plain, dtype=float).tobytes()
     assert 0 < len(memo) <= 4
 
