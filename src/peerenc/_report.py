@@ -4,13 +4,17 @@ import dataclasses
 import json
 import math
 
+import numpy as np
+
 
 def _plain(value):
     """A report value as JSON data: a dataclass becomes the object of its
-    fields, a tuple or list a list, a dict an object, and a float that is
-    not finite becomes None (null)."""
+    fields, an array, tuple or list a list, a dict an object, and a float
+    that is not finite becomes None (null)."""
     if isinstance(value, float):  # first: nearly every value is a float
         return value if math.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

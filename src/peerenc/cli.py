@@ -226,7 +226,7 @@ def cmd_estimands(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .design import DesignConfig, run_design
+    from .design import DesignConfig, run_design, validate_design
     from .montecarlo import replicate
 
     cfg = _read_config(args.config, "mechanisms")
@@ -238,10 +238,11 @@ def cmd_simulate(args) -> int:
     pop = load_population(args.pop)
     k = pop.n_blocks // 2 if cfg["k"] is None else cfg["k"]
     dcfg = DesignConfig(*cfg["pair"], k=k, seed=seed)
+    probs = validate_design(dcfg, pop)
     if args.dump_data:
         with _writing(args.dump_data):
-            run_design(pop, dcfg, replicate=0).to_csv(args.dump_data)
-    summary = replicate(pop, dcfg, r)
+            run_design(pop, dcfg, probs=probs).to_csv(args.dump_data)
+    summary = replicate(pop, dcfg, r, probs=probs)
     if args.format == "text":
         _emit(summary.text_table(), args.out)
     else:

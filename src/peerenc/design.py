@@ -80,7 +80,7 @@ def validate_design(cfg: DesignConfig, pop: Population) -> np.ndarray:
 class ExperimentData:
     """Realized data from one run: per-block arm flags and per-individual
     encouragement, treatment, outcome, and design encouragement probability.
-    A batch of runs (``draw_replicates``) carries a leading replicate axis on
+    A batch of runs (``draw_validated``) carries a leading replicate axis on
     ``s``, ``z``, ``d``, ``y`` and ``p_enc``; the estimators accept either."""
 
     sizes: np.ndarray  # (B,) block sizes
@@ -190,14 +190,16 @@ def _read_csv_rows(path) -> list[tuple]:
 
 
 def batch_size(pop: Population) -> int:
-    """Replicates per batch (one ``draw_replicates`` or ``draw_validated``
-    call) that keep a batch's (replicate, individual) arrays within
-    BATCH_BYTES."""
+    """Replicates per batch (one ``draw_validated`` call) that keep a
+    batch's (replicate, individual) arrays within BATCH_BYTES."""
     return max(1, BATCH_BYTES // (BYTES_PER_DRAW * pop.n_individuals))
 
 
-def draw_replicates(pop: Population, cfg: DesignConfig, first: int, count: int) -> ExperimentData:
-    """Execute the protocol for replicates first .. first + count - 1 at once.
+def draw_validated(pop: Population, cfg: DesignConfig, probs: np.ndarray, first: int,
+                   count: int) -> ExperimentData:
+    """Execute the protocol for replicates first .. first + count - 1 at once,
+    for a design that passed ``validate_design``, with ``probs`` what it
+    returned: a caller drawing many batches validates once.
 
     The result carries a leading replicate axis on ``s`` (R, B) and on ``z``,
     ``d``, ``y`` and ``p_enc`` (R, N); its row r is the run of replicate
@@ -205,14 +207,6 @@ def draw_replicates(pop: Population, cfg: DesignConfig, first: int, count: int) 
     arm assignment and then every individual's encouragement uniform come
     from the replicate's own stream (see ``_streams``).
     """
-    return draw_validated(pop, cfg, validate_design(cfg, pop), first, count)
-
-
-def draw_validated(pop: Population, cfg: DesignConfig, probs: np.ndarray, first: int,
-                   count: int) -> ExperimentData:
-    """``draw_replicates`` for a design that passed ``validate_design``,
-    with ``probs`` what it returned: a caller drawing many batches validates
-    once."""
     if first < 0 or count < 0:
         raise InvalidDesign(f"replicate indices {first}..{first + count - 1} must be non-negative")
     b, n = pop.n_blocks, pop.n_individuals
@@ -230,8 +224,13 @@ def draw_validated(pop: Population, cfg: DesignConfig, probs: np.ndarray, first:
     return ExperimentData(sizes=sizes, s=s, z=z, d=d, y=pop.outcomes(d, z), p_enc=p_enc)
 
 
-def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0) -> ExperimentData:
-    """Execute the protocol once: row ``replicate`` of ``draw_replicates``."""
-    batch = draw_replicates(pop, cfg, replicate, 1)
+def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0,
+               probs: np.ndarray | None = None) -> ExperimentData:
+    """Execute the protocol once: row ``replicate`` of ``draw_validated``.
+    The design is validated unless ``probs`` is what ``validate_design``
+    returned for it."""
+    if probs is None:
+        probs = validate_design(cfg, pop)
+    batch = draw_validated(pop, cfg, probs, replicate, 1)
     return ExperimentData(sizes=batch.sizes, s=batch.s[0], z=batch.z[0], d=batch.d[0],
                           y=batch.y[0], p_enc=batch.p_enc[0])

@@ -26,7 +26,6 @@ its block values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,10 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def identity_ok(lhs: float, rhs: float) -> bool:
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) <= max(ABS_TOL, REL_TOL * scale)
+def identity_ok(lhs, rhs):
+    """Elementwise: numbers or arrays of them; False wherever either is NaN."""
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return np.abs(lhs - rhs) <= np.maximum(ABS_TOL, REL_TOL * scale)
 
 
 def _block_means(pop: Population, values: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -154,17 +154,22 @@ def member_averages(pop: Population, mech: Mechanism,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSummary:
-    """Per-block values plus their unweighted population mean."""
+    """Per-block values, a read-only float64 array, plus their unweighted
+    population mean."""
 
-    per_block: tuple[float, ...]
+    per_block: np.ndarray
     population: float
 
 
-def _summarize(values) -> BlockSummary:
-    vals = tuple(float(v) for v in values)
-    return BlockSummary(per_block=vals, population=float(sum(vals) / len(vals)))
+def _summarize(per_block: np.ndarray) -> BlockSummary:
+    """The mean sums strictly left to right from +0.0, as Python 3.11's
+    ``sum()`` does (3.12's is compensated), so the bytes of a report do not
+    depend on the interpreter; +0.0 makes a sum of -0.0 values read 0.0."""
+    per_block.setflags(write=False)
+    total = 0.0 + np.add.accumulate(per_block)[-1]
+    return BlockSummary(per_block=per_block, population=float(total / per_block.size))
 
 
 def _same_population(a: MemberAverages, b: MemberAverages) -> None:
@@ -216,7 +221,7 @@ def lpt(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityReport(JsonReport):
     name: str
     lhs: float
@@ -226,8 +231,8 @@ class IdentityReport(JsonReport):
     block_identity_ok: bool  # the identity holds block by block wherever defined
     assumptions_ok: bool
     assumption_notes: tuple[str, ...]
-    block_lhs: tuple[float, ...]
-    block_rhs: tuple[float, ...]
+    block_lhs: np.ndarray  # read-only float64, NaN where a block's value is undefined
+    block_rhs: np.ndarray
     note: str | None = None
 
 
@@ -246,7 +251,7 @@ def _assumption_notes(pop: Population, require_monotone=False, require_exclusion
 
 
 def _aggregation_note(uptake: BlockSummary) -> str | None:
-    if len(set(uptake.per_block)) > 1:
+    if np.any(uptake.per_block != uptake.per_block[0]):
         return (
             "blocks have unequal uptake effects, so the block-level ratio "
             "identity does not aggregate to this population-level ratio"
@@ -261,17 +266,18 @@ def _ratio_denominator(pop: Population) -> BlockSummary:
     return uptake
 
 
-def _identity(name: str, lhs: float, rhs: float, block_lhs, block_rhs, notes,
-              note: str | None = None) -> IdentityReport:
-    block_lhs, block_rhs = tuple(map(float, block_lhs)), tuple(map(float, block_rhs))
-    pairs = [(a, b) for a, b in zip(block_lhs, block_rhs) if math.isfinite(a) and math.isfinite(b)]
+def _identity(name: str, lhs: float, rhs: float, block_lhs: np.ndarray, block_rhs: np.ndarray,
+              notes, note: str | None = None) -> IdentityReport:
+    block_lhs.setflags(write=False)
+    defined = np.isfinite(block_lhs) & np.isfinite(block_rhs)
     return IdentityReport(
         name=name,
         lhs=lhs,
         rhs=rhs,
         gap=lhs - rhs,
-        passed=identity_ok(lhs, rhs),
-        block_identity_ok=bool(pairs) and all(identity_ok(a, b) for a, b in pairs),
+        passed=bool(identity_ok(lhs, rhs)),
+        block_identity_ok=bool(defined.any()
+                               and identity_ok(block_lhs[defined], block_rhs[defined]).all()),
         assumptions_ok=not notes,
         assumption_notes=notes,
         block_lhs=block_lhs,
@@ -285,16 +291,11 @@ def _ratio_identity(name: str, pop: Population, uptake: BlockSummary, itt: Block
     """An ITT contrast over the uptake effect against a complier local
     contrast, in the population and block by block (NaN where a block's
     uptake effect is zero)."""
-    e = np.array(uptake.per_block)
+    e = uptake.per_block
     block_lhs = np.divide(itt.per_block, e, out=np.full(e.size, np.nan), where=e != 0.0)
     notes = _assumption_notes(pop, require_monotone=True, require_exclusion=True)
     return _identity(name, itt.population / uptake.population, local.population, block_lhs,
                      local.per_block, notes, _aggregation_note(uptake))
-
-
-def _difference(hi: BlockSummary, lo: BlockSummary) -> BlockSummary:
-    """hi minus lo, block by block."""
-    return _summarize(np.subtract(hi.per_block, lo.per_block))
 
 
 def theorem_1_check(avg: MemberAverages) -> IdentityReport:
@@ -322,8 +323,9 @@ def theorem_2_check(a: MemberAverages, b: MemberAverages) -> IdentityReport:
     uptake = _ratio_denominator(a.pop)
     peer_itt = [pitt(a, b, z) for z in (0, 1)]
     peer_local = [lpt(a, b, d, ComplianceType.COMPLIER, True) for d in (0, 1)]
-    return _ratio_identity("theorem_2", a.pop, uptake, _difference(peer_itt[1], peer_itt[0]),
-                           _difference(peer_local[1], peer_local[0]))
+    return _ratio_identity("theorem_2", a.pop, uptake,
+                           _summarize(peer_itt[1].per_block - peer_itt[0].per_block),
+                           _summarize(peer_local[1].per_block - peer_local[0].per_block))
 
 
 def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> IdentityReport:
@@ -360,7 +362,7 @@ class EstimandReport(JsonReport):
         lines = ["estimand,block,value"]
         for key in sorted(self.entries):
             s = self.entries[key]
-            for i, v in enumerate(s.per_block):
+            for i, v in enumerate(s.per_block.tolist()):
                 lines.append(f"{key},{i},{v!r}")
             lines.append(f"{key},population,{s.population!r}")
         return "\n".join(lines) + "\n"

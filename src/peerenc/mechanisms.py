@@ -2,14 +2,13 @@
 
 A mechanism assigns each individual of a block an independent probability of
 being encouraged. It induces a product law on the block's binary encouragement
-vector; this module evaluates that law exactly and enumerates its support in
-a canonical (lexicographic) order. ``peerenc.design`` draws from it.
+vector; this module evaluates that law exactly over its support, in a
+canonical (lexicographic) order. ``peerenc.design`` draws from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,36 +57,20 @@ class Mechanism:
         return np.asarray(self.probs)
 
 
-@lru_cache(maxsize=64)
-def _assignment_matrix(n: int) -> np.ndarray:
-    idx = np.arange(2**n, dtype=np.int64)
-    cols = [(idx >> (n - 1 - j)) & 1 for j in range(n)]
-    out = np.stack(cols, axis=1).astype(np.uint8)
-    out.setflags(write=False)
-    return out
-
-
-def enumerate_assignments(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """All 2^n binary assignment vectors of length n, lexicographically.
-
-    Returns a read-only (2^n, n) uint8 array; row r is the binary expansion
-    of r with the most significant bit first, so the order (and therefore
-    every enumerated sum downstream) is bit-reproducible.
-    """
+def assignment_probs(mech: Mechanism, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Probabilities of all 2^n assignment vectors of a block of size n,
+    (2^n,): entry r is the vector whose bits, most significant first, are
+    the binary expansion of r (``population.pack_rows``). The order, and so
+    every enumerated sum downstream, is bit-reproducible."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > cap:
         raise EnumerationTooLarge(f"2^{n} assignment vectors exceed cap 2^{cap}")
-    return _assignment_matrix(n)
-
-
-def assignment_probs(mech: Mechanism, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Probabilities of all 2^n assignment vectors, in enumeration order."""
-    bits = enumerate_assignments(n, cap=cap)
+    rows = np.arange(2**n)
     p = mech.marginals(n)
-    w = np.ones(bits.shape[0])
+    w = np.ones(rows.size)
     for j in range(n):
-        w *= np.where(bits[:, j] == 1, p[j], 1.0 - p[j])
+        w *= np.where((rows >> (n - 1 - j)) & 1, p[j], 1.0 - p[j])
     return w
 
 

@@ -62,17 +62,19 @@ def replicate_values(
     cfg: DesignConfig,
     replications: int,
     first_replicate: int = 0,
+    probs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Raw estimator values, one row per replicate in index order.
 
     Row r of a run starting at ``first_replicate`` f is identical to row
     f + r of a run starting at 0: a replicate's stream depends only on its
     absolute index, so split runs pool exactly. The design is validated
-    once; replicates are then drawn and estimated in batches of
-    ``batch_size(pop)``.
+    once, unless ``probs`` is what ``validate_design`` returned for it;
+    replicates are then drawn and estimated in batches of ``batch_size(pop)``.
     """
     check_replications(replications)
-    probs = validate_design(cfg, pop)
+    if probs is None:
+        probs = validate_design(cfg, pop)
     out = np.empty((replications, len(ESTIMATOR_NAMES)))
     step = batch_size(pop)
     for lo in range(0, replications, step):
@@ -176,19 +178,22 @@ def replicate(
     cfg: DesignConfig,
     replications: int,
     targets: dict[str, float] | None = None,
+    probs: np.ndarray | None = None,
 ) -> McSummary:
     """Run the design ``replications`` times and summarize every estimator.
 
     Deterministic given (pop, cfg). Targets come from the exact engine
     unless supplied; ``targets={}`` summarizes without any. The design is
-    validated before any of that work.
+    validated once, before any of that work, unless ``probs`` is what
+    ``validate_design`` returned for it.
     """
     if replications < 2:
         raise InvalidConfig("need at least 2 replications")
-    validate_design(cfg, pop)
+    if probs is None:
+        probs = validate_design(cfg, pop)
     if targets is None:
         targets = exact_targets(pop, cfg)
-    values = replicate_values(pop, cfg, replications)
+    values = replicate_values(pop, cfg, replications, probs=probs)
     summaries = tuple(
         _summarize_column(name, values[:, idx], targets.get(name))
         for idx, name in enumerate(ESTIMATOR_NAMES)
@@ -286,7 +291,7 @@ def verify_theorems(
         cfg = DesignConfig(
             mech_a=mech_a, mech_b=mech_b, k=k if k is not None else pop.n_blocks // 2, seed=seed
         )
-        validate_design(cfg, pop)
+        probs = validate_design(cfg, pop)
     a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
     plugin_of = {name: plugin for name, plugin, _ in _THEOREMS}
     checks: list[tuple[str, IdentityReport | None, str | None]] = []
@@ -309,7 +314,7 @@ def verify_theorems(
         rhs_targets = {
             plugin_of[name]: rep.rhs for name, rep, _ in checks if rep is not None
         }
-        mc = replicate(pop, cfg, replications, targets=rhs_targets)
+        mc = replicate(pop, cfg, replications, targets=rhs_targets, probs=probs)
 
     theorems = []
     for name, rep, error in checks:

@@ -159,6 +159,23 @@ def test_simulate_writes_summary_and_data(tmp_path):
     assert header == "block_id,S,unit_id,Z,D,Y"
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", []), ("simulate", ["--dump-data", "data.csv"]), ("verify", [])])
+def test_each_command_validates_its_design_once(tmp_path, monkeypatch, validations, command,
+                                                extra):
+    """The replicate-0 dump, the exact targets and every batch share one
+    ``validate_design`` call."""
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": 10})
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    validations.clear()
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(cfg), "--pop", str(pop_path),
+                 "--out", "out.json", *extra]) == 0
+    assert len(validations) == 1
+    assert all(Path(path).is_file() for path in ("out.json", *extra[1:]))
+
+
 def test_verify_all_complier_population_passes(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     pop_path = tmp_path / "pop.json"

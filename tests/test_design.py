@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from peerenc.design import DesignConfig, ExperimentData, batch_size, draw_replicates, \
-    run_design
+from peerenc.design import DesignConfig, ExperimentData, batch_size, draw_validated, \
+    run_design, validate_design
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.estimands import member_averages
 from peerenc.mechanisms import Mechanism, assignment_probs
@@ -213,9 +213,9 @@ def _vector_counts(pop, cfg, replications, block=0) -> np.ndarray:
     bit-packed vector r, in the order of ``assignment_probs``."""
     members = slice(int(pop.starts[block]), int(pop.starts[block + 1]))
     counts = np.zeros((2, 2 ** pop.sizes[block]), dtype=np.int64)
-    step = batch_size(pop)
+    step, probs = batch_size(pop), validate_design(cfg, pop)
     for first in range(0, replications, step):
-        data = draw_replicates(pop, cfg, first, min(step, replications - first))
+        data = draw_validated(pop, cfg, probs, first, min(step, replications - first))
         np.add.at(counts, (data.s[:, block], pack_rows(data.z[:, members])), 1)
     return counts
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -346,6 +347,38 @@ def test_population_value_is_mean_of_blocks(rng):
     ka, kb = member_averages(pop, a), member_averages(pop, b)
     for summary in (ditt(ka), pitt(ka, kb, 1), et(pop)):
         assert summary.population == sum(summary.per_block) / len(summary.per_block)
+
+
+def test_population_value_sums_blocks_left_to_right():
+    """Ten blocks whose uptake effect is 0.1 each: a left-to-right sum reads
+    0.9999999999999999, where a compensated sum (Python 3.12's ``sum()``)
+    reads 1.0, so the report's bytes would depend on the interpreter."""
+    summary = et(make_population([["co"] + ["nt"] * 9] * 10))
+    assert summary.per_block.tolist() == [0.1] * 10
+    assert summary.population == 0.9999999999999999 / 10
+
+
+def test_population_value_of_negative_zeros_is_positive_zero():
+    """A sum starting from +0.0 writes a row of -0.0 block values as a +0.0
+    population value; the block values keep their sign."""
+    coef = dict.fromkeys(("intercept", "direct", "peer", "interaction", "curvature", "noise"),
+                         -0.0)
+    pop = make_population([["co", "nt"], ["co", "at", "co"]], **coef)
+    entry = json.loads(compute_estimand_report(pop, PHI, PSI).to_json())["entries"][
+        "ybar_itt[z=0,mech=phi]"]
+    assert [math.copysign(1.0, v) for v in entry["per_block"]] == [-1.0, -1.0]
+    assert math.copysign(1.0, entry["population"]) == 1.0
+
+
+def test_block_values_are_read_only_float64_arrays(rng):
+    pop, a, b = varying_effect_monotone(rng)
+    ka, kb = member_averages(pop, a), member_averages(pop, b)
+    arrays = [ditt(ka).per_block, et(pop).per_block]
+    for rep in (theorem_1_check(ka), theorem_3_check(ka, kb, z=0)):
+        arrays += [rep.block_lhs, rep.block_rhs]
+    for arr in arrays:
+        assert arr.dtype == np.float64 and arr.shape == (pop.n_blocks,)
+        assert not arr.flags.writeable
 
 
 def test_theorem_1_blockwise_identity_unconstrained(rng):

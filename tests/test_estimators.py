@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from peerenc.design import DesignConfig, ExperimentData, draw_replicates, run_design
+from peerenc.design import DesignConfig, ExperimentData, draw_validated, run_design, \
+    validate_design
 from peerenc.errors import AllBlocksUndefined, EmptyArm
 from peerenc.estimators import estimate_report, estimator_battery
 from peerenc.mechanisms import Mechanism
@@ -237,7 +238,7 @@ def test_battery_bitwise_matches_individual_estimators(rng):
         cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=51)
         data = run_design(pop, cfg, replicate=r)
         battery = estimator_battery(data)
-        batch = estimator_battery(draw_replicates(pop, cfg, r, 1))
+        batch = estimator_battery(draw_validated(pop, cfg, validate_design(cfg, pop), r, 1))
         for name, value in battery.items():
             assert np.array_equal(batch[name], [value], equal_nan=True), name
         try:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerenc.design import DesignConfig, batch_size, draw_replicates
+from peerenc.design import DesignConfig, batch_size, draw_validated, validate_design
 from peerenc.errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
 from peerenc.mechanisms import (
     Mechanism,
     assignment_probs,
-    enumerate_assignments,
     mechanisms_identical,
     unit_marginals,
 )
@@ -30,8 +29,9 @@ def protocol_draws(mech: Mechanism, n: int, draws: int, seed: int) -> np.ndarray
     other = Mechanism("other", 0.5 if mech.marginals(n)[0] != 0.5 else 0.3)
     cfg = DesignConfig(mech_a=mech, mech_b=other, k=20, seed=seed)
     reps, step, out = -(-draws // 20), batch_size(pop), []
+    probs = validate_design(cfg, pop)
     for first in range(0, reps, step):
-        data = draw_replicates(pop, cfg, first, min(step, reps - first))
+        data = draw_validated(pop, cfg, probs, first, min(step, reps - first))
         out.append(data.z.reshape(-1, 40, n)[data.s == 1])
     return np.concatenate(out)[:draws]
 
@@ -62,26 +62,25 @@ def test_mech_prob_arity_mismatch():
         vector_prob(m, (1, 0))
 
 
-def test_enumerate_single():
-    out = enumerate_assignments(1)
-    assert out.tolist() == [[0], [1]]
+def test_assignment_probs_single():
+    out = assignment_probs(Mechanism("phi", 0.3), 1)
+    assert out.tolist() == [0.7, 0.3]
 
 
-def test_enumerate_lexicographic_and_distinct():
-    out = enumerate_assignments(3)
-    rows = [tuple(r) for r in out.tolist()]
-    assert len(rows) == 8
-    assert len(set(rows)) == 8
-    assert rows == sorted(rows)
+def test_assignment_probs_one_entry_per_vector():
+    out = assignment_probs(Mechanism("phi", (0.1, 0.2, 0.3)), 3)
+    assert out.shape == (8,)
+    # entry r is the vector of r's bits, individual 0 the most significant
+    assert out[0b011] == 0.9 * 0.2 * 0.3
 
 
-def test_enumerate_cap():
+def test_assignment_probs_cap():
     with pytest.raises(EnumerationTooLarge):
-        enumerate_assignments(25)
+        assignment_probs(Mechanism("phi", 0.5), 25)
     # the cap is configurable, not hardwired
-    assert enumerate_assignments(4, cap=4).shape == (16, 4)
+    assert assignment_probs(Mechanism("phi", 0.5), 4, cap=4).shape == (16,)
     with pytest.raises(EnumerationTooLarge):
-        enumerate_assignments(5, cap=4)
+        assignment_probs(Mechanism("phi", 0.5), 5, cap=4)
 
 
 def test_sample_deterministic_given_seed():

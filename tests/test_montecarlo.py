@@ -278,35 +278,36 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
     assert [t.name for t in report.theorems] == [
         "theorem_1", "theorem_2", "theorem_3[z=0]", "theorem_3[z=1]"]
     a, b = kernel(pop, PHI), kernel(pop, PSI)
-    assert report.get("theorem_1").identity == estimands.theorem_1_check(a)
-    assert report.get("theorem_2").identity == estimands.theorem_2_check(a, b)
+    # reports hold arrays, so they compare by their JSON
+    assert report.get("theorem_1").identity.to_json() == estimands.theorem_1_check(a).to_json()
+    assert report.get("theorem_2").identity.to_json() == estimands.theorem_2_check(a, b).to_json()
     for z in (0, 1):
-        assert report.get(f"theorem_3[z={z}]").identity == estimands.theorem_3_check(a, b, z=z)
+        assert (report.get(f"theorem_3[z={z}]").identity.to_json()
+                == estimands.theorem_3_check(a, b, z=z).to_json())
 
 
-def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch):
-    """replicate validates the design a fixed number of times, not once per
-    batch: one batch and five batches make the same calls."""
-    from peerenc import montecarlo
-
+def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch, validations):
+    """replicate validates the design once, not once per batch or per layer:
+    one batch and five batches make one call each."""
     pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
     cfg = DesignConfig(PHI, PSI, k=1, seed=4)
-    calls = []
-    validate = design.validate_design
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return validate(*args, **kwargs)
-
-    monkeypatch.setattr(design, "validate_design", counted)
-    monkeypatch.setattr(montecarlo, "validate_design", counted)
     monkeypatch.setattr(design, "BATCH_BYTES", 4 * design.BYTES_PER_DRAW * pop.n_individuals)
-    counts = {}
     for batches in (1, 5):
-        calls.clear()
+        validations.clear()
         replicate(pop, cfg, 4 * batches, targets={})
-        counts[batches] = len(calls)
-    assert counts[1] == counts[5] >= 1
+        assert len(validations) == 1, batches
+    validations.clear()
+    replicate(pop, cfg, 4)  # the exact targets do not validate again
+    assert len(validations) == 1
+
+
+def test_verify_with_monte_carlo_validates_its_design_once(validations):
+    pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
+    verify_theorems(pop, PHI, PSI, replications=10, seed=3, k=1)
+    assert len(validations) == 1
+    validations.clear()
+    verify_theorems(pop, PHI, PSI)  # no Monte Carlo, no design
+    assert validations == []
 
 
 def test_verify_theorems_degenerate_uptake():
