@@ -129,18 +129,6 @@ def _resolve_seed(cli_seed, cfg: dict, section: str) -> int:
     raise InvalidConfig("config: missing seed (set a top-level \"seed\" or pass --seed)")
 
 
-def _replications(cfg: dict, default: int, optional: bool = False) -> int:
-    """mc.replications, checked before any work starts: 2..MAX_REPLICATIONS,
-    or 0 (no Monte Carlo) when the Monte Carlo run is optional."""
-    from .montecarlo import MAX_REPLICATIONS
-
-    r = default if cfg["replications"] is None else cfg["replications"]
-    if not (2 <= r <= MAX_REPLICATIONS or optional and r == 0):
-        low = "0 or 2" if optional else "2"
-        raise InvalidConfig(f"config mc.replications: expected {low}..{MAX_REPLICATIONS}, got {r}")
-    return r
-
-
 def _check_threads(args) -> None:
     """Validate --threads, else PEERENC_THREADS; both are text. Replication
     runs in one thread whatever the count, so it changes neither output nor
@@ -227,14 +215,15 @@ def cmd_estimands(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .design import DesignConfig, run_design, validate_design
-    from .montecarlo import replicate
+    from .montecarlo import check_replications, replicate
 
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
     _check_output(args.dump_data, "--dump-data")
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "design")
-    r = _replications(cfg, 1000)
+    r = 1000 if cfg["replications"] is None else cfg["replications"]
+    check_replications(r, where="config mc.replications")
     pop = load_population(args.pop)
     k = pop.n_blocks // 2 if cfg["k"] is None else cfg["k"]
     dcfg = DesignConfig(*cfg["pair"], k=k, seed=seed)
@@ -251,13 +240,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .montecarlo import verification_passes, verify_theorems
+    from .montecarlo import check_replications, verification_passes, verify_theorems
 
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
     _check_threads(args)
     seed = _resolve_seed(args.seed, cfg, "mc")
-    r = _replications(cfg, 0, optional=True)
+    r = cfg["replications"] or 0
+    check_replications(r, optional=True, where="config mc.replications")
     pop = load_population(args.pop)
     report = verify_theorems(pop, *cfg["pair"], replications=r, seed=seed, k=cfg["k"])
     if args.format == "text":

@@ -105,16 +105,17 @@ class ExperimentData:
         return out
 
     def to_csv(self, path) -> None:
+        """One row per individual in block order; Y is ``repr(float)``, so the
+        file reads back bit for bit."""
+        block = np.repeat(np.arange(self.n_blocks), self.sizes)
+        unit = np.arange(block.size) - self.starts[block]
+        ints = (block, self.s.astype(np.int64)[block], unit, self.z.astype(np.int64),
+                self.d.astype(np.int64))
+        y = map(repr, self.y.astype(float, copy=False).tolist())
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            starts = self.starts
-            for i in range(self.n_blocks):
-                for j in range(int(self.sizes[i])):
-                    u = int(starts[i]) + j
-                    writer.writerow(
-                        [i, int(self.s[i]), j, int(self.z[u]), int(self.d[u]), repr(float(self.y[u]))]
-                    )
+            writer.writerows(zip(*(c.tolist() for c in ints), y))
 
     @staticmethod
     def from_csv(path, mech_a: Mechanism, mech_b: Mechanism) -> "ExperimentData":

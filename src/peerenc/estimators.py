@@ -21,6 +21,9 @@ from .design import ExperimentData
 from .errors import AllBlocksUndefined, EmptyArm
 
 ET_ZERO_TOL = 1e-12
+# Every estimator's name, in the order ``_estimates`` returns them.
+ESTIMATOR_NAMES = ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "et_hat", "ldt_hat",
+                   "lpt_diff_hat", "lpt0_hat")
 
 
 class _BlockStats(NamedTuple):
@@ -138,8 +141,7 @@ class EstimateReport(JsonReport):
 
     def to_csv(self) -> str:
         rows = ["field,value"]
-        for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0",
-                     "et_hat", "ldt_hat", "lpt_diff_hat", "lpt0_hat"):
+        for name in ESTIMATOR_NAMES:
             value = getattr(self, name)
             rows.append(f"{name},{'' if value is None else repr(value)}")
         rows.append(f"arm_size_a,{self.arm_sizes[0]}")

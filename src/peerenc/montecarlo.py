@@ -33,28 +33,20 @@ from .estimands import (
     theorem_2_check,
     theorem_3_check,
 )
-from .estimators import ET_ZERO_TOL, estimator_battery
+from .estimators import ESTIMATOR_NAMES, ET_ZERO_TOL, estimator_battery
 from .population import Population
 
 # The (R, 8) float64 values of one run stay within 1 GiB.
 MAX_REPLICATIONS = 1 << 24
 
-ESTIMATOR_NAMES = (
-    "ditt_hat_a",
-    "ditt_hat_b",
-    "pitt_hat_1",
-    "pitt_hat_0",
-    "et_hat",
-    "ldt_hat",
-    "lpt_diff_hat",
-    "lpt0_hat",
-)
 
-
-def check_replications(replications: int) -> None:
-    """Raise InvalidConfig unless 0 <= replications <= MAX_REPLICATIONS."""
-    if not 0 <= replications <= MAX_REPLICATIONS:
-        raise InvalidConfig(f"replications must lie in 0..{MAX_REPLICATIONS}, got {replications}")
+def check_replications(replications: int, optional: bool = False,
+                       where: str = "replications") -> None:
+    """InvalidConfig unless 2 <= replications <= MAX_REPLICATIONS, or
+    replications is 0 (no Monte Carlo) when the run is ``optional``."""
+    if not (2 <= replications <= MAX_REPLICATIONS or optional and replications == 0):
+        low = "0 or 2" if optional else "2"
+        raise InvalidConfig(f"{where}: expected {low}..{MAX_REPLICATIONS}, got {replications}")
 
 
 def replicate_values(
@@ -72,7 +64,7 @@ def replicate_values(
     once, unless ``probs`` is what ``validate_design`` returned for it;
     replicates are then drawn and estimated in batches of ``batch_size(pop)``.
     """
-    check_replications(replications)
+    check_replications(replications, optional=True)
     if probs is None:
         probs = validate_design(cfg, pop)
     out = np.empty((replications, len(ESTIMATOR_NAMES)))
@@ -177,41 +169,42 @@ def replicate(
     pop: Population,
     cfg: DesignConfig,
     replications: int,
-    targets: dict[str, float] | None = None,
     probs: np.ndarray | None = None,
 ) -> McSummary:
-    """Run the design ``replications`` times and summarize every estimator.
+    """Run the design ``replications`` times and summarize every estimator
+    against its exact target.
 
-    Deterministic given (pop, cfg). Targets come from the exact engine
-    unless supplied; ``targets={}`` summarizes without any. The design is
-    validated once, before any of that work, unless ``probs`` is what
-    ``validate_design`` returned for it.
+    Deterministic given (pop, cfg). The design is validated once, before any
+    of that work, unless ``probs`` is what ``validate_design`` returned for it.
     """
-    if replications < 2:
-        raise InvalidConfig("need at least 2 replications")
+    check_replications(replications)
     if probs is None:
         probs = validate_design(cfg, pop)
-    if targets is None:
-        targets = exact_targets(pop, cfg)
-    values = replicate_values(pop, cfg, replications, probs=probs)
-    summaries = tuple(
+    targets = exact_targets(pop, cfg)
+    return _summary(replicate_values(pop, cfg, replications, probs=probs), targets, cfg.seed)
+
+
+def _summary(values: np.ndarray, targets: dict[str, float], seed: int) -> McSummary:
+    return McSummary(replications=len(values), seed=seed, estimators=tuple(
         _summarize_column(name, values[:, idx], targets.get(name))
         for idx, name in enumerate(ESTIMATOR_NAMES)
-    )
-    return McSummary(replications=replications, seed=cfg.seed, estimators=summaries)
+    ))
 
 
 # --------------------------------------------------------------------------
 # Theorem verification: exact identities + plug-in estimator behavior
 # --------------------------------------------------------------------------
 
-# Each theorem check: its name, the plug-in estimator of its rhs and the
-# --expect-fail flag that names it.
+# Each theorem check: its name, the plug-in estimator of its rhs, the
+# --expect-fail flag that names it and the check on the population and the
+# two mechanisms' kernels. The mirror variant of theorem 3 (z=1) is checked
+# only where everyone encouraged takes the treatment; elsewhere it is None.
 _THEOREMS = (
-    ("theorem_1", "ldt_hat", "thm1"),
-    ("theorem_2", "lpt_diff_hat", "thm2"),
-    ("theorem_3[z=0]", "lpt0_hat", "thm3"),
-    ("theorem_3[z=1]", "pitt_hat_1", "thm3"),
+    ("theorem_1", "ldt_hat", "thm1", lambda pop, a, b: theorem_1_check(a)),
+    ("theorem_2", "lpt_diff_hat", "thm2", lambda pop, a, b: theorem_2_check(a, b)),
+    ("theorem_3[z=0]", "lpt0_hat", "thm3", lambda pop, a, b: theorem_3_check(a, b, z=0)),
+    ("theorem_3[z=1]", "pitt_hat_1", "thm3",
+     lambda pop, a, b: theorem_3_check(a, b, z=1) if pop.d1.all() else None),
 )
 
 
@@ -283,64 +276,43 @@ def verify_theorems(
 
     Degenerate cases (zero uptake effect, a block with no compliers) are
     reported inline instead of raising, so negative tests can run end to end.
-    Each mechanism's exact kernel is evaluated once and shared by the checks,
-    after the Monte Carlo design (when replications > 0) is validated.
+    The replication count is checked first, then the Monte Carlo run (when
+    replications > 0) validates its design once and draws every replicate;
+    each mechanism's exact kernel is evaluated once and shared by the checks.
     """
-    cfg = None
-    if replications > 0:
+    check_replications(replications, optional=True)
+    values = None
+    if replications:
         cfg = DesignConfig(
             mech_a=mech_a, mech_b=mech_b, k=k if k is not None else pop.n_blocks // 2, seed=seed
         )
-        probs = validate_design(cfg, pop)
+        values = replicate_values(pop, cfg, replications)
     a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
-    plugin_of = {name: plugin for name, plugin, _ in _THEOREMS}
-    checks: list[tuple[str, IdentityReport | None, str | None]] = []
-
-    def attempt(name, fn):
+    # bias is judged against each theorem's rhs, not the generic targets
+    theorems, targets = [], {}
+    for name, plugin, _, check in _THEOREMS:
         try:
-            checks.append((name, fn(), None))
+            identity, error = check(pop, a, b), None
         except (ZeroEncouragementEffect, EmptyStratumInBlock) as exc:
-            checks.append((name, None, f"{type(exc).__name__}: {exc}"))
-
-    attempt("theorem_1", lambda: theorem_1_check(a))
-    attempt("theorem_2", lambda: theorem_2_check(a, b))
-    attempt("theorem_3[z=0]", lambda: theorem_3_check(a, b, z=0))
-    if pop.d1.all():
-        attempt("theorem_3[z=1]", lambda: theorem_3_check(a, b, z=1))
-
-    mc = None
-    if cfg is not None:
-        # bias is judged against each theorem's rhs, not the generic targets
-        rhs_targets = {
-            plugin_of[name]: rep.rhs for name, rep, _ in checks if rep is not None
-        }
-        mc = replicate(pop, cfg, replications, targets=rhs_targets, probs=probs)
-
-    theorems = []
-    for name, rep, error in checks:
-        plugin = plugin_of[name]
+            identity, error = None, f"{type(exc).__name__}: {exc}"
+        if identity is None and error is None:  # not checked on this population
+            continue
+        if identity is not None:
+            targets[plugin] = identity.rhs
         mean = mcse = bias = None
-        if mc is not None:
-            s = mc.get(plugin)
+        if values is not None:
+            s = _summarize_column(plugin, values[:, ESTIMATOR_NAMES.index(plugin)],
+                                  targets.get(plugin))
             mean, mcse, bias = s.mean, s.mcse, s.std_bias
-        theorems.append(
-            TheoremVerification(
-                name=name,
-                identity=rep,
-                error=error,
-                plugin_estimator=plugin,
-                plugin_mean=mean,
-                plugin_mcse=mcse,
-                plugin_std_bias=bias,
-            )
-        )
+        theorems.append(TheoremVerification(name, identity, error, plugin, mean, mcse, bias))
+    mc = None if values is None else _summary(values, targets, seed)
     return VerificationReport(theorems=tuple(theorems), mc=mc)
 
 
 def verification_passes(report: VerificationReport, expect_fail: set[str] = frozenset()) -> bool:
     """Gate semantics: every theorem must pass, unless its flag is in
     expect_fail, in which case it must fail (a surprise pass also gates)."""
-    flag_of = {name: flag for name, _, flag in _THEOREMS}
+    flag_of = {name: flag for name, _, flag, _ in _THEOREMS}
     for t in report.theorems:
         ok = t.exact_ok
         if flag_of[t.name] in expect_fail:

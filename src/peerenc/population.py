@@ -514,19 +514,6 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
         raise InvalidConfig(str(exc)) from None
 
 
-def convert_to_tables(pop: Population) -> Population:
-    """Re-encode every structural outcome as an explicit table (same math)."""
-    pieces = []
-    for lo, hi in zip(pop.starts[:-1].tolist(), pop.starts[1:].tolist()):
-        materialized = _tables_from_coef(pop.coef[:, lo:hi])[:, :, 0]
-        pieces.extend(materialized[u - lo] if pop.structural[u]
-                      else pop.table[pop.table_start[u]:pop.table_start[u + 1]]
-                      for u in range(lo, hi))
-    return Population(starts=pop.starts, d0=pop.d0, d1=pop.d1,
-                      structural=np.zeros_like(pop.structural), z_dependent=pop.z_dependent,
-                      coef=np.zeros_like(pop.coef), table=np.concatenate(pieces))
-
-
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------

@@ -16,11 +16,11 @@ import numpy as np
 from peerenc.mechanisms import Mechanism
 from peerenc.population import (
     Population,
-    convert_to_tables,
     population_from_dict,
     population_to_dict,
 )
 from conftest import person, population, structural
+from oracles import convert_to_tables
 
 
 def _random_outcome(rng: np.random.Generator) -> dict:

@@ -3,8 +3,10 @@ the exact Poisson-binomial distribution of the treated-peer count for
 structural outcomes, a naive two-stage (treatment-randomized) evaluator, and
 a flat pooled Wald estimator, the sample estimators by per-block loops,
 the replication engine as a loop over replicates and blocks drawing from
-numpy's own generators, and the synthetic population build as a scalar draw
-loop. These deliberately share no code with the production engine."""
+numpy's own generators, the design's exact randomization distribution, the
+synthetic population build as a scalar draw loop, and structural outcomes
+re-encoded as tables entry by entry. These deliberately share no code with
+the production engine."""
 
 from __future__ import annotations
 
@@ -337,6 +339,29 @@ def reference_replicate(pop: Population, cfg, r: int) -> dict[str, np.ndarray]:
             "y": np.array(y), "p_enc": np.array(p_enc)}
 
 
+def exact_design_distribution(pop: Population, mech_a, mech_b, k: int):
+    """Every realization of the two-stage design with its probability, as
+    (probability, oracle_estimator_battery) pairs: each of the C(B, k) arm
+    subsets is equally likely, and then each of the 2^N encouragement vectors
+    has the product of its units' probabilities under the assigned
+    mechanism. Outcomes are read entry by entry (oracle_outcome)."""
+    b, sizes = pop.n_blocks, [int(n) for n in pop.sizes]
+    starts = [0, *itertools.accumulate(sizes)]
+    subsets = list(itertools.combinations(range(b), k))
+    for arm_a in subsets:
+        s = [int(i in arm_a) for i in range(b)]
+        p_enc = [p for i, n in enumerate(sizes)
+                 for p in _unit_probs(mech_a if s[i] else mech_b, n)]
+        for z in itertools.product((0, 1), repeat=len(p_enc)):
+            weight = 1.0 / len(subsets)
+            for zu, p in zip(z, p_enc):
+                weight *= p if zu else 1.0 - p
+            d = [int(pop.d1[u] if zu else pop.d0[u]) for u, zu in enumerate(z)]
+            y = [oracle_outcome(pop, i, j, d[lo:hi], z[lo:hi])
+                 for i, (lo, hi) in enumerate(zip(starts, starts[1:])) for j in range(hi - lo)]
+            yield weight, oracle_estimator_battery(sizes, s, z, d, y, p_enc)
+
+
 def reference_battery(sizes, s, z, d, y, p_enc) -> dict[str, float]:
     """Every estimator on one realization with numpy reductions over one
     vector at a time: each arm's block means gathered by a boolean mask and
@@ -411,6 +436,22 @@ def _reference_tables(coef: list, z_own: float, z_peer: float) -> list[float]:
                 z = float(zrow[j])
                 entries.append(base + (z_own * z + z_peer * (float(sum(zrow)) - z)))
     return entries
+
+
+def convert_to_tables(pop: Population) -> Population:
+    """The same population with every structural outcome re-encoded as an
+    explicit table (entry by entry, as ``_reference_tables`` writes them);
+    table members keep their entries."""
+    table = []
+    for lo, hi in zip(pop.starts[:-1].tolist(), pop.starts[1:].tolist()):
+        rows = 2 ** (hi - lo)
+        entries = _reference_tables(pop.coef[:, lo:hi].T.tolist(), 0.0, 0.0)
+        for j, u in enumerate(range(lo, hi)):
+            table.extend(entries[j * rows:(j + 1) * rows] if pop.structural[u] else
+                         pop.table[pop.table_start[u]:pop.table_start[u + 1]].tolist())
+    return Population(starts=pop.starts, d0=pop.d0, d1=pop.d1,
+                      structural=np.zeros_like(pop.structural), z_dependent=pop.z_dependent,
+                      coef=np.zeros_like(pop.coef), table=np.array(table, dtype=float))
 
 
 def reference_build_population(cfg, rng: np.random.Generator) -> Population:

@@ -30,12 +30,11 @@ from peerenc.population import (
     DgpConfig,
     OutcomeConfig,
     build_population,
-    convert_to_tables,
 )
 from conftest import person, population, structural
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
-from oracles import oracle_theorem_gaps, pooled_wald
+from oracles import convert_to_tables, oracle_theorem_gaps, pooled_wald
 
 
 @pytest.fixture

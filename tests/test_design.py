@@ -9,11 +9,11 @@ from peerenc.design import DesignConfig, ExperimentData, batch_size, draw_valida
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.estimands import member_averages
 from peerenc.mechanisms import Mechanism, assignment_probs
-from peerenc.population import convert_to_tables, pack_rows, population_from_dict, \
+from peerenc.population import pack_rows, population_from_dict, \
     population_to_dict, structural_value
 from conftest import make_population, person, population, structural, table
 from fuzz import varying_effect_monotone
-from oracles import oracle_outcome, oracle_ybar_itt, oracle_ybar_local
+from oracles import convert_to_tables, oracle_outcome, oracle_ybar_itt, oracle_ybar_local
 
 PHI = Mechanism("phi", 0.8)
 PSI = Mechanism("psi", 0.2)

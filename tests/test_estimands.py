@@ -24,11 +24,12 @@ from peerenc.estimands import (
     member_averages,
 )
 from peerenc.mechanisms import Mechanism
-from peerenc.population import ComplianceType, convert_to_tables
+from peerenc.population import ComplianceType
 from conftest import make_individual, make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
 from oracles import (
+    convert_to_tables,
     convolution_ybar_local,
     naive_two_stage_direct,
     naive_two_stage_spillover,

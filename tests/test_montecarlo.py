@@ -19,7 +19,7 @@ from peerenc.montecarlo import (
 from peerenc.population import DgpConfig, OutcomeConfig, build_population
 from conftest import make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population
-from oracles import reference_replicate_values
+from oracles import exact_design_distribution, reference_replicate_values
 
 PHI = Mechanism("phi", 0.7)
 PSI = Mechanism("psi", 0.3)
@@ -111,15 +111,64 @@ def test_batched_replicates_match_the_per_replicate_loop_bitwise(name, monkeypat
 
 def test_replication_bounds_are_checked_before_any_work():
     pop = make_population([["co"], ["co"]])
-    for bad in (-1, MAX_REPLICATIONS + 1, 10**15):
+    for bad in (-1, 1, MAX_REPLICATIONS + 1, 10**15):
         with pytest.raises(InvalidConfig):
             replicate_values(pop, _cfg(pop, k=1), bad)
     # any non-negative replicate index addresses a stream, 2^32 and beyond too
-    big = replicate_values(pop, _cfg(pop, k=1), 1, first_replicate=2**32)
-    want = reference_replicate_values(pop, _cfg(pop, k=1), ESTIMATOR_NAMES, 1, first=2**32)
+    big = replicate_values(pop, _cfg(pop, k=1), 2, first_replicate=2**32)
+    want = reference_replicate_values(pop, _cfg(pop, k=1), ESTIMATOR_NAMES, 2, first=2**32)
     assert np.array_equal(big, want, equal_nan=True)
     with pytest.raises(InvalidDesign):
         replicate_values(pop, _cfg(pop, k=1), 2, first_replicate=-1)
+
+
+def test_replication_bounds_are_checked_before_the_exact_kernels(monkeypatch):
+    from peerenc import estimands, montecarlo
+
+    pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
+    calls = []
+    kernel = estimands.member_averages
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(estimands, "member_averages", counted)
+    monkeypatch.setattr(montecarlo, "member_averages", counted)
+    for bad in (-5, 1, MAX_REPLICATIONS + 1):
+        with pytest.raises(InvalidConfig):
+            verify_theorems(pop, PHI, PSI, replications=bad)
+    assert calls == []
+
+    def no_targets(*args, **kwargs):
+        raise AssertionError("exact_targets ran before the replication count was checked")
+
+    monkeypatch.setattr(montecarlo, "exact_targets", no_targets)
+    with pytest.raises(InvalidConfig):
+        replicate(pop, _cfg(pop, k=1), MAX_REPLICATIONS + 1)
+
+
+@pytest.mark.parametrize("outcome", [
+    {"representation": "structural"},
+    {"representation": "table"},
+    {"representation": "table", "z_own": 0.4, "z_peer": -0.3},
+], ids=["structural", "table", "encouragement-keyed"])
+def test_unbiased_estimators_have_exact_means_at_their_targets(outcome):
+    """The design's exact distribution (every arm subset, every encouragement
+    vector) gives each unbiased estimator a mean equal to its exact target."""
+    cfg = DgpConfig(blocks=4, block_size=2, strata=(0.2, 0.5, 0.2, 0.1), complier_floor=False,
+                    outcome=OutcomeConfig(intercept=(1.0, 1.0), direct=(2.0, 1.0),
+                                          peer=(0.5, 0.5), interaction=(0.3, 0.3),
+                                          curvature=(0.0, 0.2), noise_sd=0.5, **outcome))
+    pop = build_population(cfg, np.random.default_rng(2))  # three blocks with a complier
+    a, b = Mechanism("a", (0.7, 0.6)), Mechanism("b", (0.2, 0.35))
+    realizations = list(exact_design_distribution(pop, a, b, k=2))
+    assert len(realizations) == 6 * 2**8
+    assert sum(w for w, _ in realizations) == pytest.approx(1.0, abs=1e-12)
+    targets = exact_targets(pop, DesignConfig(mech_a=a, mech_b=b, k=2, seed=0))
+    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_0", "pitt_hat_1", "lpt0_hat"):
+        mean = sum(w * battery[name] for w, battery in realizations)
+        assert mean == pytest.approx(targets[name], rel=1e-12, abs=1e-12), name
 
 
 def test_undefined_replicates_counted_not_fatal():
@@ -294,7 +343,7 @@ def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch, v
     monkeypatch.setattr(design, "BATCH_BYTES", 4 * design.BYTES_PER_DRAW * pop.n_individuals)
     for batches in (1, 5):
         validations.clear()
-        replicate(pop, cfg, 4 * batches, targets={})
+        replicate(pop, cfg, 4 * batches)
         assert len(validations) == 1, batches
     validations.clear()
     replicate(pop, cfg, 4)  # the exact targets do not validate again

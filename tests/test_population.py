@@ -25,7 +25,6 @@ from peerenc.population import (
     Population,
     _check_config,
     build_population,
-    convert_to_tables,
     load_population,
     population_from_dict,
     population_to_dict,
@@ -34,7 +33,8 @@ from peerenc.population import (
     validate,
 )
 from conftest import make_individual, make_population, person, population, structural, table
-from oracles import oracle_outcome, oracle_ybar_itt, oracle_ybar_local, reference_build_population
+from oracles import convert_to_tables, oracle_outcome, oracle_ybar_itt, oracle_ybar_local, \
+    reference_build_population
 
 _STRATUM = {(0, 1): ComplianceType.COMPLIER, (1, 1): ComplianceType.ALWAYS_TAKER,
             (1, 0): ComplianceType.DEFIER, (0, 0): ComplianceType.NEVER_TAKER}
