@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _streams
 from .errors import InvalidData, InvalidDesign
-from .mechanisms import Mechanism, mechanisms_identical, unit_marginals
+from .mechanisms import Mechanism, unit_marginals
 from .population import Population
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
@@ -60,7 +60,7 @@ def validate_design(cfg: DesignConfig, pop: Population) -> np.ndarray:
     mechs = (cfg.mech_a, cfg.mech_b)
     # ArityMismatch if a vector mechanism cannot cover a block
     probs = np.stack([unit_marginals(mech, np.diff(pop.starts)) for mech in mechs])
-    if mechanisms_identical(cfg.mech_a, cfg.mech_b, set(pop.sizes)):
+    if np.array_equal(probs[0], probs[1]):
         raise InvalidDesign(
             f"mechanisms {cfg.mech_a.name!r} and {cfg.mech_b.name!r} give every individual "
             "identical probabilities; the design needs a contrast"
@@ -121,7 +121,8 @@ class ExperimentData:
     def from_csv(path, mech_a: Mechanism, mech_b: Mechanism) -> "ExperimentData":
         """Ingest externally collected data; the mechanisms supply the design
         probabilities that the inverse-probability estimators require.
-        Raises InvalidData unless the file holds one complete run."""
+        Raises InvalidData unless the file holds one complete run: block ids
+        0..B-1, and in each block of n rows the unit ids 0..n-1."""
         try:
             rows = _read_csv_rows(path)
         except OSError as exc:  # missing, a directory, unreadable
@@ -153,6 +154,12 @@ class ExperimentData:
         y = np.array([r[5] for r in rows], dtype=float)
         p_enc = np.empty(len(rows))
         starts = np.concatenate(([0], np.cumsum(sizes)))
+        for i, n in enumerate(sizes.tolist()):
+            # sorted and distinct, so 0..n-1 exactly when the ends are 0 and n-1
+            ends = rows[starts[i]][2], rows[starts[i + 1] - 1][2]
+            if ends != (0, n - 1):
+                raise InvalidData(f"{path}: block {i} has {n} rows, so its unit ids must be"
+                                  f" 0..{n - 1}, found {ends[0]}..{ends[1]}")
         for i in range(n_blocks):
             mech = mech_a if s[i] == 1 else mech_b
             p_enc[starts[i]:starts[i + 1]] = mech.marginals(int(sizes[i]))

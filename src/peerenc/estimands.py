@@ -31,13 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import JsonReport
-from .errors import (
-    EmptyStratumInBlock,
-    EnumerationTooLarge,
-    ExclusionViolated,
-    ZeroEncouragementEffect,
-)
-from .mechanisms import DEFAULT_ENUMERATION_CAP, Mechanism, assignment_probs, unit_marginals
+from .errors import EmptyStratumInBlock, ExclusionViolated, ZeroEncouragementEffect
+from .mechanisms import Mechanism, assignment_probs, unit_marginals
 from .population import ComplianceType, Population, pack_rows
 
 # A computed identity passes when |lhs-rhs| <= max(ABS_TOL, REL_TOL*scale):
@@ -64,57 +59,48 @@ class MemberAverages:
     """Each individual's averages under one mechanism, in block order:
     ``itt[z]`` pins the own encouragement at z, ``local[d]`` the own treatment
     at d (averaging the own encouragement for encouragement-keyed tables).
-    Read them through ``members``, which refuses what the cap left out. The
-    arrays are read-only: one kernel is shared by every family and check."""
+    Local averages are read through ``members``, which refuses the blocks
+    where they are undefined. The arrays are read-only: one kernel is shared
+    by every family and check."""
 
     pop: Population
-    cap: int
     itt: np.ndarray  # (2, N)
     local: np.ndarray  # (2, N)
 
     def itt_blocks(self, z: int) -> np.ndarray:
-        return _block_means(self.pop, self.itt[z], self.members())
+        return _block_means(self.pop, self.itt[z], self.pop.in_stratum(None))
 
     def local_blocks(self, d: int, stratum: ComplianceType | None = None,
                      allow_exclusion_violation: bool = False) -> np.ndarray:
-        members = self.members(stratum, True, allow_exclusion_violation)
+        members = self.members(stratum, allow_exclusion_violation)
         return _block_means(self.pop, self.local[d], members)
 
-    def members(self, stratum: ComplianceType | None = None, local: bool = False,
+    def members(self, stratum: ComplianceType | None = None,
                 allow_exclusion_violation: bool = False) -> np.ndarray:
         """Mask of the individuals in a stratum (everyone for None). Raises
-        for the first block, and its first member, where the average is
-        undefined: an empty stratum, a table block beyond the enumeration
-        cap, or (local only) an encouragement-keyed table, unless allowed and
-        within the cap."""
+        for the first block, and its first member, where the local average
+        is undefined: an empty stratum, or an encouragement-keyed table
+        unless allowed."""
         pop = self.pop
-        firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
+        firsts = pop.starts[:-1]
         members = pop.in_stratum(stratum)
-        n = np.repeat(sizes, sizes)
-        bad = members & np.where(local & pop.z_dependent,
-                                 (not allow_exclusion_violation) | (n > self.cap),
-                                 ~pop.structural & (n - 1 > self.cap))
+        bad = members & pop.z_dependent & (not allow_exclusion_violation)
         empty = (np.add.reduceat(members, firsts) == 0) & (stratum is not None)
         blocks = np.flatnonzero(empty | (np.add.reduceat(bad, firsts) > 0))
         if blocks.size == 0:
             return members
         i = int(blocks[0])
-        j = int(np.argmax(bad[firsts[i]:firsts[i] + sizes[i]]))
         if empty[i]:
             raise EmptyStratumInBlock(f"block {i} has no {stratum.value} individuals")
-        if not (local and pop.z_dependent[firsts[i] + j]):
-            raise EnumerationTooLarge(
-                f"block {i}: 2^{sizes[i] - 1} peer assignments exceed cap 2^{self.cap}")
-        if not allow_exclusion_violation:
-            raise ExclusionViolated(f"block {i} individual {j}: outcome depends on encouragements")
-        raise EnumerationTooLarge(f"block {i}: 2^{sizes[i]} assignments exceed cap 2^{self.cap}")
+        j = int(np.argmax(bad[firsts[i]:]))
+        raise ExclusionViolated(f"block {i} individual {j}: outcome depends on encouragements")
 
 
-def member_averages(pop: Population, mech: Mechanism,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> MemberAverages:
+def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
     """The exact kernel: closed-form peer-count moments for structural
-    outcomes, one 2^n enumeration per table block within the cap. Evaluate
-    it once per mechanism and pass the result to every family and check."""
+    outcomes, one 2^n enumeration per table block (``Population`` bounds n).
+    Evaluate it once per mechanism and pass the result to every family and
+    check."""
     firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
     p = unit_marginals(mech, sizes)
     q = np.where(pop.d0 == pop.d1, pop.d0, np.where(pop.d1 == 1, p, 1.0 - p))
@@ -126,10 +112,9 @@ def member_averages(pop: Population, mech: Mechanism,
         for d in (0, 1)
     ], np.nan)
     itt = np.where(np.stack([pop.d0, pop.d1]) == 1, local[1], local[0])
-    for i in np.flatnonzero((np.add.reduceat(~pop.structural, firsts) > 0) & (sizes - 1 <= cap)):
+    for i in np.flatnonzero(np.add.reduceat(~pop.structural, firsts) > 0):
         block, n = slice(firsts[i], firsts[i] + sizes[i]), int(sizes[i])
-        # the cap bounds the 2^(n-1) peer assignments; the own column doubles them
-        w = assignment_probs(mech, n, cap=cap + 1)
+        w = assignment_probs(mech, n, cap=n)  # the population bounded n
         z = np.arange(w.size)  # row r is the bit-packed encouragement vector r
         d = (z & pack_rows(pop.d1[block])) | (~z & pack_rows(pop.d0[block]))
         members = np.flatnonzero(~pop.structural[block])  # the table members
@@ -146,7 +131,7 @@ def member_averages(pop: Population, mech: Mechanism,
         local[:, u] = vals[2:]
     itt.setflags(write=False)
     local.setflags(write=False)
-    return MemberAverages(pop=pop, cap=cap, itt=itt, local=local)
+    return MemberAverages(pop=pop, itt=itt, local=local)
 
 
 # --------------------------------------------------------------------------

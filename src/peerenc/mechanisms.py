@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
 
-# Exact enumeration refuses above this block size rather than approximating.
+# Exact enumeration refuses more than 2^DEFAULT_ENUMERATION_CAP vectors rather
+# than approximating: ``Population`` bounds a table block's peer assignments.
 DEFAULT_ENUMERATION_CAP = 20
 
 
@@ -85,9 +86,3 @@ def unit_marginals(mech: Mechanism, sizes) -> np.ndarray:
     offset = np.cumsum(distinct) - distinct
     first = np.cumsum(sizes) - sizes
     return probs[np.repeat(offset[which] - first, sizes) + np.arange(sizes.sum())]
-
-
-def mechanisms_identical(a: Mechanism, b: Mechanism, sizes) -> bool:
-    """True when both mechanisms give every individual the same probability
-    in every listed block size (i.e. they are not usable as a contrast)."""
-    return np.array_equal(unit_marginals(a, sizes), unit_marginals(b, sizes))

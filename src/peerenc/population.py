@@ -38,12 +38,14 @@ import numpy as np
 from . import _json
 from .errors import (
     ArityMismatch,
+    EnumerationTooLarge,
     FlagMismatch,
     GenerationFailed,
     InvalidConfig,
     MissingTableEntry,
     PeerEncError,
 )
+from .mechanisms import DEFAULT_ENUMERATION_CAP
 
 # Dense tables hold 2^n entries per individual; refuse silly sizes.
 TABLE_REPRESENTATION_CAP = 12
@@ -124,7 +126,9 @@ class Population:
     block mean of outcomes or of their averages is at most its block's sum of
     bounds, so every block sum and every contrast of two block means that the
     exact engine forms, and every population mean of such contrasts over the
-    blocks, stays finite.
+    blocks, stays finite. It also refuses (EnumerationTooLarge) a block that
+    holds a table member and has more than 2^DEFAULT_ENUMERATION_CAP peer
+    assignments, so the exact kernel can enumerate every block it is given.
     """
 
     starts: np.ndarray  # (B + 1,) block offsets
@@ -181,6 +185,13 @@ class Population:
         if table.ndim != 1 or entries != table.size:
             raise ArityMismatch(f"table needs {entries:.0f} entries (2^n per table member, 4^n"
                                 f" when encouragement-keyed), got shape {table.shape}")
+        # the exact kernel enumerates a table block's 2^(n-1) peer assignments
+        tabled = np.add.reduceat(~structural, starts[:-1]) > 0
+        over = tabled & (sizes - 1 > DEFAULT_ENUMERATION_CAP)
+        if over.any():
+            i = int(np.argmax(over))
+            raise EnumerationTooLarge(f"block {i}: 2^{sizes[i] - 1} peer assignments exceed"
+                                      f" cap 2^{DEFAULT_ENUMERATION_CAP}")
         table_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.where(structural, 0, np.left_shift(1, bits)), out=table_start[1:])
         bad = ~np.isfinite(table)

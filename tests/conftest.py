@@ -1,4 +1,5 @@
-"""Shared population builders for the test suite.
+"""Shared population builders for the test suite, and its hypothesis
+profile.
 
 Populations are built the way a population file is read: each individual is
 described in the population JSON format and ``population_from_dict`` fills
@@ -8,8 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from peerenc.population import Population, population_from_dict
+
+# Every property draws the same examples on every run and interpreter; a
+# test's own @settings keeps these unless it overrides them.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 PT = {"at": (1, 1), "co": (0, 1), "nt": (0, 0), "de": (1, 0)}
 
@@ -50,6 +57,16 @@ def population(blocks) -> Population:
         },
         "blocks": [list(block) for block in blocks],
     })
+
+
+def table_member_block(n: int) -> Population:
+    """A structural block of 2, then a block of n whose first member has a
+    zero table outcome (2^n entries) and the others structural outcomes.
+    Built from the arrays: its file would spell out 2^n table keys."""
+    return Population(starts=[0, 2, 2 + n], d0=np.zeros(2 + n, dtype=int),
+                      d1=np.ones(2 + n, dtype=int), structural=np.arange(2 + n) != 2,
+                      z_dependent=np.zeros(2 + n, dtype=bool), coef=np.zeros((6, 2 + n)),
+                      table=np.zeros(2**n))
 
 
 def make_individual(kind: str, rng: np.random.Generator | None = None, **overrides) -> dict:

@@ -53,6 +53,23 @@ def test_invalid_design_identical_mechanisms():
         run_design(pop, _cfg(pop, k=1, a=PHI, b=broadcast_same))
 
 
+@pytest.mark.parametrize("mech_b, identical", [
+    (Mechanism("b", (0.5, 0.5, 0.5)), True),
+    (Mechanism("c", (0.5, 0.4, 0.5)), False),
+    (Mechanism("d", 0.2), False),
+], ids=["broadcast-equal", "one-unit-differs", "scalars-differ"])
+def test_validate_design_needs_a_contrast(mech_b, identical):
+    """A scalar mechanism and a vector one are identical when they give every
+    individual the same probability."""
+    pop = make_population([["co", "nt", "at"], ["co", "co", "nt"]])
+    cfg = _cfg(pop, k=1, a=Mechanism("a", 0.5), b=mech_b)
+    if identical:
+        with pytest.raises(InvalidDesign, match="identical probabilities"):
+            validate_design(cfg, pop)
+    else:
+        assert validate_design(cfg, pop).shape == (2, 6)
+
+
 def test_vector_mechanism_arity_checked():
     pop = make_population([["co", "nt", "at"], ["co", "co", "nt"]])
     bad = Mechanism("vec", (0.5, 0.6))
@@ -276,6 +293,8 @@ _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,0,0,nan"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,1,1,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS + ["1,0,1,0,0,2.0"]),
+    _CSV_HEADER + "\n".join(["0,1,0,1,1,0.5", "0,1,7,0,0,0.25"] + _CSV_ROWS[2:]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:2] + ["1,0,-1,1,1,1.5", "1,0,0,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,x,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,0,0,2.0,EXTRA"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1_0,0,0,2.0"]),
@@ -286,7 +305,8 @@ _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"
     lambda path: path.mkdir() or path,
     lambda path: path.write_text(_CSV_HEADER) and path / "under-a-file.csv",
 ], ids=["empty", "no-rows", "negative-block", "block-gap", "no-block-0", "z-not-binary",
-        "nan-outcome", "s-varies-in-block", "duplicate-unit", "not-a-number", "extra-field",
+        "nan-outcome", "s-varies-in-block", "duplicate-unit", "unit-id-gap",
+        "negative-unit-id", "not-a-number", "extra-field",
         "underscore-unit-id", "arabic-indic-unit-id", "underscore-outcome",
         "not-utf8", "missing", "directory", "parent-is-a-file"])
 def test_csv_rejects_invalid_data(tmp_path, text):

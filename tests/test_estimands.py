@@ -25,7 +25,8 @@ from peerenc.estimands import (
 )
 from peerenc.mechanisms import Mechanism
 from peerenc.population import ComplianceType
-from conftest import make_individual, make_population, person, population, structural, table
+from conftest import make_individual, make_population, person, population, structural, table, \
+    table_member_block
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
 from oracles import (
@@ -293,9 +294,12 @@ def test_exclusion_violating_local_average_guarded():
 
 
 def test_enumeration_cap_enforced():
-    pop = _three_person_table_block()
-    with pytest.raises(EnumerationTooLarge, match="block 0"):
-        ditt(member_averages(pop, Mechanism("m", 0.5), cap=1))
+    """The kernel's enumeration bound is the population's: a block holding a
+    table with 2^21 peer assignments is refused when it is built, so no
+    kernel meets one."""
+    with pytest.raises(EnumerationTooLarge,
+                       match=r"^block 1: 2\^21 peer assignments exceed cap 2\^20$"):
+        table_member_block(22)
 
 
 def test_kernels_are_read_only_and_a_contrast_needs_one_population(rng):

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from peerenc.design import DesignConfig, batch_size, draw_validated, validate_design
 from peerenc.errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
-from peerenc.mechanisms import (
-    Mechanism,
-    assignment_probs,
-    mechanisms_identical,
-    unit_marginals,
-)
+from peerenc.mechanisms import Mechanism, assignment_probs, unit_marginals
 from peerenc.population import pack_rows
 from conftest import make_population
 
@@ -146,14 +141,6 @@ def test_empirical_frequencies_chi_square_sane():
         stat += (observed - expected) ** 2 / expected
     # chi-square(7) 0.999 quantile
     assert stat < 24.322
-
-
-def test_mechanisms_identical_detects_broadcast_equality():
-    a = Mechanism("a", 0.5)
-    b = Mechanism("b", (0.5, 0.5, 0.5))
-    assert mechanisms_identical(a, b, sizes={3})
-    assert not mechanisms_identical(a, Mechanism("c", (0.5, 0.4, 0.5)), sizes={3})
-    assert not mechanisms_identical(a, Mechanism("d", 0.2), sizes={3})
 
 
 class _BySize:

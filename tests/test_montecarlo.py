@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ def test_replication_bounds_are_checked_before_the_exact_kernels(monkeypatch):
         replicate(pop, _cfg(pop, k=1), MAX_REPLICATIONS + 1)
 
 
+def _exact_design(outcome: dict):
+    """A population of B=4 blocks of 2, three with a complier, and two vector
+    mechanisms: at k=2 its design has 6 * 2^8 realizations."""
+    cfg = DgpConfig(blocks=4, block_size=2, strata=(0.2, 0.5, 0.2, 0.1), complier_floor=False,
+                    outcome=OutcomeConfig(intercept=(1.0, 1.0), direct=(2.0, 1.0),
+                                          peer=(0.5, 0.5), interaction=(0.3, 0.3),
+                                          curvature=(0.0, 0.2), noise_sd=0.5, **outcome))
+    pop = build_population(cfg, np.random.default_rng(2))
+    return pop, Mechanism("a", (0.7, 0.6)), Mechanism("b", (0.2, 0.35))
+
+
 @pytest.mark.parametrize("outcome", [
     {"representation": "structural"},
     {"representation": "table"},
@@ -156,12 +168,7 @@ def test_replication_bounds_are_checked_before_the_exact_kernels(monkeypatch):
 def test_unbiased_estimators_have_exact_means_at_their_targets(outcome):
     """The design's exact distribution (every arm subset, every encouragement
     vector) gives each unbiased estimator a mean equal to its exact target."""
-    cfg = DgpConfig(blocks=4, block_size=2, strata=(0.2, 0.5, 0.2, 0.1), complier_floor=False,
-                    outcome=OutcomeConfig(intercept=(1.0, 1.0), direct=(2.0, 1.0),
-                                          peer=(0.5, 0.5), interaction=(0.3, 0.3),
-                                          curvature=(0.0, 0.2), noise_sd=0.5, **outcome))
-    pop = build_population(cfg, np.random.default_rng(2))  # three blocks with a complier
-    a, b = Mechanism("a", (0.7, 0.6)), Mechanism("b", (0.2, 0.35))
+    pop, a, b = _exact_design(outcome)
     realizations = list(exact_design_distribution(pop, a, b, k=2))
     assert len(realizations) == 6 * 2**8
     assert sum(w for w, _ in realizations) == pytest.approx(1.0, abs=1e-12)
@@ -169,6 +176,29 @@ def test_unbiased_estimators_have_exact_means_at_their_targets(outcome):
     for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_0", "pitt_hat_1", "lpt0_hat"):
         mean = sum(w * battery[name] for w, battery in realizations)
         assert mean == pytest.approx(targets[name], rel=1e-12, abs=1e-12), name
+
+
+def test_replicates_follow_the_exact_design_distribution():
+    """20,000 replicates against the design's exact distribution. For every
+    estimator: the mean given it is defined lies within 4 Monte Carlo
+    standard errors of the exact one, the sd within 5% of the exact sd, and
+    the undefined fraction within 0.01 of its exact probability."""
+    pop, a, b = _exact_design({"representation": "structural"})
+    realizations = list(exact_design_distribution(pop, a, b, k=2))
+    w = np.array([w for w, _ in realizations])
+    values = replicate_values(pop, DesignConfig(mech_a=a, mech_b=b, k=2, seed=1), 20_000)
+    for name, drawn in zip(ESTIMATOR_NAMES, values.T):
+        exact = np.array([battery[name] for _, battery in realizations])
+        defined = np.isfinite(exact)
+        p_defined = w[defined].sum()
+        mean = w[defined] @ exact[defined] / p_defined
+        sd = math.sqrt(w[defined] @ (exact[defined] - mean) ** 2 / p_defined)
+        drawn = drawn[np.isfinite(drawn)]
+        mcse = drawn.std(ddof=1) / math.sqrt(drawn.size)
+        assert abs(drawn.mean() - mean) <= 4 * mcse, (name, drawn.mean(), mean)
+        assert abs(drawn.std(ddof=1) - sd) <= 0.05 * sd, (name, drawn.std(ddof=1), sd)
+        undefined = 1 - drawn.size / len(values)
+        assert abs(undefined - (1 - p_defined)) <= 0.01, (name, undefined, 1 - p_defined)
 
 
 def test_undefined_replicates_counted_not_fatal():
