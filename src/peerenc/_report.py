@@ -1,14 +1,77 @@
-"""The JSON form every report shares: a report is exactly its dataclass fields."""
+"""Frozen records, and the JSON form every report shares: a report is exactly
+its record fields."""
 
-import dataclasses
 import json
 import math
 
 import numpy as np
 
 
+class Record:
+    """A frozen record. Its fields are the class annotations in definition
+    order, base classes first; a field's default is its class attribute.
+    The constructor takes the fields by position or keyword, then runs
+    ``__post_init__``. Records compare and hash by their fields, except a
+    class declared ``eq=False`` (one that holds arrays): it keeps identity."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(dict.fromkeys(
+            name for c in reversed(cls.__mro__) for name in c.__dict__.get("__annotations__", ())))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name in values or name not in cls._fields:
+                why = "given twice" if name in values else "is not a field"
+                raise TypeError(f"{cls.__name__}: {name!r} {why}")
+            values[name] = value
+        for name in cls._fields:
+            if name not in values:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__}: missing field {name!r}")
+                values[name] = getattr(cls, name)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def replace(self, **changes):
+        """A copy with these fields changed, through the constructor's checks."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
 def _plain(value):
-    """A report value as JSON data: a dataclass becomes the object of its
+    """A report value as JSON data: a record becomes the object of its
     fields, an array, tuple or list a list, a dict an object, and a float
     that is not finite becomes None (null)."""
     if isinstance(value, float):  # first: nearly every value is a float
@@ -19,14 +82,14 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Record):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
     return value
 
 
-class JsonReport:
-    """A report dataclass whose JSON is its fields, with sorted keys and an
-    indent of one; an undefined number is null, never NaN or Infinity."""
+class JsonReport(Record):
+    """A record whose JSON is its fields, with sorted keys and an indent of
+    one; an undefined number is null, never NaN or Infinity."""
 
     def to_dict(self) -> dict:
         return _plain(self)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import _streams
-from .errors import InvalidData, InvalidDesign
+from ._report import Record
+from .errors import ArityMismatch, InvalidData, InvalidDesign
 from .mechanisms import Mechanism, unit_marginals
 from .population import Population
 
@@ -37,8 +37,7 @@ BATCH_BYTES = 2 << 20
 BYTES_PER_DRAW = 160
 
 
-@dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(Record):
     """Two encouragement mechanisms, an arm size, and the master seed."""
 
     mech_a: Mechanism
@@ -76,8 +75,7 @@ def validate_design(cfg: DesignConfig, pop: Population) -> np.ndarray:
     return probs
 
 
-@dataclass(frozen=True)
-class ExperimentData:
+class ExperimentData(Record, eq=False):
     """Realized data from one run: per-block arm flags and per-individual
     encouragement, treatment, outcome, and design encouragement probability.
     A batch of runs (``draw_validated``) carries a leading replicate axis on
@@ -162,7 +160,10 @@ class ExperimentData:
                                   f" 0..{n - 1}, found {ends[0]}..{ends[1]}")
         for i in range(n_blocks):
             mech = mech_a if s[i] == 1 else mech_b
-            p_enc[starts[i]:starts[i + 1]] = mech.marginals(int(sizes[i]))
+            try:
+                p_enc[starts[i]:starts[i + 1]] = mech.marginals(int(sizes[i]))
+            except ArityMismatch as exc:
+                raise InvalidData(f"{path}: block {i}: {exc}") from None
         return ExperimentData(sizes=sizes, s=s, z=z, d=d, y=y, p_enc=p_enc)
 
 

@@ -26,11 +26,9 @@ its block values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._report import JsonReport
+from ._report import JsonReport, Record
 from .errors import EmptyStratumInBlock, ExclusionViolated, ZeroEncouragementEffect
 from .mechanisms import Mechanism, assignment_probs, unit_marginals
 from .population import ComplianceType, Population, pack_rows
@@ -54,8 +52,7 @@ def _block_means(pop: Population, values: np.ndarray, members: np.ndarray) -> np
     return np.add.reduceat(np.where(members, values, 0), firsts) / np.add.reduceat(members, firsts)
 
 
-@dataclass(frozen=True)
-class MemberAverages:
+class MemberAverages(Record, eq=False):
     """Each individual's averages under one mechanism, in block order:
     ``itt[z]`` pins the own encouragement at z, ``local[d]`` the own treatment
     at d (averaging the own encouragement for encouragement-keyed tables).
@@ -139,8 +136,7 @@ def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BlockSummary:
+class BlockSummary(Record, eq=False):
     """Per-block values, a read-only float64 array, plus their unweighted
     population mean."""
 
@@ -206,8 +202,7 @@ def lpt(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityReport(JsonReport):
+class IdentityReport(JsonReport, eq=False):
     name: str
     lhs: float
     rhs: float
@@ -337,7 +332,6 @@ def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> Identit
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EstimandReport(JsonReport):
     entries: dict[str, BlockSummary]
     skipped: dict[str, str]

@@ -11,12 +11,9 @@ uptake effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
-from ._report import JsonReport
+from ._report import JsonReport, Record
 from .design import ExperimentData
 from .errors import AllBlocksUndefined, EmptyArm
 
@@ -26,7 +23,7 @@ ESTIMATOR_NAMES = ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "et_h
                    "lpt_diff_hat", "lpt0_hat")
 
 
-class _BlockStats(NamedTuple):
+class _BlockStats(Record, eq=False):
     means: np.ndarray  # (2, ..., B) inverse-probability block means at z=0 and z=1
     uptake: np.ndarray  # (..., B) ratio-of-means uptake contrast, NaN where undefined
     missing: np.ndarray  # (..., B) the encouragement value a block never realized, else -1
@@ -125,7 +122,6 @@ def estimator_battery(data: ExperimentData) -> dict:
     return {name: float(v) for name, v in values.items()}
 
 
-@dataclass(frozen=True)
 class EstimateReport(JsonReport):
     ditt_hat_a: float
     ditt_hat_b: float

@@ -8,10 +8,9 @@ canonical (lexicographic) order. ``peerenc.design`` draws from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._report import Record
 from .errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
 
 # Exact enumeration refuses more than 2^DEFAULT_ENUMERATION_CAP vectors rather
@@ -19,8 +18,7 @@ from .errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
 DEFAULT_ENUMERATION_CAP = 20
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(Record):
     """A per-individual Bernoulli encouragement law.
 
     ``probs`` is either a scalar (broadcast to every individual of any block)

@@ -12,11 +12,10 @@ rather than aborting the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._report import JsonReport
+from ._report import JsonReport, Record
 from .design import DesignConfig, batch_size, draw_validated, validate_design
 from .errors import (
     EmptyStratumInBlock,
@@ -96,8 +95,7 @@ def exact_targets(pop: Population, cfg: DesignConfig) -> dict[str, float]:
     return targets
 
 
-@dataclass(frozen=True)
-class EstimatorSummary:
+class EstimatorSummary(Record):
     name: str
     mean: float
     sd: float
@@ -108,7 +106,6 @@ class EstimatorSummary:
     n_undefined: int
 
 
-@dataclass(frozen=True)
 class McSummary(JsonReport):
     replications: int
     seed: int
@@ -208,8 +205,7 @@ _THEOREMS = (
 )
 
 
-@dataclass(frozen=True)
-class TheoremVerification:
+class TheoremVerification(Record):
     name: str
     identity: IdentityReport | None
     error: str | None
@@ -223,7 +219,6 @@ class TheoremVerification:
         return self.identity is not None and self.identity.passed
 
 
-@dataclass(frozen=True)
 class VerificationReport(JsonReport):
     theorems: tuple[TheoremVerification, ...]
     mc: McSummary | None

@@ -30,12 +30,12 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import _json
+from ._report import Record
 from .errors import (
     ArityMismatch,
     EnumerationTooLarge,
@@ -100,8 +100,7 @@ def pack_rows(bits) -> np.ndarray:
     return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class Population:
+class Population(Record, eq=False):
     """Blocks of individuals as flat arrays in block order; block i owns
     individuals starts[i]:starts[i+1].
 
@@ -138,8 +137,8 @@ class Population:
     z_dependent: np.ndarray  # (N,) encouragement-keyed table
     coef: np.ndarray  # (6, N)
     table: np.ndarray  # (T,) the table members' entries, member by member
-    table_start: np.ndarray = field(init=False, repr=False)  # (N + 1,) offsets into table
-    bound: np.ndarray = field(init=False, repr=False)  # (N,) outcome bounds
+    # derived, set by __post_init__: table_start (N + 1,) offsets into table,
+    # bound (N,) outcome bounds
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64)
@@ -288,8 +287,7 @@ def _individual(starts: np.ndarray, mask: np.ndarray) -> str:
     return f"block {i} individual {u - starts[i]}"
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
+class ValidationReport(Record, eq=False):
     """What ``validate`` found: per-block arrays over the B blocks, the flags
     the data satisfy and the warnings."""
 
@@ -345,8 +343,7 @@ _STRATA_ORDER = (
 ParamSpec = float | tuple[float, float]  # constant, or (mean, sd) drawn per individual
 
 
-@dataclass(frozen=True)
-class OutcomeConfig:
+class OutcomeConfig(Record):
     """Outcome model for the synthetic DGP.
 
     Coefficients may be constants or (mean, sd) pairs drawn once per
@@ -368,12 +365,11 @@ class OutcomeConfig:
     z_peer: float = 0.0
 
 
-@dataclass(frozen=True)
-class DgpConfig:
+class DgpConfig(Record):
     blocks: int
     block_size: int | tuple[int, int]
     strata: tuple[float, float, float, float]  # (always, complier, never, defier)
-    outcome: OutcomeConfig = field(default_factory=OutcomeConfig)
+    outcome: OutcomeConfig = OutcomeConfig()
     monotone: bool | None = None  # requested guarantee, not a prediction
     one_sided: bool | None = None
     complier_floor: bool = True

@@ -663,7 +663,8 @@ raise SystemExit(code)
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     """generate and estimands, each in a fresh interpreter, load neither the
     Monte Carlo, estimator nor CSV code; generate does not load the exact
-    engine either."""
+    engine either. simulate and verify load the layers they run. No command
+    loads ``dataclasses``, whose classes compile their methods at import."""
     src = Path(peerenc.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     cfg = write_config(tmp_path / "cfg.json")
@@ -678,8 +679,17 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     generate = loaded("generate", "--config", str(cfg), "--out", str(pop_path))
     estimands = loaded("estimands", "--config", str(cfg), "--pop", str(pop_path),
                        "--out", str(tmp_path / "estimands.json"))
+    simulate = loaded("simulate", "--config", str(cfg), "--pop", str(pop_path),
+                      "--out", str(tmp_path / "simulate.json"),
+                      "--dump-data", str(tmp_path / "run0.csv"))
+    verify = loaded("verify", "--config", str(cfg), "--pop", str(pop_path),
+                    "--out", str(tmp_path / "verify.json"))
     never = {"peerenc.montecarlo", "peerenc.estimators", "peerenc.design", "csv"}
     assert "peerenc.population" in generate and "peerenc.estimands" in estimands
     assert not never & generate
     assert not never & estimands
     assert "peerenc.estimands" not in generate
+    for replicating in (simulate, verify):
+        assert never | {"peerenc.estimands", "peerenc._streams"} <= replicating
+    for modules in (generate, estimands, simulate, verify):
+        assert "dataclasses" not in modules

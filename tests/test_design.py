@@ -322,3 +322,19 @@ def test_csv_rejects_invalid_data(tmp_path, text):
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(InvalidData, match="^" + re.escape(str(path))):
         ExperimentData.from_csv(path, PHI, PSI)
+
+
+def test_csv_rejects_a_block_its_vector_mechanism_cannot_cover(tmp_path):
+    """A mechanism with one probability per individual covers only blocks
+    of its arity: a 3-row block 0 under a 2-vector is InvalidData naming the
+    file and the block."""
+    path = tmp_path / "arity.csv"
+    path.write_text(_CSV_HEADER + "\n".join(["0,1,2,0,0,1.0", *_CSV_ROWS]) + "\n")
+    a, b = Mechanism("a", (0.9, 0.1)), Mechanism("b", (0.3, 0.6))
+    assert ExperimentData.from_csv(path, PHI, PSI).sizes.tolist() == [3, 2]
+    with pytest.raises(InvalidData, match=f"^{re.escape(str(path))}: block 0: mechanism 'a'"
+                                          " has arity 2, block has 3$"):
+        ExperimentData.from_csv(path, a, b)
+    path.write_text(_CSV_HEADER + "\n".join(_CSV_ROWS[:2] + ["1,0,2,0,0,1.0", *_CSV_ROWS[2:]]))
+    with pytest.raises(InvalidData, match="block 1: mechanism 'b' has arity 2, block has 3$"):
+        ExperimentData.from_csv(path, a, b)

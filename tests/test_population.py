@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -150,12 +149,12 @@ def test_table_completeness_enforced():
     entries = np.array(pop.table)
     entries[1] = np.nan
     with pytest.raises(MissingTableEntry, match="block 0: table has 1 missing entries"):
-        dataclasses.replace(pop, table=entries)
+        pop.replace(table=entries)
     entries[1] = np.inf
     with pytest.raises(ValueError, match="block 0: table entries must be finite"):
-        dataclasses.replace(pop, table=entries)
+        pop.replace(table=entries)
     with pytest.raises(ArityMismatch):
-        dataclasses.replace(pop, table=np.zeros(3))
+        pop.replace(table=np.zeros(3))
     data = population_to_dict(pop)
     del data["blocks"][0][0]["outcome"]["values"]["01"]
     with pytest.raises(MissingTableEntry):
@@ -165,13 +164,13 @@ def test_table_completeness_enforced():
 def test_population_shape_validation():
     pop = _tabled_pair()
     with pytest.raises(ValueError, match="at least 2 blocks"):
-        dataclasses.replace(pop, starts=[0, 4])
+        pop.replace(starts=[0, 4])
     with pytest.raises(ValueError, match="block 1 is empty"):
-        dataclasses.replace(pop, starts=[0, 4, 4])
+        pop.replace(starts=[0, 4, 4])
     with pytest.raises(ArityMismatch):
-        dataclasses.replace(pop, table=np.zeros(8))
+        pop.replace(table=np.zeros(8))
     with pytest.raises(ArityMismatch):
-        dataclasses.replace(pop, table=np.zeros((2, 2)))
+        pop.replace(table=np.zeros((2, 2)))
     data = population_to_dict(pop)
     data["blocks"][0][0]["outcome"] = table(np.zeros(8))
     with pytest.raises(ArityMismatch):
@@ -190,7 +189,7 @@ def test_population_shape_validation():
         "z-keyed-without-z-axis"])
 def test_population_constructor_checks(change, error, match):
     with pytest.raises(error, match=match):
-        dataclasses.replace(_tabled_pair(), **change)
+        _tabled_pair().replace(**change)
 
 
 def test_population_arrays_are_read_only():
@@ -247,7 +246,7 @@ def test_flags_are_derived_from_the_data():
     keyed = _one_table(np.arange(16.0), keyed=True)
     assert (keyed.monotone, keyed.one_sided, keyed.exclusion_ok) == (True, True, False)
     with pytest.raises(TypeError):
-        dataclasses.replace(pop, monotone=False)
+        pop.replace(monotone=False)
 
 
 def test_table_extents_of_large_blocks_do_not_overflow():
@@ -256,8 +255,8 @@ def test_table_extents_of_large_blocks_do_not_overflow():
     block of 70 beside a table block is evaluated without packing its rows."""
     pop = make_population([["co"] * 70, ["co", "nt"]], direct=1.0, peer=0.5)
     with pytest.raises(ArityMismatch, match="table needs 1180591620717411303424 entries"):
-        dataclasses.replace(pop, structural=np.arange(72) != 0)
-    mixed = dataclasses.replace(pop, structural=np.arange(72) < 71, table=[1.0, 2.0, 3.0, 4.0])
+        pop.replace(structural=np.arange(72) != 0)
+    mixed = pop.replace(structural=np.arange(72) < 71, table=[1.0, 2.0, 3.0, 4.0])
     assert mixed.table_start.tolist() == [0] * 72 + [4]
     d = np.zeros((2, 72), dtype=np.int8)
     d[:, :70] = 1
@@ -270,14 +269,14 @@ def test_table_extents_of_large_blocks_do_not_overflow():
 def test_enumeration_bound_is_checked_when_a_population_is_built():
     """A block holding a table member may have at most 2^20 peer
     assignments, whoever builds the population: 21 individuals build, 22 are
-    refused naming the block, also through dataclasses.replace."""
+    refused naming the block, also through Population.replace."""
     pop = table_member_block(21)
     assert pop.sizes == (2, 21) and pop.table.size == 2**21
     bound = r"^block 1: 2\^21 peer assignments exceed cap 2\^20$"
     with pytest.raises(EnumerationTooLarge, match=bound):
         table_member_block(22)
     with pytest.raises(EnumerationTooLarge, match=bound):
-        dataclasses.replace(pop, starts=[0, 1, 23], table=np.zeros(2**22))
+        pop.replace(starts=[0, 1, 23], table=np.zeros(2**22))
 
 
 def _basic_cfg(**overrides) -> DgpConfig:

@@ -1,0 +1,132 @@
+"""The frozen records every layer returns: one constructor rule, no
+assignment, value equality for value records and identity for array
+holders."""
+
+import re
+
+import numpy as np
+import pytest
+
+from peerenc._report import JsonReport, Record
+from peerenc.design import DesignConfig, ExperimentData, run_design
+from peerenc.estimands import BlockSummary, EstimandReport, IdentityReport, MemberAverages, \
+    compute_estimand_report, et, member_averages, theorem_1_check
+from peerenc.errors import PeerEncError
+from peerenc.estimators import EstimateReport, estimate_report
+from peerenc.mechanisms import Mechanism
+from peerenc.montecarlo import EstimatorSummary, McSummary, TheoremVerification, \
+    VerificationReport, verify_theorems
+from peerenc.population import DgpConfig, OutcomeConfig, Population, ValidationReport, validate
+from conftest import make_population
+
+PHI = Mechanism("phi", 0.8)
+PSI = Mechanism("psi", (0.2, 0.3))
+
+VALUE_RECORDS = (Mechanism, OutcomeConfig, DgpConfig, DesignConfig, EstimateReport,
+                 EstimatorSummary, McSummary, TheoremVerification, VerificationReport,
+                 EstimandReport)
+ARRAY_HOLDERS = (Population, ValidationReport, MemberAverages, BlockSummary, IdentityReport,
+                 ExperimentData)
+
+
+def _records() -> dict:
+    """One record of each class, built the way the package builds it."""
+    pop = make_population([["co", "nt"], ["at", "co"], ["co", "co"], ["nt", "co"]],
+                          direct=2.0, peer=0.5)
+    cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=3)
+    data = run_design(pop, cfg)
+    verification = verify_theorems(pop, PHI, PSI, replications=4, seed=3)
+    found = [pop, validate(pop), OutcomeConfig(direct=(1.0, 0.5)),
+             DgpConfig(blocks=4, block_size=(2, 3), strata=(0.0, 1.0, 0.0, 0.0)), PHI, cfg,
+             member_averages(pop, PHI), et(pop), theorem_1_check(member_averages(pop, PSI)),
+             compute_estimand_report(pop, PHI, PSI), data, estimate_report(data),
+             verification.mc.estimators[0], verification.mc, verification.theorems[0],
+             verification]
+    return {type(r): r for r in found}
+
+
+RECORDS = _records()
+
+
+def test_every_record_class_is_covered():
+    def subclasses(cls):
+        return {c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))}
+    public = {c for c in subclasses(Record) if not c.__name__.startswith("_")} - {JsonReport}
+    assert set(RECORDS) == {*VALUE_RECORDS, *ARRAY_HOLDERS} == public
+
+
+@pytest.mark.parametrize("cls", [*VALUE_RECORDS, *ARRAY_HOLDERS], ids=lambda c: c.__name__)
+def test_records_take_each_field_once_and_are_frozen(cls):
+    record = RECORDS[cls]
+    fields = cls._fields
+    values = {name: getattr(record, name) for name in fields}
+    # by keyword and by position: the same constructor
+    assert type(cls(**values)) is cls and type(cls(*values.values())) is cls
+    assert repr(record).startswith(f"{cls.__name__}({fields[0]}=")
+    required = [name for name in fields if not hasattr(cls, name)]
+    if required:
+        with pytest.raises(TypeError, match=f"missing field {required[-1]!r}"):
+            cls(**{k: v for k, v in values.items() if k != required[-1]})
+    with pytest.raises(TypeError, match="'no_such_field' is not a field"):
+        cls(**values, no_such_field=1)
+    with pytest.raises(TypeError, match="'no_such_field' is not a field"):
+        record.replace(no_such_field=1)
+    with pytest.raises(TypeError, match=f"{fields[0]!r} given twice"):
+        cls(*values.values(), **{fields[0]: values[fields[0]]})
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields, got {len(fields) + 1}"):
+        cls(*values.values(), None)
+    for name in (fields[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[fields[0]])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert getattr(record, fields[0]) is values[fields[0]]
+
+
+@pytest.mark.parametrize("cls", VALUE_RECORDS, ids=lambda c: c.__name__)
+def test_value_records_compare_by_their_fields(cls):
+    record = RECORDS[cls]
+    copy = record.replace()
+    assert copy is not record and copy == record and not copy != record
+    if cls is not EstimandReport:  # it holds dicts, as a dict would not hash
+        assert hash(copy) == hash(record)
+    assert record != object() and record != tuple(getattr(record, n) for n in cls._fields)
+
+
+def test_configs_hash_by_value():
+    assert Mechanism("phi", 0.8) == PHI and hash(Mechanism("phi", 0.8)) == hash(PHI)
+    assert Mechanism("phi", 0.8) != Mechanism("phi", 0.7)
+    assert {Mechanism("psi", [0.2, 0.3]), PSI} == {PSI}
+    assert DgpConfig(2, 3, (0.0, 1.0, 0.0, 0.0)).outcome == OutcomeConfig()
+    assert DesignConfig(PHI, PSI, 2, 3) == RECORDS[DesignConfig]
+    assert len({DesignConfig(PHI, PSI, 2, 3), RECORDS[DesignConfig]}) == 1
+    assert DesignConfig(PHI, PSI, 2, 4) != RECORDS[DesignConfig]
+
+
+@pytest.mark.parametrize("cls", ARRAY_HOLDERS, ids=lambda c: c.__name__)
+def test_array_holders_compare_by_identity(cls):
+    record = RECORDS[cls]
+    copy = record.replace()
+    assert record == record and copy != record
+    assert hash(record) == object.__hash__(record)
+    assert len({record, copy, record}) == 2
+
+
+@pytest.mark.parametrize("change", [
+    dict(starts=[0, 8]),
+    dict(starts=[0, 2, 2, 6, 8]),
+    dict(d1=np.array([1, 2, 1, 1, 1, 1, 1, 1])),
+    dict(table=np.zeros(3)),
+    dict(coef=np.zeros((6, 7))),
+], ids=["one-block", "empty-block", "treatment-2", "table-length", "coef-shape"])
+def test_population_replace_refuses_what_the_constructor_refuses(change):
+    pop = RECORDS[Population]
+    fields = {name: getattr(pop, name) for name in Population._fields}
+    with pytest.raises((ValueError, PeerEncError)) as built:
+        Population(**{**fields, **change})
+    with pytest.raises(type(built.value), match=f"^{re.escape(str(built.value))}$"):
+        pop.replace(**change)
+    # the derived columns are not fields, and are derived again
+    assert not {"table_start", "bound"} & set(Population._fields)
+    replaced = pop.replace(coef=np.ones((6, 8)))
+    assert replaced.bound.tolist() == [6.0] * 8 and not replaced.coef.flags.writeable
