@@ -74,7 +74,9 @@ def _fault(where: str, expected: str, value) -> InvalidConfig:
 
 def integer(value, where: str) -> int:
     """An integral JSON number as an int: 2.7, true or "2" is an error."""
-    if type(value) is int or isinstance(value, float) and value.is_integer():
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
     raise _fault(where, "an integer", value)
 
@@ -90,24 +92,16 @@ def number(value, where: str) -> float:
     raise _fault(where, "a finite number", value)
 
 
-def finite_array(values: list) -> np.ndarray | None:
-    """Finite JSON numbers as a float array, checked in one vectorized pass;
-    None when any value is not one."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        arr = np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return arr if np.isfinite(arr).all() else None
-
-
 def numbers(values: list, wheres) -> np.ndarray:
-    """Finite JSON numbers as a float array (``finite_array``); else read one
-    by one, so the first bad one is named from ``wheres``."""
-    arr = finite_array(values)
-    if arr is not None:
-        return arr
+    """Finite JSON numbers as a float array, checked in one vectorized pass;
+    else read one by one, so the first bad one is named from ``wheres``."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+        except OverflowError:  # an integer beyond the float range
+            pass
     return np.array([number(x, where) for where, x in zip(wheres, values)])
 
 

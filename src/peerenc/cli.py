@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
+import reprlib
 import sys
 from pathlib import Path
 
@@ -35,9 +37,11 @@ _SECTIONS = {
     "output": ("path",),
 }
 
-_THREADS_HELP = ("accepted for compatibility and checked to be an int >= 1 (default: "
-                "PEERENC_THREADS); replication runs in one thread, so it changes neither "
-                "output nor speed")
+_THREADS_HELP = ("accepted for compatibility and checked to be an integer >= 1; replication "
+                 "runs in one thread, so it changes neither output nor speed")
+# An integer on the command line: ASCII digits after an optional minus sign,
+# the data CSV's integer numeral. "1_0", " 7" and non-ASCII digits are not.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _parse_dgp(cfg: dict) -> DgpConfig:
@@ -121,29 +125,34 @@ def _read_config(path: str, needs: str) -> dict:
     }
 
 
-def _resolve_seed(cli_seed, cfg: dict, section: str) -> int:
+def _flag_integer(text: str | None, where: str) -> int | None:
+    """The integer a command-line flag spells (``_INTEGER``), or None when
+    the flag is absent."""
+    if text is None:
+        return None
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # int() refuses over 4300 digits
+        pass
+    raise InvalidConfig(f"{where}: expected an integer, got {reprlib.repr(text)}")
+
+
+def _resolve_seed(cli_seed: str | None, cfg: dict, section: str) -> int:
     """--seed, else the section's seed, else the top-level one."""
-    for seed in (_seed(cli_seed, "--seed"), cfg["seeds"][section], cfg["seeds"][""]):
+    for seed in (_seed(_flag_integer(cli_seed, "--seed"), "--seed"), cfg["seeds"][section],
+                 cfg["seeds"][""]):
         if seed is not None:
             return seed
     raise InvalidConfig("config: missing seed (set a top-level \"seed\" or pass --seed)")
 
 
-def _check_threads(args) -> None:
-    """Validate --threads, else PEERENC_THREADS; both are text. Replication
-    runs in one thread whatever the count, so it changes neither output nor
-    speed."""
-    value, where = args.threads, "--threads"
-    if value is None:
-        value, where = os.environ.get("PEERENC_THREADS") or None, "PEERENC_THREADS"
-    if value is None:
-        return
-    try:
-        count = int(value)
-    except ValueError:
-        raise InvalidConfig(f"{where}: expected an integer, got {value!r}") from None
-    if count < 1:
-        raise InvalidConfig(f"{where}: expected a thread count of at least 1, got {value!r}")
+def _check_threads(text: str | None) -> None:
+    """Validate --threads. Replication runs in one thread whatever the
+    count, so it changes neither output nor speed."""
+    count = _flag_integer(text, "--threads")
+    if count is not None and count < 1:
+        raise InvalidConfig(f"--threads: expected a thread count of at least 1, got {text!r}")
 
 
 def _check_output(path: str | None, where: str) -> None:
@@ -220,7 +229,7 @@ def cmd_simulate(args) -> int:
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
     _check_output(args.dump_data, "--dump-data")
-    _check_threads(args)
+    _check_threads(args.threads)
     seed = _resolve_seed(args.seed, cfg, "design")
     r = 1000 if cfg["replications"] is None else cfg["replications"]
     check_replications(r, where="config mc.replications")
@@ -244,7 +253,7 @@ def cmd_verify(args) -> int:
 
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
-    _check_threads(args)
+    _check_threads(args.threads)
     seed = _resolve_seed(args.seed, cfg, "mc")
     r = cfg["replications"] or 0
     check_replications(r, optional=True, where="config mc.replications")
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         if pop:
             p.add_argument("--pop", required=True, help="population JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", default=None, help="override the config seed (an integer >= 0)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     g = sub.add_parser("generate", help="build and validate a synthetic population")

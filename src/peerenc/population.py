@@ -26,9 +26,7 @@ design's own random streams.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import math
 import operator
 from enum import Enum
 
@@ -548,10 +546,13 @@ def _is_table_key(key: str, n: int, keyed: bool) -> bool:
     return len(parts) == 1 + keyed and all(len(p) == n and not p.strip("01") for p in parts)
 
 
-def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
-    """A table outcome's entries in row order (treatment-major when
-    encouragement-keyed). The entry count is compared with the row count
-    before any key is built, so the work is bounded by the input's size."""
+def _table_from_dict(d: dict, n: int, keyed: bool, in_order: dict):
+    """A table outcome's JSON entries in row order (treatment-major when
+    encouragement-keyed), unconverted. The entry count is compared with the
+    row count before any key is built, so the work is bounded by the input's
+    size. ``in_order`` maps (n, keyed) to a key list found in row order: json
+    shares a document's key objects, so a saved table's keys match it by
+    identity and the row keys are built once per (n, keyed)."""
     size = _json.integer(d["size"], "table size")
     if size != n:
         raise ArityMismatch(f"table size {size} != block size {n}")
@@ -561,14 +562,16 @@ def _table_from_dict(d: dict, n: int, keyed: bool) -> np.ndarray:
     if len(entries) > rows:
         extra = next(key for key in entries if not _is_table_key(key, n, keyed))
         raise InvalidConfig(f"table key {extra!r} is not a row of a size-{n} table")
-    if all(map(operator.eq, entries, _table_keys(n, keyed))):  # keys in row order, as saved
-        values = list(entries.values())
-    else:
-        try:
-            values = [entries[key] for key in _table_keys(n, keyed)]
-        except KeyError as exc:
-            raise MissingTableEntry(f"table has no entry for {exc}") from None
-    return _json.numbers(values, (f"table entry {key!r}" for key in _table_keys(n, keyed)))
+    keys = list(entries)
+    if keys == in_order.get((n, keyed)):
+        return entries.values()
+    if all(map(operator.eq, keys, _table_keys(n, keyed))):  # keys in row order, as saved
+        in_order[n, keyed] = keys
+        return entries.values()
+    try:
+        return [entries[key] for key in _table_keys(n, keyed)]
+    except KeyError as exc:
+        raise MissingTableEntry(f"table has no entry for {exc}") from None
 
 
 def population_to_dict(pop: Population) -> dict:
@@ -599,7 +602,7 @@ def population_from_dict(data: dict) -> Population:
     flags = _json.obj(data["flags"], "population flags", _FLAGS_KEYS, required=_FLAGS_KEYS)
     flags = {k: _json.typed(flags[k], f"population flags.{k}", bool) for k in _FLAGS_KEYS}
     blocks = _json.typed(data["blocks"], "population blocks", list)
-    sizes, d0, d1, kinds, coef, table = _columns(blocks) or _columns_by_individual(blocks)
+    sizes, d0, d1, kinds, coef, table = _columns(blocks)
     try:
         pop = Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1,
                          structural=list(map("structural".__eq__, kinds)),
@@ -613,104 +616,73 @@ def population_from_dict(data: dict) -> Population:
 
 
 _PERSON_KEYS = ("d0", "d1", "outcome")
-_KINDS = frozenset(("structural", "table", "table_z"))
-_coefs_of = operator.itemgetter(*_COEFS)
-_table_of = operator.itemgetter(*_TABLE_KEYS)
+# The key sets a well-formed individual and outcome have; anything else is
+# read again by ``_bad_outcome`` or ``_json.obj`` to name the fault.
+_PERSON_KEYSET = frozenset(_PERSON_KEYS)
+_STRUCTURAL_KEYSET = frozenset(("kind", *_COEFS))
+_TABLE_KEYSET = frozenset(_TABLE_KEYS)
+_NO_COEFS = (0.0,) * len(_COEFS)
+
+
+def _where(i: int, j: int) -> str:
+    """An individual's name in an error."""
+    return f"population block {i} individual {j}"
+
+
+def _individuals(sizes: list):
+    """Every individual's name in an error with its block's size, in file
+    order."""
+    for i, n in enumerate(sizes):
+        for j in range(n):
+            yield _where(i, j), n
+
+
+def _bad_outcome(y):
+    """Raise the error that names what is wrong with an outcome whose kind
+    or keys are not those of a structural or table outcome."""
+    y = _json.obj(y, "outcome", required=("kind",))
+    kind = _json.typed(y["kind"], "outcome kind", str)
+    if kind == "structural":
+        _json.obj(y, "outcome", ("kind", *_COEFS))
+    elif kind in ("table", "table_z"):
+        _json.obj(y, "outcome", _TABLE_KEYS, required=_TABLE_KEYS)
+    raise InvalidConfig(f"unknown outcome kind {kind!r}")
 
 
 def _columns(blocks: list):
-    """The population's columns (sizes, d0, d1, kinds, coef, table) read
-    column by column, when every individual is written out in full as
-    ``save_population`` writes it: integer d0 / d1, every structural
-    coefficient present, table keys in row order. None when anything else is
-    met, valid or not; ``_columns_by_individual`` then reads the blocks."""
-    if set(map(type, blocks)) != {list}:
-        return None
-    sizes = list(map(len, blocks))
-    people = list(itertools.chain.from_iterable(blocks))
-    if 0 in sizes or set(map(type, people)) != {dict} or sum(map(len, people)) != 3 * len(people):
-        return None
-    try:
-        d0, d1, outcomes = (list(map(operator.itemgetter(k), people)) for k in _PERSON_KEYS)
-        if (set(map(type, d0)) | set(map(type, d1)) != {int}
-                or set(map(type, outcomes)) != {dict}):
-            return None
-        kinds = list(map(operator.itemgetter("kind"), outcomes))
-        if set(map(type, kinds)) != {str} or not set(kinds) <= _KINDS:
-            return None
-        structural = list(map("structural".__eq__, kinds))
-        members = list(itertools.compress(outcomes, structural))
-        if sum(map(len, members)) != (1 + len(_COEFS)) * len(members):
-            return None
-        values = _json.finite_array(list(itertools.chain.from_iterable(map(_coefs_of, members))))
-        table = _table_column(list(itertools.compress(outcomes, map(operator.not_, structural))),
-                              [kind == "table_z" for kind in kinds if kind != "structural"],
-                              np.repeat(sizes, sizes)[np.logical_not(structural)].tolist())
-    except KeyError:
-        return None
-    if values is None or table is None:
-        return None
-    coef = np.zeros((len(people), len(_COEFS)))
-    coef[structural] = values.reshape(-1, len(_COEFS))
-    return sizes, d0, d1, kinds, coef.T, table
-
-
-def _table_column(outcomes: list, keyed: list, sizes: list) -> np.ndarray | None:
-    """The table members' entries as one column, read in one pass over the
-    members' outcomes (with whether each is encouragement-keyed and its block
-    size) when each holds exactly its rows in row order; None otherwise, and
-    KeyError for a missing field. Per block size and kind, the first member's
-    keys are compared with the rows and the others' with the first one's
-    (the same key objects, as json shares a document's keys)."""
-    if not outcomes:
-        return np.empty(0)
-    if set(map(len, outcomes)) != {len(_TABLE_KEYS)}:
-        return None
-    _, given, entries = zip(*map(_table_of, outcomes))
-    if set(map(type, given)) != {int} or list(given) != sizes or set(map(type, entries)) != {dict}:
-        return None
-    firsts = {}  # (size, keyed): the first such member's keys
-    for values, n, k in zip(entries, sizes, keyed):
-        keys = list(values)
-        if keys != firsts.setdefault((n, k), keys):
-            return None
-    for (n, keyed), keys in firsts.items():
-        if len(keys) != 1 << (n << keyed) or not all(map(operator.eq, keys, _table_keys(n, keyed))):
-            return None
-    return _json.finite_array(list(itertools.chain.from_iterable(map(dict.values, entries))))
-
-
-def _columns_by_individual(blocks: list):
-    """The population's columns read one individual at a time; raises the
-    error that names the first bad field."""
-    sizes, d0, d1, kinds, coef, table, wheres = [], [], [], [], [], [], []
+    """The population's columns (sizes, d0, d1, kinds, coef, table) read one
+    individual at a time; raises the error that names the first bad field.
+    Every shape is checked first, then every table entry and every
+    coefficient in one vectorized pass each."""
+    sizes, d0, d1, kinds, coef, entries, in_order = [], [], [], [], [], [], {}
     for i, raw in enumerate(blocks):
         raw = _json.typed(raw, f"population block {i}", list, "a list of individuals")
         for j, r in enumerate(raw):
-            where = f"population block {i} individual {j}"
-            wheres.append(where)
-            r = _json.obj(r, where, _PERSON_KEYS, required=_PERSON_KEYS)
+            if type(r) is not dict or r.keys() != _PERSON_KEYSET:
+                _json.obj(r, _where(i, j), _PERSON_KEYS, required=_PERSON_KEYS)
             try:
                 d0.append(_json.integer(r["d0"], "d0"))
                 d1.append(_json.integer(r["d1"], "d1"))
-                y = _json.obj(r["outcome"], "outcome", required=("kind",))
-                kind = _json.typed(y["kind"], "outcome kind", str)
-                if kind == "structural":
-                    _json.obj(y, "outcome", ("kind", *_COEFS))
-                    coef.extend(y.get(k, 0.0) for k in _COEFS)
-                elif kind in ("table", "table_z"):
-                    _json.obj(y, "outcome", _TABLE_KEYS, required=_TABLE_KEYS)
-                    table.append(_table_from_dict(y, len(raw), kind == "table_z"))
-                    coef.extend([0.0] * len(_COEFS))
+                y = r["outcome"]
+                kind = y.get("kind") if type(y) is dict else None
+                if kind == "structural" and y.keys() <= _STRUCTURAL_KEYSET:
+                    coef.extend(map(y.get, _COEFS, _NO_COEFS))
+                elif kind in ("table", "table_z") and y.keys() == _TABLE_KEYSET:
+                    entries.extend(_table_from_dict(y, len(raw), kind == "table_z", in_order))
+                    coef.extend(_NO_COEFS)
                 else:
-                    raise InvalidConfig(f"unknown outcome kind {kind!r}")
+                    _bad_outcome(y)
             except PeerEncError as exc:
-                raise type(exc)(f"{where}: {exc}") from None
+                raise type(exc)(f"{_where(i, j)}: {exc}") from None
             kinds.append(kind)
         sizes.append(len(raw))
-    # every coefficient in one vectorized pass (a table member's are zeros)
-    coef = _json.numbers(coef, (f"{w}: outcome {k!r}" for w in wheres for k in _COEFS))
-    return sizes, d0, d1, kinds, coef.reshape(-1, len(_COEFS)).T, np.concatenate([[], *table])
+    tables = ((w, n, kind == "table_z") for (w, n), kind in zip(_individuals(sizes), kinds)
+              if kind != "structural")
+    table = _json.numbers(entries, (f"{w}: table entry {key!r}" for w, n, keyed in tables
+                                    for key in _table_keys(n, keyed)))
+    coef = _json.numbers(coef, (f"{w}: outcome {k!r}" for w, _ in _individuals(sizes)
+                                for k in _COEFS))
+    return sizes, d0, d1, kinds, coef.reshape(-1, len(_COEFS)).T, table
 
 
 # The population file's text as json.dumps(..., sort_keys=True, indent=1)
@@ -726,11 +698,6 @@ _SORTED_COEFS = [_COEFS.index(k) for k in sorted(_COEFS)]
 _TABLE_HEAD = _INDIVIDUAL + '"kind": "%s",\n     "size": %d,\n     "values": '
 _TABLE_TAIL = "\n    }\n   }"
 _FLAGS = '\n ],\n "flags": {\n  "exclusion_ok": %s,\n  "monotone": %s,\n  "one_sided": %s\n }\n}\n'
-
-
-def _float_json(x: float) -> str:
-    """A float as json writes it: its repr, or NaN / Infinity / -Infinity."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
 def _entry_heads(n: int, keyed: bool) -> list[str]:
@@ -761,9 +728,9 @@ def _file_pieces(pop: Population):
     d0, d1, starts = pop.d0.tolist(), pop.d1.tolist(), pop.starts.tolist()
     structural, table_start = pop.structural.tolist(), pop.table_start.tolist()
     coef = pop.coef[_SORTED_COEFS].T.ravel()
-    # one individual's coefficient texts at a time, finiteness checked once
-    texts = map(float.__repr__ if np.isfinite(coef).all() else _float_json, coef.tolist())
-    coefs = zip(*[texts] * len(_COEFS))
+    # one individual's coefficient texts at a time; a table member's are
+    # never written, and the constructor refuses a non-finite structural one
+    coefs = zip(*[map(float.__repr__, coef.tolist())] * len(_COEFS))
     heads = functools.cache(_entry_heads)  # keys live for this call only
     yield '{\n "blocks": ['
     for lo, hi in zip(starts[:-1], starts[1:]):

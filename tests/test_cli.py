@@ -238,21 +238,6 @@ def test_generate_then_load_reproduces_estimands_bitwise(tmp_path):
         compute_estimand_report(in_memory, a, b).to_json()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "cfg.json")
-    pop_path = tmp_path / "pop.json"
-    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
-    out_env = tmp_path / "env.json"
-    out_flag = tmp_path / "flag.json"
-    monkeypatch.setenv("PEERENC_THREADS", "3")
-    assert main(["simulate", "--config", str(cfg), "--pop", str(pop_path),
-                 "--out", str(out_env)]) == 0
-    monkeypatch.delenv("PEERENC_THREADS")
-    assert main(["simulate", "--config", str(cfg), "--pop", str(pop_path),
-                 "--threads", "3", "--out", str(out_flag)]) == 0
-    assert out_env.read_bytes() == out_flag.read_bytes()
-
-
 def test_duplicate_mechanism_names_rejected(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -309,45 +294,53 @@ def test_population_shape_is_a_one_line_error(tmp_path, capsys, edit):
     assert "population" in err
 
 
-@pytest.mark.parametrize("command, overrides, extra, env, field", [
-    ("generate", {"dgp": {"blocks": 2.7}}, [], {}, "dgp.blocks"),
-    ("generate", {"dgp": {"block_size": 2.7}}, [], {}, "dgp.block_size"),
-    ("generate", {"dgp": {"block_size": []}}, [], {}, "config dgp.block_size"),
-    ("generate", {"dgp": {"block_size": [3]}}, [], {}, "config dgp.block_size"),
-    ("generate", {"dgp": {"block_size": [2, 3, 4]}}, [], {}, "config dgp.block_size"),
-    ("generate", {"dgp": {"blocks": "4"}}, [], {}, "dgp.blocks"),
-    ("generate", {"dgp": {"blocks": " 4 "}}, [], {}, "dgp.blocks"),
-    ("generate", {"seed": "1"}, [], {}, "config seed"),
-    ("generate", {"seed": "x"}, [], {}, "config seed"),
-    ("generate", {"seed": -1}, [], {}, "config seed"),
-    ("simulate", {"design": {"seed": "x"}}, [], {}, "design.seed"),
-    ("simulate", {"mc": {"replications": "many"}}, [], {}, "mc.replications"),
-    ("simulate", {"mc": {"replications": "4"}}, [], {}, "mc.replications"),
-    ("simulate", {"mc": {"replications": 2.5}}, [], {}, "mc.replications"),
-    ("simulate", {"mc": {"replications": 10**15}}, [], {}, "mc.replications"),
-    ("verify", {"mc": {"replications": -1}}, [], {}, "mc.replications"),
-    ("simulate", {"design": {"k": "two"}}, [], {}, "design.k"),
-    ("simulate", {"design": {"k": True}}, [], {}, "design.k"),
-    ("simulate", {"design": {"k": "2"}}, [], {}, "design.k"),
-    ("verify", {"design": {"k": "two"}}, [], {}, "design.k"),
-    ("simulate", {}, [], {"PEERENC_THREADS": "abc"}, "PEERENC_THREADS"),
-    ("simulate", {}, [], {"PEERENC_THREADS": "0"}, "PEERENC_THREADS"),
-    ("simulate", {}, ["--threads", "0"], {}, "--threads"),
-    ("verify", {}, ["--threads", "-2"], {}, "--threads"),
+@pytest.mark.parametrize("command, overrides, extra, field", [
+    ("generate", {"dgp": {"blocks": 2.7}}, [], "dgp.blocks"),
+    ("generate", {"dgp": {"block_size": 2.7}}, [], "dgp.block_size"),
+    ("generate", {"dgp": {"block_size": []}}, [], "config dgp.block_size"),
+    ("generate", {"dgp": {"block_size": [3]}}, [], "config dgp.block_size"),
+    ("generate", {"dgp": {"block_size": [2, 3, 4]}}, [], "config dgp.block_size"),
+    ("generate", {"dgp": {"blocks": "4"}}, [], "dgp.blocks"),
+    ("generate", {"dgp": {"blocks": " 4 "}}, [], "dgp.blocks"),
+    ("generate", {"seed": "1"}, [], "config seed"),
+    ("generate", {"seed": "x"}, [], "config seed"),
+    ("generate", {"seed": -1}, [], "config seed"),
+    ("simulate", {"design": {"seed": "x"}}, [], "design.seed"),
+    ("simulate", {"mc": {"replications": "many"}}, [], "mc.replications"),
+    ("simulate", {"mc": {"replications": "4"}}, [], "mc.replications"),
+    ("simulate", {"mc": {"replications": 2.5}}, [], "mc.replications"),
+    ("simulate", {"mc": {"replications": 10**15}}, [], "mc.replications"),
+    ("verify", {"mc": {"replications": -1}}, [], "mc.replications"),
+    ("simulate", {"design": {"k": "two"}}, [], "design.k"),
+    ("simulate", {"design": {"k": True}}, [], "design.k"),
+    ("simulate", {"design": {"k": "2"}}, [], "design.k"),
+    ("verify", {"design": {"k": "two"}}, [], "design.k"),
+    ("simulate", {}, ["--threads", "0"], "--threads"),
+    ("verify", {}, ["--threads", "-2"], "--threads"),
+    ("simulate", {}, ["--threads", " 2"], "--threads: expected an integer, got ' 2'"),
+    ("verify", {}, ["--threads", "\u0662"], "--threads: expected an integer"),
+    ("generate", {}, ["--seed", "1_0"], "--seed: expected an integer, got '1_0'"),
+    ("simulate", {}, ["--seed", " 7"], "--seed: expected an integer, got ' 7'"),
+    ("verify", {}, ["--seed", "\u0661\u0660"], "--seed: expected an integer"),
+    ("generate", {}, ["--seed", "x"], "--seed: expected an integer, got 'x'"),
+    ("generate", {}, ["--seed", "9" * 5000], "--seed: expected an integer, got '99999"),
+    ("generate", {}, ["--seed", "-1"], "--seed: expected a non-negative int, got -1"),
 ], ids=["blocks-2.7", "block-size-2.7", "block-size-empty", "block-size-one",
         "block-size-three", "blocks-string", "blocks-padded-string", "seed-string", "seed-x",
         "seed-negative", "design-seed-x", "replications-many", "replications-string",
         "replications-2.5", "replications-1e15", "verify-replications-negative", "k-two",
-        "k-true", "k-string", "verify-k-two",
-        "threads-env-abc", "threads-env-0", "threads-0", "verify-threads-negative"])
-def test_integer_fields_are_one_line_errors(tmp_path, capsys, monkeypatch,
-                                            command, overrides, extra, env, field):
+        "k-true", "k-string", "verify-k-two", "threads-0", "verify-threads-negative",
+        "threads-padded", "verify-threads-arabic-indic", "flag-seed-underscore",
+        "flag-seed-padded", "flag-seed-arabic-indic", "flag-seed-x", "flag-seed-5000-digits",
+        "flag-seed-negative"])
+def test_integer_fields_are_one_line_errors(tmp_path, capsys, command, overrides, extra, field):
+    """Integer fields of the config take integral JSON numbers, and integer
+    flags ASCII digits after an optional minus sign; anything else is one
+    line on stderr and exit 2."""
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(write_config(tmp_path / "good.json")),
           "--out", str(pop_path)])
     cfg = write_config(tmp_path / "cfg.json", **overrides)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     pop = ["--pop", str(pop_path)] if command != "generate" else []
     capsys.readouterr()
     assert _exit_code([command, "--config", str(cfg), *pop, *extra,

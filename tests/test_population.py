@@ -636,6 +636,18 @@ def test_saved_bytes_equal_the_stdlib_encoder(tmp_path, rng, name):
     assert population_to_dict(load_population(path)) == population_to_dict(pop)
 
 
+def test_a_table_member_with_a_nan_coefficient_saves_as_the_stdlib_encoder(tmp_path):
+    """A table member's coefficients are never written, so one that is not
+    finite leaves the file as the stdlib encoder writes the document."""
+    pop = _one_table(np.arange(4.0))
+    coef = pop.coef.copy()
+    coef[:, 0] = np.nan
+    pop = pop.replace(coef=coef)
+    path = tmp_path / "pop.json"
+    save_population(pop, path)
+    assert path.read_bytes() == _stdlib_bytes(pop)
+
+
 def test_saving_holds_a_fraction_of_the_file_in_memory(tmp_path, rng):
     """save_population streams the file: the memory it allocates is bounded
     by one member's table text, not by the file (a whole-file text would
@@ -761,6 +773,38 @@ def test_table_keys_in_any_order_load_the_same_entries(tmp_path, rng):
     assert np.array_equal(loaded.table, pop.table)
     save_population(loaded, tmp_path / "pop.json")
     assert (tmp_path / "pop.json").read_bytes() == _stdlib_bytes(pop)
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["table", "table_z"])
+@pytest.mark.parametrize("shuffled", [0, 1, 2], ids=["shuffled-first", "shuffled-second",
+                                                     "shuffled-last"])
+def test_tables_of_one_size_in_and_out_of_row_order_load_the_same_entries(rng, keyed,
+                                                                          shuffled):
+    """Three tables of one size and kind in a file, one with its keys
+    shuffled: the key list of the first table found in row order is reused
+    for the tables after it, matching the ones in row order and not the
+    shuffled one."""
+    shape = (8, 8) if keyed else (8,)
+    tables = [person(label, table(rng.normal(size=shape))) for label in ("co", "nt", "at")]
+    pop = population([tables, [make_individual("co", rng), make_individual("nt", rng)]])
+    data = json.loads(json.dumps(population_to_dict(pop)))  # keys shared, as in a read file
+    values = data["blocks"][0][shuffled]["outcome"]["values"]
+    keys = list(values)
+    data["blocks"][0][shuffled]["outcome"]["values"] = {
+        keys[k]: values[keys[k]] for k in rng.permutation(len(keys))}
+    loaded = population_from_dict(data)
+    assert loaded.table.tobytes() == pop.table.tobytes()
+
+
+def test_shapes_are_checked_before_numbers():
+    """A bad table entry in block 0 and a bad d0 in block 1: every shape is
+    read before any number is converted, so the d0 is named."""
+    data = population_to_dict(_one_table(np.arange(4.0)))
+    data["blocks"][0][0]["outcome"]["values"]["01"] = "1.0"
+    data["blocks"][1][0]["d0"] = "0"
+    with pytest.raises(InvalidConfig) as exc:
+        population_from_dict(data)
+    assert str(exc.value) == "population block 1 individual 0: d0: expected an integer, got '0'"
 
 
 def test_integer_table_entries_load_as_floats():
