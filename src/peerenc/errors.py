@@ -13,10 +13,6 @@ class InvalidMechanism(PeerEncError):
     """An encouragement probability falls outside the open interval (0, 1)."""
 
 
-class EnumerationTooLarge(PeerEncError):
-    """Exhaustive assignment enumeration would exceed the configured cap."""
-
-
 class FlagMismatch(PeerEncError):
     """A declared population flag contradicts the individual-level data."""
 

@@ -12,12 +12,14 @@ Everything here is a finite sum, computed exactly (no sampling):
 
 One kernel evaluates every individual's four conditional averages under a
 mechanism (intent-to-treat at z = 0, 1, local at d = 0, 1), exactly, by one
-route per outcome representation. Structural outcomes are quadratic in the
-treated-peer count K, so they need only E[K] and Var[K]: sums of q and
-q(1-q) over the peers' effective uptake probabilities q (always-takers 1,
-never-takers 0, compliers their encouragement probability, defiers its
-complement). Tables are averaged over one enumeration of their block's 2^n
-encouragement vectors. The test suite cross-checks the routes. Every family
+route per outcome representation. Under the product law each peer is
+treated independently with an effective uptake probability q (always-takers
+1, never-takers 0, compliers their encouragement probability, defiers its
+complement). Structural outcomes are quadratic in the treated-peer count K,
+so they need only E[K] and Var[K]: sums of q and q(1-q) over the peers.
+Tables are contracted axis by axis over the same law, with elementwise
+multiplies and adds only, so no BLAS kernel can change a byte. The test
+suite cross-checks the routes. Every family
 and identity check takes kernel results (``member_averages``), so a caller
 evaluates the kernel once per mechanism; each assembles block means of the
 kernel's output, and a family's population value is the unweighted mean of
@@ -30,8 +32,8 @@ import numpy as np
 
 from ._report import JsonReport, Record
 from .errors import EmptyStratumInBlock, ExclusionViolated, ZeroEncouragementEffect
-from .mechanisms import Mechanism, assignment_probs, unit_marginals
-from .population import ComplianceType, Population, pack_rows
+from .mechanisms import Mechanism, unit_marginals
+from .population import ComplianceType, Population
 
 # A computed identity passes when |lhs-rhs| <= max(ABS_TOL, REL_TOL*scale):
 # all quantities are short sums of products of probabilities, so double
@@ -93,11 +95,33 @@ class MemberAverages(Record, eq=False):
         raise ExclusionViolated(f"block {i} individual {j}: outcome depends on encouragements")
 
 
+def _contract(entries: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Average entries (..., 2^n) over a product law on n bits, most
+    significant first: bit k is 1 with probability ones[k] (each (...,)).
+    Axis by axis, the two halves are weighted and added elementwise, so every
+    sum has one order whatever BLAS numpy links. A probability of 0 or 1 pins
+    its axis: the kept half passes through unchanged."""
+    for w in ones:
+        half = entries.shape[-1] // 2
+        entries = entries[..., :half] * (1.0 - w)[..., None] + entries[..., half:] * w[..., None]
+    return entries[..., 0]
+
+
+def _pinned(probs: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per-axis probabilities (n, 2, m) for m table members of a block: probs
+    on every axis, except member j's own axis own[j], which row v pins at v."""
+    axis = np.arange(probs.size)[:, None, None] == own
+    return np.where(axis, np.arange(2)[:, None], probs[:, None, None])
+
+
 def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
     """The exact kernel: closed-form peer-count moments for structural
-    outcomes, one 2^n enumeration per table block (``Population`` bounds n).
-    Evaluate it once per mechanism and pass the result to every family and
-    check."""
+    outcomes. A plain table is contracted over its peers' treatment axes with
+    q, its own axis pinned. An encouragement-keyed table is first gathered at
+    the treatments each encouragement vector induces, its own treatment
+    forced to 0 and to 1, then contracted over the encouragement axes with
+    the mechanism's p. Evaluate it once per mechanism and pass the result to
+    every family and check."""
     firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
     p = unit_marginals(mech, sizes)
     q = np.where(pop.d0 == pop.d1, pop.d0, np.where(pop.d1 == 1, p, 1.0 - p))
@@ -108,24 +132,34 @@ def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
         c0 + c_dir * d + (c_peer + c_inter * d) * mean + c_curv * (var + mean * mean) + c_noise
         for d in (0, 1)
     ], np.nan)
-    itt = np.where(np.stack([pop.d0, pop.d1]) == 1, local[1], local[0])
+    treated = np.stack([pop.d0, pop.d1]) == 1  # the own treatment at own encouragement z
+    itt = np.where(treated, local[1], local[0])
     for i in np.flatnonzero(np.add.reduceat(~pop.structural, firsts) > 0):
-        block, n = slice(firsts[i], firsts[i] + sizes[i]), int(sizes[i])
-        w = assignment_probs(mech, n, cap=n)  # the population bounded n
-        z = np.arange(w.size)  # row r is the bit-packed encouragement vector r
-        d = (z & pack_rows(pop.d1[block])) | (~z & pack_rows(pop.d0[block]))
-        members = np.flatnonzero(~pop.structural[block])  # the table members
-        bit = (1 << (n - 1 - members))[:, None]  # each member's own bit
-        v = np.arange(2)[:, None, None]
-        u = firsts[i] + members
-        # itt[v] pins the own encouragement at v, so the own treatment at its
-        # d_v; local[v] pins the own treatment at v and keeps the drawn z
-        own_d = np.stack([pop.d0[u], pop.d1[u]])[:, :, None]
-        d_rows = d & ~bit | np.concatenate([own_d, np.broadcast_to(v, own_d.shape)]) * bit
-        z_rows = np.concatenate([z & ~bit | v * bit, np.broadcast_to(z, (2, u.size, z.size))])
-        vals = pop.table_values(u[:, None], d_rows, z_rows) @ w
-        itt[:, u] = vals[:2]
-        local[:, u] = vals[2:]
+        lo, n = int(firsts[i]), int(sizes[i])
+        block = slice(lo, lo + n)
+        u = lo + np.flatnonzero(~pop.structural[block])  # the table members
+        # a plain member: local[v] pins the own treatment at v while the
+        # peers' follow q; itt[z] is local at the own treatment z induces
+        plain = u[~pop.z_dependent[u]]
+        if plain.size:
+            entries = np.stack([pop.table[s:s + 2**n] for s in pop.table_start[plain]])
+            local[:, plain] = _contract(entries, _pinned(q[block], plain - lo))
+            itt[:, plain] = np.where(treated[:, plain], local[1, plain], local[0, plain])
+        # a keyed member: entries[v, j, z] is member j's entry at encouragement
+        # row z and the treatments z induces, its own treatment forced to v
+        u = u[pop.z_dependent[u]]
+        if u.size:
+            z = np.arange(2**n)
+            # the treatment rows at z = 0...0 and at 1...1: encouragement row z
+            # takes each member's treatment bit from the row its own z bit picks
+            row0, row1 = ((x[block].astype(np.int64) << (n - 1 - np.arange(n))).sum()
+                          for x in (pop.d0, pop.d1))
+            bit = (1 << (n - 1 - (u - lo)))[:, None]
+            rows = (z & row1 | ~z & row0) & ~bit | np.arange(2)[:, None, None] * bit
+            entries = pop.table[pop.table_start[u][:, None] + (rows << n) + z]
+            local[:, u] = _contract(entries, p[block, None, None])
+            itt[:, u] = _contract(np.where(treated[:, u, None], entries[1], entries[0]),
+                                  _pinned(p[block], u - lo))
     itt.setflags(write=False)
     local.setflags(write=False)
     return MemberAverages(pop=pop, itt=itt, local=local)
@@ -398,8 +432,9 @@ def compute_estimand_report(pop: Population, mech_a: Mechanism,
         "evaluation": [
             "enumeration" if t else "moments" for t in uses_tables
         ],
-        # assignment rows the kernel visited per block: one enumeration of
-        # all 2^n for a block holding a table, none for closed-form moments
+        # the 2^n assignment rows a block holding a table averages over:
+        # each plain table member's treatment rows (its encouragement rows
+        # when keyed), contracted axis by axis; 0 for closed-form moments
         "enumeration_sizes": [
             2**n if t else 0 for n, t in zip(pop.sizes, uses_tables)
         ],

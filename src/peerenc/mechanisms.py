@@ -1,9 +1,10 @@
 """Independent-Bernoulli encouragement mechanisms.
 
 A mechanism assigns each individual of a block an independent probability of
-being encouraged. It induces a product law on the block's binary encouragement
-vector; this module evaluates that law exactly over its support, in a
-canonical (lexicographic) order. ``peerenc.design`` draws from it.
+being encouraged, so it induces a product law on the block's binary
+encouragement vector. ``unit_marginals`` lays the per-individual
+probabilities out over a population's blocks: ``peerenc.estimands`` averages
+over the law through them and ``peerenc.design`` draws from it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._report import Record
-from .errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
-
-# Exact enumeration refuses more than 2^DEFAULT_ENUMERATION_CAP vectors rather
-# than approximating: ``Population`` bounds a table block's peer assignments.
-DEFAULT_ENUMERATION_CAP = 20
+from .errors import ArityMismatch, InvalidMechanism
 
 
 class Mechanism(Record):
@@ -54,23 +51,6 @@ class Mechanism(Record):
                 f"mechanism {self.name!r} has arity {len(self.probs)}, block has {n}"
             )
         return np.asarray(self.probs)
-
-
-def assignment_probs(mech: Mechanism, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Probabilities of all 2^n assignment vectors of a block of size n,
-    (2^n,): entry r is the vector whose bits, most significant first, are
-    the binary expansion of r (``population.pack_rows``). The order, and so
-    every enumerated sum downstream, is bit-reproducible."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise EnumerationTooLarge(f"2^{n} assignment vectors exceed cap 2^{cap}")
-    rows = np.arange(2**n)
-    p = mech.marginals(n)
-    w = np.ones(rows.size)
-    for j in range(n):
-        w *= np.where((rows >> (n - 1 - j)) & 1, p[j], 1.0 - p[j])
-    return w
 
 
 def unit_marginals(mech: Mechanism, sizes) -> np.ndarray:

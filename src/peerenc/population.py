@@ -36,14 +36,12 @@ from . import _json
 from ._report import Record
 from .errors import (
     ArityMismatch,
-    EnumerationTooLarge,
     FlagMismatch,
     GenerationFailed,
     InvalidConfig,
     MissingTableEntry,
     PeerEncError,
 )
-from .mechanisms import DEFAULT_ENUMERATION_CAP
 
 # Dense tables hold 2^n entries per individual; refuse silly sizes.
 TABLE_REPRESENTATION_CAP = 12
@@ -91,13 +89,6 @@ def structural_value(coef, own_d, k):
             + curvature * k * k + noise)
 
 
-def pack_rows(bits) -> np.ndarray:
-    """Bit-pack binary vectors along the last axis, most significant bit
-    first (index 0): the row of a table or of an assignment enumeration."""
-    bits = np.asarray(bits, dtype=np.int64)
-    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
-
-
 class Population(Record, eq=False):
     """Blocks of individuals as flat arrays in block order; block i owns
     individuals starts[i]:starts[i+1].
@@ -106,10 +97,11 @@ class Population(Record, eq=False):
     for table members). ``table`` holds every table member's entries, one
     member after another in individual order: a plain member's 2^n treatment
     rows, or an encouragement-keyed member's 4^n entries, treatment-major
-    (entry d * 2^n + z). ``table_start`` (derived) holds each individual's
-    offset into it, with one more entry for the end; a structural member's
-    extent is empty. ``table_values`` and ``outcomes`` are the one outcome
-    lookup.
+    (entry d * 2^n + z). Row r of a block is the vector of r's bits, its
+    first member the most significant. ``table_start`` (derived) holds each
+    individual's offset into it, with one more entry for the end; a
+    structural member's extent is empty. ``outcomes`` is the one lookup of
+    realized outcomes; the exact kernel reads the table column directly.
 
     The compliance flags are properties of the data: ``monotone`` means no
     defiers anywhere, ``one_sided`` means nobody can take treatment
@@ -123,9 +115,7 @@ class Population(Record, eq=False):
     block mean of outcomes or of their averages is at most its block's sum of
     bounds, so every block sum and every contrast of two block means that the
     exact engine forms, and every population mean of such contrasts over the
-    blocks, stays finite. It also refuses (EnumerationTooLarge) a block that
-    holds a table member and has more than 2^DEFAULT_ENUMERATION_CAP peer
-    assignments, so the exact kernel can enumerate every block it is given.
+    blocks, stays finite.
     """
 
     starts: np.ndarray  # (B + 1,) block offsets
@@ -182,13 +172,6 @@ class Population(Record, eq=False):
         if table.ndim != 1 or entries != table.size:
             raise ArityMismatch(f"table needs {entries:.0f} entries (2^n per table member, 4^n"
                                 f" when encouragement-keyed), got shape {table.shape}")
-        # the exact kernel enumerates a table block's 2^(n-1) peer assignments
-        tabled = np.add.reduceat(~structural, starts[:-1]) > 0
-        over = tabled & (sizes - 1 > DEFAULT_ENUMERATION_CAP)
-        if over.any():
-            i = int(np.argmax(over))
-            raise EnumerationTooLarge(f"block {i}: 2^{sizes[i] - 1} peer assignments exceed"
-                                      f" cap 2^{DEFAULT_ENUMERATION_CAP}")
         table_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.where(structural, 0, np.left_shift(1, bits)), out=table_start[1:])
         bad = ~np.isfinite(table)
@@ -246,19 +229,6 @@ class Population(Record, eq=False):
         d0, d1 = _PT_BY_STRATUM[stratum]
         return (self.d0 == d0) & (self.d1 == d1)
 
-    def table_values(self, u, d_rows, z_rows) -> np.ndarray:
-        """Table entries of the table members u at the bit-packed rows d_rows
-        and z_rows, all three broadcast together; the z rows are ignored for
-        members that are not encouragement-keyed. u never holds a structural
-        member: those have no entries."""
-        u = np.asarray(u)
-        keyed = self.z_dependent[u]
-        if not keyed.any():
-            return self.table[self.table_start[u] + d_rows]
-        block = np.searchsorted(self.starts, u, side="right") - 1
-        stride = (self.starts[block + 1] - self.starts[block]) * keyed  # log2 of the z rows
-        return self.table[self.table_start[u] + (d_rows << stride) + z_rows * keyed]
-
     def outcomes(self, d: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Every individual's outcome in every replicate: d and z are (R, N)
         realized treatments and encouragements (flat, block order)."""
@@ -274,7 +244,10 @@ class Population(Record, eq=False):
             block = np.searchsorted(self.starts, u, side="right") - 1
             d_rows, z_rows = (np.add.reduceat(x.astype(np.int64) << bit, firsts, axis=1)[:, block]
                               for x in (d, z))
-            y[:, u] = self.table_values(u, d_rows, z_rows)
+            # an encouragement-keyed member's entry d * 2^n + z; a plain one's d
+            keyed = self.z_dependent[u]
+            stride = sizes[block] * keyed
+            y[:, u] = self.table[self.table_start[u] + (d_rows << stride) + z_rows * keyed]
         return y
 
 

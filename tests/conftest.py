@@ -59,16 +59,6 @@ def population(blocks) -> Population:
     })
 
 
-def table_member_block(n: int) -> Population:
-    """A structural block of 2, then a block of n whose first member has a
-    zero table outcome (2^n entries) and the others structural outcomes.
-    Built from the arrays: its file would spell out 2^n table keys."""
-    return Population(starts=[0, 2, 2 + n], d0=np.zeros(2 + n, dtype=int),
-                      d1=np.ones(2 + n, dtype=int), structural=np.arange(2 + n) != 2,
-                      z_dependent=np.zeros(2 + n, dtype=bool), coef=np.zeros((6, 2 + n)),
-                      table=np.zeros(2**n))
-
-
 def make_individual(kind: str, rng: np.random.Generator | None = None, **overrides) -> dict:
     params = dict(intercept=0.0, direct=0.0, peer=0.0, interaction=0.0, curvature=0.0, noise=0.0)
     if rng is not None:

@@ -1,4 +1,5 @@
-"""Independent oracles: brute-force enumeration over full assignment vectors,
+"""Independent oracles: brute-force enumeration over full assignment vectors
+and their product-law probabilities,
 the exact Poisson-binomial distribution of the treated-peer count for
 structural outcomes, a naive two-stage (treatment-randomized) evaluator, and
 a flat pooled Wald estimator, the sample estimators by per-block loops,
@@ -27,6 +28,24 @@ _STRATUM = {
 def _row(bits) -> int:
     """Table row of a binary vector: its bits read most significant first."""
     return int("".join(str(int(b)) for b in bits), 2)
+
+
+def pack_rows(bits) -> np.ndarray:
+    """Table rows of binary vectors along the last axis, as ``_row`` reads
+    one: bits most significant first."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return (bits << np.arange(bits.shape[-1] - 1, -1, -1)).sum(axis=-1)
+
+
+def assignment_probs(mech, n: int) -> np.ndarray:
+    """Probability of each of the 2^n encouragement vectors of a size-n block
+    under mech: entry r is the vector of table row r."""
+    rows = np.arange(2**n)
+    p = mech.marginals(n)
+    w = np.ones(rows.size)
+    for j in range(n):
+        w *= np.where((rows >> (n - 1 - j)) & 1, p[j], 1.0 - p[j])
+    return w
 
 
 def _pt(pop: Population, i: int, j: int) -> tuple[int, int]:

@@ -6,7 +6,6 @@ import pytest
 
 from peerenc.errors import (
     EmptyStratumInBlock,
-    EnumerationTooLarge,
     ExclusionViolated,
     ZeroEncouragementEffect,
 )
@@ -25,8 +24,7 @@ from peerenc.estimands import (
 )
 from peerenc.mechanisms import Mechanism
 from peerenc.population import ComplianceType
-from conftest import make_individual, make_population, person, population, structural, table, \
-    table_member_block
+from conftest import make_individual, make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
 from oracles import (
@@ -159,9 +157,27 @@ def test_ybar_all_never_taker_peers_degenerate():
         assert local(0, 0, 1) == pytest.approx(2.0, abs=0)
 
 
+def _all_kinds_population(rng, n):
+    """Two blocks of n >= 4 individuals, each holding all four strata and
+    structural, plain-table and encouragement-keyed members, and a pair of
+    vector mechanisms."""
+    def outcome(kind):
+        if kind == "structural":
+            return make_individual("co", rng)["outcome"]
+        return table(rng.normal(size=(2**n,) if kind == "table" else (2**n, 2**n)))
+
+    strata, kinds = ["at", "co", "nt", "de"], ["structural", "table", "keyed"]
+    blocks = [[person(str(s), outcome(k)) for s, k in zip(
+        rng.permutation([*strata, *rng.choice(strata, n - 4)]),
+        rng.permutation([*kinds, *rng.choice(kinds, n - 3)]))] for _ in range(2)]
+    return population(blocks), *(Mechanism(name, tuple(rng.uniform(0.05, 0.95, n).tolist()))
+                                 for name in ("phi", "psi"))
+
+
 def test_ybar_oracle_equality_structural_and_table(rng):
-    for _ in range(8):
-        pop, a, b = varying_effect_monotone(rng, b_range=(2, 3), n_range=(1, 4))
+    cases = [varying_effect_monotone(rng, b_range=(2, 3), n_range=(1, 4)) for _ in range(8)]
+    cases += [_all_kinds_population(rng, n) for n in (4, 4, 5)]
+    for pop, a, b in cases:
         kernels = {mech: averages(pop, mech) for mech in (a, b)}
         for i, n in enumerate(pop.sizes):
             for j in range(n):
@@ -293,13 +309,28 @@ def test_exclusion_violating_local_average_guarded():
     assert allowed.per_block[0] == pytest.approx(local(0, 0, 1) - local(0, 0, 0), abs=1e-12)
 
 
-def test_enumeration_cap_enforced():
-    """The kernel's enumeration bound is the population's: a block holding a
-    table with 2^21 peer assignments is refused when it is built, so no
-    kernel meets one."""
-    with pytest.raises(EnumerationTooLarge,
-                       match=r"^block 1: 2\^21 peer assignments exceed cap 2\^20$"):
-        table_member_block(22)
+def test_a_table_of_2_to_the_22_entries_matches_the_moment_route():
+    """A table block has no enumeration bound: the first member of a block of
+    22 holds its structural outcome as a table of 2^22 entries, and the
+    kernel gives it the closed-form moment values."""
+    rng = np.random.default_rng(22)
+    strata = ["at", "co", "nt", "de"]
+    pop = make_population([["co", "nt"], rng.choice(strata, 22).tolist()], rng=rng)
+    u, n = 2, 22
+    rows = np.arange(2**n)
+    own = (rows >> (n - 1)) & 1
+    k = (np.bitwise_count(rows) - own).astype(float)
+    intercept, direct, peer, interaction, curvature, noise = pop.coef[:, u]
+    values = (intercept + direct * own + peer * k + interaction * own * k
+              + curvature * k * k + noise)
+    structural = np.arange(pop.n_individuals) != u
+    tabled = pop.replace(structural=structural, coef=pop.coef * structural, table=values)
+    for mech in (PHI, PSI):
+        want, got = member_averages(pop, mech), member_averages(tabled, mech)
+        for name in ("itt", "local"):
+            assert np.abs(getattr(got, name)[:, u] - getattr(want, name)[:, u]).max() <= 1e-10
+            assert np.array_equal(getattr(got, name)[:, structural],
+                                  getattr(want, name)[:, structural])
 
 
 def test_kernels_are_read_only_and_a_contrast_needs_one_population(rng):

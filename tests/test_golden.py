@@ -2,17 +2,22 @@
 fixed configs at fixed seeds.
 
 The README walkthrough config exercises the closed-form moment route, and a
-small all-table config the enumeration route. A change that moves any output
+small all-table config the table contraction. A change that moves any output
 byte (a population file, a report, a realized-data CSV or a ``verify`` exit
 code) fails here; a refactor that claims to keep the outputs must pass
 unedited. Regenerate the digests only for a deliberate output change, and say
-so where the change is described."""
+so where the change is described. The digests also hold under every OpenBLAS
+kernel the CPU can run: no output byte depends on the BLAS numpy links."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,13 +56,13 @@ CONFIGS = {"walkthrough": _WALKTHROUGH, "table": _TABLE}
 DIGESTS = {
     "table": {
         "data.csv": "d75cc0d3acc5243a21876c7dd15c910760812638c0b3358bdb4a932ad305422b",
-        "estimands.csv": "db4c7ff1077602045c5c73774513fe045bd163f3289fbb7ea8d58acf384c9837",
-        "estimands.json": "e58d9cc8eb0a2027c590894bd4b96fd27028fcd670fe9ffea717c610677f02e8",
+        "estimands.csv": "6eba89a0a2214a2bc0c8cbe69a8e8b04173e45caa301855e535d2c107fa943ce",
+        "estimands.json": "6ea5117e8346f3e254f16ba402e72db8b4a66ce3d9e9289577872297a87eabf7",
         "estimands.txt": "1d4f0e7f6e8a33cb9ae0effab739799ffa08b76920872601363b36abf4599b1b",
         "pop.json": "c18721a2a1345a386944b146874fe3a1355d5215531e085889c87b6fded54e1b",
-        "simulate.json": "90077f1bd7076cf1d2ec0dcf9f4b1f6149fb94b857cbd9540b8c83b924c584e4",
+        "simulate.json": "5b1def7a3959be30f1b04033687b6cafe5ff9bf3d1de1ab6ec3580f86790641e",
         "simulate.txt": "50e5cd7ed1b853f16bf6ebec74b4637161a8688f41a09d37e04b7a12cc25af20",
-        "verify.json": "1afc96307719ef8b26166f750d9972964b2be0a8a07ef68951afd90dc0391a1f",
+        "verify.json": "d32c80233bb465538fb6d41aaf43933b61d2f74bc7acfb2e711edbfd600b47e5",
         "verify.txt": "eb62f8e70d0950dabb6dac3f7562c0463ec245fec83eccc0c89465bf3df9dd39",
         "verify_exit": 0,
     },
@@ -103,3 +108,33 @@ def run_outputs(cfg: dict, directory) -> dict:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_every_output_matches_its_golden_digest(tmp_path, capsys, name):
     assert run_outputs(CONFIGS[name], tmp_path) == DIGESTS[name]
+
+
+# OpenBLAS core types, each with the CPU flags its kernels need
+_CORE_TYPES = {"Prescott": (), "Sandybridge": ("avx",), "Haswell": ("avx", "avx2")}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        found = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.M)
+    except OSError:
+        return set()
+    return set(found[1].split()) if found else set()
+
+
+@pytest.mark.parametrize("core", sorted(_CORE_TYPES))
+def test_every_digest_holds_under_each_openblas_kernel(tmp_path, core):
+    """The digest test passes for both configs in a fresh process with
+    OPENBLAS_CORETYPE set: each OpenBLAS kernel sums in its own order, so a
+    BLAS call on any output's path would move its last bits."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS core types name x86 kernels")
+    missing = set(_CORE_TYPES[core]) - _cpu_flags()
+    if missing:
+        pytest.skip(f"the CPU lacks {', '.join(sorted(missing))} for {core}")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--basetemp",
+         str(tmp_path), f"{Path(__file__).resolve()}::test_every_output_matches_its_golden_digest"],
+        cwd=ROOT, env={**os.environ, "OPENBLAS_CORETYPE": core}, capture_output=True, text=True,
+        timeout=300)
+    assert run.returncode == 0, run.stdout[-4000:]

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peerenc.design import DesignConfig, batch_size, draw_validated, validate_design
-from peerenc.errors import ArityMismatch, EnumerationTooLarge, InvalidMechanism
-from peerenc.mechanisms import Mechanism, assignment_probs, unit_marginals
-from peerenc.population import pack_rows
+from peerenc.errors import ArityMismatch, InvalidMechanism
+from peerenc.mechanisms import Mechanism, unit_marginals
 from conftest import make_population
+from oracles import assignment_probs, pack_rows
 
 
 def vector_prob(mech: Mechanism, z) -> float:
@@ -67,15 +67,6 @@ def test_assignment_probs_one_entry_per_vector():
     assert out.shape == (8,)
     # entry r is the vector of r's bits, individual 0 the most significant
     assert out[0b011] == 0.9 * 0.2 * 0.3
-
-
-def test_assignment_probs_cap():
-    with pytest.raises(EnumerationTooLarge):
-        assignment_probs(Mechanism("phi", 0.5), 25)
-    # the cap is configurable, not hardwired
-    assert assignment_probs(Mechanism("phi", 0.5), 4, cap=4).shape == (16,)
-    with pytest.raises(EnumerationTooLarge):
-        assignment_probs(Mechanism("phi", 0.5), 5, cap=4)
 
 
 def test_sample_deterministic_given_seed():

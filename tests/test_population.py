@@ -11,7 +11,6 @@ from peerenc import _json
 from peerenc.estimands import member_averages
 from peerenc.errors import (
     ArityMismatch,
-    EnumerationTooLarge,
     FlagMismatch,
     GenerationFailed,
     InvalidConfig,
@@ -32,8 +31,7 @@ from peerenc.population import (
     structural_value,
     validate,
 )
-from conftest import make_individual, make_population, person, population, structural, table, \
-    table_member_block
+from conftest import make_individual, make_population, person, population, structural, table
 from oracles import convert_to_tables, oracle_outcome, oracle_ybar_itt, oracle_ybar_local, \
     reference_build_population
 
@@ -264,19 +262,6 @@ def test_table_extents_of_large_blocks_do_not_overflow():
     y = mixed.outcomes(d, np.zeros_like(d))
     assert y[:, :70].tolist() == [[1.0 + 0.5 * 69] * 70] * 2
     assert y[:, 70:].tolist() == [[0.0, 1.0], [0.5, 2.0]]
-
-
-def test_enumeration_bound_is_checked_when_a_population_is_built():
-    """A block holding a table member may have at most 2^20 peer
-    assignments, whoever builds the population: 21 individuals build, 22 are
-    refused naming the block, also through Population.replace."""
-    pop = table_member_block(21)
-    assert pop.sizes == (2, 21) and pop.table.size == 2**21
-    bound = r"^block 1: 2\^21 peer assignments exceed cap 2\^20$"
-    with pytest.raises(EnumerationTooLarge, match=bound):
-        table_member_block(22)
-    with pytest.raises(EnumerationTooLarge, match=bound):
-        pop.replace(starts=[0, 1, 23], table=np.zeros(2**22))
 
 
 def _basic_cfg(**overrides) -> DgpConfig:
