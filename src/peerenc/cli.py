@@ -222,8 +222,17 @@ def cmd_estimands(args) -> int:
     return 0
 
 
+def _design(cfg: dict, pop, seed: int):
+    """The validated design of the config's mechanism pair on ``pop``, with
+    k = design.k, by default half the blocks rounded down."""
+    from .design import DesignConfig, validate_design
+
+    k = pop.n_blocks // 2 if cfg["k"] is None else cfg["k"]
+    return validate_design(DesignConfig(*cfg["pair"], k=k, seed=seed), pop)
+
+
 def cmd_simulate(args) -> int:
-    from .design import DesignConfig, run_design, validate_design
+    from .design import run_design
     from .montecarlo import check_replications, replicate
 
     cfg = _read_config(args.config, "mechanisms")
@@ -233,14 +242,11 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed, cfg, "design")
     r = 1000 if cfg["replications"] is None else cfg["replications"]
     check_replications(r, where="config mc.replications")
-    pop = load_population(args.pop)
-    k = pop.n_blocks // 2 if cfg["k"] is None else cfg["k"]
-    dcfg = DesignConfig(*cfg["pair"], k=k, seed=seed)
-    probs = validate_design(dcfg, pop)
+    design = _design(cfg, load_population(args.pop), seed)
     if args.dump_data:
         with _writing(args.dump_data):
-            run_design(pop, dcfg, probs=probs).to_csv(args.dump_data)
-    summary = replicate(pop, dcfg, r, probs=probs)
+            run_design(design).to_csv(args.dump_data)
+    summary = replicate(design, r)
     if args.format == "text":
         _emit(summary.text_table(), args.out)
     else:
@@ -249,7 +255,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .montecarlo import check_replications, verification_passes, verify_theorems
+    from .montecarlo import check_replications, replicate_values, verification_passes, \
+        verify_theorems
 
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
@@ -258,7 +265,8 @@ def cmd_verify(args) -> int:
     r = cfg["replications"] or 0
     check_replications(r, optional=True, where="config mc.replications")
     pop = load_population(args.pop)
-    report = verify_theorems(pop, *cfg["pair"], replications=r, seed=seed, k=cfg["k"])
+    values = replicate_values(_design(cfg, pop, seed), r) if r else None
+    report = verify_theorems(pop, *cfg["pair"], values=values, seed=seed)
     if args.format == "text":
         _emit(report.text_table(), args.out)
     else:

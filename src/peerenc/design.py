@@ -46,33 +46,48 @@ class DesignConfig(Record):
     seed: int
 
 
-def validate_design(cfg: DesignConfig, pop: Population) -> np.ndarray:
-    """InvalidDesign unless both arms are populated, the mechanisms differ
-    and, under either mechanism, 2 * sum(bound / min(p, 1 - p)) over the
-    individuals is finite: that bounds every inverse-probability weighted
-    block sum, arm mean and contrast of two that the estimators form.
-    Returns every individual's encouragement probability under mechanism A
-    and under B, (2, N)."""
-    b = pop.n_blocks
-    if not 1 <= cfg.k <= b - 1:
-        raise InvalidDesign(f"k={cfg.k} must leave both arms populated (1..{b - 1})")
-    mechs = (cfg.mech_a, cfg.mech_b)
-    # ArityMismatch if a vector mechanism cannot cover a block
-    probs = np.stack([unit_marginals(mech, np.diff(pop.starts)) for mech in mechs])
-    if np.array_equal(probs[0], probs[1]):
-        raise InvalidDesign(
-            f"mechanisms {cfg.mech_a.name!r} and {cfg.mech_b.name!r} give every individual "
-            "identical probabilities; the design needs a contrast"
-        )
-    for mech, p in zip(mechs, probs):
-        with np.errstate(over="ignore"):
-            total = 2 * np.sum(pop.bound / np.minimum(p, 1.0 - p))
-        if not np.isfinite(total):
+class Design(Record, eq=False):
+    """A design validated for a population. The constructor refuses
+    (InvalidDesign) a design unless both arms are populated, the mechanisms
+    differ and, under either mechanism, 2 * sum(bound / min(p, 1 - p)) over
+    the individuals is finite: that bounds every inverse-probability weighted
+    block sum, arm mean and contrast of two that the estimators form. So a
+    Design only exists validated, and ``replace`` validates again.
+
+    ``probs`` (derived, read-only) holds every individual's encouragement
+    probability under mechanism A and under B, (2, N)."""
+
+    pop: Population
+    cfg: DesignConfig
+    # derived, set by __post_init__: probs (2, N)
+
+    def __post_init__(self):
+        cfg, b = self.cfg, self.pop.n_blocks
+        if not 1 <= cfg.k <= b - 1:
+            raise InvalidDesign(f"k={cfg.k} must leave both arms populated (1..{b - 1})")
+        mechs = (cfg.mech_a, cfg.mech_b)
+        # ArityMismatch if a vector mechanism cannot cover a block
+        probs = np.stack([unit_marginals(mech, np.diff(self.pop.starts)) for mech in mechs])
+        if np.array_equal(probs[0], probs[1]):
             raise InvalidDesign(
-                f"mechanism {mech.name!r}: inverse-probability weighted outcomes overflow "
-                "(2 * sum of outcome bound / min(p, 1 - p) is not finite)"
+                f"mechanisms {cfg.mech_a.name!r} and {cfg.mech_b.name!r} give every individual "
+                "identical probabilities; the design needs a contrast"
             )
-    return probs
+        for mech, p in zip(mechs, probs):
+            with np.errstate(over="ignore"):
+                total = 2 * np.sum(self.pop.bound / np.minimum(p, 1.0 - p))
+            if not np.isfinite(total):
+                raise InvalidDesign(
+                    f"mechanism {mech.name!r}: inverse-probability weighted outcomes overflow "
+                    "(2 * sum of outcome bound / min(p, 1 - p) is not finite)"
+                )
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+
+
+def validate_design(cfg: DesignConfig, pop: Population) -> Design:
+    """The design ``cfg`` on ``pop``, validated (see ``Design``)."""
+    return Design(pop, cfg)
 
 
 class ExperimentData(Record, eq=False):
@@ -204,20 +219,18 @@ def batch_size(pop: Population) -> int:
     return max(1, BATCH_BYTES // (BYTES_PER_DRAW * pop.n_individuals))
 
 
-def draw_validated(pop: Population, cfg: DesignConfig, probs: np.ndarray, first: int,
-                   count: int) -> ExperimentData:
-    """Execute the protocol for replicates first .. first + count - 1 at once,
-    for a design that passed ``validate_design``, with ``probs`` what it
-    returned: a caller drawing many batches validates once.
+def draw_validated(design: Design, first: int, count: int) -> ExperimentData:
+    """Execute the protocol for replicates first .. first + count - 1 at once.
 
     The result carries a leading replicate axis on ``s`` (R, B) and on ``z``,
     ``d``, ``y`` and ``p_enc`` (R, N); its row r is the run of replicate
-    first + r, a deterministic function of (pop, cfg, first + r) alone: the
+    first + r, a deterministic function of (design, first + r) alone: the
     arm assignment and then every individual's encouragement uniform come
     from the replicate's own stream (see ``_streams``).
     """
     if first < 0 or count < 0:
         raise InvalidDesign(f"replicate indices {first}..{first + count - 1} must be non-negative")
+    pop, cfg = design.pop, design.cfg
     b, n = pop.n_blocks, pop.n_individuals
     sizes = np.diff(pop.starts)
     s = np.zeros((count, b), dtype=np.int8)
@@ -227,19 +240,14 @@ def draw_validated(pop: Population, cfg: DesignConfig, probs: np.ndarray, first:
         s[row, rng.permutation(b)[: cfg.k]] = 1
         uniforms[row] = rng.random(n)
     in_a = np.repeat(s, sizes, axis=1) == 1
-    p_enc = np.where(in_a, probs[0], probs[1])
+    p_enc = np.where(in_a, design.probs[0], design.probs[1])
     z = (uniforms < p_enc).astype(np.int8)
     d = np.where(z == 1, pop.d1, pop.d0).astype(np.int8)
     return ExperimentData(sizes=sizes, s=s, z=z, d=d, y=pop.outcomes(d, z), p_enc=p_enc)
 
 
-def run_design(pop: Population, cfg: DesignConfig, replicate: int = 0,
-               probs: np.ndarray | None = None) -> ExperimentData:
-    """Execute the protocol once: row ``replicate`` of ``draw_validated``.
-    The design is validated unless ``probs`` is what ``validate_design``
-    returned for it."""
-    if probs is None:
-        probs = validate_design(cfg, pop)
-    batch = draw_validated(pop, cfg, probs, replicate, 1)
+def run_design(design: Design, replicate: int = 0) -> ExperimentData:
+    """Execute the protocol once: row ``replicate`` of ``draw_validated``."""
+    batch = draw_validated(design, replicate, 1)
     return ExperimentData(sizes=batch.sizes, s=batch.s[0], z=batch.z[0], d=batch.d[0],
                           y=batch.y[0], p_enc=batch.p_enc[0])

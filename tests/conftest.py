@@ -97,20 +97,3 @@ def random_monotone_kinds(rng: np.random.Generator, n_blocks: int, size_range=(2
 def rng():
     return np.random.default_rng(20240811)
 
-
-@pytest.fixture
-def validations(monkeypatch) -> list:
-    """The list every ``validate_design`` call appends its arguments to,
-    wherever the package reads the name."""
-    from peerenc import design, montecarlo
-
-    calls = []
-    validate = design.validate_design
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return validate(*args, **kwargs)
-
-    monkeypatch.setattr(design, "validate_design", counted)
-    monkeypatch.setattr(montecarlo, "validate_design", counted)
-    return calls

@@ -159,6 +159,55 @@ def test_simulate_writes_summary_and_data(tmp_path):
     assert header == "block_id,S,unit_id,Z,D,Y"
 
 
+def _seeded_config(path, section_seeds: bool):
+    """The test config with top-level seed 44 and, when section_seeds, the
+    seeds dgp 11, design 22 and mc 33."""
+    if not section_seeds:
+        return write_config(path, seed=44, mc={"replications": 10})
+    return write_config(path, seed=44, dgp={"seed": 11}, design={"seed": 22},
+                        mc={"replications": 10, "seed": 33})
+
+
+@pytest.mark.parametrize("section_seeds, flag, want", [
+    (True, [], {"generate": 11, "simulate": 22, "verify": 33}),
+    (False, [], {"generate": 44, "simulate": 44, "verify": 44}),
+    (True, ["--seed", "55"], {"generate": 55, "simulate": 55, "verify": 55}),
+], ids=["section-seeds", "top-level-seed", "seed-flag"])
+def test_each_command_reads_its_own_seed(tmp_path, section_seeds, flag, want):
+    """generate reads dgp.seed, simulate design.seed and verify mc.seed; each
+    falls back to the top-level seed, and --seed overrides them all."""
+    cfg = _seeded_config(tmp_path / "cfg.json", section_seeds)
+    pop_path, expected = tmp_path / "pop.json", tmp_path / "expected.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path), *flag]) == 0
+    assert main(["generate", "--config", str(cfg), "--out", str(expected),
+                 "--seed", str(want["generate"])]) == 0
+    assert pop_path.read_bytes() == expected.read_bytes()
+    reports = {}
+    for command in ("simulate", "verify"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", str(cfg), "--pop", str(pop_path), "--out", str(out),
+                     *flag]) == 0
+        reports[command] = json.loads(out.read_text())
+    assert reports["simulate"]["seed"] == want["simulate"]
+    assert reports["verify"]["mc"]["seed"] == want["verify"]
+
+
+@pytest.fixture
+def validations(monkeypatch) -> list:
+    """The list every ``design.validate_design`` call appends its arguments to."""
+    from peerenc import design
+
+    calls = []
+    validate = design.validate_design
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(design, "validate_design", counted)
+    return calls
+
+
 @pytest.mark.parametrize("command, extra", [
     ("simulate", []), ("simulate", ["--dump-data", "data.csv"]), ("verify", [])])
 def test_each_command_validates_its_design_once(tmp_path, monkeypatch, validations, command,
@@ -207,6 +256,49 @@ def test_verify_defier_population_gate(tmp_path):
     assert main(["verify", "--config", str(cfg), "--pop", str(pop_path)]) == 1
     assert main(["verify", "--config", str(cfg), "--pop", str(pop_path),
                  "--expect-fail", "thm1", "thm2", "thm3"]) == 0
+
+
+@pytest.mark.parametrize("design", [{"k": 99}, {"k": 0}, {"mech_b": "phi"}],
+                         ids=["k-too-large", "k-zero", "identical-mechanisms"])
+def test_verify_without_monte_carlo_builds_no_design(tmp_path, validations, design):
+    """With mc.replications 0, verify checks the identities alone: it builds
+    no design, so neither k nor the mechanism pair's contrast is checked."""
+    cfg = write_config(tmp_path / "cfg.json", design=design, mc={"replications": 0})
+    pop_path = tmp_path / "pop.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    validations.clear()
+    assert main(["verify", "--config", str(cfg), "--pop", str(pop_path),
+                 "--out", str(tmp_path / "verify.json")]) == 0
+    assert validations == []
+
+
+def test_expect_fail_is_met_when_any_check_of_the_theorem_fails(tmp_path):
+    """On this population theorem_3[z=0] fails while its mirror z=1 passes:
+    --expect-fail thm3 is met by the one failing check, and without the flag
+    the failure gates."""
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        seed=5,
+        dgp={
+            "blocks": 6,
+            "block_size": 4,
+            "strata": {"always_taker": 0.4, "complier": 0.6, "never_taker": 0.0,
+                       "defier": 0.0},
+            "outcome": {"representation": "structural", "direct": [2.0, 1.0],
+                        "peer": [0.8, 0.3], "interaction": 0.4, "noise_sd": 0.5},
+        },
+        design={"k": 3},
+        mc={"replications": 0},
+    )
+    pop_path = tmp_path / "pop.json"
+    out = tmp_path / "verify.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    verify = ["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(out)]
+    assert main([*verify, "--expect-fail", "thm1", "thm2", "thm3"]) == 0
+    passed = {t["name"]: t["identity"]["passed"] for t in json.loads(out.read_text())["theorems"]}
+    assert passed == {"theorem_1": False, "theorem_2": False, "theorem_3[z=0]": False,
+                      "theorem_3[z=1]": True}
+    assert main([*verify, "--expect-fail", "thm1", "thm2"]) == 1
 
 
 def test_verify_text_format(tmp_path, capsys):

@@ -24,6 +24,10 @@ def _cfg(pop, k=None, seed=7, a=PHI, b=PSI):
                         seed=seed)
 
 
+def _design(pop, **kwargs):
+    return validate_design(_cfg(pop, **kwargs), pop)
+
+
 def _block(data, i) -> slice:
     return slice(int(data.starts[i]), int(data.starts[i + 1]))
 
@@ -31,26 +35,26 @@ def _block(data, i) -> slice:
 def test_exactly_k_blocks_in_arm_a():
     pop = make_population([["co", "nt"], ["co", "at"]], direct=1.0)
     for r in range(50):
-        data = run_design(pop, _cfg(pop, k=1), replicate=r)
+        data = run_design(_design(pop, k=1), replicate=r)
         assert int(data.s.sum()) == 1
 
 
 def test_invalid_design_k_range():
     pop = make_population([["co"], ["co"]])
     with pytest.raises(InvalidDesign):
-        run_design(pop, _cfg(pop, k=0))
+        _design(pop, k=0)
     with pytest.raises(InvalidDesign):
-        run_design(pop, _cfg(pop, k=2))
+        _design(pop, k=2)
 
 
 def test_invalid_design_identical_mechanisms():
     pop = make_population([["co"], ["co"]])
     same = Mechanism("phi2", 0.8)
     with pytest.raises(InvalidDesign):
-        run_design(pop, _cfg(pop, k=1, a=PHI, b=same))
+        _design(pop, k=1, a=PHI, b=same)
     broadcast_same = Mechanism("vec", (0.8,))
     with pytest.raises(InvalidDesign):
-        run_design(pop, _cfg(pop, k=1, a=PHI, b=broadcast_same))
+        _design(pop, k=1, a=PHI, b=broadcast_same)
 
 
 @pytest.mark.parametrize("mech_b, identical", [
@@ -67,19 +71,41 @@ def test_validate_design_needs_a_contrast(mech_b, identical):
         with pytest.raises(InvalidDesign, match="identical probabilities"):
             validate_design(cfg, pop)
     else:
-        assert validate_design(cfg, pop).shape == (2, 6)
+        assert validate_design(cfg, pop).probs.shape == (2, 6)
+
+
+def test_a_design_cannot_be_forged_or_mutated():
+    """A Design exists only validated: its probabilities are read-only and
+    ``replace`` runs the constructor's checks again."""
+    pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
+    design = _design(pop, k=1)
+    before = run_design(design, replicate=3)
+    with pytest.raises(ValueError, match="read-only"):
+        design.probs[0] = 1.0
+    with pytest.raises(AttributeError):
+        design.probs = np.ones((2, 6))
+    for k in (0, 3):
+        with pytest.raises(InvalidDesign, match=f"k={k} must leave both arms populated"):
+            design.replace(cfg=design.cfg.replace(k=k))
+    with pytest.raises(InvalidDesign, match="identical probabilities"):
+        design.replace(cfg=design.cfg.replace(mech_b=Mechanism("phi2", 0.8)))
+    after = run_design(design, replicate=3)
+    assert np.array_equal(before.p_enc, after.p_enc) and np.array_equal(before.z, after.z)
+    moved = design.replace(cfg=design.cfg.replace(k=2))
+    assert moved.cfg.k == 2 and np.array_equal(moved.probs, design.probs)
+    assert not moved.probs.flags.writeable
 
 
 def test_vector_mechanism_arity_checked():
     pop = make_population([["co", "nt", "at"], ["co", "co", "nt"]])
     bad = Mechanism("vec", (0.5, 0.6))
     with pytest.raises(ArityMismatch):
-        run_design(pop, _cfg(pop, k=1, a=bad))
+        _design(pop, k=1, a=bad)
 
 
 def test_realized_treatments_follow_potential_treatments(rng):
     pop, a, b = varying_effect_monotone(rng)
-    data = run_design(pop, _cfg(pop, a=a, b=b), replicate=3)
+    data = run_design(_design(pop, a=a, b=b), replicate=3)
     for u in range(pop.n_individuals):
         z = int(data.z[u])
         assert int(data.d[u]) == (pop.d1[u] if z else pop.d0[u])
@@ -88,7 +114,7 @@ def test_realized_treatments_follow_potential_treatments(rng):
 def test_realized_outcomes_evaluate_potential_outcomes(rng):
     pop, a, b = varying_effect_monotone(rng)
     pop = convert_to_tables(pop)
-    data = run_design(pop, _cfg(pop, a=a, b=b), replicate=1)
+    data = run_design(_design(pop, a=a, b=b), replicate=1)
     for i in range(pop.n_blocks):
         sl = _block(data, i)
         d_vec = data.d[sl]
@@ -123,7 +149,7 @@ def test_mixed_block_matches_oracles(rng):
                     assert avg.local[v][u] == pytest.approx(
                         oracle_ybar_local(pop, i, j, v, mech), rel=1e-12, abs=1e-12)
     for r in range(8):
-        data = run_design(pop, _cfg(pop, k=1, a=a, b=b), replicate=r)
+        data = run_design(_design(pop, k=1, a=a, b=b), replicate=r)
         for i in range(2):
             sl = _block(data, i)
             for j in range(3):
@@ -136,7 +162,7 @@ def test_realized_structural_outcomes_evaluate_value_exactly(rng):
              for n in (1, 3, 5, 6, 9, 12, 16)]
     pop = make_population(kinds, rng=rng)
     for r in range(5):
-        data = run_design(pop, _cfg(pop), replicate=r)
+        data = run_design(_design(pop), replicate=r)
         for i in range(pop.n_blocks):
             sl = _block(data, i)
             k_total = int(data.d[sl].sum())
@@ -149,19 +175,19 @@ def test_realized_structural_outcomes_evaluate_value_exactly(rng):
 def test_all_never_takers_untreated_whatever_z():
     pop = make_population([["nt"] * 3, ["nt"] * 3], direct=5.0, peer=2.0, intercept=1.0)
     for r in range(10):
-        data = run_design(pop, _cfg(pop, k=1), replicate=r)
+        data = run_design(_design(pop, k=1), replicate=r)
         assert not data.d.any()
         assert np.allclose(data.y, 1.0)
 
 
 def test_reproducible_bit_identical(rng):
     pop, a, b = varying_effect_monotone(rng)
-    cfg = _cfg(pop, a=a, b=b, seed=123)
-    d1 = run_design(pop, cfg, replicate=5)
-    d2 = run_design(pop, cfg, replicate=5)
+    design = _design(pop, a=a, b=b, seed=123)
+    d1 = run_design(design, replicate=5)
+    d2 = run_design(design, replicate=5)
     for name in ("sizes", "s", "z", "d", "y", "p_enc"):
         assert np.array_equal(getattr(d1, name), getattr(d2, name))
-    d3 = run_design(pop, cfg, replicate=6)
+    d3 = run_design(design, replicate=6)
     assert not np.array_equal(d1.z, d3.z)
 
 
@@ -175,30 +201,30 @@ def test_stream_layout_v2_golden_vectors(replicate, s, z):
     releases; if this fails while the reference-loop tests pass, numpy moved
     them and every simulate/verify number moved with it."""
     pop = make_population([["co"] * 4, ["co"] * 5, ["co"] * 6])
-    data = run_design(pop, _cfg(pop, k=1, seed=2**70 + 3), replicate=replicate)
+    data = run_design(_design(pop, k=1, seed=2**70 + 3), replicate=replicate)
     assert data.s.tolist() == s
     assert data.z.tolist() == z
 
 
 def test_arm_assignment_exchangeable():
     pop = make_population([["co", "nt"]] * 5, direct=1.0)
-    cfg = _cfg(pop, k=2, seed=11)
+    design = _design(pop, k=2, seed=11)
     runs = 4000
     hits = np.zeros(pop.n_blocks)
     for r in range(runs):
-        hits += run_design(pop, cfg, replicate=r).s
-    target = cfg.k / pop.n_blocks
+        hits += run_design(design, replicate=r).s
+    target = design.cfg.k / pop.n_blocks
     se = math.sqrt(target * (1 - target) / runs)
     assert np.all(np.abs(hits / runs - target) <= 3 * se)
 
 
 def test_encouragement_rate_matches_mechanism():
     pop = make_population([["co"] * 30] * 10, direct=1.0)
-    cfg = _cfg(pop, k=5, seed=2)
+    design = _design(pop, k=5, seed=2)
     z_a = []
     z_b = []
     for r in range(30):
-        data = run_design(pop, cfg, replicate=r)
+        data = run_design(design, replicate=r)
         for i in range(pop.n_blocks):
             sl = _block(data, i)
             (z_a if data.s[i] == 1 else z_b).append(np.asarray(data.z[sl]))
@@ -217,22 +243,23 @@ def test_encouragements_ignore_potential_outcomes(rng):
             ind["outcome"] = y
     permuted = population_from_dict(data)
     cfg = _cfg(pop, a=a, b=b, seed=77)
+    designs = validate_design(cfg, pop), validate_design(cfg, permuted)
     for r in range(5):
-        original = run_design(pop, cfg, replicate=r)
-        shuffled = run_design(permuted, cfg, replicate=r)
+        original, shuffled = (run_design(design, replicate=r) for design in designs)
         assert np.array_equal(original.z, shuffled.z)
         assert np.array_equal(original.s, shuffled.s)
 
 
-def _vector_counts(pop, cfg, replications, block=0) -> np.ndarray:
+def _vector_counts(design, replications, block=0) -> np.ndarray:
     """How often each encouragement vector of one block was drawn, by the arm
     the block received: row 1 counts arm A, row 0 arm B; column r is the
     bit-packed vector r, in the order of ``assignment_probs``."""
+    pop = design.pop
     members = slice(int(pop.starts[block]), int(pop.starts[block + 1]))
     counts = np.zeros((2, 2 ** pop.sizes[block]), dtype=np.int64)
-    step, probs = batch_size(pop), validate_design(cfg, pop)
+    step = batch_size(pop)
     for first in range(0, replications, step):
-        data = draw_validated(pop, cfg, probs, first, min(step, replications - first))
+        data = draw_validated(design, first, min(step, replications - first))
         np.add.at(counts, (data.s[:, block], pack_rows(data.z[:, members])), 1)
     return counts
 
@@ -241,7 +268,7 @@ def test_design_prob_check_fair_coin():
     pop = make_population([["co", "nt"], ["co", "at"]], direct=1.0)
     cfg = DesignConfig(mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.35),
                        k=1, seed=5)
-    counts = _vector_counts(pop, cfg, replications=20_000)
+    counts = _vector_counts(validate_design(cfg, pop), replications=20_000)
     assert counts.sum() == 20_000
     runs = int(counts[1].sum())
     expected = assignment_probs(cfg.mech_a, 2)
@@ -254,7 +281,7 @@ def test_design_prob_check_fair_coin():
 def test_design_prob_check_single_individual():
     pop = make_population([["co"], ["co"]], direct=1.0)
     cfg = DesignConfig(mech_a=Mechanism("a", 0.3), mech_b=Mechanism("b", 0.6), k=1, seed=9)
-    counts = _vector_counts(pop, cfg, replications=10_000)
+    counts = _vector_counts(validate_design(cfg, pop), replications=10_000)
     runs = int(counts[1].sum())
     assert assignment_probs(cfg.mech_a, 1)[1] == 0.3
     se = math.sqrt(0.3 * 0.7 / runs)
@@ -263,7 +290,7 @@ def test_design_prob_check_single_individual():
 
 def test_csv_round_trip(tmp_path, rng):
     pop, a, b = varying_effect_monotone(rng)
-    data = run_design(pop, _cfg(pop, a=a, b=b), replicate=2)
+    data = run_design(_design(pop, a=a, b=b), replicate=2)
     path = tmp_path / "data.csv"
     data.to_csv(path)
     loaded = ExperimentData.from_csv(path, a, b)

@@ -115,9 +115,9 @@ def test_single_block_arm_equals_block_value():
 
 def test_constant_zero_outcomes_give_exact_zero_estimates():
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]], intercept=0.0)
-    cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=1, seed=3)
+    design = validate_design(DesignConfig(mech_a=PHI, mech_b=PSI, k=1, seed=3), pop)
     for r in range(5):
-        battery = estimator_battery(run_design(pop, cfg, replicate=r))
+        battery = estimator_battery(run_design(design, replicate=r))
         assert battery["ditt_hat_a"] == 0.0
         assert battery["pitt_hat_1"] == 0.0
 
@@ -158,8 +158,9 @@ def test_et_hat_all_blocks_undefined():
 
 def test_ratio_estimators_guard_zero_uptake():
     pop = make_population([["nt"] * 8, ["nt"] * 8], intercept=1.0)
-    cfg = DesignConfig(mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.3), k=1, seed=1)
-    data = run_design(pop, cfg, replicate=0)
+    design = validate_design(DesignConfig(mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.3),
+                                          k=1, seed=1), pop)
+    data = run_design(design, replicate=0)
     report = estimate_report(data)
     assert report.et_hat == 0.0
     assert report.ldt_hat is None and report.lpt_diff_hat is None
@@ -171,10 +172,10 @@ def test_ratio_estimators_guard_zero_uptake():
 
 def test_all_complier_realizations_ldt_equals_ditt(rng):
     pop = make_population([["co"] * 4] * 4, rng=rng)
-    cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=21)
+    design = validate_design(DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=21), pop)
     checked = 0
     for r in range(20):
-        data = run_design(pop, cfg, replicate=r)
+        data = run_design(design, replicate=r)
         try:
             report = estimate_report(data)
         except AllBlocksUndefined:
@@ -187,8 +188,8 @@ def test_all_complier_realizations_ldt_equals_ditt(rng):
 
 def test_outcome_scaling_linearity(rng):
     pop, a, b = varying_effect_monotone(rng)
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=10)
-    data = run_design(pop, cfg, replicate=0)
+    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=10), pop)
+    data = run_design(design, replicate=0)
     scaled = ExperimentData(
         sizes=data.sizes, s=data.s, z=data.z, d=data.d, y=data.y * 2.0, p_enc=data.p_enc,
     )
@@ -202,8 +203,8 @@ def test_outcome_scaling_linearity(rng):
 
 def test_mechanism_relabel_negates_pitt(rng):
     pop, a, b = varying_effect_monotone(rng)
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=2, seed=14)
-    data = run_design(pop, cfg, replicate=0)
+    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=2, seed=14), pop)
+    data = run_design(design, replicate=0)
     relabeled = ExperimentData(
         sizes=data.sizes, s=(1 - data.s).astype(np.int8),
         z=data.z, d=data.d, y=data.y, p_enc=data.p_enc,
@@ -215,8 +216,8 @@ def test_mechanism_relabel_negates_pitt(rng):
 
 def test_estimate_report_contents(rng):
     pop, a, b = varying_effect_monotone(rng, b_range=(4, 6), n_range=(2, 4))
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=2, seed=8)
-    data = run_design(pop, cfg, replicate=0)
+    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=2, seed=8), pop)
+    data = run_design(design, replicate=0)
     report = estimate_report(data)
     assert report.arm_sizes == (2, pop.n_blocks - 2)
     assert report.ldt_hat == pytest.approx(report.ditt_hat_a / report.et_hat)
@@ -235,10 +236,10 @@ def test_battery_bitwise_matches_individual_estimators(rng):
     batch, bitwise: one kernel with one arithmetic serves all three."""
     for r in range(8):
         pop, a, b = varying_effect_monotone(rng, b_range=(3, 6), n_range=(2, 5))
-        cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=51)
-        data = run_design(pop, cfg, replicate=r)
+        design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=51), pop)
+        data = run_design(design, replicate=r)
         battery = estimator_battery(data)
-        batch = estimator_battery(draw_validated(pop, cfg, validate_design(cfg, pop), r, 1))
+        batch = estimator_battery(draw_validated(design, r, 1))
         for name, value in battery.items():
             assert np.array_equal(batch[name], [value], equal_nan=True), name
         try:
@@ -256,8 +257,8 @@ def test_battery_bitwise_matches_individual_estimators(rng):
 
 def test_estimate_report_from_ingested_csv(tmp_path, rng):
     pop, a, b = varying_effect_monotone(rng)
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=30)
-    data = run_design(pop, cfg, replicate=4)
+    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=30), pop)
+    data = run_design(design, replicate=4)
     path = tmp_path / "run.csv"
     data.to_csv(path)
     loaded = ExperimentData.from_csv(path, a, b)
@@ -266,8 +267,8 @@ def test_estimate_report_from_ingested_csv(tmp_path, rng):
 
 def test_estimate_report_csv_export(rng):
     pop, a, b = varying_effect_monotone(rng)
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=12)
-    report = estimate_report(run_design(pop, cfg, replicate=0))
+    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=12), pop)
+    report = estimate_report(run_design(design, replicate=0))
     lines = report.to_csv().splitlines()
     assert lines[0] == "field,value"
     fields = {line.split(",", 1)[0] for line in lines[1:]}
@@ -315,5 +316,5 @@ def test_battery_matches_loop_oracle_on_design_realizations(rng):
     for r in range(20):
         fuzzer = equal_effect_monotone if r % 2 else varying_effect_monotone
         pop, a, b = fuzzer(rng, b_range=(2, 8), n_range=(1, 6))
-        cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=60 + r)
-        _assert_battery_matches_oracle(run_design(pop, cfg, replicate=r))
+        design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=60 + r), pop)
+        _assert_battery_matches_oracle(run_design(design, replicate=r))

@@ -22,11 +22,10 @@ def protocol_draws(mech: Mechanism, n: int, draws: int, seed: int) -> np.ndarray
     from the protocol's batched draws: 40 blocks, 20 of them in mech's arm."""
     pop = make_population([["co"] * n] * 40)
     other = Mechanism("other", 0.5 if mech.marginals(n)[0] != 0.5 else 0.3)
-    cfg = DesignConfig(mech_a=mech, mech_b=other, k=20, seed=seed)
+    design = validate_design(DesignConfig(mech_a=mech, mech_b=other, k=20, seed=seed), pop)
     reps, step, out = -(-draws // 20), batch_size(pop), []
-    probs = validate_design(cfg, pop)
     for first in range(0, reps, step):
-        data = draw_validated(pop, cfg, probs, first, min(step, reps - first))
+        data = draw_validated(design, first, min(step, reps - first))
         out.append(data.z.reshape(-1, 40, n)[data.s == 1])
     return np.concatenate(out)[:draws]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from peerenc import design
-from peerenc.design import DesignConfig
+from peerenc.design import DesignConfig, validate_design
 from peerenc.errors import InvalidConfig, InvalidDesign
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import (
@@ -30,9 +30,20 @@ def _cfg(pop, seed=5, k=None):
     return DesignConfig(mech_a=PHI, mech_b=PSI, k=k or max(1, pop.n_blocks // 2), seed=seed)
 
 
+def _design(pop, seed=5, k=None):
+    return validate_design(_cfg(pop, seed, k), pop)
+
+
+def _verify(pop, a, b, replications, seed, k=None):
+    """verify_theorems with the Monte Carlo run the CLI hands it."""
+    k = pop.n_blocks // 2 if k is None else k
+    design = validate_design(DesignConfig(a, b, k=k, seed=seed), pop)
+    return verify_theorems(pop, a, b, values=replicate_values(design, replications), seed=seed)
+
+
 def test_constant_zero_outcomes_degenerate_summary():
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]], intercept=0.0)
-    summary = replicate(pop, _cfg(pop), replications=50)
+    summary = replicate(_design(pop), replications=50)
     ditt = summary.get("ditt_hat_a")
     assert ditt.mean == 0.0
     assert ditt.sd == 0.0
@@ -43,17 +54,18 @@ def test_constant_zero_outcomes_degenerate_summary():
 def test_same_seed_identical_bytes(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(3, 4), n_range=(2, 4))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=17)
-    s1 = replicate(pop, cfg, replications=40)
-    s2 = replicate(pop, cfg, replications=40)
+    s1 = replicate(validate_design(cfg, pop), replications=40)
+    s2 = replicate(validate_design(cfg, pop), replications=40)
     assert s1.to_json().encode() == s2.to_json().encode()
 
 
 def test_split_halves_pool_exactly(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=31)
-    full = replicate_values(pop, cfg, 40)
-    first = replicate_values(pop, cfg, 20, first_replicate=0)
-    second = replicate_values(pop, cfg, 20, first_replicate=20)
+    design = validate_design(cfg, pop)
+    full = replicate_values(design, 40)
+    first = replicate_values(design, 20, first_replicate=0)
+    second = replicate_values(design, 20, first_replicate=20)
     pooled = np.vstack([first, second])
     assert np.array_equal(full, pooled, equal_nan=True)
     col = ESTIMATOR_NAMES.index("ditt_hat_a")
@@ -102,7 +114,7 @@ def test_batched_replicates_match_the_per_replicate_loop_bitwise(name, monkeypat
     pop, cfg = _batch_populations()[name]
     monkeypatch.setattr(design, "BATCH_BYTES", 7 * design.BYTES_PER_DRAW * pop.n_individuals)
     assert design.batch_size(pop) == 7
-    got = replicate_values(pop, cfg, 30, first_replicate=11)
+    got = replicate_values(validate_design(cfg, pop), 30, first_replicate=11)
     want = reference_replicate_values(pop, cfg, ESTIMATOR_NAMES, 30, first=11)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(got, want, equal_nan=True)
@@ -114,39 +126,26 @@ def test_replication_bounds_are_checked_before_any_work():
     pop = make_population([["co"], ["co"]])
     for bad in (-1, 1, MAX_REPLICATIONS + 1, 10**15):
         with pytest.raises(InvalidConfig):
-            replicate_values(pop, _cfg(pop, k=1), bad)
+            replicate_values(_design(pop, k=1), bad)
     # any non-negative replicate index addresses a stream, 2^32 and beyond too
-    big = replicate_values(pop, _cfg(pop, k=1), 2, first_replicate=2**32)
+    big = replicate_values(_design(pop, k=1), 2, first_replicate=2**32)
     want = reference_replicate_values(pop, _cfg(pop, k=1), ESTIMATOR_NAMES, 2, first=2**32)
     assert np.array_equal(big, want, equal_nan=True)
     with pytest.raises(InvalidDesign):
-        replicate_values(pop, _cfg(pop, k=1), 2, first_replicate=-1)
+        replicate_values(_design(pop, k=1), 2, first_replicate=-1)
 
 
 def test_replication_bounds_are_checked_before_the_exact_kernels(monkeypatch):
-    from peerenc import estimands, montecarlo
+    from peerenc import montecarlo
 
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
-    calls = []
-    kernel = estimands.member_averages
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(estimands, "member_averages", counted)
-    monkeypatch.setattr(montecarlo, "member_averages", counted)
-    for bad in (-5, 1, MAX_REPLICATIONS + 1):
-        with pytest.raises(InvalidConfig):
-            verify_theorems(pop, PHI, PSI, replications=bad)
-    assert calls == []
 
     def no_targets(*args, **kwargs):
         raise AssertionError("exact_targets ran before the replication count was checked")
 
     monkeypatch.setattr(montecarlo, "exact_targets", no_targets)
     with pytest.raises(InvalidConfig):
-        replicate(pop, _cfg(pop, k=1), MAX_REPLICATIONS + 1)
+        replicate(_design(pop, k=1), MAX_REPLICATIONS + 1)
 
 
 def _exact_design(outcome: dict):
@@ -186,7 +185,8 @@ def test_replicates_follow_the_exact_design_distribution():
     pop, a, b = _exact_design({"representation": "structural"})
     realizations = list(exact_design_distribution(pop, a, b, k=2))
     w = np.array([w for w, _ in realizations])
-    values = replicate_values(pop, DesignConfig(mech_a=a, mech_b=b, k=2, seed=1), 20_000)
+    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=2, seed=1), pop)
+    values = replicate_values(design, 20_000)
     for name, drawn in zip(ESTIMATOR_NAMES, values.T):
         exact = np.array([battery[name] for _, battery in realizations])
         defined = np.isfinite(exact)
@@ -204,7 +204,7 @@ def test_replicates_follow_the_exact_design_distribution():
 def test_undefined_replicates_counted_not_fatal():
     # single-individual blocks: the uptake ratio is undefined every replicate
     pop = make_population([["co"], ["co"], ["co"]], direct=1.0)
-    summary = replicate(pop, _cfg(pop, k=1), replications=25)
+    summary = replicate(_design(pop, k=1), replications=25)
     et = summary.get("et_hat")
     assert et.n_undefined == 25
     assert et.n_defined == 0
@@ -217,7 +217,7 @@ def test_loose_standardized_bias_gate(rng):
     standardized bias behaves like |N(0,1)| at any replication count."""
     pop, a, b = equal_effect_monotone(rng, b_range=(8, 8), n_range=(4, 4))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=4, seed=41)
-    summary = replicate(pop, cfg, replications=3000)
+    summary = replicate(validate_design(cfg, pop), replications=3000)
     for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "lpt0_hat"):
         s = summary.get(name)
         assert s.std_bias is not None and s.std_bias <= 4.0, (name, s.std_bias)
@@ -229,7 +229,7 @@ def test_et_hat_unbiased_under_scalar_mechanisms():
     heterogeneous probabilities leave it only consistent, not unbiased."""
     pop = make_population([["co", "co", "at", "nt"]] * 8, direct=1.0)
     cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=4, seed=6)
-    summary = replicate(pop, cfg, replications=3000)
+    summary = replicate(validate_design(cfg, pop), replications=3000)
     s = summary.get("et_hat")
     assert s.target == 0.5
     assert s.std_bias <= 4.0
@@ -239,7 +239,7 @@ def test_no_interference_peer_estimator_centered_at_zero(rng):
     pop = make_population([["co", "nt", "co"]] * 8, rng=rng,
                           peer=0.0, interaction=0.0, curvature=0.0)
     cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=4, seed=19)
-    summary = replicate(pop, cfg, replications=1500)
+    summary = replicate(validate_design(cfg, pop), replications=1500)
     for name in ("pitt_hat_1", "pitt_hat_0"):
         s = summary.get(name)
         assert abs(s.target) <= 1e-12
@@ -263,20 +263,20 @@ def test_replication_floor():
 
     pop = make_population([["co"], ["co"]])
     with pytest.raises(InvalidConfig):
-        replicate(pop, _cfg(pop, k=1), replications=1)
+        replicate(_design(pop, k=1), replications=1)
 
 
 def test_mc_summary_text_table(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=2)
-    table = replicate(pop, cfg, replications=20).text_table()
+    table = replicate(validate_design(cfg, pop), replications=20).text_table()
     assert "ditt_hat_a" in table and "std_bias" in table
 
 
 def test_verify_theorems_all_pass_on_one_sided_equal_effects(rng):
     pop, a, b = one_sided_population(rng, b_range=(6, 8), n_range=(3, 5),
                                      equal_effect=True)
-    report = verify_theorems(pop, a, b, replications=400, seed=9)
+    report = _verify(pop, a, b, replications=400, seed=9)
     t1 = report.get("theorem_1")
     t2 = report.get("theorem_2")
     t3 = report.get("theorem_3[z=0]")
@@ -350,9 +350,9 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
 
     monkeypatch.setattr(estimands, "member_averages", counted)
     monkeypatch.setattr(montecarlo, "member_averages", counted)
-    for replications in (0, 20):
+    for values in (None, replicate_values(_design(pop, seed=3), 20)):
         calls.clear()
-        report = verify_theorems(pop, PHI, PSI, replications=replications, seed=3)
+        report = verify_theorems(pop, PHI, PSI, values=values, seed=3)
         assert calls == [PHI, PSI]
     assert [t.name for t in report.theorems] == [
         "theorem_1", "theorem_2", "theorem_3[z=0]", "theorem_3[z=1]"]
@@ -365,28 +365,40 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
                 == estimands.theorem_3_check(a, b, z=z).to_json())
 
 
-def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch, validations):
-    """replicate validates the design once, not once per batch or per layer:
-    one batch and five batches make one call each."""
+def _counted_designs(monkeypatch) -> list:
+    """The list every Design construction appends its config to."""
+    built = []
+    check = design.Design.__post_init__
+
+    def counted(self):
+        built.append(self.cfg)
+        check(self)
+
+    monkeypatch.setattr(design.Design, "__post_init__", counted)
+    return built
+
+
+def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch):
+    """The design is validated once, when it is built: replicate draws one
+    batch or five, and computes the exact targets, without validating it again."""
     pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
-    cfg = DesignConfig(PHI, PSI, k=1, seed=4)
     monkeypatch.setattr(design, "BATCH_BYTES", 4 * design.BYTES_PER_DRAW * pop.n_individuals)
+    built = _counted_designs(monkeypatch)
+    run = validate_design(DesignConfig(PHI, PSI, k=1, seed=4), pop)
     for batches in (1, 5):
-        validations.clear()
-        replicate(pop, cfg, 4 * batches)
-        assert len(validations) == 1, batches
-    validations.clear()
-    replicate(pop, cfg, 4)  # the exact targets do not validate again
-    assert len(validations) == 1
+        replicate(run, 4 * batches)
+    assert built == [run.cfg]
 
 
-def test_verify_with_monte_carlo_validates_its_design_once(validations):
+def test_verify_theorems_builds_no_design(monkeypatch):
+    """verify_theorems summarizes the replicate values it is handed; with
+    them or without, it builds and validates no design."""
     pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
-    verify_theorems(pop, PHI, PSI, replications=10, seed=3, k=1)
-    assert len(validations) == 1
-    validations.clear()
-    verify_theorems(pop, PHI, PSI)  # no Monte Carlo, no design
-    assert validations == []
+    values = replicate_values(_design(pop, seed=3, k=1), 10)
+    built = _counted_designs(monkeypatch)
+    assert verify_theorems(pop, PHI, PSI, values=values, seed=3).mc.replications == 10
+    assert verify_theorems(pop, PHI, PSI).mc is None
+    assert built == []
 
 
 def test_verify_theorems_degenerate_uptake():
@@ -422,8 +434,9 @@ def test_verify_theorems_exclusion_violation_flagged():
     (0, r"k=0 must leave both arms populated \(1\.\.2\)"),
 ], ids=["k-too-large", "k-zero"])
 def test_an_invalid_design_is_refused_before_any_kernel_work(monkeypatch, run, k, message):
-    """replicate and verify_theorems validate the design before the exact
-    engine runs: an InvalidDesign is raised and no kernel is evaluated."""
+    """A design is validated when it is built, so neither replicate nor the
+    Monte Carlo run verify_theorems is handed reaches the exact engine with
+    an invalid one: an InvalidDesign is raised and no kernel is evaluated."""
     from peerenc import montecarlo
 
     def no_kernel(*args, **kwargs):
@@ -433,6 +446,6 @@ def test_an_invalid_design_is_refused_before_any_kernel_work(monkeypatch, run, k
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
     with pytest.raises(InvalidDesign, match=message):
         if run == "replicate":
-            replicate(pop, DesignConfig(mech_a=PHI, mech_b=PSI, k=k, seed=1), replications=10)
+            replicate(validate_design(DesignConfig(PHI, PSI, k=k, seed=1), pop), replications=10)
         else:
-            verify_theorems(pop, PHI, PSI, replications=10, seed=1, k=k)
+            _verify(pop, PHI, PSI, replications=10, seed=1, k=k)

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from peerenc._report import JsonReport, Record
-from peerenc.design import DesignConfig, ExperimentData, run_design
+from peerenc.design import Design, DesignConfig, ExperimentData, run_design, validate_design
 from peerenc.estimands import BlockSummary, EstimandReport, IdentityReport, MemberAverages, \
     compute_estimand_report, et, member_averages, theorem_1_check
 from peerenc.errors import PeerEncError
 from peerenc.estimators import EstimateReport, estimate_report
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import EstimatorSummary, McSummary, TheoremVerification, \
-    VerificationReport, verify_theorems
+    VerificationReport, replicate_values, verify_theorems
 from peerenc.population import DgpConfig, OutcomeConfig, Population, ValidationReport, validate
 from conftest import make_population
 
@@ -26,7 +26,7 @@ VALUE_RECORDS = (Mechanism, OutcomeConfig, DgpConfig, DesignConfig, EstimateRepo
                  EstimatorSummary, McSummary, TheoremVerification, VerificationReport,
                  EstimandReport)
 ARRAY_HOLDERS = (Population, ValidationReport, MemberAverages, BlockSummary, IdentityReport,
-                 ExperimentData)
+                 ExperimentData, Design)
 
 
 def _records() -> dict:
@@ -34,12 +34,13 @@ def _records() -> dict:
     pop = make_population([["co", "nt"], ["at", "co"], ["co", "co"], ["nt", "co"]],
                           direct=2.0, peer=0.5)
     cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=3)
-    data = run_design(pop, cfg)
-    verification = verify_theorems(pop, PHI, PSI, replications=4, seed=3)
+    design = validate_design(cfg, pop)
+    data = run_design(design)
+    verification = verify_theorems(pop, PHI, PSI, values=replicate_values(design, 4), seed=3)
     found = [pop, validate(pop), OutcomeConfig(direct=(1.0, 0.5)),
              DgpConfig(blocks=4, block_size=(2, 3), strata=(0.0, 1.0, 0.0, 0.0)), PHI, cfg,
              member_averages(pop, PHI), et(pop), theorem_1_check(member_averages(pop, PSI)),
-             compute_estimand_report(pop, PHI, PSI), data, estimate_report(data),
+             compute_estimand_report(pop, PHI, PSI), design, data, estimate_report(data),
              verification.mc.estimators[0], verification.mc, verification.theorems[0],
              verification]
     return {type(r): r for r in found}
