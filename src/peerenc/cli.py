@@ -255,8 +255,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .montecarlo import check_replications, replicate_values, verification_passes, \
-        verify_theorems
+    from .montecarlo import check_replications, replicate, verification_passes, verify_theorems
 
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out")
@@ -265,8 +264,10 @@ def cmd_verify(args) -> int:
     r = cfg["replications"] or 0
     check_replications(r, optional=True, where="config mc.replications")
     pop = load_population(args.pop)
-    values = replicate_values(_design(cfg, pop, seed), r) if r else None
-    report = verify_theorems(pop, *cfg["pair"], values=values, seed=seed)
+    design = _design(cfg, pop, seed) if r else None
+    report = verify_theorems(pop, *cfg["pair"])
+    if design is not None:
+        report = report.replace(mc=replicate(design, r, report.targets))
     if args.format == "text":
         _emit(report.text_table(), args.out)
     else:

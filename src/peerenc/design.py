@@ -37,6 +37,17 @@ BATCH_BYTES = 2 << 20
 BYTES_PER_DRAW = 160
 
 
+def _check_weighted(magnitude: np.ndarray, p: np.ndarray, error, where: str, what: str):
+    """``error`` naming ``where`` unless 2 * sum(magnitude / min(p, 1 - p))
+    is finite: it bounds every inverse-probability weighted block sum, arm
+    mean and contrast of two that the estimators form."""
+    with np.errstate(over="ignore"):
+        total = 2 * np.sum(magnitude / np.minimum(p, 1.0 - p))
+    if not np.isfinite(total):
+        raise error(f"{where}: inverse-probability weighted outcomes overflow "
+                    f"(2 * sum of {what} / min(p, 1 - p) is not finite)")
+
+
 class DesignConfig(Record):
     """Two encouragement mechanisms, an arm size, and the master seed."""
 
@@ -49,10 +60,9 @@ class DesignConfig(Record):
 class Design(Record, eq=False):
     """A design validated for a population. The constructor refuses
     (InvalidDesign) a design unless both arms are populated, the mechanisms
-    differ and, under either mechanism, 2 * sum(bound / min(p, 1 - p)) over
-    the individuals is finite: that bounds every inverse-probability weighted
-    block sum, arm mean and contrast of two that the estimators form. So a
-    Design only exists validated, and ``replace`` validates again.
+    differ and, under either mechanism, ``_check_weighted`` passes the
+    individuals' outcome bounds. So a Design only exists validated, and
+    ``replace`` validates again.
 
     ``probs`` (derived, read-only) holds every individual's encouragement
     probability under mechanism A and under B, (2, N)."""
@@ -74,13 +84,8 @@ class Design(Record, eq=False):
                 "identical probabilities; the design needs a contrast"
             )
         for mech, p in zip(mechs, probs):
-            with np.errstate(over="ignore"):
-                total = 2 * np.sum(self.pop.bound / np.minimum(p, 1.0 - p))
-            if not np.isfinite(total):
-                raise InvalidDesign(
-                    f"mechanism {mech.name!r}: inverse-probability weighted outcomes overflow "
-                    "(2 * sum of outcome bound / min(p, 1 - p) is not finite)"
-                )
+            _check_weighted(self.pop.bound, p, InvalidDesign, f"mechanism {mech.name!r}",
+                            "outcome bound")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -134,8 +139,9 @@ class ExperimentData(Record, eq=False):
     def from_csv(path, mech_a: Mechanism, mech_b: Mechanism) -> "ExperimentData":
         """Ingest externally collected data; the mechanisms supply the design
         probabilities that the inverse-probability estimators require.
-        Raises InvalidData unless the file holds one complete run: block ids
-        0..B-1, and in each block of n rows the unit ids 0..n-1."""
+        Raises InvalidData unless the file holds one complete run (block ids
+        0..B-1, and in each block of n rows the unit ids 0..n-1) whose
+        outcomes pass ``_check_weighted`` under their design probabilities."""
         try:
             rows = _read_csv_rows(path)
         except OSError as exc:  # missing, a directory, unreadable
@@ -179,6 +185,7 @@ class ExperimentData(Record, eq=False):
                 p_enc[starts[i]:starts[i + 1]] = mech.marginals(int(sizes[i]))
             except ArityMismatch as exc:
                 raise InvalidData(f"{path}: block {i}: {exc}") from None
+        _check_weighted(np.abs(y), p_enc, InvalidData, str(path), "|Y|")
         return ExperimentData(sizes=sizes, s=s, z=z, d=d, y=y, p_enc=p_enc)
 
 

@@ -1,5 +1,6 @@
-"""Replication engine: estimator distributions vs exact targets, and
-packaged verification of the identification identities.
+"""Replication engine: ``replicate`` is the one Monte Carlo summary, of the
+estimators on the replicates its design draws against their targets, and
+``verify_theorems`` checks the identification identities exactly.
 
 Each replicate draws its randomness from one stream addressed by the
 replicate index, so its values do not depend on which replicates ran before it;
@@ -153,15 +154,15 @@ def _summarize_column(name: str, col: np.ndarray, target: float | None) -> Estim
     return EstimatorSummary(name, mean, sd, mcse, target, std_bias, n_def, n_undef)
 
 
-def replicate(design: Design, replications: int) -> McSummary:
+def replicate(design: Design, replications: int,
+              targets: dict[str, float] | None = None) -> McSummary:
     """Run the design ``replications`` times and summarize every estimator
-    against its exact target. Deterministic given the design."""
+    against its target in ``targets``, by default ``exact_targets``.
+    Deterministic given the design."""
     values = replicate_values(design, replications)
-    return _summary(values, exact_targets(design.pop, design.cfg), design.cfg.seed)
-
-
-def _summary(values: np.ndarray, targets: dict[str, float], seed: int) -> McSummary:
-    return McSummary(replications=len(values), seed=seed, estimators=tuple(
+    if targets is None:
+        targets = exact_targets(design.pop, design.cfg)
+    return McSummary(replications=replications, seed=design.cfg.seed, estimators=tuple(
         _summarize_column(name, values[:, idx], targets.get(name))
         for idx, name in enumerate(ESTIMATOR_NAMES)
     ))
@@ -189,9 +190,6 @@ class TheoremVerification(Record):
     identity: IdentityReport | None
     error: str | None
     plugin_estimator: str
-    plugin_mean: float | None
-    plugin_mcse: float | None
-    plugin_std_bias: float | None
 
     @property
     def exact_ok(self) -> bool:
@@ -201,6 +199,12 @@ class TheoremVerification(Record):
 class VerificationReport(JsonReport):
     theorems: tuple[TheoremVerification, ...]
     mc: McSummary | None
+
+    @property
+    def targets(self) -> dict[str, float]:
+        """Each checked identity's plug-in estimator -> that identity's rhs."""
+        return {t.plugin_estimator: t.identity.rhs for t in self.theorems
+                if t.identity is not None}
 
     def get(self, name: str) -> TheoremVerification:
         for t in self.theorems:
@@ -229,33 +233,27 @@ class VerificationReport(JsonReport):
                 )
                 if rep.note:
                     lines.append(f"{'':<17}note: {rep.note}")
-            if t.plugin_std_bias is not None:
+            plugin = self.mc.get(t.plugin_estimator) if self.mc is not None else None
+            if plugin is not None and plugin.std_bias is not None:
                 lines.append(
-                    f"{'':<17}plug-in {t.plugin_estimator}: mean={t.plugin_mean:.6g} "
-                    f"std_bias_vs_rhs={t.plugin_std_bias:.3g}"
+                    f"{'':<17}plug-in {t.plugin_estimator}: mean={plugin.mean:.6g} "
+                    f"std_bias_vs_rhs={plugin.std_bias:.3g}"
                 )
         return "\n".join(lines)
 
 
-def verify_theorems(
-    pop: Population,
-    mech_a,
-    mech_b,
-    values: np.ndarray | None = None,
-    seed: int = 0,
-) -> VerificationReport:
-    """Exact identity checks for all three identification results, plus the
-    matching plug-in estimators' Monte Carlo behavior when ``values`` holds
-    the ``replicate_values`` of a design of these mechanisms, drawn from
-    ``seed``.
+def verify_theorems(pop: Population, mech_a, mech_b) -> VerificationReport:
+    """Exact identity checks for all three identification results; the
+    report's ``mc`` is None. The plug-in estimators' Monte Carlo behavior is
+    ``replicate(design, R, report.targets)`` of a design of these mechanisms,
+    set with ``report.replace(mc=...)``.
 
     Degenerate cases (zero uptake effect, a block with no compliers) are
     reported inline instead of raising, so negative tests can run end to end.
     Each mechanism's exact kernel is evaluated once and shared by the checks.
     """
     a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
-    # bias is judged against each theorem's rhs, not the generic targets
-    theorems, targets = [], {}
+    theorems = []
     for name, plugin, _, check in _THEOREMS:
         try:
             identity, error = check(pop, a, b), None
@@ -263,16 +261,8 @@ def verify_theorems(
             identity, error = None, f"{type(exc).__name__}: {exc}"
         if identity is None and error is None:  # not checked on this population
             continue
-        if identity is not None:
-            targets[plugin] = identity.rhs
-        mean = mcse = bias = None
-        if values is not None:
-            s = _summarize_column(plugin, values[:, ESTIMATOR_NAMES.index(plugin)],
-                                  targets.get(plugin))
-            mean, mcse, bias = s.mean, s.mcse, s.std_bias
-        theorems.append(TheoremVerification(name, identity, error, plugin, mean, mcse, bias))
-    mc = None if values is None else _summary(values, targets, seed)
-    return VerificationReport(theorems=tuple(theorems), mc=mc)
+        theorems.append(TheoremVerification(name, identity, error, plugin))
+    return VerificationReport(theorems=tuple(theorems), mc=None)
 
 
 def verification_passes(report: VerificationReport, expect_fail: set[str] = frozenset()) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -691,12 +692,29 @@ def test_replication_count_is_checked_before_any_work_or_output(tmp_path, capsys
 
 
 def test_verify_without_monte_carlo_takes_zero_replications(tmp_path):
+    """At R = 0 verify writes no Monte Carlo summary. The theorem records do
+    not depend on the Monte Carlo: at R = 20 they are the same, and each
+    plug-in line of the text report prints its estimator's ``mc`` row."""
     cfg = write_config(tmp_path / "cfg.json", mc={"replications": 0})
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(cfg), "--out", str(pop_path)])
     out = tmp_path / "verify.json"
     assert main(["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["mc"] is None
+    exact = json.loads(out.read_text())
+    assert exact["mc"] is None
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": 20})
+    argv = ["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["mc"]["replications"] == 20
+    assert report["theorems"] == exact["theorems"]
+    assert main([*argv, "--format", "text"]) == 0
+    rows = {s["name"]: s for s in report["mc"]["estimators"]}
+    plugins = re.findall(r"plug-in (\w+): mean=(\S+) std_bias_vs_rhs=(\S+)$",
+                         out.read_text(), re.M)
+    assert [name for name, _, _ in plugins] == [t["plugin_estimator"] for t in exact["theorems"]]
+    for name, mean, std_bias in plugins:
+        assert (mean, std_bias) == (f"{rows[name]['mean']:.6g}", f"{rows[name]['std_bias']:.3g}")
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -327,6 +327,7 @@ _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1_0,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,\u0661,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,0,0,1_0.0"]),
+    _CSV_HEADER + "\n".join(_CSV_ROWS[:2] + ["1,0,0,1,1,1e308", "1,0,1,0,0,2.0"]),
     (_CSV_HEADER + "\n".join(_CSV_ROWS)).encode() + b"\n1,0,2,0,0,\xff\n",
     lambda path: path,
     lambda path: path.mkdir() or path,
@@ -335,7 +336,7 @@ _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"
         "nan-outcome", "s-varies-in-block", "duplicate-unit", "unit-id-gap",
         "negative-unit-id", "not-a-number", "extra-field",
         "underscore-unit-id", "arabic-indic-unit-id", "underscore-outcome",
-        "not-utf8", "missing", "directory", "parent-is-a-file"])
+        "ipw-overflow", "not-utf8", "missing", "directory", "parent-is-a-file"])
 def test_csv_rejects_invalid_data(tmp_path, text):
     """Every defect, including a path that cannot be read (``text`` is then
     a function making that path), raises InvalidData naming the file."""

@@ -62,7 +62,7 @@ DIGESTS = {
         "pop.json": "c18721a2a1345a386944b146874fe3a1355d5215531e085889c87b6fded54e1b",
         "simulate.json": "5b1def7a3959be30f1b04033687b6cafe5ff9bf3d1de1ab6ec3580f86790641e",
         "simulate.txt": "50e5cd7ed1b853f16bf6ebec74b4637161a8688f41a09d37e04b7a12cc25af20",
-        "verify.json": "d32c80233bb465538fb6d41aaf43933b61d2f74bc7acfb2e711edbfd600b47e5",
+        "verify.json": "6aa4fea77617d62c1be89794fc4c9a68c71465b9e9b55ab45d028187066fed92",
         "verify.txt": "eb62f8e70d0950dabb6dac3f7562c0463ec245fec83eccc0c89465bf3df9dd39",
         "verify_exit": 0,
     },
@@ -74,7 +74,7 @@ DIGESTS = {
         "pop.json": "6fa297d8d47702451afbcd722f5e29d83574897e73cd78c3ab419ab24dfbdcf4",
         "simulate.json": "ae0b60cade2dd15cfb14da0a53e3237699e65ade72d194d0d34cda2eda7a4df0",
         "simulate.txt": "bebf8450013d7f69a3e2fee5f9497390d7fa2c61bb3dd322dcbf31e9aca22637",
-        "verify.json": "ab290700d688b605c3dfb3f230ddf4562f9cb2bdf271c507412d6aa4fb28db2b",
+        "verify.json": "75504863b85ee12437dd637be7c0f05875f80f46721de68255c8a3631fed065b",
         "verify.txt": "262db3918f664b747d43850f030f601c7e2af184ea48cb9053f63a7315c4a29d",
         "verify_exit": 1,
     },

@@ -509,10 +509,11 @@ def test_every_json_report_is_strict_json(tmp_path, shape):
     assert reports["verify"]["mc"]["replications"] == 20
     if shape == "zero-uptake":
         theorems = {t["name"]: t for t in reports["verify"]["theorems"]}
+        rows = {s["name"]: s for s in reports["verify"]["mc"]["estimators"]}
         for name in ("theorem_1", "theorem_2"):
             assert theorems[name]["identity"] is None
-            assert theorems[name]["plugin_mean"] is None
-            assert theorems[name]["plugin_mcse"] is None
+        for name in ("ldt_hat", "lpt_diff_hat"):
+            assert rows[name]["mean"] is None and rows[name]["mcse"] is None
 
 
 # --------------------------------------------------------------------------

@@ -35,10 +35,11 @@ def _design(pop, seed=5, k=None):
 
 
 def _verify(pop, a, b, replications, seed, k=None):
-    """verify_theorems with the Monte Carlo run the CLI hands it."""
+    """verify_theorems with the Monte Carlo the CLI adds to its report."""
     k = pop.n_blocks // 2 if k is None else k
     design = validate_design(DesignConfig(a, b, k=k, seed=seed), pop)
-    return verify_theorems(pop, a, b, values=replicate_values(design, replications), seed=seed)
+    report = verify_theorems(pop, a, b)
+    return report.replace(mc=replicate(design, replications, report.targets))
 
 
 def test_constant_zero_outcomes_degenerate_summary():
@@ -283,7 +284,7 @@ def test_verify_theorems_all_pass_on_one_sided_equal_effects(rng):
     assert t1.exact_ok and t1.identity.assumptions_ok
     assert t2.exact_ok
     assert t3.exact_ok and t3.identity.assumptions_ok
-    assert t1.plugin_std_bias is not None
+    assert report.mc.get(t1.plugin_estimator).std_bias is not None
     assert verification_passes(report)
     payload = json.loads(report.to_json())
     assert {t["name"] for t in payload["theorems"]} >= {"theorem_1", "theorem_2"}
@@ -337,7 +338,8 @@ def test_verify_theorems_defiers_expected_fail(rng):
 
 def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
     """verify_theorems runs the exact kernel once per mechanism, two in all,
-    and reports what the public theorem checks report."""
+    the Monte Carlo added to its report none, and it reports what the public
+    theorem checks report."""
     from peerenc import estimands, montecarlo
 
     pop = make_population([["co", "co", "co"], ["co", "co"], ["co", "co", "co"]])
@@ -350,10 +352,11 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
 
     monkeypatch.setattr(estimands, "member_averages", counted)
     monkeypatch.setattr(montecarlo, "member_averages", counted)
-    for values in (None, replicate_values(_design(pop, seed=3), 20)):
-        calls.clear()
-        report = verify_theorems(pop, PHI, PSI, values=values, seed=3)
-        assert calls == [PHI, PSI]
+    report = verify_theorems(pop, PHI, PSI)
+    assert calls == [PHI, PSI]
+    # the Monte Carlo verify adds is judged against the report's targets
+    replicate(_design(pop, seed=3), 20, report.targets)
+    assert calls == [PHI, PSI]
     assert [t.name for t in report.theorems] == [
         "theorem_1", "theorem_2", "theorem_3[z=0]", "theorem_3[z=1]"]
     a, b = kernel(pop, PHI), kernel(pop, PSI)
@@ -391,12 +394,10 @@ def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch):
 
 
 def test_verify_theorems_builds_no_design(monkeypatch):
-    """verify_theorems summarizes the replicate values it is handed; with
-    them or without, it builds and validates no design."""
+    """verify_theorems runs the exact checks alone: it builds and validates
+    no design and leaves the Monte Carlo summary to replicate."""
     pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
-    values = replicate_values(_design(pop, seed=3, k=1), 10)
     built = _counted_designs(monkeypatch)
-    assert verify_theorems(pop, PHI, PSI, values=values, seed=3).mc.replications == 10
     assert verify_theorems(pop, PHI, PSI).mc is None
     assert built == []
 
@@ -434,9 +435,9 @@ def test_verify_theorems_exclusion_violation_flagged():
     (0, r"k=0 must leave both arms populated \(1\.\.2\)"),
 ], ids=["k-too-large", "k-zero"])
 def test_an_invalid_design_is_refused_before_any_kernel_work(monkeypatch, run, k, message):
-    """A design is validated when it is built, so neither replicate nor the
-    Monte Carlo run verify_theorems is handed reaches the exact engine with
-    an invalid one: an InvalidDesign is raised and no kernel is evaluated."""
+    """A design is validated when it is built, so neither replicate nor a
+    verification built as the CLI builds it reaches the exact engine with an
+    invalid one: an InvalidDesign is raised and no kernel is evaluated."""
     from peerenc import montecarlo
 
     def no_kernel(*args, **kwargs):

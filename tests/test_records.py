@@ -15,7 +15,7 @@ from peerenc.errors import PeerEncError
 from peerenc.estimators import EstimateReport, estimate_report
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import EstimatorSummary, McSummary, TheoremVerification, \
-    VerificationReport, replicate_values, verify_theorems
+    VerificationReport, replicate, verify_theorems
 from peerenc.population import DgpConfig, OutcomeConfig, Population, ValidationReport, validate
 from conftest import make_population
 
@@ -36,7 +36,8 @@ def _records() -> dict:
     cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=3)
     design = validate_design(cfg, pop)
     data = run_design(design)
-    verification = verify_theorems(pop, PHI, PSI, values=replicate_values(design, 4), seed=3)
+    verification = verify_theorems(pop, PHI, PSI)
+    verification = verification.replace(mc=replicate(design, 4, verification.targets))
     found = [pop, validate(pop), OutcomeConfig(direct=(1.0, 0.5)),
              DgpConfig(blocks=4, block_size=(2, 3), strata=(0.0, 1.0, 0.0, 0.0)), PHI, cfg,
              member_averages(pop, PHI), et(pop), theorem_1_check(member_averages(pop, PSI)),
