@@ -47,10 +47,6 @@ class InvalidDesign(PeerEncError):
     """A design configuration violates the protocol's preconditions."""
 
 
-class EmptyArm(PeerEncError):
-    """A population-level estimator was requested for an arm with no blocks."""
-
-
 class AllBlocksUndefined(PeerEncError):
     """Every block was excluded from a ratio estimator, leaving no data."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._report import JsonReport, Record
 from .design import ExperimentData
-from .errors import AllBlocksUndefined, EmptyArm
+from .errors import AllBlocksUndefined
 
 ET_ZERO_TOL = 1e-12
 # Every estimator's name, in the order ``_estimates`` returns them.
@@ -24,11 +24,9 @@ ESTIMATOR_NAMES = ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "et_h
 
 
 class _BlockStats(Record, eq=False):
-    means: np.ndarray  # (2, ..., B) inverse-probability block means at z=0 and z=1
     uptake: np.ndarray  # (..., B) ratio-of-means uptake contrast, NaN where undefined
     missing: np.ndarray  # (..., B) the encouragement value a block never realized, else -1
-    by_arm: np.ndarray  # (2, ..., B) means with arm A's blocks first, each arm ascending
-    k: int  # blocks in arm A
+    arm_means: np.ndarray  # (2, 2, ...) arm A's and arm B's mean block means at z=0 and z=1
 
 
 def _block_stats(data: ExperimentData) -> _BlockStats:
@@ -52,57 +50,30 @@ def _block_stats(data: ExperimentData) -> _BlockStats:
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = treated / count
     missing = np.where(count[1] == 0, 1, np.where(count[0] == 0, 0, -1))
-    means = ipw / data.sizes
-    in_a = data.s == 1
-    k = in_a.sum(axis=-1)
-    if (k != k.flat[0]).any():
-        raise ValueError("every replicate of a batch must put the same number of blocks in arm A")
-    order = np.argsort(~in_a, axis=-1, kind="stable")
+    order = np.argsort(data.s != 1, axis=-1, kind="stable")
+    by_arm = np.take_along_axis(ipw / data.sizes, order[None], axis=-1)
     return _BlockStats(
-        means=means,
         uptake=np.where(missing >= 0, np.nan, rates[1] - rates[0]),
         missing=missing,
-        by_arm=np.take_along_axis(means, order[None], axis=-1),
-        k=int(k.flat[0]),
+        arm_means=np.stack([by_arm[..., :data.k].mean(-1), by_arm[..., data.k:].mean(-1)]),
     )
 
 
-def _arm_mean(stats: _BlockStats, z: int, arm: str):
-    blocks = stats.by_arm[z, ..., :stats.k] if arm == "a" else stats.by_arm[z, ..., stats.k:]
-    if blocks.shape[-1] == 0:
-        raise EmptyArm(f"no blocks in arm {arm!r}")
-    return blocks.mean(axis=-1)
-
-
-def _pooled_uptake(stats: _BlockStats):
-    """Mean uptake contrast over the blocks where it is defined (NaN if none),
-    summed as ``np.nanmean`` sums."""
-    defined = stats.missing < 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(defined, stats.uptake, 0.0).sum(axis=-1) / defined.sum(axis=-1)
-
-
-def _ditt(stats: _BlockStats, arm: str):
-    return _arm_mean(stats, 1, arm) - _arm_mean(stats, 0, arm)
-
-
-def _pitt(stats: _BlockStats, z: int):
-    return _arm_mean(stats, z, "a") - _arm_mean(stats, z, "b")
-
-
 def _estimates(stats: _BlockStats) -> dict[str, np.ndarray]:
-    """Every estimator from the block statistics. The uptake estimate pools
-    the blocks where it is defined; a ratio estimator is NaN where the uptake
-    is undefined or numerically zero."""
-    uptake = _pooled_uptake(stats)
-    da, p1, p0 = _ditt(stats, "a"), _pitt(stats, 1), _pitt(stats, 0)
-    ratio_ok = np.abs(uptake) >= ET_ZERO_TOL  # False for NaN
-    # a ratio beyond the float range is inf, which the Monte Carlo summary
-    # counts as undefined
+    """Every estimator from the block statistics. The uptake estimate is the
+    mean over the blocks where it is defined (summed as ``np.nanmean`` sums,
+    NaN if none); a ratio estimator is NaN where the uptake is undefined or
+    numerically zero, and a ratio beyond the float range is inf, which the
+    Monte Carlo summary counts as undefined."""
+    defined = stats.missing < 0
+    (a0, a1), (b0, b1) = stats.arm_means
+    da, p1, p0 = a1 - a0, a1 - b1, a0 - b0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uptake = np.where(defined, stats.uptake, 0.0).sum(axis=-1) / defined.sum(axis=-1)
+        ratio_ok = np.abs(uptake) >= ET_ZERO_TOL  # False for NaN
         return {
             "ditt_hat_a": da,
-            "ditt_hat_b": _ditt(stats, "b"),
+            "ditt_hat_b": b1 - b0,
             "pitt_hat_1": p1,
             "pitt_hat_0": p0,
             "et_hat": uptake,
@@ -167,7 +138,7 @@ def estimate_report(data: ExperimentData) -> EstimateReport:
         notes.append("uptake estimate is zero; ratio estimators undefined")
     return EstimateReport(
         **values,
-        arm_sizes=(int(np.sum(data.s == 1)), int(np.sum(data.s == 0))),
+        arm_sizes=(data.k, data.n_blocks - data.k),
         et_blocks_dropped=tuple((i, f"no units with Z={m}")
                                 for i, m in zip(dropped.tolist(), stats.missing[dropped].tolist())),
         notes=tuple(notes),

@@ -103,6 +103,34 @@ def test_vector_mechanism_arity_checked():
         _design(pop, k=1, a=bad)
 
 
+@pytest.mark.parametrize("intercept, refused", [(6e304, True), (3e304, False)])
+def test_the_weighted_bound_covers_every_arm_assignment(intercept, refused):
+    """Block 0 unit 0 and block 1 unit 1 carry the outcome; each mechanism
+    puts 0.001 on one of them. Under either mechanism alone 2 * sum is about
+    1.2e308 at 6e304, but the draw that gives block 0 mechanism A and block
+    1 mechanism B weights both by 1000 (2.4e308), so the design is refused;
+    at 3e304 every replicate's draw is valid data."""
+    coef = np.zeros((6, 4))
+    coef[0, [0, 3]] = intercept
+    pop = make_population([["nt", "nt"]] * 2, intercept=0.0).replace(coef=coef)
+    a, b = Mechanism("a", (0.001, 0.5)), Mechanism("b", (0.5, 0.001))
+    if refused:
+        with pytest.raises(InvalidDesign, match="^mechanisms 'a' and 'b': inverse-probability"):
+            _design(pop, k=1, a=a, b=b)
+        return
+    design = _design(pop, k=1, a=a, b=b)
+    batch = draw_validated(design, 0, 16)
+    assert {tuple(row) for row in batch.s.tolist()} == {(1, 0), (0, 1)}
+    assert run_design(design, 3).k == 1
+
+
+@pytest.mark.parametrize("first, count", [(0, 0), (-1, 2)])
+def test_draw_validated_refuses_an_empty_or_negative_range(first, count):
+    design = _design(make_population([["co"], ["co"]]), k=1)
+    with pytest.raises(InvalidDesign, match=f"^replicates {first}..{first + count - 1} need"):
+        draw_validated(design, first, count)
+
+
 def test_realized_treatments_follow_potential_treatments(rng):
     pop, a, b = varying_effect_monotone(rng)
     data = run_design(_design(pop, a=a, b=b), replicate=3)
@@ -366,3 +394,66 @@ def test_csv_rejects_a_block_its_vector_mechanism_cannot_cover(tmp_path):
     path.write_text(_CSV_HEADER + "\n".join(_CSV_ROWS[:2] + ["1,0,2,0,0,1.0", *_CSV_ROWS[2:]]))
     with pytest.raises(InvalidData, match="block 1: mechanism 'b' has arity 2, block has 3$"):
         ExperimentData.from_csv(path, a, b)
+
+
+_DATA = dict(sizes=[2, 2], s=[1, 0], z=[1, 0, 1, 0], d=[1, 0, 1, 0], y=[0.5, 0.25, 1.5, 2.0],
+             p_enc=[0.8, 0.8, 0.2, 0.2])
+
+
+def _batch(**rows) -> dict:
+    """_DATA as a batch of two replicates, each field's rows given or doubled."""
+    return {name: rows.get(name, [value, value]) if name != "sizes" else value
+            for name, value in _DATA.items()}
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(p_enc=[0.8, 0.8, 1.5, 0.2]), "block 1 unit 0: p_enc=1.5 is not in (0, 1)"),
+    (dict(p_enc=[0.8, 0.8, 0.2, 1.0]), "block 1 unit 1: p_enc=1.0 is not in (0, 1)"),
+    (dict(z=[1, 0, 2, 0]), "block 1 unit 0: Z=2 is not 0 or 1"),
+    (dict(d=[1, -1, 1, 0]), "block 0 unit 1: D=-1 is not 0 or 1"),
+    (dict(s=[2, 0]), "block 0: S=2 is not 0 or 1"),
+    (dict(y=[0.5, 0.25, float("nan"), 2.0]), "block 1 unit 0: Y=nan is not finite"),
+    (dict(y=[0.5, 0.25, 1e308, 2.0]), "inverse-probability weighted outcomes overflow"
+                                      " (2 * sum of |Y| / min(p, 1 - p) is not finite)"),
+    (dict(sizes=[3, 2]), "Z needs shape (5,), got (4,)"),
+    (dict(s=[1, 0, 0]), "S needs shape (2,), got (3,)"),
+    (dict(sizes=[4], s=[1]), "data needs integer sizes of at least 2 blocks, got int64 sizes"
+                             " of shape (1,)"),
+    (dict(sizes=[2.5, 1.5]), "data needs integer sizes of at least 2 blocks, got float64 sizes"
+                             " of shape (2,)"),
+    (dict(sizes=[2, 0, 2], s=[1, 0, 0]), "block 1 is empty"),
+    (dict(s=[0, 0]), "no block in arm A"),
+    (_batch(s=[[1, 0], [0, 1]], y=[[0.5, 0.25, 1.5, 2.0], [0.5, 0.25, 1.5, float("inf")]]),
+     "replicate 1: block 1 unit 1: Y=inf is not finite"),
+    (_batch(s=[[1, 0], [1, 1]]), "replicate 1: no block in arm B"),
+    (dict(_batch(s=[[1, 0, 0], [1, 1, 0]]), sizes=[1, 1, 2]),
+     "replicate 1: 2 blocks in arm A, replicate 0 has 1"),
+    (_batch(y=[[0.5] * 4, [0.5, 0.25, 1e308, 2.0]]), "replicate 1: inverse-probability"),
+], ids=["p-above-1", "p-of-1", "z-2", "d-negative", "s-2", "y-nan", "y-overflows-ipw",
+        "sizes-exceed-units", "s-too-long", "one-block", "fractional-sizes", "empty-block",
+        "no-arm-a", "batch-y-inf", "batch-no-arm-b", "batch-unequal-k", "batch-ipw-overflow"])
+def test_experiment_data_refuses_what_no_run_gives(change, message):
+    """The constructor refuses each fault with InvalidData naming its first
+    place; built directly, such data used to reach the estimators."""
+    assert ExperimentData(**_DATA).k == 1
+    with pytest.raises(InvalidData, match="^" + re.escape(message)):
+        ExperimentData(**{**_DATA, **change})
+
+
+def test_a_batch_is_bounded_replicate_by_replicate():
+    """Each replicate's weighted outcomes stay in the float range, their
+    total over the batch does not: the batch is valid data."""
+    row, p = [4e307, 0.0, 0.0, 0.0], [0.5] * 4
+    per_row, total = (2 * sum(v / 0.5 for v in values) for values in (row, row * 2))
+    assert per_row < np.inf and total == np.inf
+    data = ExperimentData(**_batch(y=[row, row], p_enc=[p, p]))
+    assert data.k == 1 and data.starts.tolist() == [0, 2, 4]
+    assert not any(arr.flags.writeable for arr in (data.s, data.z, data.y, data.starts))
+
+
+def test_to_csv_refuses_a_batch(tmp_path):
+    pop = make_population([["co"] * 10] * 12, intercept=1.0)
+    batch = draw_validated(_design(pop), 0, 3)
+    with pytest.raises(ValueError, match="^to_csv writes one realization, not a batch of 3$"):
+        batch.to_csv(tmp_path / "batch.csv")
+    assert not (tmp_path / "batch.csv").exists()

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerenc.design import DesignConfig, ExperimentData, draw_validated, run_design, \
     validate_design
-from peerenc.errors import AllBlocksUndefined, EmptyArm
+from peerenc.errors import AllBlocksUndefined, InvalidData
 from peerenc.estimators import estimate_report, estimator_battery
 from peerenc.mechanisms import Mechanism
 from conftest import make_population
@@ -28,12 +32,12 @@ def build_data(sizes, s, z, d, y, p_blocks) -> ExperimentData:
 
 def test_a_ratio_estimate_beyond_the_float_range_is_undefined():
     """The uptake estimate is (1/2 - 1/3) / 2 = 1/12 and the direct ITT
-    estimate 1.5e308 / 2.7, both finite; their ratio is not, and reads inf
+    estimate 4e307 / 1.5, both finite; their ratio is not, and reads inf
     with no RuntimeWarning (pytest makes one an error)."""
     data = build_data(
         sizes=[3, 4], s=[1, 0],
-        z=[1, 1, 0, 1, 0, 0, 0], d=[1, 0, 0, 0, 1, 0, 0], y=[1.5e308] + [0.0] * 6,
-        p_blocks=[0.9, 0.5],
+        z=[1, 1, 0, 1, 0, 0, 0], d=[1, 0, 0, 0, 1, 0, 0], y=[4e307] + [0.0] * 6,
+        p_blocks=[0.5, 0.5],
     )
     battery = estimator_battery(data)
     assert battery["et_hat"] == pytest.approx(1 / 12, rel=1e-15)
@@ -87,12 +91,11 @@ def test_yhat_block_uses_per_unit_probabilities():
 
 
 def test_yhat_pop_and_empty_arm():
-    data = build_data(
-        sizes=[1, 1, 1], s=[1, 1, 1],
-        z=[1, 0, 1], d=[1, 0, 1], y=[2.0, 4.0, 6.0], p_blocks=[0.5] * 3,
-    )
-    with pytest.raises(EmptyArm):
-        estimator_battery(data)
+    with pytest.raises(InvalidData, match="^no block in arm B$"):
+        build_data(
+            sizes=[1, 1, 1], s=[1, 1, 1],
+            z=[1, 0, 1], d=[1, 0, 1], y=[2.0, 4.0, 6.0], p_blocks=[0.5] * 3,
+        )
     # the same three arm-A blocks beside one arm-B block without a Z=1 unit
     # (z=1 mean 0): pitt_hat_1 reads arm A's z=1 mean
     data = build_data(
@@ -318,3 +321,45 @@ def test_battery_matches_loop_oracle_on_design_realizations(rng):
         pop, a, b = fuzzer(rng, b_range=(2, 8), n_range=(1, 6))
         design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=60 + r), pop)
         _assert_battery_matches_oracle(run_design(design, replicate=r))
+
+
+# Values at and beyond the edges of what the constructor accepts.
+_EDGE_Y = st.sampled_from([-0.0, 5e-324, 1e-300, 4e307, -8e307, 1.7e308, np.inf, np.nan])
+_EDGE_P = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1 - 2**-53, 1.0, 1.5, np.nan])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_accepted_data_estimates_without_runtime_warnings(data):
+    """Whatever the constructor accepts, one realization or a batch, the
+    estimators reduce with no RuntimeWarning: every sum they form is finite."""
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    n, rows = sum(sizes), data.draw(st.sampled_from([None, 1, 3]))
+
+    def column(elements, width, edge=None):
+        out = []
+        for _ in range(rows or 1):
+            row = data.draw(st.lists(elements, min_size=width, max_size=width))
+            if edge is not None and data.draw(st.booleans()):
+                row[data.draw(st.integers(0, width - 1))] = data.draw(edge)
+            out.append(row)
+        return out if rows else out[0]
+
+    bits = st.integers(0, 1)
+    try:
+        built = ExperimentData(sizes=sizes, s=column(bits, len(sizes)), z=column(bits, n),
+                               d=column(bits, n), y=column(st.floats(-4, 4), n, _EDGE_Y),
+                               p_enc=column(st.floats(0.05, 0.95), n, _EDGE_P))
+    except InvalidData:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        battery = estimator_battery(built)
+        if rows is None:
+            try:
+                report = estimate_report(built)
+            except AllBlocksUndefined:
+                return
+            assert report.arm_sizes == (built.k, len(sizes) - built.k)
+    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "lpt0_hat"):
+        assert np.isfinite(battery[name]).all(), name
