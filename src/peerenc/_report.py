@@ -11,8 +11,10 @@ class Record:
     """A frozen record. Its fields are the class annotations in definition
     order, base classes first; a field's default is its class attribute.
     The constructor takes the fields by position or keyword, then runs
-    ``__post_init__``. Records compare and hash by their fields, except a
-    class declared ``eq=False`` (one that holds arrays): it keeps identity."""
+    ``__post_init__``, which stores what it converts or derives with
+    ``self.__dict__.update``; then every array the record holds is made
+    read-only. Records compare and hash by their fields, except a class
+    declared ``eq=False`` (one that holds arrays): it keeps identity."""
 
     _fields = ()
 
@@ -40,6 +42,9 @@ class Record:
                 values[name] = getattr(cls, name)
         self.__dict__.update(values)
         self.__post_init__()
+        for value in self.__dict__.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def __post_init__(self):
         pass

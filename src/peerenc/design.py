@@ -87,8 +87,7 @@ class Design(Record, eq=False):
             named = [repr(m.name) for m, w in zip(mechs, worst) if (w == q).any()]
             raise InvalidDesign(f"mechanism{'s' * (len(named) - 1)} {' and '.join(named)}: "
                                 + _OVERFLOW.format("outcome bound"))
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        self.__dict__.update(probs=probs)
 
 
 def validate_design(cfg: DesignConfig, pop: Population) -> Design:
@@ -151,11 +150,8 @@ class ExperimentData(Record, eq=False):
                 r = int(np.argmax(bad))
                 raise InvalidData(at.format(r) + why.format(k.flat[r]))
         s, z, d = (col.astype(np.int8, copy=False) for col in (s, z, d))
-        for name, arr in (("sizes", sizes), ("s", s), ("z", z), ("d", d), ("y", y),
-                          ("p_enc", p), ("starts", starts)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "k", int(k.flat[0]))
+        self.__dict__.update(sizes=sizes, s=s, z=z, d=d, y=y, p_enc=p, starts=starts,
+                             k=int(k.flat[0]))
 
     @property
     def n_blocks(self) -> int:

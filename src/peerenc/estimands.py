@@ -160,8 +160,6 @@ def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
             local[:, u] = _contract(entries, p[block, None, None])
             itt[:, u] = _contract(np.where(treated[:, u, None], entries[1], entries[0]),
                                   _pinned(p[block], u - lo))
-    itt.setflags(write=False)
-    local.setflags(write=False)
     return MemberAverages(pop=pop, itt=itt, local=local)
 
 
@@ -182,7 +180,6 @@ def _summarize(per_block: np.ndarray) -> BlockSummary:
     """The mean sums strictly left to right from +0.0, as Python 3.11's
     ``sum()`` does (3.12's is compensated), so the bytes of a report do not
     depend on the interpreter; +0.0 makes a sum of -0.0 values read 0.0."""
-    per_block.setflags(write=False)
     total = 0.0 + np.add.accumulate(per_block)[-1]
     return BlockSummary(per_block=per_block, population=float(total / per_block.size))
 
@@ -282,7 +279,6 @@ def _ratio_denominator(pop: Population) -> BlockSummary:
 
 def _identity(name: str, lhs: float, rhs: float, block_lhs: np.ndarray, block_rhs: np.ndarray,
               notes, note: str | None = None) -> IdentityReport:
-    block_lhs.setflags(write=False)
     defined = np.isfinite(block_lhs) & np.isfinite(block_rhs)
     return IdentityReport(
         name=name,

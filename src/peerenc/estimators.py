@@ -125,8 +125,10 @@ def estimate_report(data: ExperimentData) -> EstimateReport:
     across both arms (the exact uptake effect is mechanism-free, so both arms
     estimate the same quantity); the pooling is recorded in the notes. Blocks
     without a defined contrast are listed; if no block has one, this raises
-    AllBlocksUndefined.
+    AllBlocksUndefined. A batch is a ValueError.
     """
+    if data.s.ndim > 1:
+        raise ValueError(f"estimate_report takes one realization, not a batch of {data.s.shape[0]}")
     stats = _block_stats(data)
     dropped = np.flatnonzero(stats.missing >= 0)
     if dropped.size == stats.uptake.size:

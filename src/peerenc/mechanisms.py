@@ -28,14 +28,11 @@ class Mechanism(Record):
     probs: float | tuple[float, ...]
 
     def __post_init__(self):
-        if isinstance(self.probs, (int, float)):
-            ps = (float(self.probs),)
-            object.__setattr__(self, "probs", float(self.probs))
-        else:
-            ps = tuple(float(p) for p in self.probs)
-            if not ps:
-                raise InvalidMechanism(f"mechanism {self.name!r} has no probabilities")
-            object.__setattr__(self, "probs", ps)
+        scalar = isinstance(self.probs, (int, float))
+        ps = (float(self.probs),) if scalar else tuple(float(p) for p in self.probs)
+        if not ps:
+            raise InvalidMechanism(f"mechanism {self.name!r} has no probabilities")
+        self.__dict__.update(probs=ps[0] if scalar else ps)
         for p in ps:
             if not (0.0 < p < 1.0) or not np.isfinite(p):
                 raise InvalidMechanism(
@@ -55,12 +52,10 @@ class Mechanism(Record):
 
 def unit_marginals(mech: Mechanism, sizes) -> np.ndarray:
     """The mechanism's encouragement probability of every individual of
-    blocks of these sizes, in block order: one ``marginals(n)`` per distinct
-    size, laid out by index arithmetic."""
+    blocks of these sizes, in block order. ``marginals(n)`` checks each
+    distinct size, smallest first; a mechanism that covers them all (a
+    scalar, or a vector of their one size) repeats block after block."""
     sizes = np.fromiter(sizes, dtype=np.int64)
-    distinct, which = np.unique(sizes, return_inverse=True)
-    probs = np.concatenate([mech.marginals(int(n)) for n in distinct])
-    # individual j of a block of the k-th distinct size reads probs[offset[k] + j]
-    offset = np.cumsum(distinct) - distinct
-    first = np.cumsum(sizes) - sizes
-    return probs[np.repeat(offset[which] - first, sizes) + np.arange(sizes.sum())]
+    for n in sorted(set(sizes.tolist())):  # np.unique here loads numpy.ma, 0.4 MB
+        mech.marginals(n)
+    return np.resize(np.asarray(mech.probs, dtype=float), sizes.sum())

@@ -91,7 +91,9 @@ def structural_value(coef, own_d, k):
 
 class Population(Record, eq=False):
     """Blocks of individuals as flat arrays in block order; block i owns
-    individuals starts[i]:starts[i+1].
+    individuals starts[i]:starts[i+1]. The constructor refuses, rather than
+    converts, offsets that are not integers and d0, d1, ``structural`` or
+    ``z_dependent`` entries other than 0 or 1.
 
     ``coef`` rows are the structural coefficients in ``_COEFS`` order (zero
     for table members). ``table`` holds every table member's entries, one
@@ -129,9 +131,11 @@ class Population(Record, eq=False):
     # bound (N,) outcome bounds
 
     def __post_init__(self):
-        starts = np.asarray(self.starts, dtype=np.int64)
-        if starts.ndim != 1 or starts.size < 3:
-            raise ValueError(f"population needs at least 2 blocks, got {max(starts.size - 1, 0)}")
+        starts = np.asarray(self.starts)
+        if starts.ndim != 1 or starts.size < 3 or starts.dtype.kind not in "iu":
+            raise ValueError(f"population needs integer offsets of at least 2 blocks, got"
+                             f" {starts.dtype} offsets of shape {starts.shape}")
+        starts = starts.astype(np.int64, copy=False)
         sizes = np.diff(starts)
         if (sizes < 1).any():
             raise ValueError(f"block {int(np.argmax(sizes < 1))} is empty")
@@ -144,12 +148,15 @@ class Population(Record, eq=False):
             if got != shape:
                 raise ArityMismatch(f"{name} needs shape {shape}, got {got}")
         pts = np.stack([np.asarray(self.d0), np.asarray(self.d1)])
-        structural = np.asarray(self.structural, dtype=bool)
-        z_dependent = np.asarray(self.z_dependent, dtype=bool)
-        bad = ~np.isin(pts, (0, 1)).all(axis=0)
-        if bad.any():
-            raise ValueError(f"{_individual(starts, bad)}: potential treatments must be binary,"
-                             f" got {tuple(pts[:, np.argmax(bad)].tolist())}")
+        flags = np.stack([np.asarray(self.structural), np.asarray(self.z_dependent)])
+        for cols, what in ((pts, "potential treatments must be binary"),
+                           (flags, "outcome flags (structural, z_dependent) must be 0 or 1")):
+            bad = ~np.isin(cols, (0, 1)).all(axis=0)
+            if bad.any():
+                raise ValueError(f"{_individual(starts, bad)}: {what},"
+                                 f" got {tuple(cols[:, np.argmax(bad)].tolist())}")
+        d0, d1 = (col.astype(np.uint8) for col in pts)
+        structural, z_dependent = (col.astype(bool) for col in flags)
         if (structural & z_dependent).any():
             raise ValueError(f"{_individual(starts, structural & z_dependent)}: a structural"
                              " outcome cannot be encouragement-keyed")
@@ -157,7 +164,8 @@ class Population(Record, eq=False):
         # <= n - 1 treated peers: finite, every outcome the kernels evaluate is
         n_of = np.repeat(sizes, sizes)
         peers = (n_of - 1).astype(float)
-        c = np.abs(np.asarray(self.coef, dtype=float))
+        coef = np.asarray(self.coef, dtype=float)
+        c = np.abs(coef)
         with np.errstate(over="ignore", invalid="ignore"):
             bound = c[0] + c[1] + (c[2] + c[3]) * peers + c[4] * peers * peers + c[5]
         overflows = structural & ~np.isfinite(bound)
@@ -190,13 +198,9 @@ class Population(Record, eq=False):
             i = int(np.searchsorted(starts, np.argmax(~np.isfinite(running)), side="right")) - 1
             raise ValueError(f"block {i}: the outcomes overflow (twice the running sum of the"
                              " individuals' outcome bounds first leaves the float range here)")
-        arrays = {"starts": starts, "d0": pts[0].astype(np.uint8), "d1": pts[1].astype(np.uint8),
-                  "structural": structural, "z_dependent": z_dependent,
-                  "coef": np.asarray(self.coef, dtype=float), "table": table,
-                  "table_start": table_start, "bound": bound}
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(starts=starts, d0=d0, d1=d1, structural=structural,
+                             z_dependent=z_dependent, coef=coef, table=table,
+                             table_start=table_start, bound=bound)
 
     @property
     def n_blocks(self) -> int:

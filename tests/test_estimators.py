@@ -189,6 +189,15 @@ def test_all_complier_realizations_ldt_equals_ditt(rng):
     assert checked > 0
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_estimate_report_refuses_a_batch(rng, count):
+    pop = make_population([["co"] * 4] * 4, rng=rng)
+    design = validate_design(DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=21), pop)
+    with pytest.raises(ValueError, match=f"^estimate_report takes one realization, not a batch"
+                                         f" of {count}$"):
+        estimate_report(draw_validated(design, 0, count))
+
+
 def test_outcome_scaling_linearity(rng):
     pop, a, b = varying_effect_monotone(rng)
     design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=10), pop)

@@ -133,17 +133,8 @@ def test_empirical_frequencies_chi_square_sane():
     assert stat < 24.322
 
 
-class _BySize:
-    """A stand-in mechanism whose block-size-n marginals are 10n + j."""
-
-    def marginals(self, n):
-        return 10.0 * n + np.arange(n)
-
-
 def test_unit_marginals_lay_out_each_blocks_marginals_in_block_order():
     sizes = [3, 1, 3, 2, 1]
-    assert unit_marginals(_BySize(), sizes).tolist() == [
-        30, 31, 32, 10, 30, 31, 32, 20, 21, 10]
     assert unit_marginals(Mechanism("a", 0.3), sizes).tolist() == [0.3] * 10
     vector = Mechanism("v", (0.1, 0.2, 0.3))
     assert unit_marginals(vector, [3, 3]).tolist() == [0.1, 0.2, 0.3] * 2

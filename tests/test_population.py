@@ -190,6 +190,20 @@ def test_population_constructor_checks(change, error, match):
         _tabled_pair().replace(**change)
 
 
+@pytest.mark.parametrize("change, match", [
+    (dict(starts=np.array([0, 2.9, 4])), r"integer offsets of at least 2 blocks, got float64"),
+    (dict(structural=[0, 1, 2, 1]), r"block 1 individual 0: outcome flags .* got \(2, 0\)"),
+    (dict(structural=[0, 0.5, 1, 1]), r"block 0 individual 1: outcome flags .* got \(0.5, 0.0\)"),
+    (dict(z_dependent=[0, 0, 0, 2]), r"block 1 individual 1: outcome flags .* got \(1, 2\)"),
+    (dict(z_dependent=[0.5, 0, 0, 0]), r"block 0 individual 0: outcome flags .* got \(0.0, 0.5\)"),
+], ids=["starts-fractional", "structural-2", "structural-half", "z-dependent-2",
+        "z-dependent-half"])
+def test_population_refuses_what_it_would_coerce(change, match):
+    with pytest.raises(ValueError, match=match) as refused:
+        _tabled_pair().replace(**change)
+    assert "\n" not in str(refused.value)
+
+
 def test_population_arrays_are_read_only():
     pop = _tabled_pair()
     for arr in (pop.starts, pop.d0, pop.d1, pop.structural, pop.z_dependent, pop.coef,

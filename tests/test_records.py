@@ -3,16 +3,18 @@ assignment, value equality for value records and identity for array
 holders."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peerenc
 from peerenc._report import JsonReport, Record
 from peerenc.design import Design, DesignConfig, ExperimentData, run_design, validate_design
 from peerenc.estimands import BlockSummary, EstimandReport, IdentityReport, MemberAverages, \
     compute_estimand_report, et, member_averages, theorem_1_check
 from peerenc.errors import PeerEncError
-from peerenc.estimators import EstimateReport, estimate_report
+from peerenc.estimators import EstimateReport, _BlockStats, _block_stats, estimate_report
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import EstimatorSummary, McSummary, TheoremVerification, \
     VerificationReport, replicate, verify_theorems
@@ -132,3 +134,32 @@ def test_population_replace_refuses_what_the_constructor_refuses(change):
     assert not {"table_start", "bound"} & set(Population._fields)
     replaced = pop.replace(coef=np.ones((6, 8)))
     assert replaced.bound.tolist() == [6.0] * 8 and not replaced.coef.flags.writeable
+
+
+@pytest.mark.parametrize("record", [*RECORDS.values(), _block_stats(RECORDS[ExperimentData])],
+                         ids=lambda r: type(r).__name__)
+def test_every_array_a_record_holds_is_read_only(record):
+    arrays = [value for value in vars(record).values() if isinstance(value, np.ndarray)]
+    assert bool(arrays) == isinstance(record, (*ARRAY_HOLDERS, _BlockStats))
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("cls, name", [(Population, "d1"), (ExperimentData, "z")],
+                         ids=lambda c: getattr(c, "__name__", c))
+def test_a_record_owns_the_arrays_it_keeps_and_a_refused_one_leaves_them_writable(cls, name):
+    fields = {field: getattr(RECORDS[cls], field).copy() for field in cls._fields}
+    bad = fields[name].copy()
+    bad[0] = 2
+    with pytest.raises((ValueError, PeerEncError)):
+        cls(**{**fields, name: bad})
+    assert bad.flags.writeable and all(a.flags.writeable for a in fields.values())
+    built = cls(**fields)
+    kept = [a for field, a in fields.items() if getattr(built, field) is a]
+    assert kept and not any(a.flags.writeable for a in kept)
+
+
+def test_the_read_only_rule_is_written_once():
+    sources = {path.name: path.read_text() for path in Path(peerenc.__file__).parent.glob("*.py")}
+    assert [n for n, text in sources.items() if "setflags(" in text] == ["_report.py"]
+    assert sources["_report.py"].count("setflags(") == 1
+    assert not [n for n, text in sources.items() if "object.__setattr__" in text]
