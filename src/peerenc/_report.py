@@ -3,6 +3,7 @@ its record fields."""
 
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -12,9 +13,9 @@ class Record:
     order, base classes first; a field's default is its class attribute.
     The constructor takes the fields by position or keyword, then runs
     ``__post_init__``, which stores what it converts or derives with
-    ``self.__dict__.update``; then every array the record holds is made
-    read-only. Records compare and hash by their fields, except a class
-    declared ``eq=False`` (one that holds arrays): it keeps identity."""
+    ``self.__dict__.update``; then every value it holds is ``_frozen``.
+    Records compare and hash by their fields, except a class declared
+    ``eq=False`` (one that holds arrays): it keeps identity."""
 
     _fields = ()
 
@@ -42,9 +43,7 @@ class Record:
                 values[name] = getattr(cls, name)
         self.__dict__.update(values)
         self.__post_init__()
-        for value in self.__dict__.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        self.__dict__.update({name: _frozen(value) for name, value in self.__dict__.items()})
 
     def __post_init__(self):
         pass
@@ -75,17 +74,30 @@ class Record:
         return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
 
+def _frozen(value):
+    """A record's value frozen all the way down: an array made read-only, a
+    dict or mapping proxy a mapping proxy of frozen values, a list or tuple a
+    tuple of them. A record inside froze itself."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    elif isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    return value
+
+
 def _plain(value):
     """A report value as JSON data: a record becomes the object of its
-    fields, an array, tuple or list a list, a dict an object, and a float
+    fields, an array or tuple a list, a mapping proxy an object, and a float
     that is not finite becomes None (null)."""
     if isinstance(value, float):  # first: nearly every value is a float
         return value if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         value = value.tolist()
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, (tuple, list)):  # a list is an array's tolist()
         return [_plain(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, MappingProxyType):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, Record):
         return {name: _plain(getattr(value, name)) for name in value._fields}

@@ -182,7 +182,7 @@ def _writing(path: str):
 def _emit(text: str, out: str | None) -> None:
     if out:
         with _writing(out):
-            Path(out).write_text(text if text.endswith("\n") else text + "\n")
+            Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
     else:
         print(text)
 
@@ -319,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # output bytes do not depend on the locale
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit

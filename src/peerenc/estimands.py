@@ -368,12 +368,17 @@ class EstimandReport(JsonReport):
     metadata: dict
 
     def to_csv(self) -> str:
+        """One row per block and one for the population; a name is quoted
+        as the csv module's minimal quoting writes it."""
         lines = ["estimand,block,value"]
         for key in sorted(self.entries):
             s = self.entries[key]
+            name = key
+            if any(c in key for c in ',"\r\n'):
+                name = '"' + key.replace('"', '""') + '"'
             for i, v in enumerate(s.per_block.tolist()):
-                lines.append(f"{key},{i},{v!r}")
-            lines.append(f"{key},population,{s.population!r}")
+                lines.append(f"{name},{i},{v!r}")
+            lines.append(f"{name},population,{s.population!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -417,14 +422,13 @@ def compute_estimand_report(pop: Population, mech_a: Mechanism,
 
     uses_tables = np.add.reduceat(~pop.structural, pop.starts[:-1]) > 0
     metadata = {
-        "mechanisms": {m.name: m.probs if isinstance(m.probs, float) else list(m.probs)
-                       for m in (mech_a, mech_b)},
+        "mechanisms": {m.name: m.probs for m in (mech_a, mech_b)},
         "flags": {
             "monotone": pop.monotone,
             "one_sided": pop.one_sided,
             "exclusion_ok": pop.exclusion_ok,
         },
-        "block_sizes": list(pop.sizes),
+        "block_sizes": pop.sizes,
         "evaluation": [
             "enumeration" if t else "moments" for t in uses_tables
         ],

@@ -16,8 +16,8 @@ vector. Two outcome representations are supported:
 A ``Population`` holds these as flat arrays in block order: per-individual
 columns, and one column of every table member's entries. The JSON
 population format is the one per-individual description:
-``population_from_dict`` fills the arrays from it and ``population_to_dict``
-writes it back. Populations are immutable once
+``population_from_dict`` fills the arrays from it and ``save_population``
+writes it. Populations are immutable once
 built; all randomness used to build one is frozen at build time, so
 everything downstream is a deterministic function of the population and the
 design's own random streams.
@@ -551,27 +551,6 @@ def _table_from_dict(d: dict, n: int, keyed: bool, in_order: dict):
         raise MissingTableEntry(f"table has no entry for {exc}") from None
 
 
-def population_to_dict(pop: Population) -> dict:
-    """The population file's document: every table member's "values" maps
-    its row keys to its entries."""
-    d0, d1, coef = pop.d0.tolist(), pop.d1.tolist(), pop.coef.T.tolist()
-    starts, table_start = pop.starts.tolist(), pop.table_start.tolist()
-    blocks = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        block = []
-        for u in range(lo, hi):
-            if pop.structural[u]:
-                y = {"kind": "structural", **dict(zip(_COEFS, coef[u]))}
-            else:
-                keyed = bool(pop.z_dependent[u])
-                rows = pop.table[table_start[u]:table_start[u + 1]].tolist()
-                y = {"kind": "table_z" if keyed else "table", "size": hi - lo,
-                     "values": dict(zip(_table_keys(hi - lo, keyed), rows))}
-            block.append({"d0": d0[u], "d1": d1[u], "outcome": y})
-        blocks.append(block)
-    return {"flags": {k: getattr(pop, k) for k in _FLAGS_KEYS}, "blocks": blocks}
-
-
 def population_from_dict(data: dict) -> Population:
     """The population of a file's document; FlagMismatch when a flag is not
     what the data satisfy."""
@@ -727,8 +706,9 @@ def _file_pieces(pop: Population):
 
 
 def save_population(pop: Population, path) -> None:
-    """Write ``json.dumps(population_to_dict(pop), sort_keys=True, indent=1)``
-    and a newline, byte for byte, streamed to the file a piece at a time:
+    """Write ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline,
+    byte for byte, for the population's per-individual document ``doc``
+    (``tests/oracles.py`` builds it), streamed to the file a piece at a time:
     memory is bounded by the largest member's table text, not the file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_file_pieces(pop))

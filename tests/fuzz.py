@@ -17,10 +17,9 @@ from peerenc.mechanisms import Mechanism
 from peerenc.population import (
     Population,
     population_from_dict,
-    population_to_dict,
 )
 from conftest import person, population, structural
-from oracles import convert_to_tables
+from oracles import convert_to_tables, population_to_dict
 
 
 def _random_outcome(rng: np.random.Generator) -> dict:

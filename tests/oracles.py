@@ -5,9 +5,10 @@ structural outcomes, a naive two-stage (treatment-randomized) evaluator, and
 a flat pooled Wald estimator, the sample estimators by per-block loops,
 the replication engine as a loop over replicates and blocks drawing from
 numpy's own generators, the design's exact randomization distribution, the
-synthetic population build as a scalar draw loop, and structural outcomes
-re-encoded as tables entry by entry. These deliberately share no code with
-the production engine."""
+synthetic population build as a scalar draw loop, structural outcomes
+re-encoded as tables entry by entry, and the population file's document
+built individual by individual. These deliberately share no code with the
+production engine."""
 
 from __future__ import annotations
 
@@ -511,3 +512,32 @@ def reference_build_population(cfg, rng: np.random.Generator) -> Population:
     return Population(starts=np.cumsum([0, *sizes]), d0=d0, d1=d1, structural=structural,
                       z_dependent=[not s and not exclusion_ok for s in structural],
                       coef=np.array(coef).T, table=np.array(table, dtype=float))
+
+
+def population_to_dict(pop: Population) -> dict:
+    """The population file's document, the spec ``save_population`` writes
+    as ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline: per
+    block a list of individuals, each with "d0", "d1" and an "outcome". A
+    structural outcome holds its six coefficients by name; a table outcome
+    its kind, its size and "values", which maps each row key to its entry in
+    row order: the row's bits, most significant member first, or "d|z"
+    (treatment-major) when encouragement-keyed."""
+    names = ("intercept", "direct", "peer", "interaction", "curvature", "noise")
+    blocks = []
+    for lo, hi in zip(pop.starts[:-1].tolist(), pop.starts[1:].tolist()):
+        n, block = hi - lo, []
+        for u in range(lo, hi):
+            if pop.structural[u]:
+                outcome = {"kind": "structural", **dict(zip(names, pop.coef[:, u].tolist()))}
+            else:
+                keyed = bool(pop.z_dependent[u])
+                rows = [format(r, f"0{n}b") for r in range(2**n)]
+                keys = [f"{d}|{z}" for d in rows for z in rows] if keyed else rows
+                entries = pop.table[pop.table_start[u]:pop.table_start[u + 1]].tolist()
+                outcome = {"kind": "table_z" if keyed else "table", "size": n,
+                           "values": dict(zip(keys, entries, strict=True))}
+            block.append({"d0": int(pop.d0[u]), "d1": int(pop.d1[u]), "outcome": outcome})
+        blocks.append(block)
+    flags = {"monotone": pop.monotone, "one_sided": pop.one_sided,
+             "exclusion_ok": pop.exclusion_ok}
+    return {"flags": flags, "blocks": blocks}

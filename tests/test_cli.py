@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -142,6 +143,23 @@ def test_estimands_formats(tmp_path, capsys):
     assert main(["estimands", "--config", str(cfg), "--pop", str(pop_path),
                  "--format", "text"]) == 0
     assert "et[1,0]" in capsys.readouterr().out
+
+
+def test_estimands_csv_quotes_names_that_hold_commas_and_quotes(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json",
+                       mechanisms=[{"name": 'a,"b"', "p": 0.7}, {"name": "psi", "p": 0.3}],
+                       design={"mech_a": 'a,"b"'})
+    pop_path, out = tmp_path / "pop.json", tmp_path / "estimands.csv"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    assert main(["estimands", "--config", str(cfg), "--pop", str(pop_path),
+                 "--format", "csv", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["estimand", "block", "value"]
+    assert {len(row) for row in rows} == {3}
+    names = {row[0] for row in rows[1:]}
+    assert {'ditt[1,0,mech=a,"b"]', 'pitt[z=1,a,"b",psi]', "et[1,0]"} <= names
+    assert '"ditt[1,0,mech=a,""b""]",population,' in out.read_text()
 
 
 def test_simulate_writes_summary_and_data(tmp_path):
@@ -666,6 +684,32 @@ def test_a_closed_stdout_pipe_is_a_one_line_error(tmp_path, command):
         os.close(write)
     assert proc.returncode == 2
     assert proc.stderr == "error: InvalidConfig: standard output: cannot write (Broken pipe)\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_estimands_writes_utf8_whatever_the_locale(tmp_path, fmt):
+    """A mechanism named φ, under the C locale without coercion or UTF-8
+    mode: the same bytes as under the default locale, to a file and to
+    stdout."""
+    src = Path(peerenc.__file__).resolve().parent.parent
+    cfg = write_config(tmp_path / "cfg.json",
+                       mechanisms=[{"name": "φ", "p": 0.7}, {"name": "psi", "p": 0.3}],
+                       design={"mech_a": "φ"})
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    argv = [sys.executable, "-m", "peerenc.cli", "estimands", "--config", str(cfg),
+            "--pop", str(pop_path), "--format", fmt]
+    written = {}
+    for name, locale in (("default", {}),
+                         ("C", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})):
+        env = {**os.environ, "PYTHONPATH": str(src), **locale}
+        out = tmp_path / f"{name}.{fmt}"
+        runs = [subprocess.run(args, env=env, capture_output=True, timeout=120)
+                for args in ([*argv, "--out", str(out)], argv)]
+        assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+        written[name] = (out.read_bytes(), runs[1].stdout)
+    assert written["C"] == written["default"]
+    assert "mech=φ".encode() in written["C"][0]
 
 
 @pytest.mark.parametrize("command, replications", [

@@ -9,11 +9,11 @@ from peerenc.design import DesignConfig, ExperimentData, batch_size, draw_valida
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.estimands import member_averages
 from peerenc.mechanisms import Mechanism
-from peerenc.population import population_from_dict, population_to_dict, structural_value
+from peerenc.population import population_from_dict, structural_value
 from conftest import make_population, person, population, structural, table
 from fuzz import varying_effect_monotone
 from oracles import assignment_probs, convert_to_tables, oracle_outcome, oracle_ybar_itt, \
-    oracle_ybar_local, pack_rows
+    oracle_ybar_local, pack_rows, population_to_dict
 
 PHI = Mechanism("phi", 0.8)
 PSI = Mechanism("psi", 0.2)

@@ -56,7 +56,7 @@ CONFIGS = {"walkthrough": _WALKTHROUGH, "table": _TABLE}
 DIGESTS = {
     "table": {
         "data.csv": "d75cc0d3acc5243a21876c7dd15c910760812638c0b3358bdb4a932ad305422b",
-        "estimands.csv": "6eba89a0a2214a2bc0c8cbe69a8e8b04173e45caa301855e535d2c107fa943ce",
+        "estimands.csv": "c0a1d74d6a1602f8e5e2838546dd396201e924f1a632e1e21caadebe5eea3f59",
         "estimands.json": "6ea5117e8346f3e254f16ba402e72db8b4a66ce3d9e9289577872297a87eabf7",
         "estimands.txt": "1d4f0e7f6e8a33cb9ae0effab739799ffa08b76920872601363b36abf4599b1b",
         "pop.json": "c18721a2a1345a386944b146874fe3a1355d5215531e085889c87b6fded54e1b",
@@ -68,7 +68,7 @@ DIGESTS = {
     },
     "walkthrough": {
         "data.csv": "c7653de3c1ef73b753fb18fb8e0b0b0e8410fa30af07114b90ae0be70e5b78f2",
-        "estimands.csv": "033e83ddfdb4af8f9176760eb6a7d4f6531403a4dbe2f4e0cfa8f84cf29671cb",
+        "estimands.csv": "eb4bd3a487343875e42834d8daa48a6ebc38f292a16bc32a2d48e6d6fa542c82",
         "estimands.json": "eda5321e81b3bd35949331aacf35821731cb5b583128d397babe9faeb751de93",
         "estimands.txt": "87999313339457aeab411a3df46f787bf7ca574ce260125576a15478c846a510",
         "pop.json": "6fa297d8d47702451afbcd722f5e29d83574897e73cd78c3ab419ab24dfbdcf4",

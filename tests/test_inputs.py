@@ -28,8 +28,9 @@ from peerenc.cli import main
 from peerenc.design import DesignConfig, ExperimentData, run_design, validate_design
 from peerenc.errors import InvalidConfig, InvalidData, PeerEncError
 from peerenc.mechanisms import Mechanism
-from peerenc.population import Population, population_from_dict, population_to_dict
+from peerenc.population import Population, population_from_dict
 from conftest import person, population, structural, table
+from oracles import population_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 FUZZ = settings(derandomize=True, max_examples=120, deadline=None, database=None)

@@ -26,14 +26,13 @@ from peerenc.population import (
     build_population,
     load_population,
     population_from_dict,
-    population_to_dict,
     save_population,
     structural_value,
     validate,
 )
 from conftest import make_individual, make_population, person, population, structural, table
 from oracles import convert_to_tables, oracle_outcome, oracle_ybar_itt, oracle_ybar_local, \
-    reference_build_population
+    population_to_dict, reference_build_population
 
 _STRATUM = {(0, 1): ComplianceType.COMPLIER, (1, 1): ComplianceType.ALWAYS_TAKER,
             (1, 0): ComplianceType.DEFIER, (0, 0): ComplianceType.NEVER_TAKER}

@@ -2,8 +2,10 @@
 assignment, value equality for value records and identity for array
 holders."""
 
+import operator
 import re
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from peerenc.estimators import EstimateReport, _BlockStats, _block_stats, estima
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import EstimatorSummary, McSummary, TheoremVerification, \
     VerificationReport, replicate, verify_theorems
-from peerenc.population import DgpConfig, OutcomeConfig, Population, ValidationReport, validate
+from peerenc.population import ComplianceType, DgpConfig, OutcomeConfig, Population, \
+    ValidationReport, validate
 from conftest import make_population
 
 PHI = Mechanism("phi", 0.8)
@@ -142,6 +145,65 @@ def test_every_array_a_record_holds_is_read_only(record):
     arrays = [value for value in vars(record).values() if isinstance(value, np.ndarray)]
     assert bool(arrays) == isinstance(record, (*ARRAY_HOLDERS, _BlockStats))
     assert not any(a.flags.writeable for a in arrays)
+
+
+def _reachable(value):
+    """The value and everything reached through it: a record's attributes,
+    derived ones included, and the keys, values and items of containers."""
+    yield value
+    if isinstance(value, Record):
+        children = vars(value).values()
+    elif isinstance(value, (dict, MappingProxyType)):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple)):
+        children = value
+    else:
+        return
+    for child in children:
+        yield from _reachable(child)
+
+
+@pytest.mark.parametrize("record", [*RECORDS.values(), _block_stats(RECORDS[ExperimentData])],
+                         ids=lambda r: type(r).__name__)
+def test_nothing_reached_through_a_record_can_change(record):
+    reached = list(_reachable(record))
+    assert not [type(v).__name__ for v in reached if isinstance(v, (dict, list))]
+    assert not [v for v in reached if isinstance(v, np.ndarray) and v.flags.writeable]
+
+
+_MUTATIONS = {
+    "strata-count": lambda r, rep: operator.setitem(r.strata[ComplianceType.COMPLIER], 0, 99),
+    "entries-pop": lambda r, rep: rep.entries.pop("et[1,0]"),
+    "entries-set": lambda r, rep: operator.setitem(rep.entries, "et[1,0]",
+                                                   rep.entries["ditt[1,0,mech=phi]"]),
+    "skipped-set": lambda r, rep: operator.setitem(rep.skipped, "x", "y"),
+    "block-sizes": lambda r, rep: operator.setitem(rep.metadata["block_sizes"], 0, 7),
+}
+
+
+@pytest.mark.parametrize("mutate", _MUTATIONS.values(), ids=_MUTATIONS)
+def test_a_built_report_cannot_be_changed_through_its_fields(mutate):
+    pop = RECORDS[Population]
+    r, rep = validate(pop), compute_estimand_report(pop, PHI, PSI)
+    lines, doc = r.summary_lines(), rep.to_dict()
+    with pytest.raises((TypeError, ValueError, AttributeError)):
+        mutate(r, rep)
+    assert r.summary_lines() == lines and rep.to_dict() == doc
+
+
+def test_replace_takes_and_freezes_dict_fields():
+    rep = RECORDS[EstimandReport]
+    skipped = {"x": "y"}
+    changed = rep.replace(skipped=skipped)
+    skipped["z"] = "w"  # the record froze a copy; the caller's dict stays its own
+    assert type(changed.skipped) is MappingProxyType and changed.skipped == {"x": "y"}
+    assert changed.entries == rep.entries and changed.metadata == rep.metadata
+    assert changed.replace(skipped=rep.skipped) == rep and rep.replace(skipped={}).skipped == {}
+    verification = RECORDS[VerificationReport]
+    assert verification.replace(mc=None).replace(mc=verification.mc) == verification
+    assert verification.replace(mc=None).to_dict()["mc"] is None
+    strata = dict(RECORDS[ValidationReport].strata)
+    assert validate(RECORDS[Population]).replace(strata=strata).strata == strata
 
 
 @pytest.mark.parametrize("cls, name", [(Population, "d1"), (ExperimentData, "z")],
