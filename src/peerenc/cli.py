@@ -155,10 +155,13 @@ def _check_threads(text: str | None) -> None:
         raise InvalidConfig(f"--threads: expected a thread count of at least 1, got {text!r}")
 
 
-def _check_output(path: str | None, where: str) -> None:
+def _check_output(path: str | None, where: str, *taken: tuple[str, str | None]) -> None:
     """InvalidConfig naming the path when it is empty, its directory is
-    missing or it is a directory; checked before any work starts, so no run
-    is lost at its final write. ``_writing`` reports any other write failure."""
+    missing, it is a directory, or it resolves (through symbolic links) to
+    one of the ``taken`` (flag, path) pairs: the command's inputs and its
+    other outputs. Checked before any work starts, so no run is lost at its
+    final write and no input is overwritten. ``_writing`` reports any other
+    write failure."""
     if path is None:
         return
     if not path:
@@ -168,6 +171,14 @@ def _check_output(path: str | None, where: str) -> None:
         raise InvalidConfig(f"{where} {path}: cannot write (no directory {str(target.parent)!r})")
     if target.is_dir():
         raise InvalidConfig(f"{where} {path}: cannot write (it is a directory)")
+    for flag, other in taken:
+        if other and os.path.realpath(path) == os.path.realpath(other):
+            raise InvalidConfig(f"{where} {path}: cannot write (it is the {flag} file)")
+
+
+def _inputs(args) -> tuple[tuple[str, str], ...]:
+    """The (flag, path) pairs a command reads, which no output may name."""
+    return ("--config", args.config), ("--pop", args.pop)
 
 
 @contextlib.contextmanager
@@ -180,11 +191,15 @@ def _writing(path: str):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write the text, ending in one newline, to ``out`` or to stdout: the
+    same bytes either way."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with _writing(out):
-            Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+            Path(out).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def cmd_generate(args) -> int:
@@ -195,7 +210,8 @@ def cmd_generate(args) -> int:
     if cfg["path"] == "":
         _check_output("", "config output.path")
     out = args.out if args.out is not None else cfg["path"] or "population.json"
-    _check_output(out, "--out" if args.out is not None else "config output.path")
+    _check_output(out, "--out" if args.out is not None else "config output.path",
+                  ("--config", args.config))
     pop = build_population(cfg["dgp"], _streams.stream(seed, _DGP_STREAM))
     report = validate(pop)
     with _writing(out):
@@ -208,7 +224,7 @@ def cmd_estimands(args) -> int:
     from .estimands import compute_estimand_report
 
     cfg = _read_config(args.config, "mechanisms")
-    _check_output(args.out, "--out")
+    _check_output(args.out, "--out", *_inputs(args))
     pop = load_population(args.pop)
     report = compute_estimand_report(pop, *cfg["pair"])
     if args.format == "csv":
@@ -236,8 +252,8 @@ def cmd_simulate(args) -> int:
     from .montecarlo import check_replications, replicate
 
     cfg = _read_config(args.config, "mechanisms")
-    _check_output(args.out, "--out")
-    _check_output(args.dump_data, "--dump-data")
+    _check_output(args.out, "--out", *_inputs(args))
+    _check_output(args.dump_data, "--dump-data", *_inputs(args), ("--out", args.out))
     _check_threads(args.threads)
     seed = _resolve_seed(args.seed, cfg, "design")
     r = 1000 if cfg["replications"] is None else cfg["replications"]
@@ -258,7 +274,7 @@ def cmd_verify(args) -> int:
     from .montecarlo import check_replications, replicate, verification_passes, verify_theorems
 
     cfg = _read_config(args.config, "mechanisms")
-    _check_output(args.out, "--out")
+    _check_output(args.out, "--out", *_inputs(args))
     _check_threads(args.threads)
     seed = _resolve_seed(args.seed, cfg, "mc")
     r = cfg["replications"] or 0

@@ -29,11 +29,6 @@ class MissingTableEntry(PeerEncError):
     """An outcome table does not cover a requested treatment profile."""
 
 
-class ExclusionViolated(PeerEncError):
-    """An operation defined only for encouragement-free outcomes was applied
-    to an individual whose outcome depends on encouragements."""
-
-
 class EmptyStratumInBlock(PeerEncError):
     """A stratum-restricted block average has no individuals in the stratum."""
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._report import JsonReport, Record
-from .errors import EmptyStratumInBlock, ExclusionViolated, ZeroEncouragementEffect
+from .errors import EmptyStratumInBlock, ZeroEncouragementEffect
 from .mechanisms import Mechanism, unit_marginals
 from .population import ComplianceType, Population
 
@@ -57,10 +57,12 @@ def _block_means(pop: Population, values: np.ndarray, members: np.ndarray) -> np
 class MemberAverages(Record, eq=False):
     """Each individual's averages under one mechanism, in block order:
     ``itt[z]`` pins the own encouragement at z, ``local[d]`` the own treatment
-    at d (averaging the own encouragement for encouragement-keyed tables).
-    Local averages are read through ``members``, which refuses the blocks
-    where they are undefined. The arrays are read-only: one kernel is shared
-    by every family and check."""
+    at d (averaging the own encouragement with p for encouragement-keyed
+    tables). Stratum averages are read through ``members``, which refuses a
+    block with no member in the stratum. Whether a local average is published
+    is decided by its caller: the report skips them when the exclusion
+    restriction fails, and the identity checks note it. The arrays are
+    read-only: one kernel is shared by every family and check."""
 
     pop: Population
     itt: np.ndarray  # (2, N)
@@ -69,30 +71,19 @@ class MemberAverages(Record, eq=False):
     def itt_blocks(self, z: int) -> np.ndarray:
         return _block_means(self.pop, self.itt[z], self.pop.in_stratum(None))
 
-    def local_blocks(self, d: int, stratum: ComplianceType | None = None,
-                     allow_exclusion_violation: bool = False) -> np.ndarray:
-        members = self.members(stratum, allow_exclusion_violation)
-        return _block_means(self.pop, self.local[d], members)
+    def local_blocks(self, d: int, stratum: ComplianceType | None = None) -> np.ndarray:
+        return _block_means(self.pop, self.local[d], self.members(stratum))
 
-    def members(self, stratum: ComplianceType | None = None,
-                allow_exclusion_violation: bool = False) -> np.ndarray:
+    def members(self, stratum: ComplianceType | None = None) -> np.ndarray:
         """Mask of the individuals in a stratum (everyone for None). Raises
-        for the first block, and its first member, where the local average
-        is undefined: an empty stratum, or an encouragement-keyed table
-        unless allowed."""
+        for the first block with no member in the stratum."""
         pop = self.pop
-        firsts = pop.starts[:-1]
         members = pop.in_stratum(stratum)
-        bad = members & pop.z_dependent & (not allow_exclusion_violation)
-        empty = (np.add.reduceat(members, firsts) == 0) & (stratum is not None)
-        blocks = np.flatnonzero(empty | (np.add.reduceat(bad, firsts) > 0))
-        if blocks.size == 0:
-            return members
-        i = int(blocks[0])
-        if empty[i]:
-            raise EmptyStratumInBlock(f"block {i} has no {stratum.value} individuals")
-        j = int(np.argmax(bad[firsts[i]:]))
-        raise ExclusionViolated(f"block {i} individual {j}: outcome depends on encouragements")
+        if stratum is not None:
+            empty = np.flatnonzero(np.add.reduceat(members, pop.starts[:-1]) == 0)
+            if empty.size:
+                raise EmptyStratumInBlock(f"block {empty[0]} has no {stratum.value} individuals")
+        return members
 
 
 def _contract(entries: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -205,27 +196,17 @@ def et(pop: Population) -> BlockSummary:
     return _summarize(_block_means(pop, pop.d1.astype(np.int64) - pop.d0, pop.in_stratum(None)))
 
 
-def ldt(
-    avg: MemberAverages,
-    stratum: ComplianceType | None = ComplianceType.COMPLIER,
-    allow_exclusion_violation: bool = False,
-) -> BlockSummary:
+def ldt(avg: MemberAverages,
+        stratum: ComplianceType | None = ComplianceType.COMPLIER) -> BlockSummary:
     """Local direct treatment effect: own treatment 1 against 0, peers natural."""
-    return _summarize(avg.local_blocks(1, stratum, allow_exclusion_violation)
-                      - avg.local_blocks(0, stratum, allow_exclusion_violation))
+    return _summarize(avg.local_blocks(1, stratum) - avg.local_blocks(0, stratum))
 
 
-def lpt(
-    a: MemberAverages,
-    b: MemberAverages,
-    d: int,
-    stratum: ComplianceType | None = None,
-    allow_exclusion_violation: bool = False,
-) -> BlockSummary:
+def lpt(a: MemberAverages, b: MemberAverages, d: int,
+        stratum: ComplianceType | None = None) -> BlockSummary:
     """Local peer treatment effect; stratum None averages over everyone."""
     _same_population(a, b)
-    return _summarize(a.local_blocks(d, stratum, allow_exclusion_violation)
-                      - b.local_blocks(d, stratum, allow_exclusion_violation))
+    return _summarize(a.local_blocks(d, stratum) - b.local_blocks(d, stratum))
 
 
 # --------------------------------------------------------------------------
@@ -319,8 +300,7 @@ def theorem_1_check(avg: MemberAverages) -> IdentityReport:
     flags so violations can be demonstrated, and reports their status.
     """
     uptake = _ratio_denominator(avg.pop)
-    return _ratio_identity("theorem_1", avg.pop, uptake, ditt(avg),
-                           ldt(avg, ComplianceType.COMPLIER, True))
+    return _ratio_identity("theorem_1", avg.pop, uptake, ditt(avg), ldt(avg))
 
 
 def theorem_2_check(a: MemberAverages, b: MemberAverages) -> IdentityReport:
@@ -332,7 +312,7 @@ def theorem_2_check(a: MemberAverages, b: MemberAverages) -> IdentityReport:
     """
     uptake = _ratio_denominator(a.pop)
     peer_itt = [pitt(a, b, z) for z in (0, 1)]
-    peer_local = [lpt(a, b, d, ComplianceType.COMPLIER, True) for d in (0, 1)]
+    peer_local = [lpt(a, b, d, ComplianceType.COMPLIER) for d in (0, 1)]
     return _ratio_identity("theorem_2", a.pop, uptake,
                            _summarize(peer_itt[1].per_block - peer_itt[0].per_block),
                            _summarize(peer_local[1].per_block - peer_local[0].per_block))
@@ -346,7 +326,7 @@ def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> Identit
     block, hence at the population level with no ratio involved.
     """
     p = pitt(a, b, z)
-    l = lpt(a, b, z, None, True)
+    l = lpt(a, b, z)
     notes = _assumption_notes(
         a.pop,
         require_exclusion=True,

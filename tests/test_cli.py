@@ -840,3 +840,59 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
         assert never | {"peerenc.estimands", "peerenc._streams"} <= replicating
     for modules in (generate, estimands, simulate, verify):
         assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("estimands", "json"), ("estimands", "csv"), ("estimands", "text"),
+    ("simulate", "json"), ("simulate", "text"), ("verify", "json"), ("verify", "text"),
+])
+def test_stdout_carries_the_bytes_of_the_out_file(tmp_path, capsys, command, fmt):
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": 20})
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    argv = [command, "--config", str(cfg), "--pop", str(pop_path), "--format", fmt]
+    out = tmp_path / f"report.{fmt}"
+    capsys.readouterr()
+    codes = [main([*argv, "--out", str(out)]), main(argv)]
+    assert codes[0] == codes[1]
+    written = out.read_bytes()
+    assert capsys.readouterr().out.encode() == written
+    assert written.endswith(b"\n") and not written.endswith(b"\n\n")
+
+
+@pytest.mark.parametrize("command, flags, kept, taken", [
+    ("generate", {"--out": "cfg.json"}, "cfg.json", "--config"),
+    ("estimands", {"--out": "pop.json"}, "pop.json", "--pop"),
+    ("estimands", {"--out": "link.json"}, "pop.json", "--pop"),
+    ("simulate", {"--dump-data": "x", "--out": "x"}, "x", "--out"),
+], ids=["generate-config", "estimands-pop", "estimands-pop-link", "simulate-out"])
+def test_an_output_that_names_an_input_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, flags, kept, taken):
+    """An output path naming the command's config, its population (also
+    through a symbolic link) or its other output exits 2 with one line, and
+    the file it names keeps its bytes."""
+    cfg = write_config(tmp_path / "cfg.json")
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    (tmp_path / "link.json").symlink_to(pop_path)
+    (tmp_path / "x").write_text("block_id\n")
+    before = (tmp_path / kept).read_bytes()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr("peerenc.cli.build_population", no_work)
+    monkeypatch.setattr("peerenc.cli.load_population", no_work)
+    argv = [command, "--config", str(cfg)]
+    if command != "generate":
+        argv += ["--pop", str(pop_path)]
+    for flag, name in flags.items():
+        argv += [flag, str(tmp_path / name)]
+    capsys.readouterr()
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "--dump-data" if command == "simulate" else "--out"
+    assert captured.err == (f"error: InvalidConfig: {where} {tmp_path / flags[where]}: "
+                            f"cannot write (it is the {taken} file)\n")
+    assert (tmp_path / kept).read_bytes() == before

@@ -6,7 +6,6 @@ import pytest
 
 from peerenc.errors import (
     EmptyStratumInBlock,
-    ExclusionViolated,
     ZeroEncouragementEffect,
 )
 from peerenc.estimands import (
@@ -300,13 +299,12 @@ def test_lpt_empty_stratum():
 def test_exclusion_violating_local_average_guarded():
     z_dep = table([[0.0, 1.0], [2.0, 3.0]])
     pop = population([[person("co", z_dep)], [person("co", structural())]])
-    with pytest.raises(ExclusionViolated, match="block 0 individual 0"):
-        ldt(member_averages(pop, PHI))
-    # opt-in marginalization stays defined: d pinned to 1, own z ~ Bernoulli(0.7)
+    # the keyed member's local average marginalizes its own encouragement:
+    # d pinned to 1, own z ~ Bernoulli(0.7)
     _, local = averages(pop, PHI)
     assert local(0, 0, 1) == pytest.approx(0.7 * 3.0 + 0.3 * 2.0, abs=1e-12)
-    allowed = ldt(member_averages(pop, PHI), allow_exclusion_violation=True)
-    assert allowed.per_block[0] == pytest.approx(local(0, 0, 1) - local(0, 0, 0), abs=1e-12)
+    effect = ldt(member_averages(pop, PHI))
+    assert effect.per_block[0] == pytest.approx(local(0, 0, 1) - local(0, 0, 0), abs=1e-12)
 
 
 def test_a_table_of_2_to_the_22_entries_matches_the_moment_route():
@@ -585,3 +583,32 @@ def test_estimand_report_exclusion_violation_skips_local():
     report = compute_estimand_report(pop, PHI, PSI)
     assert "local_effects" in report.skipped
     assert not any(k.startswith("ldt") for k in report.entries)
+
+
+def test_keyed_member_local_effects_are_the_identity_checks_rhs():
+    """A local family is defined for an encouragement-keyed member, exactly as
+    the identity checks evaluate it; only the report withholds it."""
+    rng = np.random.default_rng(28)
+    z_dep = table(rng.normal(size=(4, 4)))
+    pop = population([
+        [person("co", z_dep), person("co", structural(direct=1.0, peer=0.5))],
+        [person("co", structural(direct=2.0, peer=-0.3)), person("nt", structural(peer=1.0))],
+    ])
+    assert not pop.exclusion_ok
+    a, b = member_averages(pop, PHI), member_averages(pop, PSI)
+    co = ComplianceType.COMPLIER
+    direct, rep1 = ldt(a), theorem_1_check(a)
+    assert direct.population == rep1.rhs
+    assert np.array_equal(direct.per_block, rep1.block_rhs)
+    peer = [lpt(a, b, d, co) for d in (0, 1)]
+    rep2 = theorem_2_check(a, b)
+    assert np.array_equal(peer[1].per_block - peer[0].per_block, rep2.block_rhs)
+    assert rep2.rhs == pytest.approx(np.mean(peer[1].per_block - peer[0].per_block),
+                                     rel=1e-15, abs=1e-15)
+    assert lpt(a, b, 0).population == theorem_3_check(a, b, 0).rhs
+    for rep in (rep1, rep2):
+        assert "exclusion restriction violated: encouragement-dependent outcomes" \
+            in rep.assumption_notes
+    report = compute_estimand_report(pop, PHI, PSI)
+    assert "local_effects" in report.skipped
+    assert not any(k.startswith(("ybar_local", "ldt", "lpt")) for k in report.entries)
