@@ -9,13 +9,15 @@ Stream layout v2: replicate r draws everything from the one stream
 (seed; REPLICATE, r): first ``permutation(B)``, whose first K entries are the
 blocks that get mechanism A, then ``random(N)``, one uniform per individual
 in block order, each compared with that individual's encouragement
-probability. The population comes from stream (seed; 0) (``cli._DGP_STREAM``).
+probability. The population comes from stream (seed; POPULATION). Output
+bytes are a function of (config, seed, stream-layout version) alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+POPULATION = 0  # the generated population
 REPLICATE = 1  # arm assignment, then encouragement uniforms, per replicate
 
 

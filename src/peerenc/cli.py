@@ -24,8 +24,6 @@ from .mechanisms import Mechanism
 from .population import DgpConfig, OutcomeConfig, build_population, load_population, \
     save_population, validate
 
-_DGP_STREAM = 0
-
 _STRATA_KEYS = ("always_taker", "complier", "never_taker", "defier")
 _PARAMS = ("intercept", "direct", "peer", "interaction", "curvature")
 # Each config section's closed key set.
@@ -156,24 +154,32 @@ def _check_threads(text: str | None) -> None:
 
 
 def _check_output(path: str | None, where: str, *taken: tuple[str, str | None]) -> None:
-    """InvalidConfig naming the path when it is empty, its directory is
-    missing, it is a directory, or it resolves (through symbolic links) to
-    one of the ``taken`` (flag, path) pairs: the command's inputs and its
-    other outputs. Checked before any work starts, so no run is lost at its
-    final write and no input is overwritten. ``_writing`` reports any other
-    write failure."""
+    """InvalidConfig naming the flag and path when the path is empty, its
+    directory is missing, it resolves (through symbolic links) to one of the
+    ``taken`` (flag, path) pairs: the command's inputs and its other
+    outputs, or it exists and cannot be written. Checked before any work
+    starts, so no run is lost at its final write and no input is
+    overwritten. ``_writing`` reports any other write failure."""
     if path is None:
         return
     if not path:
         raise InvalidConfig(f"{where}: expected a file path, got an empty string")
-    target = Path(path)
-    if not target.parent.is_dir():
-        raise InvalidConfig(f"{where} {path}: cannot write (no directory {str(target.parent)!r})")
-    if target.is_dir():
-        raise InvalidConfig(f"{where} {path}: cannot write (it is a directory)")
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise InvalidConfig(f"{where} {path}: cannot write (no directory {str(parent)!r})")
     for flag, other in taken:
         if other and os.path.realpath(path) == os.path.realpath(other):
             raise InvalidConfig(f"{where} {path}: cannot write (it is the {flag} file)")
+    try:
+        os.stat(path)  # through symbolic links: a loop fails here
+    except FileNotFoundError:  # the write creates it (a dangling link's target too)
+        return
+    except OSError as exc:
+        raise InvalidConfig(f"{where} {path}: cannot write ({exc.strerror})") from None
+    if os.path.isdir(path):
+        raise InvalidConfig(f"{where} {path}: cannot write (it is a directory)")
+    if not os.access(path, os.W_OK):
+        raise InvalidConfig(f"{where} {path}: cannot write (no write permission)")
 
 
 def _inputs(args) -> tuple[tuple[str, str], ...]:
@@ -182,21 +188,22 @@ def _inputs(args) -> tuple[tuple[str, str], ...]:
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """Turn an OSError of the write in the body into InvalidConfig naming the path."""
+def _writing(where: str, path: str):
+    """Turn an OSError of the write in the body into InvalidConfig naming the flag and path."""
     try:
         yield
     except OSError as exc:
-        raise InvalidConfig(f"{path}: cannot write ({exc.strerror or exc})") from None
+        raise InvalidConfig(f"{where} {path}: cannot write ({exc.strerror or exc})") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write the text, ending in one newline, to ``out`` or to stdout: the
-    same bytes either way."""
+def _emit(report, fmt: str, out: str | None) -> None:
+    """Write ``report.to_<fmt>()``, ending in one newline, to ``out`` or to
+    stdout: the same bytes either way."""
+    text = getattr(report, f"to_{fmt}")()
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with _writing(out):
+        with _writing("--out", out):
             Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -210,13 +217,13 @@ def cmd_generate(args) -> int:
     if cfg["path"] == "":
         _check_output("", "config output.path")
     out = args.out if args.out is not None else cfg["path"] or "population.json"
-    _check_output(out, "--out" if args.out is not None else "config output.path",
-                  ("--config", args.config))
-    pop = build_population(cfg["dgp"], _streams.stream(seed, _DGP_STREAM))
+    where = "--out" if args.out is not None else "config output.path"
+    _check_output(out, where, ("--config", args.config))
+    pop = build_population(cfg["dgp"], _streams.stream(seed, _streams.POPULATION))
     report = validate(pop)
-    with _writing(out):
+    with _writing(where, out):
         save_population(pop, out)
-    print(f"wrote {out}", *report.summary_lines(), sep="\n")
+    print(f"wrote {out}", report.to_text(), sep="\n")
     return 0
 
 
@@ -226,15 +233,7 @@ def cmd_estimands(args) -> int:
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out", *_inputs(args))
     pop = load_population(args.pop)
-    report = compute_estimand_report(pop, *cfg["pair"])
-    if args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    elif args.format == "text":
-        lines = [f"{k:<44}{v.population:>16.8g}" for k, v in report.entries.items()]
-        lines += [f"skipped {k}: {v}" for k, v in report.skipped.items()]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(report.to_json(), args.out)
+    _emit(compute_estimand_report(pop, *cfg["pair"]), args.format, args.out)
     return 0
 
 
@@ -260,13 +259,9 @@ def cmd_simulate(args) -> int:
     check_replications(r, where="config mc.replications")
     design = _design(cfg, load_population(args.pop), seed)
     if args.dump_data:
-        with _writing(args.dump_data):
+        with _writing("--dump-data", args.dump_data):
             run_design(design).to_csv(args.dump_data)
-    summary = replicate(design, r)
-    if args.format == "text":
-        _emit(summary.text_table(), args.out)
-    else:
-        _emit(summary.to_json(), args.out)
+    _emit(replicate(design, r), args.format, args.out)
     return 0
 
 
@@ -284,10 +279,7 @@ def cmd_verify(args) -> int:
     report = verify_theorems(pop, *cfg["pair"])
     if design is not None:
         report = report.replace(mc=replicate(design, r, report.targets))
-    if args.format == "text":
-        _emit(report.text_table(), args.out)
-    else:
-        _emit(report.to_json(), args.out)
+    _emit(report, args.format, args.out)
     ok = verification_passes(report, expect_fail=set(args.expect_fail or ()))
     return 0 if ok else 1
 

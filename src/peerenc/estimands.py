@@ -361,6 +361,11 @@ class EstimandReport(JsonReport):
             lines.append(f"{name},population,{s.population!r}")
         return "\n".join(lines) + "\n"
 
+    def to_text(self) -> str:
+        lines = [f"{k:<44}{v.population:>16.8g}" for k, v in self.entries.items()]
+        lines += [f"skipped {k}: {v}" for k, v in self.skipped.items()]
+        return "\n".join(lines)
+
 
 def compute_estimand_report(pop: Population, mech_a: Mechanism,
                             mech_b: Mechanism) -> EstimandReport:

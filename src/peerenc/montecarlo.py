@@ -109,7 +109,7 @@ class McSummary(JsonReport):
                 return s
         raise KeyError(name)
 
-    def text_table(self) -> str:
+    def to_text(self) -> str:
         header = f"{'estimator':<14}{'mean':>14}{'sd':>12}{'mcse':>12}{'target':>14}{'std_bias':>10}{'undef':>7}"
         lines = [header, "-" * len(header)]
         for s in self.estimators:
@@ -212,7 +212,7 @@ class VerificationReport(JsonReport):
                 return t
         raise KeyError(name)
 
-    def text_table(self) -> str:
+    def to_text(self) -> str:
         lines = []
         for t in self.theorems:
             if t.identity is None:

@@ -274,7 +274,7 @@ class ValidationReport(Record, eq=False):
     exclusion_ok: bool
     warnings: tuple[str, ...]
 
-    def summary_lines(self) -> list[str]:
+    def to_text(self) -> str:
         lines = [
             f"blocks={self.sizes.size} individuals={self.sizes.sum()} "
             f"monotone={self.monotone} one_sided={self.one_sided} exclusion_ok={self.exclusion_ok}"
@@ -284,7 +284,7 @@ class ValidationReport(Record, eq=False):
             strata = " ".join(f"{name}={c[i]}" for name, c in counts.items() if c[i])
             lines.append(f"  block {i}: n={n} effect_on_uptake={effect:+.4f} {strata}")
         lines.extend(f"  warning: {w}" for w in self.warnings)
-        return lines
+        return "\n".join(lines)
 
 
 def validate(pop: Population) -> ValidationReport:

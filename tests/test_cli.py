@@ -614,13 +614,17 @@ def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make
     ("generate", "--out"), ("generate", "output.path"), ("estimands", "--out"),
     ("simulate", "--out"), ("simulate", "--dump-data"), ("verify", "--out"),
 ])
-@pytest.mark.parametrize("where", ["nodir/out", "adir"])
+@pytest.mark.parametrize("where", ["nodir/out", "adir", "loop"])
 def test_unwritable_output_paths_are_one_line_errors_before_any_work(
         tmp_path, capsys, monkeypatch, command, flag, where):
-    """An output path in a missing directory, or naming a directory, exits 2
-    with one line naming it before the population is built or loaded; so
-    simulate never writes its --dump-data CSV for a run it cannot finish."""
+    """An output path in a missing directory, naming a directory, or that
+    exists and cannot be written (a symbolic-link loop; file modes would not
+    stop a run as root) exits 2 with one line naming its flag and path
+    before the population is built or loaded; so simulate never writes its
+    --dump-data CSV for a run it cannot finish."""
     (tmp_path / "adir").mkdir()
+    os.symlink(tmp_path / "loop-b", tmp_path / "loop")
+    os.symlink(tmp_path / "loop", tmp_path / "loop-b")
     bad = tmp_path / where
     output = {"path": str(bad)} if flag == "output.path" else {}
     cfg = write_config(tmp_path / "cfg.json", output=output)
@@ -644,7 +648,7 @@ def test_unwritable_output_paths_are_one_line_errors_before_any_work(
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert str(bad) in err
+    assert f"{flag} {bad}: cannot write" in err
     assert not dump.exists()
 
 
@@ -659,7 +663,27 @@ def test_a_failed_write_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert _exit_code(["generate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: InvalidConfig: {out}: cannot write (Permission denied)\n"
+    assert err == f"error: InvalidConfig: --out {out}: cannot write (Permission denied)\n"
+
+
+def test_an_existing_output_without_write_permission_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    """os.access stands in for a read-only file, which file modes cannot
+    make for a suite running as root."""
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "pop.json"
+    out.write_text("kept")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr("peerenc.cli.build_population", no_work)
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(out))
+    capsys.readouterr()
+    assert _exit_code(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: InvalidConfig: --out {out}: cannot write (no write permission)\n"
+    assert out.read_text() == "kept"
 
 
 @pytest.mark.parametrize("command", ["generate", "estimands"])
@@ -858,6 +882,23 @@ def test_stdout_carries_the_bytes_of_the_out_file(tmp_path, capsys, command, fmt
     written = out.read_bytes()
     assert capsys.readouterr().out.encode() == written
     assert written.endswith(b"\n") and not written.endswith(b"\n\n")
+
+
+def test_each_report_renders_every_format_its_command_offers():
+    """A command writes ``report.to_<format>()`` for its --format choice, so
+    the report class it writes has a method for each choice."""
+    from peerenc.cli import build_parser
+    from peerenc.estimands import EstimandReport
+    from peerenc.montecarlo import McSummary, VerificationReport
+
+    writes = {"estimands": EstimandReport, "simulate": McSummary, "verify": VerificationReport}
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    offered = {name: action.choices for name, p in subparsers.choices.items()
+               for action in p._actions if action.dest == "format"}
+    assert offered.keys() == writes.keys()
+    for command, choices in offered.items():
+        for fmt in choices:
+            assert callable(getattr(writes[command], f"to_{fmt}", None)), (command, fmt)
 
 
 @pytest.mark.parametrize("command, flags, kept, taken", [

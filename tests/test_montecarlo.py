@@ -267,10 +267,10 @@ def test_replication_floor():
         replicate(_design(pop, k=1), replications=1)
 
 
-def test_mc_summary_text_table(rng):
+def test_mc_summary_to_text(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=2)
-    table = replicate(validate_design(cfg, pop), replications=20).text_table()
+    table = replicate(validate_design(cfg, pop), replications=20).to_text()
     assert "ditt_hat_a" in table and "std_bias" in table
 
 
@@ -288,7 +288,7 @@ def test_verify_theorems_all_pass_on_one_sided_equal_effects(rng):
     assert verification_passes(report)
     payload = json.loads(report.to_json())
     assert {t["name"] for t in payload["theorems"]} >= {"theorem_1", "theorem_2"}
-    assert "theorem_1" in report.text_table()
+    assert "theorem_1" in report.to_text()
 
 
 def test_verify_theorems_monotone_with_always_takers(rng):
@@ -409,7 +409,7 @@ def test_verify_theorems_degenerate_uptake():
     assert t1.identity is None
     assert "ZeroEncouragementEffect" in t1.error
     assert not verification_passes(report)
-    assert "degenerate" in report.text_table()
+    assert "degenerate" in report.to_text()
 
 
 def test_verify_theorems_exclusion_violation_flagged():

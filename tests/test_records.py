@@ -185,10 +185,10 @@ _MUTATIONS = {
 def test_a_built_report_cannot_be_changed_through_its_fields(mutate):
     pop = RECORDS[Population]
     r, rep = validate(pop), compute_estimand_report(pop, PHI, PSI)
-    lines, doc = r.summary_lines(), rep.to_dict()
+    lines, doc = r.to_text(), rep.to_dict()
     with pytest.raises((TypeError, ValueError, AttributeError)):
         mutate(r, rep)
-    assert r.summary_lines() == lines and rep.to_dict() == doc
+    assert r.to_text() == lines and rep.to_dict() == doc
 
 
 def test_replace_takes_and_freezes_dict_fields():
