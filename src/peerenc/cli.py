@@ -17,7 +17,8 @@ from pathlib import Path
 
 # Only the layers every command needs load here; each command imports the
 # rest itself, so `generate` never loads the Monte Carlo, estimator or CSV
-# code and `estimands` never loads the Monte Carlo or CSV code.
+# code, and neither `estimands` nor `verify` without replications loads the
+# Monte Carlo, estimator, design or CSV code.
 from . import _json
 from .errors import PeerEncError, InvalidConfig
 from .mechanisms import Mechanism
@@ -37,6 +38,8 @@ _SECTIONS = {
 
 _THREADS_HELP = ("accepted for compatibility and checked to be an integer >= 1; replication "
                  "runs in one thread, so it changes neither output nor speed")
+# Where `generate` writes with neither --out nor output.path.
+_DEFAULT_POPULATION = "population.json"
 # An integer on the command line: ASCII digits after an optional minus sign,
 # the data CSV's integer numeral. "1_0", " 7" and non-ASCII digits are not.
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -216,8 +219,9 @@ def cmd_generate(args) -> int:
     seed = _resolve_seed(args.seed, cfg, "dgp")
     if cfg["path"] == "":
         _check_output("", "config output.path")
-    out = args.out if args.out is not None else cfg["path"] or "population.json"
-    where = "--out" if args.out is not None else "config output.path"
+    out = args.out if args.out is not None else cfg["path"] or _DEFAULT_POPULATION
+    where = ("--out" if args.out is not None else
+             "config output.path" if cfg["path"] else "default output")
     _check_output(out, where, ("--config", args.config))
     pop = build_population(cfg["dgp"], _streams.stream(seed, _streams.POPULATION))
     report = validate(pop)
@@ -266,14 +270,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .montecarlo import check_replications, replicate, verification_passes, verify_theorems
+    from .estimands import verification_passes, verify_theorems
 
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out", *_inputs(args))
     _check_threads(args.threads)
     seed = _resolve_seed(args.seed, cfg, "mc")
     r = cfg["replications"] or 0
-    check_replications(r, optional=True, where="config mc.replications")
+    if r:
+        from .montecarlo import check_replications, replicate
+
+        check_replications(r, optional=True, where="config mc.replications")
     pop = load_population(args.pop)
     design = _design(cfg, pop, seed) if r else None
     report = verify_theorems(pop, *cfg["pair"])

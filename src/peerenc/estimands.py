@@ -24,6 +24,9 @@ and identity check takes kernel results (``member_averages``), so a caller
 evaluates the kernel once per mechanism; each assembles block means of the
 kernel's output, and a family's population value is the unweighted mean of
 its block values.
+
+``verify_theorems`` runs the identity checks as one catalog, reporting
+degenerate cases inline; ``verification_passes`` is the ``--expect-fail`` gate.
 """
 
 from __future__ import annotations
@@ -335,6 +338,114 @@ def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> Identit
     )
     return _identity(f"theorem_3[z={z}]", p.population, l.population, p.per_block,
                      l.per_block, notes)
+
+
+# --------------------------------------------------------------------------
+# Theorem verification: the catalog of checks and the --expect-fail gate
+# --------------------------------------------------------------------------
+
+# Each theorem check: its name, the plug-in estimator of its rhs, the
+# --expect-fail flag that names it and the check on the population and the
+# two mechanisms' kernels. The mirror variant of theorem 3 (z=1) is checked
+# only where everyone encouraged takes the treatment; elsewhere it is None.
+_THEOREMS = (
+    ("theorem_1", "ldt_hat", "thm1", lambda pop, a, b: theorem_1_check(a)),
+    ("theorem_2", "lpt_diff_hat", "thm2", lambda pop, a, b: theorem_2_check(a, b)),
+    ("theorem_3[z=0]", "lpt0_hat", "thm3", lambda pop, a, b: theorem_3_check(a, b, z=0)),
+    ("theorem_3[z=1]", "pitt_hat_1", "thm3",
+     lambda pop, a, b: theorem_3_check(a, b, z=1) if pop.d1.all() else None),
+)
+
+
+class TheoremVerification(Record):
+    name: str
+    identity: IdentityReport | None
+    error: str | None
+    plugin_estimator: str
+
+    @property
+    def exact_ok(self) -> bool:
+        return self.identity is not None and self.identity.passed
+
+
+class VerificationReport(JsonReport):
+    theorems: tuple[TheoremVerification, ...]
+    mc: McSummary | None  # montecarlo's; a string annotation, so never imported here
+
+    @property
+    def targets(self) -> dict[str, float]:
+        """Each checked identity's plug-in estimator -> that identity's rhs."""
+        return {t.plugin_estimator: t.identity.rhs for t in self.theorems
+                if t.identity is not None}
+
+    def get(self, name: str) -> TheoremVerification:
+        for t in self.theorems:
+            if t.name == name:
+                return t
+        raise KeyError(name)
+
+    def to_text(self) -> str:
+        lines = []
+        for t in self.theorems:
+            if t.identity is None:
+                lines.append(f"{t.name:<16} degenerate: {t.error}")
+                continue
+            rep = t.identity
+            status = "pass" if rep.passed else "FAIL"
+            assume = "ok" if rep.assumptions_ok else "violated"
+            lines.append(
+                f"{t.name:<16} {status}  lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} "
+                f"gap={rep.gap:.3g} assumptions={assume}"
+            )
+            for note in rep.assumption_notes:
+                lines.append(f"{'':<17}note: {note}")
+            if not rep.passed and rep.block_identity_ok:
+                lines.append(
+                    f"{'':<17}note: the identity holds in every block individually"
+                )
+                if rep.note:
+                    lines.append(f"{'':<17}note: {rep.note}")
+            plugin = self.mc.get(t.plugin_estimator) if self.mc is not None else None
+            if plugin is not None and plugin.std_bias is not None:
+                lines.append(
+                    f"{'':<17}plug-in {t.plugin_estimator}: mean={plugin.mean:.6g} "
+                    f"std_bias_vs_rhs={plugin.std_bias:.3g}"
+                )
+        return "\n".join(lines)
+
+
+def verify_theorems(pop: Population, mech_a: Mechanism, mech_b: Mechanism) -> VerificationReport:
+    """Exact identity checks for all three identification results; the
+    report's ``mc`` is None. The plug-in estimators' Monte Carlo behavior is
+    ``montecarlo.replicate(design, R, report.targets)`` of a design of these
+    mechanisms, set with ``report.replace(mc=...)``.
+
+    Degenerate cases (zero uptake effect, a block with no compliers) are
+    reported inline instead of raising, so negative tests can run end to end.
+    Each mechanism's exact kernel is evaluated once and shared by the checks.
+    """
+    a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
+    theorems = []
+    for name, plugin, _, check in _THEOREMS:
+        try:
+            identity, error = check(pop, a, b), None
+        except (ZeroEncouragementEffect, EmptyStratumInBlock) as exc:
+            identity, error = None, f"{type(exc).__name__}: {exc}"
+        if identity is None and error is None:  # not checked on this population
+            continue
+        theorems.append(TheoremVerification(name, identity, error, plugin))
+    return VerificationReport(theorems=tuple(theorems), mc=None)
+
+
+def verification_passes(report: VerificationReport, expect_fail: set[str] = frozenset()) -> bool:
+    """Gate semantics, per --expect-fail flag: every check of a theorem must
+    pass, unless its flag is in expect_fail. Then at least one of its checks
+    must fail; every check passing is a surprise pass, which also gates."""
+    flag_of = {name: flag for name, _, flag, _ in _THEOREMS}
+    passed: dict[str, list[bool]] = {}
+    for t in report.theorems:
+        passed.setdefault(flag_of[t.name], []).append(t.exact_ok)
+    return all(all(oks) != (flag in expect_fail) for flag, oks in passed.items())
 
 
 # --------------------------------------------------------------------------

@@ -92,8 +92,9 @@ def structural_value(coef, own_d, k):
 class Population(Record, eq=False):
     """Blocks of individuals as flat arrays in block order; block i owns
     individuals starts[i]:starts[i+1]. The constructor refuses, rather than
-    converts, offsets that are not integers and d0, d1, ``structural`` or
-    ``z_dependent`` entries other than 0 or 1.
+    converts, offsets that are not integers, d0, d1, ``structural`` or
+    ``z_dependent`` entries other than 0 or 1, and a table member's nonzero
+    or non-finite coefficient.
 
     ``coef`` rows are the structural coefficients in ``_COEFS`` order (zero
     for table members). ``table`` holds every table member's entries, one
@@ -190,6 +191,10 @@ class Population(Record, eq=False):
             if missing:
                 raise MissingTableEntry(f"block {i}: table has {missing} missing entries")
             raise ValueError(f"block {i}: table entries must be finite")
+        bad = ~structural & (coef != 0.0).any(axis=0)
+        if bad.any():
+            raise ValueError(f"{_individual(starts, bad)}: a table member's coefficients must"
+                             f" be zero, got {tuple(coef[:, np.argmax(bad)].tolist())}")
         if table.size:
             bound[~structural] = np.maximum.reduceat(np.abs(table), table_start[:-1][~structural])
         with np.errstate(over="ignore"):
@@ -351,45 +356,54 @@ class DgpConfig(Record):
 
 
 def _check_config(cfg: DgpConfig):
+    """Refuse a config no population satisfies, naming the config field at
+    fault (``config dgp`` for a bound that spans several)."""
     if cfg.blocks < 2:
-        raise InvalidConfig(f"need at least 2 blocks, got {cfg.blocks}")
+        raise InvalidConfig(f"config dgp.blocks: need at least 2 blocks, got {cfg.blocks}")
     sizes = cfg.block_size if isinstance(cfg.block_size, tuple) else (cfg.block_size, cfg.block_size)
     if sizes[0] < 1 or sizes[1] < sizes[0]:
-        raise InvalidConfig(f"bad block size range {cfg.block_size}")
+        raise InvalidConfig(f"config dgp.block_size: bad block size range {cfg.block_size}")
     s = cfg.strata
     if len(s) != 4 or not all(p >= 0 for p in s) or abs(sum(s) - 1.0) > 1e-9:
-        raise InvalidConfig(f"strata probabilities must be nonnegative and sum to 1, got {s}")
+        raise InvalidConfig("config dgp.strata: strata probabilities must be nonnegative and"
+                            f" sum to 1, got {s}")
     at, co, nt, de = s
     if cfg.monotone and de > 0:
-        raise InvalidConfig("monotone requested but defier mass is positive")
+        raise InvalidConfig("config dgp.monotone: monotone requested but defier mass is positive")
     if cfg.one_sided and (de > 0 or at > 0):
-        raise InvalidConfig("one_sided requested but always-taker or defier mass is positive")
+        raise InvalidConfig("config dgp.one_sided: one_sided requested but always-taker or"
+                            " defier mass is positive")
     oc = cfg.outcome
     sds = {k: getattr(oc, k)[1] for k in _COEFS[:-1] if isinstance(getattr(oc, k), tuple)}
     for name, sd in (*sds.items(), ("noise_sd", oc.noise_sd)):
         if not sd >= 0:
-            raise InvalidConfig(f"outcome {name}: a standard deviation must be >= 0, got {sd}")
+            raise InvalidConfig(f"config dgp.outcome.{name}: a standard deviation must be >= 0,"
+                                f" got {sd}")
     rep = oc.representation
     if rep not in ("structural", "table", "mixed"):
-        raise InvalidConfig(f"unknown outcome representation {rep!r}")
+        raise InvalidConfig(f"config dgp.outcome.representation: unknown outcome"
+                            f" representation {rep!r}")
     z_dep = oc.z_own != 0.0 or oc.z_peer != 0.0
     if z_dep and rep != "table":
-        raise InvalidConfig("encouragement-dependent outcomes require table representation")
+        raise InvalidConfig("config dgp.outcome: encouragement-dependent outcomes require table"
+                            " representation")
     if rep in ("table", "mixed") and sizes[1] > TABLE_REPRESENTATION_CAP:
         raise InvalidConfig(
-            f"table representation is capped at block size {TABLE_REPRESENTATION_CAP}"
+            f"config dgp.block_size: table representation is capped at block size"
+            f" {TABLE_REPRESENTATION_CAP}"
         )
     # sized by the largest block; under "mixed" every block may hold tables
     n = sizes[1]
     if cfg.blocks * n > MAX_INDIVIDUALS:
-        raise InvalidConfig(f"{cfg.blocks} blocks of up to {n} individuals exceed the bound of"
-                            f" {MAX_INDIVIDUALS} individuals")
+        raise InvalidConfig(f"config dgp: {cfg.blocks} blocks of up to {n} individuals exceed"
+                            f" the bound of {MAX_INDIVIDUALS} individuals")
     entries = cfg.blocks * n * 2**n * (2**n if z_dep else 1) if rep != "structural" else 0
     if entries > MAX_TABLE_ENTRIES:
-        raise InvalidConfig(f"{cfg.blocks} blocks of up to {n} table members need {entries}"
-                            f" table entries, over the bound of {MAX_TABLE_ENTRIES}")
+        raise InvalidConfig(f"config dgp: {cfg.blocks} blocks of up to {n} table members need"
+                            f" {entries} table entries, over the bound of {MAX_TABLE_ENTRIES}")
     if cfg.complier_floor and co == 0.0:
-        raise GenerationFailed("complier floor requested but complier mass is zero")
+        raise GenerationFailed("config dgp.complier_floor: complier floor requested but complier"
+                               " mass is zero")
 
 
 def _draw_strata(n: int, cdf: np.ndarray, complier_floor: bool, rng: np.random.Generator):

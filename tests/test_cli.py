@@ -58,6 +58,11 @@ def test_generate_deterministic_bytes(tmp_path):
     c = tmp_path / "c.json"
     assert main(["generate", "--config", str(cfg), "--seed", "7", "--out", str(c)]) == 0
     assert c.read_bytes() != a.read_bytes()
+    # an integral float reads as its integer
+    floats = write_config(tmp_path / "floats.json", dgp={"blocks": 4.0})
+    d = tmp_path / "d.json"
+    assert main(["generate", "--config", str(floats), "--out", str(d)]) == 0
+    assert d.read_bytes() == a.read_bytes()
 
 
 def test_generate_rejects_defiers_with_monotone_flag(tmp_path, capsys):
@@ -465,6 +470,11 @@ _OUTCOME = {"representation": "structural", "direct": 2.0, "peer": 0.4, "interac
             "noise_sd": 0.5}
 
 
+def _strata(**masses) -> dict:
+    """A dgp strata object: the given masses, every other stratum 0."""
+    return {"always_taker": 0.0, "complier": 0.0, "never_taker": 0.0, "defier": 0.0, **masses}
+
+
 @pytest.mark.parametrize("dgp, field", [
     ({"outcome": {**_OUTCOME, "direct": ["1e999", 0]}}, "dgp.outcome.direct"),
     ({"outcome": {**_OUTCOME, "direct": [float("inf"), 0]}}, "dgp.outcome.direct"),
@@ -472,16 +482,36 @@ _OUTCOME = {"representation": "structural", "direct": 2.0, "peer": 0.4, "interac
     ({"outcome": {**_OUTCOME, "peer": True}}, "dgp.outcome.peer"),
     ({"strata": ["nan", 1.0, 0.0, 0.0]}, "dgp.strata"),
     ({"strata": {"complier": float("nan")}}, "dgp.strata.complier"),
-    ({"outcome": {**_OUTCOME, "direct": [1, -2]}}, "outcome direct"),
+    ({"outcome": {**_OUTCOME, "direct": [1, -2]}}, "config dgp.outcome.direct: "),
     ({"outcome": {**_OUTCOME, "noise_sd": "nan"}}, "dgp.outcome.noise_sd"),
-    ({"outcome": {**_OUTCOME, "noise_sd": -1}}, "outcome noise_sd"),
+    ({"outcome": {**_OUTCOME, "noise_sd": -1}}, "config dgp.outcome.noise_sd: "),
     ({"outcome": {**_OUTCOME, "representation": "table", "z_own": "inf"}},
      "dgp.outcome.z_own"),
     ({"complier_floor": "no"}, "dgp.complier_floor"),
     ({"monotone": 1}, "dgp.monotone"),
+    # values of the right kind that no population satisfies
+    ({"blocks": 1}, "config dgp.blocks: "),
+    ({"block_size": [3, 2]}, "config dgp.block_size: "),
+    ({"outcome": {**_OUTCOME, "representation": "tabel"}},
+     "config dgp.outcome.representation: "),
+    ({"outcome": {**_OUTCOME, "representation": "table"}, "block_size": 13},
+     "config dgp.block_size: "),
+    ({"strata": _strata(complier=0.5)}, "config dgp.strata: "),
+    ({"strata": _strata(complier=0.5, defier=0.5), "monotone": True}, "config dgp.monotone: "),
+    ({"strata": _strata(complier=0.5, always_taker=0.5), "one_sided": True},
+     "config dgp.one_sided: "),
+    ({"outcome": {**_OUTCOME, "z_own": 0.5}}, "config dgp.outcome: "),
+    ({"blocks": 2**20}, "config dgp: "),
+    ({"blocks": 2**14, "block_size": 12, "outcome": {**_OUTCOME, "representation": "table"}},
+     "config dgp: "),
+    ({"strata": _strata(complier=0.0, never_taker=1.0)},
+     "GenerationFailed: config dgp.complier_floor: "),
 ], ids=["direct-string-1e999", "direct-infinity", "intercept-huge-int", "peer-true",
         "strata-string-nan", "strata-nan", "direct-negative-sd", "noise-sd-string-nan",
-        "noise-sd-negative", "z-own-string-inf", "complier-floor-string", "monotone-1"])
+        "noise-sd-negative", "z-own-string-inf", "complier-floor-string", "monotone-1",
+        "one-block", "block-size-range", "representation-unknown", "table-size-cap",
+        "strata-sum", "monotone-with-defiers", "one-sided-with-always-takers",
+        "z-own-structural", "individuals-bound", "table-entries-bound", "no-complier-mass"])
 def test_dgp_fields_take_finite_numbers_and_booleans(tmp_path, capsys, dgp, field):
     cfg = write_config(tmp_path / "cfg.json", dgp=dgp)
     out = tmp_path / "pop.json"
@@ -503,8 +533,14 @@ def test_dgp_fields_take_finite_numbers_and_booleans(tmp_path, capsys, dgp, fiel
     ("simulate", {"mc": [1]}, "config mc"),
     ("estimands", {"design": {"mech_a": ["a"]}}, "design.mech_a"),
     ("generate", {"output": {"path": 5}}, "config output.path"),
+    ("estimands", {"mechanisms": []}, "config mechanisms: expected a non-empty list, got []"),
+    ("estimands", {"mechanisms": [{"name": "", "p": 0.5}, {"name": "psi", "p": 0.3}]},
+     "config mechanisms[0].name: expected a non-empty string"),
+    ("estimands", {"design": {"mech_a": "chi"}},
+     "config design.mech_a: mechanism 'chi' is not defined"),
 ], ids=["top-level-list", "mechanisms-not-objects", "mechanism-name-list", "dgp-list",
-        "outcome-list", "design-list", "mc-list", "mech-a-list", "output-path-number"])
+        "outcome-list", "design-list", "mc-list", "mech-a-list", "output-path-number",
+        "mechanisms-empty", "mechanism-name-empty", "mech-a-undefined"])
 def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys,
                                                                command, text, field):
     pop_path = tmp_path / "pop.json"
@@ -530,7 +566,9 @@ def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys,
     ({"probs": ["0.2", "0.3", "0.2"]}, "mechanisms[0].probs"),
     ({"probs": [0.2, None, 0.2]}, "mechanisms[0].probs"),
     ({"probs": "0.5"}, "mechanisms[0].probs"),
-], ids=["p-string", "p-true", "p-nan", "probs-strings", "probs-null", "probs-string"])
+    ({"probs": []}, "InvalidMechanism: mechanism 'phi' has no probabilities"),
+], ids=["p-string", "p-true", "p-nan", "probs-strings", "probs-null", "probs-string",
+        "probs-empty"])
 def test_mechanism_probabilities_take_finite_numbers(tmp_path, capsys, mechanism, field):
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(write_config(tmp_path / "good.json")),
@@ -569,8 +607,12 @@ _TABLE = ("blocks", 0, 0, "outcome")
     (_set(("blocks", 1, 0, "outcome"), {"kind": "structural", "direct": "1e999"}),
      "block 1 individual 0"),
     (_set(("flags", "monotone"), "yes"), "population flags"),
+    (_set((*_TABLE, "kind"), "tabel"), "block 0 individual 0: unknown outcome kind 'tabel'"),
+    (_set((*_TABLE, "values"), {"0": 1.0, "x": 2.0}),
+     "MissingTableEntry: population block 0 individual 0: table has no entry for '1'"),
 ], ids=["key-minus-1", "key-01-aliases-1", "key-11", "value-string", "outcome-list",
-        "d0-0.7", "d1-true", "size-1.9", "coefficient-string", "flag-string"])
+        "d0-0.7", "d1-true", "size-1.9", "coefficient-string", "flag-string", "kind-unknown",
+        "key-not-a-row"])
 def test_population_file_defects_are_one_line_errors(tmp_path, capsys, edit, where):
     cfg = write_config(tmp_path / "cfg.json", dgp={
         "blocks": 2, "block_size": 1,
@@ -611,8 +653,9 @@ def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("generate", "--out"), ("generate", "output.path"), ("estimands", "--out"),
-    ("simulate", "--out"), ("simulate", "--dump-data"), ("verify", "--out"),
+    ("generate", "--out"), ("generate", "output.path"), ("generate", "default output"),
+    ("estimands", "--out"), ("simulate", "--out"), ("simulate", "--dump-data"),
+    ("verify", "--out"),
 ])
 @pytest.mark.parametrize("where", ["nodir/out", "adir", "loop"])
 def test_unwritable_output_paths_are_one_line_errors_before_any_work(
@@ -621,7 +664,8 @@ def test_unwritable_output_paths_are_one_line_errors_before_any_work(
     exists and cannot be written (a symbolic-link loop; file modes would not
     stop a run as root) exits 2 with one line naming its flag and path
     before the population is built or loaded; so simulate never writes its
-    --dump-data CSV for a run it cannot finish."""
+    --dump-data CSV for a run it cannot finish. generate's built-in default
+    is named as the default, not as a config field."""
     (tmp_path / "adir").mkdir()
     os.symlink(tmp_path / "loop-b", tmp_path / "loop")
     os.symlink(tmp_path / "loop", tmp_path / "loop-b")
@@ -636,13 +680,15 @@ def test_unwritable_output_paths_are_one_line_errors_before_any_work(
 
     monkeypatch.setattr("peerenc.cli.build_population", no_work)
     monkeypatch.setattr("peerenc.cli.load_population", no_work)
+    if flag == "default output":
+        monkeypatch.setattr("peerenc.cli._DEFAULT_POPULATION", str(bad))
     dump = tmp_path / "data.csv"
     argv = [command, "--config", str(cfg)]
     if command != "generate":
         argv += ["--pop", str(pop_path)]
     if command == "simulate" and flag == "--out":
         argv += ["--dump-data", str(dump)]
-    if flag != "output.path":
+    if flag.startswith("--"):
         argv += [flag, str(bad)]
     capsys.readouterr()
     assert _exit_code(argv) == 2
@@ -832,13 +878,15 @@ raise SystemExit(code)
 
 
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
-    """generate and estimands, each in a fresh interpreter, load neither the
-    Monte Carlo, estimator nor CSV code; generate does not load the exact
-    engine either. simulate and verify load the layers they run. No command
-    loads ``dataclasses``, whose classes compile their methods at import."""
+    """generate, estimands and verify without replications, each in a fresh
+    interpreter, load neither the Monte Carlo, estimator, design nor CSV
+    code; generate does not load the exact engine either. simulate and verify
+    with replications load the layers they run. No command loads
+    ``dataclasses``, whose classes compile their methods at import."""
     src = Path(peerenc.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     cfg = write_config(tmp_path / "cfg.json")
+    exact_cfg = write_config(tmp_path / "exact-cfg.json", mc={"replications": 0})
     pop_path = tmp_path / "pop.json"
 
     def loaded(*argv):
@@ -855,14 +903,17 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
                       "--dump-data", str(tmp_path / "run0.csv"))
     verify = loaded("verify", "--config", str(cfg), "--pop", str(pop_path),
                     "--out", str(tmp_path / "verify.json"))
+    exact = loaded("verify", "--config", str(exact_cfg), "--pop", str(pop_path),
+                   "--out", str(tmp_path / "exact.json"))
     never = {"peerenc.montecarlo", "peerenc.estimators", "peerenc.design", "csv"}
     assert "peerenc.population" in generate and "peerenc.estimands" in estimands
     assert not never & generate
     assert not never & estimands
+    assert not (never | {"peerenc._streams"}) & exact and "peerenc.estimands" in exact
     assert "peerenc.estimands" not in generate
     for replicating in (simulate, verify):
         assert never | {"peerenc.estimands", "peerenc._streams"} <= replicating
-    for modules in (generate, estimands, simulate, verify):
+    for modules in (generate, estimands, simulate, verify, exact):
         assert "dataclasses" not in modules
 
 
@@ -888,8 +939,8 @@ def test_each_report_renders_every_format_its_command_offers():
     """A command writes ``report.to_<format>()`` for its --format choice, so
     the report class it writes has a method for each choice."""
     from peerenc.cli import build_parser
-    from peerenc.estimands import EstimandReport
-    from peerenc.montecarlo import McSummary, VerificationReport
+    from peerenc.estimands import EstimandReport, VerificationReport
+    from peerenc.montecarlo import McSummary
 
     writes = {"estimands": EstimandReport, "simulate": McSummary, "verify": VerificationReport}
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")

@@ -7,6 +7,8 @@ import pytest
 from peerenc import design
 from peerenc.design import DesignConfig, validate_design
 from peerenc.errors import InvalidConfig, InvalidDesign
+from peerenc.estimands import member_averages, theorem_3_check, verification_passes, \
+    verify_theorems
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import (
     ESTIMATOR_NAMES,
@@ -14,8 +16,6 @@ from peerenc.montecarlo import (
     exact_targets,
     replicate,
     replicate_values,
-    verification_passes,
-    verify_theorems,
 )
 from peerenc.population import DgpConfig, OutcomeConfig, build_population
 from conftest import make_population, person, population, structural, table
@@ -321,6 +321,15 @@ def test_verify_theorems_mirror(rng):
     report = verify_theorems(pop, a, b)
     mirror = report.get("theorem_3[z=1]")
     assert mirror.exact_ok and mirror.identity.assumptions_ok
+    # a never-taker declines when encouraged: the z=1 check notes it, and
+    # verify leaves the mirror variant out
+    declines = make_population([["co", "nt"], ["co", "co"]])
+    rep = theorem_3_check(member_averages(declines, PHI), member_averages(declines, PSI), z=1)
+    assert rep.assumption_notes == (
+        "mirror condition violated: someone declines treatment when encouraged",)
+    assert not rep.assumptions_ok
+    names = [t.name for t in verify_theorems(declines, PHI, PSI).theorems]
+    assert names == ["theorem_1", "theorem_2", "theorem_3[z=0]"]
 
 
 def test_verify_theorems_defiers_expected_fail(rng):
@@ -438,12 +447,13 @@ def test_an_invalid_design_is_refused_before_any_kernel_work(monkeypatch, run, k
     """A design is validated when it is built, so neither replicate nor a
     verification built as the CLI builds it reaches the exact engine with an
     invalid one: an InvalidDesign is raised and no kernel is evaluated."""
-    from peerenc import montecarlo
+    from peerenc import estimands, montecarlo
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("the exact kernel ran before the design was validated")
 
     monkeypatch.setattr(montecarlo, "member_averages", no_kernel)
+    monkeypatch.setattr(estimands, "member_averages", no_kernel)
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
     with pytest.raises(InvalidDesign, match=message):
         if run == "replicate":

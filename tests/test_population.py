@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peerenc import _json
@@ -141,6 +141,14 @@ def _tabled_pair():
                        [person("co", structural()), person("co", structural())]])
 
 
+def _table_coef(row: int, value: float) -> np.ndarray:
+    """``_tabled_pair``'s coefficients with the table member's ``row`` set
+    to value."""
+    coef = np.array(_tabled_pair().coef)
+    coef[row, 0] = value
+    return coef
+
+
 def test_table_completeness_enforced():
     pop = _tabled_pair()
     entries = np.array(pop.table)
@@ -182,8 +190,9 @@ def test_population_shape_validation():
     (dict(z_dependent=[False, False, True, False]), ValueError, "block 1 individual 0"),
     (dict(table=np.zeros(0)), ArityMismatch, r"table needs 4 entries .*, got shape \(0,\)"),
     (dict(z_dependent=[True, False, False, False]), ArityMismatch, "table needs 16 entries"),
+    (dict(starts=np.array([1, 3, 5])), ValueError, "block offsets must start at 0, got 1"),
 ], ids=["d0-2", "d1-minus-1", "d0-short", "coef-rows", "structural-z-keyed", "table-missing",
-        "z-keyed-without-z-axis"])
+        "z-keyed-without-z-axis", "starts-offset"])
 def test_population_constructor_checks(change, error, match):
     with pytest.raises(error, match=match):
         _tabled_pair().replace(**change)
@@ -195,8 +204,12 @@ def test_population_constructor_checks(change, error, match):
     (dict(structural=[0, 0.5, 1, 1]), r"block 0 individual 1: outcome flags .* got \(0.5, 0.0\)"),
     (dict(z_dependent=[0, 0, 0, 2]), r"block 1 individual 1: outcome flags .* got \(1, 2\)"),
     (dict(z_dependent=[0.5, 0, 0, 0]), r"block 0 individual 0: outcome flags .* got \(0.0, 0.5\)"),
+    (dict(coef=_table_coef(1, 2.5)), r"block 0 individual 0: a table member's coefficients"
+                                     r" must be zero, got \(0.0, 2.5, 0.0, 0.0, 0.0, 0.0\)"),
+    (dict(coef=_table_coef(2, np.inf)), r"block 0 individual 0: .* got \(0.0, 0.0, inf,"),
+    (dict(coef=_table_coef(5, np.nan)), r"block 0 individual 0: .* got \(.*, nan\)"),
 ], ids=["starts-fractional", "structural-2", "structural-half", "z-dependent-2",
-        "z-dependent-half"])
+        "z-dependent-half", "table-coef", "table-coef-inf", "table-coef-nan"])
 def test_population_refuses_what_it_would_coerce(change, match):
     with pytest.raises(ValueError, match=match) as refused:
         _tabled_pair().replace(**change)
@@ -267,7 +280,9 @@ def test_table_extents_of_large_blocks_do_not_overflow():
     pop = make_population([["co"] * 70, ["co", "nt"]], direct=1.0, peer=0.5)
     with pytest.raises(ArityMismatch, match="table needs 1180591620717411303424 entries"):
         pop.replace(structural=np.arange(72) != 0)
-    mixed = pop.replace(structural=np.arange(72) < 71, table=[1.0, 2.0, 3.0, 4.0])
+    coef = np.array(pop.coef)
+    coef[:, 71] = 0.0  # a table member has no coefficients
+    mixed = pop.replace(structural=np.arange(72) < 71, coef=coef, table=[1.0, 2.0, 3.0, 4.0])
     assert mixed.table_start.tolist() == [0] * 72 + [4]
     d = np.zeros((2, 72), dtype=np.int8)
     d[:, :70] = 1
@@ -453,6 +468,10 @@ _PARAM = st.one_of(st.floats(-3.0, 3.0), st.tuples(st.floats(-3.0, 3.0), st.floa
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
+# complier mass 1e-12 in blocks of 2: every block's 100 redraws find no
+# complier, so the floor places one directly
+@example(rep="structural", params=(1.0, 2.0, 0.5, 0.0, 0.0), noise_sd=0.5, z=(0.0, 0.0),
+         blocks=3, block_size=2, mix=(0.5, 1e-12, 0.5, 0.0), seed=1)
 def test_build_matches_the_scalar_draw_loop_bitwise(tmp_path_factory, rep, params, noise_sd, z,
                                                    blocks, block_size, mix, seed):
     """build_population draws a block's coefficients at once; its arrays,
@@ -632,18 +651,6 @@ def test_saved_bytes_equal_the_stdlib_encoder(tmp_path, rng, name):
     save_population(pop, path)
     assert path.read_bytes() == _stdlib_bytes(pop)
     assert population_to_dict(load_population(path)) == population_to_dict(pop)
-
-
-def test_a_table_member_with_a_nan_coefficient_saves_as_the_stdlib_encoder(tmp_path):
-    """A table member's coefficients are never written, so one that is not
-    finite leaves the file as the stdlib encoder writes the document."""
-    pop = _one_table(np.arange(4.0))
-    coef = pop.coef.copy()
-    coef[:, 0] = np.nan
-    pop = pop.replace(coef=coef)
-    path = tmp_path / "pop.json"
-    save_population(pop, path)
-    assert path.read_bytes() == _stdlib_bytes(pop)
 
 
 def test_saving_holds_a_fraction_of_the_file_in_memory(tmp_path, rng):

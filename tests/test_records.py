@@ -14,12 +14,12 @@ import peerenc
 from peerenc._report import JsonReport, Record
 from peerenc.design import Design, DesignConfig, ExperimentData, run_design, validate_design
 from peerenc.estimands import BlockSummary, EstimandReport, IdentityReport, MemberAverages, \
-    compute_estimand_report, et, member_averages, theorem_1_check
+    TheoremVerification, VerificationReport, compute_estimand_report, et, member_averages, \
+    theorem_1_check, verify_theorems
 from peerenc.errors import PeerEncError
 from peerenc.estimators import EstimateReport, _BlockStats, _block_stats, estimate_report
 from peerenc.mechanisms import Mechanism
-from peerenc.montecarlo import EstimatorSummary, McSummary, TheoremVerification, \
-    VerificationReport, replicate, verify_theorems
+from peerenc.montecarlo import EstimatorSummary, McSummary, replicate
 from peerenc.population import ComplianceType, DgpConfig, OutcomeConfig, Population, \
     ValidationReport, validate
 from conftest import make_population
