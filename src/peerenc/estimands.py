@@ -351,7 +351,7 @@ def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> Identit
 _THEOREMS = (
     ("theorem_1", "ldt_hat", "thm1", lambda pop, a, b: theorem_1_check(a)),
     ("theorem_2", "lpt_diff_hat", "thm2", lambda pop, a, b: theorem_2_check(a, b)),
-    ("theorem_3[z=0]", "lpt0_hat", "thm3", lambda pop, a, b: theorem_3_check(a, b, z=0)),
+    ("theorem_3[z=0]", "pitt_hat_0", "thm3", lambda pop, a, b: theorem_3_check(a, b, z=0)),
     ("theorem_3[z=1]", "pitt_hat_1", "thm3",
      lambda pop, a, b: theorem_3_check(a, b, z=1) if pop.d1.all() else None),
 )
@@ -516,7 +516,11 @@ def compute_estimand_report(pop: Population, mech_a: Mechanism,
     else:
         skipped["local_effects"] = "exclusion restriction violated; local averages undefined"
 
-    uses_tables = np.add.reduceat(~pop.structural, pop.starts[:-1]) > 0
+    # the table entries the kernel reads per block: 2^n per plain member, and
+    # per keyed member its 2^n encouragement rows at both forced treatments
+    sizes = np.diff(pop.starts)
+    entries_read = np.add.reduceat(np.where(pop.structural, 0, (1 + pop.z_dependent)
+                                            << np.repeat(sizes, sizes)), pop.starts[:-1]).tolist()
     metadata = {
         "mechanisms": {m.name: m.probs for m in (mech_a, mech_b)},
         "flags": {
@@ -525,14 +529,7 @@ def compute_estimand_report(pop: Population, mech_a: Mechanism,
             "exclusion_ok": pop.exclusion_ok,
         },
         "block_sizes": pop.sizes,
-        "evaluation": [
-            "enumeration" if t else "moments" for t in uses_tables
-        ],
-        # the 2^n assignment rows a block holding a table averages over:
-        # each plain table member's treatment rows (its encouragement rows
-        # when keyed), contracted axis by axis; 0 for closed-form moments
-        "enumeration_sizes": [
-            2**n if t else 0 for n, t in zip(pop.sizes, uses_tables)
-        ],
+        "evaluation": ["contraction" if r else "moments" for r in entries_read],
+        "entries_read": entries_read,
     }
     return EstimandReport(entries=entries, skipped=skipped, metadata=metadata)

@@ -20,7 +20,7 @@ from .errors import AllBlocksUndefined
 ET_ZERO_TOL = 1e-12
 # Every estimator's name, in the order ``_estimates`` returns them.
 ESTIMATOR_NAMES = ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "et_hat", "ldt_hat",
-                   "lpt_diff_hat", "lpt0_hat")
+                   "lpt_diff_hat")
 
 
 class _BlockStats(Record, eq=False):
@@ -79,7 +79,6 @@ def _estimates(stats: _BlockStats) -> dict[str, np.ndarray]:
             "et_hat": uptake,
             "ldt_hat": np.where(ratio_ok, da / uptake, np.nan),
             "lpt_diff_hat": np.where(ratio_ok, (p1 - p0) / uptake, np.nan),
-            "lpt0_hat": p0,
         }
 
 
@@ -101,7 +100,6 @@ class EstimateReport(JsonReport):
     et_hat: float
     ldt_hat: float | None
     lpt_diff_hat: float | None
-    lpt0_hat: float
     arm_sizes: tuple[int, int]
     et_blocks_dropped: tuple[tuple[int, str], ...]
     notes: tuple[str, ...]

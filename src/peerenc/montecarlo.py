@@ -22,7 +22,7 @@ from .estimands import ditt, et, member_averages, pitt
 from .estimators import ESTIMATOR_NAMES, ET_ZERO_TOL, estimator_battery
 from .population import Population
 
-# The (R, 8) float64 values of one run stay within 1 GiB.
+# The (R, 7) float64 values of one run stay within 1 GiB.
 MAX_REPLICATIONS = 1 << 24
 
 
@@ -65,7 +65,6 @@ def exact_targets(pop: Population, cfg: DesignConfig) -> dict[str, float]:
         "pitt_hat_1": pitt_1,
         "pitt_hat_0": pitt_0,
         "et_hat": uptake,
-        "lpt0_hat": pitt_0,
     }
     if uptake != 0.0:
         targets["ldt_hat"] = ditt_a / uptake

@@ -45,8 +45,8 @@ from .errors import (
 
 # Dense tables hold 2^n entries per individual; refuse silly sizes.
 TABLE_REPRESENTATION_CAP = 12
-# A synthetic population holds at most this many individuals, and its
-# tables at most this many entries in all (1 GiB of float64).
+# A population holds at most this many individuals, and its tables at most
+# this many entries in all (1 GiB of float64).
 MAX_INDIVIDUALS = 1 << 20
 MAX_TABLE_ENTRIES = 1 << 27
 
@@ -91,10 +91,11 @@ def structural_value(coef, own_d, k):
 
 class Population(Record, eq=False):
     """Blocks of individuals as flat arrays in block order; block i owns
-    individuals starts[i]:starts[i+1]. The constructor refuses, rather than
-    converts, offsets that are not integers, d0, d1, ``structural`` or
-    ``z_dependent`` entries other than 0 or 1, and a table member's nonzero
-    or non-finite coefficient.
+    individuals starts[i]:starts[i+1]. The constructor refuses a population
+    over ``MAX_INDIVIDUALS`` individuals or ``MAX_TABLE_ENTRIES`` table
+    entries. It refuses, rather than converts, offsets that are not
+    integers, d0, d1, ``structural`` or ``z_dependent`` entries other than 0
+    or 1, and a table member's nonzero or non-finite coefficient.
 
     ``coef`` rows are the structural coefficients in ``_COEFS`` order (zero
     for table members). ``table`` holds every table member's entries, one
@@ -143,6 +144,8 @@ class Population(Record, eq=False):
         if starts[0] != 0:
             raise ValueError(f"block offsets must start at 0, got {starts[0]}")
         n = int(starts[-1])
+        if n > MAX_INDIVIDUALS:
+            raise ValueError(f"{n} individuals exceed the bound of {MAX_INDIVIDUALS} individuals")
         for name, shape in (("d0", (n,)), ("d1", (n,)), ("structural", (n,)),
                             ("z_dependent", (n,)), ("coef", (len(_COEFS), n))):
             got = np.shape(getattr(self, name))
@@ -173,9 +176,11 @@ class Population(Record, eq=False):
         if overflows.any():
             raise ValueError(f"{_individual(starts, overflows)}: the structural outcome"
                              " overflows (its coefficients' bound is not finite)")
+        table = np.asarray(self.table, dtype=float)
+        if table.size > MAX_TABLE_ENTRIES:
+            raise ValueError(f"{table.size} table entries exceed the bound of {MAX_TABLE_ENTRIES}")
         # each table member's extent is 2^bits entries; the total is summed in
         # floats, exact below 2^53, so no extent is formed before it fits
-        table = np.asarray(self.table, dtype=float)
         bits = np.where(structural, 0, n_of << z_dependent)
         entries = np.exp2(bits[~structural]).sum()
         if table.ndim != 1 or entries != table.size:

@@ -6,8 +6,9 @@ a flat pooled Wald estimator, the sample estimators by per-block loops,
 the replication engine as a loop over replicates and blocks drawing from
 numpy's own generators, the design's exact randomization distribution, the
 synthetic population build as a scalar draw loop, structural outcomes
-re-encoded as tables entry by entry, and the population file's document
-built individual by individual. These deliberately share no code with the
+re-encoded as tables entry by entry, the table entries the exact kernel
+reads counted member by member, and the population file's document built
+individual by individual. These deliberately share no code with the
 production engine."""
 
 from __future__ import annotations
@@ -323,7 +324,6 @@ def oracle_estimator_battery(sizes, s, z, d, y, p_enc) -> dict[str, float]:
         "et_hat": uptake,
         "ldt_hat": ditt_a / uptake if ratio_ok else float("nan"),
         "lpt_diff_hat": (pitt_1 - pitt_0) / uptake if ratio_ok else float("nan"),
-        "lpt0_hat": pitt_0,
     }
 
 
@@ -414,7 +414,6 @@ def reference_battery(sizes, s, z, d, y, p_enc) -> dict[str, float]:
         "et_hat": uptake,
         "ldt_hat": ditt_a / uptake if ratio_ok else float("nan"),
         "lpt_diff_hat": (pitt_1 - pitt_0) / uptake if ratio_ok else float("nan"),
-        "lpt0_hat": pitt_0,
     }
 
 
@@ -472,6 +471,21 @@ def convert_to_tables(pop: Population) -> Population:
     return Population(starts=pop.starts, d0=pop.d0, d1=pop.d1,
                       structural=np.zeros_like(pop.structural), z_dependent=pop.z_dependent,
                       coef=np.zeros_like(pop.coef), table=np.array(table, dtype=float))
+
+
+def oracle_entries_read(pop: Population) -> list[int]:
+    """The table entries the exact kernel reads in each block, counted member
+    by member: a structural member none, a plain table member its 2^n
+    treatment rows, an encouragement-keyed member the 2^n encouragement rows
+    at each of its two forced own treatments (2 of its 4^n entries per row)."""
+    counts = []
+    for i, n in enumerate(pop.sizes):
+        count = 0
+        for u in range(int(pop.starts[i]), int(pop.starts[i + 1])):
+            if not pop.structural[u]:
+                count += 2 * 2**n if pop.z_dependent[u] else 2**n
+        counts.append(count)
+    return counts
 
 
 def reference_build_population(cfg, rng: np.random.Generator) -> Population:

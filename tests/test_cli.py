@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -754,6 +755,26 @@ def test_a_closed_stdout_pipe_is_a_one_line_error(tmp_path, command):
         os.close(write)
     assert proc.returncode == 2
     assert proc.stderr == "error: InvalidConfig: standard output: cannot write (Broken pipe)\n"
+
+
+def test_a_closed_stdout_pipe_is_a_one_line_error_in_process(tmp_path, monkeypatch):
+    """main's BrokenPipe branch in this process: the flush after the command
+    fails on a pipe whose read end is closed, stdout is pointed at the null
+    device (so closing it loses the rest quietly), and the error is one
+    stderr line, with no traceback."""
+    cfg = write_config(tmp_path / "cfg.json")
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    read, write = os.pipe()
+    os.close(read)
+    err = io.StringIO()
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", err)
+        code = main(["estimands", "--config", str(cfg), "--pop", str(pop_path)])
+        monkeypatch.undo()
+    assert code == 2
+    assert err.getvalue() == "error: InvalidConfig: standard output: cannot write (Broken pipe)\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])

@@ -32,6 +32,7 @@ from oracles import (
     naive_two_stage_direct,
     naive_two_stage_spillover,
     oracle_ditt,
+    oracle_entries_read,
     oracle_ybar_itt,
     oracle_ybar_local,
     poisson_binomial_pmf,
@@ -612,3 +613,44 @@ def test_keyed_member_local_effects_are_the_identity_checks_rhs():
     report = compute_estimand_report(pop, PHI, PSI)
     assert "local_effects" in report.skipped
     assert not any(k.startswith(("ybar_local", "ldt", "lpt")) for k in report.entries)
+
+
+def _entries_read_populations(rng) -> dict:
+    """Structural, plain-table, keyed and mixed populations, each with blocks
+    of several sizes; the mixed one holds blocks of each kind and a block
+    with all three."""
+    def plain(n):
+        return table(rng.normal(size=2**n))
+
+    def keyed(n):
+        return table(rng.normal(size=(2**n, 2**n)))
+
+    def shaped(**coef):
+        return structural(**{"direct": 1.0, "peer": 0.5, **coef})
+
+    return {
+        "structural": make_population([["co"], ["co", "nt", "at"], ["co", "co"]], rng=rng),
+        "plain": population([[person("co", plain(n)) for _ in range(n)] for n in (1, 3, 2, 4)]),
+        "keyed": population([[person("co", keyed(n)) for _ in range(n)] for n in (2, 1, 3)]),
+        "mixed": population([
+            [person("co", shaped()), person("nt", shaped(peer=1.0))],
+            [person("co", plain(3)), person("at", shaped()), person("co", keyed(3))],
+            [person("co", keyed(2)), person("co", keyed(2))],
+            [person("co", plain(1))],
+            [person("nt", plain(4)), person("co", plain(4)), person("co", shaped()),
+             person("co", shaped(direct=2.0))],
+        ]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["structural", "plain", "keyed", "mixed"])
+def test_entries_read_counts_each_table_members_entries(kind):
+    """The report's metadata names each block's route and the table entries
+    the kernel reads there, as the oracle counts them member by member."""
+    pop = _entries_read_populations(np.random.default_rng(31))[kind]
+    metadata = compute_estimand_report(pop, PHI, PSI).metadata
+    want = oracle_entries_read(pop)
+    assert list(metadata["entries_read"]) == want
+    assert list(metadata["evaluation"]) == ["contraction" if count else "moments"
+                                            for count in want]
+    assert (0 in want) == (kind in ("structural", "mixed"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from peerenc.design import DesignConfig, ExperimentData, draw_validated, run_design, \
     validate_design
 from peerenc.errors import AllBlocksUndefined, InvalidData
-from peerenc.estimators import estimate_report, estimator_battery
+from peerenc.estimators import ESTIMATOR_NAMES, estimate_report, estimator_battery
 from peerenc.mechanisms import Mechanism
 from conftest import make_population
 from fuzz import equal_effect_monotone, varying_effect_monotone
@@ -168,7 +168,6 @@ def test_ratio_estimators_guard_zero_uptake():
     assert report.et_hat == 0.0
     assert report.ldt_hat is None and report.lpt_diff_hat is None
     assert "uptake estimate is zero; ratio estimators undefined" in report.notes
-    assert report.lpt0_hat == report.pitt_hat_0
     battery = estimator_battery(data)
     assert np.isnan(battery["ldt_hat"]) and np.isnan(battery["lpt_diff_hat"])
 
@@ -233,7 +232,6 @@ def test_estimate_report_contents(rng):
     report = estimate_report(data)
     assert report.arm_sizes == (2, pop.n_blocks - 2)
     assert report.ldt_hat == pytest.approx(report.ditt_hat_a / report.et_hat)
-    assert report.lpt0_hat == report.pitt_hat_0
     text = report.to_json()
     assert "et_blocks_dropped" in text
     # the dropped blocks are exactly those that realized one encouragement value
@@ -284,7 +282,23 @@ def test_estimate_report_csv_export(rng):
     lines = report.to_csv().splitlines()
     assert lines[0] == "field,value"
     fields = {line.split(",", 1)[0] for line in lines[1:]}
-    assert {"ditt_hat_a", "et_hat", "lpt0_hat", "arm_size_a"} <= fields
+    assert {"ditt_hat_a", "et_hat", "pitt_hat_0", "arm_size_a"} <= fields
+
+
+def test_estimate_report_csv_lists_each_dropped_block_last():
+    """Block 1 never realized Z=1: its uptake contrast is undefined, and the
+    CSV names it after the estimators and the arm sizes."""
+    data = build_data(
+        sizes=[2, 2, 2], s=[1, 0, 1],
+        z=[1, 0, 0, 0, 1, 0], d=[1, 0, 0, 0, 1, 0], y=[3.0, 1.0, 2.0, 0.5, 4.0, 1.5],
+        p_blocks=[0.5, 0.5, 0.5],
+    )
+    report = estimate_report(data)
+    assert report.et_blocks_dropped == ((1, "no units with Z=1"),)
+    rows = [line.split(",") for line in report.to_csv().splitlines()]
+    assert [name for name, _ in rows[1:8]] == list(ESTIMATOR_NAMES)
+    assert rows[8:] == [["arm_size_a", "2"], ["arm_size_b", "1"],
+                        ["et_dropped_block_1", "no units with Z=1"]]
 
 
 def _fuzzed_data(rng, single_armed=0.0, uptake=True) -> ExperimentData:
@@ -370,5 +384,5 @@ def test_accepted_data_estimates_without_runtime_warnings(data):
             except AllBlocksUndefined:
                 return
             assert report.arm_sizes == (built.k, len(sizes) - built.k)
-    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "lpt0_hat"):
+    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0"):
         assert np.isfinite(battery[name]).all(), name

@@ -57,25 +57,25 @@ DIGESTS = {
     "table": {
         "data.csv": "d75cc0d3acc5243a21876c7dd15c910760812638c0b3358bdb4a932ad305422b",
         "estimands.csv": "c0a1d74d6a1602f8e5e2838546dd396201e924f1a632e1e21caadebe5eea3f59",
-        "estimands.json": "6ea5117e8346f3e254f16ba402e72db8b4a66ce3d9e9289577872297a87eabf7",
+        "estimands.json": "140bb09e577172d6144fa7f82bcca57027f8d1f6ef8371993381a34c9867f877",
         "estimands.txt": "1d4f0e7f6e8a33cb9ae0effab739799ffa08b76920872601363b36abf4599b1b",
         "pop.json": "c18721a2a1345a386944b146874fe3a1355d5215531e085889c87b6fded54e1b",
-        "simulate.json": "5b1def7a3959be30f1b04033687b6cafe5ff9bf3d1de1ab6ec3580f86790641e",
-        "simulate.txt": "50e5cd7ed1b853f16bf6ebec74b4637161a8688f41a09d37e04b7a12cc25af20",
-        "verify.json": "6aa4fea77617d62c1be89794fc4c9a68c71465b9e9b55ab45d028187066fed92",
-        "verify.txt": "eb62f8e70d0950dabb6dac3f7562c0463ec245fec83eccc0c89465bf3df9dd39",
+        "simulate.json": "d2d7c78ec264770498f9c88460204ff490b23ea8fcf2abc24f3576dd37c09ae2",
+        "simulate.txt": "558ad1f434a2ab7b8a95e32d5fa97a9a876ea33df6b978d571b2e29bd5939a11",
+        "verify.json": "5fa05e8942b5dc802783899ab8e3d4aff4804ca25a85ea705d47cb2d1392418c",
+        "verify.txt": "cd1e6f78a6976cf4e9bbaa0d7911b208088709a20c887cac6c998a99e7b5675e",
         "verify_exit": 0,
     },
     "walkthrough": {
         "data.csv": "c7653de3c1ef73b753fb18fb8e0b0b0e8410fa30af07114b90ae0be70e5b78f2",
         "estimands.csv": "eb4bd3a487343875e42834d8daa48a6ebc38f292a16bc32a2d48e6d6fa542c82",
-        "estimands.json": "eda5321e81b3bd35949331aacf35821731cb5b583128d397babe9faeb751de93",
+        "estimands.json": "7fb5d3312e59e10652191a60d09aeeae00ece29b238d4b14e0e33efea356b009",
         "estimands.txt": "87999313339457aeab411a3df46f787bf7ca574ce260125576a15478c846a510",
         "pop.json": "6fa297d8d47702451afbcd722f5e29d83574897e73cd78c3ab419ab24dfbdcf4",
-        "simulate.json": "ae0b60cade2dd15cfb14da0a53e3237699e65ade72d194d0d34cda2eda7a4df0",
-        "simulate.txt": "bebf8450013d7f69a3e2fee5f9497390d7fa2c61bb3dd322dcbf31e9aca22637",
-        "verify.json": "75504863b85ee12437dd637be7c0f05875f80f46721de68255c8a3631fed065b",
-        "verify.txt": "262db3918f664b747d43850f030f601c7e2af184ea48cb9053f63a7315c4a29d",
+        "simulate.json": "497b1663bcb62c9b099af56aa4bbbf169e3b85ccd4b0cca712e38f7b00f210f8",
+        "simulate.txt": "dde049fc97c49492b5b3e14c1cfec99cb6cc247e873e42f1250464cee24f9305",
+        "verify.json": "82a9319d3557b651949dafeaea605b736811baf2b4590843925ceb96767e8731",
+        "verify.txt": "af8b1ad1407d03eece07efe78cf0b29becac2e137b15d52764457ed8ab53157a",
         "verify_exit": 1,
     },
 }

@@ -474,6 +474,27 @@ def test_a_population_and_design_just_inside_both_bounds_run(tmp_path):
     _assert_one_line_error(code, err)
 
 
+@pytest.mark.parametrize("bound, value, message", [
+    ("MAX_INDIVIDUALS", 1, "2 individuals exceed the bound of 1 individuals"),
+    ("MAX_TABLE_ENTRIES", 3, "4 table entries exceed the bound of 3"),
+])
+def test_a_population_file_over_a_bound_is_a_one_line_error(tmp_path, monkeypatch, bound, value,
+                                                           message):
+    """The constructor's bounds, lowered so that a small file exceeds them
+    (test_population checks them at their real values, from arrays): two
+    blocks of one plain-table member each hold 2 individuals and 4 table
+    entries."""
+    pop_path, cfg_path = tmp_path / "pop.json", tmp_path / "cfg.json"
+    doc = population_to_dict(population([[person("co", table([1.0, 2.0]))]] * 2))
+    pop_path.write_text(json.dumps(doc))
+    cfg_path.write_text(json.dumps(CONFIG))
+    monkeypatch.setattr(f"peerenc.population.{bound}", value)
+    code, stdout, err = _run(["estimands", "--config", str(cfg_path), "--pop", str(pop_path)])
+    _assert_one_line_error(code, err)
+    assert f"InvalidConfig: population file: {message}" in err
+    assert stdout == ""
+
+
 def _strict_json(text: str):
     """json.loads refusing the NaN / Infinity / -Infinity tokens json writes
     for non-finite floats, which are not JSON."""

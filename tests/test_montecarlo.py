@@ -173,7 +173,7 @@ def test_unbiased_estimators_have_exact_means_at_their_targets(outcome):
     assert len(realizations) == 6 * 2**8
     assert sum(w for w, _ in realizations) == pytest.approx(1.0, abs=1e-12)
     targets = exact_targets(pop, DesignConfig(mech_a=a, mech_b=b, k=2, seed=0))
-    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_0", "pitt_hat_1", "lpt0_hat"):
+    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_0", "pitt_hat_1"):
         mean = sum(w * battery[name] for w, battery in realizations)
         assert mean == pytest.approx(targets[name], rel=1e-12, abs=1e-12), name
 
@@ -219,7 +219,7 @@ def test_loose_standardized_bias_gate(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(8, 8), n_range=(4, 4))
     cfg = DesignConfig(mech_a=a, mech_b=b, k=4, seed=41)
     summary = replicate(validate_design(cfg, pop), replications=3000)
-    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0", "lpt0_hat"):
+    for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0"):
         s = summary.get(name)
         assert s.std_bias is not None and s.std_bias <= 4.0, (name, s.std_bias)
 
@@ -285,10 +285,22 @@ def test_verify_theorems_all_pass_on_one_sided_equal_effects(rng):
     assert t2.exact_ok
     assert t3.exact_ok and t3.identity.assumptions_ok
     assert report.mc.get(t1.plugin_estimator).std_bias is not None
+    # theorem 3's plug-in at z=0 is the peer ITT estimator, judged against the rhs
+    assert t3.plugin_estimator == "pitt_hat_0"
+    assert report.mc.get("pitt_hat_0").target == t3.identity.rhs
     assert verification_passes(report)
     payload = json.loads(report.to_json())
     assert {t["name"] for t in payload["theorems"]} >= {"theorem_1", "theorem_2"}
     assert "theorem_1" in report.to_text()
+
+
+def test_get_of_a_name_a_report_does_not_hold_is_a_key_error():
+    report = _verify(make_population([["co", "co"], ["co", "co"]]), PHI, PSI,
+                     replications=4, seed=1, k=1)
+    with pytest.raises(KeyError, match="theorem_4"):
+        report.get("theorem_4")
+    with pytest.raises(KeyError, match="no_such_hat"):
+        report.mc.get("no_such_hat")
 
 
 def test_verify_theorems_monotone_with_always_takers(rng):

@@ -335,6 +335,33 @@ def test_population_size_bounds_admit_their_limits():
                              outcome=OutcomeConfig(representation="table", z_own=0.5)))
 
 
+def _columns_for(starts, table=np.zeros(0)) -> dict:
+    """A Population's arguments: the offsets and columns of two structural
+    compliers with zero coefficients, so only the bounds and shapes decide."""
+    return dict(starts=np.asarray(starts), d0=np.zeros(2, np.uint8), d1=np.ones(2, np.uint8),
+                structural=np.ones(2, bool), z_dependent=np.zeros(2, bool),
+                coef=np.zeros((6, 2)), table=table)
+
+
+def test_the_constructor_refuses_populations_over_either_bound():
+    """One individual or one table entry over its bound is refused before
+    the columns are read; exactly at a bound the next check speaks (a
+    column's shape, or the entry count the members need: none). The table
+    columns are zero-stride views, so neither holds the memory its size
+    names."""
+    def column(size):
+        return np.broadcast_to(np.zeros(1), (size,))
+
+    with pytest.raises(ArityMismatch, match=r"d0 needs shape \(1048576,\)"):
+        Population(**_columns_for([0, 1, 2**20]))
+    with pytest.raises(ValueError, match="1048577 individuals exceed the bound of 1048576"):
+        Population(**_columns_for([0, 1, 2**20 + 1]))
+    with pytest.raises(ArityMismatch, match=r"table needs 0 entries .* got shape \(134217728,\)"):
+        Population(**_columns_for([0, 1, 2], column(2**27)))
+    with pytest.raises(ValueError, match="134217729 table entries exceed the bound of 134217728"):
+        Population(**_columns_for([0, 1, 2], column(2**27 + 1)))
+
+
 def test_build_population_basic():
     pop = build_population(_basic_cfg(), np.random.default_rng(3))
     assert pop.n_blocks == 10
