@@ -299,11 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pop=False):
+    def common(p, pop=False, seed=True):
         p.add_argument("--config", required=True, help="JSON run configuration")
         if pop:
             p.add_argument("--pop", required=True, help="population JSON file")
-        p.add_argument("--seed", default=None, help="override the config seed (an integer >= 0)")
+        if seed:  # estimands draws nothing
+            p.add_argument("--seed", help="override the config seed (an integer >= 0)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     g = sub.add_parser("generate", help="build and validate a synthetic population")
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("estimands", help="exact estimand report for a population")
-    common(e, pop=True)
+    common(e, pop=True, seed=False)
     e.add_argument("--format", choices=("json", "csv", "text"), default="json")
     e.set_defaults(func=cmd_estimands)
 

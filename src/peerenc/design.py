@@ -166,7 +166,7 @@ class ExperimentData(Record, eq=False):
         unit = np.arange(block.size) - self.starts[block]
         ints = (block, self.s[block], unit, self.z, self.d)
         y = map(repr, self.y.tolist())
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             writer.writerows(zip(*(c.tolist() for c in ints), y))

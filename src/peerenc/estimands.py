@@ -102,20 +102,19 @@ def _contract(entries: np.ndarray, ones: np.ndarray) -> np.ndarray:
 
 
 def _pinned(probs: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Per-axis probabilities (n, 2, m) for m table members of a block: probs
-    on every axis, except member j's own axis own[j], which row v pins at v."""
-    axis = np.arange(probs.size)[:, None, None] == own
-    return np.where(axis, np.arange(2)[:, None], probs[:, None, None])
+    """Per-axis probabilities (n, 2, m) for m table members: probs (n, m) of
+    each member's block on every axis, but row v pins member j's axis own[j] at v."""
+    axis = np.arange(len(probs))[:, None, None] == own
+    return np.where(axis, np.arange(2)[:, None], probs[:, None])
 
 
 def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
     """The exact kernel: closed-form peer-count moments for structural
-    outcomes. A plain table is contracted over its peers' treatment axes with
-    q, its own axis pinned. An encouragement-keyed table is first gathered at
-    the treatments each encouragement vector induces, its own treatment
-    forced to 0 and to 1, then contracted over the encouragement axes with
-    the mechanism's p. Evaluate it once per mechanism and pass the result to
-    every family and check."""
+    outcomes, and one pass per block size for table members. A plain table is
+    contracted over its peers' treatment axes with q, its own axis pinned. An
+    encouragement-keyed table is gathered at the treatments each encouragement
+    vector induces, its own treatment forced to 0 and to 1, then contracted
+    over the encouragement axes with p. Every family and check reads its result."""
     firsts, sizes = pop.starts[:-1], np.diff(pop.starts)
     p = unit_marginals(mech, sizes)
     q = np.where(pop.d0 == pop.d1, pop.d0, np.where(pop.d1 == 1, p, 1.0 - p))
@@ -128,32 +127,32 @@ def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
     ], np.nan)
     treated = np.stack([pop.d0, pop.d1]) == 1  # the own treatment at own encouragement z
     itt = np.where(treated, local[1], local[0])
-    for i in np.flatnonzero(np.add.reduceat(~pop.structural, firsts) > 0):
-        lo, n = int(firsts[i]), int(sizes[i])
-        block = slice(lo, lo + n)
-        u = lo + np.flatnonzero(~pop.structural[block])  # the table members
+    # each individual's block size and its own axis (its place in the block)
+    size_of, own = np.repeat(sizes, sizes), np.arange(q.size) - np.repeat(firsts, sizes)
+    # one pass per block size that holds a table member (np.unique loads numpy.ma)
+    for n in np.flatnonzero(np.bincount(size_of[~pop.structural])):
+        z = np.arange(2**n)
         # a plain member: local[v] pins the own treatment at v while the
         # peers' follow q; itt[z] is local at the own treatment z induces
-        plain = u[~pop.z_dependent[u]]
-        if plain.size:
-            entries = np.stack([pop.table[s:s + 2**n] for s in pop.table_start[plain]])
-            local[:, plain] = _contract(entries, _pinned(q[block], plain - lo))
-            itt[:, plain] = np.where(treated[:, plain], local[1, plain], local[0, plain])
+        u = np.flatnonzero(~pop.structural & ~pop.z_dependent & (size_of == n))
+        block = (u - own[u])[:, None] + np.arange(n)  # (m, n): each member's block
+        entries = pop.table[pop.table_start[u][:, None] + z]
+        local[:, u] = _contract(entries, _pinned(q[block].T, own[u]))
+        itt[:, u] = np.where(treated[:, u], local[1, u], local[0, u])
         # a keyed member: entries[v, j, z] is member j's entry at encouragement
         # row z and the treatments z induces, its own treatment forced to v
-        u = u[pop.z_dependent[u]]
-        if u.size:
-            z = np.arange(2**n)
-            # the treatment rows at z = 0...0 and at 1...1: encouragement row z
-            # takes each member's treatment bit from the row its own z bit picks
-            row0, row1 = ((x[block].astype(np.int64) << (n - 1 - np.arange(n))).sum()
-                          for x in (pop.d0, pop.d1))
-            bit = (1 << (n - 1 - (u - lo)))[:, None]
-            rows = (z & row1 | ~z & row0) & ~bit | np.arange(2)[:, None, None] * bit
-            entries = pop.table[pop.table_start[u][:, None] + (rows << n) + z]
-            local[:, u] = _contract(entries, p[block, None, None])
-            itt[:, u] = _contract(np.where(treated[:, u, None], entries[1], entries[0]),
-                                  _pinned(p[block], u - lo))
+        u = np.flatnonzero(pop.z_dependent & (size_of == n))
+        block = (u - own[u])[:, None] + np.arange(n)
+        # the treatment rows at z = 0...0 and at 1...1: encouragement row z
+        # takes each member's treatment bit from the row its own z bit picks
+        row0, row1 = ((x[block].astype(np.int64) << (n - 1 - np.arange(n))).sum(1, keepdims=True)
+                      for x in (pop.d0, pop.d1))
+        bit = (1 << (n - 1 - own[u]))[:, None]
+        rows = (z & row1 | ~z & row0) & ~bit | np.arange(2)[:, None, None] * bit
+        entries = pop.table[pop.table_start[u][:, None] + (rows << n) + z]
+        local[:, u] = _contract(entries, p[block].T[:, None])
+        itt[:, u] = _contract(np.where(treated[:, u, None], entries[1], entries[0]),
+                              _pinned(p[block].T, own[u]))
     return MemberAverages(pop=pop, itt=itt, local=local)
 
 

@@ -7,7 +7,8 @@ the replication engine as a loop over replicates and blocks drawing from
 numpy's own generators, the design's exact randomization distribution, the
 synthetic population build as a scalar draw loop, structural outcomes
 re-encoded as tables entry by entry, the table entries the exact kernel
-reads counted member by member, and the population file's document built
+reads counted member by member, the exact kernel's member averages block by
+block in float arithmetic, and the population file's document built
 individual by individual. These deliberately share no code with the
 production engine."""
 
@@ -142,6 +143,64 @@ def convolution_ybar_local(pop: Population, i: int, j: int, d: int, mech) -> flo
         probs.append(float(d0) if d0 == d1 else marg[k] if d1 == 1 else 1.0 - marg[k])
     pmf = poisson_binomial_pmf(probs)
     return sum(float(w) * _structural(pop, i, j, d, k) for k, w in enumerate(pmf))
+
+
+def _halved(entries: list, ones: list) -> float:
+    """Average entries (2^n, first axis most significant) over independent
+    bits, bit k 1 with probability ones[k]: one axis at a time, the low half
+    weighted by 1 - ones[k] plus the high half by ones[k], entry by entry."""
+    for w in ones:
+        half = len(entries) // 2
+        entries = [a * (1.0 - w) + b * w for a, b in zip(entries[:half], entries[half:])]
+    return entries[0]
+
+
+def reference_member_averages(pop: Population, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every individual's (itt, local) averages, (2, N) each, under the
+    scalar encouragement probability p, block by block and member by member
+    in float arithmetic. Each peer is treated with its uptake probability q.
+    A structural member takes the moments of its treated-peer count from the
+    block's sums of q and q(1-q), in the kernel's reduceat order; a table
+    member is contracted axis by axis, in the kernel's order."""
+    d0, d1 = pop.d0.tolist(), pop.d1.tolist()
+    itt, local = np.empty((2, len(d0))), np.empty((2, len(d0)))
+    for lo, hi in zip(pop.starts[:-1].tolist(), pop.starts[1:].tolist()):
+        n = hi - lo
+        q = [float(d0[u]) if d0[u] == d1[u] else p if d1[u] else 1.0 - p for u in range(lo, hi)]
+        # reduceat sums a segment as its first term plus the rest, not as sum() does
+        total, spread = (float(np.add.reduceat(np.array(x), [0])[0])
+                         for x in (q, [x * (1.0 - x) for x in q]))
+        for j, u in enumerate(range(lo, hi)):
+            takes = (d0[u], d1[u])  # the own treatment at own encouragement 0, 1
+            if pop.structural[u]:
+                c0, c_dir, c_peer, c_inter, c_curv, c_noise = pop.coef[:, u].tolist()
+                mean, var = total - q[j], spread - q[j] * (1.0 - q[j])
+                for d in (0, 1):
+                    local[d, u] = (c0 + c_dir * d + (c_peer + c_inter * d) * mean
+                                   + c_curv * (var + mean * mean) + c_noise)
+                itt[:, u] = local[takes, u]
+                continue
+            entries = pop.table[pop.table_start[u]:pop.table_start[u + 1]].tolist()
+            if not pop.z_dependent[u]:
+                for v in (0, 1):
+                    local[v, u] = _halved(entries, [float(v) if k == j else q[k] for k in range(n)])
+                itt[:, u] = local[takes, u]
+                continue
+            for v in (0, 1):
+                # encouragement row z: each peer takes its treatment at its own
+                # z bit, the member itself takes v
+                at_v = []
+                for z in range(2**n):
+                    row = 0
+                    for k in range(n):
+                        took = (d1 if (z >> (n - 1 - k)) & 1 else d0)[lo + k]
+                        row = row << 1 | (v if k == j else took)
+                    at_v.append(entries[row * 2**n + z])
+                local[v, u] = _halved(at_v, [p] * n)
+                for z in (0, 1):
+                    if takes[z] == v:
+                        itt[z, u] = _halved(at_v, [float(z) if k == j else p for k in range(n)])
+    return itt, local
 
 
 def _block_mean(values) -> float:

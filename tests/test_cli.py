@@ -733,6 +733,40 @@ def test_an_existing_output_without_write_permission_is_refused_before_any_work(
     assert out.read_text() == "kept"
 
 
+@pytest.mark.parametrize("seed", ["5", "notanumber"])
+def test_estimands_takes_no_seed(tmp_path, capsys, seed):
+    """estimands draws nothing, so it has no --seed: argparse refuses the
+    flag with exit 2 before any file is read or written."""
+    missing, out = tmp_path / "missing.json", tmp_path / "out.json"
+    assert _exit_code(["estimands", "--config", str(missing), "--pop", str(missing),
+                       "--seed", seed, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: --seed {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "estimands", "simulate", "verify"])
+def test_every_file_is_opened_with_an_encoding(tmp_path, command):
+    """Under -X warn_default_encoding with EncodingWarning an error, every
+    command still writes its files, the --dump-data CSV among them."""
+    src = Path(peerenc.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": 2})
+    pop_path, dump = tmp_path / "pop.json", tmp_path / "data.csv"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    argv = {"generate": ["--out", str(tmp_path / "again.json")],
+            "estimands": ["--pop", str(pop_path), "--out", str(tmp_path / "out")],
+            "simulate": ["--pop", str(pop_path), "--dump-data", str(dump),
+                         "--out", str(tmp_path / "out")],
+            "verify": ["--pop", str(pop_path), "--out", str(tmp_path / "out")]}[command]
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-m", "peerenc.cli", command,
+                           "--config", str(cfg), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if command == "simulate":
+        assert dump.read_bytes().startswith(b"block_id,S,unit_id,Z,D,Y\r\n")
+
+
 @pytest.mark.parametrize("command", ["generate", "estimands"])
 def test_a_closed_stdout_pipe_is_a_one_line_error(tmp_path, command):
     """stdout is a pipe whose reader has already gone, so the first write or

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerenc.errors import (
     EmptyStratumInBlock,
@@ -22,7 +24,7 @@ from peerenc.estimands import (
     member_averages,
 )
 from peerenc.mechanisms import Mechanism
-from peerenc.population import ComplianceType
+from peerenc.population import ComplianceType, Population
 from conftest import make_individual, make_population, person, population, structural, table
 from fuzz import defier_population, equal_effect_monotone, one_sided_population, \
     varying_effect_monotone
@@ -36,6 +38,7 @@ from oracles import (
     oracle_ybar_itt,
     oracle_ybar_local,
     poisson_binomial_pmf,
+    reference_member_averages,
 )
 
 PHI = Mechanism("phi", 0.7)
@@ -330,6 +333,67 @@ def test_a_table_of_2_to_the_22_entries_matches_the_moment_route():
             assert np.abs(getattr(got, name)[:, u] - getattr(want, name)[:, u]).max() <= 1e-10
             assert np.array_equal(getattr(got, name)[:, structural],
                                   getattr(want, name)[:, structural])
+
+
+# a member's kind and potential treatments (d0, d1)
+_MEMBER = st.tuples(st.sampled_from(("structural", "plain", "keyed")), st.integers(0, 1),
+                    st.integers(0, 1))
+
+
+@st.composite
+def mixed_populations(draw):
+    """2-30 blocks of 1-6 members, each structural, a plain table or an
+    encouragement-keyed table in any mix and order, and two scalar
+    mechanisms. Coefficients and entries come from a drawn seed; about one
+    in ten entries is a signed zero."""
+    blocks = draw(st.lists(st.lists(_MEMBER, min_size=1, max_size=6), min_size=2, max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = [m for block in blocks for m in block]
+    kinds = np.array([kind for kind, _, _ in members])
+    sizes = [len(block) for block in blocks]
+    extents = [2**n * (2**n if kind == "keyed" else 1) for block, n in zip(blocks, sizes)
+               for kind, _, _ in block if kind != "structural"]
+    values = rng.normal(size=sum(extents))
+    pop = Population(starts=np.cumsum([0, *sizes]), d0=[m[1] for m in members],
+                     d1=[m[2] for m in members], structural=kinds == "structural",
+                     z_dependent=kinds == "keyed",
+                     coef=rng.normal(size=(6, len(members))) * (kinds == "structural"),
+                     table=np.where(rng.random(values.size) < 0.1, np.copysign(0.0, values),
+                                    values))
+    probs = draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2))
+    return pop, [Mechanism(name, p) for name, p in zip(("phi", "psi"), probs)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mixed_populations())
+def test_grouped_kernel_equals_the_per_block_reference_bit_for_bit(case):
+    """member_averages evaluates all table members of one block size at once;
+    each average equals a per-block, per-member reference to the bit."""
+    pop, mechs = case
+    for mech in mechs:
+        got = member_averages(pop, mech)
+        want_itt, want_local = reference_member_averages(pop, mech.probs)
+        assert got.itt.tobytes() == want_itt.tobytes()
+        assert got.local.tobytes() == want_local.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mixed_populations(), data=st.data())
+def test_permuting_whole_blocks_permutes_the_kernel_bit_for_bit(case, data):
+    """A member's averages depend on its own block alone, wherever it sits."""
+    pop, mechs = case
+    order = data.draw(st.permutations(range(pop.n_blocks)))
+    units = np.concatenate([np.arange(pop.starts[i], pop.starts[i + 1]) for i in order])
+    entries = np.concatenate([np.arange(pop.table_start[u], pop.table_start[u + 1])
+                              for u in units])
+    permuted = pop.replace(starts=np.cumsum([0, *np.diff(pop.starts)[order]]),
+                           d0=pop.d0[units], d1=pop.d1[units], structural=pop.structural[units],
+                           z_dependent=pop.z_dependent[units], coef=pop.coef[:, units],
+                           table=pop.table[entries])
+    for mech in mechs:
+        want, got = member_averages(pop, mech), member_averages(permuted, mech)
+        assert got.itt.tobytes() == want.itt[:, units].tobytes()
+        assert got.local.tobytes() == want.local[:, units].tobytes()
 
 
 def test_kernels_are_read_only_and_a_contrast_needs_one_population(rng):
