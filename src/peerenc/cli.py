@@ -1,8 +1,8 @@
 """Command-line entry point: generate populations, evaluate exact estimands,
 replicate the design, and verify the identification identities.
 
-All outputs are deterministic functions of (config file, seed); seeds are
-mandatory and never default to the clock.
+All outputs are deterministic functions of (config file, seed); a command
+that draws needs a seed, which never defaults to the clock.
 """
 
 from __future__ import annotations
@@ -22,15 +22,12 @@ from pathlib import Path
 from . import _json
 from .errors import PeerEncError, InvalidConfig
 from .mechanisms import Mechanism
-from .population import DgpConfig, OutcomeConfig, build_population, load_population, \
+from .population import DgpConfig, build_population, load_population, parse_dgp, \
     save_population, validate
 
-_STRATA_KEYS = ("always_taker", "complier", "never_taker", "defier")
-_PARAMS = ("intercept", "direct", "peer", "interaction", "curvature")
 # Each config section's closed key set.
 _SECTIONS = {
-    "dgp": ("seed", "blocks", "block_size", "strata", "outcome", "monotone", "one_sided",
-            "complier_floor"),
+    "dgp": ("seed", *DgpConfig._fields),
     "design": ("mech_a", "mech_b", "k", "seed"),
     "mc": ("replications", "seed"),
     "output": ("path",),
@@ -43,30 +40,6 @@ _DEFAULT_POPULATION = "population.json"
 # An integer on the command line: ASCII digits after an optional minus sign,
 # the data CSV's integer numeral. "1_0", " 7" and non-ASCII digits are not.
 _INTEGER = re.compile(r"-?[0-9]+")
-
-
-def _parse_dgp(cfg: dict) -> DgpConfig:
-    d = _json.obj(cfg["dgp"], "config dgp", _SECTIONS["dgp"],
-                  required=("blocks", "block_size", "strata"))
-    oc = _json.obj(d.get("outcome", {}), "config dgp.outcome",
-                   ("representation", *_PARAMS, "noise_sd", "z_own", "z_peer"))
-    outcome = OutcomeConfig(
-        representation=_json.typed(oc.get("representation", "structural"),
-                                   "config dgp.outcome.representation", str),
-        **{k: _json.pair_or(_json.number, oc.get(k, 0.0), f"config dgp.outcome.{k}",
-                            "a number or [mean, sd] pair") for k in _PARAMS},
-        **{k: _json.number(oc.get(k, 0.0), f"config dgp.outcome.{k}")
-           for k in ("noise_sd", "z_own", "z_peer")},
-    )
-    return DgpConfig(
-        blocks=_json.integer(d["blocks"], "config dgp.blocks"),
-        block_size=_json.pair_or(_json.integer, d["block_size"], "config dgp.block_size",
-                                 "an integer or a [low, high] pair"),
-        strata=_json.numbers_by_key(d["strata"], "config dgp.strata", _STRATA_KEYS),
-        outcome=outcome,
-        **{k: _json.typed(d[k], f"config dgp.{k}", bool) for k in
-           ("monotone", "one_sided", "complier_floor") if k in d},
-    )
 
 
 def _mechanism_pair(cfg: dict, design: dict) -> tuple[Mechanism, Mechanism]:
@@ -107,14 +80,15 @@ def _seed(value, where: str) -> int | None:
 def _read_config(path: str, needs: str) -> dict:
     """The config read whole before any work, whichever command runs (one
     file serves all four): every key against its object's closed set, every
-    value present against its kind. ``needs`` is the top-level key the
+    value present against its kind, and a ``dgp`` section against the
+    ``DgpConfig`` constructor's checks. ``needs`` is the top-level key the
     command cannot run without; an absent field reads None."""
     cfg = _json.obj(_json.read_json(path), "config", ("seed", "mechanisms", *_SECTIONS),
                     required=(needs,))
     sections = {s: _json.obj(cfg.get(s, {}), f"config {s}", keys) for s, keys in _SECTIONS.items()}
     design, mc, path = sections["design"], sections["mc"], sections["output"].get("path")
     return {
-        "dgp": _parse_dgp(cfg) if "dgp" in cfg else None,
+        "dgp": parse_dgp(cfg["dgp"]) if "dgp" in cfg else None,
         "pair": _mechanism_pair(cfg, design) if "mechanisms" in cfg else None,
         "k": None if "k" not in design else _json.integer(design["k"], "config design.k"),
         "replications": (None if "replications" not in mc else
@@ -139,13 +113,15 @@ def _flag_integer(text: str | None, where: str) -> int | None:
     raise InvalidConfig(f"{where}: expected an integer, got {reprlib.repr(text)}")
 
 
-def _resolve_seed(cli_seed: str | None, cfg: dict, section: str) -> int:
-    """--seed, else the section's seed, else the top-level one."""
+def _resolve_seed(cli_seed: str | None, cfg: dict, section: str, needed: bool = True) -> int | None:
+    """--seed, else the section's seed, else the top-level one; None when
+    none is set and the command draws nothing (not ``needed``)."""
     for seed in (_seed(_flag_integer(cli_seed, "--seed"), "--seed"), cfg["seeds"][section],
                  cfg["seeds"][""]):
         if seed is not None:
             return seed
-    raise InvalidConfig("config: missing seed (set a top-level \"seed\" or pass --seed)")
+    if needed:
+        raise InvalidConfig("config: missing seed (set a top-level \"seed\" or pass --seed)")
 
 
 def _check_threads(text: str | None) -> None:
@@ -275,8 +251,8 @@ def cmd_verify(args) -> int:
     cfg = _read_config(args.config, "mechanisms")
     _check_output(args.out, "--out", *_inputs(args))
     _check_threads(args.threads)
-    seed = _resolve_seed(args.seed, cfg, "mc")
     r = cfg["replications"] or 0
+    seed = _resolve_seed(args.seed, cfg, "mc", needed=r > 0)  # only replications draw
     if r:
         from .montecarlo import check_replications, replicate
 

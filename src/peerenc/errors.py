@@ -22,7 +22,9 @@ class InvalidConfig(PeerEncError):
 
 
 class GenerationFailed(PeerEncError):
-    """A synthetic population satisfying the config could not be generated."""
+    """A synthetic population satisfying the config could not be generated:
+    the ``DgpConfig`` constructor raises it for a complier floor over zero
+    complier mass."""
 
 
 class MissingTableEntry(PeerEncError):

@@ -319,17 +319,12 @@ def validate(pop: Population) -> ValidationReport:
 # Synthetic data-generating process
 # --------------------------------------------------------------------------
 
-_STRATA_ORDER = (
-    ComplianceType.ALWAYS_TAKER,
-    ComplianceType.COMPLIER,
-    ComplianceType.NEVER_TAKER,
-    ComplianceType.DEFIER,
-)
 ParamSpec = float | tuple[float, float]  # constant, or (mean, sd) drawn per individual
 
 
 class OutcomeConfig(Record):
-    """Outcome model for the synthetic DGP.
+    """Outcome model for the synthetic DGP, checked by the ``DgpConfig`` that
+    holds it.
 
     Coefficients may be constants or (mean, sd) pairs drawn once per
     individual. representation picks how the outcome is stored: "structural",
@@ -351,64 +346,90 @@ class OutcomeConfig(Record):
 
 
 class DgpConfig(Record):
+    """The synthetic DGP. The constructor (so ``replace`` too) refuses a
+    config no population satisfies, naming the config field at fault
+    (``config dgp`` for a bound that spans several): InvalidConfig, or
+    GenerationFailed for a complier floor over zero complier mass."""
+
     blocks: int
     block_size: int | tuple[int, int]
-    strata: tuple[float, float, float, float]  # (always, complier, never, defier)
+    strata: tuple[float, float, float, float]  # masses in ComplianceType order
     outcome: OutcomeConfig = OutcomeConfig()
     monotone: bool | None = None  # requested guarantee, not a prediction
     one_sided: bool | None = None
     complier_floor: bool = True
 
+    def __post_init__(self):
+        blocks, bs, s, oc = self.blocks, self.block_size, self.strata, self.outcome
+        if blocks < 2:
+            raise InvalidConfig(f"config dgp.blocks: need at least 2 blocks, got {blocks}")
+        sizes = tuple(bs) if isinstance(bs, (tuple, list)) else (bs, bs)
+        if sizes[0] < 1 or sizes[1] < sizes[0]:
+            raise InvalidConfig(f"config dgp.block_size: bad block size range {bs}")
+        if len(s) != 4 or not all(p >= 0 for p in s) or abs(sum(s) - 1.0) > 1e-9:
+            raise InvalidConfig("config dgp.strata: strata probabilities must be nonnegative and"
+                                f" sum to 1, got {s}")
+        at, co, nt, de = s
+        if self.monotone and de > 0:
+            raise InvalidConfig("config dgp.monotone: monotone requested but defier mass is"
+                                " positive")
+        if self.one_sided and (de > 0 or at > 0):
+            raise InvalidConfig("config dgp.one_sided: one_sided requested but always-taker or"
+                                " defier mass is positive")
+        sds = {k: getattr(oc, k)[1] for k in _COEFS[:-1] if isinstance(getattr(oc, k), tuple)}
+        for name, sd in (*sds.items(), ("noise_sd", oc.noise_sd)):
+            if not sd >= 0:
+                raise InvalidConfig(f"config dgp.outcome.{name}: a standard deviation must be"
+                                    f" >= 0, got {sd}")
+        rep = oc.representation
+        if rep not in ("structural", "table", "mixed"):
+            raise InvalidConfig(f"config dgp.outcome.representation: unknown outcome"
+                                f" representation {rep!r}")
+        z_dep = oc.z_own != 0.0 or oc.z_peer != 0.0
+        if z_dep and rep != "table":
+            raise InvalidConfig("config dgp.outcome: encouragement-dependent outcomes require"
+                                " table representation")
+        # sized by the largest block; under "mixed" every block may hold tables
+        n = sizes[1]
+        if rep in ("table", "mixed") and n > TABLE_REPRESENTATION_CAP:
+            raise InvalidConfig(f"config dgp.block_size: table representation is capped at"
+                                f" block size {TABLE_REPRESENTATION_CAP}")
+        if blocks * n > MAX_INDIVIDUALS:
+            raise InvalidConfig(f"config dgp: {blocks} blocks of up to {n} individuals exceed"
+                                f" the bound of {MAX_INDIVIDUALS} individuals")
+        entries = blocks * n * 2**n * (2**n if z_dep else 1) if rep != "structural" else 0
+        if entries > MAX_TABLE_ENTRIES:
+            raise InvalidConfig(f"config dgp: {blocks} blocks of up to {n} table members need"
+                                f" {entries} table entries, over the bound of {MAX_TABLE_ENTRIES}")
+        if self.complier_floor and co == 0.0:
+            raise GenerationFailed("config dgp.complier_floor: complier floor requested but"
+                                   " complier mass is zero")
 
-def _check_config(cfg: DgpConfig):
-    """Refuse a config no population satisfies, naming the config field at
-    fault (``config dgp`` for a bound that spans several)."""
-    if cfg.blocks < 2:
-        raise InvalidConfig(f"config dgp.blocks: need at least 2 blocks, got {cfg.blocks}")
-    sizes = cfg.block_size if isinstance(cfg.block_size, tuple) else (cfg.block_size, cfg.block_size)
-    if sizes[0] < 1 or sizes[1] < sizes[0]:
-        raise InvalidConfig(f"config dgp.block_size: bad block size range {cfg.block_size}")
-    s = cfg.strata
-    if len(s) != 4 or not all(p >= 0 for p in s) or abs(sum(s) - 1.0) > 1e-9:
-        raise InvalidConfig("config dgp.strata: strata probabilities must be nonnegative and"
-                            f" sum to 1, got {s}")
-    at, co, nt, de = s
-    if cfg.monotone and de > 0:
-        raise InvalidConfig("config dgp.monotone: monotone requested but defier mass is positive")
-    if cfg.one_sided and (de > 0 or at > 0):
-        raise InvalidConfig("config dgp.one_sided: one_sided requested but always-taker or"
-                            " defier mass is positive")
-    oc = cfg.outcome
-    sds = {k: getattr(oc, k)[1] for k in _COEFS[:-1] if isinstance(getattr(oc, k), tuple)}
-    for name, sd in (*sds.items(), ("noise_sd", oc.noise_sd)):
-        if not sd >= 0:
-            raise InvalidConfig(f"config dgp.outcome.{name}: a standard deviation must be >= 0,"
-                                f" got {sd}")
-    rep = oc.representation
-    if rep not in ("structural", "table", "mixed"):
-        raise InvalidConfig(f"config dgp.outcome.representation: unknown outcome"
-                            f" representation {rep!r}")
-    z_dep = oc.z_own != 0.0 or oc.z_peer != 0.0
-    if z_dep and rep != "table":
-        raise InvalidConfig("config dgp.outcome: encouragement-dependent outcomes require table"
-                            " representation")
-    if rep in ("table", "mixed") and sizes[1] > TABLE_REPRESENTATION_CAP:
-        raise InvalidConfig(
-            f"config dgp.block_size: table representation is capped at block size"
-            f" {TABLE_REPRESENTATION_CAP}"
-        )
-    # sized by the largest block; under "mixed" every block may hold tables
-    n = sizes[1]
-    if cfg.blocks * n > MAX_INDIVIDUALS:
-        raise InvalidConfig(f"config dgp: {cfg.blocks} blocks of up to {n} individuals exceed"
-                            f" the bound of {MAX_INDIVIDUALS} individuals")
-    entries = cfg.blocks * n * 2**n * (2**n if z_dep else 1) if rep != "structural" else 0
-    if entries > MAX_TABLE_ENTRIES:
-        raise InvalidConfig(f"config dgp: {cfg.blocks} blocks of up to {n} table members need"
-                            f" {entries} table entries, over the bound of {MAX_TABLE_ENTRIES}")
-    if cfg.complier_floor and co == 0.0:
-        raise GenerationFailed("config dgp.complier_floor: complier floor requested but complier"
-                               " mass is zero")
+
+def parse_dgp(section) -> DgpConfig:
+    """The ``DgpConfig`` of a run config's ``dgp`` section (whose ``seed`` the
+    CLI reads): keys against the records' fields, values against their kinds."""
+    d = _json.obj(section, "config dgp", ("seed", *DgpConfig._fields),
+                  required=("blocks", "block_size", "strata"))
+    oc = _json.obj(d.get("outcome", {}), "config dgp.outcome", OutcomeConfig._fields)
+    outcome = OutcomeConfig(
+        representation=_json.typed(oc.get("representation", "structural"),
+                                   "config dgp.outcome.representation", str),
+        **{k: _json.pair_or(_json.number, oc.get(k, 0.0), f"config dgp.outcome.{k}",
+                            "a number or [mean, sd] pair") for k in _COEFS[:-1]},
+        **{k: _json.number(oc.get(k, 0.0), f"config dgp.outcome.{k}")
+           for k in ("noise_sd", "z_own", "z_peer")},
+    )
+    return DgpConfig(
+        blocks=_json.integer(d["blocks"], "config dgp.blocks"),
+        block_size=_json.pair_or(_json.integer, d["block_size"], "config dgp.block_size",
+                                 "an integer or a [low, high] pair"),
+        strata=_json.numbers_by_key(d["strata"], "config dgp.strata",
+                                    tuple(ct.value for ct in ComplianceType)),
+        outcome=outcome,
+        **{k: _json.typed(d[k], f"config dgp.{k}", bool) for k in
+           ("monotone", "one_sided", "complier_floor") if k in d},
+    )
 
 
 def _draw_strata(n: int, cdf: np.ndarray, complier_floor: bool, rng: np.random.Generator):
@@ -418,7 +439,7 @@ def _draw_strata(n: int, cdf: np.ndarray, complier_floor: bool, rng: np.random.G
         codes = cdf.searchsorted(rng.random(n), side="right")
         if not complier_floor or (codes == 1).any():
             return codes
-    # complier mass is positive (checked above) but unlucky: place one directly
+    # complier mass is positive (DgpConfig checks it) but unlucky: place one directly
     codes = cdf.searchsorted(rng.random(n), side="right")
     codes[rng.integers(n)] = 1
     return codes
@@ -452,7 +473,6 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
     contains at least one complier so complier-restricted block averages are
     always defined.
     """
-    _check_config(cfg)
     oc = cfg.outcome
     probs = np.asarray(cfg.strata, dtype=float)
     cdf = np.cumsum(probs / probs.sum())
@@ -485,7 +505,7 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
         # numpy's normal(mean, sd) draws mean + sd * standard_normal()
         coef[[_COEFS.index(k) for k in drawn]] = (means + sds * z).T
     finite = np.logical_and.reduceat(np.isfinite(coef).all(axis=0), starts[:-1])
-    # encouragement terms force tables in every block (_check_config)
+    # encouragement terms force tables in every block (DgpConfig)
     keyed = oc.z_own != 0.0 or oc.z_peer != 0.0
     # block i's tables end the column at ends[i]: n 2^n entries (n 4^n keyed)
     tabled = np.where(as_table, sizes, 0)
@@ -505,7 +525,7 @@ def build_population(cfg: DgpConfig, rng: np.random.Generator) -> Population:
                                 f"{r:0{n}b} is not finite (its coefficients overflow)")
         table[ends[i] - tables.size:ends[i]] = tables.ravel()
 
-    d0, d1 = np.array([_PT_BY_STRATUM[ct] for ct in _STRATA_ORDER])[codes].T
+    d0, d1 = np.array([_PT_BY_STRATUM[ct] for ct in ComplianceType])[codes].T
     structural = np.repeat(~as_table, sizes)
     coef[:, ~structural] = 0.0
     try:

@@ -338,16 +338,15 @@ def test_verify_text_format(tmp_path, capsys):
 
 def test_generate_then_load_reproduces_estimands_bitwise(tmp_path):
     from peerenc import _streams
-    from peerenc.cli import _parse_dgp
     from peerenc.estimands import compute_estimand_report
     from peerenc.mechanisms import Mechanism
-    from peerenc.population import build_population
+    from peerenc.population import build_population, parse_dgp
 
     cfg_path = write_config(tmp_path / "cfg.json")
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(cfg_path), "--out", str(pop_path)])
     cfg = json.loads(cfg_path.read_text())
-    in_memory = build_population(_parse_dgp(cfg), _streams.stream(cfg["seed"], 0))
+    in_memory = build_population(parse_dgp(cfg["dgp"]), _streams.stream(cfg["seed"], 0))
     a = Mechanism("phi", 0.7)
     b = Mechanism("psi", 0.3)
     from_file = load_population(pop_path)
@@ -476,43 +475,53 @@ def _strata(**masses) -> dict:
     return {"always_taker": 0.0, "complier": 0.0, "never_taker": 0.0, "defier": 0.0, **masses}
 
 
-@pytest.mark.parametrize("dgp, field", [
-    ({"outcome": {**_OUTCOME, "direct": ["1e999", 0]}}, "dgp.outcome.direct"),
-    ({"outcome": {**_OUTCOME, "direct": [float("inf"), 0]}}, "dgp.outcome.direct"),
-    ({"outcome": {**_OUTCOME, "intercept": 10**400}}, "dgp.outcome.intercept"),
-    ({"outcome": {**_OUTCOME, "peer": True}}, "dgp.outcome.peer"),
-    ({"strata": ["nan", 1.0, 0.0, 0.0]}, "dgp.strata"),
-    ({"strata": {"complier": float("nan")}}, "dgp.strata.complier"),
-    ({"outcome": {**_OUTCOME, "direct": [1, -2]}}, "config dgp.outcome.direct: "),
-    ({"outcome": {**_OUTCOME, "noise_sd": "nan"}}, "dgp.outcome.noise_sd"),
-    ({"outcome": {**_OUTCOME, "noise_sd": -1}}, "config dgp.outcome.noise_sd: "),
-    ({"outcome": {**_OUTCOME, "representation": "table", "z_own": "inf"}},
-     "dgp.outcome.z_own"),
-    ({"complier_floor": "no"}, "dgp.complier_floor"),
-    ({"monotone": 1}, "dgp.monotone"),
-    # values of the right kind that no population satisfies
-    ({"blocks": 1}, "config dgp.blocks: "),
-    ({"block_size": [3, 2]}, "config dgp.block_size: "),
-    ({"outcome": {**_OUTCOME, "representation": "tabel"}},
-     "config dgp.outcome.representation: "),
-    ({"outcome": {**_OUTCOME, "representation": "table"}, "block_size": 13},
-     "config dgp.block_size: "),
-    ({"strata": _strata(complier=0.5)}, "config dgp.strata: "),
-    ({"strata": _strata(complier=0.5, defier=0.5), "monotone": True}, "config dgp.monotone: "),
-    ({"strata": _strata(complier=0.5, always_taker=0.5), "one_sided": True},
-     "config dgp.one_sided: "),
-    ({"outcome": {**_OUTCOME, "z_own": 0.5}}, "config dgp.outcome: "),
-    ({"blocks": 2**20}, "config dgp: "),
-    ({"blocks": 2**14, "block_size": 12, "outcome": {**_OUTCOME, "representation": "table"}},
-     "config dgp: "),
-    ({"strata": _strata(complier=0.0, never_taker=1.0)},
-     "GenerationFailed: config dgp.complier_floor: "),
-], ids=["direct-string-1e999", "direct-infinity", "intercept-huge-int", "peer-true",
-        "strata-string-nan", "strata-nan", "direct-negative-sd", "noise-sd-string-nan",
-        "noise-sd-negative", "z-own-string-inf", "complier-floor-string", "monotone-1",
-        "one-block", "block-size-range", "representation-unknown", "table-size-cap",
-        "strata-sum", "monotone-with-defiers", "one-sided-with-always-takers",
-        "z-own-structural", "individuals-bound", "table-entries-bound", "no-complier-mass"])
+# dgp values of the wrong kind
+_DGP_KIND_FAULTS = [
+    pytest.param({"outcome": {**_OUTCOME, "direct": ["1e999", 0]}}, "dgp.outcome.direct",
+                 id="direct-string-1e999"),
+    pytest.param({"outcome": {**_OUTCOME, "direct": [float("inf"), 0]}}, "dgp.outcome.direct",
+                 id="direct-infinity"),
+    pytest.param({"outcome": {**_OUTCOME, "intercept": 10**400}}, "dgp.outcome.intercept",
+                 id="intercept-huge-int"),
+    pytest.param({"outcome": {**_OUTCOME, "peer": True}}, "dgp.outcome.peer", id="peer-true"),
+    pytest.param({"strata": ["nan", 1.0, 0.0, 0.0]}, "dgp.strata", id="strata-string-nan"),
+    pytest.param({"strata": {"complier": float("nan")}}, "dgp.strata.complier", id="strata-nan"),
+    pytest.param({"outcome": {**_OUTCOME, "noise_sd": "nan"}}, "dgp.outcome.noise_sd",
+                 id="noise-sd-string-nan"),
+    pytest.param({"outcome": {**_OUTCOME, "representation": "table", "z_own": "inf"}},
+                 "dgp.outcome.z_own", id="z-own-string-inf"),
+    pytest.param({"complier_floor": "no"}, "dgp.complier_floor", id="complier-floor-string"),
+    pytest.param({"monotone": 1}, "dgp.monotone", id="monotone-1"),
+]
+# dgp values of the right kind that no population satisfies
+_DGP_UNSATISFIABLE = [
+    pytest.param({"outcome": {**_OUTCOME, "direct": [1, -2]}}, "config dgp.outcome.direct: ",
+                 id="direct-negative-sd"),
+    pytest.param({"outcome": {**_OUTCOME, "noise_sd": -1}}, "config dgp.outcome.noise_sd: ",
+                 id="noise-sd-negative"),
+    pytest.param({"blocks": 1}, "config dgp.blocks: ", id="one-block"),
+    pytest.param({"block_size": [3, 2]}, "config dgp.block_size: ", id="block-size-range"),
+    pytest.param({"outcome": {**_OUTCOME, "representation": "tabel"}},
+                 "config dgp.outcome.representation: ", id="representation-unknown"),
+    pytest.param({"outcome": {**_OUTCOME, "representation": "table"}, "block_size": 13},
+                 "config dgp.block_size: ", id="table-size-cap"),
+    pytest.param({"strata": _strata(complier=0.5)}, "config dgp.strata: ", id="strata-sum"),
+    pytest.param({"strata": _strata(complier=0.5, defier=0.5), "monotone": True},
+                 "config dgp.monotone: ", id="monotone-with-defiers"),
+    pytest.param({"strata": _strata(complier=0.5, always_taker=0.5), "one_sided": True},
+                 "config dgp.one_sided: ", id="one-sided-with-always-takers"),
+    pytest.param({"outcome": {**_OUTCOME, "z_own": 0.5}}, "config dgp.outcome: ",
+                 id="z-own-structural"),
+    pytest.param({"blocks": 2**20}, "config dgp: ", id="individuals-bound"),
+    pytest.param({"blocks": 2**14, "block_size": 12,
+                  "outcome": {**_OUTCOME, "representation": "table"}},
+                 "config dgp: ", id="table-entries-bound"),
+    pytest.param({"strata": _strata(complier=0.0, never_taker=1.0)},
+                 "GenerationFailed: config dgp.complier_floor: ", id="no-complier-mass"),
+]
+
+
+@pytest.mark.parametrize("dgp, field", [*_DGP_KIND_FAULTS, *_DGP_UNSATISFIABLE])
 def test_dgp_fields_take_finite_numbers_and_booleans(tmp_path, capsys, dgp, field):
     cfg = write_config(tmp_path / "cfg.json", dgp=dgp)
     out = tmp_path / "pop.json"
@@ -521,6 +530,39 @@ def test_dgp_fields_take_finite_numbers_and_booleans(tmp_path, capsys, dgp, fiel
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimands", "simulate", "verify"])
+@pytest.mark.parametrize("dgp, field", _DGP_UNSATISFIABLE)
+def test_every_command_refuses_a_dgp_no_population_satisfies(tmp_path, capsys, command, dgp,
+                                                            field):
+    """Each command reads the whole config, so each refuses such a dgp
+    section with the line generate prints, before it reads --pop: the
+    population file is missing, which would be another error."""
+    cfg = write_config(tmp_path / "cfg.json", dgp=dgp)
+    assert _exit_code(["generate", "--config", str(cfg), "--out", str(tmp_path / "pop")]) == 2
+    expected = capsys.readouterr().err
+    out = tmp_path / "out.json"
+    assert _exit_code([command, "--config", str(cfg), "--pop", str(tmp_path / "missing.json"),
+                       "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == expected and len(err.splitlines()) == 1 and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dgp, where, known", [
+    ({"bogus": 1}, "config dgp",
+     "seed, blocks, block_size, strata, outcome, monotone, one_sided, complier_floor"),
+    ({"outcome": {"bogus": 1}}, "config dgp.outcome",
+     "representation, intercept, direct, peer, interaction, curvature, noise_sd, z_own, z_peer"),
+    ({"strata": {"bogus": 1}}, "config dgp.strata",
+     "always_taker, complier, never_taker, defier"),
+], ids=["dgp", "outcome", "strata"])
+def test_an_unknown_dgp_key_lists_the_known_keys(tmp_path, capsys, dgp, where, known):
+    cfg = write_config(tmp_path / "cfg.json", dgp=dgp)
+    assert _exit_code(["generate", "--config", str(cfg), "--out", str(tmp_path / "pop")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: InvalidConfig: {where}: unknown key 'bogus' (known: {known})\n"
 
 
 @pytest.mark.parametrize("command, text, field", [
@@ -884,6 +926,37 @@ def test_verify_without_monte_carlo_takes_zero_replications(tmp_path):
     assert [name for name, _, _ in plugins] == [t["plugin_estimator"] for t in exact["theorems"]]
     for name, mean, std_bias in plugins:
         assert (mean, std_bias) == (f"{rows[name]['mean']:.6g}", f"{rows[name]['std_bias']:.3g}")
+
+
+def test_verify_without_monte_carlo_needs_no_seed(tmp_path, capsys):
+    """At R = 0 verify draws nothing: a config with no seed anywhere writes
+    the report the seeded config writes, with the exit status its
+    identities give; a --seed flag is still checked. At R > 0 the same
+    config is refused for its missing seed."""
+    pop_path, seeded, seedless = tmp_path / "pop.json", tmp_path / "a.json", tmp_path / "b.json"
+    cfg = write_config(tmp_path / "seeded.json", mc={"replications": 0})
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    code = main(["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(seeded)])
+    doc = json.loads(cfg.read_text())
+    del doc["seed"]
+    cfg.write_text(json.dumps(doc))
+    argv = ["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(seedless)]
+    assert main(argv) == code
+    assert seedless.read_bytes() == seeded.read_bytes()
+    passed = all(t["identity"] is not None and t["identity"]["passed"]
+                 for t in json.loads(seedless.read_text())["theorems"])
+    assert code == (0 if passed else 1)
+    capsys.readouterr()
+    assert _exit_code([*argv, "--seed", "x"]) == 2
+    assert capsys.readouterr().err == \
+        "error: InvalidConfig: --seed: expected an integer, got 'x'\n"
+    doc["mc"] = {"replications": 5}
+    cfg.write_text(json.dumps(doc))
+    seedless.unlink()
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err == ("error: InvalidConfig: config: missing seed (set a"
+                                       " top-level \"seed\" or pass --seed)\n")
+    assert not seedless.exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -483,11 +483,12 @@ def test_a_population_file_over_a_bound_is_a_one_line_error(tmp_path, monkeypatc
     """The constructor's bounds, lowered so that a small file exceeds them
     (test_population checks them at their real values, from arrays): two
     blocks of one plain-table member each hold 2 individuals and 4 table
-    entries."""
+    entries. The config has no dgp section, which the lowered bounds would
+    refuse first."""
     pop_path, cfg_path = tmp_path / "pop.json", tmp_path / "cfg.json"
     doc = population_to_dict(population([[person("co", table([1.0, 2.0]))]] * 2))
     pop_path.write_text(json.dumps(doc))
-    cfg_path.write_text(json.dumps(CONFIG))
+    cfg_path.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "dgp"}))
     monkeypatch.setattr(f"peerenc.population.{bound}", value)
     code, stdout, err = _run(["estimands", "--config", str(cfg_path), "--pop", str(pop_path)])
     _assert_one_line_error(code, err)

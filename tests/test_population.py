@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,6 @@ from peerenc.population import (
     DgpConfig,
     OutcomeConfig,
     Population,
-    _check_config,
     build_population,
     load_population,
     population_from_dict,
@@ -328,11 +328,40 @@ def test_population_size_is_bounded_before_any_draw(overrides, message):
 
 def test_population_size_bounds_admit_their_limits():
     """A population exactly at either bound passes the size checks."""
-    _check_config(_basic_cfg(blocks=2**18, block_size=4))
-    _check_config(_basic_cfg(blocks=2730, block_size=12,
-                             outcome=OutcomeConfig(representation="table")))
-    _check_config(_basic_cfg(blocks=2, block_size=11, strata=(0.0, 1.0, 0.0, 0.0),
-                             outcome=OutcomeConfig(representation="table", z_own=0.5)))
+    _basic_cfg(blocks=2**18, block_size=4)
+    _basic_cfg(blocks=2730, block_size=12, outcome=OutcomeConfig(representation="table"))
+    _basic_cfg(blocks=2, block_size=11, strata=(0.0, 1.0, 0.0, 0.0),
+               outcome=OutcomeConfig(representation="table", z_own=0.5))
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    (dict(blocks=1), InvalidConfig, "config dgp.blocks: need at least 2 blocks, got 1"),
+    (dict(block_size=(3, 2)), InvalidConfig, "config dgp.block_size: bad block size range (3, 2)"),
+    (dict(strata=(0.5, 0.0, 0.0, 0.0)), InvalidConfig, "config dgp.strata: "),
+    (dict(strata=(0.2, 0.4, 0.3, 0.1)), InvalidConfig, "config dgp.monotone: "),
+    (dict(one_sided=True), InvalidConfig, "config dgp.one_sided: "),
+    (dict(outcome=OutcomeConfig(direct=(1.0, -1.0))), InvalidConfig,
+     "config dgp.outcome.direct: a standard deviation must be >= 0, got -1.0"),
+    (dict(outcome=OutcomeConfig(noise_sd=-1.0)), InvalidConfig, "config dgp.outcome.noise_sd: "),
+    (dict(outcome=OutcomeConfig(representation="tabel")), InvalidConfig,
+     "config dgp.outcome.representation: "),
+    (dict(outcome=OutcomeConfig(z_own=0.5)), InvalidConfig, "config dgp.outcome: "),
+    (dict(block_size=13, outcome=OutcomeConfig(representation="table")), InvalidConfig,
+     "config dgp.block_size: table representation is capped at block size 12"),
+    (dict(blocks=2**18 + 1, block_size=4), InvalidConfig, "config dgp: "),
+    (dict(strata=(0.5, 0.0, 0.5, 0.0)), GenerationFailed, "config dgp.complier_floor: "),
+], ids=["one-block", "block-size-range", "strata-sum", "monotone-with-defiers",
+        "one-sided-with-always-takers", "negative-sd", "negative-noise-sd",
+        "representation-unknown", "z-own-structural", "table-size-cap", "individuals-bound",
+        "no-complier-mass"])
+def test_a_dgp_config_exists_only_validated(changes, error, message):
+    """The constructor refuses a config no population satisfies, and so
+    does replace, which goes through it."""
+    base = _basic_cfg()
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        DgpConfig(**{**dict(zip(DgpConfig._fields, base._values())), **changes})
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        base.replace(**changes)
 
 
 def _columns_for(starts, table=np.zeros(0)) -> dict:
@@ -521,6 +550,48 @@ def test_build_matches_the_scalar_draw_loop_bitwise(tmp_path_factory, rep, param
     save_population(pop, directory / "built.json")
     save_population(expected, directory / "reference.json")
     assert (directory / "built.json").read_bytes() == (directory / "reference.json").read_bytes()
+
+
+# a negative sd is refused, so the sds lean nonnegative to let configs through
+_SD = st.floats(-1.0, 10.0)
+_SPEC = st.one_of(st.floats(-10.0, 10.0), st.tuples(st.floats(-10.0, 10.0), _SD))
+_FLAG = st.sampled_from([None, False, True])
+
+
+@given(
+    blocks=st.integers(2, 6),
+    block_size=st.one_of(st.integers(1, 6), st.tuples(st.integers(1, 3), st.integers(1, 6))),
+    mass=st.tuples(*[st.integers(0, 2)] * 4).filter(any),
+    rep=st.sampled_from(["structural", "table", "mixed"]),
+    params=st.tuples(*[_SPEC] * 5),
+    noise_sd=_SD,
+    z=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))),
+    monotone=_FLAG,
+    one_sided=_FLAG,
+    complier_floor=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_an_accepted_config_always_generates(blocks, block_size, mass, rep, params, noise_sd, z,
+                                             monotone, one_sided, complier_floor, seed):
+    """The DgpConfig constructor refuses a config or build_population
+    generates a population honouring every flag it requests."""
+    try:
+        cfg = DgpConfig(blocks=blocks, block_size=block_size,
+                        strata=tuple(m / sum(mass) for m in mass),
+                        outcome=OutcomeConfig(rep, *params, noise_sd=noise_sd, z_own=z[0],
+                                              z_peer=z[1]),
+                        monotone=monotone, one_sided=one_sided, complier_floor=complier_floor)
+    except (InvalidConfig, GenerationFailed):
+        return
+    pop = build_population(cfg, np.random.default_rng(seed))
+    assert pop.n_blocks == blocks
+    lo, hi = block_size if isinstance(block_size, tuple) else (block_size, block_size)
+    assert all(lo <= n <= hi for n in pop.sizes)
+    assert pop.monotone or not monotone
+    assert pop.one_sided or not one_sided
+    compliers = np.add.reduceat(pop.in_stratum(ComplianceType.COMPLIER), pop.starts[:-1])
+    assert compliers.all() or not complier_floor
 
 
 def test_serialization_round_trip(tmp_path, rng):
