@@ -27,15 +27,14 @@ from .population import DgpConfig, build_population, load_population, parse_dgp,
 
 # Each config section's closed key set.
 _SECTIONS = {
-    "dgp": ("seed", *DgpConfig._fields),
-    "design": ("mech_a", "mech_b", "k", "seed"),
-    "mc": ("replications", "seed"),
-    "output": ("path",),
+    "dgp": DgpConfig._fields,
+    "design": ("mech_a", "mech_b", "k"),
+    "mc": ("replications",),
 }
 
 _THREADS_HELP = ("accepted for compatibility and checked to be an integer >= 1; replication "
                  "runs in one thread, so it changes neither output nor speed")
-# Where `generate` writes with neither --out nor output.path.
+# Where `generate` writes without --out.
 _DEFAULT_POPULATION = "population.json"
 # An integer on the command line: ASCII digits after an optional minus sign,
 # the data CSV's integer numeral. "1_0", " 7" and non-ASCII digits are not.
@@ -43,7 +42,8 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _mechanism_pair(cfg: dict, design: dict) -> tuple[Mechanism, Mechanism]:
-    """The mechanisms design.mech_a and mech_b name, by default the first two."""
+    """The mechanisms design.mech_a and mech_b name, by default the first
+    two; a pair with the same probabilities contrasts nothing."""
     raw = _json.typed(cfg["mechanisms"], "config mechanisms", list, "a non-empty list")
     if not raw:
         raise InvalidConfig("config mechanisms: expected a non-empty list, got []")
@@ -66,6 +66,9 @@ def _mechanism_pair(cfg: dict, design: dict) -> tuple[Mechanism, Mechanism]:
         if name is None or _json.typed(name, f"config design.{label}", str) not in mechs:
             raise InvalidConfig(f"config design.{label}: mechanism {name!r} is not defined")
         pair.append(mechs[name])
+    if pair[0].probs == pair[1].probs:  # a scalar and a vector that coincide: Design refuses
+        raise InvalidConfig(f"config design.mech_b: mechanism {pair[1].name!r} has the "
+                            f"probabilities of mech_a {pair[0].name!r}; no contrast")
     return tuple(pair)
 
 
@@ -86,17 +89,14 @@ def _read_config(path: str, needs: str) -> dict:
     cfg = _json.obj(_json.read_json(path), "config", ("seed", "mechanisms", *_SECTIONS),
                     required=(needs,))
     sections = {s: _json.obj(cfg.get(s, {}), f"config {s}", keys) for s, keys in _SECTIONS.items()}
-    design, mc, path = sections["design"], sections["mc"], sections["output"].get("path")
+    design, mc = sections["design"], sections["mc"]
     return {
         "dgp": parse_dgp(cfg["dgp"]) if "dgp" in cfg else None,
         "pair": _mechanism_pair(cfg, design) if "mechanisms" in cfg else None,
         "k": None if "k" not in design else _json.integer(design["k"], "config design.k"),
         "replications": (None if "replications" not in mc else
                          _json.integer(mc["replications"], "config mc.replications")),
-        "path": None if path is None else _json.typed(path, "config output.path", str),
-        "seeds": {"": _seed(cfg.get("seed"), "config seed"),
-                  **{s: _seed(sections[s].get("seed"), f"config {s}.seed")
-                     for s in ("dgp", "design", "mc")}},
+        "seed": _seed(cfg.get("seed"), "config seed"),
     }
 
 
@@ -113,15 +113,14 @@ def _flag_integer(text: str | None, where: str) -> int | None:
     raise InvalidConfig(f"{where}: expected an integer, got {reprlib.repr(text)}")
 
 
-def _resolve_seed(cli_seed: str | None, cfg: dict, section: str, needed: bool = True) -> int | None:
-    """--seed, else the section's seed, else the top-level one; None when
-    none is set and the command draws nothing (not ``needed``)."""
-    for seed in (_seed(_flag_integer(cli_seed, "--seed"), "--seed"), cfg["seeds"][section],
-                 cfg["seeds"][""]):
-        if seed is not None:
-            return seed
-    if needed:
+def _resolve_seed(cli_seed: str | None, cfg: dict, needed: bool = True) -> int | None:
+    """--seed, else the config's seed, the same for every command; None when
+    neither is set and the command draws nothing (not ``needed``)."""
+    seed = _seed(_flag_integer(cli_seed, "--seed"), "--seed")
+    seed = cfg["seed"] if seed is None else seed
+    if seed is None and needed:
         raise InvalidConfig("config: missing seed (set a top-level \"seed\" or pass --seed)")
+    return seed
 
 
 def _check_threads(text: str | None) -> None:
@@ -192,12 +191,9 @@ def cmd_generate(args) -> int:
     from . import _streams
 
     cfg = _read_config(args.config, "dgp")
-    seed = _resolve_seed(args.seed, cfg, "dgp")
-    if cfg["path"] == "":
-        _check_output("", "config output.path")
-    out = args.out if args.out is not None else cfg["path"] or _DEFAULT_POPULATION
-    where = ("--out" if args.out is not None else
-             "config output.path" if cfg["path"] else "default output")
+    seed = _resolve_seed(args.seed, cfg)
+    out, where = ((_DEFAULT_POPULATION, "default output") if args.out is None else
+                  (args.out, "--out"))
     _check_output(out, where, ("--config", args.config))
     pop = build_population(cfg["dgp"], _streams.stream(seed, _streams.POPULATION))
     report = validate(pop)
@@ -234,7 +230,7 @@ def cmd_simulate(args) -> int:
     _check_output(args.out, "--out", *_inputs(args))
     _check_output(args.dump_data, "--dump-data", *_inputs(args), ("--out", args.out))
     _check_threads(args.threads)
-    seed = _resolve_seed(args.seed, cfg, "design")
+    seed = _resolve_seed(args.seed, cfg)
     r = 1000 if cfg["replications"] is None else cfg["replications"]
     check_replications(r, where="config mc.replications")
     design = _design(cfg, load_population(args.pop), seed)
@@ -252,7 +248,7 @@ def cmd_verify(args) -> int:
     _check_output(args.out, "--out", *_inputs(args))
     _check_threads(args.threads)
     r = cfg["replications"] or 0
-    seed = _resolve_seed(args.seed, cfg, "mc", needed=r > 0)  # only replications draw
+    seed = _resolve_seed(args.seed, cfg, needed=r > 0)  # only replications draw
     if r:
         from .montecarlo import check_replications, replicate
 

@@ -43,6 +43,10 @@ from .population import ComplianceType, Population
 # precision keeps genuine identities far inside these margins.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+# Table entries one gather of the table pass holds at most (16 MiB of
+# float64), one member at least: the pass's memory follows the chunk, not
+# the block-size group.
+GATHER_ENTRIES = 1 << 21
 
 
 def identity_ok(lhs, rhs):
@@ -108,6 +112,14 @@ def _pinned(probs: np.ndarray, own: np.ndarray) -> np.ndarray:
     return np.where(axis, np.arange(2)[:, None], probs[:, None])
 
 
+def _chunks(members: np.ndarray, entries: int):
+    """Runs of ``members`` whose gathers, ``entries`` per member, fit
+    GATHER_ENTRIES; a member's averages read only its own entries, so the
+    split moves no byte."""
+    step = max(1, GATHER_ENTRIES // entries)
+    return (members[i:i + step] for i in range(0, members.size, step))
+
+
 def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
     """The exact kernel: closed-form peer-count moments for structural
     outcomes, and one pass per block size for table members. A plain table is
@@ -129,30 +141,32 @@ def member_averages(pop: Population, mech: Mechanism) -> MemberAverages:
     itt = np.where(treated, local[1], local[0])
     # each individual's block size and its own axis (its place in the block)
     size_of, own = np.repeat(sizes, sizes), np.arange(q.size) - np.repeat(firsts, sizes)
-    # one pass per block size that holds a table member (np.unique loads numpy.ma)
+    # one pass per block size that holds a table member (np.unique loads
+    # numpy.ma), over its members in chunks of at most GATHER_ENTRIES entries
     for n in np.flatnonzero(np.bincount(size_of[~pop.structural])):
         z = np.arange(2**n)
         # a plain member: local[v] pins the own treatment at v while the
         # peers' follow q; itt[z] is local at the own treatment z induces
-        u = np.flatnonzero(~pop.structural & ~pop.z_dependent & (size_of == n))
-        block = (u - own[u])[:, None] + np.arange(n)  # (m, n): each member's block
-        entries = pop.table[pop.table_start[u][:, None] + z]
-        local[:, u] = _contract(entries, _pinned(q[block].T, own[u]))
-        itt[:, u] = np.where(treated[:, u], local[1, u], local[0, u])
+        for u in _chunks(np.flatnonzero(~pop.structural & ~pop.z_dependent & (size_of == n)),
+                         2**n):
+            block = (u - own[u])[:, None] + np.arange(n)  # (m, n): each member's block
+            entries = pop.table[pop.table_start[u][:, None] + z]
+            local[:, u] = _contract(entries, _pinned(q[block].T, own[u]))
+            itt[:, u] = np.where(treated[:, u], local[1, u], local[0, u])
         # a keyed member: entries[v, j, z] is member j's entry at encouragement
         # row z and the treatments z induces, its own treatment forced to v
-        u = np.flatnonzero(pop.z_dependent & (size_of == n))
-        block = (u - own[u])[:, None] + np.arange(n)
-        # the treatment rows at z = 0...0 and at 1...1: encouragement row z
-        # takes each member's treatment bit from the row its own z bit picks
-        row0, row1 = ((x[block].astype(np.int64) << (n - 1 - np.arange(n))).sum(1, keepdims=True)
-                      for x in (pop.d0, pop.d1))
-        bit = (1 << (n - 1 - own[u]))[:, None]
-        rows = (z & row1 | ~z & row0) & ~bit | np.arange(2)[:, None, None] * bit
-        entries = pop.table[pop.table_start[u][:, None] + (rows << n) + z]
-        local[:, u] = _contract(entries, p[block].T[:, None])
-        itt[:, u] = _contract(np.where(treated[:, u, None], entries[1], entries[0]),
-                              _pinned(p[block].T, own[u]))
+        for u in _chunks(np.flatnonzero(pop.z_dependent & (size_of == n)), 2 * 2**n):
+            block = (u - own[u])[:, None] + np.arange(n)
+            # the treatment rows at z = 0...0 and at 1...1: encouragement row z
+            # takes each member's treatment bit from the row its own z bit picks
+            row0, row1 = ((x[block].astype(np.int64) << (n - 1 - np.arange(n)))
+                          .sum(1, keepdims=True) for x in (pop.d0, pop.d1))
+            bit = (1 << (n - 1 - own[u]))[:, None]
+            rows = (z & row1 | ~z & row0) & ~bit | np.arange(2)[:, None, None] * bit
+            entries = pop.table[pop.table_start[u][:, None] + (rows << n) + z]
+            local[:, u] = _contract(entries, p[block].T[:, None])
+            itt[:, u] = _contract(np.where(treated[:, u, None], entries[1], entries[0]),
+                                  _pinned(p[block].T, own[u]))
     return MemberAverages(pop=pop, itt=itt, local=local)
 
 

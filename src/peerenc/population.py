@@ -407,9 +407,9 @@ class DgpConfig(Record):
 
 
 def parse_dgp(section) -> DgpConfig:
-    """The ``DgpConfig`` of a run config's ``dgp`` section (whose ``seed`` the
-    CLI reads): keys against the records' fields, values against their kinds."""
-    d = _json.obj(section, "config dgp", ("seed", *DgpConfig._fields),
+    """The ``DgpConfig`` of a run config's ``dgp`` section: keys against the
+    records' fields, values against their kinds."""
+    d = _json.obj(section, "config dgp", DgpConfig._fields,
                   required=("blocks", "block_size", "strata"))
     oc = _json.obj(d.get("outcome", {}), "config dgp.outcome", OutcomeConfig._fields)
     outcome = OutcomeConfig(

@@ -184,28 +184,34 @@ def test_simulate_writes_summary_and_data(tmp_path):
     assert header == "block_id,S,unit_id,Z,D,Y"
 
 
-def _seeded_config(path, section_seeds: bool):
-    """The test config with top-level seed 44 and, when section_seeds, the
-    seeds dgp 11, design 22 and mc 33."""
-    if not section_seeds:
-        return write_config(path, seed=44, mc={"replications": 10})
-    return write_config(path, seed=44, dgp={"seed": 11}, design={"seed": 22},
-                        mc={"replications": 10, "seed": 33})
+_SECTION_SEEDS = {"dgp": {"seed": 11}, "design": {"seed": 22},
+                  "mc": {"replications": 10, "seed": 33}}
 
 
-@pytest.mark.parametrize("section_seeds, flag, want", [
-    (True, [], {"generate": 11, "simulate": 22, "verify": 33}),
-    (False, [], {"generate": 44, "simulate": 44, "verify": 44}),
-    (True, ["--seed", "55"], {"generate": 55, "simulate": 55, "verify": 55}),
+@pytest.mark.parametrize("flag, want", [
+    (None, None), ([], 44), (["--seed", "55"], 55),
 ], ids=["section-seeds", "top-level-seed", "seed-flag"])
-def test_each_command_reads_its_own_seed(tmp_path, section_seeds, flag, want):
-    """generate reads dgp.seed, simulate design.seed and verify mc.seed; each
-    falls back to the top-level seed, and --seed overrides them all."""
-    cfg = _seeded_config(tmp_path / "cfg.json", section_seeds)
+def test_each_command_reads_its_own_seed(tmp_path, capsys, flag, want):
+    """Every command that draws takes --seed, else the top-level seed 44. A
+    config has one seed: a dgp, design or mc seed is an unknown key, which
+    every command refuses with one line before it reads --pop or writes."""
+    if flag is None:
+        for section, seed in _SECTION_SEEDS.items():
+            cfg = write_config(tmp_path / "cfg.json", seed=44, **{section: seed})
+            for command in ("generate", "estimands", "simulate", "verify"):
+                out = tmp_path / "out.json"
+                pop = [] if command == "generate" else ["--pop", str(tmp_path / "missing.json")]
+                assert _exit_code([command, "--config", str(cfg), *pop, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: InvalidConfig: config {section}: unknown key "
+                                      "'seed' (known: ") and len(err.splitlines()) == 1
+                assert not out.exists()
+        return
+    cfg = write_config(tmp_path / "cfg.json", seed=44, mc={"replications": 10})
     pop_path, expected = tmp_path / "pop.json", tmp_path / "expected.json"
     assert main(["generate", "--config", str(cfg), "--out", str(pop_path), *flag]) == 0
     assert main(["generate", "--config", str(cfg), "--out", str(expected),
-                 "--seed", str(want["generate"])]) == 0
+                 "--seed", str(want)]) == 0
     assert pop_path.read_bytes() == expected.read_bytes()
     reports = {}
     for command in ("simulate", "verify"):
@@ -213,8 +219,24 @@ def test_each_command_reads_its_own_seed(tmp_path, section_seeds, flag, want):
         assert main([command, "--config", str(cfg), "--pop", str(pop_path), "--out", str(out),
                      *flag]) == 0
         reports[command] = json.loads(out.read_text())
-    assert reports["simulate"]["seed"] == want["simulate"]
-    assert reports["verify"]["mc"]["seed"] == want["verify"]
+    assert reports["simulate"]["seed"] == reports["verify"]["mc"]["seed"] == want
+
+
+def test_one_config_replicates_from_one_stream(tmp_path):
+    """simulate and verify (R > 0) on one config draw the same replicates:
+    they report the same seed and the same summaries, and differ only in the
+    exact targets, which verify leaves to its identity checks."""
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": 10})
+    pop_path, sim, ver = tmp_path / "pop.json", tmp_path / "sim.json", tmp_path / "verify.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--pop", str(pop_path), "--out", str(sim)]) == 0
+    assert main(["verify", "--config", str(cfg), "--pop", str(pop_path), "--out", str(ver)]) == 0
+    simulated, verified = json.loads(sim.read_text()), json.loads(ver.read_text())["mc"]
+    assert simulated["seed"] == verified["seed"] == 424242
+    replicated = ("name", "mean", "sd", "mcse", "n_defined", "n_undefined")
+    assert [{k: e[k] for k in replicated} for e in simulated["estimators"]] == \
+        [{k: e[k] for k in replicated} for e in verified["estimators"]]
+    assert {k for e in simulated["estimators"] for k in e} == {*replicated, "target", "std_bias"}
 
 
 @pytest.fixture
@@ -283,11 +305,10 @@ def test_verify_defier_population_gate(tmp_path):
                  "--expect-fail", "thm1", "thm2", "thm3"]) == 0
 
 
-@pytest.mark.parametrize("design", [{"k": 99}, {"k": 0}, {"mech_b": "phi"}],
-                         ids=["k-too-large", "k-zero", "identical-mechanisms"])
+@pytest.mark.parametrize("design", [{"k": 99}, {"k": 0}], ids=["k-too-large", "k-zero"])
 def test_verify_without_monte_carlo_builds_no_design(tmp_path, validations, design):
     """With mc.replications 0, verify checks the identities alone: it builds
-    no design, so neither k nor the mechanism pair's contrast is checked."""
+    no design, so k is not checked."""
     cfg = write_config(tmp_path / "cfg.json", design=design, mc={"replications": 0})
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(cfg), "--out", str(pop_path)])
@@ -421,7 +442,7 @@ def test_population_shape_is_a_one_line_error(tmp_path, capsys, edit):
     ("generate", {"seed": "1"}, [], "config seed"),
     ("generate", {"seed": "x"}, [], "config seed"),
     ("generate", {"seed": -1}, [], "config seed"),
-    ("simulate", {"design": {"seed": "x"}}, [], "design.seed"),
+    ("simulate", {"design": {"seed": "x"}}, [], "config design: unknown key 'seed'"),
     ("simulate", {"mc": {"replications": "many"}}, [], "mc.replications"),
     ("simulate", {"mc": {"replications": "4"}}, [], "mc.replications"),
     ("simulate", {"mc": {"replications": 2.5}}, [], "mc.replications"),
@@ -550,16 +571,41 @@ def test_every_command_refuses_a_dgp_no_population_satisfies(tmp_path, capsys, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dgp, where, known", [
-    ({"bogus": 1}, "config dgp",
-     "seed, blocks, block_size, strata, outcome, monotone, one_sided, complier_floor"),
-    ({"outcome": {"bogus": 1}}, "config dgp.outcome",
+@pytest.mark.parametrize("command", ["generate", "estimands", "simulate", "verify"])
+@pytest.mark.parametrize("mechanisms, design", [
+    ([{"name": "phi", "p": 0.7}], {"mech_b": "phi"}),
+    ([{"name": "phi", "p": 0.7}, {"name": "chi", "p": 0.7}], {"mech_b": "chi"}),
+    ([{"name": "phi", "probs": [0.2, 0.3, 0.4]}, {"name": "chi", "probs": [0.2, 0.3, 0.4]}],
+     {"mech_b": "chi"}),
+], ids=["same-name", "same-p", "same-probs"])
+def test_every_command_refuses_a_mechanism_pair_without_a_contrast(tmp_path, capsys, command,
+                                                                   mechanisms, design):
+    """A pair with the same probabilities has every pitt and lpt exactly 0,
+    so identities would pass with nothing tested: every command refuses it
+    with one line naming design.mech_b, before it reads --pop or writes."""
+    cfg = write_config(tmp_path / "cfg.json", mechanisms=mechanisms,
+                       design={"mech_a": "phi", **design}, mc={"replications": 0})
+    out = tmp_path / "out.json"
+    pop = [] if command == "generate" else ["--pop", str(tmp_path / "missing.json")]
+    assert _exit_code([command, "--config", str(cfg), *pop, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: config design.mech_b: mechanism ")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("overrides, where, known", [
+    ({"dgp": {"bogus": 1}}, "config dgp",
+     "blocks, block_size, strata, outcome, monotone, one_sided, complier_floor"),
+    ({"dgp": {"outcome": {"bogus": 1}}}, "config dgp.outcome",
      "representation, intercept, direct, peer, interaction, curvature, noise_sd, z_own, z_peer"),
-    ({"strata": {"bogus": 1}}, "config dgp.strata",
+    ({"dgp": {"strata": {"bogus": 1}}}, "config dgp.strata",
      "always_taker, complier, never_taker, defier"),
-], ids=["dgp", "outcome", "strata"])
-def test_an_unknown_dgp_key_lists_the_known_keys(tmp_path, capsys, dgp, where, known):
-    cfg = write_config(tmp_path / "cfg.json", dgp=dgp)
+    ({"bogus": 1}, "config", "seed, mechanisms, dgp, design, mc"),
+    ({"design": {"bogus": 1}}, "config design", "mech_a, mech_b, k"),
+    ({"mc": {"bogus": 1}}, "config mc", "replications"),
+], ids=["dgp", "outcome", "strata", "file", "design", "mc"])
+def test_an_unknown_dgp_key_lists_the_known_keys(tmp_path, capsys, overrides, where, known):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert _exit_code(["generate", "--config", str(cfg), "--out", str(tmp_path / "pop")]) == 2
     assert capsys.readouterr().err == \
         f"error: InvalidConfig: {where}: unknown key 'bogus' (known: {known})\n"
@@ -575,7 +621,7 @@ def test_an_unknown_dgp_key_lists_the_known_keys(tmp_path, capsys, dgp, where, k
     ("estimands", {"design": [1]}, "config design"),
     ("simulate", {"mc": [1]}, "config mc"),
     ("estimands", {"design": {"mech_a": ["a"]}}, "design.mech_a"),
-    ("generate", {"output": {"path": 5}}, "config output.path"),
+    ("generate", {"output": {"path": 5}}, "config: unknown key 'output'"),
     ("estimands", {"mechanisms": []}, "config mechanisms: expected a non-empty list, got []"),
     ("estimands", {"mechanisms": [{"name": "", "p": 0.5}, {"name": "psi", "p": 0.3}]},
      "config mechanisms[0].name: expected a non-empty string"),
@@ -696,7 +742,7 @@ def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("generate", "--out"), ("generate", "output.path"), ("generate", "default output"),
+    ("generate", "--out"), ("generate", "default output"),
     ("estimands", "--out"), ("simulate", "--out"), ("simulate", "--dump-data"),
     ("verify", "--out"),
 ])
@@ -708,13 +754,12 @@ def test_unwritable_output_paths_are_one_line_errors_before_any_work(
     stop a run as root) exits 2 with one line naming its flag and path
     before the population is built or loaded; so simulate never writes its
     --dump-data CSV for a run it cannot finish. generate's built-in default
-    is named as the default, not as a config field."""
+    is named as the default."""
     (tmp_path / "adir").mkdir()
     os.symlink(tmp_path / "loop-b", tmp_path / "loop")
     os.symlink(tmp_path / "loop", tmp_path / "loop-b")
     bad = tmp_path / where
-    output = {"path": str(bad)} if flag == "output.path" else {}
-    cfg = write_config(tmp_path / "cfg.json", output=output)
+    cfg = write_config(tmp_path / "cfg.json")
     pop_path = tmp_path / "pop.json"
     assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
 
@@ -960,7 +1005,7 @@ def test_verify_without_monte_carlo_needs_no_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("generate", "output.path"), ("generate", "--out"), ("estimands", "--out"),
+    ("generate", "--out"), ("estimands", "--out"),
     ("simulate", "--out"), ("simulate", "--dump-data"), ("verify", "--out"),
 ])
 def test_empty_output_paths_are_one_line_errors_before_any_work(
@@ -971,8 +1016,7 @@ def test_empty_output_paths_are_one_line_errors_before_any_work(
     pop_path = tmp_path / "pop.json"
     assert main(["generate", "--config", str(write_config(tmp_path / "base.json")),
                  "--out", str(pop_path)]) == 0
-    output = {"path": ""} if flag == "output.path" else {}
-    cfg = write_config(tmp_path / "cfg.json", output=output)
+    cfg = write_config(tmp_path / "cfg.json")
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
@@ -985,14 +1029,13 @@ def test_empty_output_paths_are_one_line_errors_before_any_work(
     argv = [command, "--config", str(cfg)]
     if command != "generate":
         argv += ["--pop", str(pop_path)]
-    if flag != "output.path":
-        argv += [flag, ""]
+    argv += [flag, ""]
     capsys.readouterr()
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert ("config output.path" if flag == "output.path" else flag) in captured.err
+    assert flag in captured.err
     assert list(workdir.iterdir()) == []
 
 

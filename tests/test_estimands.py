@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,45 @@ def test_permuting_whole_blocks_permutes_the_kernel_bit_for_bit(case, data):
         want, got = member_averages(pop, mech), member_averages(permuted, mech)
         assert got.itt.tobytes() == want.itt[:, units].tobytes()
         assert got.local.tobytes() == want.local[:, units].tobytes()
+
+
+def test_the_table_pass_in_chunks_equals_one_pass_and_peaks_with_the_chunk(monkeypatch):
+    """Split into gathers of at most GATHER_ENTRIES entries (one member at
+    least), the table pass gives every average of the one-chunk pass to the
+    bit, and its peak allocation follows the chunk, not the block-size
+    group: 16 plain blocks of n=10 gather 1.25 MiB at once unchunked."""
+    from peerenc import estimands
+
+    rng = np.random.default_rng(7)
+    sizes = [10] * 16 + [5] * 8 + [10] * 2
+    kinds = np.repeat(["plain"] * 16 + ["keyed"] * 8 + ["structural"] * 2, sizes)
+    n_of = np.repeat(sizes, sizes)
+    entries = int(np.where(kinds == "plain", 2**n_of, 0).sum()
+                  + np.where(kinds == "keyed", 4**n_of, 0).sum())
+    pop = Population(starts=np.cumsum([0, *sizes]), d0=np.zeros(kinds.size, dtype=np.int64),
+                     d1=rng.integers(0, 2, kinds.size), structural=kinds == "structural",
+                     z_dependent=kinds == "keyed",
+                     coef=rng.normal(size=(6, kinds.size)) * (kinds == "structural"),
+                     table=rng.normal(size=entries))
+    mech = Mechanism("phi", 0.6)
+    want = member_averages(pop, mech)
+
+    def traced(gather_entries):
+        monkeypatch.setattr(estimands, "GATHER_ENTRIES", gather_entries)
+        tracemalloc.start()
+        try:
+            got = member_averages(pop, mech)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, unchunked = traced(1 << 30)
+    for gather_entries in (1, 100, 4096):
+        got, peak = traced(gather_entries)
+        assert got.itt.tobytes() == want.itt.tobytes()
+        assert got.local.tobytes() == want.local.tobytes()
+    bound = 12 * 4096 * 8  # bytes: a dozen 4096-entry gathers
+    assert peak <= bound < unchunked / 8, (peak, unchunked)
 
 
 def test_kernels_are_read_only_and_a_contrast_needs_one_population(rng):

@@ -43,16 +43,15 @@ _MARKERS = {"@huge": _HUGE_TEXT, "@deep": _DEEP_TEXT}
 
 CONFIG = {
     "seed": 5,
-    "dgp": {"seed": 6, "blocks": 4, "block_size": [3, 3],
+    "dgp": {"blocks": 4, "block_size": [3, 3],
             "strata": {"always_taker": 0.2, "complier": 0.6, "never_taker": 0.2},
             "outcome": {"representation": "mixed", "intercept": 0.5, "direct": [2.0, 0.5],
                         "peer": 0.3, "interaction": 0.1, "curvature": 0.0, "noise_sd": 0.2,
                         "z_own": 0.0, "z_peer": 0.0},
             "monotone": True, "one_sided": False, "complier_floor": True},
     "mechanisms": [{"name": "phi", "p": 0.7}, {"name": "psi", "probs": [0.2, 0.3, 0.25]}],
-    "design": {"mech_a": "phi", "mech_b": "psi", "k": 2, "seed": 7},
-    "mc": {"replications": 4, "seed": 8},
-    "output": {"path": "population.json"},
+    "design": {"mech_a": "phi", "mech_b": "psi", "k": 2},
+    "mc": {"replications": 4},
 }
 
 
@@ -251,13 +250,14 @@ def test_csv_mutations_load_or_raise(tmp_path_factory, csv_rows, data):
     (("dgp", "outcome"), "config dgp.outcome", "dirct"),
     (("dgp", "strata"), "config dgp.strata", "complyer"),
     (("mechanisms", 0), "config mechanisms[0]", "prob"), (("design",), "config design", "kk"),
-    (("mc",), "config mc", "replicatons"), (("output",), "config output", "file"),
+    (("mc",), "config mc", "replicatons"), ((), "config", "output"),
 ], ids=["top", "dgp", "outcome", "strata", "mechanism", "design", "mc", "output"])
 @pytest.mark.parametrize("command", ["generate", "estimands", "simulate", "verify"])
 def test_unknown_config_key_is_a_one_line_error_before_any_work(tmp_path, pop_file, section,
                                                                 where, key, command):
     """An unknown key in any object of the config exits 2 naming its object,
-    whichever command reads the file, and nothing is written."""
+    whichever command reads the file, and nothing is written; the config has
+    no ``output`` section (generate writes to --out)."""
     cfg = json.loads(json.dumps(CONFIG))
     _at(cfg, section)[key] = 1
     path, out = tmp_path / "cfg.json", tmp_path / "out.json"
@@ -367,10 +367,10 @@ def test_a_duplicate_config_key_is_a_one_line_error(tmp_path, pop_file):
     """json keeps the last of repeated keys; the reader refuses them, so
     `"mc": {"replications": 5, "replications": 4}` cannot run 4 replicates."""
     text = json.dumps(CONFIG)
-    assert '"mc": {"replications": 4,' in text
+    assert '"mc": {"replications": 4}' in text
     path = tmp_path / "cfg.json"
-    path.write_text(text.replace('"mc": {"replications": 4,',
-                                 '"mc": {"replications": 5, "replications": 4,'))
+    path.write_text(text.replace('"mc": {"replications": 4}',
+                                 '"mc": {"replications": 5, "replications": 4}'))
     code, stdout, err = _run(["simulate", "--config", str(path), "--pop", str(pop_file)])
     _assert_one_line_error(code, err)
     assert f"{path}: duplicate key 'replications'" in err and stdout == ""
