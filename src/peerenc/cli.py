@@ -20,7 +20,7 @@ from pathlib import Path
 # code, and neither `estimands` nor `verify` without replications loads the
 # Monte Carlo, estimator, design or CSV code.
 from . import _json
-from .errors import PeerEncError, InvalidConfig
+from .errors import PeerEncError, InvalidConfig, InvalidDesign
 from .mechanisms import Mechanism
 from .population import DgpConfig, build_population, load_population, parse_dgp, \
     save_population, validate
@@ -215,11 +215,15 @@ def cmd_estimands(args) -> int:
 
 def _design(cfg: dict, pop, seed: int):
     """The validated design of the config's mechanism pair on ``pop``, with
-    k = design.k, by default half the blocks rounded down."""
-    from .design import DesignConfig, validate_design
+    k = design.k, by default half the blocks rounded down; its refusal
+    names the config section."""
+    from .design import Design
 
     k = pop.n_blocks // 2 if cfg["k"] is None else cfg["k"]
-    return validate_design(DesignConfig(*cfg["pair"], k=k, seed=seed), pop)
+    try:
+        return Design(pop, *cfg["pair"], k=k, seed=seed)
+    except InvalidDesign as exc:
+        raise InvalidDesign(f"config design: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

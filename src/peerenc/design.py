@@ -47,39 +47,41 @@ _OVERFLOW = ("inverse-probability weighted outcomes overflow"
              " (2 * sum of {} / min(p, 1 - p) is not finite)")
 
 
-class DesignConfig(Record):
-    """Two encouragement mechanisms, an arm size, and the master seed."""
-
-    mech_a: Mechanism
-    mech_b: Mechanism
-    k: int
-    seed: int
-
-
 class Design(Record, eq=False):
-    """A design validated for a population. The constructor refuses
-    (InvalidDesign) a design unless both arms are populated, the mechanisms
-    differ and ``_overflows`` passes the outcome bounds at each individual's
-    smaller min(p, 1 - p) of the two mechanisms, so every draw is within it.
-    A Design only exists validated, and ``replace`` validates again.
+    """Two encouragement mechanisms, an arm size and the master seed,
+    validated for a population. The constructor refuses (InvalidDesign) a
+    design unless k and seed are integers (not bools), seed >= 0, both arms
+    are populated, the mechanisms differ and ``_overflows`` passes the
+    outcome bounds at each individual's smaller min(p, 1 - p) of the two
+    mechanisms, so every draw is within it. A Design only exists validated,
+    and ``replace`` validates again.
 
     ``probs`` (derived, read-only) holds every individual's encouragement
     probability under mechanism A and under B, (2, N)."""
 
     pop: Population
-    cfg: DesignConfig
+    mech_a: Mechanism
+    mech_b: Mechanism
+    k: int
+    seed: int
     # derived, set by __post_init__: probs (2, N)
 
     def __post_init__(self):
-        cfg, b = self.cfg, self.pop.n_blocks
-        if not 1 <= cfg.k <= b - 1:
-            raise InvalidDesign(f"k={cfg.k} must leave both arms populated (1..{b - 1})")
-        mechs = (cfg.mech_a, cfg.mech_b)
+        for name in ("k", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidDesign(f"{name}={value!r} is not an integer")
+        k, seed, b = int(self.k), int(self.seed), self.pop.n_blocks
+        if seed < 0:
+            raise InvalidDesign(f"seed={seed} must be non-negative")
+        if not 1 <= k <= b - 1:
+            raise InvalidDesign(f"k={k} must leave both arms populated (1..{b - 1})")
+        mechs = (self.mech_a, self.mech_b)
         # ArityMismatch if a vector mechanism cannot cover a block
         probs = np.stack([unit_marginals(mech, np.diff(self.pop.starts)) for mech in mechs])
         if np.array_equal(probs[0], probs[1]):
             raise InvalidDesign(
-                f"mechanisms {cfg.mech_a.name!r} and {cfg.mech_b.name!r} give every individual "
+                f"mechanisms {self.mech_a.name!r} and {self.mech_b.name!r} give every individual "
                 "identical probabilities; the design needs a contrast"
             )
         worst = np.minimum(probs, 1.0 - probs)
@@ -87,12 +89,7 @@ class Design(Record, eq=False):
             named = [repr(m.name) for m, w in zip(mechs, worst) if (w == q).any()]
             raise InvalidDesign(f"mechanism{'s' * (len(named) - 1)} {' and '.join(named)}: "
                                 + _OVERFLOW.format("outcome bound"))
-        self.__dict__.update(probs=probs)
-
-
-def validate_design(cfg: DesignConfig, pop: Population) -> Design:
-    """The design ``cfg`` on ``pop``, validated (see ``Design``)."""
-    return Design(pop, cfg)
+        self.__dict__.update(k=k, seed=seed, probs=probs)
 
 
 class ExperimentData(Record, eq=False):
@@ -251,14 +248,14 @@ def _draw(design: Design, first: int, count: int) -> tuple:
     """``ExperimentData``'s arguments for replicates first .. first + count - 1."""
     if first < 0 or count < 1:
         raise InvalidDesign(f"replicates {first}..{first + count - 1} need first >= 0, count >= 1")
-    pop, cfg = design.pop, design.cfg
+    pop = design.pop
     b, n = pop.n_blocks, pop.n_individuals
     sizes = np.diff(pop.starts)
     s = np.zeros((count, b), dtype=np.int8)
     uniforms = np.empty((count, n))
     for row, r in enumerate(range(first, first + count)):
-        rng = _streams.stream(cfg.seed, _streams.REPLICATE, r)
-        s[row, rng.permutation(b)[: cfg.k]] = 1
+        rng = _streams.stream(design.seed, _streams.REPLICATE, r)
+        s[row, rng.permutation(b)[: design.k]] = 1
         uniforms[row] = rng.random(n)
     in_a = np.repeat(s, sizes, axis=1) == 1
     p_enc = np.where(in_a, design.probs[0], design.probs[1])

@@ -16,11 +16,10 @@ import math
 import numpy as np
 
 from ._report import JsonReport, Record
-from .design import Design, DesignConfig, batch_size, draw_validated
+from .design import Design, batch_size, draw_validated
 from .errors import InvalidConfig
 from .estimands import ditt, et, member_averages, pitt
 from .estimators import ESTIMATOR_NAMES, ET_ZERO_TOL, estimator_battery
-from .population import Population
 
 # The (R, 7) float64 values of one run stay within 1 GiB.
 MAX_REPLICATIONS = 1 << 24
@@ -53,9 +52,10 @@ def replicate_values(design: Design, replications: int, first_replicate: int = 0
     return out
 
 
-def exact_targets(pop: Population, cfg: DesignConfig) -> dict[str, float]:
+def exact_targets(design: Design) -> dict[str, float]:
     """Exact values each estimator is aiming at, from the exact engine."""
-    a, b = member_averages(pop, cfg.mech_a), member_averages(pop, cfg.mech_b)
+    pop = design.pop
+    a, b = member_averages(pop, design.mech_a), member_averages(pop, design.mech_b)
     ditt_a, ditt_b = ditt(a).population, ditt(b).population
     pitt_1, pitt_0 = pitt(a, b, 1).population, pitt(a, b, 0).population
     uptake = et(pop).population
@@ -146,8 +146,8 @@ def replicate(design: Design, replications: int,
     Deterministic given the design."""
     values = replicate_values(design, replications)
     if targets is None:
-        targets = exact_targets(design.pop, design.cfg)
-    return McSummary(replications=replications, seed=design.cfg.seed, estimators=tuple(
+        targets = exact_targets(design)
+    return McSummary(replications=replications, seed=design.seed, estimators=tuple(
         _summarize_column(name, values[:, idx], targets.get(name))
         for idx, name in enumerate(ESTIMATOR_NAMES)
     ))

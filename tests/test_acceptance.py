@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from peerenc.cli import main
-from peerenc.design import DesignConfig, run_design, validate_design
+from peerenc.design import Design, run_design
 from peerenc.estimands import (
     compute_estimand_report,
     identity_ok,
@@ -194,10 +194,10 @@ def test_criterion_05_itt_unbiasedness(announce):
         monotone=True,
     )
     pop = build_population(cfg, np.random.default_rng(1))
-    dcfg = DesignConfig(mech_a=Mechanism("phi", 0.7), mech_b=Mechanism("psi", 0.3),
-                        k=10, seed=99)
+    design = Design(pop, mech_a=Mechanism("phi", 0.7), mech_b=Mechanism("psi", 0.3),
+                    k=10, seed=99)
     t0 = time.perf_counter()
-    summary = replicate(validate_design(dcfg, pop), 10_000)
+    summary = replicate(design, 10_000)
     elapsed = time.perf_counter() - t0
     biases = {
         name: summary.get(name).std_bias
@@ -237,7 +237,7 @@ def test_criterion_06_no_interference_reduction(announce):
         worst_exact = max(worst_exact, abs(lpt(ka, kb, z).population))
     assert worst_exact <= 1e-12
 
-    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=6, seed=44), pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=6, seed=44)
     worst_match = 0.0
     for r in range(200):
         data = run_design(design, replicate=r)
@@ -310,10 +310,10 @@ def test_criterion_08_ratio_estimator_consistency(announce):
     biases = []
     for n_blocks in (10, 50, 200):
         pop = population(all_blocks[:n_blocks])
-        cfg = DesignConfig(mech_a=a, mech_b=b, k=n_blocks // 2, seed=777)
-        values = replicate_values(validate_design(cfg, pop), 5000)[:, col]
+        design = Design(pop, mech_a=a, mech_b=b, k=n_blocks // 2, seed=777)
+        values = replicate_values(design, 5000)[:, col]
         defined = values[np.isfinite(values)]
-        target = exact_targets(pop, cfg)["ldt_hat"]
+        target = exact_targets(design)["ldt_hat"]
         biases.append(abs(float(defined.mean()) - target))
     elapsed = time.perf_counter() - t0
     decreasing = biases[0] > biases[1] > biases[2]

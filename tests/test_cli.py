@@ -241,17 +241,17 @@ def test_one_config_replicates_from_one_stream(tmp_path):
 
 @pytest.fixture
 def validations(monkeypatch) -> list:
-    """The list every ``design.validate_design`` call appends its arguments to."""
+    """The list every ``design.Design`` construction appends the design to."""
     from peerenc import design
 
     calls = []
-    validate = design.validate_design
+    check = design.Design.__post_init__
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return validate(*args, **kwargs)
+    def counted(self):
+        calls.append(self)
+        check(self)
 
-    monkeypatch.setattr(design, "validate_design", counted)
+    monkeypatch.setattr(design.Design, "__post_init__", counted)
     return calls
 
 
@@ -260,7 +260,7 @@ def validations(monkeypatch) -> list:
 def test_each_command_validates_its_design_once(tmp_path, monkeypatch, validations, command,
                                                 extra):
     """The replicate-0 dump, the exact targets and every batch share one
-    ``validate_design`` call."""
+    ``Design`` construction."""
     cfg = write_config(tmp_path / "cfg.json", mc={"replications": 10})
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(cfg), "--out", str(pop_path)])
@@ -316,6 +316,22 @@ def test_verify_without_monte_carlo_builds_no_design(tmp_path, validations, desi
     assert main(["verify", "--config", str(cfg), "--pop", str(pop_path),
                  "--out", str(tmp_path / "verify.json")]) == 0
     assert validations == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("k", [0, 4], ids=["k-zero", "k-all-blocks"])
+def test_a_design_refusal_names_its_config_section(tmp_path, capsys, command, k):
+    """A k that leaves an arm empty is refused in one line that names the
+    config's design section, and nothing is written."""
+    cfg = write_config(tmp_path / "cfg.json", design={"k": k}, mc={"replications": 10})
+    pop_path, out = tmp_path / "pop.json", tmp_path / "out.json"
+    main(["generate", "--config", str(cfg), "--out", str(pop_path)])
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--pop", str(pop_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: InvalidDesign: config design: k={k} ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
 
 
 def test_expect_fail_is_met_when_any_check_of_the_theorem_fails(tmp_path):

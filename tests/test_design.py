@@ -4,8 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from peerenc.design import DesignConfig, ExperimentData, batch_size, draw_validated, \
-    run_design, validate_design
+from peerenc.design import Design, ExperimentData, batch_size, draw_validated, run_design
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.estimands import member_averages
 from peerenc.mechanisms import Mechanism
@@ -19,13 +18,9 @@ PHI = Mechanism("phi", 0.8)
 PSI = Mechanism("psi", 0.2)
 
 
-def _cfg(pop, k=None, seed=7, a=PHI, b=PSI):
-    return DesignConfig(mech_a=a, mech_b=b, k=k if k is not None else pop.n_blocks // 2,
-                        seed=seed)
-
-
-def _design(pop, **kwargs):
-    return validate_design(_cfg(pop, **kwargs), pop)
+def _design(pop, k=None, seed=7, a=PHI, b=PSI):
+    return Design(pop, mech_a=a, mech_b=b, k=k if k is not None else pop.n_blocks // 2,
+                  seed=seed)
 
 
 def _block(data, i) -> slice:
@@ -66,12 +61,11 @@ def test_validate_design_needs_a_contrast(mech_b, identical):
     """A scalar mechanism and a vector one are identical when they give every
     individual the same probability."""
     pop = make_population([["co", "nt", "at"], ["co", "co", "nt"]])
-    cfg = _cfg(pop, k=1, a=Mechanism("a", 0.5), b=mech_b)
     if identical:
         with pytest.raises(InvalidDesign, match="identical probabilities"):
-            validate_design(cfg, pop)
+            _design(pop, k=1, a=Mechanism("a", 0.5), b=mech_b)
     else:
-        assert validate_design(cfg, pop).probs.shape == (2, 6)
+        assert _design(pop, k=1, a=Mechanism("a", 0.5), b=mech_b).probs.shape == (2, 6)
 
 
 def test_a_design_cannot_be_forged_or_mutated():
@@ -86,14 +80,37 @@ def test_a_design_cannot_be_forged_or_mutated():
         design.probs = np.ones((2, 6))
     for k in (0, 3):
         with pytest.raises(InvalidDesign, match=f"k={k} must leave both arms populated"):
-            design.replace(cfg=design.cfg.replace(k=k))
+            design.replace(k=k)
     with pytest.raises(InvalidDesign, match="identical probabilities"):
-        design.replace(cfg=design.cfg.replace(mech_b=Mechanism("phi2", 0.8)))
+        design.replace(mech_b=Mechanism("phi2", 0.8))
     after = run_design(design, replicate=3)
     assert np.array_equal(before.p_enc, after.p_enc) and np.array_equal(before.z, after.z)
-    moved = design.replace(cfg=design.cfg.replace(k=2))
-    assert moved.cfg.k == 2 and np.array_equal(moved.probs, design.probs)
+    moved = design.replace(k=2)
+    assert moved.k == 2 and np.array_equal(moved.probs, design.probs)
     assert not moved.probs.flags.writeable
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k", 2.5, "k=2.5 is not an integer"),
+    ("k", True, "k=True is not an integer"),
+    ("k", "1", "k='1' is not an integer"),
+    ("seed", 1.5, "seed=1.5 is not an integer"),
+    ("seed", False, "seed=False is not an integer"),
+    ("seed", -1, "seed=-1 must be non-negative"),
+], ids=["k-float", "k-bool", "k-str", "seed-float", "seed-bool", "seed-negative"])
+def test_a_design_that_could_not_be_drawn_is_refused(field, value, message):
+    """k and seed are integers (not bools) and seed >= 0, or the design is
+    refused when it is built, also through ``replace``; numpy integers are
+    integers and are held as Python ints."""
+    pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
+    with pytest.raises(InvalidDesign, match=f"^{re.escape(message)}$"):
+        _design(pop, **{"k": 1, field: value})
+    design = _design(pop, k=1)
+    with pytest.raises(InvalidDesign, match=f"^{re.escape(message)}$"):
+        design.replace(**{field: value})
+    numpy = design.replace(k=np.int64(2), seed=np.uint32(7))
+    assert (numpy.k, numpy.seed) == (2, 7) and type(numpy.k) is type(numpy.seed) is int
+    assert np.array_equal(run_design(numpy, 3).z, run_design(design.replace(k=2), 3).z)
 
 
 def test_vector_mechanism_arity_checked():
@@ -241,7 +258,7 @@ def test_arm_assignment_exchangeable():
     hits = np.zeros(pop.n_blocks)
     for r in range(runs):
         hits += run_design(design, replicate=r).s
-    target = design.cfg.k / pop.n_blocks
+    target = design.k / pop.n_blocks
     se = math.sqrt(target * (1 - target) / runs)
     assert np.all(np.abs(hits / runs - target) <= 3 * se)
 
@@ -270,8 +287,7 @@ def test_encouragements_ignore_potential_outcomes(rng):
         for ind, y in zip(block, ys):
             ind["outcome"] = y
     permuted = population_from_dict(data)
-    cfg = _cfg(pop, a=a, b=b, seed=77)
-    designs = validate_design(cfg, pop), validate_design(cfg, permuted)
+    designs = _design(pop, a=a, b=b, seed=77), _design(permuted, a=a, b=b, seed=77)
     for r in range(5):
         original, shuffled = (run_design(design, replicate=r) for design in designs)
         assert np.array_equal(original.z, shuffled.z)
@@ -294,12 +310,11 @@ def _vector_counts(design, replications, block=0) -> np.ndarray:
 
 def test_design_prob_check_fair_coin():
     pop = make_population([["co", "nt"], ["co", "at"]], direct=1.0)
-    cfg = DesignConfig(mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.35),
-                       k=1, seed=5)
-    counts = _vector_counts(validate_design(cfg, pop), replications=20_000)
+    design = Design(pop, mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.35), k=1, seed=5)
+    counts = _vector_counts(design, replications=20_000)
     assert counts.sum() == 20_000
     runs = int(counts[1].sum())
-    expected = assignment_probs(cfg.mech_a, 2)
+    expected = assignment_probs(design.mech_a, 2)
     assert expected.tolist() == [0.25, 0.25, 0.25, 0.25]
     for observed, p in zip(counts[1], expected):
         se = math.sqrt(p * (1 - p) / runs)
@@ -308,10 +323,10 @@ def test_design_prob_check_fair_coin():
 
 def test_design_prob_check_single_individual():
     pop = make_population([["co"], ["co"]], direct=1.0)
-    cfg = DesignConfig(mech_a=Mechanism("a", 0.3), mech_b=Mechanism("b", 0.6), k=1, seed=9)
-    counts = _vector_counts(validate_design(cfg, pop), replications=10_000)
+    design = Design(pop, mech_a=Mechanism("a", 0.3), mech_b=Mechanism("b", 0.6), k=1, seed=9)
+    counts = _vector_counts(design, replications=10_000)
     runs = int(counts[1].sum())
-    assert assignment_probs(cfg.mech_a, 1)[1] == 0.3
+    assert assignment_probs(design.mech_a, 1)[1] == 0.3
     se = math.sqrt(0.3 * 0.7 / runs)
     assert abs(counts[1, 1] / runs - 0.3) <= 3 * se
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerenc.design import DesignConfig, ExperimentData, draw_validated, run_design, \
-    validate_design
+from peerenc.design import Design, ExperimentData, draw_validated, run_design
 from peerenc.errors import AllBlocksUndefined, InvalidData
 from peerenc.estimators import ESTIMATOR_NAMES, estimate_report, estimator_battery
 from peerenc.mechanisms import Mechanism
@@ -118,7 +117,7 @@ def test_single_block_arm_equals_block_value():
 
 def test_constant_zero_outcomes_give_exact_zero_estimates():
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]], intercept=0.0)
-    design = validate_design(DesignConfig(mech_a=PHI, mech_b=PSI, k=1, seed=3), pop)
+    design = Design(pop, mech_a=PHI, mech_b=PSI, k=1, seed=3)
     for r in range(5):
         battery = estimator_battery(run_design(design, replicate=r))
         assert battery["ditt_hat_a"] == 0.0
@@ -161,8 +160,7 @@ def test_et_hat_all_blocks_undefined():
 
 def test_ratio_estimators_guard_zero_uptake():
     pop = make_population([["nt"] * 8, ["nt"] * 8], intercept=1.0)
-    design = validate_design(DesignConfig(mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.3),
-                                          k=1, seed=1), pop)
+    design = Design(pop, mech_a=Mechanism("a", 0.5), mech_b=Mechanism("b", 0.3), k=1, seed=1)
     data = run_design(design, replicate=0)
     report = estimate_report(data)
     assert report.et_hat == 0.0
@@ -174,7 +172,7 @@ def test_ratio_estimators_guard_zero_uptake():
 
 def test_all_complier_realizations_ldt_equals_ditt(rng):
     pop = make_population([["co"] * 4] * 4, rng=rng)
-    design = validate_design(DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=21), pop)
+    design = Design(pop, mech_a=PHI, mech_b=PSI, k=2, seed=21)
     checked = 0
     for r in range(20):
         data = run_design(design, replicate=r)
@@ -191,7 +189,7 @@ def test_all_complier_realizations_ldt_equals_ditt(rng):
 @pytest.mark.parametrize("count", [1, 3])
 def test_estimate_report_refuses_a_batch(rng, count):
     pop = make_population([["co"] * 4] * 4, rng=rng)
-    design = validate_design(DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=21), pop)
+    design = Design(pop, mech_a=PHI, mech_b=PSI, k=2, seed=21)
     with pytest.raises(ValueError, match=f"^estimate_report takes one realization, not a batch"
                                          f" of {count}$"):
         estimate_report(draw_validated(design, 0, count))
@@ -199,7 +197,7 @@ def test_estimate_report_refuses_a_batch(rng, count):
 
 def test_outcome_scaling_linearity(rng):
     pop, a, b = varying_effect_monotone(rng)
-    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=10), pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=1, seed=10)
     data = run_design(design, replicate=0)
     scaled = ExperimentData(
         sizes=data.sizes, s=data.s, z=data.z, d=data.d, y=data.y * 2.0, p_enc=data.p_enc,
@@ -214,7 +212,7 @@ def test_outcome_scaling_linearity(rng):
 
 def test_mechanism_relabel_negates_pitt(rng):
     pop, a, b = varying_effect_monotone(rng)
-    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=2, seed=14), pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=2, seed=14)
     data = run_design(design, replicate=0)
     relabeled = ExperimentData(
         sizes=data.sizes, s=(1 - data.s).astype(np.int8),
@@ -227,7 +225,7 @@ def test_mechanism_relabel_negates_pitt(rng):
 
 def test_estimate_report_contents(rng):
     pop, a, b = varying_effect_monotone(rng, b_range=(4, 6), n_range=(2, 4))
-    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=2, seed=8), pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=2, seed=8)
     data = run_design(design, replicate=0)
     report = estimate_report(data)
     assert report.arm_sizes == (2, pop.n_blocks - 2)
@@ -246,7 +244,7 @@ def test_battery_bitwise_matches_individual_estimators(rng):
     batch, bitwise: one kernel with one arithmetic serves all three."""
     for r in range(8):
         pop, a, b = varying_effect_monotone(rng, b_range=(3, 6), n_range=(2, 5))
-        design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=51), pop)
+        design = Design(pop, mech_a=a, mech_b=b, k=1, seed=51)
         data = run_design(design, replicate=r)
         battery = estimator_battery(data)
         batch = estimator_battery(draw_validated(design, r, 1))
@@ -267,7 +265,7 @@ def test_battery_bitwise_matches_individual_estimators(rng):
 
 def test_estimate_report_from_ingested_csv(tmp_path, rng):
     pop, a, b = varying_effect_monotone(rng)
-    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=30), pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=1, seed=30)
     data = run_design(design, replicate=4)
     path = tmp_path / "run.csv"
     data.to_csv(path)
@@ -277,7 +275,7 @@ def test_estimate_report_from_ingested_csv(tmp_path, rng):
 
 def test_estimate_report_csv_export(rng):
     pop, a, b = varying_effect_monotone(rng)
-    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=12), pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=1, seed=12)
     report = estimate_report(run_design(design, replicate=0))
     lines = report.to_csv().splitlines()
     assert lines[0] == "field,value"
@@ -342,7 +340,7 @@ def test_battery_matches_loop_oracle_on_design_realizations(rng):
     for r in range(20):
         fuzzer = equal_effect_monotone if r % 2 else varying_effect_monotone
         pop, a, b = fuzzer(rng, b_range=(2, 8), n_range=(1, 6))
-        design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=1, seed=60 + r), pop)
+        design = Design(pop, mech_a=a, mech_b=b, k=1, seed=60 + r)
         _assert_battery_matches_oracle(run_design(design, replicate=r))
 
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peerenc.cli import main
-from peerenc.design import DesignConfig, ExperimentData, run_design, validate_design
+from peerenc.design import Design, ExperimentData, run_design
 from peerenc.errors import InvalidConfig, InvalidData, PeerEncError
 from peerenc.mechanisms import Mechanism
 from peerenc.population import Population, population_from_dict
@@ -196,8 +196,7 @@ def csv_rows(tmp_path_factory):
     pop = population([[person("co", structural(direct=1.0)) for _ in range(3)]
                       for _ in range(4)])
     path = tmp_path_factory.mktemp("csv") / "run.csv"
-    cfg = DesignConfig(Mechanism("phi", 0.7), Mechanism("psi", 0.3), k=2, seed=3)
-    run_design(validate_design(cfg, pop)).to_csv(path)
+    run_design(Design(pop, Mechanism("phi", 0.7), Mechanism("psi", 0.3), k=2, seed=3)).to_csv(path)
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
@@ -451,7 +450,8 @@ def test_a_design_whose_weighted_outcomes_overflow_is_refused(tmp_path):
     for command in ("simulate", "verify"):
         code, stdout, err = _run([command, *argv])
         _assert_one_line_error(code, err)
-        assert "InvalidDesign: mechanism 'a': inverse-probability weighted outcomes" in err
+        assert ("InvalidDesign: config design: mechanism 'a': inverse-probability weighted"
+                " outcomes") in err
         assert stdout == ""
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerenc.design import DesignConfig, batch_size, draw_validated, validate_design
+from peerenc.design import Design, batch_size, draw_validated
 from peerenc.errors import ArityMismatch, InvalidMechanism
 from peerenc.mechanisms import Mechanism, unit_marginals
 from conftest import make_population
@@ -22,7 +22,7 @@ def protocol_draws(mech: Mechanism, n: int, draws: int, seed: int) -> np.ndarray
     from the protocol's batched draws: 40 blocks, 20 of them in mech's arm."""
     pop = make_population([["co"] * n] * 40)
     other = Mechanism("other", 0.5 if mech.marginals(n)[0] != 0.5 else 0.3)
-    design = validate_design(DesignConfig(mech_a=mech, mech_b=other, k=20, seed=seed), pop)
+    design = Design(pop, mech_a=mech, mech_b=other, k=20, seed=seed)
     reps, step, out = -(-draws // 20), batch_size(pop), []
     for first in range(0, reps, step):
         data = draw_validated(design, first, min(step, reps - first))

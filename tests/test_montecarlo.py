@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from peerenc import design
-from peerenc.design import DesignConfig, validate_design
+from peerenc.design import Design
 from peerenc.errors import InvalidConfig, InvalidDesign
 from peerenc.estimands import member_averages, theorem_3_check, verification_passes, \
     verify_theorems
@@ -26,18 +26,14 @@ PHI = Mechanism("phi", 0.7)
 PSI = Mechanism("psi", 0.3)
 
 
-def _cfg(pop, seed=5, k=None):
-    return DesignConfig(mech_a=PHI, mech_b=PSI, k=k or max(1, pop.n_blocks // 2), seed=seed)
-
-
 def _design(pop, seed=5, k=None):
-    return validate_design(_cfg(pop, seed, k), pop)
+    return Design(pop, mech_a=PHI, mech_b=PSI, k=k or max(1, pop.n_blocks // 2), seed=seed)
 
 
 def _verify(pop, a, b, replications, seed, k=None):
     """verify_theorems with the Monte Carlo the CLI adds to its report."""
     k = pop.n_blocks // 2 if k is None else k
-    design = validate_design(DesignConfig(a, b, k=k, seed=seed), pop)
+    design = Design(pop, a, b, k=k, seed=seed)
     report = verify_theorems(pop, a, b)
     return report.replace(mc=replicate(design, replications, report.targets))
 
@@ -54,16 +50,14 @@ def test_constant_zero_outcomes_degenerate_summary():
 
 def test_same_seed_identical_bytes(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(3, 4), n_range=(2, 4))
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=17)
-    s1 = replicate(validate_design(cfg, pop), replications=40)
-    s2 = replicate(validate_design(cfg, pop), replications=40)
+    s1 = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=17), replications=40)
+    s2 = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=17), replications=40)
     assert s1.to_json().encode() == s2.to_json().encode()
 
 
 def test_split_halves_pool_exactly(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=31)
-    design = validate_design(cfg, pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=1, seed=31)
     full = replicate_values(design, 40)
     first = replicate_values(design, 20, first_replicate=0)
     second = replicate_values(design, 20, first_replicate=20)
@@ -97,14 +91,13 @@ def _batch_populations():
     singletons = make_population([["co"]] * 9, direct=1.0)
     no_uptake = make_population([["nt"] * 3] * 6, intercept=1.0, peer=0.5)
     return {
-        "structural-unequal-sizes": (structural_pop, DesignConfig(phi, psi, k=13, seed=3)),
-        "tables": (tables, DesignConfig(phi, psi, k=4, seed=2**40 + 1)),
-        "encouragement-keyed": (keyed, DesignConfig(phi, psi, k=3, seed=0)),
-        "vector-mechanisms": (vector, DesignConfig(Mechanism("a", (0.2, 0.6, 0.9)),
-                                                   Mechanism("b", (0.7, 0.3, 0.15)),
-                                                   k=5, seed=77)),
-        "all-single-armed": (singletons, DesignConfig(phi, psi, k=4, seed=5)),
-        "zero-uptake": (no_uptake, DesignConfig(phi, psi, k=3, seed=6)),
+        "structural-unequal-sizes": Design(structural_pop, phi, psi, k=13, seed=3),
+        "tables": Design(tables, phi, psi, k=4, seed=2**40 + 1),
+        "encouragement-keyed": Design(keyed, phi, psi, k=3, seed=0),
+        "vector-mechanisms": Design(vector, Mechanism("a", (0.2, 0.6, 0.9)),
+                                    Mechanism("b", (0.7, 0.3, 0.15)), k=5, seed=77),
+        "all-single-armed": Design(singletons, phi, psi, k=4, seed=5),
+        "zero-uptake": Design(no_uptake, phi, psi, k=3, seed=6),
     }
 
 
@@ -112,11 +105,12 @@ def _batch_populations():
 def test_batched_replicates_match_the_per_replicate_loop_bitwise(name, monkeypatch):
     """Every replicate row equals the per-block numpy-generator loop bit for
     bit, NaN positions included, also when R spans several batches."""
-    pop, cfg = _batch_populations()[name]
+    run = _batch_populations()[name]
+    pop = run.pop
     monkeypatch.setattr(design, "BATCH_BYTES", 7 * design.BYTES_PER_DRAW * pop.n_individuals)
     assert design.batch_size(pop) == 7
-    got = replicate_values(validate_design(cfg, pop), 30, first_replicate=11)
-    want = reference_replicate_values(pop, cfg, ESTIMATOR_NAMES, 30, first=11)
+    got = replicate_values(run, 30, first_replicate=11)
+    want = reference_replicate_values(pop, run, ESTIMATOR_NAMES, 30, first=11)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(got, want, equal_nan=True)
     if name in ("all-single-armed", "zero-uptake"):
@@ -130,7 +124,7 @@ def test_replication_bounds_are_checked_before_any_work():
             replicate_values(_design(pop, k=1), bad)
     # any non-negative replicate index addresses a stream, 2^32 and beyond too
     big = replicate_values(_design(pop, k=1), 2, first_replicate=2**32)
-    want = reference_replicate_values(pop, _cfg(pop, k=1), ESTIMATOR_NAMES, 2, first=2**32)
+    want = reference_replicate_values(pop, _design(pop, k=1), ESTIMATOR_NAMES, 2, first=2**32)
     assert np.array_equal(big, want, equal_nan=True)
     with pytest.raises(InvalidDesign):
         replicate_values(_design(pop, k=1), 2, first_replicate=-1)
@@ -172,7 +166,7 @@ def test_unbiased_estimators_have_exact_means_at_their_targets(outcome):
     realizations = list(exact_design_distribution(pop, a, b, k=2))
     assert len(realizations) == 6 * 2**8
     assert sum(w for w, _ in realizations) == pytest.approx(1.0, abs=1e-12)
-    targets = exact_targets(pop, DesignConfig(mech_a=a, mech_b=b, k=2, seed=0))
+    targets = exact_targets(Design(pop, mech_a=a, mech_b=b, k=2, seed=0))
     for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_0", "pitt_hat_1"):
         mean = sum(w * battery[name] for w, battery in realizations)
         assert mean == pytest.approx(targets[name], rel=1e-12, abs=1e-12), name
@@ -186,7 +180,7 @@ def test_replicates_follow_the_exact_design_distribution():
     pop, a, b = _exact_design({"representation": "structural"})
     realizations = list(exact_design_distribution(pop, a, b, k=2))
     w = np.array([w for w, _ in realizations])
-    design = validate_design(DesignConfig(mech_a=a, mech_b=b, k=2, seed=1), pop)
+    design = Design(pop, mech_a=a, mech_b=b, k=2, seed=1)
     values = replicate_values(design, 20_000)
     for name, drawn in zip(ESTIMATOR_NAMES, values.T):
         exact = np.array([battery[name] for _, battery in realizations])
@@ -217,8 +211,7 @@ def test_loose_standardized_bias_gate(rng):
     """The inverse-probability estimators are exactly unbiased, so their
     standardized bias behaves like |N(0,1)| at any replication count."""
     pop, a, b = equal_effect_monotone(rng, b_range=(8, 8), n_range=(4, 4))
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=4, seed=41)
-    summary = replicate(validate_design(cfg, pop), replications=3000)
+    summary = replicate(Design(pop, mech_a=a, mech_b=b, k=4, seed=41), replications=3000)
     for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0"):
         s = summary.get(name)
         assert s.std_bias is not None and s.std_bias <= 4.0, (name, s.std_bias)
@@ -229,8 +222,7 @@ def test_et_hat_unbiased_under_scalar_mechanisms():
     the ratio-of-means uptake contrast is conditionally unbiased; per-unit
     heterogeneous probabilities leave it only consistent, not unbiased."""
     pop = make_population([["co", "co", "at", "nt"]] * 8, direct=1.0)
-    cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=4, seed=6)
-    summary = replicate(validate_design(cfg, pop), replications=3000)
+    summary = replicate(Design(pop, mech_a=PHI, mech_b=PSI, k=4, seed=6), replications=3000)
     s = summary.get("et_hat")
     assert s.target == 0.5
     assert s.std_bias <= 4.0
@@ -239,8 +231,7 @@ def test_et_hat_unbiased_under_scalar_mechanisms():
 def test_no_interference_peer_estimator_centered_at_zero(rng):
     pop = make_population([["co", "nt", "co"]] * 8, rng=rng,
                           peer=0.0, interaction=0.0, curvature=0.0)
-    cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=4, seed=19)
-    summary = replicate(validate_design(cfg, pop), replications=1500)
+    summary = replicate(Design(pop, mech_a=PHI, mech_b=PSI, k=4, seed=19), replications=1500)
     for name in ("pitt_hat_1", "pitt_hat_0"):
         s = summary.get(name)
         assert abs(s.target) <= 1e-12
@@ -249,8 +240,7 @@ def test_no_interference_peer_estimator_centered_at_zero(rng):
 
 def test_targets_match_exact_engine(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=2)
-    targets = exact_targets(pop, cfg)
+    targets = exact_targets(Design(pop, mech_a=a, mech_b=b, k=1, seed=2))
     from peerenc.estimands import ditt, et, member_averages
 
     assert targets["ditt_hat_a"] == ditt(member_averages(pop, a)).population
@@ -269,8 +259,7 @@ def test_replication_floor():
 
 def test_mc_summary_to_text(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
-    cfg = DesignConfig(mech_a=a, mech_b=b, k=1, seed=2)
-    table = replicate(validate_design(cfg, pop), replications=20).to_text()
+    table = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=2), replications=20).to_text()
     assert "ditt_hat_a" in table and "std_bias" in table
 
 
@@ -390,12 +379,12 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
 
 
 def _counted_designs(monkeypatch) -> list:
-    """The list every Design construction appends its config to."""
+    """The list every Design construction appends the design to."""
     built = []
     check = design.Design.__post_init__
 
     def counted(self):
-        built.append(self.cfg)
+        built.append(self)
         check(self)
 
     monkeypatch.setattr(design.Design, "__post_init__", counted)
@@ -408,10 +397,10 @@ def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch):
     pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
     monkeypatch.setattr(design, "BATCH_BYTES", 4 * design.BYTES_PER_DRAW * pop.n_individuals)
     built = _counted_designs(monkeypatch)
-    run = validate_design(DesignConfig(PHI, PSI, k=1, seed=4), pop)
+    run = Design(pop, PHI, PSI, k=1, seed=4)
     for batches in (1, 5):
         replicate(run, 4 * batches)
-    assert built == [run.cfg]
+    assert built == [run]
 
 
 def test_verify_theorems_builds_no_design(monkeypatch):
@@ -469,6 +458,6 @@ def test_an_invalid_design_is_refused_before_any_kernel_work(monkeypatch, run, k
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
     with pytest.raises(InvalidDesign, match=message):
         if run == "replicate":
-            replicate(validate_design(DesignConfig(PHI, PSI, k=k, seed=1), pop), replications=10)
+            replicate(Design(pop, PHI, PSI, k=k, seed=1), replications=10)
         else:
             _verify(pop, PHI, PSI, replications=10, seed=1, k=k)

@@ -12,7 +12,7 @@ import pytest
 
 import peerenc
 from peerenc._report import JsonReport, Record
-from peerenc.design import Design, DesignConfig, ExperimentData, run_design, validate_design
+from peerenc.design import Design, ExperimentData, run_design
 from peerenc.estimands import BlockSummary, EstimandReport, IdentityReport, MemberAverages, \
     TheoremVerification, VerificationReport, compute_estimand_report, et, member_averages, \
     theorem_1_check, verify_theorems
@@ -27,7 +27,7 @@ from conftest import make_population
 PHI = Mechanism("phi", 0.8)
 PSI = Mechanism("psi", (0.2, 0.3))
 
-VALUE_RECORDS = (Mechanism, OutcomeConfig, DgpConfig, DesignConfig, EstimateReport,
+VALUE_RECORDS = (Mechanism, OutcomeConfig, DgpConfig, EstimateReport,
                  EstimatorSummary, McSummary, TheoremVerification, VerificationReport,
                  EstimandReport)
 ARRAY_HOLDERS = (Population, ValidationReport, MemberAverages, BlockSummary, IdentityReport,
@@ -38,13 +38,12 @@ def _records() -> dict:
     """One record of each class, built the way the package builds it."""
     pop = make_population([["co", "nt"], ["at", "co"], ["co", "co"], ["nt", "co"]],
                           direct=2.0, peer=0.5)
-    cfg = DesignConfig(mech_a=PHI, mech_b=PSI, k=2, seed=3)
-    design = validate_design(cfg, pop)
+    design = Design(pop, mech_a=PHI, mech_b=PSI, k=2, seed=3)
     data = run_design(design)
     verification = verify_theorems(pop, PHI, PSI)
     verification = verification.replace(mc=replicate(design, 4, verification.targets))
     found = [pop, validate(pop), OutcomeConfig(direct=(1.0, 0.5)),
-             DgpConfig(blocks=4, block_size=(2, 3), strata=(0.0, 1.0, 0.0, 0.0)), PHI, cfg,
+             DgpConfig(blocks=4, block_size=(2, 3), strata=(0.0, 1.0, 0.0, 0.0)), PHI,
              member_averages(pop, PHI), et(pop), theorem_1_check(member_averages(pop, PSI)),
              compute_estimand_report(pop, PHI, PSI), design, data, estimate_report(data),
              verification.mc.estimators[0], verification.mc, verification.theorems[0],
@@ -105,9 +104,6 @@ def test_configs_hash_by_value():
     assert Mechanism("phi", 0.8) != Mechanism("phi", 0.7)
     assert {Mechanism("psi", [0.2, 0.3]), PSI} == {PSI}
     assert DgpConfig(2, 3, (0.0, 1.0, 0.0, 0.0)).outcome == OutcomeConfig()
-    assert DesignConfig(PHI, PSI, 2, 3) == RECORDS[DesignConfig]
-    assert len({DesignConfig(PHI, PSI, 2, 3), RECORDS[DesignConfig]}) == 1
-    assert DesignConfig(PHI, PSI, 2, 4) != RECORDS[DesignConfig]
 
 
 @pytest.mark.parametrize("cls", ARRAY_HOLDERS, ids=lambda c: c.__name__)
