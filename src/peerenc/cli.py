@@ -21,7 +21,7 @@ from pathlib import Path
 # Monte Carlo, estimator, design or CSV code.
 from . import _json
 from .errors import PeerEncError, InvalidConfig, InvalidDesign
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, identical_marginals
 from .population import DgpConfig, build_population, load_population, parse_dgp, \
     save_population, validate
 
@@ -43,7 +43,8 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 def _mechanism_pair(cfg: dict, design: dict) -> tuple[Mechanism, Mechanism]:
     """The mechanisms design.mech_a and mech_b name, by default the first
-    two; a pair with the same probabilities contrasts nothing."""
+    two; a pair that gives every individual the same probability contrasts
+    nothing on any population, so it is refused before one is read."""
     raw = _json.typed(cfg["mechanisms"], "config mechanisms", list, "a non-empty list")
     if not raw:
         raise InvalidConfig("config mechanisms: expected a non-empty list, got []")
@@ -66,7 +67,7 @@ def _mechanism_pair(cfg: dict, design: dict) -> tuple[Mechanism, Mechanism]:
         if name is None or _json.typed(name, f"config design.{label}", str) not in mechs:
             raise InvalidConfig(f"config design.{label}: mechanism {name!r} is not defined")
         pair.append(mechs[name])
-    if pair[0].probs == pair[1].probs:  # a scalar and a vector that coincide: Design refuses
+    if identical_marginals(*pair):
         raise InvalidConfig(f"config design.mech_b: mechanism {pair[1].name!r} has the "
                             f"probabilities of mech_a {pair[0].name!r}; no contrast")
     return tuple(pair)

@@ -20,7 +20,7 @@ import numpy as np
 from . import _streams
 from ._report import Record
 from .errors import ArityMismatch, InvalidData, InvalidDesign
-from .mechanisms import Mechanism, unit_marginals
+from .mechanisms import Mechanism, identical_marginals, unit_marginals
 from .population import Population
 
 CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
@@ -79,7 +79,7 @@ class Design(Record, eq=False):
         mechs = (self.mech_a, self.mech_b)
         # ArityMismatch if a vector mechanism cannot cover a block
         probs = np.stack([unit_marginals(mech, np.diff(self.pop.starts)) for mech in mechs])
-        if np.array_equal(probs[0], probs[1]):
+        if identical_marginals(*mechs):
             raise InvalidDesign(
                 f"mechanisms {self.mech_a.name!r} and {self.mech_b.name!r} give every individual "
                 "identical probabilities; the design needs a contrast"

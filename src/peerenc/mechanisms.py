@@ -50,6 +50,16 @@ class Mechanism(Record):
         return np.asarray(self.probs)
 
 
+def identical_marginals(a: Mechanism, b: Mechanism) -> bool:
+    """Whether the two mechanisms give every individual the same
+    probability on any population that both cover. A vector covers only
+    blocks of its own length, so a scalar is compared with each entry of a
+    vector, and two vectors of different lengths cover no block together."""
+    if isinstance(a.probs, float) or isinstance(b.probs, float):
+        return bool(np.all(np.equal(a.probs, b.probs)))
+    return a.probs == b.probs
+
+
 def unit_marginals(mech: Mechanism, sizes) -> np.ndarray:
     """The mechanism's encouragement probability of every individual of
     blocks of these sizes, in block order. ``marginals(n)`` checks each

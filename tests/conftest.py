@@ -1,11 +1,13 @@
-"""Shared population builders for the test suite, and its hypothesis
-profile.
+"""Shared population builders and the strict JSON reader for the test
+suite, and its hypothesis profile.
 
 Populations are built the way a population file is read: each individual is
 described in the population JSON format and ``population_from_dict`` fills
 the arrays."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +21,14 @@ settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
 
 PT = {"at": (1, 1), "co": (0, 1), "nt": (0, 0), "de": (1, 0)}
+
+
+def strict_json(text: str):
+    """json.loads refusing the NaN / Infinity / -Infinity tokens json writes
+    for non-finite floats, which are not JSON."""
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def person(kind: str, outcome: dict) -> dict:

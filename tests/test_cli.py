@@ -591,15 +591,18 @@ def test_every_command_refuses_a_dgp_no_population_satisfies(tmp_path, capsys, c
 @pytest.mark.parametrize("mechanisms, design", [
     ([{"name": "phi", "p": 0.7}], {"mech_b": "phi"}),
     ([{"name": "phi", "p": 0.7}, {"name": "chi", "p": 0.7}], {"mech_b": "chi"}),
-    ([{"name": "phi", "probs": [0.2, 0.3, 0.4]}, {"name": "chi", "probs": [0.2, 0.3, 0.4]}],
-     {"mech_b": "chi"}),
-], ids=["same-name", "same-p", "same-probs"])
+    ([{"name": "phi", "probs": [0.2, 0.3, 0.4, 0.5]},
+      {"name": "chi", "probs": [0.2, 0.3, 0.4, 0.5]}], {"mech_b": "chi"}),
+    ([{"name": "phi", "p": 0.5}, {"name": "psi", "probs": [0.5, 0.5, 0.5, 0.5]}],
+     {"mech_b": "psi"}),
+], ids=["same-name", "same-p", "same-probs", "scalar-equals-vector"])
 def test_every_command_refuses_a_mechanism_pair_without_a_contrast(tmp_path, capsys, command,
                                                                    mechanisms, design):
-    """A pair with the same probabilities has every pitt and lpt exactly 0,
-    so identities would pass with nothing tested: every command refuses it
-    with one line naming design.mech_b, before it reads --pop or writes."""
-    cfg = write_config(tmp_path / "cfg.json", mechanisms=mechanisms,
+    """A pair that gives every individual the same probability (a scalar
+    and a vector of it too) has every pitt and lpt exactly 0, so identities
+    would pass with nothing tested: every command refuses it with one line
+    naming design.mech_b, before it reads --pop or writes."""
+    cfg = write_config(tmp_path / "cfg.json", dgp={"block_size": 4}, mechanisms=mechanisms,
                        design={"mech_a": "phi", **design}, mc={"replications": 0})
     out = tmp_path / "out.json"
     pop = [] if command == "generate" else ["--pop", str(tmp_path / "missing.json")]
@@ -625,6 +628,7 @@ def test_an_unknown_dgp_key_lists_the_known_keys(tmp_path, capsys, overrides, wh
     assert _exit_code(["generate", "--config", str(cfg), "--out", str(tmp_path / "pop")]) == 2
     assert capsys.readouterr().err == \
         f"error: InvalidConfig: {where}: unknown key 'bogus' (known: {known})\n"
+    assert not (tmp_path / "pop").exists()
 
 
 @pytest.mark.parametrize("command, text, field", [
@@ -638,6 +642,7 @@ def test_an_unknown_dgp_key_lists_the_known_keys(tmp_path, capsys, overrides, wh
     ("simulate", {"mc": [1]}, "config mc"),
     ("estimands", {"design": {"mech_a": ["a"]}}, "design.mech_a"),
     ("generate", {"output": {"path": 5}}, "config: unknown key 'output'"),
+    ("generate", {"output": {"path": "p.json"}}, "config: unknown key 'output'"),
     ("estimands", {"mechanisms": []}, "config mechanisms: expected a non-empty list, got []"),
     ("estimands", {"mechanisms": [{"name": "", "p": 0.5}, {"name": "psi", "p": 0.3}]},
      "config mechanisms[0].name: expected a non-empty string"),
@@ -645,9 +650,12 @@ def test_an_unknown_dgp_key_lists_the_known_keys(tmp_path, capsys, overrides, wh
      "config design.mech_a: mechanism 'chi' is not defined"),
 ], ids=["top-level-list", "mechanisms-not-objects", "mechanism-name-list", "dgp-list",
         "outcome-list", "design-list", "mc-list", "mech-a-list", "output-path-number",
-        "mechanisms-empty", "mechanism-name-empty", "mech-a-undefined"])
-def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys,
+        "output-path", "mechanisms-empty", "mechanism-name-empty", "mech-a-undefined"])
+def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys, monkeypatch,
                                                                command, text, field):
+    """One line on stderr, and neither --out nor a path the config names
+    is written."""
+    monkeypatch.chdir(tmp_path)
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(write_config(tmp_path / "good.json")),
           "--out", str(pop_path)])
@@ -662,6 +670,7 @@ def test_config_sections_of_the_wrong_type_are_one_line_errors(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert field in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize("mechanism, field", [
@@ -916,13 +925,13 @@ def test_a_closed_stdout_pipe_is_a_one_line_error_in_process(tmp_path, monkeypat
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 def test_estimands_writes_utf8_whatever_the_locale(tmp_path, fmt):
-    """A mechanism named φ, under the C locale without coercion or UTF-8
+    """A mechanism named φ,ψ, under the C locale without coercion or UTF-8
     mode: the same bytes as under the default locale, to a file and to
-    stdout."""
+    stdout, which carries the file's bytes."""
     src = Path(peerenc.__file__).resolve().parent.parent
     cfg = write_config(tmp_path / "cfg.json",
-                       mechanisms=[{"name": "φ", "p": 0.7}, {"name": "psi", "p": 0.3}],
-                       design={"mech_a": "φ"})
+                       mechanisms=[{"name": "φ,ψ", "p": 0.7}, {"name": "psi", "p": 0.3}],
+                       design={"mech_a": "φ,ψ"})
     pop_path = tmp_path / "pop.json"
     assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
     argv = [sys.executable, "-m", "peerenc.cli", "estimands", "--config", str(cfg),
@@ -936,8 +945,12 @@ def test_estimands_writes_utf8_whatever_the_locale(tmp_path, fmt):
                 for args in ([*argv, "--out", str(out)], argv)]
         assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
         written[name] = (out.read_bytes(), runs[1].stdout)
-    assert written["C"] == written["default"]
-    assert "mech=φ".encode() in written["C"][0]
+    assert written["C"] == written["default"] and written["C"][0] == written["C"][1]
+    assert "mech=φ,ψ".encode() in written["C"][0]
+    if fmt == "csv":  # the name's comma is quoted
+        rows = list(csv.reader(io.StringIO(written["C"][0].decode(), newline="")))
+        assert {len(row) for row in rows} == {3}
+        assert any(row[0] == "ditt[1,0,mech=φ,ψ]" for row in rows)
 
 
 @pytest.mark.parametrize("command, replications", [

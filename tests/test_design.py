@@ -351,6 +351,8 @@ def test_csv_rejects_wrong_schema(tmp_path):
 
 _CSV_HEADER = "block_id,S,unit_id,Z,D,Y\n"
 _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"]
+# blocks 1 and 2, one row each: the message names the lowest block id
+_LOWEST_BLOCK_1 = _CSV_HEADER + "2,1,0,1,1,0.5\n1,0,0,1,1,1.5\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -359,6 +361,7 @@ _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"
     _CSV_HEADER + "\n".join(_CSV_ROWS + ["-1,0,0,1,1,0.5"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:2] + ["2,0,0,1,1,1.5", "2,0,1,0,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[2:]),
+    _LOWEST_BLOCK_1,
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,7,0,2.0"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,0,1,0,0,nan"]),
     _CSV_HEADER + "\n".join(_CSV_ROWS[:3] + ["1,1,1,0,0,2.0"]),
@@ -375,7 +378,8 @@ _CSV_ROWS = ["0,1,0,1,1,0.5", "0,1,1,0,0,0.25", "1,0,0,1,1,1.5", "1,0,1,0,0,2.0"
     lambda path: path,
     lambda path: path.mkdir() or path,
     lambda path: path.write_text(_CSV_HEADER) and path / "under-a-file.csv",
-], ids=["empty", "no-rows", "negative-block", "block-gap", "no-block-0", "z-not-binary",
+], ids=["empty", "no-rows", "negative-block", "block-gap", "no-block-0", "lowest-block-1",
+        "z-not-binary",
         "nan-outcome", "s-varies-in-block", "duplicate-unit", "unit-id-gap",
         "negative-unit-id", "not-a-number", "extra-field",
         "underscore-unit-id", "arabic-indic-unit-id", "underscore-outcome",
@@ -391,7 +395,8 @@ def test_csv_rejects_invalid_data(tmp_path, text):
         path = text(path)
     else:
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    with pytest.raises(InvalidData, match="^" + re.escape(str(path))):
+    found = ": block ids must start at 0, found 1$" if text is _LOWEST_BLOCK_1 else ""
+    with pytest.raises(InvalidData, match="^" + re.escape(str(path)) + found):
         ExperimentData.from_csv(path, PHI, PSI)
 
 

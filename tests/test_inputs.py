@@ -29,7 +29,7 @@ from peerenc.design import Design, ExperimentData, run_design
 from peerenc.errors import InvalidConfig, InvalidData, PeerEncError
 from peerenc.mechanisms import Mechanism
 from peerenc.population import Population, population_from_dict
-from conftest import person, population, structural, table
+from conftest import person, population, strict_json, structural, table
 from oracles import population_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -496,14 +496,6 @@ def test_a_population_file_over_a_bound_is_a_one_line_error(tmp_path, monkeypatc
     assert stdout == ""
 
 
-def _strict_json(text: str):
-    """json.loads refusing the NaN / Infinity / -Infinity tokens json writes
-    for non-finite floats, which are not JSON."""
-    def refuse(token):
-        raise AssertionError(f"non-JSON token {token}")
-    return json.loads(text, parse_constant=refuse)
-
-
 @pytest.mark.parametrize("shape", ["zero-uptake", "mc-small-blocks"])
 def test_every_json_report_is_strict_json(tmp_path, shape):
     """`estimands`, `simulate` and `verify` write JSON with null for every
@@ -528,7 +520,7 @@ def test_every_json_report_is_strict_json(tmp_path, shape):
         code, _, err = _run([command, "--config", str(cfg_path), "--pop", str(pop_path),
                              "--out", str(out)])
         assert code == (1 if command == "verify" else 0), err
-        reports[command] = _strict_json(out.read_text())
+        reports[command] = strict_json(out.read_text())
     assert reports["verify"]["mc"]["replications"] == 20
     if shape == "zero-uptake":
         theorems = {t["name"]: t for t in reports["verify"]["theorems"]}

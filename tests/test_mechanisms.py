@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from peerenc.design import Design, batch_size, draw_validated
 from peerenc.errors import ArityMismatch, InvalidMechanism
-from peerenc.mechanisms import Mechanism, unit_marginals
+from peerenc.mechanisms import Mechanism, identical_marginals, unit_marginals
 from conftest import make_population
 from oracles import assignment_probs, pack_rows
 
@@ -140,3 +140,14 @@ def test_unit_marginals_lay_out_each_blocks_marginals_in_block_order():
     assert unit_marginals(vector, [3, 3]).tolist() == [0.1, 0.2, 0.3] * 2
     with pytest.raises(ArityMismatch, match="arity 3, block has 1"):
         unit_marginals(vector, sizes)
+
+
+@pytest.mark.parametrize("a, b, identical", [
+    (0.5, (0.5,) * 4, True), ((0.5,) * 4, 0.5, True), (0.5, (0.5, 0.4), False),
+    ((0.2, 0.3), (0.2, 0.3), True), ((0.5,), (0.5,) * 3, False), (0.5, 0.4, False),
+], ids=["scalar-vector", "vector-scalar", "one-entry-differs", "same-vector",
+        "vector-lengths-differ", "scalars-differ"])
+def test_identical_marginals_compares_every_population_both_mechanisms_cover(a, b, identical):
+    """A vector covers only blocks of its own length: a scalar equal to each
+    of its entries is the same law, and vectors of two lengths share no block."""
+    assert identical_marginals(Mechanism("a", a), Mechanism("b", b)) is identical

@@ -13,6 +13,7 @@ from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import (
     ESTIMATOR_NAMES,
     MAX_REPLICATIONS,
+    _moments,
     exact_targets,
     replicate,
     replicate_values,
@@ -46,6 +47,14 @@ def test_constant_zero_outcomes_degenerate_summary():
     assert ditt.sd == 0.0
     assert ditt.target == 0.0
     assert ditt.std_bias == 0.0
+
+
+@pytest.mark.parametrize("values, moments", [
+    ([1.0, 4.0], (2.5, math.sqrt(4.5))), ([3.0], (3.0, 0.0)),
+], ids=["two-values", "one-value"])
+def test_summary_moments_are_the_mean_and_sample_sd(values, moments):
+    """The sd of two values divides by one; a single value's sd reads 0."""
+    assert _moments(np.array(values)) == moments
 
 
 def test_same_seed_identical_bytes(rng):
