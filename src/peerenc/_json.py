@@ -1,6 +1,8 @@
-"""The one reader of peerenc's JSON inputs, the run config and the population
-file: one function per kind of JSON value. Each returns the value it reads
-or raises InvalidConfig naming the field (``where``); no value is coerced."""
+"""peerenc's JSON reading: a file's text, its document, and one function
+per kind of JSON value. Each returns the value it reads or raises
+InvalidConfig naming the path or the field (``where``); no value is coerced.
+What a document means is its reader's: the run config's in ``cli``, the
+population file's in ``popfile``."""
 
 from __future__ import annotations
 
@@ -8,40 +10,29 @@ import json
 import math
 import reprlib
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvalidConfig
 
 
-# Distinct float texts the memo keeps at most; it is emptied when full.
-FLOAT_MEMO_BOUND = 1 << 16
+def read_text(path) -> str:
+    """A UTF-8 file's text; InvalidConfig naming the path when the file
+    cannot be read or is not UTF-8 text."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-class _FloatMemo(dict):
-    """float(text) by text. A generated table repeats its few distinct
-    entries thousands of times, so most of a table file's floats become dict
-    hits. Exact: a text always parses to the same float."""
-
-    def __missing__(self, text: str) -> float:
-        if len(self) >= FLOAT_MEMO_BOUND:
-            self.clear()
-        value = self[text] = float(text)
-        return value
-
-
-_FLOATS = _FloatMemo()
-
-
-def read_json(path):
-    """The JSON document in a UTF-8 file; InvalidConfig naming the path when
-    the file cannot be read, is not UTF-8 text, is not JSON or repeats a key
-    within an object (json would keep the last value silently).
-
-    A document holding table "values" parses its floats through the memo;
-    any other (a config, a structural population) with plain float, since
-    its floats are nearly all distinct and a memo would only cost time and
-    memory there."""
+def loads(text: str, path, parse_float=float):
+    """The JSON document of ``path``'s text, its floats parsed by
+    ``parse_float``; InvalidConfig naming the path when the text is not JSON
+    or repeats a key within an object (json would keep the last value
+    silently)."""
     def unique_keys(pairs):
         value = dict(pairs)
         if len(value) < len(pairs):
@@ -51,13 +42,7 @@ def read_json(path):
         return value
 
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-        parse_float = _FLOATS.__getitem__ if '"values"' in text else float
         return json.loads(text, object_pairs_hook=unique_keys, parse_float=parse_float)
-    except OSError as exc:
-        raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                             f"{exc.msg}") from None
@@ -65,6 +50,11 @@ def read_json(path):
         raise InvalidConfig(f"{path}: invalid JSON: an integer of over 4300 digits") from None
     except RecursionError:
         raise InvalidConfig(f"{path}: invalid JSON: nested too deeply") from None
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 file, such as the run config."""
+    return loads(read_text(path), path)
 
 
 def _fault(where: str, expected: str, value) -> InvalidConfig:
@@ -122,7 +112,8 @@ def pair_or(read, value, where: str, expected: str):
     return tuple(read(x, where) for x in value)
 
 
-_KINDS = {bool: "true or false", str: "a string", list: "a list", dict: "a JSON object"}
+_KINDS = MappingProxyType({bool: "true or false", str: "a string", list: "a list",
+                           dict: "a JSON object"})
 
 
 def typed(value, where: str, kind: type, expected: str = ""):

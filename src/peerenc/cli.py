@@ -15,6 +15,10 @@ import reprlib
 import sys
 from pathlib import Path
 
+# No command makes a BLAS call (test_every_digest_holds_under_each_openblas_kernel
+# pins it), so OpenBLAS's thread pool is only start-up cost; set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # Only the layers every command needs load here; each command imports the
 # rest itself, so `generate` never loads the Monte Carlo, estimator or CSV
 # code, and neither `estimands` nor `verify` without replications loads the
@@ -22,8 +26,8 @@ from pathlib import Path
 from . import _json
 from .errors import PeerEncError, InvalidConfig, InvalidDesign
 from .mechanisms import Mechanism, identical_marginals
-from .population import DgpConfig, build_population, load_population, parse_dgp, \
-    save_population, validate
+from .popfile import load_population, save_population
+from .population import DgpConfig, build_population, parse_dgp, validate
 
 # Each config section's closed key set.
 _SECTIONS = {

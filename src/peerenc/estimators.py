@@ -82,14 +82,12 @@ def _estimates(stats: _BlockStats) -> dict[str, np.ndarray]:
         }
 
 
-def estimator_battery(data: ExperimentData) -> dict:
-    """Every estimator on one realization (floats), or on each replicate of a
-    batch ((R,) arrays). Undefined ratio estimators come back as NaN so
-    replication batches never abort."""
-    values = _estimates(_block_stats(data))
-    if data.z.ndim > 1:
-        return values
-    return {name: float(v) for name, v in values.items()}
+def estimator_battery(data: ExperimentData) -> dict[str, np.ndarray]:
+    """Every estimator on each replicate of a batch, as (R,) arrays (0-d on
+    one realization; ``estimate_report`` is the entry that returns floats).
+    Undefined ratio estimators come back as NaN so replication batches never
+    abort."""
+    return _estimates(_block_stats(data))
 
 
 class EstimateReport(JsonReport):

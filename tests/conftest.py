@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from peerenc.population import Population, population_from_dict
+from peerenc.popfile import population_from_dict
+from peerenc.population import Population
 
 # Every property draws the same examples on every run and interpreter; a
 # test's own @settings keeps these unless it overrides them.

@@ -14,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from peerenc.mechanisms import Mechanism
-from peerenc.population import (
-    Population,
-    population_from_dict,
-)
+from peerenc.popfile import population_from_dict
+from peerenc.population import Population
 from conftest import person, population, structural
 from oracles import convert_to_tables, population_to_dict
 

@@ -12,7 +12,7 @@ import pytest
 
 import peerenc
 from peerenc.cli import main
-from peerenc.population import load_population
+from peerenc.popfile import load_population
 
 
 def write_config(path, **overrides):
@@ -1081,8 +1081,9 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     """generate, estimands and verify without replications, each in a fresh
     interpreter, load neither the Monte Carlo, estimator, design nor CSV
     code; generate does not load the exact engine either. simulate and verify
-    with replications load the layers they run. No command loads
-    ``dataclasses``, whose classes compile their methods at import."""
+    with replications load the layers they run. Every command loads the
+    population file's module, and none loads ``dataclasses``, whose classes
+    compile their methods at import."""
     src = Path(peerenc.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     cfg = write_config(tmp_path / "cfg.json")
@@ -1114,7 +1115,30 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     for replicating in (simulate, verify):
         assert never | {"peerenc.estimands", "peerenc._streams"} <= replicating
     for modules in (generate, estimands, simulate, verify, exact):
-        assert "dataclasses" not in modules
+        assert "peerenc.popfile" in modules and "dataclasses" not in modules
+
+
+def test_importing_the_cli_starts_one_openblas_thread():
+    """A fresh interpreter that imports the CLI runs one thread: the CLI asks
+    numpy's OpenBLAS for no thread pool. A preset OPENBLAS_NUM_THREADS is
+    kept."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc to count threads")
+    src = Path(peerenc.__file__).resolve().parent.parent
+    # this process imported the CLI already, which set the variable
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    count = "import os, peerenc.cli; print(len(os.listdir('/proc/self/task')))"
+
+    def threads(**preset):
+        proc = subprocess.run([sys.executable, "-c", count], env={**env, **preset},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    assert threads() == 1
+    if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts no more threads than CPUs
+        assert threads(OPENBLAS_NUM_THREADS="2") == 2
 
 
 @pytest.mark.parametrize("command, fmt", [

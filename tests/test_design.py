@@ -8,7 +8,8 @@ from peerenc.design import Design, ExperimentData, batch_size, draw_validated, r
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.estimands import member_averages
 from peerenc.mechanisms import Mechanism
-from peerenc.population import population_from_dict, structural_value
+from peerenc.popfile import population_from_dict
+from peerenc.population import structural_value
 from conftest import make_population, person, population, structural, table
 from fuzz import varying_effect_monotone
 from oracles import assignment_probs, convert_to_tables, oracle_outcome, oracle_ybar_itt, \

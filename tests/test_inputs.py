@@ -28,7 +28,8 @@ from peerenc.cli import main
 from peerenc.design import Design, ExperimentData, run_design
 from peerenc.errors import InvalidConfig, InvalidData, PeerEncError
 from peerenc.mechanisms import Mechanism
-from peerenc.population import Population, population_from_dict
+from peerenc.popfile import population_from_dict
+from peerenc.population import Population
 from conftest import person, population, strict_json, structural, table
 from oracles import population_to_dict
 

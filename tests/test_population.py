@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peerenc import _json
+from peerenc import _json, popfile
 from peerenc.estimands import member_averages
 from peerenc.errors import (
     ArityMismatch,
@@ -18,15 +18,13 @@ from peerenc.errors import (
     MissingTableEntry,
 )
 from peerenc.mechanisms import Mechanism
+from peerenc.popfile import load_population, population_from_dict, save_population
 from peerenc.population import (
     ComplianceType,
     DgpConfig,
     OutcomeConfig,
     Population,
     build_population,
-    load_population,
-    population_from_dict,
-    save_population,
     structural_value,
     validate,
 )
@@ -941,14 +939,22 @@ def _table_file(path, texts) -> str:
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """An empty float memo holding at most 4 texts."""
-    monkeypatch.setattr(_json, "FLOAT_MEMO_BOUND", 4)
-    monkeypatch.setattr(_json, "_FLOATS", _json._FloatMemo())
-    return _json._FLOATS
+def memos(monkeypatch):
+    """Every float memo the reads build, in order, each holding at most 4
+    texts."""
+    built = []
+
+    class Spy(popfile._FloatMemo):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(popfile, "FLOAT_MEMO_BOUND", 4)
+    monkeypatch.setattr(popfile, "_FloatMemo", Spy)
+    return built
 
 
-def test_table_entries_parse_bitwise_as_plain_json(tmp_path, memo):
+def test_table_entries_parse_bitwise_as_plain_json(tmp_path, memos):
     """Every entry of a table file, read through the memo (emptied whenever
     it holds 4 texts), is the float plain json.loads reads, bit for bit:
     signed zeros, the smallest subnormal, integer texts and repeats."""
@@ -957,21 +963,32 @@ def test_table_entries_parse_bitwise_as_plain_json(tmp_path, memo):
     plain = list(json.loads(text)["blocks"][0][0]["outcome"]["values"].values())
     loaded = load_population(path).table
     assert loaded.tobytes() == np.array(plain, dtype=float).tobytes()
+    [memo] = memos
     assert 0 < len(memo) <= 4
 
 
-def test_files_without_table_values_parse_with_plain_float(tmp_path, rng, memo):
-    """A structural population file and a config never touch the memo."""
+def test_files_without_table_values_parse_with_plain_float(tmp_path, rng, memos):
+    """A structural population file and a config build no memo."""
     path = tmp_path / "pop.json"
     save_population(build_population(_basic_cfg(), rng), path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"dgp": {"strata": [0.25, 0.5, 0.25, 0.0]}, "seed": 1}))
     load_population(path)
     _json.read_json(config)
-    assert len(memo) == 0
+    assert memos == []
 
 
-def test_memo_keeps_the_duplicate_key_and_non_finite_errors(tmp_path, memo):
+def test_each_table_file_read_builds_its_own_memo(tmp_path, memos):
+    """Each read of a table file parses through a memo of its own, so two
+    reads share none."""
+    path = tmp_path / "pop.json"
+    _table_file(path, _TEXTS)
+    first, second = load_population(path), load_population(path)
+    assert first.table.tobytes() == second.table.tobytes()
+    assert len(memos) == 2
+
+
+def test_memo_keeps_the_duplicate_key_and_non_finite_errors(tmp_path, memos):
     path = tmp_path / "pop.json"
     text = _table_file(path, _TEXTS[:2] + ["1e999"] + _TEXTS[3:])
     with pytest.raises(InvalidConfig) as exc:
@@ -981,3 +998,4 @@ def test_memo_keeps_the_duplicate_key_and_non_finite_errors(tmp_path, memo):
     with pytest.raises(InvalidConfig) as exc:
         load_population(path)
     assert str(exc.value) == f"{path}: duplicate key '0011' in an object"
+    assert len(memos) == 2  # both reads parsed through a memo
