@@ -244,27 +244,17 @@ class IdentityReport(JsonReport, eq=False):
     note: str | None = None
 
 
-def _assumption_notes(pop: Population, require_monotone=False, require_exclusion=False,
-                      require_one_sided=False, require_all_encouraged_take=False):
-    notes = []
-    if require_monotone and not pop.monotone:
-        notes.append("monotonicity violated: defiers present")
-    if require_exclusion and not pop.exclusion_ok:
-        notes.append("exclusion restriction violated: encouragement-dependent outcomes")
-    if require_one_sided and not pop.one_sided:
-        notes.append("one-sided compliance violated: someone takes treatment unencouraged")
-    if require_all_encouraged_take and not pop.d1.all():
-        notes.append("mirror condition violated: someone declines treatment when encouraged")
-    return tuple(notes)
-
-
-def _aggregation_note(uptake: BlockSummary) -> str | None:
-    if np.any(uptake.per_block != uptake.per_block[0]):
-        return (
-            "blocks have unequal uptake effects, so the block-level ratio "
-            "identity does not aggregate to this population-level ratio"
-        )
-    return None
+# The identities' assumptions by name: whether a population satisfies it,
+# and the note its violation adds.
+_ASSUMPTIONS = {
+    "monotonicity": (lambda pop: pop.monotone, "monotonicity violated: defiers present"),
+    "exclusion": (lambda pop: pop.exclusion_ok,
+                  "exclusion restriction violated: encouragement-dependent outcomes"),
+    "one_sided": (lambda pop: pop.one_sided,
+                  "one-sided compliance violated: someone takes treatment unencouraged"),
+    "mirror": (lambda pop: pop.d1.all(),
+               "mirror condition violated: someone declines treatment when encouraged"),
+}
 
 
 def _ratio_denominator(pop: Population) -> BlockSummary:
@@ -274,35 +264,38 @@ def _ratio_denominator(pop: Population) -> BlockSummary:
     return uptake
 
 
-def _identity(name: str, lhs: float, rhs: float, block_lhs: np.ndarray, block_rhs: np.ndarray,
-              notes, note: str | None = None) -> IdentityReport:
-    defined = np.isfinite(block_lhs) & np.isfinite(block_rhs)
+def _identity(name: str, pop: Population, assumes: tuple[str, ...], lhs: BlockSummary,
+              rhs: BlockSummary, uptake: BlockSummary | None = None) -> IdentityReport:
+    """The report of lhs = rhs, in the population and block by block, with a
+    note per assumption in ``assumes``, in that order, that pop violates.
+    With an uptake effect, lhs is the ITT contrast over it: NaN in a block
+    whose uptake effect is zero, and the population ratio notes when blocks'
+    uptake effects differ, since the block-level identity then does not
+    aggregate."""
+    block_lhs, lhs_value, note = lhs.per_block, lhs.population, None
+    if uptake is not None:
+        e = uptake.per_block
+        block_lhs = np.divide(block_lhs, e, out=np.full(e.size, np.nan), where=e != 0.0)
+        lhs_value /= uptake.population
+        if e.min() != e.max():
+            note = ("blocks have unequal uptake effects, so the block-level ratio "
+                    "identity does not aggregate to this population-level ratio")
+    notes = tuple(text for holds, text in (_ASSUMPTIONS[k] for k in assumes) if not holds(pop))
+    defined = np.isfinite(block_lhs)
     return IdentityReport(
         name=name,
-        lhs=lhs,
-        rhs=rhs,
-        gap=lhs - rhs,
-        passed=bool(identity_ok(lhs, rhs)),
+        lhs=lhs_value,
+        rhs=rhs.population,
+        gap=lhs_value - rhs.population,
+        passed=bool(identity_ok(lhs_value, rhs.population)),
         block_identity_ok=bool(defined.any()
-                               and identity_ok(block_lhs[defined], block_rhs[defined]).all()),
+                               and identity_ok(block_lhs[defined], rhs.per_block[defined]).all()),
         assumptions_ok=not notes,
         assumption_notes=notes,
         block_lhs=block_lhs,
-        block_rhs=block_rhs,
+        block_rhs=rhs.per_block,
         note=note,
     )
-
-
-def _ratio_identity(name: str, pop: Population, uptake: BlockSummary, itt: BlockSummary,
-                    local: BlockSummary) -> IdentityReport:
-    """An ITT contrast over the uptake effect against a complier local
-    contrast, in the population and block by block (NaN where a block's
-    uptake effect is zero)."""
-    e = uptake.per_block
-    block_lhs = np.divide(itt.per_block, e, out=np.full(e.size, np.nan), where=e != 0.0)
-    notes = _assumption_notes(pop, require_monotone=True, require_exclusion=True)
-    return _identity(name, itt.population / uptake.population, local.population, block_lhs,
-                     local.per_block, notes, _aggregation_note(uptake))
 
 
 def theorem_1_check(avg: MemberAverages) -> IdentityReport:
@@ -316,7 +309,8 @@ def theorem_1_check(avg: MemberAverages) -> IdentityReport:
     flags so violations can be demonstrated, and reports their status.
     """
     uptake = _ratio_denominator(avg.pop)
-    return _ratio_identity("theorem_1", avg.pop, uptake, ditt(avg), ldt(avg))
+    return _identity("theorem_1", avg.pop, ("monotonicity", "exclusion"), ditt(avg), ldt(avg),
+                     uptake)
 
 
 def theorem_2_check(a: MemberAverages, b: MemberAverages) -> IdentityReport:
@@ -329,9 +323,9 @@ def theorem_2_check(a: MemberAverages, b: MemberAverages) -> IdentityReport:
     uptake = _ratio_denominator(a.pop)
     peer_itt = [pitt(a, b, z) for z in (0, 1)]
     peer_local = [lpt(a, b, d, ComplianceType.COMPLIER) for d in (0, 1)]
-    return _ratio_identity("theorem_2", a.pop, uptake,
-                           _summarize(peer_itt[1].per_block - peer_itt[0].per_block),
-                           _summarize(peer_local[1].per_block - peer_local[0].per_block))
+    return _identity("theorem_2", a.pop, ("monotonicity", "exclusion"),
+                     _summarize(peer_itt[1].per_block - peer_itt[0].per_block),
+                     _summarize(peer_local[1].per_block - peer_local[0].per_block), uptake)
 
 
 def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> IdentityReport:
@@ -341,16 +335,8 @@ def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> Identit
     mirror variant (everyone encouraged takes treatment). Holds block by
     block, hence at the population level with no ratio involved.
     """
-    p = pitt(a, b, z)
-    l = lpt(a, b, z)
-    notes = _assumption_notes(
-        a.pop,
-        require_exclusion=True,
-        require_one_sided=(z == 0),
-        require_all_encouraged_take=(z == 1),
-    )
-    return _identity(f"theorem_3[z={z}]", p.population, l.population, p.per_block,
-                     l.per_block, notes)
+    return _identity(f"theorem_3[z={z}]", a.pop, ("exclusion", ("one_sided", "mirror")[z]),
+                     pitt(a, b, z), lpt(a, b, z))
 
 
 # --------------------------------------------------------------------------
@@ -358,15 +344,14 @@ def theorem_3_check(a: MemberAverages, b: MemberAverages, z: int = 0) -> Identit
 # --------------------------------------------------------------------------
 
 # Each theorem check: its name, the plug-in estimator of its rhs, the
-# --expect-fail flag that names it and the check on the population and the
-# two mechanisms' kernels. The mirror variant of theorem 3 (z=1) is checked
-# only where everyone encouraged takes the treatment; elsewhere it is None.
+# --expect-fail flag that names it and the check on the two mechanisms'
+# kernels. The mirror variant of theorem 3 (z=1) is checked only where
+# everyone encouraged takes the treatment.
 _THEOREMS = (
-    ("theorem_1", "ldt_hat", "thm1", lambda pop, a, b: theorem_1_check(a)),
-    ("theorem_2", "lpt_diff_hat", "thm2", lambda pop, a, b: theorem_2_check(a, b)),
-    ("theorem_3[z=0]", "pitt_hat_0", "thm3", lambda pop, a, b: theorem_3_check(a, b, z=0)),
-    ("theorem_3[z=1]", "pitt_hat_1", "thm3",
-     lambda pop, a, b: theorem_3_check(a, b, z=1) if pop.d1.all() else None),
+    ("theorem_1", "ldt_hat", "thm1", lambda a, b: theorem_1_check(a)),
+    ("theorem_2", "lpt_diff_hat", "thm2", lambda a, b: theorem_2_check(a, b)),
+    ("theorem_3[z=0]", "pitt_hat_0", "thm3", lambda a, b: theorem_3_check(a, b, z=0)),
+    ("theorem_3[z=1]", "pitt_hat_1", "thm3", lambda a, b: theorem_3_check(a, b, z=1)),
 )
 
 
@@ -439,13 +424,14 @@ def verify_theorems(pop: Population, mech_a: Mechanism, mech_b: Mechanism) -> Ve
     """
     a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
     theorems = []
+    mirror, _ = _ASSUMPTIONS["mirror"]
     for name, plugin, _, check in _THEOREMS:
+        if name == "theorem_3[z=1]" and not mirror(pop):  # checked only where it holds
+            continue
         try:
-            identity, error = check(pop, a, b), None
+            identity, error = check(a, b), None
         except (ZeroEncouragementEffect, EmptyStratumInBlock) as exc:
             identity, error = None, f"{type(exc).__name__}: {exc}"
-        if identity is None and error is None:  # not checked on this population
-            continue
         theorems.append(TheoremVerification(name, identity, error, plugin))
     return VerificationReport(theorems=tuple(theorems), mc=None)
 

@@ -53,7 +53,7 @@ def _block_stats(data: ExperimentData) -> _BlockStats:
     order = np.argsort(data.s != 1, axis=-1, kind="stable")
     by_arm = np.take_along_axis(ipw / data.sizes, order[None], axis=-1)
     return _BlockStats(
-        uptake=np.where(missing >= 0, np.nan, rates[1] - rates[0]),
+        uptake=rates[1] - rates[0],  # NaN where an arm is missing: its rate is 0/0
         missing=missing,
         arm_means=np.stack([by_arm[..., :data.k].mean(-1), by_arm[..., data.k:].mean(-1)]),
     )

@@ -23,6 +23,7 @@ from peerenc.estimands import (
     theorem_2_check,
     theorem_3_check,
     member_averages,
+    verify_theorems,
 )
 from peerenc.mechanisms import Mechanism
 from peerenc.population import ComplianceType, Population
@@ -633,6 +634,38 @@ def test_theorem_checks_zero_uptake(rng):
         theorem_1_check(member_averages(pop, PHI))
     with pytest.raises(ZeroEncouragementEffect):
         theorem_2_check(member_averages(pop, PHI), member_averages(pop, PSI))
+
+
+def test_a_zero_uptake_block_is_undefined_among_defined_ones():
+    """Block 1 pairs a complier with a defier, so its uptake effect is zero
+    and its ratio lhs undefined (null in the payload); the block identity is
+    judged on block 0 alone, where it holds."""
+    pop = make_population([["co", "nt"], ["co", "de"]], direct=2.0, peer=0.5)
+    a, b = member_averages(pop, Mechanism("phi", 0.7)), member_averages(pop, Mechanism("psi", 0.2))
+    for rep in (theorem_1_check(a), theorem_2_check(a, b)):
+        assert np.isfinite(rep.block_lhs[0]) and np.isnan(rep.block_lhs[1])
+        assert rep.to_dict()["block_lhs"][1] is None
+        assert rep.block_identity_ok
+
+
+def test_assumption_notes_name_each_violation_in_order():
+    """A population violating every assumption: each check lists the notes
+    of the assumptions it rests on, monotonicity before exclusion before
+    one-sided compliance or its mirror, and verify leaves the mirror out."""
+    keyed = table(np.arange(16.0).reshape(4, 4))
+    pop = population([[person("de", keyed), person("co", keyed)],
+                      [person("co", structural(direct=1.0)), person("at", structural())]])
+    a, b = member_averages(pop, PHI), member_averages(pop, PSI)
+    monotone = "monotonicity violated: defiers present"
+    exclusion = "exclusion restriction violated: encouragement-dependent outcomes"
+    one_sided = "one-sided compliance violated: someone takes treatment unencouraged"
+    mirror = "mirror condition violated: someone declines treatment when encouraged"
+    for rep in (theorem_1_check(a), theorem_2_check(a, b)):
+        assert rep.assumption_notes == (monotone, exclusion)
+    assert theorem_3_check(a, b, z=0).assumption_notes == (exclusion, one_sided)
+    assert theorem_3_check(a, b, z=1).assumption_notes == (exclusion, mirror)
+    assert [t.name for t in verify_theorems(pop, PHI, PSI).theorems] == [
+        "theorem_1", "theorem_2", "theorem_3[z=0]"]
 
 
 def test_all_complier_tables_match_naive_two_stage_oracle(rng):

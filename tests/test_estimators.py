@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peerenc import estimators
 from peerenc.design import Design, ExperimentData, draw_validated, run_design
 from peerenc.errors import AllBlocksUndefined, InvalidData
 from peerenc.estimators import ESTIMATOR_NAMES, estimate_report, estimator_battery
@@ -166,8 +168,24 @@ def test_ratio_estimators_guard_zero_uptake():
     assert report.et_hat == 0.0
     assert report.ldt_hat is None and report.lpt_diff_hat is None
     assert "uptake estimate is zero; ratio estimators undefined" in report.notes
+    assert {"ldt_hat,", "lpt_diff_hat,"} <= set(report.to_csv().splitlines())
     battery = estimator_battery(data)
     assert np.isnan(battery["ldt_hat"]) and np.isnan(battery["lpt_diff_hat"])
+
+
+def test_ratio_estimators_are_defined_from_an_uptake_of_exactly_the_tolerance(monkeypatch):
+    """Block 0's uptake contrast is 1 and block 1's 0, so et_hat is exactly
+    0.5: with ET_ZERO_TOL at 0.5 the ratio estimators are defined, and one
+    ulp above it they are not, in the battery and in the report alike."""
+    data = build_data(sizes=[2, 2], s=[1, 0], z=[1, 0, 1, 0], d=[1, 0, 1, 1],
+                      y=[2.0, 1.0, 3.0, 0.5], p_blocks=[0.5, 0.5])
+    monkeypatch.setattr(estimators, "ET_ZERO_TOL", 0.5)
+    assert estimator_battery(data)["et_hat"] == 0.5
+    assert np.isfinite(estimator_battery(data)["ldt_hat"])
+    assert estimate_report(data).ldt_hat is not None
+    monkeypatch.setattr(estimators, "ET_ZERO_TOL", math.nextafter(0.5, 1.0))
+    assert np.isnan(estimator_battery(data)["ldt_hat"])
+    assert estimate_report(data).ldt_hat is None
 
 
 def test_all_complier_realizations_ldt_equals_ditt(rng):
@@ -281,6 +299,8 @@ def test_estimate_report_csv_export(rng):
     assert lines[0] == "field,value"
     fields = {line.split(",", 1)[0] for line in lines[1:]}
     assert {"ditt_hat_a", "et_hat", "pitt_hat_0", "arm_size_a"} <= fields
+    values = dict(line.split(",", 1) for line in lines[1:])
+    assert all(float(values[name]) == getattr(report, name) for name in ESTIMATOR_NAMES)
 
 
 def test_estimate_report_csv_lists_each_dropped_block_last():
