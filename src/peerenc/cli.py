@@ -233,6 +233,7 @@ def _design(cfg: dict, pop, seed: int):
 
 def cmd_simulate(args) -> int:
     from .design import run_design
+    from .estimands import exact_targets
     from .montecarlo import check_replications, replicate
 
     cfg = _read_config(args.config, "mechanisms")
@@ -246,7 +247,7 @@ def cmd_simulate(args) -> int:
     if args.dump_data:
         with _writing("--dump-data", args.dump_data):
             run_design(design).to_csv(args.dump_data)
-    _emit(replicate(design, r), args.format, args.out)
+    _emit(replicate(design, r, exact_targets(design.pop, *cfg["pair"])), args.format, args.out)
     return 0
 
 

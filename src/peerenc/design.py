@@ -29,12 +29,6 @@ CSV_COLUMNS = ("block_id", "S", "unit_id", "Z", "D", "Y")
 _NUMERALS = ((re.compile(r"-?[0-9]+"), "an integer"),) * 5 + (
     (re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?"), "a decimal number"),)
 
-# Replicates are drawn in batches whose (replicate, individual) arrays take
-# at most this many bytes; BYTES_PER_DRAW is the peak a batch allocates per
-# (replicate, individual) pair, drawing and estimating included.
-BATCH_BYTES = 2 << 20
-BYTES_PER_DRAW = 160
-
 
 def _overflows(magnitude: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Where 2 * sum(magnitude / min(p, 1 - p)) over the last axis is not
@@ -236,12 +230,6 @@ def _read_csv_rows(path) -> list[tuple]:
             except ValueError as exc:  # an integer of over 4300 digits
                 raise InvalidData(f"{where}: {exc}") from None
     return rows
-
-
-def batch_size(pop: Population) -> int:
-    """Replicates per batch (one ``draw_validated`` call) that keep a
-    batch's (replicate, individual) arrays within BATCH_BYTES."""
-    return max(1, BATCH_BYTES // (BYTES_PER_DRAW * pop.n_individuals))
 
 
 def _draw(design: Design, first: int, count: int) -> tuple:

@@ -412,6 +412,27 @@ class VerificationReport(JsonReport):
         return "\n".join(lines)
 
 
+def exact_targets(pop: Population, mech_a: Mechanism, mech_b: Mechanism) -> dict[str, float]:
+    """Exact values each estimator is aiming at, which ``simulate`` hands
+    ``montecarlo.replicate`` as its targets (``verify`` hands it
+    ``VerificationReport.targets``)."""
+    a, b = member_averages(pop, mech_a), member_averages(pop, mech_b)
+    ditt_a, ditt_b = ditt(a).population, ditt(b).population
+    pitt_1, pitt_0 = pitt(a, b, 1).population, pitt(a, b, 0).population
+    uptake = et(pop).population
+    targets = {
+        "ditt_hat_a": ditt_a,
+        "ditt_hat_b": ditt_b,
+        "pitt_hat_1": pitt_1,
+        "pitt_hat_0": pitt_0,
+        "et_hat": uptake,
+    }
+    if uptake != 0.0:
+        targets["ldt_hat"] = ditt_a / uptake
+        targets["lpt_diff_hat"] = (pitt_1 - pitt_0) / uptake
+    return targets
+
+
 def verify_theorems(pop: Population, mech_a: Mechanism, mech_b: Mechanism) -> VerificationReport:
     """Exact identity checks for all three identification results; the
     report's ``mc`` is None. The plug-in estimators' Monte Carlo behavior is

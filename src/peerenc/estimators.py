@@ -14,8 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._report import JsonReport, Record
-from .design import ExperimentData
 from .errors import AllBlocksUndefined
+
+# ``ExperimentData`` is design's, named only in annotations, which are strings
+# here: the estimators never import the design or its CSV code.
 
 ET_ZERO_TOL = 1e-12
 # Every estimator's name, in the order ``_estimates`` returns them.
@@ -129,10 +131,10 @@ def estimate_report(data: ExperimentData) -> EstimateReport:
     dropped = np.flatnonzero(stats.missing >= 0)
     if dropped.size == stats.uptake.size:
         raise AllBlocksUndefined("every block lacks one encouragement value")
-    values = {name: float(v) for name, v in _estimates(stats).items()}
+    # only a ratio estimator is NaN here, and only where the uptake is zero
+    values = {name: None if np.isnan(v) else float(v) for name, v in _estimates(stats).items()}
     notes = ["et_hat pools defined blocks from both mechanism arms"]
-    if abs(values["et_hat"]) < ET_ZERO_TOL:
-        values["ldt_hat"] = values["lpt_diff_hat"] = None
+    if values["ldt_hat"] is None:
         notes.append("uptake estimate is zero; ratio estimators undefined")
     return EstimateReport(
         **values,

@@ -16,13 +16,17 @@ import math
 import numpy as np
 
 from ._report import JsonReport, Record
-from .design import Design, batch_size, draw_validated
+from .design import Design, draw_validated
 from .errors import InvalidConfig
-from .estimands import ditt, et, member_averages, pitt
 from .estimators import ESTIMATOR_NAMES, ET_ZERO_TOL, estimator_battery
+from .population import Population
 
 # The (R, 7) float64 values of one run stay within 1 GiB.
 MAX_REPLICATIONS = 1 << 24
+# Replicates are drawn in batches whose (replicate, individual) arrays take at
+# most 2 MiB, at a peak of 160 bytes per (replicate, individual) pair, drawing
+# and estimating included: at most this many pairs per batch.
+BATCH_DRAWS = (2 << 20) // 160
 
 
 def check_replications(replications: int, optional: bool = False,
@@ -32,6 +36,12 @@ def check_replications(replications: int, optional: bool = False,
     if not (2 <= replications <= MAX_REPLICATIONS or optional and replications == 0):
         low = "0 or 2" if optional else "2"
         raise InvalidConfig(f"{where}: expected {low}..{MAX_REPLICATIONS}, got {replications}")
+
+
+def batch_size(pop: Population) -> int:
+    """Replicates per batch (one ``draw_validated`` call): BATCH_DRAWS
+    (replicate, individual) pairs, and one replicate at least."""
+    return max(1, BATCH_DRAWS // pop.n_individuals)
 
 
 def replicate_values(design: Design, replications: int, first_replicate: int = 0) -> np.ndarray:
@@ -50,26 +60,6 @@ def replicate_values(design: Design, replications: int, first_replicate: int = 0
         values = estimator_battery(draw_validated(design, first_replicate + lo, count))
         out[lo:lo + count] = np.stack([values[name] for name in ESTIMATOR_NAMES], axis=-1)
     return out
-
-
-def exact_targets(design: Design) -> dict[str, float]:
-    """Exact values each estimator is aiming at, from the exact engine."""
-    pop = design.pop
-    a, b = member_averages(pop, design.mech_a), member_averages(pop, design.mech_b)
-    ditt_a, ditt_b = ditt(a).population, ditt(b).population
-    pitt_1, pitt_0 = pitt(a, b, 1).population, pitt(a, b, 0).population
-    uptake = et(pop).population
-    targets = {
-        "ditt_hat_a": ditt_a,
-        "ditt_hat_b": ditt_b,
-        "pitt_hat_1": pitt_1,
-        "pitt_hat_0": pitt_0,
-        "et_hat": uptake,
-    }
-    if uptake != 0.0:
-        targets["ldt_hat"] = ditt_a / uptake
-        targets["lpt_diff_hat"] = (pitt_1 - pitt_0) / uptake
-    return targets
 
 
 class EstimatorSummary(Record):
@@ -139,14 +129,11 @@ def _summarize_column(name: str, col: np.ndarray, target: float | None) -> Estim
     return EstimatorSummary(name, mean, sd, mcse, target, std_bias, n_def, n_undef)
 
 
-def replicate(design: Design, replications: int,
-              targets: dict[str, float] | None = None) -> McSummary:
+def replicate(design: Design, replications: int, targets: dict[str, float]) -> McSummary:
     """Run the design ``replications`` times and summarize every estimator
-    against its target in ``targets``, by default ``exact_targets``.
-    Deterministic given the design."""
+    against its target in ``targets`` (none where a name is absent), such as
+    ``estimands.exact_targets``. Deterministic given the design."""
     values = replicate_values(design, replications)
-    if targets is None:
-        targets = exact_targets(design)
     return McSummary(replications=replications, seed=design.seed, estimators=tuple(
         _summarize_column(name, values[:, idx], targets.get(name))
         for idx, name in enumerate(ESTIMATOR_NAMES)

@@ -14,6 +14,7 @@ from peerenc.cli import main
 from peerenc.design import Design, run_design
 from peerenc.estimands import (
     compute_estimand_report,
+    exact_targets,
     identity_ok,
     lpt,
     member_averages,
@@ -24,7 +25,7 @@ from peerenc.estimands import (
 )
 from peerenc.estimators import estimate_report
 from peerenc.mechanisms import Mechanism
-from peerenc.montecarlo import ESTIMATOR_NAMES, exact_targets, replicate, replicate_values
+from peerenc.montecarlo import ESTIMATOR_NAMES, replicate, replicate_values
 from peerenc.population import (
     ComplianceType,
     DgpConfig,
@@ -197,7 +198,7 @@ def test_criterion_05_itt_unbiasedness(announce):
     design = Design(pop, mech_a=Mechanism("phi", 0.7), mech_b=Mechanism("psi", 0.3),
                     k=10, seed=99)
     t0 = time.perf_counter()
-    summary = replicate(design, 10_000)
+    summary = replicate(design, 10_000, exact_targets(pop, design.mech_a, design.mech_b))
     elapsed = time.perf_counter() - t0
     biases = {
         name: summary.get(name).std_bias
@@ -313,7 +314,7 @@ def test_criterion_08_ratio_estimator_consistency(announce):
         design = Design(pop, mech_a=a, mech_b=b, k=n_blocks // 2, seed=777)
         values = replicate_values(design, 5000)[:, col]
         defined = values[np.isfinite(values)]
-        target = exact_targets(design)["ldt_hat"]
+        target = exact_targets(pop, a, b)["ldt_hat"]
         biases.append(abs(float(defined.mean()) - target))
     elapsed = time.perf_counter() - t0
     decreasing = biases[0] > biases[1] > biases[2]

@@ -1075,6 +1075,12 @@ code = main(sys.argv[1:])
 print(" ".join(sorted(sys.modules)), file=sys.stderr)
 raise SystemExit(code)
 """
+# The same probe after a fresh interpreter imports the module sys.argv[1] alone.
+_IMPORTED_MODULES = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
 
 
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
@@ -1083,15 +1089,17 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     code; generate does not load the exact engine either. simulate and verify
     with replications load the layers they run. Every command loads the
     population file's module, and none loads ``dataclasses``, whose classes
-    compile their methods at import."""
+    compile their methods at import. Only the CLI joins the exact engine and
+    the replication chain: importing either loads nothing of the other, and
+    the estimators load no design or CSV code."""
     src = Path(peerenc.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     cfg = write_config(tmp_path / "cfg.json")
     exact_cfg = write_config(tmp_path / "exact-cfg.json", mc={"replications": 0})
     pop_path = tmp_path / "pop.json"
 
-    def loaded(*argv):
-        proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv], env=env,
+    def loaded(*argv, probe=_LOADED_MODULES):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return set(proc.stderr.split())
@@ -1116,6 +1124,10 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
         assert never | {"peerenc.estimands", "peerenc._streams"} <= replicating
     for modules in (generate, estimands, simulate, verify, exact):
         assert "peerenc.popfile" in modules and "dataclasses" not in modules
+    assert "peerenc.estimands" not in loaded("peerenc.montecarlo", probe=_IMPORTED_MODULES)
+    assert not {"peerenc.design", "csv"} & loaded("peerenc.estimators", probe=_IMPORTED_MODULES)
+    assert not ({"peerenc.design", "peerenc.estimators", "peerenc.montecarlo"}
+                & loaded("peerenc.estimands", probe=_IMPORTED_MODULES))
 
 
 def test_importing_the_cli_starts_one_openblas_thread():

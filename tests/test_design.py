@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from peerenc.design import Design, ExperimentData, batch_size, draw_validated, run_design
+from peerenc.design import Design, ExperimentData, draw_validated, run_design
 from peerenc.errors import ArityMismatch, InvalidData, InvalidDesign
 from peerenc.estimands import member_averages
 from peerenc.mechanisms import Mechanism
+from peerenc.montecarlo import batch_size
 from peerenc.popfile import population_from_dict
 from peerenc.population import structural_value
 from conftest import make_population, person, population, structural, table

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerenc.design import Design, batch_size, draw_validated
+from peerenc.design import Design, draw_validated
 from peerenc.errors import ArityMismatch, InvalidMechanism
 from peerenc.mechanisms import Mechanism, identical_marginals, unit_marginals
+from peerenc.montecarlo import batch_size
 from conftest import make_population
 from oracles import assignment_probs, pack_rows
 

@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from peerenc import design
+from peerenc import design, montecarlo
 from peerenc.design import Design
 from peerenc.errors import InvalidConfig, InvalidDesign
-from peerenc.estimands import member_averages, theorem_3_check, verification_passes, \
-    verify_theorems
+from peerenc.estimands import exact_targets, member_averages, theorem_3_check, \
+    verification_passes, verify_theorems
 from peerenc.mechanisms import Mechanism
 from peerenc.montecarlo import (
     ESTIMATOR_NAMES,
     MAX_REPLICATIONS,
     _moments,
-    exact_targets,
+    _summarize_column,
+    check_replications,
     replicate,
     replicate_values,
 )
@@ -41,26 +42,31 @@ def _verify(pop, a, b, replications, seed, k=None):
 
 def test_constant_zero_outcomes_degenerate_summary():
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]], intercept=0.0)
-    summary = replicate(_design(pop), replications=50)
+    summary = replicate(_design(pop), 50, exact_targets(pop, PHI, PSI))
     ditt = summary.get("ditt_hat_a")
     assert ditt.mean == 0.0
     assert ditt.sd == 0.0
     assert ditt.target == 0.0
     assert ditt.std_bias == 0.0
+    # equal values exactly ET_ZERO_TOL from the target are on it too
+    assert _summarize_column("ditt_hat_a", np.array([1e-12, 1e-12]), 0.0).std_bias == 0.0
 
 
 @pytest.mark.parametrize("values, moments", [
     ([1.0, 4.0], (2.5, math.sqrt(4.5))), ([3.0], (3.0, 0.0)),
-], ids=["two-values", "one-value"])
+    ([1e308, 1e308], (1e308, 0.0)), ([1e200, -1e200], (0.0, math.sqrt(2.0) * 1e200)),
+], ids=["two-values", "one-value", "mean-overflows", "sd-overflows"])
 def test_summary_moments_are_the_mean_and_sample_sd(values, moments):
-    """The sd of two values divides by one; a single value's sd reads 0."""
+    """The sd of two values divides by one; a single value's sd reads 0.
+    Where a sum overflows, the moments are still the finite ones."""
     assert _moments(np.array(values)) == moments
 
 
 def test_same_seed_identical_bytes(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(3, 4), n_range=(2, 4))
-    s1 = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=17), replications=40)
-    s2 = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=17), replications=40)
+    targets = exact_targets(pop, a, b)
+    s1 = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=17), 40, targets)
+    s2 = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=17), 40, targets)
     assert s1.to_json().encode() == s2.to_json().encode()
 
 
@@ -116,8 +122,8 @@ def test_batched_replicates_match_the_per_replicate_loop_bitwise(name, monkeypat
     bit, NaN positions included, also when R spans several batches."""
     run = _batch_populations()[name]
     pop = run.pop
-    monkeypatch.setattr(design, "BATCH_BYTES", 7 * design.BYTES_PER_DRAW * pop.n_individuals)
-    assert design.batch_size(pop) == 7
+    monkeypatch.setattr(montecarlo, "BATCH_DRAWS", 7 * pop.n_individuals)
+    assert montecarlo.batch_size(pop) == 7
     got = replicate_values(run, 30, first_replicate=11)
     want = reference_replicate_values(pop, run, ESTIMATOR_NAMES, 30, first=11)
     assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -131,25 +137,13 @@ def test_replication_bounds_are_checked_before_any_work():
     for bad in (-1, 1, MAX_REPLICATIONS + 1, 10**15):
         with pytest.raises(InvalidConfig):
             replicate_values(_design(pop, k=1), bad)
+    check_replications(MAX_REPLICATIONS)  # the bound itself is accepted
     # any non-negative replicate index addresses a stream, 2^32 and beyond too
     big = replicate_values(_design(pop, k=1), 2, first_replicate=2**32)
     want = reference_replicate_values(pop, _design(pop, k=1), ESTIMATOR_NAMES, 2, first=2**32)
     assert np.array_equal(big, want, equal_nan=True)
     with pytest.raises(InvalidDesign):
         replicate_values(_design(pop, k=1), 2, first_replicate=-1)
-
-
-def test_replication_bounds_are_checked_before_the_exact_kernels(monkeypatch):
-    from peerenc import montecarlo
-
-    pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
-
-    def no_targets(*args, **kwargs):
-        raise AssertionError("exact_targets ran before the replication count was checked")
-
-    monkeypatch.setattr(montecarlo, "exact_targets", no_targets)
-    with pytest.raises(InvalidConfig):
-        replicate(_design(pop, k=1), MAX_REPLICATIONS + 1)
 
 
 def _exact_design(outcome: dict):
@@ -175,7 +169,7 @@ def test_unbiased_estimators_have_exact_means_at_their_targets(outcome):
     realizations = list(exact_design_distribution(pop, a, b, k=2))
     assert len(realizations) == 6 * 2**8
     assert sum(w for w, _ in realizations) == pytest.approx(1.0, abs=1e-12)
-    targets = exact_targets(Design(pop, mech_a=a, mech_b=b, k=2, seed=0))
+    targets = exact_targets(pop, a, b)
     for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_0", "pitt_hat_1"):
         mean = sum(w * battery[name] for w, battery in realizations)
         assert mean == pytest.approx(targets[name], rel=1e-12, abs=1e-12), name
@@ -208,7 +202,7 @@ def test_replicates_follow_the_exact_design_distribution():
 def test_undefined_replicates_counted_not_fatal():
     # single-individual blocks: the uptake ratio is undefined every replicate
     pop = make_population([["co"], ["co"], ["co"]], direct=1.0)
-    summary = replicate(_design(pop, k=1), replications=25)
+    summary = replicate(_design(pop, k=1), 25, exact_targets(pop, PHI, PSI))
     et = summary.get("et_hat")
     assert et.n_undefined == 25
     assert et.n_defined == 0
@@ -220,7 +214,8 @@ def test_loose_standardized_bias_gate(rng):
     """The inverse-probability estimators are exactly unbiased, so their
     standardized bias behaves like |N(0,1)| at any replication count."""
     pop, a, b = equal_effect_monotone(rng, b_range=(8, 8), n_range=(4, 4))
-    summary = replicate(Design(pop, mech_a=a, mech_b=b, k=4, seed=41), replications=3000)
+    summary = replicate(Design(pop, mech_a=a, mech_b=b, k=4, seed=41), 3000,
+                        exact_targets(pop, a, b))
     for name in ("ditt_hat_a", "ditt_hat_b", "pitt_hat_1", "pitt_hat_0"):
         s = summary.get(name)
         assert s.std_bias is not None and s.std_bias <= 4.0, (name, s.std_bias)
@@ -231,7 +226,8 @@ def test_et_hat_unbiased_under_scalar_mechanisms():
     the ratio-of-means uptake contrast is conditionally unbiased; per-unit
     heterogeneous probabilities leave it only consistent, not unbiased."""
     pop = make_population([["co", "co", "at", "nt"]] * 8, direct=1.0)
-    summary = replicate(Design(pop, mech_a=PHI, mech_b=PSI, k=4, seed=6), replications=3000)
+    summary = replicate(Design(pop, mech_a=PHI, mech_b=PSI, k=4, seed=6), 3000,
+                        exact_targets(pop, PHI, PSI))
     s = summary.get("et_hat")
     assert s.target == 0.5
     assert s.std_bias <= 4.0
@@ -240,7 +236,8 @@ def test_et_hat_unbiased_under_scalar_mechanisms():
 def test_no_interference_peer_estimator_centered_at_zero(rng):
     pop = make_population([["co", "nt", "co"]] * 8, rng=rng,
                           peer=0.0, interaction=0.0, curvature=0.0)
-    summary = replicate(Design(pop, mech_a=PHI, mech_b=PSI, k=4, seed=19), replications=1500)
+    summary = replicate(Design(pop, mech_a=PHI, mech_b=PSI, k=4, seed=19), 1500,
+                        exact_targets(pop, PHI, PSI))
     for name in ("pitt_hat_1", "pitt_hat_0"):
         s = summary.get(name)
         assert abs(s.target) <= 1e-12
@@ -249,7 +246,7 @@ def test_no_interference_peer_estimator_centered_at_zero(rng):
 
 def test_targets_match_exact_engine(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
-    targets = exact_targets(Design(pop, mech_a=a, mech_b=b, k=1, seed=2))
+    targets = exact_targets(pop, a, b)
     from peerenc.estimands import ditt, et, member_averages
 
     assert targets["ditt_hat_a"] == ditt(member_averages(pop, a)).population
@@ -263,12 +260,13 @@ def test_replication_floor():
 
     pop = make_population([["co"], ["co"]])
     with pytest.raises(InvalidConfig):
-        replicate(_design(pop, k=1), replications=1)
+        replicate(_design(pop, k=1), 1, exact_targets(pop, PHI, PSI))
 
 
 def test_mc_summary_to_text(rng):
     pop, a, b = equal_effect_monotone(rng, b_range=(2, 3), n_range=(2, 3))
-    table = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=2), replications=20).to_text()
+    table = replicate(Design(pop, mech_a=a, mech_b=b, k=1, seed=2), 20,
+                      exact_targets(pop, a, b)).to_text()
     assert "ditt_hat_a" in table and "std_bias" in table
 
 
@@ -359,7 +357,7 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
     """verify_theorems runs the exact kernel once per mechanism, two in all,
     the Monte Carlo added to its report none, and it reports what the public
     theorem checks report."""
-    from peerenc import estimands, montecarlo
+    from peerenc import estimands
 
     pop = make_population([["co", "co", "co"], ["co", "co"], ["co", "co", "co"]])
     calls = []
@@ -370,7 +368,6 @@ def test_verify_evaluates_each_mechanism_kernel_once(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(estimands, "member_averages", counted)
-    monkeypatch.setattr(montecarlo, "member_averages", counted)
     report = verify_theorems(pop, PHI, PSI)
     assert calls == [PHI, PSI]
     # the Monte Carlo verify adds is judged against the report's targets
@@ -402,13 +399,14 @@ def _counted_designs(monkeypatch) -> list:
 
 def test_a_run_validates_its_design_once_whatever_its_batch_count(monkeypatch):
     """The design is validated once, when it is built: replicate draws one
-    batch or five, and computes the exact targets, without validating it again."""
+    batch or five, and summarizes them against the exact targets, without
+    validating it again."""
     pop = make_population([["co", "nt", "co"], ["co", "at"], ["co", "co", "nt"]])
-    monkeypatch.setattr(design, "BATCH_BYTES", 4 * design.BYTES_PER_DRAW * pop.n_individuals)
+    monkeypatch.setattr(montecarlo, "BATCH_DRAWS", 4 * pop.n_individuals)
     built = _counted_designs(monkeypatch)
     run = Design(pop, PHI, PSI, k=1, seed=4)
     for batches in (1, 5):
-        replicate(run, 4 * batches)
+        replicate(run, 4 * batches, exact_targets(pop, PHI, PSI))
     assert built == [run]
 
 
@@ -457,16 +455,15 @@ def test_an_invalid_design_is_refused_before_any_kernel_work(monkeypatch, run, k
     """A design is validated when it is built, so neither replicate nor a
     verification built as the CLI builds it reaches the exact engine with an
     invalid one: an InvalidDesign is raised and no kernel is evaluated."""
-    from peerenc import estimands, montecarlo
+    from peerenc import estimands
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("the exact kernel ran before the design was validated")
 
-    monkeypatch.setattr(montecarlo, "member_averages", no_kernel)
     monkeypatch.setattr(estimands, "member_averages", no_kernel)
     pop = make_population([["co", "nt"], ["co", "at"], ["co", "co"]])
     with pytest.raises(InvalidDesign, match=message):
         if run == "replicate":
-            replicate(Design(pop, PHI, PSI, k=k, seed=1), replications=10)
+            replicate(Design(pop, PHI, PSI, k=k, seed=1), 10, exact_targets(pop, PHI, PSI))
         else:
             _verify(pop, PHI, PSI, replications=10, seed=1, k=k)
