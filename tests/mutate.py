@@ -74,6 +74,9 @@ EQUIVALENT = {
     "montecarlo.py batch_size [return max(1, BATCH_DRAWS // pop.n_individuals)]: 1 -> 2":
         "memory only: above BATCH_DRAWS individuals a batch holds two replicates "
         "instead of one, and each row depends only on its replicate index",
+    "_json.py numbers [if set(map(type, values)) <= {int, float}:]: <= -> <":
+        "speed only: a list that mixes ints and floats is read one by one "
+        "instead, to the same floats",
 }
 
 _SWAPS = {

@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -743,16 +745,16 @@ def test_population_file_defects_are_one_line_errors(tmp_path, capsys, edit, whe
     assert where in err
 
 
-@pytest.mark.parametrize("flag, make", [
-    ("--pop", lambda path: None),
-    ("--pop", lambda path: path.mkdir()),
-    ("--pop", lambda path: path.write_bytes(b'{"flags": "\xff"}')),
-    ("--pop", lambda path: path.write_text('{"flags": {"monotone": tr')),
-    ("--config", lambda path: path.mkdir()),
-    ("--config", lambda path: path.write_bytes(b'{"seed": 1, "dgp": "\xe9"}')),
+@pytest.mark.parametrize("flag, make, reason", [
+    ("--pop", lambda path: None, "No such file or directory"),
+    ("--pop", lambda path: path.mkdir(), "Is a directory"),
+    ("--pop", lambda path: path.write_bytes(b'{"flags": "\xff"}'), "not UTF-8 text"),
+    ("--pop", lambda path: path.write_text('{"flags": {"monotone": tr'), "invalid JSON"),
+    ("--config", lambda path: path.mkdir(), "Is a directory"),
+    ("--config", lambda path: path.write_bytes(b'{"seed": 1, "dgp": "\xe9"}'), "not UTF-8 text"),
 ], ids=["pop-missing", "pop-directory", "pop-not-utf8", "pop-truncated-json",
         "config-directory", "config-not-utf8"])
-def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make):
+def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make, reason):
     cfg = write_config(tmp_path / "cfg.json")
     pop_path = tmp_path / "pop.json"
     main(["generate", "--config", str(cfg), "--out", str(pop_path)])
@@ -762,8 +764,7 @@ def test_unreadable_input_files_are_one_line_errors(tmp_path, capsys, flag, make
     capsys.readouterr()
     assert _exit_code(["estimands", *(x for kv in args.items() for x in kv)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert str(bad) in err
+    assert err.startswith(f"error: InvalidConfig: {bad}: {reason}") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -877,6 +878,41 @@ def test_every_file_is_opened_with_an_encoding(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     if command == "simulate":
         assert dump.read_bytes().startswith(b"block_id,S,unit_id,Z,D,Y\r\n")
+
+
+# The process entry as `python -m peerenc.cli` runs it; an atexit hook prints
+# the collector's freeze count once the command has exited.
+_FREEZE_AT_EXIT = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+runpy.run_module("peerenc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("command", ["generate", "estimands", "simulate", "verify"])
+def test_the_process_entry_freezes_the_collector_and_main_does_not(tmp_path, command):
+    """``run``, the process entry of ``python -m`` and of the installed
+    script, freezes the collector once ``main`` returns and exits with
+    ``main``'s code, so the exit-time collections skip every object the
+    command's imports made. ``main`` in process freezes nothing."""
+    src = Path(peerenc.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cfg = write_config(tmp_path / "cfg.json", mc={"replications": 2})
+    pop_path = tmp_path / "pop.json"
+    frozen = gc.get_freeze_count()
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command != "generate":
+        argv += ["--pop", str(pop_path)]
+    code = main(argv)
+    assert gc.get_freeze_count() == frozen
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_AT_EXIT, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    label, count = proc.stdout.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+    with open(src.parent / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"]["peerenc"] == "peerenc.cli:run"
 
 
 @pytest.mark.parametrize("command", ["generate", "estimands"])

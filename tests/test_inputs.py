@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peerenc import _json
 from peerenc.cli import main
 from peerenc.design import Design, ExperimentData, run_design
 from peerenc.errors import InvalidConfig, InvalidData, PeerEncError
@@ -282,6 +283,19 @@ def test_a_mechanism_needs_a_name_and_exactly_one_of_p_and_probs(tmp_path, pop_f
     code, _, err = _run(["estimands", "--config", str(path), "--pop", str(pop_file)])
     _assert_one_line_error(code, err)
     assert f"config mechanisms[0]: {message}" in err
+
+
+@pytest.mark.parametrize("value, ok", [
+    ({"a": 1}, True), ({"c": 1}, True), ({}, False), ({"a": 1, "b": 2}, False),
+    ({"a": 1, "b": 2, "c": 3}, False),
+])
+def test_a_required_tuple_asks_for_exactly_one_of_its_keys(value, ok):
+    """Whatever its length: a tuple of three is met by one present key."""
+    if ok:
+        assert _json.obj(value, "w", required=(("a", "b", "c"),)) is value
+    else:
+        with pytest.raises(InvalidConfig, match="^w: needs exactly one of 'a' and 'b' and 'c'$"):
+            _json.obj(value, "w", required=(("a", "b", "c"),))
 
 
 def test_generate_reads_the_whole_config(tmp_path):
