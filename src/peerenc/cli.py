@@ -8,7 +8,6 @@ that draws needs a seed, which never defaults to the clock.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import os
 import re
@@ -21,13 +20,13 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only the layers every command needs load here; each command imports the
-# rest itself, so `generate` never loads the Monte Carlo, estimator or CSV
+# rest itself, so `generate` never loads the Monte Carlo, estimator or design
 # code, and neither `estimands` nor `verify` without replications loads the
-# Monte Carlo, estimator, design or CSV code.
+# Monte Carlo, estimator or design code. No command loads the csv module.
 from . import _json
 from .errors import PeerEncError, InvalidConfig, InvalidDesign
 from .mechanisms import Mechanism, identical_marginals
-from .popfile import load_population, save_population
+from .popfile import load_population, population_text
 from .population import DgpConfig, build_population, parse_dgp, validate
 
 # Each config section's closed key set.
@@ -143,7 +142,7 @@ def _check_output(path: str | None, where: str, *taken: tuple[str, str | None]) 
     ``taken`` (flag, path) pairs: the command's inputs and its other
     outputs, or it exists and cannot be written. Checked before any work
     starts, so no run is lost at its final write and no input is
-    overwritten. ``_writing`` reports any other write failure."""
+    overwritten. ``_write`` reports any other write failure."""
     if path is None:
         return
     if not path:
@@ -171,11 +170,13 @@ def _inputs(args) -> tuple[tuple[str, str], ...]:
     return ("--config", args.config), ("--pop", args.pop)
 
 
-@contextlib.contextmanager
-def _writing(where: str, path: str):
-    """Turn an OSError of the write in the body into InvalidConfig naming the flag and path."""
+def _write(where: str, path: str, pieces) -> None:
+    """Write the text ``pieces`` to ``path`` as UTF-8, newlines as given; an
+    OSError becomes InvalidConfig naming the flag and path. The one place
+    peerenc opens a file for writing."""
     try:
-        yield
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise InvalidConfig(f"{where} {path}: cannot write ({exc.strerror or exc})") from None
 
@@ -187,8 +188,7 @@ def _emit(report, fmt: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with _writing("--out", out):
-            Path(out).write_text(text, encoding="utf-8")
+        _write("--out", out, (text,))
     else:
         sys.stdout.write(text)
 
@@ -203,8 +203,7 @@ def cmd_generate(args) -> int:
     _check_output(out, where, ("--config", args.config))
     pop = build_population(cfg["dgp"], _streams.stream(seed, _streams.POPULATION))
     report = validate(pop)
-    with _writing(where, out):
-        save_population(pop, out)
+    _write(where, out, population_text(pop))
     print(f"wrote {out}", report.to_text(), sep="\n")
     return 0
 
@@ -246,8 +245,7 @@ def cmd_simulate(args) -> int:
     check_replications(r, where="config mc.replications")
     design = _design(cfg, load_population(args.pop), seed)
     if args.dump_data:
-        with _writing("--dump-data", args.dump_data):
-            run_design(design).to_csv(args.dump_data)
+        _write("--dump-data", args.dump_data, (run_design(design).to_csv(),))
     _emit(replicate(design, r, exact_targets(design.pop, *cfg["pair"])), args.format, args.out)
     return 0
 
@@ -327,7 +325,9 @@ def main(argv=None) -> int:
     except (PeerEncError, BrokenPipeError) as exc:
         if isinstance(exc, BrokenPipeError):
             # a failed write like any other; the flush at exit then goes nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
             exc = InvalidConfig(f"standard output: cannot write ({exc.strerror})")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ realized block treatment (and encouragement) vectors.
 
 from __future__ import annotations
 
-import csv
 import re
 from pathlib import Path
 
@@ -148,19 +147,18 @@ class ExperimentData(Record, eq=False):
     def n_blocks(self) -> int:
         return self.sizes.size
 
-    def to_csv(self, path) -> None:
-        """One row per individual in block order; Y is ``repr(float)``, so the
-        file reads back bit for bit. A batch is a ValueError."""
+    def to_csv(self) -> str:
+        """The file's text: one row per individual in block order, lines
+        ending in CRLF as the csv module writes them; Y is ``repr(float)``,
+        so the file reads back bit for bit. A batch is a ValueError."""
         if self.s.ndim > 1:
             raise ValueError(f"to_csv writes one realization, not a batch of {self.s.shape[0]}")
         block = np.repeat(np.arange(self.n_blocks), self.sizes)
         unit = np.arange(block.size) - self.starts[block]
         ints = (block, self.s[block], unit, self.z, self.d)
-        y = map(repr, self.y.tolist())
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(zip(*(c.tolist() for c in ints), y))
+        rows = zip(*(c.tolist() for c in ints), self.y.tolist())
+        lines = [",".join(CSV_COLUMNS), *("%d,%d,%d,%d,%d,%r" % row for row in rows)]
+        return "\r\n".join(lines) + "\r\n"
 
     @staticmethod
     def from_csv(path, mech_a: Mechanism, mech_b: Mechanism) -> "ExperimentData":
@@ -169,6 +167,8 @@ class ExperimentData(Record, eq=False):
         Raises InvalidData naming the file unless it holds one complete run
         (block ids 0..B-1, and in each block of n rows the unit ids 0..n-1)
         that the ExperimentData constructor accepts."""
+        import csv  # loaded only when a file is read
+
         try:
             rows = _read_csv_rows(path)
             if not rows:
@@ -211,6 +211,8 @@ class ExperimentData(Record, eq=False):
 
 def _read_csv_rows(path) -> list[tuple]:
     """The (block_id, S, unit_id, Z, D, Y) numerals of a CSV file's rows."""
+    import csv
+
     rows = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)

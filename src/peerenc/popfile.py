@@ -1,7 +1,7 @@
 """The population file, peerenc's one per-individual description of a
 population, as JSON; this module alone knows its format. ``load_population``
 reads a file, ``population_from_dict`` fills a ``Population`` from its
-document and ``save_population`` writes one."""
+document and ``population_text`` renders one."""
 
 from __future__ import annotations
 
@@ -171,11 +171,11 @@ def _columns(blocks: list):
                                     for key in _table_keys(n, keyed)))
     coef = _json.numbers(coef, (f"{w}: outcome {k!r}" for w, _ in _individuals(sizes)
                                 for k in _COEFS))
-    return sizes, d0, d1, kinds, coef.reshape(-1, len(_COEFS)).T, table
+    return sizes, d0, d1, kinds, coef.reshape(len(d0), len(_COEFS)).T, table
 
 
 # The population file's text as json.dumps(..., sort_keys=True, indent=1)
-# writes it, between the values save_population fills in: an individual's
+# writes it, between the values population_text fills in: an individual's
 # opening (d0, d1), a structural outcome's coefficients in sorted key order
 # (_SORTED_COEFS), a table outcome's kind and size before its "values", and
 # the flags after the last block.
@@ -211,9 +211,12 @@ def _values_json(rows: np.ndarray, heads: list[str]) -> str:
     return "{" + "".join(parts) + "\n     }"
 
 
-def _file_pieces(pop: Population):
-    """The population file's text in pieces, one individual (or one table's
-    "values") at a time, so no piece is larger than one member's table."""
+def population_text(pop: Population):
+    """The text of ``json.dumps(doc, sort_keys=True, indent=1)`` and a
+    newline, byte for byte, for the population's per-individual document
+    ``doc`` (``tests/oracles.py`` builds it), yielded in pieces, one
+    individual (or one table's "values") at a time: memory is bounded by
+    the largest member's table text, not the file."""
     d0, d1, starts = pop.d0.tolist(), pop.d1.tolist(), pop.starts.tolist()
     structural, table_start = pop.structural.tolist(), pop.table_start.tolist()
     coef = pop.coef[_SORTED_COEFS].T.ravel()
@@ -238,15 +241,6 @@ def _file_pieces(pop: Population):
     yield _FLAGS % tuple(json.dumps(getattr(pop, k)) for k in sorted(_FLAGS_KEYS))
 
 
-def save_population(pop: Population, path) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline,
-    byte for byte, for the population's per-individual document ``doc``
-    (``tests/oracles.py`` builds it), streamed to the file a piece at a time:
-    memory is bounded by the largest member's table text, not the file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_file_pieces(pop))
-
-
 def load_population(path) -> Population:
     """The population of a file. A file holding table "values" parses its
     floats through a memo built for this read alone; any other (a structural
@@ -254,4 +248,6 @@ def load_population(path) -> Population:
     and a memo would only cost time and memory there."""
     text = _json.read_text(path)
     parse_float = _FloatMemo().__getitem__ if '"values"' in text else float
-    return population_from_dict(_json.loads(text, path, parse_float))
+    data = _json.loads(text, path, parse_float)
+    del text  # the columns are built without the file's text alive
+    return population_from_dict(data)

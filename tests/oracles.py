@@ -588,7 +588,7 @@ def reference_build_population(cfg, rng: np.random.Generator) -> Population:
 
 
 def population_to_dict(pop: Population) -> dict:
-    """The population file's document, the spec ``save_population`` writes
+    """The population file's document, the spec ``population_text`` renders
     as ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline: per
     block a list of individuals, each with "d0", "d1" and an "outcome". A
     structural outcome holds its six coefficients by name; a table outcome

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import io
 import json
@@ -812,18 +813,40 @@ def test_unwritable_output_paths_are_one_line_errors_before_any_work(
     assert not dump.exists()
 
 
-def test_a_failed_write_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--out"), ("generate", "default output"), ("estimands", "--out"),
+    ("simulate", "--out"), ("simulate", "--dump-data"), ("verify", "--out"),
+])
+def test_a_failed_write_is_a_one_line_error(tmp_path, capsys, monkeypatch, command, flag):
+    """Every output file is opened by the CLI: a disk that fills up after
+    the output path was checked (the opened file's write raises ENOSPC)
+    exits 2 with one line naming the flag and path."""
     cfg = write_config(tmp_path / "cfg.json")
-    out = tmp_path / "pop.json"
+    pop_path = tmp_path / "pop.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
+    full = tmp_path / "full"
 
-    def denied(pop, path):
-        raise PermissionError(13, "Permission denied", str(path))
+    def full_disk(*args, **kwargs):
+        fh = open(*args, **kwargs)
 
-    monkeypatch.setattr("peerenc.cli.save_population", denied)
+        def no_space(*_):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.write = fh.writelines = no_space
+        return fh
+
+    monkeypatch.setattr("peerenc.cli.open", full_disk, raising=False)
+    if flag == "default output":
+        monkeypatch.setattr("peerenc.cli._DEFAULT_POPULATION", str(full))
+    argv = [command, "--config", str(cfg)]
+    if command != "generate":
+        argv += ["--pop", str(pop_path)]
+    if flag.startswith("--"):
+        argv += [flag, str(full)]
     capsys.readouterr()
-    assert _exit_code(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _exit_code(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"error: InvalidConfig: --out {out}: cannot write (Permission denied)\n"
+    assert err == f"error: InvalidConfig: {flag} {full}: cannot write (No space left on device)\n"
 
 
 def test_an_existing_output_without_write_permission_is_refused_before_any_work(
@@ -939,11 +962,16 @@ def test_a_closed_stdout_pipe_is_a_one_line_error(tmp_path, command):
     assert proc.stderr == "error: InvalidConfig: standard output: cannot write (Broken pipe)\n"
 
 
+def _open_descriptors() -> int | None:
+    """How many file descriptors this process holds, None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 def test_a_closed_stdout_pipe_is_a_one_line_error_in_process(tmp_path, monkeypatch):
     """main's BrokenPipe branch in this process: the flush after the command
     fails on a pipe whose read end is closed, stdout is pointed at the null
-    device (so closing it loses the rest quietly), and the error is one
-    stderr line, with no traceback."""
+    device (so closing it loses the rest quietly) without leaving a
+    descriptor open, and the error is one stderr line, with no traceback."""
     cfg = write_config(tmp_path / "cfg.json")
     pop_path = tmp_path / "pop.json"
     assert main(["generate", "--config", str(cfg), "--out", str(pop_path)]) == 0
@@ -953,7 +981,9 @@ def test_a_closed_stdout_pipe_is_a_one_line_error_in_process(tmp_path, monkeypat
     with open(write, "w", encoding="utf-8") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         monkeypatch.setattr(sys, "stderr", err)
+        fds = _open_descriptors()
         code = main(["estimands", "--config", str(cfg), "--pop", str(pop_path)])
+        assert _open_descriptors() == fds
         monkeypatch.undo()
     assert code == 2
     assert err.getvalue() == "error: InvalidConfig: standard output: cannot write (Broken pipe)\n"
@@ -1121,11 +1151,12 @@ print(" ".join(sorted(sys.modules)), file=sys.stderr)
 
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     """generate, estimands and verify without replications, each in a fresh
-    interpreter, load neither the Monte Carlo, estimator, design nor CSV
-    code; generate does not load the exact engine either. simulate and verify
-    with replications load the layers they run. Every command loads the
-    population file's module, and none loads ``dataclasses``, whose classes
-    compile their methods at import. Only the CLI joins the exact engine and
+    interpreter, load neither the Monte Carlo, estimator nor design code;
+    generate does not load the exact engine either. simulate and verify with
+    replications load the layers they run. Every command loads the
+    population file's module, and none loads ``csv`` (simulate renders its
+    --dump-data CSV itself) or ``dataclasses``, whose classes compile their
+    methods at import. Only the CLI joins the exact engine and
     the replication chain: importing either loads nothing of the other, and
     the estimators load no design or CSV code."""
     src = Path(peerenc.__file__).resolve().parent.parent
@@ -1150,16 +1181,17 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
                     "--out", str(tmp_path / "verify.json"))
     exact = loaded("verify", "--config", str(exact_cfg), "--pop", str(pop_path),
                    "--out", str(tmp_path / "exact.json"))
-    never = {"peerenc.montecarlo", "peerenc.estimators", "peerenc.design", "csv"}
+    replication = {"peerenc.montecarlo", "peerenc.estimators", "peerenc.design"}
+    never = {"csv", "dataclasses"}
     assert "peerenc.population" in generate and "peerenc.estimands" in estimands
-    assert not never & generate
-    assert not never & estimands
-    assert not (never | {"peerenc._streams"}) & exact and "peerenc.estimands" in exact
+    assert not replication & generate
+    assert not replication & estimands
+    assert not (replication | {"peerenc._streams"}) & exact and "peerenc.estimands" in exact
     assert "peerenc.estimands" not in generate
     for replicating in (simulate, verify):
-        assert never | {"peerenc.estimands", "peerenc._streams"} <= replicating
+        assert replication | {"peerenc.estimands", "peerenc._streams"} <= replicating
     for modules in (generate, estimands, simulate, verify, exact):
-        assert "peerenc.popfile" in modules and "dataclasses" not in modules
+        assert "peerenc.popfile" in modules and not never & modules
     assert "peerenc.estimands" not in loaded("peerenc.montecarlo", probe=_IMPORTED_MODULES)
     assert not {"peerenc.design", "csv"} & loaded("peerenc.estimators", probe=_IMPORTED_MODULES)
     assert not ({"peerenc.design", "peerenc.estimators", "peerenc.montecarlo"}

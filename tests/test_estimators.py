@@ -286,7 +286,7 @@ def test_estimate_report_from_ingested_csv(tmp_path, rng):
     design = Design(pop, mech_a=a, mech_b=b, k=1, seed=30)
     data = run_design(design, replicate=4)
     path = tmp_path / "run.csv"
-    data.to_csv(path)
+    path.write_text(data.to_csv(), encoding="utf-8", newline="")
     loaded = ExperimentData.from_csv(path, a, b)
     assert estimate_report(loaded).to_json() == estimate_report(data).to_json()
 

@@ -141,8 +141,8 @@ DIGESTS = {
 
 
 def _loosen(doc: dict) -> dict:
-    """A population document the loader reads although ``save_population``
-    never writes it: each table's keys shuffled, each zero coefficient left
+    """A population document the loader reads although ``population_text``
+    never renders it: each table's keys shuffled, each zero coefficient left
     out."""
     rng = random.Random(1)
     for outcome in (person["outcome"] for block in doc["blocks"] for person in block):
@@ -216,19 +216,43 @@ def _cpu_flags() -> set[str]:
     return set(found[1].split()) if found else set()
 
 
+def _kernel_skip(core: str) -> str | None:
+    """Why this machine cannot run ``core``'s kernels, or None."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return "OpenBLAS core types name x86 kernels"
+    missing = set(_CORE_TYPES[core]) - _cpu_flags()
+    return f"the CPU lacks {', '.join(sorted(missing))} for {core}" if missing else None
+
+
+@pytest.fixture(scope="module")
+def kernel_children(request, tmp_path_factory):
+    """One child pytest of the digest test per selected core type that the
+    CPU can run, each with OPENBLAS_CORETYPE set and its own --basetemp, all
+    started at once; a core type maps to its child or to its skip reason."""
+    selected = {item.callspec.params["core"] for item in request.session.items
+                if item.originalname == "test_every_digest_holds_under_each_openblas_kernel"}
+    digests = f"{Path(__file__).resolve()}::test_every_output_matches_its_golden_digest"
+    children = {}
+    for core in sorted(selected):
+        children[core] = _kernel_skip(core) or subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--basetemp",
+             str(tmp_path_factory.mktemp(f"openblas-{core}")), digests],
+            cwd=ROOT, env={**os.environ, "OPENBLAS_CORETYPE": core}, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+    yield children
+    for child in children.values():
+        if isinstance(child, subprocess.Popen) and child.returncode is None:
+            child.kill()  # its test did not run or timed out
+            child.communicate()
+
+
 @pytest.mark.parametrize("core", sorted(_CORE_TYPES))
-def test_every_digest_holds_under_each_openblas_kernel(tmp_path, core):
+def test_every_digest_holds_under_each_openblas_kernel(kernel_children, core):
     """The digest test passes for every config in a fresh process with
     OPENBLAS_CORETYPE set: each OpenBLAS kernel sums in its own order, so a
     BLAS call on any output's path would move its last bits."""
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("OpenBLAS core types name x86 kernels")
-    missing = set(_CORE_TYPES[core]) - _cpu_flags()
-    if missing:
-        pytest.skip(f"the CPU lacks {', '.join(sorted(missing))} for {core}")
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--basetemp",
-         str(tmp_path), f"{Path(__file__).resolve()}::test_every_output_matches_its_golden_digest"],
-        cwd=ROOT, env={**os.environ, "OPENBLAS_CORETYPE": core}, capture_output=True, text=True,
-        timeout=300)
-    assert run.returncode == 0, run.stdout[-4000:]
+    child = kernel_children[core]
+    if isinstance(child, str):
+        pytest.skip(child)
+    output, _ = child.communicate(timeout=300)
+    assert child.returncode == 0, f"OPENBLAS_CORETYPE={core}:\n{output[-4000:]}"

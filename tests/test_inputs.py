@@ -194,12 +194,11 @@ _CSV_FIELDS = {
 
 
 @pytest.fixture(scope="module")
-def csv_rows(tmp_path_factory):
+def csv_rows():
     pop = population([[person("co", structural(direct=1.0)) for _ in range(3)]
                       for _ in range(4)])
-    path = tmp_path_factory.mktemp("csv") / "run.csv"
-    run_design(Design(pop, Mechanism("phi", 0.7), Mechanism("psi", 0.3), k=2, seed=3)).to_csv(path)
-    return [line.split(",") for line in path.read_text().splitlines()]
+    data = run_design(Design(pop, Mechanism("phi", 0.7), Mechanism("psi", 0.3), k=2, seed=3))
+    return [line.split(",") for line in data.to_csv().splitlines()]
 
 
 @FUZZ

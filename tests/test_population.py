@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import re
@@ -17,8 +18,9 @@ from peerenc.errors import (
     InvalidConfig,
     MissingTableEntry,
 )
+from peerenc.cli import _write
 from peerenc.mechanisms import Mechanism
-from peerenc.popfile import load_population, population_from_dict, save_population
+from peerenc.popfile import load_population, population_from_dict, population_text
 from peerenc.population import (
     ComplianceType,
     DgpConfig,
@@ -31,6 +33,11 @@ from peerenc.population import (
 from conftest import make_individual, make_population, person, population, structural, table
 from oracles import convert_to_tables, oracle_outcome, oracle_ybar_itt, oracle_ybar_local, \
     population_to_dict, reference_build_population
+
+def save(pop, path) -> None:
+    """Write the population file of ``pop`` to ``path``, rendered whole."""
+    path.write_text("".join(population_text(pop)), encoding="utf-8")
+
 
 _STRATUM = {(0, 1): ComplianceType.COMPLIER, (1, 1): ComplianceType.ALWAYS_TAKER,
             (1, 0): ComplianceType.DEFIER, (0, 0): ComplianceType.NEVER_TAKER}
@@ -545,8 +552,8 @@ def test_build_matches_the_scalar_draw_loop_bitwise(tmp_path_factory, rep, param
     assert (pop.monotone, pop.one_sided, pop.exclusion_ok) == \
         (expected.monotone, expected.one_sided, expected.exclusion_ok)
     directory = tmp_path_factory.mktemp("build")
-    save_population(pop, directory / "built.json")
-    save_population(expected, directory / "reference.json")
+    save(pop, directory / "built.json")
+    save(expected, directory / "reference.json")
     assert (directory / "built.json").read_bytes() == (directory / "reference.json").read_bytes()
 
 
@@ -597,11 +604,11 @@ def test_serialization_round_trip(tmp_path, rng):
                                            peer=0.5, noise_sd=1.0), block_size=4)
     pop = build_population(cfg, rng)
     path = tmp_path / "pop.json"
-    save_population(pop, path)
+    save(pop, path)
     loaded = load_population(path)
     assert population_to_dict(loaded) == population_to_dict(pop)
     # byte-identical rewrite
-    save_population(loaded, tmp_path / "pop2.json")
+    save(loaded, tmp_path / "pop2.json")
     assert (tmp_path / "pop2.json").read_bytes() == path.read_bytes()
 
 
@@ -656,10 +663,16 @@ def test_table_entry_count_is_checked_before_its_keys(kind, n):
     assert peak < 2e6, peak
 
 
-def test_table_with_an_extra_entry_is_invalid():
-    data = population_to_dict(_tabled_pair())
-    data["blocks"][0][0]["outcome"]["values"]["100"] = 1.0
-    with pytest.raises(InvalidConfig, match="'100' is not a row"):
+@pytest.mark.parametrize("keyed, extra", [(False, "100"), (True, "00|1")],
+                         ids=["table", "table_z"])
+def test_table_with_an_extra_entry_is_invalid(keyed, extra):
+    """The error names the first key that is not a row, after the table's
+    valid keys."""
+    pop = _one_table(np.arange(16.0), keyed=True) if keyed else _tabled_pair()
+    data = population_to_dict(pop)
+    data["blocks"][0][0]["outcome"]["values"][extra] = 1.0
+    with pytest.raises(InvalidConfig, match=re.escape(f"table key {extra!r} is not a row of a "
+                                                      f"size-2 table")):
         population_from_dict(data)
 
 
@@ -690,7 +703,7 @@ def test_table_key_that_is_not_a_string_is_invalid():
 
 
 # --------------------------------------------------------------------------
-# Population file bytes: save_population against the stdlib encoder
+# Population file bytes: population_text against the stdlib encoder
 # --------------------------------------------------------------------------
 
 def _stdlib_bytes(pop) -> bytes:
@@ -744,30 +757,61 @@ def test_saved_bytes_equal_the_stdlib_encoder(tmp_path, rng, name):
     ``population_to_dict`` with a trailing newline."""
     pop = _SAVED_POPULATIONS[name](rng)
     path = tmp_path / "pop.json"
-    save_population(pop, path)
+    save(pop, path)
     assert path.read_bytes() == _stdlib_bytes(pop)
     assert population_to_dict(load_population(path)) == population_to_dict(pop)
 
 
 def test_saving_holds_a_fraction_of_the_file_in_memory(tmp_path, rng):
-    """save_population streams the file: the memory it allocates is bounded
-    by one member's table text, not by the file (a whole-file text would
-    alone take the file's size)."""
+    """The CLI's writer streams the rendered file: the memory it allocates
+    is bounded by one member's table text, not by the file (a whole-file
+    text would alone take the file's size)."""
     pop = build_population(_basic_cfg(
         blocks=4, block_size=10, strata=(0.0, 1.0, 0.0, 0.0),
         outcome=OutcomeConfig(representation="table", direct=(2.0, 0.5), noise_sd=1.0)), rng)
     path = tmp_path / "pop.json"
-    save_population(pop, path)
+    save(pop, path)
     size = path.stat().st_size
     assert size >= 1 << 20
     tracemalloc.start()
     try:
-        save_population(pop, path)
+        _write("--out", str(path), population_text(pop))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < size / 4
     assert path.read_bytes() == _stdlib_bytes(pop)
+
+
+def test_loading_releases_the_file_text_before_the_columns_are_built(tmp_path, rng, monkeypatch):
+    """load_population drops the file's text once its document is parsed:
+    while ``population_from_dict`` builds the columns, no block that
+    ``_json.read_text`` allocated is as large as the file."""
+    pop = build_population(_basic_cfg(
+        blocks=2, block_size=8, strata=(0.0, 1.0, 0.0, 0.0),
+        outcome=OutcomeConfig(representation="table", direct=(2.0, 0.5), noise_sd=1.0)), rng)
+    path = tmp_path / "pop.json"
+    save(pop, path)
+    size = path.stat().st_size
+    lines, first = inspect.getsourcelines(_json.read_text)
+    held, build = [], popfile.population_from_dict
+
+    def spy(data):
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, _json.__file__)])
+        held.append([t.size for t in snapshot.traces
+                     if first <= t.traceback[0].lineno < first + len(lines)])
+        return build(data)
+
+    monkeypatch.setattr(popfile, "population_from_dict", spy)
+    tracemalloc.start()
+    try:
+        loaded = load_population(path)
+    finally:
+        tracemalloc.stop()
+    assert population_to_dict(loaded) == population_to_dict(pop)
+    [sizes] = held
+    assert all(block < size for block in sizes), (sizes, size)
 
 
 _LABEL = st.sampled_from(["at", "co", "nt", "de"])
@@ -809,7 +853,7 @@ def test_mixed_blocks_round_trip_and_match_the_oracles(tmp_path_factory, first, 
         got, want = getattr(loaded, name), getattr(pop, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     path = tmp_path_factory.mktemp("mixed") / "pop.json"
-    save_population(pop, path)
+    save(pop, path)
     assert path.read_bytes() == _stdlib_bytes(pop)
 
     d = rng.integers(0, 2, size=(3, pop.n_individuals), dtype=np.int8)
@@ -872,7 +916,7 @@ def test_table_keys_in_any_order_load_the_same_entries(tmp_path, rng):
         data["blocks"][0][member]["outcome"]["values"] = shuffled
     loaded = population_from_dict(data)
     assert np.array_equal(loaded.table, pop.table)
-    save_population(loaded, tmp_path / "pop.json")
+    save(loaded, tmp_path / "pop.json")
     assert (tmp_path / "pop.json").read_bytes() == _stdlib_bytes(pop)
 
 
@@ -941,13 +985,19 @@ def _table_file(path, texts) -> str:
 @pytest.fixture
 def memos(monkeypatch):
     """Every float memo the reads build, in order, each holding at most 4
-    texts."""
+    texts; ``largest`` is the most it held."""
     built = []
 
     class Spy(popfile._FloatMemo):
         def __init__(self):
             super().__init__()
+            self.largest = 0
             built.append(self)
+
+        def __missing__(self, text: str) -> float:
+            value = super().__missing__(text)
+            self.largest = max(self.largest, len(self))
+            return value
 
     monkeypatch.setattr(popfile, "FLOAT_MEMO_BOUND", 4)
     monkeypatch.setattr(popfile, "_FloatMemo", Spy)
@@ -964,13 +1014,13 @@ def test_table_entries_parse_bitwise_as_plain_json(tmp_path, memos):
     loaded = load_population(path).table
     assert loaded.tobytes() == np.array(plain, dtype=float).tobytes()
     [memo] = memos
-    assert 0 < len(memo) <= 4
+    assert 0 < len(memo) <= memo.largest == 4
 
 
 def test_files_without_table_values_parse_with_plain_float(tmp_path, rng, memos):
     """A structural population file and a config build no memo."""
     path = tmp_path / "pop.json"
-    save_population(build_population(_basic_cfg(), rng), path)
+    save(build_population(_basic_cfg(), rng), path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"dgp": {"strata": [0.25, 0.5, 0.25, 0.0]}, "seed": 1}))
     load_population(path)
